@@ -16,18 +16,15 @@ non-blocking for that reason.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from repro.benchsuite.table1 import run_table1_batch
 from repro.service.cache import ResultCache
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_saturation.json"
 
 #: Wall-clock speedup the worker pool must demonstrate on a multi-core box.
 REQUIRED_PARALLEL_SPEEDUP = 1.3
@@ -36,23 +33,12 @@ REQUIRED_PARALLEL_SPEEDUP = 1.3
 REQUIRED_WARM_SPEEDUP = 3.0
 
 
-def _record(payload: dict) -> None:
-    existing = {}
-    if BENCH_PATH.exists():
-        try:
-            existing = json.loads(BENCH_PATH.read_text())
-        except (OSError, ValueError):
-            existing = {}
-    existing.update(payload)
-    BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")
-
-
 def _mask_seconds(rows):
     return [replace(row, seconds=0.0) for row in rows]
 
 
 @pytest.mark.figure
-def test_batch_service_parallel_speedup_and_warm_cache(tmp_path):
+def test_batch_service_parallel_speedup_and_warm_cache(tmp_path, bench_record):
     cpu_count = os.cpu_count() or 1
     worker_count = max(2, min(4, cpu_count))
     cache_dir = tmp_path / "cache"
@@ -75,7 +61,7 @@ def test_batch_service_parallel_speedup_and_warm_cache(tmp_path):
 
     speedup = serial_seconds / max(parallel_seconds, 1e-9)
     warm_speedup = parallel_seconds / max(warm_seconds, 1e-9)
-    _record(
+    bench_record(
         {
             "batch_service": {
                 "models": len(serial.rows),

@@ -16,7 +16,6 @@ fails both this test and the CI gate.
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -28,7 +27,6 @@ from repro.csg.pretty import format_term
 from repro.service import ResultCache, SynthesisDaemon
 from repro.service.protocol import DaemonClient
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_saturation.json"
 
 #: The CI daemon-smoke subset (fast, deterministic models).
 WORKLOAD = ("sander", "soldering", "hc-bits", "relay-box", "compose")
@@ -41,17 +39,6 @@ SLO_SECONDS = 30.0
 REQUIRED_PHASES = ("job", "parse", "saturate", "extract", "determinize")
 
 
-def _record(payload: dict) -> None:
-    existing = {}
-    if BENCH_PATH.exists():
-        try:
-            existing = json.loads(BENCH_PATH.read_text())
-        except (OSError, ValueError):
-            existing = {}
-    existing.update(payload)
-    BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")
-
-
 @pytest.fixture
 def sock_dir():
     path = Path(tempfile.mkdtemp(prefix="szslo.", dir="/tmp"))
@@ -59,7 +46,7 @@ def sock_dir():
     shutil.rmtree(path, ignore_errors=True)
 
 
-def test_daemon_smoke_workload_meets_latency_slo(sock_dir):
+def test_daemon_smoke_workload_meets_latency_slo(sock_dir, bench_record):
     specs = [
         {"name": name, "term": format_term(get_benchmark(name).build())}
         for name in WORKLOAD
@@ -101,7 +88,7 @@ def test_daemon_smoke_workload_meets_latency_slo(sock_dir):
     assert served == len(WORKLOAD)
 
     e2e_p95 = latency["jobs"]["p95"]
-    _record(
+    bench_record(
         {
             "latency_slo": {
                 "workload": list(WORKLOAD),

@@ -19,8 +19,8 @@ point the expansive rules have blown the graph up several-fold — and it then
 pays again during extraction, which scales with the bloated graph.  The
 assertions require the two-phase engine to (a) stay within a small factor of
 the budget, (b) reach the same best extraction cost, and (c) be at least 2x
-faster end to end.  Timings are recorded in ``BENCH_saturation.json`` at the
-repository root.
+faster end to end.  Timings are recorded in ``.benchmarks/BENCH_saturation.json``
+(gitignored) at the repository root.
 
 The speedup assertion is this change's acceptance gate and intentionally
 runs in the default collection; the measured margin is ~3x, but on a heavily
@@ -42,9 +42,7 @@ each query into an O(answer) witness walk.  Recorded under the
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 import pytest
@@ -57,7 +55,6 @@ from repro.egraph.extract import CostAnalysis, Extractor, TopKExtractor, ast_siz
 from repro.egraph.runner import BackoffConfig, Runner, RunnerLimits
 from repro.lang.term import Term
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_saturation.json"
 
 #: The speedup the two-phase engine must demonstrate over the seed loop.
 REQUIRED_SPEEDUP = 2.0
@@ -239,24 +236,13 @@ def _measure_two_phase(
     }
 
 
-def _record(payload: dict) -> None:
-    existing = {}
-    if BENCH_PATH.exists():
-        try:
-            existing = json.loads(BENCH_PATH.read_text())
-        except (OSError, ValueError):
-            existing = {}
-    existing.update(payload)
-    BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Benchmarks
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.figure
-def test_two_phase_engine_at_least_2x_faster_than_seed_loop():
+def test_two_phase_engine_at_least_2x_faster_than_seed_loop(bench_record):
     """Seed loop vs two-phase loop on the gear with an enforced node budget."""
     model = gear_model()
     rules = all_rules()  # includes the expansive boolean rules
@@ -267,7 +253,7 @@ def test_two_phase_engine_at_least_2x_faster_than_seed_loop():
     two_phase = _measure_two_phase(model, rules, limits, backoff)
     speedup = seed["total_seconds"] / max(two_phase["total_seconds"], 1e-9)
 
-    _record(
+    bench_record(
         {
             "model": "3362402:gear",
             "model_nodes": model.size(),
@@ -292,7 +278,7 @@ def test_two_phase_engine_at_least_2x_faster_than_seed_loop():
 
 
 @pytest.mark.figure
-def test_two_phase_engine_parity_on_default_rules():
+def test_two_phase_engine_parity_on_default_rules(bench_record):
     """With the paper's default rule set both engines find the same best."""
     model = gear_model()
     limits = RunnerLimits(max_iterations=8, max_enodes=200_000, max_seconds=60.0)
@@ -302,7 +288,7 @@ def test_two_phase_engine_parity_on_default_rules():
         model, default_rules(), limits, BackoffConfig()
     )
 
-    _record({"default_rules": {"seed": seed, "two_phase": two_phase}})
+    bench_record({"default_rules": {"seed": seed, "two_phase": two_phase}})
 
     assert two_phase["best_cost"] == seed["best_cost"]
     # No bans expected at the default threshold.
@@ -363,7 +349,7 @@ def _incremental_workloads():
 
 
 @pytest.mark.figure
-def test_incremental_search_at_least_2x_faster_search_phase():
+def test_incremental_search_at_least_2x_faster_search_phase(bench_record):
     """Naive sweep vs incremental trie on search-dominated workloads.
 
     The acceptance gate for the incremental e-matching subsystem: summed
@@ -387,7 +373,7 @@ def test_incremental_search_at_least_2x_faster_search_phase():
             "search_speedup": naive["search_seconds"] / max(trie["search_seconds"], 1e-9),
         }
     speedup = naive_search / max(trie_search, 1e-9)
-    _record({"incremental_search": {"workloads": recorded, "search_speedup": speedup}})
+    bench_record({"incremental_search": {"workloads": recorded, "search_speedup": speedup}})
     assert speedup >= REQUIRED_SEARCH_SPEEDUP, (
         f"incremental search only {speedup:.2f}x faster "
         f"(naive {naive_search:.3f}s vs trie {trie_search:.3f}s)"
@@ -450,7 +436,7 @@ def _measure_extraction(model: Term, *, incremental: bool) -> dict:
 
 
 @pytest.mark.figure
-def test_incremental_extraction_at_least_2x_faster_extraction_phase():
+def test_incremental_extraction_at_least_2x_faster_extraction_phase(bench_record):
     """Post-hoc fixpoint extraction vs the saturation-time cost analysis.
 
     Both sides saturate the gear identically (the analysis rides along on
@@ -464,7 +450,7 @@ def test_incremental_extraction_at_least_2x_faster_extraction_phase():
     riding = _measure_extraction(model, incremental=True)
     speedup = posthoc["extract_seconds"] / max(riding["extract_seconds"], 1e-9)
 
-    _record(
+    bench_record(
         {
             "extraction": {
                 "model": "3362402:gear",
@@ -578,7 +564,7 @@ def _measure_dedup(model: Term, rules, limits: RunnerLimits, *, dedup: bool) -> 
 
 
 @pytest.mark.figure
-def test_apply_dedup_at_least_5x_faster_apply_phase():
+def test_apply_dedup_at_least_5x_faster_apply_phase(bench_record):
     """Re-apply-everything vs the applied-match ledger on match-heavy runs.
 
     The acceptance gate for the apply-phase overhaul: on the affine-tower
@@ -613,7 +599,7 @@ def test_apply_dedup_at_least_5x_faster_apply_phase():
         }
 
     headline = recorded["affine-tower-chain-50"]
-    _record(
+    bench_record(
         {
             "apply_dedup": {
                 "workloads": recorded,

@@ -15,10 +15,8 @@ run, so the margin is enormous even on shared runners).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -26,21 +24,9 @@ from repro.benchsuite.table1 import run_table1_batch
 from repro.benchsuite.variants import semantic_variant
 from repro.service.cache import ResultCache
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_saturation.json"
 
 #: Serving respelled inputs from the cache must beat resynthesizing them.
 REQUIRED_WARM_SPEEDUP = 3.0
-
-
-def _record(payload: dict) -> None:
-    existing = {}
-    if BENCH_PATH.exists():
-        try:
-            existing = json.loads(BENCH_PATH.read_text())
-        except (OSError, ValueError):
-            existing = {}
-    existing.update(payload)
-    BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 
 def _mask_seconds(rows):
@@ -48,7 +34,7 @@ def _mask_seconds(rows):
 
 
 @pytest.mark.figure
-def test_semantic_cache_serves_variants_warm(tmp_path):
+def test_semantic_cache_serves_variants_warm(tmp_path, bench_record):
     cache_dir = tmp_path / "cache"
 
     start = time.perf_counter()
@@ -63,7 +49,7 @@ def test_semantic_cache_serves_variants_warm(tmp_path):
     assert not warm.failures
 
     speedup = cold_seconds / max(warm_seconds, 1e-9)
-    _record(
+    bench_record(
         {
             "semantic_cache": {
                 "models": len(cold.rows),

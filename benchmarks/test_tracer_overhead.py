@@ -24,16 +24,13 @@ This benchmark pins that claim with numbers recorded under the
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.benchsuite.suite import get_benchmark
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import synthesize
 from repro.obs.trace import NULL_TRACER, Tracer
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_saturation.json"
 
 #: Fast, deterministic models; the daemon-smoke subset minus the slow ones.
 WORKLOAD = ("sander", "soldering", "hc-bits")
@@ -43,17 +40,6 @@ REPS = 3
 DISABLED_OVERHEAD_CEILING = 0.02
 #: Lenient advisory bound for tracing-on (wall clock on shared machines).
 ENABLED_RATIO_CEILING = 1.5
-
-
-def _record(payload: dict) -> None:
-    existing = {}
-    if BENCH_PATH.exists():
-        try:
-            existing = json.loads(BENCH_PATH.read_text())
-        except (OSError, ValueError):
-            existing = {}
-    existing.update(payload)
-    BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 
 def _null_span_seconds(iterations: int = 200_000) -> float:
@@ -75,7 +61,7 @@ def _run_workload(tracer) -> float:
     return time.perf_counter() - start
 
 
-def test_disabled_tracer_overhead_is_negligible():
+def test_disabled_tracer_overhead_is_negligible(bench_record):
     # How many spans would an end-to-end traced run of this workload enter?
     spans_per_run = 0
     for name in WORKLOAD:
@@ -99,7 +85,7 @@ def test_disabled_tracer_overhead_is_negligible():
     disabled_overhead_fraction = spans_per_run * null_span_seconds / disabled_seconds
     enabled_overhead_ratio = enabled_seconds / disabled_seconds
 
-    _record(
+    bench_record(
         {
             "tracer_overhead": {
                 "workload": list(WORKLOAD),

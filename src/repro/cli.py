@@ -91,14 +91,6 @@ def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
         incremental_extraction=not args.no_incremental_extraction,
         apply_dedup=not args.no_apply_dedup,
     )
-    if args.search_workers:
-        from repro.egraph.parallel import clamp_search_workers
-
-        # Each concurrent job slot may host its own search pool, so the
-        # requested per-job count is clamped to jobs × workers <= cores
-        # (`synth` and inline `batch --jobs 0` count as one slot).
-        slots = max(1, getattr(args, "jobs", 1) or 1)
-        kwargs["search_workers"] = clamp_search_workers(args.search_workers, slots)
     if args.rules is not None:
         kwargs["rule_categories"] = args.rules
     return SynthesisConfig(**kwargs)
@@ -313,7 +305,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_timeout=args.timeout,
         trace_jobs=not args.no_job_tracing,
         trace_path=args.trace,
-        search_workers=args.search_workers,
     )
     daemon.start()
 
@@ -550,12 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-apply-dedup", action="store_true",
         help="disable the apply-phase dedup ledger (re-apply every match "
         "every iteration)",
-    )
-    parser.add_argument(
-        "--search-workers", type=int, default=0, metavar="N",
-        help="search-worker processes per saturation run (0 = serial); "
-        "e-matching fans out over a shared-memory e-graph snapshot with "
-        "byte-identical results; clamped so jobs x workers <= cores",
     )
     parser.add_argument(
         "--rules", type=_rule_categories, default=None, metavar="CAT[,CAT...]",

@@ -24,6 +24,11 @@ _DEFAULT_BACKOFF = BackoffConfig()
 class SynthesisConfig:
     """Knobs for :func:`repro.core.pipeline.synthesize`."""
 
+    #: Knobs that older versions wrote into cached payloads and that no
+    #: longer exist; :meth:`from_dict` drops them instead of rejecting the
+    #: payload.  (Not a dataclass field: the name carries no annotation.)
+    _RETIRED_FIELDS = frozenset({"search_workers"})
+
     #: Tolerance used by the arithmetic solvers on every observation.
     epsilon: float = 1e-3
 
@@ -79,16 +84,6 @@ class SynthesisConfig:
     #: ``incremental_search``.
     incremental_extraction: bool = True
 
-    #: Search-worker processes per saturation run (0 = serial).  The runner
-    #: fans the compiled trie search out over a shared-memory snapshot of
-    #: the flat e-graph (:mod:`repro.egraph.parallel`); match sets are
-    #: byte-identical to the serial path (``tests/test_parallel_search.py``
-    #: pins the parity), so this is a pure throughput knob.  Callers running
-    #: multiple concurrent jobs clamp it with
-    #: :func:`repro.egraph.parallel.clamp_search_workers` so
-    #: ``jobs × search_workers`` never exceeds the machine's cores.
-    search_workers: int = 0
-
     #: Rule categories to enable (see :func:`repro.core.rules.rules_by_category`).
     rule_categories: Tuple[str, ...] = (
         "affine-lifting",
@@ -131,12 +126,14 @@ class SynthesisConfig:
 
         Unknown keys are rejected loudly (a cache written by a newer version
         must not be silently reinterpreted); missing keys take the defaults.
+        Retired knobs (:attr:`_RETIRED_FIELDS`) are dropped first, so
+        payloads written before their removal still load.
         """
+        kwargs = {key: value for key, value in data.items() if key not in cls._RETIRED_FIELDS}
         known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(kwargs) - known
         if unknown:
             raise ValueError(f"unknown SynthesisConfig fields: {sorted(unknown)}")
-        kwargs = dict(data)
         if "rule_categories" in kwargs:
             kwargs["rule_categories"] = tuple(kwargs["rule_categories"])
         return cls(**kwargs)
@@ -144,19 +141,18 @@ class SynthesisConfig:
     def semantic_dict(self) -> Dict[str, object]:
         """The fields that can change *what* is synthesized (cache identity).
 
-        ``incremental_search``, ``incremental_extraction``, ``apply_dedup``,
-        and ``search_workers`` are excluded: they only change how e-matching
-        / best-cost bookkeeping / match re-application is scheduled (or on
-        how many cores the search runs), and the differential suites pin
-        their results as identical to the post-hoc computations — so all
-        settings may share cache entries.  Extraction knobs that *do*
-        change the output (``top_k``, ``cost_function``) stay in.
+        ``incremental_search``, ``incremental_extraction``, and
+        ``apply_dedup`` are excluded: they only change how e-matching /
+        best-cost bookkeeping / match re-application is scheduled, and the
+        differential suites pin their results as identical to the post-hoc
+        computations — so all settings may share cache entries.  Extraction
+        knobs that *do* change the output (``top_k``, ``cost_function``)
+        stay in.
         """
         out = self.to_dict()
         out.pop("incremental_search")
         out.pop("incremental_extraction")
         out.pop("apply_dedup")
-        out.pop("search_workers")
         return out
 
     def fingerprint(self) -> str:

@@ -234,7 +234,6 @@ def synthesize(
             analyses=analyses,
             dedup=config.apply_dedup,
             tracer=tracer,
-            search_workers=config.search_workers,
         )
         with tracer.span("saturate") as sat_span:
             run_report = runner.run(egraph)

@@ -443,24 +443,6 @@ class CompiledRuleSet:
     def _count_nodes(self, node: _TrieNode) -> int:
         return 1 + sum(self._count_nodes(child) for child in node.children.values())
 
-    # -- pickling ---------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle without the rule objects.
-
-        Dynamic rewrites close over arbitrary appliers/guards (lambdas),
-        which do not pickle — and the search path never touches them: it
-        needs only the trie, the operator slots, and the rule names.  A
-        search-worker process therefore receives a compiled set whose
-        ``rules`` is ``None``; applying matches stays in the parent.
-        """
-        state = dict(self.__dict__)
-        state["rules"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     # -- searching --------------------------------------------------------------
 
     def search_classes(
@@ -468,7 +450,6 @@ class CompiledRuleSet:
         egraph: EGraph,
         class_ids: Optional[Iterable[int]] = None,
         enabled: Optional[Set[str]] = None,
-        match_type=None,
     ) -> Dict[str, List]:
         """Match every compiled pattern against a set of candidate classes.
 
@@ -484,18 +465,8 @@ class CompiledRuleSet:
         per search, the node loops compare integers, and argument ids are
         canonicalized with an inlined path-compressed find (see
         :mod:`repro.egraph.symbols` and the e-graph module docstring).
-
-        ``match_type`` overrides the match constructor — the parallel search
-        workers (:mod:`repro.egraph.parallel`) pass a plain-tuple builder so
-        results cross process boundaries without pickling match objects.
-        ``egraph`` may then be any object with the e-graph's search surface
-        (``find`` / ``flat_nodes`` / ``symbols.get``/ ``_union_find.parents``),
-        e.g. a shared-memory snapshot.
         """
-        if match_type is None:
-            from repro.egraph.rewrite import RewriteMatch  # local: avoids an import cycle
-
-            match_type = RewriteMatch
+        from repro.egraph.rewrite import RewriteMatch  # local: avoids an import cycle
 
         if enabled is None:
             enabled_indices: Optional[Set[int]] = None
@@ -511,10 +482,10 @@ class CompiledRuleSet:
         else:
             candidates = {egraph.find(class_id) for class_id in class_ids}
         out: Dict[int, List] = {
-            i: [] for i in range(len(self.rule_names))
+            i: [] for i in range(len(self.rules))
             if enabled_indices is None or i in enabled_indices
         }
-        ctx = _SearchContext(egraph, self._slot_ops, enabled_indices, out, match_type)
+        ctx = _SearchContext(egraph, self._slot_ops, enabled_indices, out, RewriteMatch)
         symbols = egraph.symbols
         # Root trie edges re-keyed by this graph's interned op ids; an
         # operator the graph has never interned cannot match anywhere.
@@ -611,13 +582,8 @@ class IncrementalMatcher:
     a given e-graph at a time.
     """
 
-    def __init__(self, compiled: CompiledRuleSet, searcher=None) -> None:
+    def __init__(self, compiled: CompiledRuleSet) -> None:
         self.compiled = compiled
-        #: Optional ``search_classes`` provider substituted for the compiled
-        #: set — the parallel search pool (:mod:`repro.egraph.parallel`)
-        #: plugs in here.  Must return byte-identical results to
-        #: :meth:`CompiledRuleSet.search_classes` (the pool guarantees it).
-        self.searcher = compiled if searcher is None else searcher
         self._epoch = 0
         self._rule_epoch: Dict[str, int] = {}
         #: rule name -> canonical class id -> cached matches in that class.
@@ -682,7 +648,7 @@ class IncrementalMatcher:
                 for class_id in stale:
                     cache.pop(class_id, None)
             if closure:
-                recomputed = self.searcher.search_classes(
+                recomputed = self.compiled.search_classes(
                     egraph, class_ids=closure, enabled=set(incremental)
                 )
                 for name, matches in recomputed.items():
@@ -691,7 +657,7 @@ class IncrementalMatcher:
                         cache.setdefault(match.class_id, []).append(match)
                     stats.recomputed_matches += len(matches)
         if full:
-            swept = self.searcher.search_classes(egraph, enabled=set(full))
+            swept = self.compiled.search_classes(egraph, enabled=set(full))
             for name, matches in swept.items():
                 grouped: Dict[int, List] = {}
                 for match in matches:

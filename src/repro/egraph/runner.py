@@ -155,6 +155,11 @@ class BackoffScheduler:
 class IterationReport:
     """Statistics for a single two-phase rewrite iteration."""
 
+    #: Counters that older versions wrote into cached payloads and that no
+    #: longer exist; :meth:`from_dict` drops them.  (Not a dataclass field:
+    #: the name carries no annotation.)
+    _RETIRED_FIELDS = frozenset({"parallel_search_epochs", "fallback_epochs", "partition_seconds"})
+
     index: int
     firings: Dict[str, int] = field(default_factory=dict)
     #: Matches collected during the search phase, per rule (including rules
@@ -195,13 +200,6 @@ class IterationReport:
     #: Fresh e-nodes hash-consed into the graph during this iteration — the
     #: apply phase's allocation counter (0 in a fully deduplicated epoch).
     enodes_created: int = 0
-    #: Parallel-search counters (``search_workers > 0`` only; see
-    #: :mod:`repro.egraph.parallel`): search dispatches this iteration that
-    #: ran on the worker pool, dispatches that fell back to the serial path
-    #: (worker crash), and per-partition worker-side execution seconds.
-    parallel_search_epochs: int = 0
-    fallback_epochs: int = 0
-    partition_seconds: List[float] = field(default_factory=list)
 
     @property
     def total_firings(self) -> int:
@@ -215,8 +213,13 @@ class IterationReport:
 
     @staticmethod
     def from_dict(data: dict) -> "IterationReport":
-        """Rebuild an iteration report from :meth:`to_dict` output."""
-        return IterationReport(**data)
+        """Rebuild an iteration report from :meth:`to_dict` output.
+
+        Retired counters are dropped; any other unknown key is still an
+        error (``TypeError`` from the constructor).
+        """
+        retired = IterationReport._RETIRED_FIELDS
+        return IterationReport(**{key: value for key, value in data.items() if key not in retired})
 
 
 @dataclass
@@ -292,7 +295,6 @@ class Runner:
         analyses: Sequence[Analysis] = (),
         dedup: Optional[bool] = None,
         tracer=None,
-        search_workers: int = 0,
     ):
         self.rules = list(rules)
         #: Structured tracing sink (``repro.obs.trace``); the shared
@@ -323,13 +325,6 @@ class Runner:
         self._ledger_stamp = -1
         #: The matcher of the most recent :meth:`run` (post-run inspection).
         self.matcher: Optional[IncrementalMatcher] = None
-        #: Search-worker processes per run (0 = serial).  Requires the
-        #: compiled/incremental search path; the naive per-rule sweep is
-        #: never parallelized.  Match results are byte-identical either way
-        #: (see :mod:`repro.egraph.parallel`).
-        self.search_workers = max(0, int(search_workers))
-        #: The live pool during :meth:`run` (tests reach in to sabotage it).
-        self._search_pool = None
 
     # -- phases -------------------------------------------------------------------
 
@@ -358,13 +353,6 @@ class Runner:
             report.cached_matches = stats.cached_matches
             report.trie_nodes = self.compiled.stats.trie_nodes
             report.trie_programs = self.compiled.stats.programs
-            if self._search_pool is not None:
-                parallel, fallbacks, partition_seconds = (
-                    self._search_pool.drain_dispatch_stats()
-                )
-                report.parallel_search_epochs = parallel
-                report.fallback_epochs = fallbacks
-                report.partition_seconds = partition_seconds
         else:
             results = None
         for rule in enabled:
@@ -524,23 +512,10 @@ class Runner:
         start = time.perf_counter()
         report = RunReport(stop_reason=StopReason.ITERATION_LIMIT)
         self.scheduler = BackoffScheduler(self.backoff)
-        # The search-worker pool lives for exactly one run: spawned here,
-        # reused by every iteration's search phase, closed in the finally
-        # below so shared-memory segments are unlinked on every exit path.
-        if self.search_workers > 0 and self.incremental:
-            from repro.egraph.parallel import ParallelSearchPool
-
-            self._search_pool = ParallelSearchPool(
-                self.compiled, self.search_workers, tracer=self.tracer
-            )
         # A fresh matcher per run: its first epoch is a full sweep, which
         # also makes it safe to take over the graph's dirty stream from any
         # previous consumer (mutations between runs are then irrelevant).
-        self.matcher = (
-            IncrementalMatcher(self.compiled, searcher=self._search_pool)
-            if self.incremental
-            else None
-        )
+        self.matcher = IncrementalMatcher(self.compiled) if self.incremental else None
         # Fresh ledgers per run: fingerprints embed this graph's class ids.
         # Content-keyed rules get a dict (fingerprint -> content key);
         # everything else a plain set of executed fingerprints.
@@ -560,17 +535,6 @@ class Runner:
 
         iteration = 0
         tracer = self.tracer
-        try:
-            self._run_loop(egraph, iteration, start, report, tracer)
-        finally:
-            pool, self._search_pool = self._search_pool, None
-            if pool is not None:
-                pool.close()
-
-        report.seconds = time.perf_counter() - start
-        return report
-
-    def _run_loop(self, egraph, iteration, start, report, tracer) -> None:
         while iteration < self.limits.max_iterations:
             with tracer.span("iteration") as it_span:
                 iteration_start = time.perf_counter()
@@ -650,3 +614,6 @@ class Runner:
                     report.stop_reason = StopReason.TIME_LIMIT
                     break
                 iteration += 1
+
+        report.seconds = time.perf_counter() - start
+        return report

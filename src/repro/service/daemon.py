@@ -53,13 +53,12 @@ import socket
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import SynthesisResult
-from repro.egraph.parallel import clamp_search_workers
 from repro.obs.export import span_lines, write_trace_jsonl
 from repro.obs.histogram import MetricsAggregator
 from repro.obs.prometheus import render_prometheus
@@ -127,7 +126,6 @@ class SynthesisDaemon:
         start_method: Optional[str] = None,
         trace_jobs: bool = True,
         trace_path=None,
-        search_workers: int = 0,
     ):
         if worker_count < 1:
             raise ValueError("the daemon needs at least one worker")
@@ -135,12 +133,6 @@ class SynthesisDaemon:
             raise ValueError("max_pending must be >= 1")
         self.socket_path = str(socket_path)
         self.worker_count = worker_count
-        #: Search-worker processes granted to *each* job worker's saturation
-        #: runs (0 = serial).  Applied in :meth:`_build_job` to specs that
-        #: did not set their own ``search_workers``; either way the value is
-        #: clamped so ``worker_count × search_workers`` never exceeds the
-        #: machine's cores (each of the fleet's jobs may host its own pool).
-        self.search_workers = clamp_search_workers(search_workers, worker_count)
         self.cache = cache
         self.max_pending = max_pending
         self.default_timeout = default_timeout
@@ -520,15 +512,6 @@ class SynthesisDaemon:
             if config_dict is not None
             else SynthesisConfig()
         )
-        # Search-pool sizing is a host decision: jobs that do not ask get
-        # the daemon's (pre-clamped) default, and jobs that do ask are
-        # clamped against this fleet's size — a client cannot oversubscribe
-        # the machine.  Either way the cache identity is untouched
-        # (``search_workers`` is excluded from the semantic dict).
-        requested = config.search_workers or self.search_workers
-        clamped = clamp_search_workers(requested, self.worker_count)
-        if clamped != config.search_workers:
-            config = replace(config, search_workers=clamped)
         timeout = spec.get("timeout", self.default_timeout)
         job = SynthesisJob(
             name=name,

@@ -172,11 +172,8 @@ def _pick_context(start_method: Optional[str]) -> Tuple[object, str]:
 def _spawn_worker(context) -> "_PersistentWorker":
     """Start one long-lived worker process fed over a duplex pipe."""
     parent_conn, child_conn = context.Pipe(duplex=True)
-    # daemon=False: a job may host its own search-worker pool
-    # (config.search_workers), and daemonic processes may not have children.
-    # Crash/exit cleanup is handled explicitly by the pools' shutdown paths.
     process = context.Process(
-        target=_persistent_worker_loop, args=(child_conn,), daemon=False
+        target=_persistent_worker_loop, args=(child_conn,), daemon=True
     )
     process.start()
     child_conn.close()
@@ -484,10 +481,8 @@ class WorkerPool:
 
     def _launch(self, job: SynthesisJob, on_event: Optional[EventCallback]) -> _Slot:
         parent_conn, child_conn = self._context.Pipe(duplex=False)
-        # daemon=False for the same reason as _spawn_worker: the job's runner
-        # may spawn search workers of its own.
         process = self._context.Process(
-            target=_worker_entry, args=(job.payload(), child_conn), daemon=False
+            target=_worker_entry, args=(job.payload(), child_conn), daemon=True
         )
         process.start()
         self.workers_spawned += 1

@@ -11,6 +11,9 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -591,6 +594,40 @@ class TestSynthesisService:
         )
         assert generous.hit_rate == 1.0
 
+    def test_payload_with_retired_fields_is_a_warm_hit(self, tmp_path):
+        # Entries written before the parallel-search knob was removed carry
+        # config.search_workers and three per-iteration counters.  Exact
+        # keys never included them, so such entries are still looked up and
+        # must decode as ordinary warm hits.
+        job = SynthesisJob(name="chain-3", term=_chain(3))
+        fresh = synthesize(job.term, job.config)
+        payload = json.loads(json.dumps(fresh.to_dict()))
+        payload["config"]["search_workers"] = 0
+        for report in payload["run_reports"]:
+            for iteration in report["iterations"]:
+                iteration.update(
+                    parallel_search_epochs=0, fallback_epochs=0, partition_seconds=[]
+                )
+        ResultCache(tmp_path).put(cache_key(job.term, job.config), payload)
+
+        warm_cache = ResultCache(tmp_path)
+        warm = SynthesisService(worker_count=0, cache=warm_cache).run_batch([job])
+        (result,) = warm.results
+        assert warm.hit_rate == 1.0 and warm_cache.disk_hits == 1
+        assert result.cached and result.cache_tier == "exact"
+        assert result.result.config == job.config
+        assert [c.term for c in result.result.candidates] == [
+            c.term for c in fresh.candidates
+        ]
+
+    def test_unknown_payload_fields_are_still_rejected(self):
+        from repro.egraph.runner import IterationReport
+
+        with pytest.raises(ValueError, match="no_such_knob"):
+            SynthesisConfig.from_dict({"no_such_knob": 1})
+        with pytest.raises(TypeError):
+            IterationReport.from_dict({"index": 0, "no_such_counter": 1})
+
     def test_report_orders_results_by_submission(self, tmp_path):
         jobs = [
             SynthesisJob(name="z-last", term=_chain(2), priority=0),
@@ -810,3 +847,85 @@ class TestServiceObservability:
         cache = ResultCache(tmp_path / "cache")
         assert cache.hit_rate == 0.0
         assert cache.stats()["hit_rate"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Interpreter exit while workers are still up
+# ---------------------------------------------------------------------------
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: An exception escapes while a resident fleet is up, so shutdown() never runs.
+_RESIDENT_EXIT = """
+from repro.service.worker import ResidentPool
+
+ResidentPool(2).start()
+raise RuntimeError("escaped before shutdown()")
+"""
+
+#: An exception escapes while a batch is mid-job on a background thread.  The
+#: stand-in job runs until its parent process is gone, so only the exit path
+#: can end it.
+_BATCH_EXIT = """
+import os, threading, time
+
+import repro.service.worker as worker_module
+from repro.csg.build import unit
+from repro.service import SynthesisJob, WorkerPool
+
+def run_until_orphaned(payload):
+    parent = os.getppid()
+    while os.getppid() == parent:
+        time.sleep(0.05)
+
+worker_module.execute_payload = run_until_orphaned
+started = threading.Event()
+pool = WorkerPool(1, start_method="fork", persistent={persistent})
+threading.Thread(
+    target=pool.run,
+    args=([SynthesisJob(name="stuck", term=unit())],),
+    kwargs={{"on_event": lambda event: started.set()}},
+    daemon=True,
+).start()
+assert started.wait(60)
+raise RuntimeError("escaped before the batch finished")
+"""
+
+
+class TestExitWithWorkersUp:
+    """A process must exit even when an exception skips the pool shutdown.
+
+    Worker processes are daemonic, so interpreter exit terminates them
+    instead of joining a child that waits on its pipe forever.  The timeout
+    is generous on purpose: the failure mode is an indefinite hang, not a
+    slowdown.
+    """
+
+    def _assert_exits(self, program: str) -> None:
+        process = subprocess.Popen(
+            [sys.executable, "-c", program],
+            env=dict(os.environ, PYTHONPATH=_SRC),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _, stderr = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("the process hung at exit with its workers still up")
+        assert process.returncode == 1, stderr
+        assert "RuntimeError: escaped before" in stderr
+
+    def test_resident_pool(self):
+        self._assert_exits(_RESIDENT_EXIT)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the stand-in job relies on fork inheriting the patched executor",
+    )
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_worker_pool_mid_batch(self, persistent):
+        self._assert_exits(_BATCH_EXIT.format(persistent=persistent))
