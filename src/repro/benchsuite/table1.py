@@ -217,25 +217,22 @@ def run_table1_batch(
     cache: Optional[ResultCache] = None,
     timeout: Optional[float] = None,
     on_event=None,
-    persistent: bool = False,
     mutate: Optional[Callable[[Term], Term]] = None,
 ) -> Table1Report:
     """Run the suite through the batch service.
 
     ``worker_count=0`` executes in-process (still with per-model error
-    capture); ``worker_count >= 1`` fans models out across that many worker
-    processes — with ``persistent=True`` the processes stay alive across
-    jobs within the batch (amortized startup, crash isolation preserved).
-    With a ``cache``, warm re-runs of unchanged models are served
-    without synthesizing.  Rows come back in benchmark order and carry the
+    capture); ``worker_count >= 1`` fans models out across up to that many
+    long-lived worker processes (startup paid once per worker; a crash or
+    timeout costs only its own model).  With a ``cache``, warm re-runs of
+    unchanged models are served without synthesizing.  Rows come back in
+    benchmark order and carry the
     same content as :func:`run_table1`'s (timing aside); models that failed
     or timed out are reported in ``failures`` instead of as rows.
     """
     benchmarks = list(benchmarks or BENCHMARKS)
     jobs, failures = benchmark_jobs(benchmarks, config, timeout=timeout, mutate=mutate)
-    service = SynthesisService(
-        worker_count=worker_count, cache=cache, on_event=on_event, persistent=persistent
-    )
+    service = SynthesisService(worker_count=worker_count, cache=cache, on_event=on_event)
     batch = service.run_batch(jobs)
 
     by_name = {benchmark.name: benchmark for benchmark in benchmarks}

@@ -3,7 +3,7 @@
 Turns the one-shot :func:`repro.core.pipeline.synthesize` entry point into a
 throughput-oriented service: a priority :class:`~repro.service.queue.JobQueue`
 of :class:`~repro.service.job.SynthesisJob`\\ s, a process-parallel
-:class:`~repro.service.worker.WorkerPool` with per-job failure isolation and
+:class:`~repro.service.worker.ResidentPool` with per-job failure isolation and
 hard timeouts, and a content-addressed two-tier
 :class:`~repro.service.cache.ResultCache`, orchestrated by
 :class:`~repro.service.service.SynthesisService`.
@@ -25,7 +25,6 @@ from repro.service.queue import JobQueue
 from repro.service.service import BatchReport, SynthesisService
 from repro.service.worker import (
     ResidentPool,
-    WorkerPool,
     execute_payload,
     run_jobs_inline,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "SynthesisDaemon",
     "SynthesisJob",
     "SynthesisService",
-    "WorkerPool",
     "cache_key",
     "execute_payload",
     "recv_frame",

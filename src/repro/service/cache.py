@@ -14,7 +14,8 @@ The value stored is the JSON form of
 
 Writes go through a temporary file + ``os.replace`` so a crashed or killed
 worker driver never leaves a torn entry behind; unreadable entries are
-treated as misses and removed.
+treated as misses and removed, and a write that fails (a full disk) leaves
+the entry in the memory tier only.
 
 The disk tier can be bounded (``max_entries``/``max_bytes``): when a store
 pushes it over either limit, least-recently-used entries are evicted, with
@@ -268,12 +269,8 @@ class ResultCache:
 
     def _write_semantic(self, semantic_key: str, exact_key: str) -> None:
         path = self._semantic_path(semantic_key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps({"key": exact_key}))
-        os.replace(tmp, path)
+        if path is not None:
+            self._write_atomic(path, json.dumps({"key": exact_key}))
 
     def _drop_semantic(self, semantic_key: str) -> None:
         self._semantic_memory.pop(semantic_key, None)
@@ -309,20 +306,39 @@ class ResultCache:
         except OSError:
             pass
 
+    @staticmethod
+    def _write_atomic(path: Path, text: str) -> bool:
+        """Write ``text`` to ``path`` via a temp file and a rename.
+
+        A failed write (e.g. ENOSPC on a full disk) is not an error for the
+        caller: the entry simply stays memory-only, like a read that fails
+        is a miss.  Returns False then, with the temp file removed.
+        """
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            return False
+        return True
+
     def _write_disk(self, key: str, payload: dict) -> None:
         path = self._path(key)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         text = json.dumps(payload)
-        tmp.write_text(text)
         old_size = None
         try:
             old_size = path.stat().st_size
         except OSError:
             pass
-        os.replace(tmp, path)
+        if not self._write_atomic(path, text):
+            return
         if self._disk_usage is not None:
             entries, used = self._disk_usage
             if old_size is None:

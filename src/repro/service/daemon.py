@@ -246,20 +246,23 @@ class SynthesisDaemon:
                 self._listener.close()  # unblocks the accept loop
             except OSError:
                 pass
-        if self._pool is not None:
-            # Draining completes every admitted job; the completion
-            # callbacks deliver results to still-connected clients.
-            self._pool.shutdown(drain=drain, timeout=timeout)
-        with self._lock:
-            clients = list(self._clients)
-            self._clients.clear()
-        for client in clients:
-            client.close()
         try:
-            Path(self.socket_path).unlink()
-        except OSError:
-            pass
-        self._stopped.set()
+            if self._pool is not None:
+                # Draining completes every admitted job; the completion
+                # callbacks deliver results to still-connected clients.
+                # Re-raises a callback's exception, after the fleet stopped.
+                self._pool.shutdown(drain=drain, timeout=timeout)
+        finally:
+            with self._lock:
+                clients = list(self._clients)
+                self._clients.clear()
+            for client in clients:
+                client.close()
+            try:
+                Path(self.socket_path).unlink()
+            except OSError:
+                pass
+            self._stopped.set()
 
     # -- accept/serve ----------------------------------------------------------
 

@@ -54,9 +54,10 @@ class SynthesisJob:
     #: Higher-priority jobs are dispatched first (ties run in submission order).
     priority: int = 0
     #: Hard per-job wall-clock limit in seconds.  Enforced by killing the
-    #: worker process when running under a :class:`~repro.service.worker.WorkerPool`;
-    #: the inline executor can only honor it cooperatively, by clamping the
-    #: config's ``max_seconds`` fuel.
+    #: worker process when running under a
+    #: :class:`~repro.service.worker.ResidentPool`; the inline executor can
+    #: only honor it cooperatively, by clamping the config's ``max_seconds``
+    #: fuel.
     timeout: Optional[float] = None
     #: When True the worker records a per-phase span trace of the job
     #: (``repro.obs``) and ships it back on :attr:`JobResult.trace`.

@@ -10,15 +10,16 @@ harness sit on.  For every submitted job it:
    and its duplicates are served the same outcome (``cache_tier="batch"``)
    without running;
 3. dispatches the representatives to a
-   :class:`~repro.service.worker.WorkerPool` (``worker_count >= 1``) or the
-   inline executor (``worker_count == 0``), streaming
-   :class:`~repro.service.job.JobEvent`\\ s to the caller;
+   :class:`~repro.service.worker.ResidentPool` started for the batch
+   (``worker_count >= 1``) or the inline executor (``worker_count == 0``),
+   streaming :class:`~repro.service.job.JobEvent`\\ s to the caller;
 4. writes every fresh success back into the cache and assembles a
    :class:`BatchReport` with per-job outcomes in submission order.
 
-Failures never propagate: a job that raises, crashes its worker, or blows
-its timeout is a failed entry in the report, and the rest of the batch is
-unaffected.
+Job failures never propagate: a job that raises, crashes its worker, or
+blows its timeout is a failed entry in the report, and the rest of the
+batch is unaffected.  An exception from the caller's ``on_event`` does
+propagate, after the batch's workers are stopped.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from repro.core.pipeline import SynthesisResult
 from repro.obs.histogram import MetricsAggregator
 from repro.service.cache import ResultCache, cache_key, semantic_cache_key
 from repro.service.job import JobEvent, JobResult, JobStatus, SynthesisJob
-from repro.service.worker import EventCallback, WorkerPool, run_jobs_inline, _emit
+from repro.service.queue import JobQueue
+from repro.service.worker import EventCallback, ResidentPool, run_jobs_inline, _emit
 
 
 @dataclass
@@ -118,7 +120,6 @@ class SynthesisService:
         worker_count: int = 0,
         cache: Optional[ResultCache] = None,
         on_event: Optional[EventCallback] = None,
-        persistent: bool = False,
         trace: bool = False,
     ):
         if worker_count < 0:
@@ -126,10 +127,6 @@ class SynthesisService:
         self.worker_count = worker_count
         self.cache = cache
         self.on_event = on_event
-        #: Keep worker processes alive across jobs within a batch (see
-        #: :class:`~repro.service.worker.WorkerPool`); ignored when
-        #: ``worker_count == 0``.
-        self.persistent = persistent
         #: When True every executed job runs with per-phase span tracing and
         #: ships its trace back on :attr:`JobResult.trace`; the trace flag is
         #: not part of the cache identity.
@@ -206,8 +203,7 @@ class SynthesisService:
             if self.worker_count == 0:
                 executed = run_jobs_inline(to_run, self.on_event)
             else:
-                pool = WorkerPool(self.worker_count, persistent=self.persistent)
-                executed = pool.run(to_run, self.on_event)
+                executed = self._run_pooled(to_run)
             for job in to_run:
                 outcome = executed[job.job_id]
                 results[job.job_id] = outcome
@@ -248,6 +244,23 @@ class SynthesisService:
             cache=self.cache.stats() if self.cache is not None else {},
             metrics=self.metrics.snapshot(),
         )
+
+    def _run_pooled(self, jobs: Sequence[SynthesisJob]) -> Dict[str, JobResult]:
+        """Run jobs on a pool of at most ``worker_count`` workers; by job id."""
+        executed: Dict[str, JobResult] = {}
+
+        def on_result(job: SynthesisJob, result: JobResult) -> None:
+            executed[job.job_id] = result
+
+        pool = ResidentPool(min(self.worker_count, len(jobs))).start()
+        try:
+            # Submitting in queue order makes the jobs start in that order.
+            for job in JobQueue(jobs).drain():
+                pool.submit(job, on_result, self.on_event)
+            pool.shutdown(drain=True)
+        finally:
+            pool.shutdown(drain=False)
+        return executed
 
     @staticmethod
     def _reject_duplicate_ids(jobs: Sequence[SynthesisJob]) -> None:

@@ -6,34 +6,24 @@ exception inside the pipeline is captured as a ``"failed"`` outcome with the
 full traceback — so the contract between parent and worker is "a dict always
 comes back (unless the process itself died)".
 
-:class:`WorkerPool` fans payloads out across OS processes, one process per
-job (filled up to ``worker_count`` concurrent slots).  A fresh process per
-job is the isolation boundary the batch service needs: a job that corrupts
-interpreter state, leaks memory, segfaults, or hits its hard timeout takes
-down only its own process; the parent reaps the corpse and reports a
-failed/timed-out :class:`~repro.service.job.JobResult` while the rest of the
-batch keeps running.
-
-With ``persistent=True`` the pool instead keeps ``worker_count`` long-lived
-worker processes alive for the duration of the batch and streams job
-payloads to them over duplex pipes — amortizing interpreter/import startup
-across the whole batch instead of paying it per job.  The crash-isolation
-contract is unchanged: a persistent worker that dies mid-job (crash,
-segfault, or a hard timeout kill) takes down only the job it was running —
-the job is reported FAILED/TIMEOUT and a replacement worker is spawned if
-work remains.  Per-process state corruption can now outlive a *successful*
-job, which is the deliberate trade: callers who need the strictest
-isolation keep the default one-process-per-job mode.
+:class:`ResidentPool` is the one worker pool.  It keeps ``worker_count``
+long-lived worker processes and streams job payloads to them over duplex
+pipes, so interpreter/import startup is paid once per worker, not once per
+job.  A resident scheduler thread accepts submissions at any time and
+reports each completion through per-job callbacks.  The daemon keeps one
+pool for its lifetime; a pooled batch (``SynthesisService`` with
+``worker_count >= 1``) starts one, submits its misses and drains it.  A
+worker that dies mid-job (crash, segfault, or a hard timeout kill) takes
+down only the job it was running: the job is reported FAILED/TIMEOUT and a
+replacement worker is spawned.  Process state outlives a *successful*
+job, which is safe because synthesis results do not depend on earlier
+jobs in the same process (``perfbench/run.py --check`` synthesizes every
+Table 1 model in one process against the golden top-k).
 
 :func:`run_jobs_inline` is the zero-process executor used for ``--jobs 0``
 (and by unit tests): same scheduling order and error capture, but timeouts
 are only honored cooperatively (the config's ``max_seconds`` fuel is
 clamped) since there is no process to kill.
-
-:class:`ResidentPool` is the daemon-facing variant: the same persistent
-worker processes, but driven by a resident scheduler thread that accepts
-job submissions at any time and reports completions through per-job
-callbacks instead of draining one batch and returning.
 """
 
 from __future__ import annotations
@@ -137,26 +127,6 @@ def _persistent_worker_loop(conn) -> None:
     conn.close()
 
 
-def _worker_entry(payload: dict, conn) -> None:
-    """Child-process entry point: run the payload, ship the outcome back."""
-    try:
-        outcome = execute_payload(payload)
-    except BaseException:  # pragma: no cover - execute_payload already catches
-        import traceback
-
-        outcome = {
-            "job_id": payload.get("job_id", "?"),
-            "name": payload.get("name", "?"),
-            "status": "failed",
-            "seconds": 0.0,
-            "error": traceback.format_exc(),
-        }
-    try:
-        conn.send(outcome)
-    finally:
-        conn.close()
-
-
 def _pick_context(start_method: Optional[str]) -> Tuple[object, str]:
     """The multiprocessing context for worker processes.
 
@@ -226,17 +196,6 @@ def run_jobs_inline(
 
 
 @dataclass
-class _Slot:
-    """One running worker process and its bookkeeping."""
-
-    job: SynthesisJob
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    started: float
-    deadline: Optional[float]
-
-
-@dataclass
 class _PersistentWorker:
     """One long-lived worker process and the job it is currently running."""
 
@@ -250,326 +209,30 @@ class _PersistentWorker:
     def busy(self) -> bool:
         return self.job is not None
 
-    def assign(self, job: SynthesisJob, on_event: Optional[EventCallback]) -> None:
+    def assign(self, job: SynthesisJob) -> None:
         self.job = job
         self.started = time.perf_counter()
         self.deadline = self.started + job.timeout if job.timeout is not None else None
         self.conn.send(job.payload())
-        _emit(on_event, JobEvent("start", job.job_id, job.name))
+
+    def kill(self) -> None:
+        """Terminate the process at once and release its pipe."""
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join()
+        try:
+            self.conn.close()
+        except OSError:
+            pass
 
     def shutdown(self) -> None:
         """Best-effort graceful stop, then force."""
         try:
             self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        try:
-            self.conn.close()
         except OSError:
             pass
         self.process.join(timeout=1.0)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join()
-
-
-class WorkerPool:
-    """Fans jobs out across processes, up to ``worker_count`` at a time.
-
-    ``persistent=True`` switches from one-process-per-job to a fixed crew of
-    long-lived workers fed over pipes (see the module docstring for the
-    isolation trade-off).
-    """
-
-    def __init__(
-        self,
-        worker_count: int,
-        start_method: Optional[str] = None,
-        persistent: bool = False,
-    ):
-        if worker_count < 1:
-            raise ValueError("worker_count must be >= 1 (use run_jobs_inline for 0)")
-        self.worker_count = worker_count
-        self.persistent = persistent
-        #: Worker processes spawned over the pool's lifetime, in *either*
-        #: mode: one per job in the default mode, and in persistent mode
-        #: the initial crew plus one per respawn after a crash/timeout
-        #: (observable in tests and reports).
-        self.workers_spawned = 0
-        self._context, self.start_method = _pick_context(start_method)
-
-    # -- driver ----------------------------------------------------------------
-
-    def run(
-        self, jobs: Sequence[SynthesisJob], on_event: Optional[EventCallback] = None
-    ) -> Dict[str, JobResult]:
-        """Run every job; returns results keyed by job id.
-
-        Jobs are dispatched in queue order (priority desc, then FIFO).  The
-        call returns only when every job has succeeded, failed, crashed, or
-        been killed at its deadline.
-        """
-        if self.persistent:
-            return self._run_persistent(jobs, on_event)
-        queue = JobQueue(jobs)
-        running: List[_Slot] = []
-        results: Dict[str, JobResult] = {}
-        try:
-            while queue or running:
-                while queue and len(running) < self.worker_count:
-                    running.append(self._launch(queue.pop(), on_event))
-                self._reap(running, results, on_event)
-        finally:
-            # Belt and braces: never leave orphaned workers behind if the
-            # driver itself is interrupted.
-            for slot in running:
-                if slot.process.is_alive():
-                    slot.process.terminate()
-                slot.process.join()
-        return results
-
-    # -- persistent mode --------------------------------------------------------
-
-    def _spawn_persistent(self) -> _PersistentWorker:
-        self.workers_spawned += 1
-        return _spawn_worker(self._context)
-
-    #: Consecutive idle-death assignment failures tolerated per job before
-    #: it is reported FAILED instead of retried on a fresh worker.
-    _MAX_ASSIGN_ATTEMPTS = 3
-
-    def _run_persistent(
-        self, jobs: Sequence[SynthesisJob], on_event: Optional[EventCallback]
-    ) -> Dict[str, JobResult]:
-        queue = JobQueue(jobs)
-        results: Dict[str, JobResult] = {}
-        assign_failures: Dict[str, int] = {}
-        crew: List[_PersistentWorker] = [
-            self._spawn_persistent() for _ in range(min(self.worker_count, len(queue)))
-        ]
-        try:
-            while queue or any(worker.busy for worker in crew):
-                for worker in list(crew):  # _retire mutates the crew
-                    if worker.busy or not queue:
-                        continue
-                    job = queue.pop()
-                    try:
-                        worker.assign(job, on_event)
-                    except (BrokenPipeError, OSError):
-                        # The worker died while *idle*: the job never
-                        # started, so retry it on a replacement (bounded —
-                        # if fresh workers keep dying on arrival, fail the
-                        # job rather than spin) and keep the batch alive.
-                        worker.job = None
-                        failures = assign_failures.get(job.job_id, 0) + 1
-                        assign_failures[job.job_id] = failures
-                        if failures >= self._MAX_ASSIGN_ATTEMPTS:
-                            result = JobResult(
-                                job_id=job.job_id,
-                                name=job.name,
-                                status=JobStatus.FAILED,
-                                error=(
-                                    "persistent worker died before accepting the "
-                                    f"job ({failures} attempts)"
-                                ),
-                            )
-                            results[job.job_id] = result
-                            _emit(
-                                on_event,
-                                JobEvent(
-                                    "failed", job.job_id, job.name, 0.0,
-                                    result.error_summary(),
-                                ),
-                            )
-                        else:
-                            queue.push(job)
-                        self._retire(worker, crew, queue)
-                self._reap_persistent(crew, queue, results, on_event)
-        finally:
-            for worker in crew:
-                worker.shutdown()
-        return results
-
-    def _reap_persistent(
-        self,
-        crew: List[_PersistentWorker],
-        queue: JobQueue,
-        results: Dict[str, JobResult],
-        on_event: Optional[EventCallback],
-    ) -> None:
-        """Wait for progress on busy workers; collect results, crashes, expiries."""
-        busy = [worker for worker in crew if worker.busy]
-        if not busy:
-            return
-        deadlines = [w.deadline for w in busy if w.deadline is not None]
-        timeout = max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None
-        ready = set(connection_wait([worker.conn for worker in busy], timeout))
-        now = time.perf_counter()
-        for worker in busy:
-            if worker.conn in ready:
-                self._collect_persistent(worker, crew, queue, now, results, on_event)
-            elif worker.deadline is not None and now >= worker.deadline:
-                job = worker.job
-                self._retire(worker, crew, queue)
-                elapsed = now - worker.started
-                result = JobResult(
-                    job_id=job.job_id,
-                    name=job.name,
-                    status=JobStatus.TIMEOUT,
-                    error=f"killed after exceeding the {job.timeout:g}s job timeout",
-                    seconds=elapsed,
-                )
-                results[job.job_id] = result
-                _emit(
-                    on_event,
-                    JobEvent("timeout", job.job_id, job.name, elapsed, result.error_summary()),
-                )
-
-    def _collect_persistent(
-        self,
-        worker: _PersistentWorker,
-        crew: List[_PersistentWorker],
-        queue: JobQueue,
-        now: float,
-        results: Dict[str, JobResult],
-        on_event: Optional[EventCallback],
-    ) -> None:
-        """A busy worker's pipe is readable: an outcome, or EOF (it died)."""
-        job = worker.job
-        elapsed = now - worker.started
-        try:
-            outcome = worker.conn.recv()
-        except (EOFError, OSError):
-            outcome = None
-        if outcome is None:
-            # The worker died mid-job: fail the job, replace the worker.
-            self._retire(worker, crew, queue)
-            result = JobResult(
-                job_id=job.job_id,
-                name=job.name,
-                status=JobStatus.FAILED,
-                error=(
-                    f"persistent worker died without reporting "
-                    f"(exit code {worker.process.exitcode})"
-                ),
-                seconds=elapsed,
-            )
-        else:
-            worker.job = None
-            worker.deadline = None
-            result = _result_from_outcome(job, outcome, outcome.get("seconds", elapsed))
-        results[job.job_id] = result
-        kind = "done" if result.ok else "failed"
-        _emit(on_event, JobEvent(kind, job.job_id, job.name, result.seconds, result.error_summary()))
-
-    def _retire(
-        self, worker: _PersistentWorker, crew: List[_PersistentWorker], queue: JobQueue
-    ) -> None:
-        """Kill a dead/expired worker; respawn a replacement if work remains."""
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        crew.remove(worker)
-        if queue:
-            crew.append(self._spawn_persistent())
-
-    # -- internals -------------------------------------------------------------
-
-    def _launch(self, job: SynthesisJob, on_event: Optional[EventCallback]) -> _Slot:
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_worker_entry, args=(job.payload(), child_conn), daemon=True
-        )
-        process.start()
-        self.workers_spawned += 1
-        child_conn.close()  # the parent's copy; the child holds its own
-        _emit(on_event, JobEvent("start", job.job_id, job.name))
-        now = time.perf_counter()
-        deadline = now + job.timeout if job.timeout is not None else None
-        return _Slot(job=job, process=process, conn=parent_conn, started=now, deadline=deadline)
-
-    def _wait_timeout(self, running: Sequence[_Slot]) -> Optional[float]:
-        deadlines = [slot.deadline for slot in running if slot.deadline is not None]
-        if not deadlines:
-            return None  # block until some worker reports (or dies: EOF readies its pipe)
-        return max(0.0, min(deadlines) - time.perf_counter())
-
-    def _reap(
-        self,
-        running: List[_Slot],
-        results: Dict[str, JobResult],
-        on_event: Optional[EventCallback],
-    ) -> None:
-        """Wait for progress, then collect finished / crashed / expired slots."""
-        if not running:
-            return
-        ready = set(connection_wait([slot.conn for slot in running], self._wait_timeout(running)))
-        now = time.perf_counter()
-        for slot in list(running):
-            if slot.conn in ready:
-                results[slot.job.job_id] = self._collect(slot, now, on_event)
-                running.remove(slot)
-            elif slot.deadline is not None and now >= slot.deadline:
-                results[slot.job.job_id] = self._kill_expired(slot, now, on_event)
-                running.remove(slot)
-
-    def _collect(
-        self, slot: _Slot, now: float, on_event: Optional[EventCallback]
-    ) -> JobResult:
-        """A worker's pipe is readable: either an outcome or an EOF (crash).
-
-        A dying worker can surface as ``EOFError`` *or* as ``OSError``
-        (e.g. ECONNRESET on the pipe) depending on how the kernel tears the
-        connection down — both mean the same thing: no outcome is coming.
-        """
-        job = slot.job
-        elapsed = now - slot.started
-        try:
-            outcome = slot.conn.recv()
-        except (EOFError, OSError):
-            outcome = None
-        slot.conn.close()
-        slot.process.join()
-        if outcome is None:
-            result = JobResult(
-                job_id=job.job_id,
-                name=job.name,
-                status=JobStatus.FAILED,
-                error=(
-                    f"worker process died without reporting "
-                    f"(exit code {slot.process.exitcode})"
-                ),
-                seconds=elapsed,
-            )
-        else:
-            # Prefer the worker's own timing (excludes fork/dispatch overhead).
-            result = _result_from_outcome(job, outcome, outcome.get("seconds", elapsed))
-        kind = "done" if result.ok else "failed"
-        _emit(on_event, JobEvent(kind, job.job_id, job.name, result.seconds, result.error_summary()))
-        return result
-
-    def _kill_expired(
-        self, slot: _Slot, now: float, on_event: Optional[EventCallback]
-    ) -> JobResult:
-        """Hard deadline: terminate the worker and report a timeout."""
-        job = slot.job
-        slot.process.terminate()
-        slot.process.join()
-        slot.conn.close()
-        elapsed = now - slot.started
-        result = JobResult(
-            job_id=job.job_id,
-            name=job.name,
-            status=JobStatus.TIMEOUT,
-            error=f"killed after exceeding the {job.timeout:g}s job timeout",
-            seconds=elapsed,
-        )
-        _emit(on_event, JobEvent("timeout", job.job_id, job.name, elapsed, result.error_summary()))
-        return result
+        self.kill()
 
 
 #: Per-job completion callback: receives the job and its final JobResult.
@@ -588,29 +251,33 @@ class _Submission:
 class ResidentPool:
     """A long-lived worker fleet serving jobs submitted one at a time.
 
-    The daemon-facing sibling of ``WorkerPool(persistent=True)``: the same
-    worker processes and pipe protocol, but instead of draining one batch
-    synchronously the pool runs a resident scheduler thread that accepts
-    submissions from any thread at any time and reports each completion
-    through the submission's own callback.  The isolation contract is the
-    batch pool's: a worker that crashes, raises, or blows its deadline
-    costs only the job it was running — the job is reported
-    FAILED/TIMEOUT, a replacement worker is spawned, and the fleet keeps
-    serving everything else.
+    A resident scheduler thread accepts submissions from any thread at any
+    time, hands them to idle workers in queue order (priority desc, then
+    FIFO), and reports each completion through the submission's own
+    callbacks.  A worker that crashes, raises, or blows its deadline costs
+    only the job it was running — the job is reported FAILED/TIMEOUT, a
+    replacement worker is spawned, and the fleet keeps serving everything
+    else.
 
     Callbacks run on the scheduler thread with no pool lock held, so they
     may call back into the pool (e.g. submit follow-up work), but they must
     not block for long — every worker's results flow through this one
-    thread.
+    thread.  The first callback that raises force-stops the pool (as
+    ``shutdown(drain=False)`` would), and :meth:`shutdown` re-raises its
+    exception once.
 
     ``shutdown(drain=True)`` stops admissions, finishes every queued and
     in-flight job (callbacks included), then stops the workers;
     ``drain=False`` kills the fleet immediately and fails outstanding jobs.
     """
 
+    #: Consecutive idle-death assignment failures tolerated per job before
+    #: it is reported FAILED instead of retried on a fresh worker.
+    _MAX_ASSIGN_ATTEMPTS = 3
+
     def __init__(self, worker_count: int, start_method: Optional[str] = None):
         if worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
+            raise ValueError("worker_count must be >= 1 (use run_jobs_inline for 0)")
         self.worker_count = worker_count
         self._context, self.start_method = _pick_context(start_method)
         #: Lifetime counters (read via :meth:`snapshot`): processes started,
@@ -627,6 +294,8 @@ class ResidentPool:
         self._crew: List[_PersistentWorker] = []
         self._stopping = False
         self._drain = True
+        #: The first exception a callback raised; :meth:`shutdown` re-raises it.
+        self._callback_error: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
         # Self-pipe: submit()/shutdown() nudge the scheduler out of its
         # connection_wait so new work is assigned without polling.
@@ -651,7 +320,8 @@ class ResidentPool:
 
         ``drain=True`` completes every queued and running job first (their
         callbacks fire as usual); ``drain=False`` terminates the fleet and
-        fails outstanding jobs immediately.  Idempotent.
+        fails outstanding jobs immediately.  Idempotent, except that the
+        first call after a callback raised re-raises that exception.
         """
         with self._lock:
             thread = self._thread
@@ -661,6 +331,10 @@ class ResidentPool:
             return
         self._wake()
         thread.join(timeout)
+        with self._lock:
+            error, self._callback_error = self._callback_error, None
+        if error is not None:
+            raise error
 
     # -- submission ------------------------------------------------------------
 
@@ -722,14 +396,13 @@ class ResidentPool:
                 # Draining still assigns queued work; a force-stop does not.
                 if not self._stopping or self._drain:
                     self._assign_ready(actions)
+            self._fire(actions)
+            with self._lock:
                 busy = [w for w in self._crew if w.busy]
-                finished = self._stopping and (
+                if self._stopping and (
                     not self._drain or (not busy and not self._queue)
-                )
-            for action in actions:
-                action()
-            if finished:
-                break
+                ):
+                    break
 
             deadlines = [w.deadline for w in busy if w.deadline is not None]
             timeout = (
@@ -751,31 +424,46 @@ class ResidentPool:
                         self._collect_resident(worker, now, actions)
                     elif worker.deadline is not None and now >= worker.deadline:
                         self._expire_resident(worker, now, actions)
-            for action in actions:
-                action()
+            self._fire(actions)
         self._teardown()
+
+    def _fire(self, actions: List[Callable[[], None]]) -> None:
+        """Fire queued callbacks (lock not held).
+
+        Every callback runs even when an earlier one raised, so each job
+        still gets its result; the first exception force-stops the pool and
+        is kept for :meth:`shutdown` to re-raise.
+        """
+        for action in actions:
+            try:
+                action()
+            except BaseException as exc:  # re-raised by shutdown()
+                with self._lock:
+                    if self._callback_error is None:
+                        self._callback_error = exc
+                    self._stopping = True
+                    self._drain = False
 
     def _assign_ready(self, actions: List[Callable[[], None]]) -> None:
         """Hand queued jobs to idle workers (lock held)."""
-        for worker in list(self._crew):  # _replace mutates the crew
-            if not self._queue:
-                break
-            if worker.busy:
-                continue
+        while self._queue:
+            worker = next((w for w in self._crew if not w.busy), None)
+            if worker is None:
+                return
             job = self._queue.pop()
-            submission = self._submissions[job.job_id]
             try:
-                worker.assign(job, None)
+                worker.assign(job)
             except (BrokenPipeError, OSError):
                 # The worker died while *idle*: the job never started, so
                 # retry it on a replacement (bounded — if fresh workers keep
-                # dying on arrival, fail the job rather than spin).
+                # dying on arrival, fail the job rather than spin).  The job
+                # is re-queued before the worker is replaced, so a draining
+                # pool still sees work and respawns.
                 worker.job = None
                 self.crashes += 1
-                self._replace(worker)
                 failures = self._assign_failures.get(job.job_id, 0) + 1
                 self._assign_failures[job.job_id] = failures
-                if failures >= WorkerPool._MAX_ASSIGN_ATTEMPTS:
+                if failures >= self._MAX_ASSIGN_ATTEMPTS:
                     self._finish(
                         job,
                         JobResult(
@@ -791,15 +479,22 @@ class ResidentPool:
                     )
                 else:
                     self._queue.push(job)
+                self._replace(worker)
                 continue
-            if submission.on_event is not None:
+            on_event = self._submissions[job.job_id].on_event
+            if on_event is not None:
                 event = JobEvent("start", job.job_id, job.name)
-                actions.append(lambda cb=submission.on_event, e=event: cb(e))
+                actions.append(lambda cb=on_event, e=event: cb(e))
 
     def _collect_resident(
         self, worker: _PersistentWorker, now: float, actions: List[Callable[[], None]]
     ) -> None:
-        """A busy worker's pipe is readable: an outcome, or it died (lock held)."""
+        """A busy worker's pipe is readable: an outcome, or it died (lock held).
+
+        A dying worker can surface as ``EOFError`` *or* as ``OSError``
+        (e.g. ECONNRESET on the pipe) depending on how the kernel tears the
+        connection down — both mean the same thing: no outcome is coming.
+        """
         job = worker.job
         elapsed = now - worker.started
         try:
@@ -822,6 +517,7 @@ class ResidentPool:
         else:
             worker.job = None
             worker.deadline = None
+            # Prefer the worker's own timing (excludes dispatch overhead).
             result = _result_from_outcome(job, outcome, outcome.get("seconds", elapsed))
         self._finish(job, result, actions)
 
@@ -846,13 +542,7 @@ class ResidentPool:
 
     def _replace(self, worker: _PersistentWorker) -> None:
         """Kill a dead/expired worker; keep the fleet at strength (lock held)."""
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+        worker.kill()
         self._crew.remove(worker)
         # A resident fleet must stay at strength for traffic that has not
         # arrived yet — respawn unless the pool is on its way down with no
@@ -889,9 +579,10 @@ class ResidentPool:
         """Stop the fleet; fail anything still outstanding (force stop only)."""
         actions: List[Callable[[], None]] = []
         with self._lock:
-            for worker in self._crew:
-                if worker.busy:
-                    job, worker.job = worker.job, None
+            crew, self._crew = self._crew, []
+            for worker in crew:
+                job = worker.job
+                if job is not None:
                     self._finish(
                         job,
                         JobResult(
@@ -914,10 +605,12 @@ class ResidentPool:
                     ),
                     actions,
                 )
-            crew, self._crew = self._crew, []
+        # A busy worker is mid-job and would not read the stop message.
         for worker in crew:
-            worker.shutdown()
-        for action in actions:
-            action()
+            if worker.busy:
+                worker.kill()
+            else:
+                worker.shutdown()
+        self._fire(actions)
         self._wake_recv.close()
         self._wake_send.close()

@@ -121,14 +121,6 @@ class TestParser:
             build_parser().parse_args(["list"])
         ).fingerprint()
 
-    def test_persistent_workers_flag_parses_on_batch_and_table1(self):
-        args = build_parser().parse_args(["batch", "a.csg", "--persistent-workers"])
-        assert args.persistent_workers is True
-        args = build_parser().parse_args(["table1", "--jobs", "2", "--persistent-workers"])
-        assert args.persistent_workers is True
-        args = build_parser().parse_args(["table1"])
-        assert args.persistent_workers is False
-
     def test_semantic_cache_flags_parse(self):
         from repro.cli import _build_cache
 

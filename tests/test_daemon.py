@@ -9,6 +9,7 @@ coalescing, frame-level admission control, crash/ malformed-input
 containment per connection, and graceful drain.
 """
 
+import errno
 import multiprocessing
 import os
 import shutil
@@ -305,6 +306,23 @@ class TestDaemonIsolation:
             assert health["jobs"]["rejected"] == 1
         daemon.shutdown(drain=False)
 
+    def test_failed_cache_write_still_answers_and_serves(
+        self, daemon_factory, sock_dir, monkeypatch
+    ):
+        # A full disk under the cache must cost neither the waiting client
+        # nor the next job: the entry is kept in the memory tier only.
+        def full_disk(path, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        daemon = daemon_factory(cache=ResultCache(sock_dir / "cache"))
+        with DaemonClient(daemon.socket_path, timeout=20) as client:
+            (first,) = client.submit_and_wait([{"name": "c3", "term": _chain_text(3)}])
+            (second,) = client.submit_and_wait([{"name": "c4", "term": _chain_text(4)}])
+            (again,) = client.submit_and_wait([{"name": "c3", "term": _chain_text(3)}])
+        assert first["status"] == "succeeded" and second["status"] == "succeeded"
+        assert again["cached"] and again["cache_tier"] == "exact"
+
     def test_disconnected_client_does_not_sink_its_job(self, daemon_factory, sock_dir):
         daemon = daemon_factory(cache=ResultCache(sock_dir / "cache"))
         text = _chain_text(3)
@@ -444,3 +462,25 @@ class TestDaemonShutdown:
             # The daemon closed every client connection on its way out.
             with pytest.raises((DaemonError, OSError)):
                 client.submit([{"name": "late", "term": _chain_text(2)}])
+
+    def test_raising_callback_still_lets_the_daemon_stop(
+        self, daemon_factory, monkeypatch
+    ):
+        class Boom(Exception):
+            pass
+
+        def explode(event):
+            raise Boom(event.name)
+
+        daemon = daemon_factory(worker_count=1)
+        monkeypatch.setattr(daemon, "_on_event", explode)
+        with DaemonClient(daemon.socket_path, timeout=20) as client:
+            (result,) = client.submit_and_wait(
+                [{"name": "c3", "term": _chain_text(3)}]
+            )
+        # The callback force-stopped the fleet; the job is failed, not lost.
+        assert result["status"] == "failed"
+        with pytest.raises(Boom):
+            daemon.shutdown()
+        daemon.serve_forever()  # returns: the shutdown still completed
+        assert not Path(daemon.socket_path).exists()

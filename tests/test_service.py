@@ -7,13 +7,17 @@ failure isolation (exceptions, worker crashes, hard timeouts) and
 cache-aware re-runs.
 """
 
+import errno
 import json
 import multiprocessing
 import os
 import pickle
+import queue as queue_module
 import signal
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +28,10 @@ from repro.csg.build import scale, translate, union_all, unit
 from repro.service import (
     JobQueue,
     JobStatus,
+    ResidentPool,
     ResultCache,
     SynthesisJob,
     SynthesisService,
-    WorkerPool,
     cache_key,
     run_jobs_inline,
 )
@@ -143,6 +147,21 @@ class TestResultCache:
         cache.put("a" * 64, {})
         assert ("a" * 64) in cache and ("b" * 64) not in cache
         assert cache.hits == 0 and cache.misses == 0
+
+    def test_failed_disk_write_keeps_the_entry_in_memory(self, tmp_path, monkeypatch):
+        real_write_text = Path.write_text
+
+        def full_disk(path, text, *args, **kwargs):
+            real_write_text(path, "", *args, **kwargs)  # the temp file is created
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        cache = ResultCache(tmp_path)
+        cache.put("a" * 64, {"v": 1}, semantic_key="b" * 64)
+        assert cache.get("a" * 64) == {"v": 1}
+        assert cache.lookup("c" * 64, "b" * 64) == ({"v": 1}, "semantic")
+        # Neither the entry nor its semantic pointer left a file behind.
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
 class TestResultCacheEviction:
@@ -313,153 +332,75 @@ class TestInlineExecution:
 
 
 # ---------------------------------------------------------------------------
-# Process workers: parity, crash isolation, hard timeouts
+# ResidentPool: worker reuse, crash isolation, hard timeouts
 # ---------------------------------------------------------------------------
 
+_FORK = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="crash injection relies on fork inheriting the monkeypatch",
+)
 
-class TestWorkerPool:
+
+class Boom(Exception):
+    """Raised by a test's event callback."""
+
+
+def _explode_on_start(event):
+    if event.kind == "start":
+        raise Boom(event.name)
+
+
+def _run_on_pool(pool, jobs, on_event=None):
+    """Submit jobs to a started pool in order, drain it, return results by name."""
+    results = {}
+
+    def on_result(job, result):
+        results[job.name] = result
+
+    try:
+        for job in jobs:
+            pool.submit(job, on_result, on_event)
+        pool.shutdown(drain=True, timeout=120)
+    finally:
+        pool.shutdown(drain=False)
+    return results
+
+
+class TestResidentPool:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            ResidentPool(0)
 
-    def test_parallel_results_match_inline(self):
-        jobs = [SynthesisJob(name=f"chain-{n}", term=_chain(n)) for n in (3, 4, 5)]
-        inline = run_jobs_inline(jobs)
-        pooled = WorkerPool(2).run(jobs)
-        assert set(pooled) == set(inline)
-        for job_id, inline_result in inline.items():
-            pooled_result = pooled[job_id]
-            assert pooled_result.status is JobStatus.SUCCEEDED
-            assert [c.term for c in pooled_result.result.candidates] == [
-                c.term for c in inline_result.result.candidates
-            ]
-            assert [c.cost for c in pooled_result.result.candidates] == [
-                c.cost for c in inline_result.result.candidates
-            ]
-
-    def test_worker_exception_is_a_failed_job_not_a_sunk_batch(self):
-        jobs = [
-            SynthesisJob(
-                name="bad", term=_chain(3), config=SynthesisConfig(cost_function="no-such")
-            ),
-            SynthesisJob(name="ok", term=_chain(3)),
-        ]
-        results = WorkerPool(2).run(jobs)
-        by_name = {r.name: r for r in results.values()}
-        assert by_name["bad"].status is JobStatus.FAILED
-        assert "no-such" in by_name["bad"].error
-        assert by_name["ok"].status is JobStatus.SUCCEEDED
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="crash injection relies on fork inheriting the monkeypatch",
-    )
-    def test_worker_process_death_is_reported(self, monkeypatch):
-        import repro.service.worker as worker_module
-
-        def die(payload):
-            os._exit(13)
-
-        monkeypatch.setattr(worker_module, "execute_payload", die)
-        job = SynthesisJob(name="crasher", term=_chain(2))
-        results = WorkerPool(1, start_method="fork").run([job])
-        result = results[job.job_id]
-        assert result.status is JobStatus.FAILED
-        assert "exit code 13" in result.error
-
-    def test_oserror_on_the_result_pipe_is_a_failed_job_not_a_raised_batch(self):
-        # A dying worker can tear its pipe down as OSError (ECONNRESET)
-        # instead of a clean EOFError; both must collapse to the same
-        # "worker died" FAILED result instead of escaping _collect and
-        # sinking the whole batch.
-        from repro.service.worker import _Slot
-
-        class ResettingConn:
-            def recv(self):
-                raise OSError(104, "Connection reset by peer")
-
-            def close(self):
-                pass
-
-        class ReapedProcess:
-            exitcode = -9
-
-            def join(self, timeout=None):
-                pass
-
-        job = SynthesisJob(name="reset", term=_chain(2))
-        slot = _Slot(
-            job=job, process=ReapedProcess(), conn=ResettingConn(),
-            started=0.0, deadline=None,
-        )
-        events = []
-        result = WorkerPool(1)._collect(slot, now=1.0, on_event=events.append)
-        assert result.status is JobStatus.FAILED
-        assert "died without reporting" in result.error
-        assert any(e.kind == "failed" and e.name == "reset" for e in events)
-
-    def test_hard_timeout_kills_the_worker(self):
-        events = []
-        jobs = [
-            SynthesisJob(name="slow", term=gear_model(), timeout=0.25),
-            SynthesisJob(name="quick", term=_chain(3)),
-        ]
-        results = WorkerPool(2).run(jobs, on_event=events.append)
-        by_name = {r.name: r for r in results.values()}
-        assert by_name["slow"].status is JobStatus.TIMEOUT
-        assert "timeout" in by_name["slow"].error
-        assert by_name["quick"].status is JobStatus.SUCCEEDED
-        assert any(e.kind == "timeout" and e.name == "slow" for e in events)
-
-
-# ---------------------------------------------------------------------------
-# Persistent workers: amortized startup, crash isolation preserved
-# ---------------------------------------------------------------------------
-
-
-class TestPersistentWorkerPool:
     def test_results_match_inline_and_workers_are_reused(self):
         jobs = [SynthesisJob(name=f"chain-{n}", term=_chain(n)) for n in (3, 4, 5, 6)]
         inline = run_jobs_inline(jobs)
-        pool = WorkerPool(2, persistent=True)
-        pooled = pool.run(jobs)
-        assert set(pooled) == set(inline)
-        for job_id, inline_result in inline.items():
-            pooled_result = pooled[job_id]
-            assert pooled_result.status is JobStatus.SUCCEEDED
-            assert [c.term for c in pooled_result.result.candidates] == [
-                c.term for c in inline_result.result.candidates
+        pool = ResidentPool(2).start()
+        pooled = _run_on_pool(pool, jobs)
+        for job in jobs:
+            assert pooled[job.name].status is JobStatus.SUCCEEDED
+            assert [c.term for c in pooled[job.name].result.candidates] == [
+                c.term for c in inline[job.job_id].result.candidates
             ]
         # 4 jobs over 2 long-lived workers: no per-job process was spawned.
         assert pool.workers_spawned == 2
 
-    def test_spawns_no_more_workers_than_jobs(self):
-        pool = WorkerPool(8, persistent=True)
-        results = pool.run([SynthesisJob(name="only", term=_chain(3))])
-        assert results and all(r.ok for r in results.values())
-        assert pool.workers_spawned == 1
-
-    def test_worker_exception_is_a_failed_job_not_a_sunk_batch(self):
+    def test_worker_exception_is_a_failed_job_without_a_respawn(self):
         jobs = [
             SynthesisJob(
                 name="bad", term=_chain(3), config=SynthesisConfig(cost_function="no-such")
             ),
             SynthesisJob(name="ok", term=_chain(3)),
         ]
-        pool = WorkerPool(2, persistent=True)
-        results = pool.run(jobs)
-        by_name = {r.name: r for r in results.values()}
+        pool = ResidentPool(2).start()
+        by_name = _run_on_pool(pool, jobs)
         assert by_name["bad"].status is JobStatus.FAILED
         assert "no-such" in by_name["bad"].error
         assert by_name["ok"].status is JobStatus.SUCCEEDED
         # An in-worker exception is captured in-process: no respawn needed.
-        assert pool.workers_spawned == 2
+        assert pool.workers_spawned == 2 and pool.respawns == 0
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="crash injection relies on fork inheriting the monkeypatch",
-    )
-    def test_dead_persistent_worker_is_respawned_and_job_failed(self, monkeypatch):
+    @_FORK
+    def test_dead_worker_is_respawned_and_job_failed(self, monkeypatch):
         import repro.service.worker as worker_module
 
         real = worker_module.execute_payload
@@ -471,58 +412,247 @@ class TestPersistentWorkerPool:
 
         monkeypatch.setattr(worker_module, "execute_payload", die_on_crasher)
         jobs = [
-            SynthesisJob(name="crasher", term=_chain(2), priority=5),
+            SynthesisJob(name="crasher", term=_chain(2)),
             SynthesisJob(name="survivor", term=_chain(3)),
         ]
-        pool = WorkerPool(1, start_method="fork", persistent=True)
-        results = pool.run(jobs)
-        by_name = {r.name: r for r in results.values()}
+        pool = ResidentPool(1, start_method="fork").start()
+        by_name = _run_on_pool(pool, jobs)
         assert by_name["crasher"].status is JobStatus.FAILED
         assert "exit code 13" in by_name["crasher"].error
         # The dead worker was replaced and the rest of the batch completed.
         assert by_name["survivor"].status is JobStatus.SUCCEEDED
-        assert pool.workers_spawned == 2
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="crash injection relies on fork inheriting the monkeypatch",
-    )
-    def test_worker_dead_on_arrival_fails_the_job_not_the_batch(self, monkeypatch):
-        # Workers that die while *idle* (before accepting a job) must not
-        # sink the batch with a BrokenPipeError out of run(): the job is
-        # retried on replacements a bounded number of times, then FAILED.
-        import repro.service.worker as worker_module
-
-        monkeypatch.setattr(
-            worker_module, "_persistent_worker_loop", lambda conn: conn.close()
-        )
-        pool = WorkerPool(1, start_method="fork", persistent=True)
-        results = pool.run([SynthesisJob(name="doomed", term=_chain(2))])
-        (result,) = results.values()
-        assert result.status is JobStatus.FAILED
-        assert "worker died" in result.error
+        assert pool.workers_spawned == 2 and pool.crashes == 1
 
     def test_hard_timeout_kills_and_respawns(self):
         events = []
         jobs = [
-            SynthesisJob(name="slow", term=gear_model(), timeout=0.25, priority=5),
+            SynthesisJob(name="slow", term=gear_model(), timeout=0.25),
             SynthesisJob(name="quick", term=_chain(3)),
         ]
-        pool = WorkerPool(1, persistent=True)
-        results = pool.run(jobs, on_event=events.append)
-        by_name = {r.name: r for r in results.values()}
+        pool = ResidentPool(1).start()
+        by_name = _run_on_pool(pool, jobs, on_event=events.append)
         assert by_name["slow"].status is JobStatus.TIMEOUT
         assert "timeout" in by_name["slow"].error
         assert by_name["quick"].status is JobStatus.SUCCEEDED
         assert any(e.kind == "timeout" and e.name == "slow" for e in events)
         # The killed worker's replacement ran the remaining job.
-        assert pool.workers_spawned == 2
+        assert pool.workers_spawned == 2 and pool.timeouts == 1
 
-    def test_service_threads_persistent_flag(self, tmp_path):
+    def test_oserror_on_the_result_pipe_is_a_failed_job(self):
+        # A dying worker can tear its pipe down as OSError (ECONNRESET)
+        # instead of a clean EOFError; both must collapse to the same
+        # "worker died" FAILED result instead of escaping the scheduler.
+        pool = ResidentPool(1).start()
+        (worker,) = pool._crew
+
+        def reset():
+            raise OSError(errno.ECONNRESET, "Connection reset by peer")
+
+        worker.conn.recv = reset
+        events = []
+        jobs = [
+            SynthesisJob(name="reset", term=_chain(2)),
+            SynthesisJob(name="next", term=_chain(3)),
+        ]
+        by_name = _run_on_pool(pool, jobs, on_event=events.append)
+        assert by_name["reset"].status is JobStatus.FAILED
+        assert "died without reporting" in by_name["reset"].error
+        assert any(e.kind == "failed" and e.name == "reset" for e in events)
+        assert by_name["next"].status is JobStatus.SUCCEEDED
+        assert pool.crashes == 1 and pool.respawns == 1
+
+    def test_job_submitted_after_an_idle_worker_died_is_served(self):
+        pool = ResidentPool(1).start()
+        try:
+            (worker,) = pool._crew
+            worker.process.kill()
+            worker.process.join(10)
+            served = queue_module.Queue()
+            pool.submit(
+                SynthesisJob(name="c2", term=_chain(2)),
+                lambda job, result: served.put(result),
+            )
+            result = served.get(timeout=15)
+        finally:
+            pool.shutdown(drain=False)
+        assert result.status is JobStatus.SUCCEEDED
+        assert pool.crashes == 1 and pool.respawns == 1
+
+    def test_drain_survives_an_idle_worker_death(self):
+        pool = ResidentPool(1).start()
+        results = {}
+        in_callback = threading.Event()
+        release = threading.Event()
+
+        def on_result(job, result):
+            results[job.name] = result
+            if job.name == "first":
+                in_callback.set()
+                release.wait(30)
+
+        try:
+            pool.submit(SynthesisJob(name="first", term=_chain(2)), on_result)
+            assert in_callback.wait(30)
+            # The scheduler is parked in a callback and its only worker is
+            # idle: kill the worker, queue a job and start the drain, so the
+            # drain is what finds the dead worker.
+            (worker,) = pool._crew
+            worker.process.kill()
+            worker.process.join(10)
+            pool.submit(SynthesisJob(name="second", term=_chain(3)), on_result)
+            pool.shutdown(drain=True, timeout=0.05)
+            release.set()
+            pool.shutdown(drain=True, timeout=15)
+            assert "second" in results, pool.snapshot()
+        finally:
+            release.set()
+            pool.shutdown(drain=False)
+        assert results["second"].status is JobStatus.SUCCEEDED
+
+    def test_raising_callback_force_stops_the_pool(self):
+        results = {}
+        pool = ResidentPool(1).start()
+        (worker,) = pool._crew
+        try:
+            pool.submit(
+                SynthesisJob(name="c3", term=_chain(3)),
+                lambda job, result: results.__setitem__(job.name, result),
+                _explode_on_start,
+            )
+            with pytest.raises(Boom, match="c3"):
+                pool.shutdown(drain=True, timeout=60)
+            pool.shutdown()  # re-raised once only
+        finally:
+            pool.shutdown(drain=False)
+        # The running job is failed, not lost, and its worker is killed.
+        assert results["c3"].status is JobStatus.FAILED
+        assert "shut down while the job was running" in results["c3"].error
+        assert not worker.process.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# SynthesisService over a pool: parity, ordering, crew size, failures
+# ---------------------------------------------------------------------------
+
+
+def _record_pools(monkeypatch):
+    """Make SynthesisService record every ResidentPool it starts."""
+    import repro.service.service as service_module
+
+    pools = []
+
+    class RecordingPool(ResidentPool):
+        def start(self):
+            pools.append(self)
+            return super().start()
+
+    monkeypatch.setattr(service_module, "ResidentPool", RecordingPool)
+    return pools
+
+
+class TestPooledService:
+    def test_results_match_inline(self):
+        jobs = [SynthesisJob(name=f"chain-{n}", term=_chain(n)) for n in (3, 4, 5)]
+        inline = SynthesisService(worker_count=0).run_batch(jobs)
+        pooled = SynthesisService(worker_count=2).run_batch(jobs)
+        assert pooled.worker_count == 2
+        for inline_result, pooled_result in zip(inline.results, pooled.results):
+            assert pooled_result.status is JobStatus.SUCCEEDED
+            assert [c.term for c in pooled_result.result.candidates] == [
+                c.term for c in inline_result.result.candidates
+            ]
+            assert [c.cost for c in pooled_result.result.candidates] == [
+                c.cost for c in inline_result.result.candidates
+            ]
+
+    @_FORK
+    def test_worker_dead_on_arrival_fails_the_job_not_the_batch(self, monkeypatch):
+        # Workers that die while *idle* (before accepting a job) must not
+        # sink the batch with a BrokenPipeError out of run_batch(): the job
+        # is retried on replacements a bounded number of times, then FAILED.
+        import repro.service.worker as worker_module
+
+        monkeypatch.setattr(
+            worker_module, "_persistent_worker_loop", lambda conn: conn.close()
+        )
+        report = SynthesisService(worker_count=1).run_batch(
+            [SynthesisJob(name="doomed", term=_chain(2))]
+        )
+        (result,) = report.results
+        assert result.status is JobStatus.FAILED
+        assert "worker died" in result.error
+
+    def test_misses_start_in_priority_order(self):
+        # Distinct terms: identical ones would coalesce into one execution.
+        events = []
+        jobs = [
+            SynthesisJob(name="second", term=_chain(2), priority=0),
+            SynthesisJob(name="first", term=_chain(3), priority=9),
+        ]
+        SynthesisService(worker_count=1, on_event=events.append).run_batch(jobs)
+        assert [e.name for e in events if e.kind == "start"] == ["first", "second"]
+
+    def test_service_threads_worker_count_into_the_pool(self, monkeypatch):
+        pools = _record_pools(monkeypatch)
         jobs = [SynthesisJob(name=f"chain-{n}", term=_chain(n)) for n in (3, 4)]
-        report = SynthesisService(worker_count=2, persistent=True).run_batch(jobs)
+        report = SynthesisService(worker_count=2).run_batch(jobs)
         assert not report.failed
         assert report.worker_count == 2
+        assert [pool.workers_spawned for pool in pools] == [2]
+
+    def test_crew_is_no_larger_than_the_batch(self, monkeypatch):
+        pools = _record_pools(monkeypatch)
+        report = SynthesisService(worker_count=8).run_batch(
+            [SynthesisJob(name="only", term=_chain(3))]
+        )
+        assert not report.failed
+        assert [pool.workers_spawned for pool in pools] == [1]
+
+    def test_worker_exception_is_a_failed_job_not_a_sunk_batch(self):
+        jobs = [
+            SynthesisJob(
+                name="bad", term=_chain(3), config=SynthesisConfig(cost_function="no-such")
+            ),
+            SynthesisJob(name="ok", term=_chain(3)),
+        ]
+        report = SynthesisService(worker_count=2).run_batch(jobs)
+        assert report.result_for("bad").status is JobStatus.FAILED
+        assert "no-such" in report.result_for("bad").error
+        assert report.result_for("ok").status is JobStatus.SUCCEEDED
+
+    @_FORK
+    def test_worker_process_death_is_reported(self, monkeypatch):
+        import repro.service.worker as worker_module
+
+        def die(payload):
+            os._exit(13)
+
+        monkeypatch.setattr(worker_module, "execute_payload", die)
+        report = SynthesisService(worker_count=1).run_batch(
+            [SynthesisJob(name="crasher", term=_chain(2))]
+        )
+        (result,) = report.results
+        assert result.status is JobStatus.FAILED
+        assert "exit code 13" in result.error
+
+    def test_hard_timeout_kills_the_worker(self):
+        events = []
+        jobs = [
+            SynthesisJob(name="slow", term=gear_model(), timeout=0.25),
+            SynthesisJob(name="quick", term=_chain(3)),
+        ]
+        report = SynthesisService(worker_count=2, on_event=events.append).run_batch(jobs)
+        assert report.result_for("slow").status is JobStatus.TIMEOUT
+        assert "timeout" in report.result_for("slow").error
+        assert report.result_for("quick").status is JobStatus.SUCCEEDED
+        assert any(e.kind == "timeout" and e.name == "slow" for e in events)
+
+    def test_raising_on_event_propagates_and_stops_every_worker(self):
+        jobs = [SynthesisJob(name=f"chain-{n}", term=_chain(n)) for n in (3, 4, 5)]
+        before = set(multiprocessing.active_children())
+        with pytest.raises(Boom):
+            SynthesisService(worker_count=2, on_event=_explode_on_start).run_batch(jobs)
+        assert not set(multiprocessing.active_children()) - before
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +1001,7 @@ import os, threading, time
 
 import repro.service.worker as worker_module
 from repro.csg.build import unit
-from repro.service import SynthesisJob, WorkerPool
+from repro.service import SynthesisJob, SynthesisService
 
 def run_until_orphaned(payload):
     parent = os.getppid()
@@ -880,11 +1010,10 @@ def run_until_orphaned(payload):
 
 worker_module.execute_payload = run_until_orphaned
 started = threading.Event()
-pool = WorkerPool(1, start_method="fork", persistent={persistent})
+service = SynthesisService(worker_count=1, on_event=lambda event: started.set())
 threading.Thread(
-    target=pool.run,
+    target=service.run_batch,
     args=([SynthesisJob(name="stuck", term=unit())],),
-    kwargs={{"on_event": lambda event: started.set()}},
     daemon=True,
 ).start()
 assert started.wait(60)
@@ -926,6 +1055,5 @@ class TestExitWithWorkersUp:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="the stand-in job relies on fork inheriting the patched executor",
     )
-    @pytest.mark.parametrize("persistent", [False, True])
-    def test_worker_pool_mid_batch(self, persistent):
-        self._assert_exits(_BATCH_EXIT.format(persistent=persistent))
+    def test_pooled_batch_mid_job(self):
+        self._assert_exits(_BATCH_EXIT)
