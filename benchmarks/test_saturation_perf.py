@@ -208,7 +208,7 @@ def _measure_two_phase(
     start = time.perf_counter()
     report = Runner(rules, limits, backoff=backoff).run(egraph)
     saturated = time.perf_counter()
-    extractor = TopKExtractor(egraph, ast_size_cost, k=5, roots=[root])
+    extractor = TopKExtractor(egraph, ast_size_cost, k=5)
     best = extractor.extract_top_k(root)[0]
     done = time.perf_counter()
     return {
@@ -307,7 +307,7 @@ def _measure_matcher(model: Term, rules, limits, backoff, incremental: bool) -> 
     start = time.perf_counter()
     report = Runner(rules, limits, backoff=backoff, incremental=incremental).run(egraph)
     total = time.perf_counter() - start
-    best = TopKExtractor(egraph, ast_size_cost, k=5, roots=[root]).extract_top_k(root)[0]
+    best = TopKExtractor(egraph, ast_size_cost, k=5).extract_top_k(root)[0]
     return {
         "matcher": "incremental-trie" if incremental else "naive",
         "stop_reason": report.stop_reason.value,

@@ -13,9 +13,8 @@ Usage examples::
     szalinski trace spans.jsonl --chrome out.json                   # Perfetto conversion
 
 The synthesis knobs (``--epsilon``, ``--top-k``/``--topk``, ``--cost``,
-``--rewrite-iterations``, ``--max-enodes``, ``--max-seconds``,
-``--no-incremental``, ``--no-incremental-extraction``, ``--rules``) are
-global options threaded into :class:`~repro.core.config.SynthesisConfig`
+``--rewrite-iterations``, ``--max-enodes``, ``--max-seconds``, ``--rules``)
+are global options threaded into :class:`~repro.core.config.SynthesisConfig`
 for ``synth`` (alias ``run``) and ``batch``.  ``table1`` and ``bench``
 deliberately keep the paper's per-benchmark default configuration so their
 rows stay comparable to Table 1.  ``--cache-max-mb`` bounds the disk tier
@@ -87,13 +86,13 @@ def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
         rewrite_iterations=args.rewrite_iterations,
         max_enodes=args.max_enodes,
         max_seconds=args.max_seconds,
-        incremental_search=not args.no_incremental,
-        incremental_extraction=not args.no_incremental_extraction,
-        apply_dedup=not args.no_apply_dedup,
     )
     if args.rules is not None:
         kwargs["rule_categories"] = args.rules
-    return SynthesisConfig(**kwargs)
+    try:
+        return SynthesisConfig(**kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"szalinski: {exc}")
 
 
 def _print_event(event) -> None:
@@ -124,6 +123,7 @@ def _write_report(path: Optional[str], payload: dict) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
     tracer = None
     if args.trace:
         from repro.obs.trace import Tracer
@@ -135,12 +135,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         with tracer.span("job", {"name": name}):
             with tracer.span("parse"):
                 csg = parse_csg(Path(args.input).read_text(), strict=False)
-            result = synthesize(csg, _config_from_args(args), tracer=tracer)
+            result = synthesize(csg, config, tracer=tracer)
             if args.validate:
                 report = validate_synthesis(csg, result.output_term(), tracer=tracer)
     else:
         csg = parse_csg(Path(args.input).read_text(), strict=False)
-        result = synthesize(csg, _config_from_args(args))
+        result = synthesize(csg, config)
         if args.validate:
             report = validate_synthesis(csg, result.output_term())
     for candidate in result.candidates:
@@ -525,20 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-seconds", type=float, default=SynthesisConfig.max_seconds,
         help="saturation wall-clock budget in seconds",
-    )
-    parser.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the incremental trie e-matcher (use the naive sweep)",
-    )
-    parser.add_argument(
-        "--no-incremental-extraction", action="store_true",
-        help="disable the saturation-time cost analysis (recompute best "
-        "costs from scratch at extraction time)",
-    )
-    parser.add_argument(
-        "--no-apply-dedup", action="store_true",
-        help="disable the apply-phase dedup ledger (re-apply every match "
-        "every iteration)",
     )
     parser.add_argument(
         "--rules", type=_rule_categories, default=None, metavar="CAT[,CAT...]",

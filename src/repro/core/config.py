@@ -3,14 +3,17 @@
 All of the paper's knobs live here: the noise tolerance epsilon (0.001 by
 default, Section 4.1), the number of returned programs k (5 in the
 evaluation), the cost function name, and the resource limits that play the
-role of the algorithm's ``fuel`` argument.
+role of the algorithm's ``fuel`` argument.  How the engine schedules the
+work is not a knob; the reference engines the differential tests compare
+against are :class:`~repro.egraph.runner.Runner` arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
+from repro.core.cost import COST_FUNCTIONS
 from repro.egraph.runner import BackoffConfig
 from repro.lang.canon import payload_fingerprint
 from repro.solvers.closed_form import SolverConfig
@@ -27,7 +30,9 @@ class SynthesisConfig:
     #: Knobs that older versions wrote into cached payloads and that no
     #: longer exist; :meth:`from_dict` drops them instead of rejecting the
     #: payload.  (Not a dataclass field: the name carries no annotation.)
-    _RETIRED_FIELDS = frozenset({"search_workers"})
+    _RETIRED_FIELDS = frozenset(
+        {"search_workers", "incremental_search", "apply_dedup", "incremental_extraction"}
+    )
 
     #: Tolerance used by the arithmetic solvers on every observation.
     epsilon: float = 1e-3
@@ -59,31 +64,6 @@ class SynthesisConfig:
     rule_match_limit: int = _DEFAULT_BACKOFF.match_limit
     rule_ban_length: int = _DEFAULT_BACKOFF.ban_length
 
-    #: Use the compiled-trie incremental e-matcher in the saturation runner
-    #: (only classes dirtied since the previous iteration are re-searched).
-    #: Match semantics are identical to the naive sweep — the differential
-    #: suite in ``tests/test_search_differential.py`` locks this down — so
-    #: the knob exists for ablation/debugging, not correctness.
-    incremental_search: bool = True
-
-    #: Skip apply-phase re-application of matches that already executed
-    #: under an identical canonical fingerprint (the runner's applied-match
-    #: ledger).  Skipped matches are exactly the ones whose re-application
-    #: would merge a class with itself, so results are identical either way
-    #: (``tests/test_apply_dedup.py`` pins the parity) — an
-    #: ablation/debugging knob like ``incremental_search``.
-    apply_dedup: bool = True
-
-    #: Maintain the extraction :class:`~repro.egraph.extract.CostAnalysis`
-    #: incrementally during saturation (registered on the e-graph by the
-    #: runner), so post-saturation single-best extraction — including every
-    #: determinizer query inside the arithmetic components — reads
-    #: ready-made best costs instead of recomputing a fixpoint.  Extracted
-    #: terms are identical either way (``tests/test_extract_kbest.py`` pins
-    #: the parity), so this is an ablation/debugging knob like
-    #: ``incremental_search``.
-    incremental_extraction: bool = True
-
     #: Rule categories to enable (see :func:`repro.core.rules.rules_by_category`).
     rule_categories: Tuple[str, ...] = (
         "affine-lifting",
@@ -102,13 +82,17 @@ class SynthesisConfig:
     #: up to three nested loops; two is what real designs need).
     max_loop_nesting: int = 3
 
+    def __post_init__(self) -> None:
+        # Reject what extraction would reject, before any synthesis runs.
+        if self.top_k < 1:
+            raise ValueError(f"top_k must be at least 1, got {self.top_k}")
+        if self.cost_function not in COST_FUNCTIONS:
+            known = ", ".join(sorted(COST_FUNCTIONS))
+            raise ValueError(f"unknown cost function {self.cost_function!r}; known: {known}")
+
     def solver_config(self) -> SolverConfig:
         """The arithmetic-solver configuration implied by this config."""
         return SolverConfig(epsilon=self.epsilon)
-
-    def with_cost_function(self, name: str) -> "SynthesisConfig":
-        """A copy of this config using a different cost function."""
-        return replace(self, cost_function=name)
 
     # -- serialization (worker protocol + result cache) ------------------------
 
@@ -138,23 +122,6 @@ class SynthesisConfig:
             kwargs["rule_categories"] = tuple(kwargs["rule_categories"])
         return cls(**kwargs)
 
-    def semantic_dict(self) -> Dict[str, object]:
-        """The fields that can change *what* is synthesized (cache identity).
-
-        ``incremental_search``, ``incremental_extraction``, and
-        ``apply_dedup`` are excluded: they only change how e-matching /
-        best-cost bookkeeping / match re-application is scheduled, and the
-        differential suites pin their results as identical to the post-hoc
-        computations — so all settings may share cache entries.  Extraction
-        knobs that *do* change the output (``top_k``, ``cost_function``)
-        stay in.
-        """
-        out = self.to_dict()
-        out.pop("incremental_search")
-        out.pop("incremental_extraction")
-        out.pop("apply_dedup")
-        return out
-
     def fingerprint(self) -> str:
-        """Stable content-address of the semantically relevant fields."""
-        return payload_fingerprint(self.semantic_dict())
+        """Stable content-address of every knob (the config half of a cache key)."""
+        return payload_fingerprint(self.to_dict())

@@ -74,15 +74,6 @@ def _literal_int(egraph: EGraph, class_id: int) -> Optional[int]:
     return None
 
 
-def has_list_spine(egraph: EGraph, class_id: int) -> bool:
-    """True when the e-class contains at least one readable list spine."""
-    try:
-        read_list_elements(egraph, class_id)
-    except ListReadError:
-        return False
-    return True
-
-
 def add_cons_spine(egraph: EGraph, element_ids: Sequence[int]) -> int:
     """Insert a ``Cons`` spine over existing element e-classes; returns its id."""
     spine = egraph.add_enode(ENode("Nil"))

@@ -211,13 +211,13 @@ def synthesize(
         )
         # Compile the rule patterns into the shared discrimination trie once;
         # every saturation run of the outer loop reuses it.
-        compiled = CompiledRuleSet(rule_set) if config.incremental_search else None
+        compiled = CompiledRuleSet(rule_set)
         # The incremental cost analysis rides along during saturation (the
         # runner registers it): single-best extraction — extract_any and every
         # determinizer query inside the arithmetic components — then reads
         # ready-made (best cost, witness) pairs instead of recomputing a
         # worklist fixpoint per extractor.
-        analyses = [CostAnalysis(ast_size_cost)] if config.incremental_extraction else []
+        analyses = [CostAnalysis(ast_size_cost)]
         if setup_span is not None:
             setup_span.update({"rules": len(rule_set), "enodes": egraph.total_enodes})
 
@@ -226,14 +226,7 @@ def synthesize(
 
     for outer in range(max(1, config.main_iterations)):
         runner = Runner(
-            rule_set,
-            limits,
-            backoff=backoff,
-            incremental=config.incremental_search,
-            compiled=compiled,
-            analyses=analyses,
-            dedup=config.apply_dedup,
-            tracer=tracer,
+            rule_set, limits, backoff=backoff, compiled=compiled, analyses=analyses, tracer=tracer
         )
         with tracer.span("saturate") as sat_span:
             run_report = runner.run(egraph)
@@ -277,7 +270,7 @@ def synthesize(
     cost_function = get_cost_function(config.cost_function)
     extract_start = time.perf_counter()
     with tracer.span("extract") as ext_span:
-        extractor = TopKExtractor(egraph, cost_function, k=config.top_k, roots=[root])
+        extractor = TopKExtractor(egraph, cost_function, k=config.top_k)
 
         # Combine two views of the root e-class: one candidate per distinct root
         # e-node (this is what gives the returned set its diversity — the lifted

@@ -27,7 +27,7 @@ the role the computer algebra system plays in the paper.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.rewrite import BaseRewrite, DynamicRewrite, Rewrite, dynamic_rewrite, rewrite
@@ -70,15 +70,6 @@ def _add_number(egraph: EGraph, value: float) -> int:
 def _add_affine(egraph: EGraph, op: str, vector: Sequence[float], child: int) -> int:
     args = tuple(_add_number(egraph, v) for v in vector) + (egraph.find(child),)
     return egraph.add_enode(ENode(op, args))
-
-
-def _numbers_guard(names: Sequence[str]) -> Callable[[EGraph, int, Substitution], bool]:
-    """A guard requiring every named hole to be a numeric literal."""
-
-    def guard(egraph: EGraph, _class_id: int, substitution: Substitution) -> bool:
-        return _values(egraph, substitution, names) is not None
-
-    return guard
 
 
 # ---------------------------------------------------------------------------

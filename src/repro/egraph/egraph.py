@@ -103,9 +103,6 @@ class ENode:
                 return ENode(self.op, tuple(find(a) for a in self.args))
         return self
 
-    def map_args(self, fn) -> "ENode":
-        return ENode(self.op, tuple(fn(a) for a in self.args))
-
     @property
     def is_leaf(self) -> bool:
         return not self.args
@@ -796,10 +793,6 @@ class EGraph:
         from repro.egraph.extract import Extractor, ast_size_cost
 
         return Extractor(self, ast_size_cost).extract(class_id)
-
-    def enode_to_term(self, enode: ENode, chooser) -> Term:
-        """Build a term from an e-node using ``chooser(class_id) -> Term``."""
-        return Term(enode.op, tuple(chooser(arg) for arg in enode.args))
 
     def dump(self) -> str:
         """A compact human-readable dump used in debugging and tests."""

@@ -485,10 +485,8 @@ class TopKExtractor:
     docstring): nothing is computed until a query forces it, and a query
     for class ``c`` touches only classes reachable from ``c`` — the old
     whole-graph candidate-table fixpoint (and its ``max_rounds`` safety
-    valve and cube-pruning rank-monotonicity assumption) is gone.
-
-    ``roots`` is accepted for API compatibility; enumeration is lazy per
-    queried class, so no reachability restriction is needed any more.
+    valve and cube-pruning rank-monotonicity assumption) is gone, and no
+    reachability restriction to the roots is needed.
     """
 
     def __init__(
@@ -496,7 +494,6 @@ class TopKExtractor:
         egraph: EGraph,
         cost_function: CostFunction = ast_size_cost,
         k: int = 5,
-        roots: Optional[Sequence[int]] = None,
     ):
         if k < 1:
             raise ValueError("k must be at least 1")

@@ -7,7 +7,7 @@ Each iteration runs in two phases, egg-style:
    Because nothing is applied during this phase, every rule sees the same
    graph and rule order cannot influence which matches exist — the engine is
    deterministic and the per-iteration work is one e-matching pass per rule.
-   With ``incremental=True`` the pass goes through an
+   By default (``incremental=True``) the pass goes through an
    :class:`~repro.egraph.pattern.IncrementalMatcher` over a compiled
    discrimination trie instead of the naive per-rule sweep: only classes
    dirtied since the previous iteration (closed upward to pattern depth) are
@@ -118,10 +118,6 @@ class BackoffScheduler:
     def is_banned(self, name: str, iteration: int) -> bool:
         """True when ``name`` must not search/apply during ``iteration``."""
         return self._stats_for(name).banned_until > iteration
-
-    def banned_rules(self, iteration: int) -> List[str]:
-        """Names of all rules banned during ``iteration``."""
-        return [n for n, s in self._stats.items() if s.banned_until > iteration]
 
     def next_expiry(self, iteration: int) -> Optional[int]:
         """The earliest iteration at which a currently banned rule unbans.
@@ -266,13 +262,17 @@ class Runner:
     that run's iteration indices); the most recent one stays available as
     :attr:`scheduler` for post-run inspection.
 
-    ``incremental=True`` switches the search phase to the compiled
-    discrimination trie with dirty-class caching; ``compiled`` optionally
-    supplies a pre-built :class:`CompiledRuleSet` over the *same* rules so
-    callers running many saturations (the synthesis pipeline) compile once —
-    it must cover exactly this runner's rule names, and implies incremental
-    search unless ``incremental=False`` is passed explicitly.  Match
-    semantics are identical either way — only the search cost differs.
+    The defaults are the production engine: ``incremental=True`` searches
+    through the compiled discrimination trie with dirty-class caching, and
+    ``dedup=True`` skips matches already in the applied-match ledger (see
+    the module docstring).  ``compiled`` optionally supplies a pre-built
+    :class:`CompiledRuleSet` over the *same* rules so callers running many
+    saturations (the synthesis pipeline) compile once; it must cover
+    exactly this runner's rule names.  ``incremental=False`` (the naive
+    per-rule sweep) and ``dedup=False`` (re-apply every match every
+    iteration) are the reference engines that the differential tests and
+    the layer benchmarks compare against: the match sets and the resulting
+    e-graph are identical, only the cost differs.
 
     ``analyses`` lists e-class analyses (e.g. the extraction
     :class:`~repro.egraph.extract.CostAnalysis`) to register on the e-graph
@@ -290,10 +290,10 @@ class Runner:
         limits: Optional[RunnerLimits] = None,
         *,
         backoff: Optional[BackoffConfig] = None,
-        incremental: Optional[bool] = None,
+        incremental: bool = True,
         compiled: Optional[CompiledRuleSet] = None,
         analyses: Sequence[Analysis] = (),
-        dedup: Optional[bool] = None,
+        dedup: bool = True,
         tracer=None,
     ):
         self.rules = list(rules)
@@ -311,13 +311,12 @@ class Runner:
                 f"runner={sorted(r.name for r in self.rules)}"
             )
         self.analyses = list(analyses)
-        self.incremental = (compiled is not None) if incremental is None else incremental
+        self.incremental = incremental
         self.compiled = compiled
         if self.incremental and self.compiled is None:
             self.compiled = CompiledRuleSet(self.rules)
-        #: Apply-phase deduplication (see the module docstring); on by
-        #: default, switchable off for ablations/differential testing.
-        self.dedup = True if dedup is None else dedup
+        #: Apply-phase deduplication (see the module docstring).
+        self.dedup = dedup
         #: rule name -> executed canonical fingerprints; reset per run.  A
         #: plain set for pure/syntactic rules, a fingerprint->content dict
         #: for content-keyed dynamic rules.

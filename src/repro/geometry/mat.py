@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.geometry.vec import Vec3
 
@@ -176,6 +176,3 @@ class AffineMatrix:
                 if abs(a - b) > tolerance:
                     return False
         return True
-
-    def as_nested_list(self) -> Sequence[Sequence[float]]:
-        return [list(row) for row in self.rows]

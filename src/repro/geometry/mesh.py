@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.geometry.mat import AffineMatrix
 from repro.geometry.vec import Vec3
@@ -77,10 +77,6 @@ class Mesh:
     @staticmethod
     def empty() -> "Mesh":
         return Mesh([])
-
-    @staticmethod
-    def from_triangles(triangles: Iterable[Triangle]) -> "Mesh":
-        return Mesh(list(triangles))
 
     def merged(self, other: "Mesh") -> "Mesh":
         return Mesh(self.triangles + other.triangles)

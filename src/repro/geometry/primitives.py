@@ -167,8 +167,3 @@ PRIMITIVE_TESSELLATORS: Dict[str, Callable[[], Mesh]] = {
     "Sphere": tessellate_sphere,
     "Hexagon": tessellate_hexagon,
 }
-
-
-def is_primitive(name: object) -> bool:
-    """True when ``name`` denotes a solid primitive known to the kernel."""
-    return isinstance(name, str) and name in PRIMITIVE_MEMBERSHIP

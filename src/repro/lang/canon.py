@@ -95,9 +95,9 @@ def semantic_fingerprint(term: Term, config) -> str:
 
     ``sha256(normalized text fingerprint : config fingerprint)`` — the same
     shape as the exact cache key, with the term fingerprint replaced by the
-    normalized one.  ``config`` is any object with a ``fingerprint()`` of
-    its semantic fields (:class:`~repro.core.config.SynthesisConfig`; typed
-    loosely so the language layer does not import the core layer).
+    normalized one.  ``config`` is any object with a ``fingerprint()``
+    (:class:`~repro.core.config.SynthesisConfig`; typed loosely so the
+    language layer does not import the core layer).
     """
     return fingerprint_text(
         f"{fingerprint_text(normalized_term_text(term))}:{config.fingerprint()}"
@@ -108,8 +108,8 @@ def payload_fingerprint(payload: Any) -> str:
     """Content-address of a JSON-able payload (dicts, lists, scalars).
 
     Keys are sorted and separators fixed so logically equal payloads hash
-    identically regardless of insertion order; used to fold the semantically
-    relevant configuration fields into a cache key.
+    identically regardless of insertion order; used to fold the synthesis
+    configuration into a cache key.
     """
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return fingerprint_text(text)

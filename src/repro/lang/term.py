@@ -76,10 +76,6 @@ class Term:
             raise TermError(f"not a number: {value!r}")
         return Term(value)
 
-    def with_children(self, children: Sequence["Term"]) -> "Term":
-        """Return a copy of this term with ``children`` substituted."""
-        return Term(self.op, children)
-
     # -- predicates ------------------------------------------------------------
 
     @property
@@ -128,10 +124,6 @@ class Term:
         yield self
         for child in self.children:
             yield from child.subterms()
-
-    def map_children(self, fn) -> "Term":
-        """Return a term with ``fn`` applied to each child."""
-        return Term(self.op, tuple(fn(child) for child in self.children))
 
     def map_bottom_up(self, fn) -> "Term":
         """Rewrite the term bottom-up: children first, then ``fn`` on the node."""

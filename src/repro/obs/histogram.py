@@ -2,8 +2,9 @@
 
 :class:`LatencyHistogram` buckets latencies (seconds) into a fixed
 log-scale grid — :data:`BUCKETS_PER_DECADE` buckets per power of ten
-from 1 µs to 10 000 s — so recording is O(1), memory is constant, and
-two histograms merge by adding counts.  Percentiles are derived by exact
+from 1 µs to 10 000 s, behind one underflow bucket for everything at or
+below 1 µs — so recording is O(1), memory is constant, and two
+histograms merge by adding counts.  Percentiles are derived by exact
 rank selection over the bucket counts: ``percentile(q)`` finds the
 bucket containing the ``ceil(q·count)``-th smallest sample and reports
 that bucket's upper bound (clamped to the observed max), so the reported
@@ -28,17 +29,18 @@ __all__ = ["LatencyHistogram", "MetricsAggregator", "format_latency_table", "BUC
 BUCKETS_PER_DECADE = 8
 _MIN_LATENCY = 1e-6  # floor of the grid: 1 microsecond
 _DECADES = 10  # 1e-6 .. 1e4 seconds
-_BUCKET_COUNT = BUCKETS_PER_DECADE * _DECADES
+_BUCKET_COUNT = BUCKETS_PER_DECADE * _DECADES + 1  # the grid plus the underflow bucket
 
 # Upper bound of bucket i; samples <= _BOUNDS[i] and > _BOUNDS[i-1] land in i.
-_BOUNDS = tuple(_MIN_LATENCY * 10.0 ** ((i + 1) / BUCKETS_PER_DECADE) for i in range(_BUCKET_COUNT))
+# Bucket 0 is the underflow bucket: every sample at or below 1 µs.
+_BOUNDS = tuple(_MIN_LATENCY * 10.0 ** (i / BUCKETS_PER_DECADE) for i in range(_BUCKET_COUNT))
 _LOG_MIN = math.log10(_MIN_LATENCY)
 
 
 def _bucket_index(seconds: float) -> int:
     if seconds <= _MIN_LATENCY:
         return 0
-    idx = int((math.log10(seconds) - _LOG_MIN) * BUCKETS_PER_DECADE)
+    idx = 1 + int((math.log10(seconds) - _LOG_MIN) * BUCKETS_PER_DECADE)
     if idx >= _BUCKET_COUNT:
         return _BUCKET_COUNT - 1
     # Guard against float rounding right at a bucket boundary.

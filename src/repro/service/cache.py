@@ -1,9 +1,9 @@
 """Content-addressed result cache: in-memory LRU over an on-disk tier.
 
 Entries are keyed by :func:`cache_key` — the SHA-256 of the input term's
-canonical serialization combined with the fingerprint of the semantically
-relevant :class:`~repro.core.config.SynthesisConfig` fields (see
-``SynthesisConfig.semantic_dict``).  Keys are therefore stable across
+canonical serialization combined with
+:meth:`~repro.core.config.SynthesisConfig.fingerprint`, the hash of every
+config field with sorted keys.  Keys are therefore stable across
 processes and sessions: a warm re-run of the whole benchmark suite, even
 from a fresh interpreter, finds every entry again.
 

@@ -167,16 +167,6 @@ class JobResult:
             }
         return out
 
-    @staticmethod
-    def from_failure(job: "SynthesisJob", exc: BaseException) -> "JobResult":
-        """A failed result capturing the current exception's traceback."""
-        return JobResult(
-            job_id=job.job_id,
-            name=job.name,
-            status=JobStatus.FAILED,
-            error="".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),
-        )
-
 
 @dataclass(frozen=True)
 class JobEvent:

@@ -167,8 +167,12 @@ class DaemonClient:
     def __init__(self, socket_path, timeout: Optional[float] = 60.0):
         self.socket_path = str(socket_path)
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(self.socket_path)
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.connect(self.socket_path)
+        except BaseException:
+            self._sock.close()
+            raise
         #: result frames received while waiting for something else.
         self._pending_results: Dict[str, dict] = {}
 

@@ -376,11 +376,6 @@ class ResidentPool:
         with self._lock:
             return len(self._queue)
 
-    @property
-    def running_count(self) -> int:
-        with self._lock:
-            return sum(1 for w in self._crew if w.busy)
-
     # -- scheduler loop --------------------------------------------------------
 
     def _wake(self) -> None:

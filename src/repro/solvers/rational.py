@@ -44,11 +44,3 @@ def as_int_if_close(value: float, tolerance: float = 1e-9) -> Optional[int]:
     if abs(value - rounded) <= tolerance:
         return int(rounded)
     return None
-
-
-def format_coefficient(value: float) -> str:
-    """Human-readable rendering of a (possibly snapped) coefficient."""
-    as_int = as_int_if_close(value, tolerance=1e-9)
-    if as_int is not None:
-        return str(as_int)
-    return f"{value:g}"

@@ -21,7 +21,7 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "slow: long-running end-to-end sweeps; CI runs these in a separate "
-        "non-blocking lane (deselect locally with -m 'not slow')",
+        "lane (deselect locally with -m 'not slow')",
     )
 
 

@@ -11,6 +11,8 @@ protocol at the runner level and through ``SynthesisConfig.rule_match_limit``.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.benchsuite.models import fig2_translated_cubes
@@ -93,21 +95,21 @@ def test_ban_schedule_and_matches_identical_to_naive_runner():
 
 
 @pytest.mark.parametrize("match_limit", [3, 10_000])
-def test_rule_match_limit_parity_through_the_pipeline(match_limit):
+def test_rule_match_limit_parity_through_the_pipeline(match_limit, monkeypatch):
     """SynthesisConfig.rule_match_limit + incremental search end to end.
 
     With a tiny limit the affine rules get banned and re-sworn in mid-run;
     the extracted candidates must not depend on the matcher implementation.
+    The naive matcher runs by patching the pipeline's ``Runner``.
     """
     model = fig2_translated_cubes(4)
+    config = SynthesisConfig(rule_match_limit=match_limit, rule_ban_length=1, rewrite_iterations=8)
     costs = {}
     for incremental in (False, True):
-        config = SynthesisConfig(
-            rule_match_limit=match_limit,
-            rule_ban_length=1,
-            rewrite_iterations=8,
-            incremental_search=incremental,
-        )
-        result = synthesize(model, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.core.pipeline.Runner", functools.partial(Runner, incremental=incremental)
+            )
+            result = synthesize(model, config)
         costs[incremental] = [(c.cost, c.term) for c in result.candidates]
     assert costs[True] == costs[False]

@@ -8,7 +8,7 @@ column that legitimately differs between runs — including a byte-level
 comparison of the rendered table.
 
 A fast subset runs in the blocking suite; the full 16-model sweep carries
-the ``slow`` marker and runs in CI's non-blocking slow lane (it costs three
+the ``slow`` marker and runs in CI's separate slow lane (it costs three
 full suite runs).
 """
 

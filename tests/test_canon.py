@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.benchsuite.suite import get_benchmark
 from repro.benchsuite.variants import semantic_variant
 from repro.core.config import SynthesisConfig
 from repro.csg.build import cube, scale, sphere, translate, union, union_all, unit
@@ -25,7 +26,7 @@ from repro.lang.canon import (
     term_from_canonical,
 )
 from repro.lang.term import Term
-from repro.service.cache import cache_key
+from repro.service.cache import cache_key, semantic_cache_key
 
 
 class TestTermFingerprint:
@@ -181,23 +182,33 @@ class TestCacheKey:
             self.term, SynthesisConfig(**override)
         )
 
-    def test_incremental_search_shares_the_key(self):
-        # Pinned as semantics-preserving by the differential suite, so both
-        # settings may share cache entries.
-        assert cache_key(self.term, self.config) == cache_key(
-            self.term, SynthesisConfig(incremental_search=False)
-        )
-
-    def test_apply_dedup_shares_the_key(self):
-        # Same story as incremental_search: the dedup ledger only skips
-        # self-merges (tests/test_apply_dedup.py pins the parity).
-        assert cache_key(self.term, self.config) == cache_key(
-            self.term, SynthesisConfig(apply_dedup=False)
-        )
-
     def test_term_content_changes_the_key(self):
         other = union_all([translate(3.0 * i, 0.0, 0.0, unit()) for i in range(3)])
         assert cache_key(self.term, self.config) != cache_key(other, self.config)
+
+    def test_keys_are_pinned_across_versions(self):
+        # Literal keys: a change to the key derivation or to the default
+        # config re-keys every cached result, and must show up here.
+        assert SynthesisConfig().fingerprint() == (
+            "cecf2e1e2bfeb2ba91c282d90faf40b21f64f454f67e5b35f76ed60d9b757b2a"
+        )
+        assert SynthesisConfig(cost_function="reward-loops").fingerprint() == (
+            "a8fe3386767e113b96756cddf47452eba237046fda5792e2e6f7d748d020c588"
+        )
+        pinned = {
+            "gear": (
+                "147edff721ff0d2abea190fd2551748b0c77c15b37537858db56e202806a0b46",
+                "31d9681af5a7b046d85c71226537bc96bb37178629f8d4bbca92045a90dc3779",
+            ),
+            "dice": (
+                "a9c361e2db6c054ed0fb254a7e70922a0ff94ef3e976f3a1621b2a2bf362883c",
+                "346609c8089dae40771b05853ef0abe12b34ee776772768d5f3119a821c08dec",
+            ),
+        }
+        for name, (exact, semantic) in pinned.items():
+            term = get_benchmark(name).build()
+            assert cache_key(term, self.config) == exact, name
+            assert semantic_cache_key(term, self.config) == semantic, name
 
     def test_payload_fingerprint_ignores_insertion_order(self):
         assert payload_fingerprint({"a": 1, "b": [2, 3]}) == payload_fingerprint(

@@ -51,7 +51,6 @@ class TestParser:
                 "--rewrite-iterations", "7",
                 "--max-enodes", "12345",
                 "--max-seconds", "9.5",
-                "--no-incremental",
                 "--rules", "folds,boolean,boolean-expansive",
                 "list",
             ]
@@ -60,7 +59,6 @@ class TestParser:
         assert config.rewrite_iterations == 7
         assert config.max_enodes == 12345
         assert config.max_seconds == 9.5
-        assert config.incremental_search is False
         assert config.rule_categories == ("folds", "boolean", "boolean-expansive")
 
     def test_engine_knob_defaults_match_synthesis_config(self):
@@ -102,24 +100,6 @@ class TestParser:
         args = build_parser().parse_args(["--topk", "7", "list"])
         assert args.top_k == 7
         assert _config_from_args(args).top_k == 7
-
-    def test_no_incremental_extraction_threads_into_the_config(self):
-        args = build_parser().parse_args(["--no-incremental-extraction", "list"])
-        config = _config_from_args(args)
-        assert config.incremental_extraction is False
-        # The knob is schedule-only: it must not change the cache identity.
-        assert config.fingerprint() == _config_from_args(
-            build_parser().parse_args(["list"])
-        ).fingerprint()
-
-    def test_no_apply_dedup_threads_into_the_config(self):
-        args = build_parser().parse_args(["--no-apply-dedup", "list"])
-        config = _config_from_args(args)
-        assert config.apply_dedup is False
-        # Schedule-only knob: it must not change the cache identity.
-        assert config.fingerprint() == _config_from_args(
-            build_parser().parse_args(["list"])
-        ).fingerprint()
 
     def test_semantic_cache_flags_parse(self):
         from repro.cli import _build_cache
@@ -177,6 +157,14 @@ class TestCommands:
         assert "rank 1" in captured
         assert "Mapi" in captured
         assert "validation: OK" in captured
+
+    def test_synth_rejects_top_k_zero_before_synthesizing(self, csg_file, capsys):
+        # One-line error and a non-zero exit, not a traceback after a run.
+        with pytest.raises(SystemExit) as info:
+            main(["--top-k", "0", "synth", str(csg_file)])
+        message = str(info.value.code)
+        assert "top_k" in message and "\n" not in message
+        assert capsys.readouterr().out == ""
 
     def test_synth_reports_loops_and_reduction(self, csg_file, capsys):
         main(["synth", str(csg_file)])

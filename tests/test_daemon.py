@@ -10,6 +10,7 @@ containment per connection, and graceful drain.
 """
 
 import errno
+import gc
 import multiprocessing
 import os
 import shutil
@@ -18,6 +19,7 @@ import struct
 import tempfile
 import threading
 import time
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -110,6 +112,30 @@ class TestDaemonBasics:
         by_name = {r["name"]: r for r in results}
         assert by_name["garbage"]["status"] == "failed"
         assert by_name["fine"]["status"] == "succeeded"
+
+    def test_invalid_config_fails_at_admission(self, daemon_factory):
+        daemon = daemon_factory()
+        spec = {"name": "k0", "term": _chain_text(3), "config": {"top_k": 0}}
+        with DaemonClient(daemon.socket_path) as client:
+            (result,) = client.submit_and_wait([spec])
+            health = client.health()
+        assert result["status"] == "failed"
+        assert "top_k" in result["error"]
+        # No worker ever ran the job.
+        assert health["workers"]["completed"] == 0
+
+    def test_failed_connect_closes_its_socket(self, sock_dir):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                DaemonClient(sock_dir / "absent.sock", timeout=1.0)
+            except OSError:
+                pass
+            else:
+                pytest.fail("connecting to a missing socket file succeeded")
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]
 
     def test_duplicate_explicit_ids_rejected_at_the_frame(self, daemon_factory):
         daemon = daemon_factory()

@@ -331,7 +331,7 @@ def _assert_seed_parity(name):
     seed_cost = SeedTopKExtractor(
         egraph, ast_size_cost, k=5, roots=[root]
     ).best_cost(root)
-    new_best = TopKExtractor(egraph, ast_size_cost, k=5, roots=[root]).best(root)
+    new_best = TopKExtractor(egraph, ast_size_cost, k=5).best(root)
     single = Extractor(egraph, ast_size_cost)
     assert seed_cost is not None, name
     assert new_best.cost == seed_cost, name

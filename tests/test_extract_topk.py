@@ -197,7 +197,7 @@ class TestWorklistParity:
         # class must simply contribute nothing.
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(Union A B)"))
-        extractor = TopKExtractor(egraph, ast_size_cost, k=3, roots=[root])
+        extractor = TopKExtractor(egraph, ast_size_cost, k=3)
         assert extractor.extract_top_k(root)[0].term == Term.parse("(Union A B)")
 
     def test_cycle_entries_are_skipped_not_looping(self):

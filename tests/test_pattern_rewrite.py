@@ -430,7 +430,7 @@ class TestExtraction:
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(Union Cube Sphere)"))
         egraph.add_term(Term.parse("(Inter A B)"))  # unreachable from root
-        extractor = TopKExtractor(egraph, ast_size_cost, k=2, roots=[root])
+        extractor = TopKExtractor(egraph, ast_size_cost, k=2)
         assert extractor.extract_top_k(root)[0].term == Term.parse("(Union Cube Sphere)")
 
     def test_extraction_with_cycle(self):

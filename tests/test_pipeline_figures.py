@@ -218,6 +218,17 @@ class TestPipelineConfigurations:
         result = synthesize(fig2_translated_cubes(4), SynthesisConfig(top_k=3))
         assert len(result.candidates) <= 3
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"top_k": 0}, "top_k"), ({"top_k": -2}, "top_k"), ({"cost_function": "bogus"}, "bogus")],
+    )
+    def test_invalid_extraction_knobs_rejected_at_construction(self, bad, message):
+        # Rejected before any synthesis runs, on both construction paths.
+        with pytest.raises(ValueError, match=message):
+            SynthesisConfig(**bad)
+        with pytest.raises(ValueError, match=message):
+            SynthesisConfig.from_dict(bad)
+
     def test_reward_loops_cost_function(self):
         result = synthesize(fig2_translated_cubes(5), SynthesisConfig(cost_function="reward-loops"))
         assert result.exposes_structure()

@@ -116,7 +116,7 @@ class TestHistogramSeries:
         for value in (0.0, 1e-7, 0.5, 0.5, 7.0):
             hist.record(value)
         buckets = dict(hist.cumulative_buckets())
-        # Sub-floor samples clamp into the first bucket of the grid.
+        # Samples at or below 1 µs land in the underflow bucket.
         assert buckets[_BOUNDS[0]] == 2
         # Every bound in the exposition is a real grid bound.
         assert set(buckets) <= set(_BOUNDS)

@@ -208,9 +208,10 @@ def test_runner_rejects_compiled_set_over_different_rules():
         Runner(rules, compiled=CompiledRuleSet(rules[:3]))
 
 
-def test_runner_compiled_implies_incremental_unless_explicitly_disabled():
+def test_runner_is_incremental_unless_explicitly_disabled():
     rules = _rule_db()
     compiled = CompiledRuleSet(rules)
+    assert Runner(rules).incremental
     assert Runner(rules, compiled=compiled).incremental
     ablation = Runner(rules, incremental=False, compiled=compiled)
     assert not ablation.incremental

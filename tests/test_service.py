@@ -42,6 +42,11 @@ def _chain(n: int, step: float = 2.0):
     return union_all([translate(step * (i + 1), 0.0, 0.0, unit()) for i in range(n)])
 
 
+#: A config that constructs fine but makes ``synthesize`` raise (the rule
+#: category is looked up only when the run starts): the in-worker failure.
+_FAILING_CONFIG = SynthesisConfig(rule_categories=("no-such",))
+
+
 # ---------------------------------------------------------------------------
 # Picklability / serialization of results (the worker-boundary contract)
 # ---------------------------------------------------------------------------
@@ -309,7 +314,7 @@ class TestInlineExecution:
         jobs = [
             SynthesisJob(name="ok", term=_chain(3)),
             SynthesisJob(
-                name="bad", term=_chain(3), config=SynthesisConfig(cost_function="no-such")
+                name="bad", term=_chain(3), config=_FAILING_CONFIG
             ),
         ]
         results = run_jobs_inline(jobs)
@@ -387,7 +392,7 @@ class TestResidentPool:
     def test_worker_exception_is_a_failed_job_without_a_respawn(self):
         jobs = [
             SynthesisJob(
-                name="bad", term=_chain(3), config=SynthesisConfig(cost_function="no-such")
+                name="bad", term=_chain(3), config=_FAILING_CONFIG
             ),
             SynthesisJob(name="ok", term=_chain(3)),
         ]
@@ -611,7 +616,7 @@ class TestPooledService:
     def test_worker_exception_is_a_failed_job_not_a_sunk_batch(self):
         jobs = [
             SynthesisJob(
-                name="bad", term=_chain(3), config=SynthesisConfig(cost_function="no-such")
+                name="bad", term=_chain(3), config=_FAILING_CONFIG
             ),
             SynthesisJob(name="ok", term=_chain(3)),
         ]
@@ -683,7 +688,7 @@ class TestSynthesisService:
     def test_failed_jobs_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
         bad = SynthesisJob(
-            name="bad", term=_chain(3), config=SynthesisConfig(cost_function="no-such")
+            name="bad", term=_chain(3), config=_FAILING_CONFIG
         )
         SynthesisService(worker_count=0, cache=cache).run_batch([bad])
         assert cache.stores == 0
@@ -726,29 +731,36 @@ class TestSynthesisService:
 
     def test_payload_with_retired_fields_is_a_warm_hit(self, tmp_path):
         # Entries written before the parallel-search knob was removed carry
-        # config.search_workers and three per-iteration counters.  Exact
-        # keys never included them, so such entries are still looked up and
-        # must decode as ordinary warm hits.
+        # config.search_workers and three per-iteration counters; entries
+        # written before the engine switches were removed carry those three
+        # config names.  Exact keys never included any of them, so such
+        # entries are still looked up and must decode as ordinary warm hits.
         job = SynthesisJob(name="chain-3", term=_chain(3))
         fresh = synthesize(job.term, job.config)
-        payload = json.loads(json.dumps(fresh.to_dict()))
-        payload["config"]["search_workers"] = 0
-        for report in payload["run_reports"]:
-            for iteration in report["iterations"]:
-                iteration.update(
-                    parallel_search_epochs=0, fallback_epochs=0, partition_seconds=[]
-                )
-        ResultCache(tmp_path).put(cache_key(job.term, job.config), payload)
-
-        warm_cache = ResultCache(tmp_path)
-        warm = SynthesisService(worker_count=0, cache=warm_cache).run_batch([job])
-        (result,) = warm.results
-        assert warm.hit_rate == 1.0 and warm_cache.disk_hits == 1
-        assert result.cached and result.cache_tier == "exact"
-        assert result.result.config == job.config
-        assert [c.term for c in result.result.candidates] == [
-            c.term for c in fresh.candidates
+        retired_configs = [
+            {"search_workers": 0},
+            {"incremental_search": False, "apply_dedup": False, "incremental_extraction": False},
         ]
+        for index, retired in enumerate(retired_configs):
+            directory = tmp_path / str(index)
+            payload = json.loads(json.dumps(fresh.to_dict()))
+            payload["config"].update(retired)
+            for report in payload["run_reports"]:
+                for iteration in report["iterations"]:
+                    iteration.update(
+                        parallel_search_epochs=0, fallback_epochs=0, partition_seconds=[]
+                    )
+            ResultCache(directory).put(cache_key(job.term, job.config), payload)
+
+            warm_cache = ResultCache(directory)
+            warm = SynthesisService(worker_count=0, cache=warm_cache).run_batch([job])
+            (result,) = warm.results
+            assert warm.hit_rate == 1.0 and warm_cache.disk_hits == 1, retired
+            assert result.cached and result.cache_tier == "exact"
+            assert result.result.config == job.config
+            assert [c.term for c in result.result.candidates] == [
+                c.term for c in fresh.candidates
+            ]
 
     def test_unknown_payload_fields_are_still_rejected(self):
         from repro.egraph.runner import IterationReport
@@ -846,7 +858,7 @@ class TestBatchCoalescing:
         assert report.batch_hits == 0
 
     def test_failed_primary_is_mirrored_onto_followers(self):
-        bad_config = SynthesisConfig(cost_function="no-such")
+        bad_config = _FAILING_CONFIG
         term = _chain(3)
         report = SynthesisService(worker_count=0).run_batch(
             [
