@@ -3,7 +3,7 @@
 Not a table in the paper, but the paper's architecture argument ("syntactic
 rewrites alone cannot infer loop parameters"; "the arithmetic component needs
 the determinized lists the rewrites produce") is directly testable by turning
-individual components off:
+individual components off (by patching their ``run`` to do nothing):
 
 * rewrites only (no arithmetic component) — no Mapi can appear;
 * arithmetic only (no fold-introducing rewrites) — nothing for the solvers to
@@ -20,6 +20,8 @@ import pytest
 
 from repro.benchsuite.models import fig2_translated_cubes, gear_model
 from repro.core.config import SynthesisConfig
+from repro.core.function_inference import FunctionInference
+from repro.core.loop_inference import LoopInference
 from repro.core.pipeline import synthesize
 from repro.core.rules import default_rules
 from repro.egraph.egraph import EGraph
@@ -35,11 +37,10 @@ class TestComponentAblations:
         result = synthesize(self.FLAT(), SynthesisConfig())
         assert result.exposes_structure()
 
-    def test_without_arithmetic_component(self):
-        config = SynthesisConfig(
-            enable_function_inference=False, enable_loop_inference=False
-        )
-        result = synthesize(self.FLAT(), config)
+    def test_without_arithmetic_component(self, monkeypatch):
+        monkeypatch.setattr(FunctionInference, "run", lambda self: 0)
+        monkeypatch.setattr(LoopInference, "run", lambda self: 0)
+        result = synthesize(self.FLAT(), SynthesisConfig())
         # Syntactic rewrites alone cannot infer loop parameters (Section 3.2).
         assert all(
             "Mapi" not in {t.op for t in candidate.term.subterms()}
@@ -54,9 +55,9 @@ class TestComponentAblations:
         # Without folds there is no list for the solvers to parameterize.
         assert not result.exposes_structure()
 
-    def test_loop_inference_only_matters_for_grids(self):
-        config = SynthesisConfig(enable_loop_inference=False)
-        result = synthesize(self.FLAT(), config)
+    def test_loop_inference_only_matters_for_grids(self, monkeypatch):
+        monkeypatch.setattr(LoopInference, "run", lambda self: 0)
+        result = synthesize(self.FLAT(), SynthesisConfig())
         # A 1-D array is still handled by function inference alone.
         assert result.exposes_structure()
 

@@ -43,7 +43,7 @@ from repro.csg.parser import parse_csg
 from repro.csg.pretty import format_openscad_like, format_term
 from repro.scad.flatten import flatten_source
 from repro.service.cache import ResultCache
-from repro.service.job import SynthesisJob
+from repro.service.job import SynthesisJob, check_timeout
 from repro.service.service import SynthesisService
 from repro.verify.validate import validate_synthesis
 
@@ -95,6 +95,20 @@ def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
         raise SystemExit(f"szalinski: {exc}")
 
 
+def _check_jobs(args: argparse.Namespace) -> None:
+    """Reject a negative ``--jobs`` with a one-line error."""
+    if args.jobs < 0:
+        raise SystemExit(f"{args.command}: --jobs must be >= 0 (0 = run in-process)")
+
+
+def _check_timeout(args: argparse.Namespace) -> None:
+    """Reject a ``--timeout`` no job could run under with a one-line error."""
+    try:
+        check_timeout(args.timeout)
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}")
+
+
 def _print_event(event) -> None:
     print(str(event))
 
@@ -124,6 +138,10 @@ def _write_report(path: Optional[str], payload: dict) -> None:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    try:
+        text = Path(args.input).read_text()
+    except OSError as exc:
+        raise SystemExit(f"{args.command}: cannot read {args.input}: {exc.strerror or exc}")
     tracer = None
     if args.trace:
         from repro.obs.trace import Tracer
@@ -134,12 +152,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if tracer is not None:
         with tracer.span("job", {"name": name}):
             with tracer.span("parse"):
-                csg = parse_csg(Path(args.input).read_text(), strict=False)
+                csg = parse_csg(text, strict=False)
             result = synthesize(csg, config, tracer=tracer)
             if args.validate:
                 report = validate_synthesis(csg, result.output_term(), tracer=tracer)
     else:
-        csg = parse_csg(Path(args.input).read_text(), strict=False)
+        csg = parse_csg(text, strict=False)
         result = synthesize(csg, config)
         if args.validate:
             report = validate_synthesis(csg, result.output_term())
@@ -171,6 +189,7 @@ def _cmd_flatten(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    _check_jobs(args)
     cache = _build_cache(args)
     mutate = None
     if args.semantic_variants:
@@ -207,6 +226,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.service.job import JobResult, JobStatus
 
     config = _config_from_args(args)
+    _check_jobs(args)
+    _check_timeout(args)
     jobs = []
     build_failures = []
     for path in args.inputs:
@@ -295,15 +316,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise SystemExit("serve: --jobs must be >= 1 (the daemon always uses workers)")
     cache = _build_cache(args)
-    daemon = SynthesisDaemon(
-        args.socket,
-        worker_count=args.jobs,
-        cache=cache,
-        max_pending=args.max_pending,
-        default_timeout=args.timeout,
-        trace_jobs=not args.no_job_tracing,
-        trace_path=args.trace,
-    )
+    try:
+        daemon = SynthesisDaemon(
+            args.socket,
+            worker_count=args.jobs,
+            cache=cache,
+            max_pending=args.max_pending,
+            default_timeout=args.timeout,
+            trace_jobs=not args.no_job_tracing,
+            trace_path=args.trace,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"serve: {exc}")
     daemon.start()
 
     def _graceful(signum, frame):
@@ -332,6 +356,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         raise SystemExit("submit: --health/--stats/--shutdown are mutually exclusive")
     if control and (args.inputs or args.bench or args.suite):
         raise SystemExit(f"submit: --{control[0]} does not take job inputs")
+    _check_timeout(args)
 
     try:
         client = DaemonClient(args.socket, timeout=args.connect_timeout)

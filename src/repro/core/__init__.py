@@ -2,9 +2,11 @@
 
 This package implements the paper's contribution (Sections 3–5 and the
 algorithm of Fig. 5): the database of semantics-preserving syntactic
-rewrites, list determinization and manipulation, closed-form function
+rewrites, list reading, determinization and sorting, closed-form function
 inference, nested-loop inference, cost functions, and top-k extraction —
-composed by :func:`~repro.core.pipeline.synthesize`.
+composed by :func:`~repro.core.pipeline.synthesize` in one pass, under a
+:class:`~repro.core.config.SynthesisConfig` that holds one field per
+global CLI option.
 """
 
 from repro.core.config import SynthesisConfig

@@ -1,16 +1,20 @@
 """Configuration of the synthesis pipeline.
 
-All of the paper's knobs live here: the noise tolerance epsilon (0.001 by
-default, Section 4.1), the number of returned programs k (5 in the
-evaluation), the cost function name, and the resource limits that play the
-role of the algorithm's ``fuel`` argument.  How the engine schedules the
-work is not a knob; the reference engines the differential tests compare
-against are :class:`~repro.egraph.runner.Runner` arguments.
+``SynthesisConfig`` has one field per global CLI option: the paper's noise
+tolerance epsilon (0.001 by default, Section 4.1), the number of returned
+programs k (5 in the evaluation), the cost function name, the rewrite-rule
+categories, and the resource limits that play the role of the algorithm's
+``fuel`` argument.  Everything else the pipeline does is fixed: one pass of
+saturation, then function and loop inference, then extraction (see
+:mod:`repro.core.pipeline`).  The reference engines and the ablations the
+tests compare against are :class:`~repro.egraph.runner.Runner` arguments or
+monkeypatched components, not knobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 from typing import Dict, Tuple
 
 from repro.core.cost import COST_FUNCTIONS
@@ -18,20 +22,32 @@ from repro.egraph.runner import BackoffConfig
 from repro.lang.canon import payload_fingerprint
 from repro.solvers.closed_form import SolverConfig
 
-#: The engine's scheduler defaults; mirrored here so SynthesisConfig and
-#: Runner cannot drift apart.
-_DEFAULT_BACKOFF = BackoffConfig()
-
 
 @dataclass(frozen=True)
 class SynthesisConfig:
     """Knobs for :func:`repro.core.pipeline.synthesize`."""
 
-    #: Knobs that older versions wrote into cached payloads and that no
-    #: longer exist; :meth:`from_dict` drops them instead of rejecting the
-    #: payload.  (Not a dataclass field: the name carries no annotation.)
-    _RETIRED_FIELDS = frozenset(
+    #: Knobs that older versions wrote into cached payloads but never into a
+    #: cache key; :meth:`from_dict` drops them at any value.  (Not dataclass
+    #: fields: the names carry no annotation.)
+    _DROPPED_FIELDS = frozenset(
         {"search_workers", "incremental_search", "apply_dedup", "incremental_extraction"}
+    )
+
+    #: Knobs that older versions hashed into every cache key, at the one
+    #: value every existing key was minted under.  :meth:`fingerprint` still
+    #: hashes them, so those keys stay valid; :meth:`from_dict` accepts them
+    #: at exactly these values and rejects any other.
+    _FIXED_FIELDS = MappingProxyType(
+        {
+            "main_iterations": 1,
+            "rule_match_limit": BackoffConfig().match_limit,
+            "rule_ban_length": BackoffConfig().ban_length,
+            "enable_function_inference": True,
+            "enable_loop_inference": True,
+            "enable_list_sorting": True,
+            "max_loop_nesting": 3,
+        }
     )
 
     #: Tolerance used by the arithmetic solvers on every observation.
@@ -43,11 +59,7 @@ class SynthesisConfig:
     #: Cost function name: ``"ast-size"`` (default) or ``"reward-loops"``.
     cost_function: str = "ast-size"
 
-    #: Iterations of the *outer* loop of Fig. 5.  One iteration was enough
-    #: for every model in the paper's evaluation.
-    main_iterations: int = 1
-
-    #: Limits of the inner equality-saturation runner ("fuel").  A dozen
+    #: Limits of the equality-saturation runner ("fuel").  A dozen
     #: iterations saturate the affine rules; the incremental fold rules keep
     #: firing longer on long chains, but the big-step chain-fold rule already
     #: exposes the fully folded view in the first iteration, so further
@@ -55,14 +67,6 @@ class SynthesisConfig:
     rewrite_iterations: int = 12
     max_enodes: int = 200_000
     max_seconds: float = 60.0
-
-    #: Backoff-scheduler knobs of the two-phase runner: a rule producing more
-    #: than ``rule_match_limit`` matches in one search phase is banned for
-    #: ``rule_ban_length`` iterations, and both double on every re-offence.
-    #: The default threshold is high enough that the paper's benchmark suite
-    #: never triggers a ban; lower it to tame expansive rule sets.
-    rule_match_limit: int = _DEFAULT_BACKOFF.match_limit
-    rule_ban_length: int = _DEFAULT_BACKOFF.ban_length
 
     #: Rule categories to enable (see :func:`repro.core.rules.rules_by_category`).
     rule_categories: Tuple[str, ...] = (
@@ -72,15 +76,6 @@ class SynthesisConfig:
         "folds",
         "boolean",
     )
-
-    #: Whether to run the arithmetic components at all (useful for ablations).
-    enable_function_inference: bool = True
-    enable_loop_inference: bool = True
-    enable_list_sorting: bool = True
-
-    #: Maximum nesting depth attempted by loop inference (the paper supports
-    #: up to three nested loops; two is what real designs need).
-    max_loop_nesting: int = 3
 
     def __post_init__(self) -> None:
         # Reject what extraction would reject, before any synthesis runs.
@@ -110,10 +105,20 @@ class SynthesisConfig:
 
         Unknown keys are rejected loudly (a cache written by a newer version
         must not be silently reinterpreted); missing keys take the defaults.
-        Retired knobs (:attr:`_RETIRED_FIELDS`) are dropped first, so
-        payloads written before their removal still load.
+        Retired knobs are removed first, so payloads written before their
+        removal still load: :attr:`_DROPPED_FIELDS` at any value,
+        :attr:`_FIXED_FIELDS` only at their fixed value.
         """
-        kwargs = {key: value for key, value in data.items() if key not in cls._RETIRED_FIELDS}
+        kwargs = {}
+        for key, value in data.items():
+            if key in cls._FIXED_FIELDS:
+                if value != cls._FIXED_FIELDS[key]:
+                    raise ValueError(
+                        f"SynthesisConfig field {key!r} is retired and fixed at "
+                        f"{cls._FIXED_FIELDS[key]!r}; got {value!r}"
+                    )
+            elif key not in cls._DROPPED_FIELDS:
+                kwargs[key] = value
         known = {spec.name for spec in fields(cls)}
         unknown = set(kwargs) - known
         if unknown:
@@ -123,5 +128,9 @@ class SynthesisConfig:
         return cls(**kwargs)
 
     def fingerprint(self) -> str:
-        """Stable content-address of every knob (the config half of a cache key)."""
-        return payload_fingerprint(self.to_dict())
+        """Stable content-address of every knob (the config half of a cache key).
+
+        The fixed retired knobs are hashed alongside :meth:`to_dict`, so a
+        config hashes exactly as it did before they were retired.
+        """
+        return payload_fingerprint({**self.to_dict(), **self._FIXED_FIELDS})

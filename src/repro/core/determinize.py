@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import Extractor, ast_size_cost
-from repro.lang.normal import AFFINE_OPS, affine_signature, signature_sort_key
+from repro.lang.normal import AFFINE_OPS, signature_sort_key
 from repro.lang.term import Term
 
 
@@ -55,11 +55,6 @@ class Determinizer:
         self._extractor = Extractor(egraph, ast_size_cost)
 
     # -- public ------------------------------------------------------------------
-
-    def determinize(self, element_classes: Sequence[int]) -> Optional[DeterminizedList]:
-        """Produce a uniform concrete element list, or ``None`` if impossible."""
-        variants = self.determinize_all(element_classes, max_variants=1)
-        return variants[0] if variants else None
 
     def determinize_all(
         self, element_classes: Sequence[int], max_variants: int = 4
@@ -171,8 +166,3 @@ class Determinizer:
                 continue
             return Term(head, tuple(vector_terms) + (child,))
         return None
-
-
-def chain_uniform(elements: Sequence[Term]) -> bool:
-    """True when all elements share the same affine-operator signature."""
-    return len({affine_signature(element) for element in elements}) <= 1

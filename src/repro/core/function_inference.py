@@ -27,8 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cad.build import cons_list, concat, fun, mapi, repeat
 from repro.core.config import SynthesisConfig
 from repro.core.determinize import DeterminizedList, Determinizer
-from repro.core.lists import ListReadError, find_fold_matches, read_list_elements
-from repro.core.listmanip import sort_elements
+from repro.core.lists import fold_worklist, sort_elements
 from repro.csg.ops import BOOLEAN_OPS, affine_chain
 from repro.egraph.egraph import EGraph
 from repro.lang.term import Term
@@ -94,18 +93,7 @@ class FunctionInference:
         """
         solver = FunctionSolver(self.config.solver_config())
         determinizer = Determinizer(self.egraph)
-        work = []
-        for fold_class, function_class, _acc_class, list_class in find_fold_matches(self.egraph):
-            if not self._foldable_function(function_class):
-                continue
-            try:
-                element_classes = read_list_elements(self.egraph, list_class)
-            except ListReadError:
-                continue
-            if len(element_classes) < 2:
-                continue
-            work.append((list_class, element_classes))
-        work.sort(key=lambda item: -len(item[1]))
+        work = fold_worklist(self.egraph, min_length=2)
 
         successes = 0
         covered: List[frozenset] = []
@@ -143,17 +131,6 @@ class FunctionInference:
 
     # -- helpers -------------------------------------------------------------------
 
-    def _foldable_function(self, function_class: int) -> bool:
-        """The fold's function must be a commutative boolean operator leaf.
-
-        Reordering and ``Repeat``-based regrouping are only semantics
-        preserving when the combining operator does not care about order.
-        """
-        for enode in self.egraph.nodes(function_class):
-            if enode.is_leaf and enode.op in ("Union", "Inter"):
-                return True
-        return False
-
     def _infer_for_list(
         self,
         list_class: int,
@@ -164,10 +141,9 @@ class FunctionInference:
     ) -> bool:
         elements = determinized.elements
         orders: List[Sequence[Term]] = [elements]
-        if self.config.enable_list_sorting:
-            sorted_order = sort_elements(elements)
-            if list(sorted_order) != list(elements):
-                orders.append(sorted_order)
+        sorted_order = sort_elements(elements)
+        if sorted_order != elements:
+            orders.append(sorted_order)
 
         solved = False
         full_solved = False

@@ -1,17 +1,21 @@
-"""Reading and writing ``Cons``/``Nil`` lists inside the e-graph.
+"""Reading the folded lists inside the e-graph.
 
 The fold-introduction rewrites leave list *spines* in the e-graph: e-classes
 containing ``Cons`` e-nodes whose second argument is another list e-class.
-The arithmetic components need to walk those spines (to get the element
-e-classes in order), and to write new spines back (e.g. a sorted copy of a
-list, or a ``Mapi`` expression equivalent to the whole list).
+Both arithmetic components start from the same worklist
+(:func:`fold_worklist`): the spines under commutative folds, read into
+their element e-classes in order.  Once a component has determinized a
+list into concrete terms, :func:`sort_elements` gives the reordered view
+its solvers also try (paper Section 4.3, Fig. 11).  What a component
+infers goes back into the e-graph as a term merged into the list's e-class.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.egraph.egraph import EGraph, ENode
+from repro.csg.ops import affine_chain
+from repro.egraph.egraph import EGraph
 from repro.lang.term import Term
 
 
@@ -74,19 +78,6 @@ def _literal_int(egraph: EGraph, class_id: int) -> Optional[int]:
     return None
 
 
-def add_cons_spine(egraph: EGraph, element_ids: Sequence[int]) -> int:
-    """Insert a ``Cons`` spine over existing element e-classes; returns its id."""
-    spine = egraph.add_enode(ENode("Nil"))
-    for element in reversed(list(element_ids)):
-        spine = egraph.add_enode(ENode("Cons", (egraph.find(element), spine)))
-    return spine
-
-
-def add_term_list(egraph: EGraph, terms: Sequence[Term]) -> int:
-    """Insert a ``Cons`` spine over freshly added terms; returns its id."""
-    return add_cons_spine(egraph, [egraph.add_term(t) for t in terms])
-
-
 def find_fold_matches(egraph: EGraph) -> List[Tuple[int, int, int, int]]:
     """All ``Fold`` e-nodes as (fold class, function class, accumulator class, list class)."""
     matches: List[Tuple[int, int, int, int]] = []
@@ -100,3 +91,43 @@ def find_fold_matches(egraph: EGraph) -> List[Tuple[int, int, int, int]]:
                     seen.add(key)
                     matches.append(key)
     return matches
+
+
+def fold_worklist(egraph: EGraph, min_length: int) -> List[Tuple[int, List[int]]]:
+    """The lists the arithmetic components work on, longest first.
+
+    Returns ``(list class, element classes)`` for every ``Fold`` whose
+    function is a ``Union``/``Inter`` leaf and whose list reads to at least
+    ``min_length`` elements.  Reordering and ``Repeat``-based regrouping are
+    only semantics preserving when the combining operator does not care
+    about order.  The sort is stable, so lists of equal length keep the
+    order of :func:`find_fold_matches`, which follows e-class ids and does
+    not depend on hash seeds.
+    """
+    work: List[Tuple[int, List[int]]] = []
+    for _fold_class, function_class, _acc_class, list_class in find_fold_matches(egraph):
+        if not any(
+            enode.is_leaf and enode.op in ("Union", "Inter")
+            for enode in egraph.nodes(function_class)
+        ):
+            continue
+        try:
+            element_classes = read_list_elements(egraph, list_class)
+        except ListReadError:
+            continue
+        if len(element_classes) >= min_length:
+            work.append((list_class, element_classes))
+    work.sort(key=lambda item: -len(item[1]))
+    return work
+
+
+def _sort_key(element: Term) -> Tuple:
+    """Lexicographic key over the affine vectors of an element, outermost first."""
+    layers, core = affine_chain(element)
+    vectors = tuple(vector for _op, vector in layers)
+    return (vectors, str(core.op))
+
+
+def sort_elements(elements: Sequence[Term]) -> List[Term]:
+    """Sort elements lexicographically by their affine-transformation vectors."""
+    return sorted(elements, key=_sort_key)

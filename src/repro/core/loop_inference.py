@@ -30,8 +30,7 @@ from repro.cad.build import concat, cons_list, fold, fun, int_list, mapi, nil, r
 from repro.core.config import SynthesisConfig
 from repro.core.determinize import Determinizer
 from repro.core.function_inference import InferenceRecord
-from repro.core.lists import ListReadError, find_fold_matches, read_list_elements
-from repro.core.listmanip import group_by_component, sort_elements
+from repro.core.lists import fold_worklist, sort_elements
 from repro.csg.ops import affine_chain, is_affine
 from repro.egraph.egraph import EGraph
 from repro.lang.term import Term
@@ -107,18 +106,7 @@ class LoopInference:
         cheap — a few least-squares fits — so there is no quadratic blow-up.
         """
         determinizer = Determinizer(self.egraph)
-        work = []
-        for _fold_class, function_class, _acc, list_class in find_fold_matches(self.egraph):
-            if not self._commutative_function(function_class):
-                continue
-            try:
-                element_classes = read_list_elements(self.egraph, list_class)
-            except ListReadError:
-                continue
-            if len(element_classes) < 4:
-                continue
-            work.append((list_class, element_classes))
-        work.sort(key=lambda item: -len(item[1]))
+        work = fold_worklist(self.egraph, min_length=4)
 
         successes = 0
         regular_covered: List[frozenset] = []
@@ -149,12 +137,6 @@ class LoopInference:
         return successes
 
     # -- shared helpers ---------------------------------------------------------------
-
-    def _commutative_function(self, function_class: int) -> bool:
-        for enode in self.egraph.nodes(function_class):
-            if enode.is_leaf and enode.op in ("Union", "Inter"):
-                return True
-        return False
 
     def _outer_layers(
         self, elements: Sequence[Term]
@@ -217,9 +199,9 @@ class LoopInference:
             return None
         op, vectors, remainder, wrappers = outer
         count = len(elements)
-        max_nesting = min(self.config.max_loop_nesting, 3)
 
-        for nesting in range(2, max_nesting + 1):
+        # Up to three nested loops (the paper's limit), one index name each.
+        for nesting in range(2, len(self._INDEX_NAMES) + 1):
             for dimensions in m_factorizations(count, nesting):
                 index_tuples = m_index_set(dimensions)
                 forms = []
@@ -334,9 +316,11 @@ class LoopInference:
 def _group_vectors_by_component(vectors, component: int, *, epsilon: float):
     """Group (vector, element-index) pairs by one coordinate of the vector.
 
-    Mirrors :func:`repro.core.listmanip.group_by_component` but operates on
-    the varying-layer vectors loop inference extracted (the elements' literal
-    outermost layer may be a peeled constant wrapper).  Returns
+    The paper's regrouping by a common coordinate value (Section 4.3),
+    applied to the varying-layer vectors loop inference extracted rather
+    than to the elements themselves: an element's literal outermost layer
+    may be a peeled constant wrapper.  Values within ``epsilon`` of a
+    group's first value join that group.  Returns
     ``[(value, [(vector, index), ...]), ...]`` sorted by the shared value.
     """
     groups = []

@@ -57,8 +57,8 @@ same mechanism egg uses for constant folding and cost tracking:
 
 :meth:`EGraph.add_enode` makes data for every fresh class immediately, so
 analysis data is *total*: every live class has a value for every registered
-analysis.  :meth:`EGraph.merge` joins the two sides' data; when the join
-differs from the surviving class's previous value, every parent e-node is
+analysis.  :meth:`EGraph.merge` joins the two sides' data; the parent
+e-nodes of each side whose previous value differs from the join are
 queued for re-``make`` and the improvements propagate upward during
 :meth:`rebuild` — interleaved with congruence repair, because congruence
 merges themselves join data.  Analyses registered late
@@ -488,9 +488,9 @@ class EGraph:
         Rewrites call ``merge(matched, new)``, so the value attached to the
         freshly constructed class — the "later writer" — is the one that
         survives.  Slots owned by a registered :class:`Analysis` are instead
-        joined with :meth:`Analysis.merge`, and a change to the surviving
-        class's value queues its parents for re-``make`` (see the module
-        docstring).
+        joined with :meth:`Analysis.merge`, and the parents of each side
+        whose value the join changed are queued for re-``make`` (see the
+        module docstring).
         """
         a_root = self.find(a)
         b_root = self.find(b)
@@ -518,8 +518,14 @@ class EGraph:
         keep_class.data = merged_data
         for analysis in self._analyses:
             gone_value = gone_class.data.get(analysis.key)
-            if gone_value is not None:
-                self._set_analysis_data(analysis, keep, gone_value)
+            changed = gone_value is not None and self._set_analysis_data(
+                analysis, keep, gone_value
+            )
+            # A change queues every parent, the absorbed side's included.
+            # When the surviving value wins instead, the absorbed side's
+            # parents were still made against its old value: re-make them.
+            if not changed and keep_class.data.get(analysis.key) != gone_value:
+                self._analysis_pending.extend(gone_class.parents)
         self._pending.append(keep)
         # Record the survivor (its match set grew) AND the absorbed root:
         # the raw id stream lets an incremental match cache evict exactly

@@ -265,14 +265,12 @@ class Runner:
     The defaults are the production engine: ``incremental=True`` searches
     through the compiled discrimination trie with dirty-class caching, and
     ``dedup=True`` skips matches already in the applied-match ledger (see
-    the module docstring).  ``compiled`` optionally supplies a pre-built
-    :class:`CompiledRuleSet` over the *same* rules so callers running many
-    saturations (the synthesis pipeline) compile once; it must cover
-    exactly this runner's rule names.  ``incremental=False`` (the naive
-    per-rule sweep) and ``dedup=False`` (re-apply every match every
-    iteration) are the reference engines that the differential tests and
-    the layer benchmarks compare against: the match sets and the resulting
-    e-graph are identical, only the cost differs.
+    the module docstring); the trie is compiled once, at construction.
+    ``incremental=False`` (the naive per-rule sweep) and ``dedup=False``
+    (re-apply every match every iteration) are the reference engines that
+    the differential tests and the layer benchmarks compare against: the
+    match sets and the resulting e-graph are identical, only the cost
+    differs.
 
     ``analyses`` lists e-class analyses (e.g. the extraction
     :class:`~repro.egraph.extract.CostAnalysis`) to register on the e-graph
@@ -291,7 +289,6 @@ class Runner:
         *,
         backoff: Optional[BackoffConfig] = None,
         incremental: bool = True,
-        compiled: Optional[CompiledRuleSet] = None,
         analyses: Sequence[Analysis] = (),
         dedup: bool = True,
         tracer=None,
@@ -304,17 +301,9 @@ class Runner:
         self.limits = limits or RunnerLimits()
         self.backoff = backoff or BackoffConfig()
         self.scheduler = BackoffScheduler(self.backoff)
-        if compiled is not None and set(compiled.rule_names) != {r.name for r in self.rules}:
-            raise ValueError(
-                "compiled rule set does not cover this runner's rules: "
-                f"compiled={sorted(compiled.rule_names)} "
-                f"runner={sorted(r.name for r in self.rules)}"
-            )
         self.analyses = list(analyses)
         self.incremental = incremental
-        self.compiled = compiled
-        if self.incremental and self.compiled is None:
-            self.compiled = CompiledRuleSet(self.rules)
+        self.compiled = CompiledRuleSet(self.rules) if incremental else None
         #: Apply-phase deduplication (see the module docstring).
         self.dedup = dedup
         #: rule name -> executed canonical fingerprints; reset per run.  A

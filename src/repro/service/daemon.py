@@ -63,7 +63,7 @@ from repro.obs.export import span_lines, write_trace_jsonl
 from repro.obs.histogram import MetricsAggregator
 from repro.obs.prometheus import render_prometheus
 from repro.service.cache import ResultCache, cache_key, semantic_cache_key
-from repro.service.job import JobEvent, JobResult, JobStatus, SynthesisJob
+from repro.service.job import JobEvent, JobResult, JobStatus, SynthesisJob, check_timeout
 from repro.service.protocol import ProtocolError, recv_frame, send_frame
 from repro.service.service import SynthesisService
 from repro.service.worker import ResidentPool
@@ -131,6 +131,7 @@ class SynthesisDaemon:
             raise ValueError("the daemon needs at least one worker")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
+        check_timeout(default_timeout)
         self.socket_path = str(socket_path)
         self.worker_count = worker_count
         self.cache = cache

@@ -18,6 +18,7 @@ stream the service emits while a batch runs.
 from __future__ import annotations
 
 import itertools
+import math
 import traceback
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,6 +45,18 @@ class JobStatus(Enum):
 _JOB_IDS = itertools.count(1)
 
 
+def check_timeout(timeout: Optional[float]) -> None:
+    """Raise ``ValueError`` unless ``timeout`` is None or finite and > 0.
+
+    The pool's scheduler waits until the earliest deadline: an infinite
+    timeout overflows that wait, a NaN one never expires and keeps the
+    scheduler polling, and a zero or negative one clamps the saturation
+    fuel to nothing.
+    """
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout!r}")
+
+
 @dataclass(frozen=True)
 class SynthesisJob:
     """One synthesis request: input term + config + scheduling metadata."""
@@ -67,6 +80,7 @@ class SynthesisJob:
     job_id: str = ""
 
     def __post_init__(self):
+        check_timeout(self.timeout)
         if not self.job_id:
             object.__setattr__(self, "job_id", f"job{next(_JOB_IDS)}:{self.name}")
 

@@ -6,7 +6,7 @@ every class dirtied while it sat out.  When the ban expires the matcher must
 fall back to a full sweep for that rule — matching *all* classes, not just
 the ones dirtied in the expiry iteration — or matches rooted in
 mid-ban-created classes would be silently lost.  These tests pin that
-protocol at the runner level and through ``SynthesisConfig.rule_match_limit``.
+protocol at the runner level and through the synthesis pipeline.
 """
 
 from __future__ import annotations
@@ -96,19 +96,22 @@ def test_ban_schedule_and_matches_identical_to_naive_runner():
 
 @pytest.mark.parametrize("match_limit", [3, 10_000])
 def test_rule_match_limit_parity_through_the_pipeline(match_limit, monkeypatch):
-    """SynthesisConfig.rule_match_limit + incremental search end to end.
+    """A backoff match limit + incremental search end to end.
 
     With a tiny limit the affine rules get banned and re-sworn in mid-run;
     the extracted candidates must not depend on the matcher implementation.
-    The naive matcher runs by patching the pipeline's ``Runner``.
+    The backoff settings and the naive matcher reach the pipeline by
+    patching its ``Runner``.
     """
     model = fig2_translated_cubes(4)
-    config = SynthesisConfig(rule_match_limit=match_limit, rule_ban_length=1, rewrite_iterations=8)
+    config = SynthesisConfig(rewrite_iterations=8)
+    backoff = BackoffConfig(match_limit=match_limit, ban_length=1)
     costs = {}
     for incremental in (False, True):
         with monkeypatch.context() as patch:
             patch.setattr(
-                "repro.core.pipeline.Runner", functools.partial(Runner, incremental=incremental)
+                "repro.core.pipeline.Runner",
+                functools.partial(Runner, backoff=backoff, incremental=incremental),
             )
             result = synthesize(model, config)
         costs[incremental] = [(c.cost, c.term) for c in result.candidates]

@@ -172,9 +172,8 @@ class TestCacheKey:
             {"top_k": 3},
             {"rewrite_iterations": 5},
             {"max_enodes": 1000},
-            {"rule_match_limit": 7},
+            {"max_seconds": 30.0},
             {"rule_categories": ("folds", "boolean")},
-            {"enable_loop_inference": False},
         ],
     )
     def test_semantic_knobs_change_the_key(self, override):
@@ -209,6 +208,29 @@ class TestCacheKey:
             term = get_benchmark(name).build()
             assert cache_key(term, self.config) == exact, name
             assert semantic_cache_key(term, self.config) == semantic, name
+
+    @pytest.mark.parametrize(
+        "name, fixed, other",
+        [
+            ("main_iterations", 1, 2),
+            ("rule_match_limit", 10_000, 7),
+            ("rule_ban_length", 5, 1),
+            ("enable_function_inference", True, False),
+            ("enable_loop_inference", True, False),
+            ("enable_list_sorting", True, False),
+            ("max_loop_nesting", 3, 2),
+        ],
+    )
+    def test_retired_knobs_load_only_at_their_fixed_value(self, name, fixed, other):
+        # Every cached payload written before these knobs were retired
+        # carries them at the fixed value, and the key still hashes them.
+        payload = dict(self.config.to_dict(), **{name: fixed})
+        loaded = SynthesisConfig.from_dict(payload)
+        assert loaded == self.config
+        assert loaded.fingerprint() == self.config.fingerprint()
+        # Any other value asked for behaviour the pipeline no longer has.
+        with pytest.raises(ValueError, match=name):
+            SynthesisConfig.from_dict(dict(payload, **{name: other}))
 
     def test_payload_fingerprint_ignores_insertion_order(self):
         assert payload_fingerprint({"a": 1, "b": [2, 3]}) == payload_fingerprint(

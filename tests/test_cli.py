@@ -46,8 +46,13 @@ class TestParser:
             build_parser().parse_args(["bench", "not-a-benchmark"])
 
     def test_engine_knobs_thread_into_the_config(self):
+        from repro.core.config import SynthesisConfig
+
         args = build_parser().parse_args(
             [
+                "--epsilon", "0.01",
+                "--top-k", "3",
+                "--cost", "reward-loops",
                 "--rewrite-iterations", "7",
                 "--max-enodes", "12345",
                 "--max-seconds", "9.5",
@@ -56,10 +61,21 @@ class TestParser:
             ]
         )
         config = _config_from_args(args)
+        assert config.epsilon == 0.01
+        assert config.top_k == 3
+        assert config.cost_function == "reward-loops"
         assert config.rewrite_iterations == 7
         assert config.max_enodes == 12345
         assert config.max_seconds == 9.5
         assert config.rule_categories == ("folds", "boolean", "boolean-expansive")
+        # One global option per field: a field no option sets fails here.
+        defaults = SynthesisConfig()
+        unset = [
+            spec.name
+            for spec in dataclasses.fields(SynthesisConfig)
+            if getattr(config, spec.name) == getattr(defaults, spec.name)
+        ]
+        assert unset == []
 
     def test_engine_knob_defaults_match_synthesis_config(self):
         from repro.core.config import SynthesisConfig
@@ -304,6 +320,51 @@ class TestBatchCommand:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "ok     sander" in captured and "ok     soldering" in captured
+
+
+class TestArgumentErrors:
+    """Arguments no command can run with end it with one line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table1", "--jobs", "-1"], "table1: --jobs must be >= 0"),
+            (["batch", "--bench", "sander", "--jobs", "-1"], "batch: --jobs must be >= 0"),
+            (["serve", "--socket", "{tmp}/d.sock", "--max-pending", "0"], "serve: max_pending"),
+            (["synth", "{tmp}/missing.csg"], "synth: cannot read"),
+            (["batch", "--bench", "sander", "--timeout", "-1"], "batch: timeout must be"),
+        ],
+    )
+    def test_one_line_error_and_exit_1(self, argv, message):
+        import subprocess
+        import sys
+        import tempfile
+
+        # AF_UNIX paths are length-limited, so the socket lives under /tmp.
+        with tempfile.TemporaryDirectory(prefix="sza.", dir="/tmp") as tdir:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *(a.format(tmp=tdir) for a in argv)],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+        assert done.returncode == 1
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith(message), done.stderr
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "--bench", "sander"],
+            ["submit", "--socket", "/tmp/no-daemon.sock", "--bench", "sander"],
+        ],
+        ids=["batch", "submit"],
+    )
+    def test_unrunnable_timeout_is_rejected_before_any_work(self, argv, timeout):
+        with pytest.raises(SystemExit, match="timeout must be a finite number"):
+            main([*argv, "--timeout", timeout])
 
 
 class TestDaemonCLI:

@@ -1,38 +1,38 @@
-"""Unit tests for the core components: lists, determinizer, list manipulation,
-cost functions, and program analysis."""
+"""Unit tests for the core components: lists, the fold worklist, the
+determinizer, list manipulation, cost functions, and program analysis."""
 
 import pytest
 
 from repro.cad.build import cons_list, fold_union, fun, int_list, mapi, repeat, fold, nil
 from repro.core.analysis import find_loops, function_kinds
 from repro.core.cost import COST_FUNCTIONS, ast_size_cost_fn, get_cost_function, reward_loops_cost_fn
-from repro.core.determinize import Determinizer, chain_uniform
+from repro.core.determinize import Determinizer
 from repro.core.lists import (
     ListReadError,
-    add_cons_spine,
-    add_term_list,
     find_fold_matches,
+    fold_worklist,
     read_list_elements,
+    sort_elements,
 )
-from repro.core.listmanip import apply_list_manipulation, group_by_component, sort_elements
 from repro.core.rules import default_rules
 from repro.csg.build import cube, rotate, scale, sphere, translate, union, union_all, unit
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.runner import Runner
+from repro.lang.normal import affine_signature
 from repro.lang.term import Term
 
 
 class TestListSpines:
     def test_read_simple_spine(self):
         egraph = EGraph()
-        spine = add_term_list(egraph, [cube(), sphere(), unit()])
+        spine = egraph.add_term(cons_list([cube(), sphere(), unit()]))
         elements = read_list_elements(egraph, spine)
         assert len(elements) == 3
         assert egraph.nodes(elements[0])[0].op == "Cube"
 
     def test_read_with_concat_and_repeat(self):
         egraph = EGraph()
-        left = add_term_list(egraph, [cube()])
+        left = egraph.add_term(cons_list([cube()]))
         right = egraph.add_term(repeat(sphere(), 3))
         spine = egraph.add_enode(ENode("Concat", (left, right)))
         elements = read_list_elements(egraph, spine)
@@ -40,8 +40,8 @@ class TestListSpines:
 
     def test_read_prefers_longest_variant(self):
         egraph = EGraph()
-        long_spine = add_term_list(egraph, [cube(), sphere(), unit()])
-        short_spine = add_term_list(egraph, [cube()])
+        long_spine = egraph.add_term(cons_list([cube(), sphere(), unit()]))
+        short_spine = egraph.add_term(cons_list([cube()]))
         egraph.merge(long_spine, short_spine)
         egraph.rebuild()
         assert len(read_list_elements(egraph, long_spine)) == 3
@@ -61,11 +61,18 @@ class TestListSpines:
         assert egraph.nodes(function)[0].op == "Union"
         assert len(read_list_elements(egraph, list_class)) == 2
 
-    def test_add_cons_spine_round_trip(self):
+
+class TestFoldWorklist:
+    def test_only_commutative_folds_long_enough_longest_first(self):
         egraph = EGraph()
-        ids = [egraph.add_term(cube()), egraph.add_term(sphere())]
-        spine = add_cons_spine(egraph, ids)
-        assert read_list_elements(egraph, spine) == [egraph.find(i) for i in ids]
+        egraph.add_term(fold_union(cons_list([cube(), sphere()])))
+        egraph.add_term(fold_union(cons_list([unit(), cube(), sphere()])))
+        egraph.add_term(fold(Term("Diff"), nil(), cons_list([sphere(), unit(), cube()])))
+        work = fold_worklist(egraph, min_length=2)
+        assert [len(elements) for _list_class, elements in work] == [3, 2]
+        assert fold_worklist(egraph, min_length=3) == work[:1]
+        for list_class, elements in work:
+            assert read_list_elements(egraph, list_class) == elements
 
 
 class TestDeterminizer:
@@ -82,22 +89,21 @@ class TestDeterminizer:
     def test_uniform_signature_chosen(self):
         elements = [translate(2.0 * i, 0, 0, rotate(0, 0, 10.0 * i, cube())) for i in range(1, 4)]
         egraph, element_classes = self._folded_egraph(elements)
-        determinized = Determinizer(egraph).determinize(element_classes)
-        assert determinized is not None
-        assert chain_uniform(determinized.elements)
+        (determinized,) = Determinizer(egraph).determinize_all(element_classes, max_variants=1)
+        assert len({affine_signature(e) for e in determinized.elements}) == 1
         assert len(determinized.signature) >= 1
 
     def test_prefers_longer_signature(self):
         elements = [translate(2.0 * i, 0, 0, scale(1.0 + i, 1, 1, cube())) for i in range(1, 4)]
         egraph, element_classes = self._folded_egraph(elements)
-        determinized = Determinizer(egraph).determinize(element_classes)
+        determinized = Determinizer(egraph).determinize_all(element_classes)[0]
         # Both the Translate . Scale and its reordered / collapsed variants
         # exist; the determinizer should keep the two-layer view.
         assert len(determinized.signature) == 2
 
     def test_empty_input(self):
         egraph = EGraph()
-        assert Determinizer(egraph).determinize([]) is None
+        assert Determinizer(egraph).determinize_all([]) == []
 
 
 class TestListManipulation:
@@ -110,37 +116,6 @@ class TestListManipulation:
         ordered = sort_elements(elements)
         xs = [e.children[0].value for e in ordered]
         assert xs == [1.0, 2.0, 3.0]
-
-    def test_group_by_component(self):
-        elements = [
-            translate(0.0, 1.0, 0, cube()),
-            translate(0.0, 2.0, 0, cube()),
-            translate(5.0, 3.0, 0, cube()),
-        ]
-        groups = group_by_component(elements, 0)
-        assert [len(members) for _value, members in groups] == [2, 1]
-
-    def test_group_by_component_merges_within_epsilon(self):
-        elements = [
-            translate(1.0, 0, 0, cube()),
-            translate(1.0000001, 1, 0, cube()),
-        ]
-        groups = group_by_component(elements, 0, epsilon=1e-3)
-        assert len(groups) == 1
-
-    def test_apply_list_manipulation_merges_sorted_fold(self):
-        egraph = EGraph()
-        elements = [translate(float(3 - i), 0, 0, cube()) for i in range(3)]
-        fold_term = fold_union(cons_list(elements))
-        fold_class = egraph.add_term(fold_term)
-        matches = find_fold_matches(egraph)
-        _fold, function, acc, _list_class = matches[0]
-        spine = apply_list_manipulation(egraph, fold_class, function, acc, sort_elements(elements))
-        egraph.rebuild()
-        # The fold class now also contains a Fold over the sorted spine.
-        folds = [n for n in egraph.nodes(fold_class) if n.op == "Fold"]
-        assert len(folds) >= 2
-        assert read_list_elements(egraph, spine)
 
 
 class TestCostFunctions:

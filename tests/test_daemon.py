@@ -115,14 +115,36 @@ class TestDaemonBasics:
 
     def test_invalid_config_fails_at_admission(self, daemon_factory):
         daemon = daemon_factory()
-        spec = {"name": "k0", "term": _chain_text(3), "config": {"top_k": 0}}
+        specs = [
+            {"name": "k0", "term": _chain_text(3), "config": {"top_k": 0}},
+            # A retired knob at any value but its fixed one.
+            {"name": "no-li", "term": _chain_text(3), "config": {"enable_loop_inference": False}},
+        ]
         with DaemonClient(daemon.socket_path) as client:
-            (result,) = client.submit_and_wait([spec])
+            results = client.submit_and_wait(specs)
             health = client.health()
-        assert result["status"] == "failed"
-        assert "top_k" in result["error"]
-        # No worker ever ran the job.
+        assert [result["status"] for result in results] == ["failed", "failed"]
+        assert "top_k" in results[0]["error"]
+        assert "enable_loop_inference" in results[1]["error"]
+        # No worker ever ran either job.
         assert health["workers"]["completed"] == 0
+
+    def test_unrunnable_timeout_fails_at_admission(self, daemon_factory):
+        # json.loads accepts Infinity and NaN, so a frame can carry them.
+        # The client timeout turns a wedged pool into a failure, not a hang.
+        daemon = daemon_factory(worker_count=1)
+        spec = {"name": "inf", "term": _chain_text(3), "timeout": float("inf")}
+        with DaemonClient(daemon.socket_path, timeout=30.0) as client:
+            (result,) = client.submit_and_wait([spec])
+            (later,) = client.submit_and_wait([{"name": "c3", "term": _chain_text(3)}])
+        assert result["status"] == "failed"
+        assert "timeout" in result["error"]
+        assert later["status"] == "succeeded"
+
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_unrunnable_default_timeout_is_rejected(self, sock_dir, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            SynthesisDaemon(sock_dir / "d.sock", default_timeout=timeout)
 
     def test_failed_connect_closes_its_socket(self, sock_dir):
         with warnings.catch_warnings(record=True) as caught:

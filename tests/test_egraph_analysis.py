@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 pytest.importorskip("hypothesis")  # no dependency manifest; keep the gate runnable
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.egraph.egraph import Analysis, EGraph, ENode
 from repro.egraph.extract import CostAnalysis, Extractor, ast_size_cost
@@ -240,6 +240,18 @@ def _apply_schedule(egraph, operations):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_operation, min_size=1, max_size=40))
+# A merge whose surviving side has the better value must still re-make the
+# absorbed side's parents: here U(x) joins the cheaper x class, and the
+# class of U(x, U(x)) has to drop from cost 4 to 3.
+@example(
+    [("add", Term("x"))] * 7
+    + [
+        ("merge", (0, 1)),
+        ("add", Term("U", (Term("x"), Term("U", (Term("x"),))))),
+        ("add", Term("U", (Term("x"),))),
+        ("merge", (0, 9)),
+    ]
+)
 def test_incremental_analysis_equals_retroactive_registration(operations):
     incremental = EGraph()
     analysis = CostAnalysis(ast_size_cost)

@@ -18,6 +18,8 @@ from repro.benchsuite.models import (
 )
 from repro.core.analysis import find_loops, function_kinds
 from repro.core.config import SynthesisConfig
+from repro.core.function_inference import FunctionInference
+from repro.core.loop_inference import LoopInference
 from repro.core.pipeline import synthesize
 from repro.csg.metrics import measure
 from repro.verify.validate import validate_synthesis
@@ -207,10 +209,11 @@ class TestGearSmall:
 
 
 class TestPipelineConfigurations:
-    def test_disable_function_inference_ablation(self):
+    def test_disable_function_inference_ablation(self, monkeypatch):
         flat = fig2_translated_cubes(5)
-        result = synthesize(flat, SynthesisConfig(enable_function_inference=False,
-                                                  enable_loop_inference=False))
+        monkeypatch.setattr(FunctionInference, "run", lambda self: 0)
+        monkeypatch.setattr(LoopInference, "run", lambda self: 0)
+        result = synthesize(flat, SynthesisConfig())
         # Without the arithmetic component no Mapi can appear.
         assert all("Mapi" not in {t.op for t in c.term.subterms()} for c in result.candidates)
 

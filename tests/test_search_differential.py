@@ -202,18 +202,10 @@ def test_rule_names_must_be_unique():
                          rewrite("dup", "(T ?a)", "?a")])
 
 
-def test_runner_rejects_compiled_set_over_different_rules():
-    rules = _rule_db()
-    with pytest.raises(ValueError):
-        Runner(rules, compiled=CompiledRuleSet(rules[:3]))
-
-
 def test_runner_is_incremental_unless_explicitly_disabled():
     rules = _rule_db()
-    compiled = CompiledRuleSet(rules)
     assert Runner(rules).incremental
-    assert Runner(rules, compiled=compiled).incremental
-    ablation = Runner(rules, incremental=False, compiled=compiled)
+    ablation = Runner(rules, incremental=False)
     assert not ablation.incremental
     egraph = EGraph()
     egraph.add_term(Term("U", (Term("x"), Term("y"))))

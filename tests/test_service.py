@@ -105,6 +105,15 @@ class TestJobQueue:
             JobQueue().pop()
 
 
+class TestJobTimeout:
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan"), 0, -1])
+    def test_unrunnable_timeout_is_rejected_at_construction(self, timeout):
+        # An infinite timeout kills the pool's scheduler thread, a NaN one
+        # never expires, and zero or less clamps the fuel to nothing.
+        with pytest.raises(ValueError, match="timeout"):
+            SynthesisJob(name="c3", term=_chain(3), timeout=timeout)
+
+
 # ---------------------------------------------------------------------------
 # ResultCache: LRU memory tier over a sharded disk tier
 # ---------------------------------------------------------------------------
@@ -735,11 +744,22 @@ class TestSynthesisService:
         # written before the engine switches were removed carry those three
         # config names.  Exact keys never included any of them, so such
         # entries are still looked up and must decode as ordinary warm hits.
+        # Entries written before the fixed knobs were retired carry them at
+        # the values the key still hashes.
         job = SynthesisJob(name="chain-3", term=_chain(3))
         fresh = synthesize(job.term, job.config)
         retired_configs = [
             {"search_workers": 0},
             {"incremental_search": False, "apply_dedup": False, "incremental_extraction": False},
+            {
+                "main_iterations": 1,
+                "rule_match_limit": 10_000,
+                "rule_ban_length": 5,
+                "enable_function_inference": True,
+                "enable_loop_inference": True,
+                "enable_list_sorting": True,
+                "max_loop_nesting": 3,
+            },
         ]
         for index, retired in enumerate(retired_configs):
             directory = tmp_path / str(index)
