@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
 Each benchmark module regenerates one table or figure of the paper's
-evaluation (Section 6); see EXPERIMENTS.md for the experiment index and for
-the paper-vs-measured comparison.  ``pytest-benchmark`` provides the timing
+evaluation (Section 6), or measures one layer; the end-to-end numbers come
+from ``perfbench/run.py``.  ``pytest-benchmark`` provides the timing
 machinery; the assertions in each benchmark check the *shape* of the paper's
 result (who wins, what structure is recovered), not absolute numbers.
 """

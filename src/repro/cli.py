@@ -41,7 +41,8 @@ from repro.core.pipeline import synthesize
 from repro.core.rules import rules_by_category
 from repro.csg.parser import parse_csg
 from repro.csg.pretty import format_openscad_like, format_term
-from repro.scad.flatten import flatten_source
+from repro.scad.flatten import ScadEvalError, flatten_source
+from repro.scad.lexer import ScadSyntaxError
 from repro.service.cache import ResultCache
 from repro.service.job import SynthesisJob, check_timeout
 from repro.service.service import SynthesisService
@@ -182,8 +183,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_flatten(args: argparse.Namespace) -> int:
-    source = Path(args.input).read_text()
-    flat = flatten_source(source)
+    try:
+        source = Path(args.input).read_text()
+    except OSError as exc:
+        raise SystemExit(f"{args.command}: cannot read {args.input}: {exc.strerror or exc}")
+    try:
+        flat = flatten_source(source)
+    except (ScadSyntaxError, ScadEvalError) as exc:
+        raise SystemExit(f"{args.command}: {args.input}: {exc}")
     print(format_term(flat))
     return 0
 

@@ -11,12 +11,12 @@ that bucket's upper bound (clamped to the observed max), so the reported
 value is an upper bound on the true percentile within one bucket ratio
 (``10^(1/8) ≈ 1.334``).
 
-:class:`MetricsAggregator` is the piece the batch service and the
-resident daemon own: it ingests per-job traces and outcomes into
-histogram families keyed per phase (span name), per model (job name),
-and per cache tier, and snapshots them for ``stats`` frames and batch
-reports.  The aggregator does no locking itself — its owner serializes
-calls (the daemon under its lock, the batch service on its own thread).
+:class:`MetricsAggregator` is the piece the synthesis service owns (for
+a batch and for the daemon alike): it ingests per-job traces and outcomes
+into histogram families keyed per phase (span name), per model (job
+name), and per cache tier, and snapshots them for ``stats`` frames and
+batch reports.  The aggregator does no locking itself — the service
+serializes calls under its lock.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ of :class:`~repro.service.job.SynthesisJob`\\ s, a process-parallel
 :class:`~repro.service.worker.ResidentPool` with per-job failure isolation and
 hard timeouts, and a content-addressed two-tier
 :class:`~repro.service.cache.ResultCache`, orchestrated by
-:class:`~repro.service.service.SynthesisService`.
+:class:`~repro.service.service.SynthesisService` — the one admission path
+that both ``batch``/``table1`` and the ``serve`` daemon
+(:class:`~repro.service.daemon.SynthesisDaemon`) submit through.
 
 See the top-level ``README.md`` for the architecture and the cache layout.
 """

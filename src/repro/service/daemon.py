@@ -1,72 +1,65 @@
 """The resident synthesis daemon: one warm engine serving many clients.
 
-:class:`SynthesisDaemon` promotes the per-invocation batch service to a
-long-lived process.  It listens on a Unix-domain socket speaking the
-length-prefixed JSON frame protocol of :mod:`repro.service.protocol`,
-accepts job submissions from any number of concurrent clients, and runs
-everything on shared, warm infrastructure:
+:class:`SynthesisDaemon` puts one long-lived
+:class:`~repro.service.service.SynthesisService` behind a Unix-domain
+socket speaking the length-prefixed JSON frame protocol of
+:mod:`repro.service.protocol`.  Every job, whichever client sent it, takes
+that service's admission path, the one ``batch``/``table1`` take: its
+shared cache (exact + semantic tiers, so client B's first request rides
+client A's warm entry), its in-flight coalescing (``cache_tier="batch"``),
+and its :class:`~repro.service.worker.ResidentPool`, started with the
+daemon, where a worker that crashes, raises, or blows its deadline costs
+only the job it was running.  The daemon itself keeps only:
 
-* **one worker fleet** — a :class:`~repro.service.worker.ResidentPool` of
-  persistent worker processes fed through the priority
-  :class:`~repro.service.queue.JobQueue` semantics (priority desc, FIFO
-  ties).  The batch layer's isolation contract carries over verbatim: a
-  worker that crashes, raises, or blows its deadline costs exactly the job
-  it was running, is replaced, and the daemon keeps serving every other
-  client.
-* **one cross-request cache** — a shared
-  :class:`~repro.service.cache.ResultCache` (exact + semantic tiers)
-  probed for every submission, regardless of which connection it arrived
-  on, so client B's first request rides client A's warm entry.  Misses
-  that are *already in flight* coalesce: the duplicate waits for the
-  running execution and is served its payload (``cache_tier="batch"``),
-  never re-submitted.
+* **the socket and its frames** — one thread per connection; a job's
+  ``result`` (and, for ``stream`` submissions, ``event``) frames go to the
+  connection that submitted it;
 * **admission control** — at most ``max_pending`` admitted-but-unfinished
-  jobs; a submission that would exceed the bound is answered with an
-  explicit ``rejected`` frame and enqueues nothing, so a traffic spike
-  degrades into fast rejections instead of an unbounded backlog.
-* **observability** — ``health`` and ``stats`` request types expose
-  uptime, queue depth, worker crash/respawn counters, and per-tier cache
-  counters while jobs run; every frame is snapshotted under the daemon
-  lock in one critical section, so it can never report torn values
-  mid-schedule.  With ``trace_jobs`` (the default) every executed job
-  carries a per-phase span trace (:mod:`repro.obs`): the daemon streams
-  span durations into latency histograms per phase / per model / per
-  cache tier, serves exact-rank p50/p95/p99 in the ``stats`` frame's
-  ``latency`` section (``szalinski stats --percentiles`` renders it),
-  and, when ``trace_path`` is set, appends every span to a JSONL trace
-  file (``szalinski trace`` converts it for Perfetto).
+  jobs, ids (explicit or generated) unique among them, nothing admitted
+  while draining; a submission that breaks a rule gets one ``rejected``
+  frame and enqueues nothing, so a traffic spike degrades into fast
+  rejections instead of an unbounded backlog;
+* **its job counters** — served with the service's worker, cache and
+  latency counters in ``health`` and ``stats`` frames (with ``trace_jobs``,
+  the default, the latency section has per-phase p50/p95/p99, which
+  ``szalinski stats --percentiles`` renders);
+* **the trace file** — with ``trace_path`` set, every finished job's spans
+  are appended as JSONL (``szalinski trace`` converts it for Perfetto).
 
 Failure containment at the wire: a client that sends a malformed frame is
 answered with one ``error`` frame and has *its* connection closed; a
-client that disconnects mid-job detaches from its subscriptions while the
-job runs on (and still populates the cache).  Graceful shutdown
-(``shutdown`` frame, :meth:`SynthesisDaemon.request_shutdown`, or the
-CLI's SIGTERM handler) stops admissions, drains every in-flight and queued
-job — waiting clients get their results — then kills the fleet and removes
-the socket.
+client that disconnects mid-job detaches from its jobs while they run on
+(and still populate the cache); a client that stops reading is hung up on
+once a send to it has blocked for ``_SEND_TIMEOUT`` seconds.  Graceful
+shutdown (``shutdown`` frame, :meth:`SynthesisDaemon.request_shutdown`, or
+the CLI's SIGTERM handler) stops admissions, drains every in-flight and
+queued job — waiting clients get their results — then stops the fleet and
+removes the socket.  No frame is sent while the daemon's lock is held.
 """
 
 from __future__ import annotations
 
 import itertools
 import socket
+import struct
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 from repro.core.config import SynthesisConfig
-from repro.core.pipeline import SynthesisResult
 from repro.obs.export import span_lines, write_trace_jsonl
-from repro.obs.histogram import MetricsAggregator
-from repro.obs.prometheus import render_prometheus
-from repro.service.cache import ResultCache, cache_key, semantic_cache_key
+from repro.service.cache import ResultCache
 from repro.service.job import JobEvent, JobResult, JobStatus, SynthesisJob, check_timeout
 from repro.service.protocol import ProtocolError, recv_frame, send_frame
 from repro.service.service import SynthesisService
-from repro.service.worker import ResidentPool
+
+#: Seconds one frame send may block on a client that stopped reading before
+#: the daemon hangs up on it, so such a client holds up neither an admission
+#: (and with it a drain) nor the pool thread that answers completions.
+_SEND_TIMEOUT = 30
 
 
 class _ClientConnection:
@@ -74,6 +67,10 @@ class _ClientConnection:
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
+        # SO_SNDTIMEO bounds sends only; a socket timeout would also cut the
+        # blocking read that waits for an idle client's next frame.
+        timeval = struct.pack("ll", _SEND_TIMEOUT, 0)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
         self._send_lock = threading.Lock()
         self.alive = True
 
@@ -85,7 +82,9 @@ class _ClientConnection:
             try:
                 send_frame(self.sock, frame)
             except (OSError, ProtocolError):
-                self.alive = False
+                # A timed-out send can leave half a frame on the wire: hang
+                # up, so the peer and this connection's reader see the end.
+                self.close()
 
     def close(self) -> None:
         self.alive = False
@@ -101,16 +100,11 @@ class _ClientConnection:
 
 @dataclass
 class _Track:
-    """One admitted job: who is waiting on it and under which cache keys."""
+    """One admitted job: the connection waiting on it and what it asked for."""
 
-    job: SynthesisJob
     client: Optional[_ClientConnection]
     wait: bool
     stream: bool
-    key: str = ""
-    semantic_key: Optional[str] = None
-    #: Coalesced duplicates riding this execution.
-    followers: List["_Track"] = field(default_factory=list)
 
 
 class SynthesisDaemon:
@@ -133,8 +127,6 @@ class SynthesisDaemon:
             raise ValueError("max_pending must be >= 1")
         check_timeout(default_timeout)
         self.socket_path = str(socket_path)
-        self.worker_count = worker_count
-        self.cache = cache
         self.max_pending = max_pending
         self.default_timeout = default_timeout
         self._start_method = start_method
@@ -147,18 +139,23 @@ class SynthesisDaemon:
         #: (one span per line); ``szalinski trace`` converts the file to
         #: Chrome trace_event JSON for Perfetto.
         self.trace_path = Path(trace_path) if trace_path is not None else None
-        #: Streaming latency histograms (per phase / per model / per cache
-        #: tier) served in the ``stats`` frame; guarded by ``_lock``.
-        self.metrics = MetricsAggregator()
         #: Serializes JSONL appends from concurrent completion callbacks.
         self._trace_lock = threading.Lock()
+        #: Keys, probes, coalesces, runs and stores every admitted job.
+        self.service = SynthesisService(
+            worker_count=worker_count,
+            cache=cache,
+            on_event=lambda event: self._on_event(event),
+            trace=trace_jobs,
+        )
 
-        #: Guards tracks, coalescing, counters, AND the cache — cache reads
-        #: and writes must be atomic with in-flight registration, or a job
-        #: finishing between a miss and its enqueue would strand followers.
+        #: Guards tracks, counters, clients and the draining flag.
         self._lock = threading.Lock()
+        #: Notified when the last admission in progress has reached the
+        #: service, so a drain never begins under an accepted job.
+        self._admissions_done = threading.Condition(self._lock)
+        self._admitting = 0
         self._tracks: Dict[str, _Track] = {}
-        self._by_key: Dict[str, str] = {}
         self._pending = 0
         self._counters: Dict[str, int] = {
             "submitted": 0,
@@ -169,7 +166,7 @@ class SynthesisDaemon:
             "cache_hits": 0,
             "exact_hits": 0,
             "semantic_hits": 0,
-            "coalesced": 0,
+            "coalesced": 0,  # the service's count, copied into each frame
             "rejected": 0,
             "protocol_errors": 0,
             "connections": 0,
@@ -177,7 +174,6 @@ class SynthesisDaemon:
         self._clients: Set[_ClientConnection] = set()
         self._ids = itertools.count(1)
 
-        self._pool: Optional[ResidentPool] = None
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._started_at: Optional[float] = None
@@ -191,13 +187,11 @@ class SynthesisDaemon:
 
     def start(self) -> "SynthesisDaemon":
         """Spawn the fleet, bind the socket, and begin accepting clients."""
-        if self._pool is not None:
+        if self._started_at is not None:
             raise RuntimeError("daemon already started")
         # The fleet forks before the listener exists so the initial workers
         # do not inherit (and keep alive) the daemon's socket descriptors.
-        self._pool = ResidentPool(
-            self.worker_count, start_method=self._start_method
-        ).start()
+        self.service.start(start_method=self._start_method)
         path = Path(self.socket_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.exists():
@@ -242,17 +236,19 @@ class SynthesisDaemon:
         self._stop_requested.set()
         with self._lock:
             self._draining = True
+            # Every job answered "accepted" reaches the service first.
+            while self._admitting:
+                self._admissions_done.wait()
         if self._listener is not None:
             try:
                 self._listener.close()  # unblocks the accept loop
             except OSError:
                 pass
         try:
-            if self._pool is not None:
-                # Draining completes every admitted job; the completion
-                # callbacks deliver results to still-connected clients.
-                # Re-raises a callback's exception, after the fleet stopped.
-                self._pool.shutdown(drain=drain, timeout=timeout)
+            # Draining completes every admitted job; the completion
+            # callbacks deliver results to still-connected clients.
+            # Re-raises a callback's exception, after the fleet stopped.
+            self.service.shutdown(drain=drain, timeout=timeout)
         finally:
             with self._lock:
                 clients = list(self._clients)
@@ -275,14 +271,14 @@ class SynthesisDaemon:
                 return  # listener closed: shutting down
             client = _ClientConnection(sock)
             with self._lock:
-                if self._draining:
-                    client.send(
-                        {"type": "rejected", "reason": "daemon is shutting down"}
-                    )
-                    client.close()
-                    continue
-                self._counters["connections"] += 1
-                self._clients.add(client)
+                admitted = not self._draining
+                if admitted:
+                    self._counters["connections"] += 1
+                    self._clients.add(client)
+            if not admitted:
+                client.send({"type": "rejected", "reason": "daemon is shutting down"})
+                client.close()
+                continue
             threading.Thread(
                 target=self._serve_client, args=(client,), daemon=True
             ).start()
@@ -315,9 +311,6 @@ class SynthesisDaemon:
             for track in self._tracks.values():
                 if track.client is client:
                     track.client = None
-                for follower in track.followers:
-                    if follower.client is client:
-                        follower.client = None
 
     # -- request dispatch ------------------------------------------------------
 
@@ -325,10 +318,8 @@ class SynthesisDaemon:
         kind = frame.get("type")
         if kind == "submit":
             self._handle_submit(client, frame)
-        elif kind == "health":
-            client.send(self._health_frame())
-        elif kind == "stats":
-            client.send(self._stats_frame())
+        elif kind in ("health", "stats"):
+            client.send(self._observability_frame(kind))
         elif kind == "metrics":
             client.send(self._metrics_frame())
         elif kind == "shutdown":
@@ -350,10 +341,12 @@ class SynthesisDaemon:
             return
         wait = bool(frame.get("wait", True))
         stream = bool(frame.get("stream", False))
+        names = [str(spec.get("name") or f"job-{index}") for index, spec in enumerate(specs)]
 
         # Frame-level rejections: duplicate ids and admission control.
         # Both are checked before any term is parsed, so a rejected frame
-        # costs near nothing and changes no daemon state.
+        # costs near nothing and changes no daemon state.  An admitted frame
+        # registers its ids and pending slots at once.
         explicit_ids = [str(spec["id"]) for spec in specs if spec.get("id")]
         duplicate_ids = sorted(
             {job_id for job_id in explicit_ids if explicit_ids.count(job_id) > 1}
@@ -364,143 +357,75 @@ class SynthesisDaemon:
                     job_id for job_id in explicit_ids if job_id in self._tracks
                 )
             if duplicate_ids:
-                self._counters["rejected"] += len(specs)
-                client.send(
-                    {
-                        "type": "rejected",
-                        "reason": (
-                            "duplicate job ids: "
-                            + ", ".join(duplicate_ids)
-                            + " — ids must be unique per daemon at any moment"
-                        ),
-                    }
+                reason = (
+                    "duplicate job ids: "
+                    + ", ".join(duplicate_ids)
+                    + " — ids must be unique per daemon at any moment"
                 )
-                return
-            if self._draining:
-                self._counters["rejected"] += len(specs)
-                client.send({"type": "rejected", "reason": "daemon is draining"})
-                return
-            if self._pending + len(specs) > self.max_pending:
-                self._counters["rejected"] += len(specs)
-                client.send(
-                    {
-                        "type": "rejected",
-                        "reason": (
-                            f"admission control: {self._pending} job(s) pending, "
-                            f"{len(specs)} submitted, limit {self.max_pending}"
-                        ),
-                    }
+            elif self._draining:
+                reason = "daemon is draining"
+            elif self._pending + len(specs) > self.max_pending:
+                reason = (
+                    f"admission control: {self._pending} job(s) pending, "
+                    f"{len(specs)} submitted, limit {self.max_pending}"
                 )
-                return
-            self._counters["submitted"] += len(specs)
+            else:
+                reason = None
+                job_ids = [
+                    str(spec["id"]) if spec.get("id") else self._fresh_id(name, explicit_ids)
+                    for spec, name in zip(specs, names)
+                ]
+                for job_id in job_ids:
+                    self._tracks[job_id] = _Track(client, wait, stream)
+                self._pending += len(specs)
+                self._counters["submitted"] += len(specs)
+                self._admitting += 1
+            if reason is not None:
+                self._counters["rejected"] += len(specs)
+        if reason is not None:
+            client.send({"type": "rejected", "reason": reason})
+            return
 
-        # Build jobs outside the lock (parsing can be arbitrarily large).
-        # A spec that fails to build is isolated as one immediately-FAILED
-        # job, exactly like the batch CLI treats an unreadable file.
-        jobs: List[Optional[SynthesisJob]] = []
-        job_ids: List[str] = []
-        immediate: List[JobResult] = []
-        for index, spec in enumerate(specs):
-            name = str(spec.get("name") or f"job-{index}")
-            raw_id = spec.get("id")
-            job_id = str(raw_id) if raw_id else f"d{next(self._ids)}:{name}"
-            job_ids.append(job_id)
-            try:
-                jobs.append(self._build_job(spec, name, job_id))
-            except Exception:
-                jobs.append(None)
-                immediate.append(
-                    JobResult(
-                        job_id=job_id,
-                        name=name,
-                        status=JobStatus.FAILED,
-                        error=traceback.format_exc(),
-                    )
-                )
-
-        # Admit: probe the shared cache, coalesce onto in-flight twins,
-        # queue the rest — atomically with respect to completions AND
-        # shutdown.  The pool submit happens inside the same critical
-        # section as track registration: shutdown() sets ``_draining``
-        # under this lock before stopping the pool, so a job admitted here
-        # is guaranteed to reach the pool before any drain begins — an
-        # "accepted" frame always means "will run (or be drained)".
-        submit_failures: List[SynthesisJob] = []
-        with self._lock:
-            for job in jobs:
-                if job is None:
-                    continue
-                key = cache_key(job.term, job.config)
-                semantic_key = (
-                    semantic_cache_key(job.term, job.config)
-                    if self.cache is not None and self.cache.semantic
-                    else None
-                )
-                if self.cache is not None:
-                    lookup_start = time.perf_counter()
-                    payload, tier = self.cache.lookup(key, semantic_key)
-                    if payload is not None:
-                        self._counters["cache_hits"] += 1
-                        self._counters[f"{tier}_hits"] += 1
-                        self._counters["completed"] += 1
-                        self._counters["succeeded"] += 1
-                        # A hit's end-to-end latency is the lookup itself.
-                        self.metrics.ingest(
-                            model=job.name,
-                            seconds=time.perf_counter() - lookup_start,
-                            cache_tier=tier,
-                        )
-                        immediate.append(
-                            JobResult(
-                                job_id=job.job_id,
-                                name=job.name,
-                                status=JobStatus.SUCCEEDED,
-                                result=SynthesisResult.from_dict(payload),
-                                result_payload=payload,
-                                cached=True,
-                                cache_tier=tier,
-                            )
-                        )
-                        continue
-                track = _Track(
-                    job=job,
-                    client=client,
-                    wait=wait,
-                    stream=stream,
-                    key=key,
-                    semantic_key=semantic_key,
-                )
-                primary_id = self._by_key.get(key)
-                if primary_id is not None:
-                    self._tracks[primary_id].followers.append(track)
-                    self._counters["coalesced"] += 1
-                    self._pending += 1
-                    continue
-                self._tracks[job.job_id] = track
-                self._by_key[key] = job.job_id
-                self._pending += 1
+        build_failures: List[JobResult] = []
+        try:
+            # Build jobs outside the lock (parsing can be arbitrarily
+            # large).  A spec that fails to build is isolated as one
+            # immediately-FAILED job, exactly like the batch CLI treats an
+            # unreadable file.
+            jobs: List[SynthesisJob] = []
+            for spec, name, job_id in zip(specs, names, job_ids):
                 try:
-                    self._pool.submit(job, self._on_result, self._on_event)
-                except RuntimeError:
-                    # A force (non-drain) stop can still slip in; fail the
-                    # job explicitly instead of leaving the client waiting.
-                    # The callback takes this lock, so it runs below.
-                    submit_failures.append(job)
-
-        client.send({"type": "accepted", "job_ids": job_ids})
+                    jobs.append(self._build_job(spec, name, job_id))
+                except Exception:
+                    build_failures.append(
+                        JobResult(
+                            job_id=job_id,
+                            name=name,
+                            status=JobStatus.FAILED,
+                            error=traceback.format_exc(),
+                        )
+                    )
+            client.send({"type": "accepted", "job_ids": job_ids})
+            for job in jobs:
+                self.service.submit(job, self._on_result)
+        finally:
+            with self._lock:
+                for failure in build_failures:
+                    del self._tracks[failure.job_id]
+                self._pending -= len(build_failures)
+                self._admitting -= 1
+                if not self._admitting:
+                    self._admissions_done.notify_all()
         if wait:
-            for result in immediate:
-                client.send({"type": "result", "job": result.to_dict()})
-        for job in submit_failures:
-            self._on_result(
-                job,
-                JobResult(
-                    job_id=job.job_id,
-                    name=job.name,
-                    status=JobStatus.FAILED,
-                    error="daemon shut down before the job could run",
-                ),
-            )
+            for failure in build_failures:
+                client.send({"type": "result", "job": failure.to_dict()})
+
+    def _fresh_id(self, name: str, explicit_ids: List[str]) -> str:
+        """A generated id no admitted job and no explicit id uses (lock held)."""
+        job_id = f"d{next(self._ids)}:{name}"
+        while job_id in self._tracks or job_id in explicit_ids:
+            job_id = f"d{next(self._ids)}:{name}"
+        return job_id
 
     def _build_job(self, spec: dict, name: str, job_id: str) -> SynthesisJob:
         """One SynthesisJob from a wire spec (raises on any invalid field)."""
@@ -517,22 +442,20 @@ class SynthesisDaemon:
             else SynthesisConfig()
         )
         timeout = spec.get("timeout", self.default_timeout)
-        job = SynthesisJob(
+        return SynthesisJob(
             name=name,
             term=term,
             config=config,
             priority=int(spec.get("priority", 0)),
             timeout=float(timeout) if timeout is not None else None,
-            trace=self.trace_jobs,
             job_id=job_id,
         )
-        # Same identity rule as the batch service: a timeout that clamps
-        # the fuel is part of the cache key.
-        return SynthesisService._normalize(job)
 
-    # -- completion plumbing (runs on the pool's scheduler thread) -------------
+    # -- service callbacks -----------------------------------------------------
 
     def _on_event(self, event: JobEvent) -> None:
+        # An answered job has no track: the service answers a cache hit or
+        # a coalesced job before its event, so only executions stream.
         with self._lock:
             track = self._tracks.get(event.job_id)
             target = track.client if track is not None and track.stream else None
@@ -550,48 +473,21 @@ class SynthesisDaemon:
 
     def _on_result(self, job: SynthesisJob, result: JobResult) -> None:
         with self._lock:
-            track = self._tracks.pop(job.job_id, None)
-            if track is None:  # pragma: no cover - every submitted job has a track
-                return
-            self._by_key.pop(track.key, None)
-            followers = track.followers
-            self._pending -= 1 + len(followers)
-            self._count_completion(result, copies=1 + len(followers))
-            self.metrics.ingest(
-                model=job.name, seconds=result.seconds, trace=result.trace
-            )
-            for follower in followers:
-                if not result.ok:
-                    continue
-                # A coalesced duplicate's effective latency is the primary
-                # execution it waited on.
-                self.metrics.ingest(
-                    model=follower.job.name,
-                    seconds=result.seconds,
-                    cache_tier="batch",
-                )
-            if result.ok and self.cache is not None:
-                payload = result.result_payload or result.result.to_dict()
-                self.cache.put(track.key, payload, track.semantic_key)
+            track = self._tracks.pop(job.job_id)
+            self._pending -= 1
+            self._counters["completed"] += 1
+            if result.ok:
+                self._counters["succeeded"] += 1
+            elif result.status is JobStatus.TIMEOUT:
+                self._counters["timeout"] += 1
+            else:
+                self._counters["failed"] += 1
+            if result.cached and result.cache_tier != "batch":
+                self._counters["cache_hits"] += 1
+                self._counters[f"{result.cache_tier}_hits"] += 1
         self._write_trace(result)
         if track.wait and track.client is not None:
             track.client.send({"type": "result", "job": result.to_dict()})
-        for follower in followers:
-            follower_result = SynthesisService._follower_result(follower.job, result)
-            if follower.wait and follower.client is not None:
-                follower.client.send(
-                    {"type": "result", "job": follower_result.to_dict()}
-                )
-
-    def _count_completion(self, result: JobResult, copies: int) -> None:
-        """Counter upkeep for a finished job and its coalesced copies."""
-        self._counters["completed"] += copies
-        if result.ok:
-            self._counters["succeeded"] += copies
-        elif result.status is JobStatus.TIMEOUT:
-            self._counters["timeout"] += copies
-        else:
-            self._counters["failed"] += copies
 
     def _write_trace(self, result: JobResult) -> None:
         """Append a finished job's spans to the JSONL trace file, if any."""
@@ -607,41 +503,16 @@ class SynthesisDaemon:
     # -- observability ---------------------------------------------------------
 
     def _observability_frame(self, kind: str) -> dict:
-        """One atomic snapshot of every mutable counter the frame reports.
-
-        Queue depth, the in-flight map, job counters, cache counters, and
-        the latency histograms all mutate under ``_lock`` as jobs are
-        scheduled and completed; reading them in separate critical sections
-        could tear — e.g. a ``completed`` count that already includes a job
-        whose queue-depth decrement it doesn't.  Everything is therefore
-        snapshotted in a single critical section.  Taking the pool snapshot
-        inside the daemon lock follows the established lock order (daemon
-        lock → pool lock, as in ``_handle_submit``'s admission section).
-        """
+        """The daemon's counters, read in one critical section so they never
+        tear, with the service's snapshot taken inside it."""
         with self._lock:
-            workers = self._pool.snapshot() if self._pool is not None else {}
             jobs = dict(self._counters)
             pending = self._pending
             draining = self._draining
-            if kind == "stats":
-                clients = len(self._clients)
-                in_flight_keys = len(self._by_key)
-                latency = self.metrics.snapshot()
-                # The full cache counter set (stats() walks the disk tier,
-                # so it lives on the heavyweight endpoint, not in health).
-                cache = self.cache.stats() if self.cache is not None else None
-            else:
-                cache = (
-                    {
-                        "exact_hits": self.cache.exact_hits,
-                        "semantic_hits": self.cache.semantic_hits,
-                        "misses": self.cache.misses,
-                        "stores": self.cache.stores,
-                        "hit_rate": self.cache.hit_rate,
-                    }
-                    if self.cache is not None
-                    else None
-                )
+            clients = len(self._clients)
+            service = self.service.snapshot(detail=kind == "stats")
+        jobs["coalesced"] = service["coalesced"]
+        workers = service["workers"]
         frame = {
             "type": kind,
             "ok": True,
@@ -658,28 +529,20 @@ class SynthesisDaemon:
             "running": workers.get("busy", 0),
             "workers": workers,
             "jobs": jobs,
-            "cache": cache,
+            "cache": service["cache"],
         }
         if kind == "stats":
             frame["clients"] = clients
-            frame["in_flight_keys"] = in_flight_keys
+            frame["in_flight_keys"] = service["in_flight_keys"]
             frame["trace_jobs"] = self.trace_jobs
             frame["trace_path"] = str(self.trace_path) if self.trace_path else None
-            frame["latency"] = latency
+            frame["latency"] = service["latency"]
         return frame
 
-    def _health_frame(self) -> dict:
-        return self._observability_frame("health")
-
-    def _stats_frame(self) -> dict:
-        return self._observability_frame("stats")
-
     def _metrics_frame(self) -> dict:
-        """The metrics families as Prometheus exposition text.
-
-        Rendered in one critical section, like the stats frame, so the
-        scraped buckets are a consistent snapshot.
-        """
-        with self._lock:
-            text = render_prometheus(self.metrics)
-        return {"type": "metrics", "content_type": "text/plain; version=0.0.4", "text": text}
+        """The latency metrics as Prometheus exposition text."""
+        return {
+            "type": "metrics",
+            "content_type": "text/plain; version=0.0.4",
+            "text": self.service.prometheus_text(),
+        }

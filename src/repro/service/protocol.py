@@ -25,9 +25,11 @@ Requests (client → daemon)
     ``event`` progress frames.
 
 ``{"type": "health"}`` / ``{"type": "stats"}``
-    Liveness/observability snapshots; answered synchronously.  Both are
-    taken atomically under the daemon lock.  The ``stats`` response
-    additionally carries ``clients``, ``in_flight_keys``, the full cache
+    Liveness/observability snapshots; answered synchronously.  Both read
+    the daemon's counters in one critical section, and the service's
+    (workers, cache, in-flight keys, latency) in one nested inside it.
+    The ``stats`` response additionally carries ``clients``,
+    ``in_flight_keys``, the full cache
     counter set, and a ``latency`` section — streaming histogram
     summaries (count/mean/p50/p95/p99, exact-rank over fixed log-scale
     buckets) for end-to-end job latency plus per-phase, per-model, and
@@ -39,8 +41,8 @@ Requests (client → daemon)
     The same histogram families rendered as Prometheus text exposition
     (``repro_phase_latency_seconds`` etc.), answered with ``{"type":
     "metrics", "content_type": ..., "text": str}`` — the payload for a
-    scrape endpoint or ``szalinski stats --prometheus``.  Snapshotted
-    under the daemon lock like ``stats``.
+    scrape endpoint or ``szalinski stats --prometheus``.  Rendered in
+    one critical section of the service, which owns the metrics.
 
 ``{"type": "shutdown"}``
     Ask the daemon to drain in-flight jobs and exit (acked with ``ok``).

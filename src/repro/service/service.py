@@ -1,39 +1,53 @@
-"""The batch synthesis service: cache check → worker fan-out → report.
+"""The synthesis service: the one admission path for synthesis jobs.
 
-:class:`SynthesisService` is the orchestration layer the CLI and the Table 1
-harness sit on.  For every submitted job it:
-
-1. probes the content-addressed :class:`~repro.service.cache.ResultCache`
-   (when one is attached) — a hit short-circuits the job entirely and is
-   reported with ``cached=True``;
-2. coalesces misses that share a cache key — one representative executes
-   and its duplicates are served the same outcome (``cache_tier="batch"``)
-   without running;
-3. dispatches the representatives to a
-   :class:`~repro.service.worker.ResidentPool` started for the batch
-   (``worker_count >= 1``) or the inline executor (``worker_count == 0``),
-   streaming :class:`~repro.service.job.JobEvent`\\ s to the caller;
-4. writes every fresh success back into the cache and assembles a
-   :class:`BatchReport` with per-job outcomes in submission order.
+Both front ends submit through :class:`SynthesisService`, the only module
+that keys, probes, coalesces and stores jobs: ``batch``/``table1`` via
+:meth:`SynthesisService.run_batch` (submit every job, then drain) and the
+``serve`` daemon, which starts the service's pool once and submits each
+job as its frame arrives.  :meth:`SynthesisService.submit` folds a job's
+timeout into its config and derives its exact cache key, plus the semantic
+key when that tier is on.  It answers a cache hit at once.  A job whose
+exact key is already in flight becomes a follower of that job and is
+answered with its outcome (``cache_tier="batch"``).  Any other job is
+dispatched to the service's :class:`~repro.service.worker.ResidentPool`,
+or held until drain time, when ``worker_count == 0`` runs it through
+:func:`~repro.service.worker.run_jobs_inline` and a pooled batch starts at
+most ``min(worker_count, misses)`` workers.  When a job ends, the service
+stores a success, ingests its latency, and answers it and its followers,
+so a batch stopped halfway keeps every job that finished.
 
 Job failures never propagate: a job that raises, crashes its worker, or
-blows its timeout is a failed entry in the report, and the rest of the
-batch is unaffected.  An exception from the caller's ``on_event`` does
-propagate, after the batch's workers are stopped.
+blows its timeout is a failed result.  An exception from a caller's
+callback does propagate, after the workers are stopped.
+
+Lock order: the daemon lock, then the service lock (in-flight map, cache,
+metrics), then the pool lock.  No callback, and so no socket send, runs
+under the service lock.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import SynthesisResult
 from repro.obs.histogram import MetricsAggregator
+from repro.obs.prometheus import render_prometheus
 from repro.service.cache import ResultCache, cache_key, semantic_cache_key
 from repro.service.job import JobEvent, JobResult, JobStatus, SynthesisJob
 from repro.service.queue import JobQueue
-from repro.service.worker import EventCallback, ResidentPool, run_jobs_inline, _emit
+from repro.service.worker import (
+    EventCallback,
+    ResidentPool,
+    ResultCallback,
+    _emit,
+    run_jobs_inline,
+)
+
+#: The cache counters a ``health`` frame carries.
+_CACHE_COUNTERS = ("exact_hits", "semantic_hits", "misses", "stores", "hit_rate")
 
 
 @dataclass
@@ -112,8 +126,19 @@ class BatchReport:
         }
 
 
+@dataclass
+class _Flight:
+    """One dispatched job, its cache keys, and the followers waiting on it."""
+
+    job: SynthesisJob
+    key: str
+    semantic_key: Optional[str]
+    on_result: ResultCallback
+    followers: List[Tuple[SynthesisJob, ResultCallback]] = field(default_factory=list)
+
+
 class SynthesisService:
-    """Throughput-oriented front end over the one-shot synthesis pipeline."""
+    """The one per-job path from submission to a stored, answered result."""
 
     def __init__(
         self,
@@ -133,8 +158,168 @@ class SynthesisService:
         self.trace = trace
         #: Streaming latency histograms over this service's lifetime (per
         #: phase / per model / per cache tier); snapshotted into every
-        #: :attr:`BatchReport.metrics`.
+        #: :attr:`BatchReport.metrics` and the daemon's ``stats`` frame.
         self.metrics = MetricsAggregator()
+        self._lock = threading.Lock()
+        #: Dispatched jobs by exact cache key, until they end.
+        self._in_flight: Dict[str, _Flight] = {}
+        #: Dispatched jobs held for :meth:`shutdown` to run (no pool running).
+        self._backlog: List[_Flight] = []
+        #: Jobs registered as followers over the service's lifetime.
+        self._coalesced = 0
+        self._pool: Optional[ResidentPool] = None
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def start(self, start_method: Optional[str] = None) -> "SynthesisService":
+        """Start ``worker_count`` workers now, so each miss runs as it is submitted."""
+        self._pool = ResidentPool(self.worker_count, start_method=start_method).start()
+        return self
+
+    def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
+        """Finish the jobs submitted so far, then stop the workers.
+
+        ``drain=True`` runs the held jobs and waits, at most ``timeout``
+        seconds, for every job in flight; ``drain=False`` does neither.
+        Then the workers stop and every job still unanswered is answered
+        FAILED.  Re-raises the first exception a callback raised.  Must not
+        run concurrently with :meth:`submit`; the service takes new jobs
+        afterwards.
+        """
+        with self._lock:
+            backlog, self._backlog = self._backlog, []
+            pool = self._pool
+        try:
+            if drain and backlog:
+                # Held jobs exist only while no pool runs; inline at 0 workers.
+                if self.worker_count and pool is None:
+                    pool = self._pool = ResidentPool(
+                        min(self.worker_count, len(backlog))
+                    ).start()
+                self._run(backlog, pool)
+            if pool is not None:
+                pool.shutdown(drain=drain, timeout=timeout)
+        finally:
+            if pool is not None:
+                pool.shutdown(drain=False)
+            with self._lock:
+                self._pool = None
+                abandoned = list(self._in_flight.values())
+            for flight in abandoned:
+                self._complete(
+                    flight, _failed(flight.job, "the service stopped before the job ran")
+                )
+
+    # -- the admission path ----------------------------------------------------
+
+    def submit(self, job: SynthesisJob, on_result: ResultCallback) -> None:
+        """Admit one job; ``on_result(job, result)`` fires exactly once.
+
+        A cache hit is answered before this returns, and before its
+        ``cache-hit`` event is emitted.
+        """
+        job = self._normalize(job)
+        if self.trace and not job.trace:
+            job = replace(job, trace=True)
+        key = cache_key(job.term, job.config)
+        # Normalization walks the whole term, so the semantic key is only
+        # derived when its tier is on.
+        semantic_key = (
+            semantic_cache_key(job.term, job.config)
+            if self.cache is not None and self.cache.semantic
+            else None
+        )
+        payload = tier = None
+        with self._lock:
+            if self.cache is not None:
+                lookup_start = time.perf_counter()
+                payload, tier = self.cache.lookup(key, semantic_key)
+                if payload is not None:
+                    # A hit's end-to-end latency is the lookup itself.
+                    self.metrics.ingest(
+                        model=job.name,
+                        seconds=time.perf_counter() - lookup_start,
+                        cache_tier=tier,
+                    )
+            if payload is None:
+                flight = self._in_flight.get(key)
+                if flight is not None:
+                    flight.followers.append((job, on_result))
+                    self._coalesced += 1
+                    return
+                # Registered before dispatch, so no completion can miss it.
+                flight = self._in_flight[key] = _Flight(job, key, semantic_key, on_result)
+                pool = self._pool
+                if pool is None:
+                    self._backlog.append(flight)
+        if payload is not None:
+            on_result(
+                job,
+                JobResult(
+                    job_id=job.job_id,
+                    name=job.name,
+                    status=JobStatus.SUCCEEDED,
+                    result=SynthesisResult.from_dict(payload),
+                    result_payload=payload,
+                    cached=True,
+                    cache_tier=tier,
+                ),
+            )
+            _emit(self.on_event, JobEvent("cache-hit", job.job_id, job.name, message=tier))
+        elif pool is not None:
+            self._run([flight], pool)
+
+    def _run(self, flights: List[_Flight], pool: Optional[ResidentPool]) -> None:
+        """Run dispatched jobs on ``pool``, or inline when it is None."""
+        by_id = {flight.job.job_id: flight for flight in flights}
+
+        def complete(job: SynthesisJob, result: JobResult) -> None:
+            self._complete(by_id[job.job_id], result)
+
+        jobs = [flight.job for flight in flights]
+        if pool is None:
+            run_jobs_inline(jobs, self.on_event, complete)
+            return
+        # Submitting in queue order makes the jobs start in that order.
+        for job in JobQueue(jobs).drain():
+            try:
+                pool.submit(job, complete, self.on_event)
+            except RuntimeError:
+                # A raising callback force-stopped the pool.
+                complete(job, _failed(job, "the worker pool stopped before the job ran"))
+
+    def _complete(self, flight: _Flight, result: JobResult) -> None:
+        """A dispatched job ended: store it, record it, answer it and its followers."""
+        job = flight.job
+        with self._lock:
+            del self._in_flight[flight.key]
+            self.metrics.ingest(model=job.name, seconds=result.seconds, trace=result.trace)
+            if result.ok:
+                for follower, _ in flight.followers:
+                    # A follower's latency is the execution it waited on.
+                    self.metrics.ingest(
+                        model=follower.name, seconds=result.seconds, cache_tier="batch"
+                    )
+                if self.cache is not None:
+                    # The worker shipped the result as its to_dict() form;
+                    # store that verbatim instead of re-serializing.
+                    payload = result.result_payload or result.result.to_dict()
+                    self.cache.put(flight.key, payload, flight.semantic_key)
+        flight.on_result(job, result)
+        for follower, on_result in flight.followers:
+            on_result(follower, self._follower_result(follower, result))
+        for follower, _ in flight.followers:
+            _emit(
+                self.on_event,
+                JobEvent(
+                    "cache-hit" if result.ok else "failed",
+                    follower.job_id,
+                    follower.name,
+                    message="batch" if result.ok else result.error_summary(),
+                ),
+            )
+
+    # -- batches ---------------------------------------------------------------
 
     def run_batch(self, jobs: Sequence[SynthesisJob]) -> BatchReport:
         """Run a batch of jobs and return their outcomes in submission order.
@@ -143,124 +328,58 @@ class SynthesisService:
         results are keyed by id, so duplicates would silently clobber one
         outcome and report the other twice.
         """
-        jobs = [self._normalize(job) for job in jobs]
-        if self.trace:
-            jobs = [job if job.trace else replace(job, trace=True) for job in jobs]
         self._reject_duplicate_ids(jobs)
         start = time.perf_counter()
         results: Dict[str, JobResult] = {}
 
-        to_run: List[SynthesisJob] = []
-        keys: Dict[str, str] = {}
-        semantic_keys: Dict[str, Optional[str]] = {}
-        #: Within-batch coalescing: first job seen per cache key runs, the
-        #: rest are served its outcome (the key folds in the config and the
-        #: clamped timeout, so only genuinely interchangeable jobs merge).
-        primary_for_key: Dict[str, str] = {}
-        followers: Dict[str, List[SynthesisJob]] = {}
-        for job in jobs:
-            key = cache_key(job.term, job.config)
-            keys[job.job_id] = key
-            if self.cache is not None:
-                # The semantic key is only derived when the tier is on —
-                # normalization walks the whole term, and --no-semantic-cache
-                # should not pay for it.
-                semantic_key = (
-                    semantic_cache_key(job.term, job.config)
-                    if self.cache.semantic
-                    else None
-                )
-                semantic_keys[job.job_id] = semantic_key
-                lookup_start = time.perf_counter()
-                payload, tier = self.cache.lookup(key, semantic_key)
-                if payload is not None:
-                    self.metrics.ingest(
-                        model=job.name,
-                        seconds=time.perf_counter() - lookup_start,
-                        cache_tier=tier,
-                    )
-                    results[job.job_id] = JobResult(
-                        job_id=job.job_id,
-                        name=job.name,
-                        status=JobStatus.SUCCEEDED,
-                        result=SynthesisResult.from_dict(payload),
-                        cached=True,
-                        cache_tier=tier,
-                    )
-                    _emit(
-                        self.on_event,
-                        JobEvent("cache-hit", job.job_id, job.name, message=tier),
-                    )
-                    continue
-            primary_id = primary_for_key.get(key)
-            if primary_id is not None:
-                followers.setdefault(primary_id, []).append(job)
-                continue
-            primary_for_key[key] = job.job_id
-            to_run.append(job)
+        def record(job: SynthesisJob, result: JobResult) -> None:
+            results[job.job_id] = result
 
-        if to_run:
-            if self.worker_count == 0:
-                executed = run_jobs_inline(to_run, self.on_event)
-            else:
-                executed = self._run_pooled(to_run)
-            for job in to_run:
-                outcome = executed[job.job_id]
-                results[job.job_id] = outcome
-                self.metrics.ingest(
-                    model=job.name, seconds=outcome.seconds, trace=outcome.trace
-                )
-                if self.cache is not None and outcome.ok:
-                    # The worker already shipped the result as its to_dict()
-                    # form; store that verbatim instead of re-serializing.
-                    payload = outcome.result_payload or outcome.result.to_dict()
-                    self.cache.put(
-                        keys[job.job_id], payload, semantic_keys[job.job_id]
-                    )
-                for follower in followers.get(job.job_id, ()):
-                    results[follower.job_id] = self._follower_result(follower, outcome)
-                    if outcome.ok:
-                        # The follower's effective latency is the primary's
-                        # execution it waited on.
-                        self.metrics.ingest(
-                            model=follower.name,
-                            seconds=outcome.seconds,
-                            cache_tier="batch",
-                        )
-                    _emit(
-                        self.on_event,
-                        JobEvent(
-                            "cache-hit" if outcome.ok else "failed",
-                            follower.job_id,
-                            follower.name,
-                            message="batch" if outcome.ok else outcome.error_summary(),
-                        ),
-                    )
-
-        return BatchReport(
-            results=[results[job.job_id] for job in jobs],
-            seconds=time.perf_counter() - start,
-            worker_count=self.worker_count,
-            cache=self.cache.stats() if self.cache is not None else {},
-            metrics=self.metrics.snapshot(),
-        )
-
-    def _run_pooled(self, jobs: Sequence[SynthesisJob]) -> Dict[str, JobResult]:
-        """Run jobs on a pool of at most ``worker_count`` workers; by job id."""
-        executed: Dict[str, JobResult] = {}
-
-        def on_result(job: SynthesisJob, result: JobResult) -> None:
-            executed[job.job_id] = result
-
-        pool = ResidentPool(min(self.worker_count, len(jobs))).start()
         try:
-            # Submitting in queue order makes the jobs start in that order.
-            for job in JobQueue(jobs).drain():
-                pool.submit(job, on_result, self.on_event)
-            pool.shutdown(drain=True)
+            for job in jobs:
+                self.submit(job, record)
+            self.shutdown(drain=True)
         finally:
-            pool.shutdown(drain=False)
-        return executed
+            self.shutdown(drain=False)
+        with self._lock:
+            return BatchReport(
+                results=[results[job.job_id] for job in jobs],
+                seconds=time.perf_counter() - start,
+                worker_count=self.worker_count,
+                cache=self.cache.stats() if self.cache is not None else {},
+                metrics=self.metrics.snapshot(),
+            )
+
+    # -- observability ---------------------------------------------------------
+
+    def snapshot(self, detail: bool = False) -> Dict[str, object]:
+        """Workers, in-flight keys, followers and cache counters, read at once.
+
+        ``detail`` adds the latency metrics and swaps the cache's hit
+        counters for its full ``stats()``, which walks the disk tier.
+        """
+        with self._lock:
+            cache = self.cache
+            if cache is not None:
+                cache = (
+                    cache.stats()
+                    if detail
+                    else {name: getattr(cache, name) for name in _CACHE_COUNTERS}
+                )
+            return {
+                "workers": self._pool.snapshot() if self._pool is not None else {},
+                "in_flight_keys": len(self._in_flight),
+                "coalesced": self._coalesced,
+                "cache": cache,
+                "latency": self.metrics.snapshot() if detail else None,
+            }
+
+    def prometheus_text(self) -> str:
+        """The latency metrics as Prometheus exposition text."""
+        with self._lock:
+            return render_prometheus(self.metrics)
+
+    # -- per-job rules ---------------------------------------------------------
 
     @staticmethod
     def _reject_duplicate_ids(jobs: Sequence[SynthesisJob]) -> None:
@@ -320,9 +439,6 @@ class SynthesisService:
             return job
         return replace(job, config=replace(job.config, max_seconds=job.timeout))
 
-    # -- convenience -----------------------------------------------------------
 
-    def run_files(self, paths: Sequence, config=None, **job_kwargs) -> BatchReport:
-        """Batch-synthesize a list of flat-CSG files."""
-        jobs = [SynthesisJob.from_file(path, config, **job_kwargs) for path in paths]
-        return self.run_batch(jobs)
+def _failed(job: SynthesisJob, error: str) -> JobResult:
+    return JobResult(job_id=job.job_id, name=job.name, status=JobStatus.FAILED, error=error)

@@ -41,6 +41,8 @@ from repro.service.queue import JobQueue
 
 #: Event callback signature: receives every JobEvent the executor emits.
 EventCallback = Callable[[JobEvent], None]
+#: Per-job completion callback: receives the job and its final JobResult.
+ResultCallback = Callable[[SynthesisJob, JobResult], None]
 
 
 def execute_payload(payload: dict) -> dict:
@@ -179,9 +181,15 @@ def _emit(on_event: Optional[EventCallback], event: JobEvent) -> None:
 
 
 def run_jobs_inline(
-    jobs: Sequence[SynthesisJob], on_event: Optional[EventCallback] = None
+    jobs: Sequence[SynthesisJob],
+    on_event: Optional[EventCallback] = None,
+    on_result: Optional[ResultCallback] = None,
 ) -> Dict[str, JobResult]:
-    """Execute jobs in this process, in scheduling order, with error capture."""
+    """Execute jobs in this process, in scheduling order, with error capture.
+
+    As each job ends, its event fires and then ``on_result``, which fires
+    even when the event callback raised (as on a :class:`ResidentPool`).
+    """
     results: Dict[str, JobResult] = {}
     for job in JobQueue(jobs).drain():
         _emit(on_event, JobEvent("start", job.job_id, job.name))
@@ -191,7 +199,11 @@ def run_jobs_inline(
         result = _result_from_outcome(job, outcome, elapsed)
         results[job.job_id] = result
         kind = "done" if result.ok else "failed"
-        _emit(on_event, JobEvent(kind, job.job_id, job.name, elapsed, result.error_summary()))
+        try:
+            _emit(on_event, JobEvent(kind, job.job_id, job.name, elapsed, result.error_summary()))
+        finally:
+            if on_result is not None:
+                on_result(job, result)
     return results
 
 
@@ -233,10 +245,6 @@ class _PersistentWorker:
             pass
         self.process.join(timeout=1.0)
         self.kill()
-
-
-#: Per-job completion callback: receives the job and its final JobResult.
-ResultCallback = Callable[[SynthesisJob, JobResult], None]
 
 
 @dataclass

@@ -333,15 +333,36 @@ class TestArgumentErrors:
             (["serve", "--socket", "{tmp}/d.sock", "--max-pending", "0"], "serve: max_pending"),
             (["synth", "{tmp}/missing.csg"], "synth: cannot read"),
             (["batch", "--bench", "sander", "--timeout", "-1"], "batch: timeout must be"),
+            (["flatten", "{tmp}/missing.scad"], "flatten: cannot read"),
         ],
     )
     def test_one_line_error_and_exit_1(self, argv, message):
+        self._assert_one_line_error(argv, message)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("cube(10;", "flatten: {tmp}/bad.scad: unexpected token ';' (line 1)"),
+            ("cube(undefined_var);", "flatten: {tmp}/bad.scad: undefined variable"),
+        ],
+        ids=["syntax", "evaluation"],
+    )
+    def test_bad_scad_source_is_one_line_error(self, source, message):
+        self._assert_one_line_error(
+            ["flatten", "{tmp}/bad.scad"], message, files={"bad.scad": source}
+        )
+
+    @staticmethod
+    def _assert_one_line_error(argv, message, files=None):
         import subprocess
         import sys
         import tempfile
 
         # AF_UNIX paths are length-limited, so the socket lives under /tmp.
         with tempfile.TemporaryDirectory(prefix="sza.", dir="/tmp") as tdir:
+            for name, text in (files or {}).items():
+                Path(tdir, name).write_text(text)
+            message = message.format(tmp=tdir)
             done = subprocess.run(
                 [sys.executable, "-m", "repro.cli", *(a.format(tmp=tdir) for a in argv)],
                 capture_output=True,

@@ -16,6 +16,7 @@ import os
 import shutil
 import socket as socket_module
 import struct
+import sys
 import tempfile
 import threading
 import time
@@ -30,6 +31,7 @@ from repro.csg.build import translate, union_all, unit
 from repro.csg.pretty import format_term
 from repro.obs import read_trace_jsonl, validate_spans
 from repro.service import ResultCache, SynthesisDaemon
+from repro.service import daemon as daemon_module
 from repro.service.protocol import (
     DaemonClient,
     DaemonError,
@@ -170,6 +172,25 @@ class TestDaemonBasics:
             assert health["pending"] == 0
             assert health["jobs"]["rejected"] == 2
 
+    @pytest.mark.parametrize("case", ["follower", "hit", "distinct"])
+    def test_generated_ids_skip_ids_in_use(self, daemon_factory, sock_dir, case):
+        # On a fresh daemon the first generated id is "d1:job-0"; a frame
+        # that also claims it explicitly must still get two distinct ids.
+        daemon = daemon_factory(cache=ResultCache(sock_dir / "cache"))
+        first, second = _chain_text(3), _chain_text(3 if case != "distinct" else 4)
+        with DaemonClient(daemon.socket_path, timeout=60) as client:
+            if case == "hit":
+                client.submit_and_wait([{"id": "warm", "term": first}])
+            accepted = client.submit([{"term": first}, {"id": "d1:job-0", "term": second}])
+            job_ids = accepted["job_ids"]
+            assert len(set(job_ids)) == 2 and job_ids[1] == "d1:job-0"
+            results = client.wait_for(job_ids)
+            assert all(results[job_id]["status"] == "succeeded" for job_id in job_ids)
+            (later,) = client.submit_and_wait([{"name": "later", "term": _chain_text(5)}])
+            assert later["status"] == "succeeded" and not later["cached"]
+            stats = client.stats()
+        assert stats["pending"] == 0 and stats["in_flight_keys"] == 0
+
     def test_concurrent_clients_share_one_daemon(self, daemon_factory):
         daemon = daemon_factory(worker_count=2)
         outcomes = {}
@@ -254,6 +275,68 @@ class TestDaemonCache:
         assert health["jobs"]["coalesced"] == 1
         # Only the primary reached the workers.
         assert health["workers"]["completed"] == 1
+
+    def test_batch_and_daemon_share_one_cache(self, daemon_factory, sock_dir):
+        from repro.service import SynthesisJob, SynthesisService
+
+        directory = sock_dir / "cache"
+        written = SynthesisService(cache=ResultCache(directory)).run_batch(
+            [SynthesisJob(name="c3", term=_chain(3))]
+        )
+        assert not written.failed and written.cache_hits == 0
+        daemon = daemon_factory(cache=ResultCache(directory))
+        with DaemonClient(daemon.socket_path) as client:
+            (from_batch,) = client.submit_and_wait([{"name": "c3", "term": _chain_text(3)}])
+            (from_daemon,) = client.submit_and_wait([{"name": "c4", "term": _chain_text(4)}])
+        assert from_batch["cached"] and from_batch["cache_tier"] == "exact"
+        assert from_daemon["status"] == "succeeded" and not from_daemon["cached"]
+
+        rerun = SynthesisService(cache=ResultCache(directory)).run_batch(
+            [SynthesisJob(name="c4", term=_chain(4))]
+        )
+        (result,) = rerun.results
+        assert result.cached and result.cache_tier == "exact"
+
+
+    def test_concurrent_duplicates_execute_each_key_once(self, daemon_factory, sock_dir):
+        # Admission (probe, then join or register the in-flight key) and
+        # completion (store, then release the key) are atomic with each
+        # other, so however the clients interleave, each distinct input
+        # runs exactly once and every other request is a hit or a follower.
+        daemon = daemon_factory(worker_count=3, cache=ResultCache(sock_dir / "cache"))
+        texts = [_chain_text(n) for n in (2, 3, 4)]
+        results, errors = [], []
+
+        def one_client(offset):
+            try:
+                with DaemonClient(daemon.socket_path, timeout=60) as client:
+                    for index in range(4):
+                        text = texts[(offset + index) % len(texts)]
+                        results.extend(client.submit_and_wait([{"name": "dup", "term": text}]))
+            except Exception as exc:  # pragma: no cover - surfaced by assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=one_client, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(results) == 24 and all(r["status"] == "succeeded" for r in results)
+        with DaemonClient(daemon.socket_path) as client:
+            stats = client.stats()
+        jobs = stats["jobs"]
+        assert stats["pending"] == 0 and stats["in_flight_keys"] == 0
+        assert jobs["submitted"] == jobs["completed"] == 24
+        assert stats["workers"]["completed"] == len(texts)
+        assert stats["cache"]["stores"] == len(texts)
+        assert jobs["cache_hits"] + jobs["coalesced"] == 24 - len(texts)
 
 
 class TestDaemonIsolation:
@@ -501,6 +584,64 @@ class TestDaemonShutdown:
         assert len(results) == 3
         assert all(r["status"] == "succeeded" for r in results.values())
         assert not Path(daemon.socket_path).exists()
+
+    def test_drain_waits_for_an_admission_in_progress(self, daemon_factory, monkeypatch):
+        # A drain that begins while an admitted frame is still being parsed
+        # must not start before that frame's jobs reach the pool.
+        daemon = daemon_factory(worker_count=1)
+        building = threading.Event()
+        real_build = daemon._build_job
+
+        def slow_build(spec, name, job_id):
+            building.set()
+            time.sleep(0.5)
+            return real_build(spec, name, job_id)
+
+        monkeypatch.setattr(daemon, "_build_job", slow_build)
+        outcome = {}
+
+        def submit():
+            with DaemonClient(daemon.socket_path, timeout=30) as client:
+                (outcome["result"],) = client.submit_and_wait(
+                    [{"name": "c3", "term": _chain_text(3)}]
+                )
+
+        thread = threading.Thread(target=submit)
+        thread.start()
+        assert building.wait(30)
+        daemon.shutdown(drain=True)
+        thread.join(30)
+        assert not thread.is_alive()
+        assert outcome["result"]["status"] == "succeeded"
+
+    def test_client_that_stops_reading_does_not_hold_up_shutdown(
+        self, daemon_factory, monkeypatch
+    ):
+        # A 4 MB id makes the "accepted" frame overflow the socket buffer of
+        # a client that never reads; the bounded send lets the admission end.
+        monkeypatch.setattr(daemon_module, "_SEND_TIMEOUT", 1)
+        daemon = daemon_factory(worker_count=1)
+        stuck = socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM)
+        stuck.connect(daemon.socket_path)
+        stopper = threading.Thread(target=daemon.shutdown)
+        try:
+            send_frame(
+                stuck,
+                {"type": "submit", "jobs": [{"id": "x" * (4 << 20), "term": _chain_text(2)}]},
+            )
+            with DaemonClient(daemon.socket_path) as bystander:
+                deadline = time.monotonic() + 30
+                while bystander.health()["pending"] == 0:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            stopper.start()
+            stopper.join(30)
+            assert not stopper.is_alive()
+            assert not Path(daemon.socket_path).exists()
+        finally:
+            stuck.close()
+            if stopper.is_alive():
+                stopper.join()
 
     def test_submissions_during_drain_are_rejected(self, daemon_factory):
         daemon = daemon_factory()

@@ -800,7 +800,7 @@ class TestSynthesisService:
         payload = report.to_dict()
         assert payload["jobs"] == 2 and payload["succeeded"] == 2
 
-    def test_run_files(self, tmp_path):
+    def test_jobs_from_files(self, tmp_path):
         from repro.csg.pretty import format_term
 
         paths = []
@@ -808,9 +808,38 @@ class TestSynthesisService:
             path = tmp_path / f"chain{n}.csg"
             path.write_text(format_term(_chain(n)))
             paths.append(path)
-        report = SynthesisService(worker_count=0).run_files(paths)
+        jobs = [SynthesisJob.from_file(path) for path in paths]
+        report = SynthesisService(worker_count=0).run_batch(jobs)
         assert [r.name for r in report.results] == ["chain3", "chain4"]
         assert all(r.ok for r in report.results)
+
+    @pytest.mark.parametrize("worker_count", [0, 2])
+    def test_interrupted_batch_keeps_its_finished_work(self, tmp_path, worker_count):
+        # Each result is stored when its job ends, not when the batch
+        # drains: an interrupt after three jobs finished keeps all three.
+        done = []
+
+        def interrupt_on_third_done(event):
+            if event.kind == "done":
+                done.append(event.job_id)
+                if len(done) == 3:
+                    raise KeyboardInterrupt
+
+        jobs = [SynthesisJob(name=f"chain-{n}", term=_chain(n)) for n in range(2, 7)]
+        service = SynthesisService(
+            worker_count=worker_count,
+            cache=ResultCache(tmp_path),
+            on_event=interrupt_on_third_done,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            service.run_batch(jobs)
+        assert len(done) >= 3
+        fresh = ResultCache(tmp_path)
+        by_id = {job.job_id: job for job in jobs}
+        for job_id in done:
+            job = by_id[job_id]
+            _, tier = fresh.lookup(cache_key(job.term, job.config))
+            assert tier == "exact", job.name
 
 
 # ---------------------------------------------------------------------------
@@ -826,9 +855,9 @@ class TestBatchCoalescing:
         executed = []
         real = service_module.run_jobs_inline
 
-        def counting(jobs, on_event=None):
+        def counting(jobs, on_event=None, on_result=None):
             executed.extend(job.name for job in jobs)
-            return real(jobs, on_event)
+            return real(jobs, on_event, on_result)
 
         monkeypatch.setattr(service_module, "run_jobs_inline", counting)
         return executed
