@@ -18,15 +18,28 @@ The affine-chain vocabulary, the per-term signature, and the
 longest-first candidate ordering all come from the shared semantic
 normalization layer (:mod:`repro.lang.normal`) — the same definitions the
 cache's semantic fingerprints are built on.
+
+One :class:`Determinizer` serves both inference passes of a synthesis run,
+and it remembers what it has already worked out:
+
+* ``_materialize`` memoizes its answer — a term, or ``None`` for "no
+  variant with this signature" — per ``(canonical class, signature)``.  The
+  memo is dropped whenever :attr:`EGraph.union_version` changes: a merge is
+  the only operation that changes a class's e-node list or a canonical id,
+  so while the version holds, a repeated question has the same answer.
+* :meth:`Determinizer.merge_term` adds inferred terms through a
+  ``Term -> class id`` memo, so a subterm added once is never walked again.
+  Classes are never deleted, so ``find`` of a stored id is always the class
+  that holds the term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
-from repro.egraph.extract import Extractor, ast_size_cost
+from repro.egraph.extract import ExtractionError, Extractor, ast_size_cost
 from repro.lang.normal import AFFINE_OPS, signature_sort_key
 from repro.lang.term import Term
 
@@ -47,12 +60,27 @@ class DeterminizedList:
 
 
 class Determinizer:
-    """Chooses consistent concrete variants for list elements."""
+    """Chooses consistent concrete variants for list elements.
+
+    Function and loop inference share one instance per synthesis run: it
+    reads list elements out of the e-graph (:meth:`determinize_all`) and
+    writes inferred terms back (:meth:`merge_term`), memoizing both.
+    """
 
     def __init__(self, egraph: EGraph, max_signature_depth: int = 4):
         self.egraph = egraph
         self.max_signature_depth = max_signature_depth
         self._extractor = Extractor(egraph, ast_size_cost)
+        #: ``(canonical class, signature) -> term or None``, valid while
+        #: ``egraph.union_version == _memo_version``.
+        self._materialized: Dict[Tuple[int, Tuple[str, ...]], Optional[Term]] = {}
+        self._memo_version = egraph.union_version
+        #: ``Term -> class id`` of every term :meth:`merge_term` has added.
+        self._added: Dict[Term, int] = {}
+        #: Work counters, reported by the inference spans.
+        self.determinized_lists = 0
+        self.materialize_calls = 0
+        self.materialize_memo_hits = 0
 
     # -- public ------------------------------------------------------------------
 
@@ -66,6 +94,7 @@ class Determinizer:
         closed forms (e.g. Fig. 10's Translate/Rotate/Scale chain), so the
         arithmetic components try each returned variant in turn.
         """
+        self.determinized_lists += 1
         element_classes = [self.egraph.find(c) for c in element_classes]
         if not element_classes:
             return []
@@ -136,12 +165,28 @@ class Determinizer:
 
     def _materialize(self, class_id: int, signature: Tuple[str, ...]) -> Optional[Term]:
         """Extract a concrete term from ``class_id`` whose affine chain starts
-        with exactly the operators of ``signature``."""
-        class_id = self.egraph.find(class_id)
+        with exactly the operators of ``signature`` (memoized, see the
+        module docstring)."""
+        self.materialize_calls += 1
+        version = self.egraph.union_version
+        if version != self._memo_version:
+            self._materialized.clear()
+            self._memo_version = version
+        key = (self.egraph.find(class_id), signature)
+        if key in self._materialized:
+            self.materialize_memo_hits += 1
+            return self._materialized[key]
+        term = self._materialize_uncached(key[0], signature)
+        self._materialized[key] = term
+        return term
+
+    def _materialize_uncached(
+        self, class_id: int, signature: Tuple[str, ...]
+    ) -> Optional[Term]:
         if not signature:
             try:
                 term = self._extractor.extract(class_id)
-            except Exception:
+            except ExtractionError:
                 return None
             # Reject terms that still start with an affine operator when an
             # empty signature was requested only if no alternative exists —
@@ -156,7 +201,7 @@ class Determinizer:
             for arg in enode.args[:3]:
                 try:
                     vector_terms.append(self._extractor.extract(arg))
-                except Exception:
+                except ExtractionError:
                     ok = False
                     break
             if not ok:
@@ -166,3 +211,18 @@ class Determinizer:
                 continue
             return Term(head, tuple(vector_terms) + (child,))
         return None
+
+    # -- merging inferred terms -------------------------------------------------------
+
+    def merge_term(self, class_id: int, term: Term) -> None:
+        """Add ``term`` to the e-graph and merge it into ``class_id``."""
+        self.egraph.merge(class_id, self._add(term))
+
+    def _add(self, term: Term) -> int:
+        known = self._added.get(term)
+        if known is not None:
+            return known
+        args = tuple(self._add(child) for child in term.children)
+        class_id = self.egraph.add_enode(ENode(term.op, args))
+        self._added[term] = class_id
+        return class_id

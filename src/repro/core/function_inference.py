@@ -29,7 +29,6 @@ from repro.core.config import SynthesisConfig
 from repro.core.determinize import DeterminizedList, Determinizer
 from repro.core.lists import fold_worklist, sort_elements
 from repro.csg.ops import BOOLEAN_OPS, affine_chain
-from repro.egraph.egraph import EGraph
 from repro.lang.term import Term
 from repro.solvers.closed_form import FunctionSolver, VectorFunction
 
@@ -76,24 +75,28 @@ class LayerSolution:
 
 @dataclass
 class FunctionInference:
-    """Runs function inference over every fold currently in the e-graph."""
+    """Runs function inference over every fold currently in the e-graph.
 
-    egraph: EGraph
+    ``determinizer`` and ``solver`` are the synthesis run's shared ones
+    (loop inference uses the same two), so their memos span both passes.
+    """
+
     config: SynthesisConfig
+    determinizer: Determinizer
+    solver: FunctionSolver
     records: List[InferenceRecord] = field(default_factory=list)
 
     def run(self) -> int:
         """Infer functions for all folds; returns the number of successes.
 
-        Folds are processed longest-list first, and a fold whose elements are
-        a subset of an already-solved fold's elements is skipped: the chains
-        a flat trace produces contain every suffix of the full list as its
-        own fold, and solving the suffixes adds nothing the full solution
-        does not already expose.
+        Folds are processed longest-list first.  A fold of more than eight
+        elements is skipped when its elements are a subset of an
+        already-solved fold's elements: the chains a flat trace produces
+        contain every suffix of the full list as its own fold, and solving
+        the long suffixes adds nothing the full solution does not already
+        expose.  Shorter folds are always attempted.
         """
-        solver = FunctionSolver(self.config.solver_config())
-        determinizer = Determinizer(self.egraph)
-        work = fold_worklist(self.egraph, min_length=2)
+        work = fold_worklist(self.determinizer.egraph, min_length=2)
 
         successes = 0
         covered: List[frozenset] = []
@@ -112,15 +115,13 @@ class FunctionInference:
             # partial-run search for them to avoid quadratic re-work over the
             # many suffix folds a flat trace produces.
             allow_partial = not any(element_set <= bad for bad in failed)
-            variants = determinizer.determinize_all(element_classes, max_variants=4)
+            variants = self.determinizer.determinize_all(element_classes, max_variants=4)
             solved = False
             # Try every determinized variant: different affine orderings can
             # yield different (all correct) parameterizations, and the cost
             # function picks among them at extraction time.
             for determinized in variants:
-                if self._infer_for_list(
-                    list_class, determinized, solver, allow_partial=allow_partial
-                ):
+                if self._infer_for_list(list_class, determinized, allow_partial=allow_partial):
                     solved = True
             if solved:
                 successes += 1
@@ -135,7 +136,6 @@ class FunctionInference:
         self,
         list_class: int,
         determinized: DeterminizedList,
-        solver: FunctionSolver,
         *,
         allow_partial: bool = True,
     ) -> bool:
@@ -148,13 +148,9 @@ class FunctionInference:
         solved = False
         full_solved = False
         for order in orders:
-            built = self._infer_full(order, solver)
+            built = self._infer_full(order)
             if built is not None:
-                terms, record = built
-                for term in terms:
-                    self._merge_list_term(list_class, term)
-                record.list_class = self.egraph.find(list_class)
-                self.records.append(record)
+                self._merge(list_class, *built)
                 solved = True
                 full_solved = True
                 break
@@ -169,25 +165,24 @@ class FunctionInference:
         # both variants go into the e-graph and extraction chooses.
         if not full_solved or len(determinized) <= 6:
             for order in orders:
-                built = self._infer_partial(order, solver)
+                built = self._infer_partial(order)
                 if built is not None:
-                    terms, record = built
-                    for term in terms:
-                        self._merge_list_term(list_class, term)
-                    record.list_class = self.egraph.find(list_class)
-                    self.records.append(record)
+                    self._merge(list_class, *built)
                     solved = True
                     break
         return solved
 
-    def _merge_list_term(self, list_class: int, term: Term) -> None:
-        new_id = self.egraph.add_term(term)
-        self.egraph.merge(list_class, new_id)
+    def _merge(self, list_class: int, terms: Sequence[Term], record: InferenceRecord) -> None:
+        """Merge equivalent inferred terms into the list's class and keep the record."""
+        for term in terms:
+            self.determinizer.merge_term(list_class, term)
+        record.list_class = self.determinizer.egraph.find(list_class)
+        self.records.append(record)
 
     # -- full-list inference ----------------------------------------------------------
 
     def _infer_full(
-        self, elements: Sequence[Term], solver: FunctionSolver
+        self, elements: Sequence[Term]
     ) -> Optional[Tuple[List[Term], InferenceRecord]]:
         decomposed = self._decompose(elements)
         if decomposed is None:
@@ -207,7 +202,7 @@ class FunctionInference:
                 ),
             )
 
-        solutions = self._solve_layers(layers, solver)
+        solutions = self._solve_layers(layers)
         if solutions is None:
             return None
 
@@ -250,11 +245,10 @@ class FunctionInference:
     def _solve_layers(
         self,
         layers: Sequence[Tuple[str, List[Tuple[float, float, float]]]],
-        solver: FunctionSolver,
     ) -> Optional[List[LayerSolution]]:
         solutions: List[LayerSolution] = []
         for op, vectors in layers:
-            function = solver.solve(vectors, is_rotation=(op == "Rotate"))
+            function = self.solver.solve(vectors, is_rotation=(op == "Rotate"))
             if function is None:
                 return None
             solutions.append(LayerSolution(op=op, function=function))
@@ -335,13 +329,13 @@ class FunctionInference:
         return runs[:8]
 
     def _infer_partial(
-        self, elements: Sequence[Term], solver: FunctionSolver
+        self, elements: Sequence[Term]
     ) -> Optional[Tuple[List[Term], InferenceRecord]]:
         count = len(elements)
         best: Optional[Tuple[int, int, Term, InferenceRecord]] = None
         for start, end in self._promising_runs(elements):
             run = elements[start:end]
-            built = self._infer_full(run, solver)
+            built = self._infer_full(run)
             if built is None:
                 continue
             run_terms, record = built

@@ -32,7 +32,6 @@ from repro.core.determinize import Determinizer
 from repro.core.function_inference import InferenceRecord
 from repro.core.lists import fold_worklist, sort_elements
 from repro.csg.ops import affine_chain, is_affine
-from repro.egraph.egraph import EGraph
 from repro.lang.term import Term
 from repro.solvers.closed_form import FunctionSolver
 from repro.solvers.multilinear import fit_multilinear
@@ -85,10 +84,15 @@ def m_index_set(dimensions: Sequence[int]) -> List[Tuple[int, ...]]:
 
 @dataclass
 class LoopInference:
-    """Searches folded lists for nested-loop structure."""
+    """Searches folded lists for nested-loop structure.
 
-    egraph: EGraph
+    ``determinizer`` and ``solver`` are the synthesis run's shared ones
+    (function inference uses the same two), so their memos span both passes.
+    """
+
     config: SynthesisConfig
+    determinizer: Determinizer
+    solver: FunctionSolver
     records: List[InferenceRecord] = field(default_factory=list)
 
     #: Index variable names per nesting level.
@@ -105,8 +109,8 @@ class LoopInference:
         irregular face list is the canonical example).  Every attempt here is
         cheap — a few least-squares fits — so there is no quadratic blow-up.
         """
-        determinizer = Determinizer(self.egraph)
-        work = fold_worklist(self.egraph, min_length=4)
+        egraph = self.determinizer.egraph
+        work = fold_worklist(egraph, min_length=4)
 
         successes = 0
         regular_covered: List[frozenset] = []
@@ -116,7 +120,7 @@ class LoopInference:
                 continue
             built = None
             regular = False
-            for determinized in determinizer.determinize_all(element_classes, max_variants=3):
+            for determinized in self.determinizer.determinize_all(element_classes, max_variants=3):
                 elements = sort_elements(determinized.elements)
                 built = self._infer_regular(elements)
                 regular = built is not None
@@ -127,9 +131,8 @@ class LoopInference:
             if built is None:
                 continue
             term, record = built
-            new_id = self.egraph.add_term(term)
-            self.egraph.merge(list_class, new_id)
-            record.list_class = self.egraph.find(list_class)
+            self.determinizer.merge_term(list_class, term)
+            record.list_class = egraph.find(list_class)
             self.records.append(record)
             if regular:
                 regular_covered.append(element_set)
@@ -267,7 +270,6 @@ class LoopInference:
         if outer is None:
             return None
         op, vectors, remainder, wrappers = outer
-        solver = FunctionSolver(self.config.solver_config())
 
         for grouping_component in range(3):
             groups = _group_vectors_by_component(
@@ -288,7 +290,7 @@ class LoopInference:
                     parts.append(cons_list([elements[index] for _v, index in members]))
                     continue
                 member_vectors = [vector for vector, _index in members]
-                function = solver.solve(member_vectors, is_rotation=(op == "Rotate"))
+                function = self.solver.solve(member_vectors, is_rotation=(op == "Rotate"))
                 if function is None:
                     usable = False
                     break

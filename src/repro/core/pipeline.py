@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cad.ops import uses_loops
 from repro.core.config import SynthesisConfig
 from repro.core.cost import get_cost_function
+from repro.core.determinize import Determinizer
 from repro.core.function_inference import FunctionInference, InferenceRecord
 from repro.core.loop_inference import LoopInference
 from repro.core.rules import default_rules
@@ -38,6 +39,7 @@ from repro.egraph.runner import Runner, RunnerLimits, RunReport
 from repro.lang.canon import canonical_term_text, term_from_canonical
 from repro.lang.term import Term
 from repro.obs.trace import NULL_TRACER
+from repro.solvers.closed_form import FunctionSolver
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,29 @@ class SynthesisResult:
         )
 
 
+def _inference_counters(inference: FunctionInference | LoopInference) -> Dict[str, int]:
+    determinizer, solver = inference.determinizer, inference.solver
+    return {
+        "lists": determinizer.determinized_lists,
+        "solver_calls": solver.calls,
+        "solver_memo_hits": solver.memo_hits,
+        "materialize_calls": determinizer.materialize_calls,
+        "materialize_memo_hits": determinizer.materialize_memo_hits,
+        "enodes_added": determinizer.egraph.enodes_created,
+    }
+
+
+def _run_inference(tracer, name: str, inference: FunctionInference | LoopInference) -> None:
+    """Run one inference pass in a span carrying the work it did."""
+    with tracer.span(name) as span:
+        before = _inference_counters(inference)
+        inference.run()
+        if span is not None:
+            after = _inference_counters(inference)
+            span.update({key: after[key] - before[key] for key in after})
+            span.update({"records": len(inference.records)})
+
+
 def synthesize(
     csg: Term,
     config: Optional[SynthesisConfig] = None,
@@ -190,7 +215,8 @@ def synthesize(
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) records one span per
     phase: ``setup``, ``saturate`` (with per-iteration
     ``search``/``apply``/``rebuild`` children via the runner),
-    ``determinize`` and ``extract``.  The caller owns the enclosing root span
+    ``determinize`` (with ``function_inference``/``loop_inference``
+    children) and ``extract``.  The caller owns the enclosing root span
     (the worker wraps everything in a ``job`` span); when ``tracer`` is
     omitted the shared null tracer makes every span a no-op.
     """
@@ -233,10 +259,14 @@ def synthesize(
             )
 
     with tracer.span("determinize") as det_span:
-        function_inference = FunctionInference(egraph, config)
-        function_inference.run()
-        loop_inference = LoopInference(egraph, config)
-        loop_inference.run()
+        # One determinizer and one solver serve both passes, so each pass
+        # reuses what the other already materialized, solved and added.
+        determinizer = Determinizer(egraph)
+        solver = FunctionSolver(config.solver_config())
+        function_inference = FunctionInference(config, determinizer, solver)
+        _run_inference(tracer, "function_inference", function_inference)
+        loop_inference = LoopInference(config, determinizer, solver)
+        _run_inference(tracer, "loop_inference", loop_inference)
         egraph.rebuild()
         inference_records = function_inference.records + loop_inference.records
         if det_span is not None:

@@ -18,7 +18,7 @@ divides 360 is re-expressed as ``360 * (i [+1]) / n`` (a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.term import Term
 from repro.solvers.forms import (
@@ -185,18 +185,42 @@ class VectorFunction:
 
 
 class FunctionSolver:
-    """Facade over the component solvers, operating on lists of 3-vectors."""
+    """Facade over the component solvers, operating on lists of 3-vectors.
+
+    :meth:`solve` is a pure function of its vectors, ``is_rotation`` and the
+    config, so each solver memoizes its answers, ``None`` included.  The
+    memo's keys are tuples of the input floats, which compare like the
+    e-graph's operator interning does (``0.0 == -0.0``), so the memo never
+    identifies two inputs the e-graph keeps apart.  A synthesis run creates
+    one solver and drops it, memo and all, when the run ends.
+    """
 
     def __init__(self, config: Optional[SolverConfig] = None):
         self.config = config or SolverConfig()
+        self._memo: Dict[Tuple[Tuple[Tuple[float, ...], ...], bool], Optional[VectorFunction]] = {}
+        #: Requests and memo hits, reported by the inference spans.
+        self.calls = 0
+        self.memo_hits = 0
 
     def solve(
         self, vectors: Sequence[Sequence[float]], *, is_rotation: bool = False
     ) -> Optional[VectorFunction]:
         """Find closed forms for every component of ``vectors`` or ``None``."""
+        self.calls += 1
+        key = (tuple(tuple(v) for v in vectors), is_rotation)
+        if key in self._memo:
+            self.memo_hits += 1
+            return self._memo[key]
+        function = self._solve(key[0], is_rotation)
+        self._memo[key] = function
+        return function
+
+    def _solve(
+        self, vectors: Tuple[Tuple[float, ...], ...], is_rotation: bool
+    ) -> Optional[VectorFunction]:
         if not vectors:
             return None
-        columns = list(zip(*[tuple(v) for v in vectors]))
+        columns = list(zip(*vectors))
         if len(columns) != 3:
             raise ValueError("expected 3-component vectors")
         solutions = []

@@ -31,6 +31,11 @@ def nice_round(value: float, tolerance: float = 1e-6, max_denominator: int = 720
     integer float, e.g. ``2.0000001`` becomes ``2.0``).  When no nice rational
     is close enough, the original value is returned unchanged.
     """
+    if value % 1 == 0:
+        # An integer is its own nearest fraction, so skip the search; adding
+        # 0.0 turns -0.0 into 0.0, as the float of Fraction(-0.0) does.
+        # (inf and nan fail the test and raise in Fraction, as before.)
+        return float(value) + 0.0
     candidate = rationalize(value, max_denominator)
     snapped = float(candidate)
     if abs(snapped - value) <= tolerance:

@@ -105,6 +105,21 @@ class TestDeterminizer:
         egraph = EGraph()
         assert Determinizer(egraph).determinize_all([]) == []
 
+    def test_merge_invalidates_materialize_memo(self):
+        egraph = EGraph()
+        a = egraph.add_term(scale(2, 1, 1, cube()))
+        b = egraph.add_term(translate(3, 0, 0, cube()))
+        determinizer = Determinizer(egraph)
+        # B has no Scale e-node, so no variant can start with Scale...
+        before = determinizer.determinize_all([a, b])
+        assert ("Scale",) not in [variant.signature for variant in before]
+        # ...until a merge gives B one: the memoized "no Scale variant of B"
+        # from the first call must not survive the merge.
+        egraph.merge(b, egraph.add_term(scale(1, 1, 1, translate(3, 0, 0, cube()))))
+        after = determinizer.determinize_all([a, b])
+        assert ("Scale",) in [variant.signature for variant in after]
+        assert determinizer.materialize_memo_hits <= determinizer.materialize_calls
+
 
 class TestListManipulation:
     def test_sort_elements_lexicographic(self):

@@ -344,6 +344,26 @@ class TestPipelineTracing:
             if span["name"] == "iteration":
                 assert by_id[span["parent_id"]]["name"] == "saturate"
 
+    def test_inference_spans_nest_under_determinize_and_count_work(self):
+        tracer = Tracer()
+        result = synthesize(_chain(6), SynthesisConfig(), tracer=tracer)
+        spans = tracer.export()
+        by_id = {s["span_id"]: s for s in spans}
+        (determinize,) = [s for s in spans if s["name"] == "determinize"]
+        passes = [s for s in spans if s["name"] in ("function_inference", "loop_inference")]
+        assert [s["name"] for s in passes] == ["function_inference", "loop_inference"]
+        for span in passes:
+            assert by_id[span["parent_id"]] is determinize
+            attrs = span["attrs"]
+            assert 0 <= attrs["solver_memo_hits"] <= attrs["solver_calls"]
+            assert 0 <= attrs["materialize_memo_hits"] <= attrs["materialize_calls"]
+        function_attrs = passes[0]["attrs"]
+        assert function_attrs["lists"] > 0 and function_attrs["solver_calls"] > 0
+        assert function_attrs["enodes_added"] > 0
+        records = sum(s["attrs"]["records"] for s in passes)
+        assert records == determinize["attrs"]["inference_records"]
+        assert records == len(result.inference_records) > 0
+
     def test_iteration_spans_carry_report_counters(self):
         tracer = Tracer()
         result = synthesize(_chain(4), SynthesisConfig(), tracer=tracer)

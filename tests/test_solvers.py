@@ -1,13 +1,14 @@
 """Unit tests for the closed-form solvers (the arithmetic component)."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lang.term import Term
 from repro.cad.evaluator import evaluate
-from repro.solvers.closed_form import SolverConfig, solve_component, solve_vectors
+from repro.solvers.closed_form import FunctionSolver, SolverConfig, solve_component, solve_vectors
 from repro.solvers.forms import ConstantForm, LinearForm, QuadraticForm, RotationForm, SinusoidForm
 from repro.solvers.multilinear import MultilinearForm, fit_multilinear
 from repro.solvers.polynomial import fit_constant, fit_linear, fit_quadratic
@@ -24,6 +25,22 @@ def _evaluate_form_term(form, index: int) -> float:
 
 
 class TestRational:
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.0, 3.0, -7.0, 2.0**53, 1e300, 2.5, 1.9999998, 0.3333335]
+    )
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-3])
+    def test_nice_round_matches_limit_denominator(self, value, tolerance):
+        snapped = float(Fraction(value).limit_denominator(720))
+        expected = snapped if abs(snapped - value) <= tolerance else value
+        # repr tells 0.0 from -0.0: the match must be bit for bit.
+        assert repr(nice_round(value, tolerance=tolerance)) == repr(expected)
+
+    def test_nice_round_rejects_non_finite(self):
+        with pytest.raises(OverflowError):
+            nice_round(math.inf)
+        with pytest.raises(ValueError):
+            nice_round(math.nan)
+
     def test_nice_round_snaps_small_noise(self):
         assert nice_round(1.9999998, tolerance=1e-3) == 2.0
         assert nice_round(0.3333335, tolerance=1e-3) == pytest.approx(1.0 / 3.0)
@@ -146,6 +163,26 @@ class TestModelSelection:
         assert function is not None
         assert function.predict(2) == pytest.approx((6.0, 0.0, 5.0))
         assert function.is_constant() is False
+
+    def test_solver_memo_returns_equal_forms(self):
+        solver = FunctionSolver()
+        vectors = [(2.0 * (i + 1), 0.0, 5.0) for i in range(5)]
+        first = solver.solve(vectors)
+        second = solver.solve(list(vectors))
+        assert second.kinds() == first.kinds()
+        assert second.to_terms(Term("i")) == first.to_terms(Term("i"))
+        assert (solver.calls, solver.memo_hits) == (2, 1)
+
+    @pytest.mark.parametrize("rotation_first", [True, False])
+    def test_solver_memo_keys_on_is_rotation(self, rotation_first):
+        solver = FunctionSolver()
+        vectors = [(0.0, 0.0, z) for z in (0.0, 60.0, 120.0)]
+        order = [True, False] if rotation_first else [False, True]
+        z_forms = {flag: solver.solve(vectors, is_rotation=flag).z for flag in order}
+        assert isinstance(z_forms[True], RotationForm)
+        assert str(z_forms[True].to_term(Term("i"))) == "(Div (Mul 360 i) 6)"
+        assert isinstance(z_forms[False], LinearForm)
+        assert str(z_forms[False].to_term(Term("i"))) == "(Mul 60 i)"
 
     def test_solve_vectors_rejects_partial(self):
         vectors = [(float(i), 0.0, [1.0, 17.0, 2.0, 23.0, 3.0][i]) for i in range(5)]
