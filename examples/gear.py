@@ -43,8 +43,7 @@ def main() -> None:
 
     # Translation validation: unroll and compare against the input.
     report = validate_synthesis(flat, best.term)
-    print(f"\nValidation: {'OK' if report.valid else 'FAILED'} "
-          f"(exact={report.exact_match}, reorder={report.reorder_match})")
+    print(f"\nValidation: {'OK' if report.valid else 'FAILED'} (check: {report.check})")
 
     # The downstream fabrication path: OpenSCAD source and an STL mesh.
     out_dir = Path("examples/output")

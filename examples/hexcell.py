@@ -14,8 +14,8 @@ Run with:  python examples/hexcell.py
 
 from repro import SynthesisConfig, synthesize, unroll
 from repro.benchsuite.models import circular_pattern, fig18_hexcell_plate
-from repro.cad.build import add, fold_union, fun, mapi, mul, repeat, sin
-from repro.csg.build import diff, scale, translate, unit
+from repro.cad.build import add, fold_union, fun, mapi, mul, repeat, sin, translate_expr
+from repro.csg.build import diff, scale, unit
 from repro.csg.metrics import measure
 from repro.csg.pretty import format_openscad_like
 from repro.lang.term import Term
@@ -27,7 +27,7 @@ def trig_hexcell(count: int, step_degrees: float) -> Term:
     cells = mapi(
         fun(
             ("i", "c"),
-            translate(
+            translate_expr(
                 add(10.0, mul(7.07, sin(add(mul(step_degrees, Term("i")), 315.0)))),
                 add(10.0, mul(7.07, sin(add(mul(step_degrees, Term("i")), 225.0)))),
                 0.0,

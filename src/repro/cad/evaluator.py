@@ -351,11 +351,26 @@ class Evaluator:
         return Term(term.op, tuple(_num_term(v) for v in vector) + (child,))
 
     def _eval_boolean(self, term: Term, env: Dict[str, Value]) -> Term:
-        if len(term.children) != 2:
-            raise EvalError(f"{term.op} expects 2 arguments")
-        left = _as_solid(self._eval(term.children[0], env), str(term.op))
-        right = _as_solid(self._eval(term.children[1], env), str(term.op))
-        return Term(term.op, (left, right))
+        # Nested applications of the same operator (a union of thousands of
+        # solids) are walked with an explicit stack, not one recursion per
+        # operand; operands still evaluate left to right.
+        op = term.op
+        solids: List[Term] = []
+        pending = [(term, False)]
+        while pending:
+            node, operands_done = pending.pop()
+            if operands_done:
+                right = solids.pop()
+                solids.append(Term(op, (solids.pop(), right)))
+            elif node.op == op and node.children:
+                if len(node.children) != 2:
+                    raise EvalError(f"{op} expects 2 arguments")
+                pending.append((node, True))
+                pending.append((node.children[1], False))
+                pending.append((node.children[0], False))
+            else:
+                solids.append(_as_solid(self._eval(node, env), str(op)))
+        return solids[0]
 
 
 _DEFAULT_EVALUATOR = Evaluator()

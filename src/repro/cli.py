@@ -166,7 +166,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         print(f"-- rank {candidate.rank} (cost {candidate.cost:g}, loops={candidate.has_loops})")
         print(format_openscad_like(candidate.term))
     if args.validate:
-        print(f"-- validation: {'OK' if report.valid else 'FAILED'}")
+        verdict = f"OK ({report.check})" if report.valid else "FAILED"
+        print(f"-- validation: {verdict}")
     if tracer is not None:
         from repro.obs.export import span_lines, write_trace_jsonl
 

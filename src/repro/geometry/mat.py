@@ -116,15 +116,15 @@ class AffineMatrix:
     # -- operations ------------------------------------------------------------
 
     def __matmul__(self, other: "AffineMatrix") -> "AffineMatrix":
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                row.append(
-                    sum(self.rows[i][k] * other.rows[k][j] for k in range(4))
-                )
-            rows.append(tuple(row))
-        return AffineMatrix(tuple(rows))
+        # Each entry is ``sum`` of its four products, unrolled: added left
+        # to right onto 0, so a sum of -0.0 products is 0.0 as with ``sum``.
+        columns = tuple(zip(*other.rows))
+        return AffineMatrix(
+            tuple(
+                tuple(0 + a * e + b * f + c * g + d * h for e, f, g, h in columns)
+                for a, b, c, d in self.rows
+            )
+        )
 
     def apply(self, point: Vec3) -> Vec3:
         """Transform a point (homogeneous coordinate 1)."""

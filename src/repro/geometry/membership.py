@@ -5,8 +5,9 @@ function: given a point in R^3, is the point inside the solid?  Boolean
 operators are exactly the set operations on these characteristic functions,
 and affine transformations act by pulling points back through the inverse
 transform.  This module compiles a CSG :class:`~repro.lang.term.Term` into
-such a predicate; the verification layer uses it to compare the input flat
-CSG against the unrolled synthesized program.
+such a predicate; the verification layer's occupancy-grid diagnostic and
+the tests use it to compare solids point by point, independently of how
+their terms are spelled.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ def _vector_from_args(term: Term) -> Vec3:
     return Vec3.of(values)
 
 
-def _affine_matrix(term: Term) -> AffineMatrix:
+def affine_matrix(term: Term) -> AffineMatrix:
+    """The matrix of one ``Translate``/``Scale``/``Rotate`` node with literal arguments."""
     vector = _vector_from_args(term)
     if term.op == "Translate":
         return AffineMatrix.translation(vector)
@@ -120,7 +122,7 @@ def compile_csg(term: Term) -> CsgSolid:
 
     if op in ("Translate", "Scale", "Rotate"):
         child = compile_csg(term.children[3])
-        matrix = _affine_matrix(term)
+        matrix = affine_matrix(term)
         inverse = matrix.inverse()
         child_contains = child.contains
 

@@ -7,12 +7,12 @@ the reproduction write out STL files.  Union is exact triangle-soup merging;
 operands' boundaries (sufficient for visualization and for simulating the
 shape of mesh-decompiler inputs, and flagged as approximate — exact boolean
 surface extraction is not needed anywhere in the paper's pipeline, whose
-rigorous comparison path goes through point membership instead).
+validation compares CSG terms structurally).
 """
 
 from __future__ import annotations
 
-from repro.geometry.membership import GeometryError, _affine_matrix
+from repro.geometry.membership import GeometryError, affine_matrix
 from repro.geometry.mesh import Mesh
 from repro.geometry.primitives import PRIMITIVE_TESSELLATORS
 from repro.lang.term import Term
@@ -30,7 +30,7 @@ def tessellate_csg(term: Term, *, segments: int = 32) -> Mesh:
 
     if op in ("Translate", "Scale", "Rotate"):
         child = tessellate_csg(term.children[3], segments=segments)
-        return child.transformed(_affine_matrix(term))
+        return child.transformed(affine_matrix(term))
 
     if op in ("Union", "Diff", "Inter"):
         left = tessellate_csg(term.children[0], segments=segments)

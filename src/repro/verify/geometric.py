@@ -1,9 +1,12 @@
-"""Geometric equivalence of CSG terms via sampling.
+"""Geometric comparison of CSG terms via sampling.
 
-This is the "more rigorous approach like Hausdorff distance" validation the
-paper suggests: both solids are compared on a shared occupancy grid (how many
-grid cells agree on inside/outside) and via the symmetric Hausdorff distance
-between the occupied cell centres.
+The "more rigorous approach like Hausdorff distance" the paper suggests:
+both solids are compared on a shared occupancy grid (how many grid cells
+agree on inside/outside) and via the symmetric Hausdorff distance between
+the occupied cell centres.  A grid only samples the solids: a solid moved
+by less than a cell, or one that falls between grid points, goes unseen.
+So :func:`repro.verify.validate_synthesis` reports it as a diagnostic, on
+request, and decides validity by its structural checks alone.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from repro.lang.term import Term
 from repro.obs.trace import NULL_TRACER
 from repro.verify.geometric import GeometricReport, occupancy_agreement
 from repro.verify.structural import (
+    LeafMatcher,
     equivalent_modulo_reordering,
     terms_equal_modulo_epsilon,
 )
@@ -17,22 +18,42 @@ from repro.verify.structural import (
 
 @dataclass
 class ValidationResult:
-    """How a synthesized program compared against its input."""
+    """How a synthesized program compared against its input.
+
+    The program is :attr:`valid` when it unrolls without error to a term
+    that one of the structural checks accepts: ``exact_match``,
+    ``reorder_match`` (which includes the exact match) or ``leaf_match``
+    (equal leaf-matrix normal forms, run only when the other two fail).
+    ``leaves_compared`` counts the leaf pairs that last check compared.
+    ``geometric`` is a sampled occupancy-grid report, filled only when the
+    caller asks for one; it is a diagnostic and never makes a program valid.
+    """
 
     unrolled: Optional[Term]
     exact_match: bool
     reorder_match: bool
-    geometric: Optional[GeometricReport]
+    leaf_match: bool = False
+    leaves_compared: int = 0
+    geometric: Optional[GeometricReport] = None
     error: Optional[str] = None
 
     @property
-    def valid(self) -> bool:
-        """True when any of the three checks accepts the program."""
+    def check(self) -> str:
+        """The cheapest check that accepts: ``exact``, ``reorder``, ``leaf`` or ``none``."""
         if self.error is not None:
-            return False
-        if self.exact_match or self.reorder_match:
-            return True
-        return self.geometric is not None and self.geometric.equivalent()
+            return "none"
+        if self.exact_match:
+            return "exact"
+        if self.reorder_match:
+            return "reorder"
+        if self.leaf_match:
+            return "leaf"
+        return "none"
+
+    @property
+    def valid(self) -> bool:
+        """True when the program unrolls to a term equivalent to the input."""
+        return self.check != "none"
 
 
 def validate_synthesis(
@@ -45,10 +66,14 @@ def validate_synthesis(
 ) -> ValidationResult:
     """Validate a synthesized program against the input flat CSG.
 
-    Structural checks always run; the geometric check is only performed when
-    ``geometric_resolution`` is positive (it is the most expensive) or when
-    both structural checks fail and a resolution of 16 is used as a fallback.
-    ``tracer`` records the whole check as a ``validate`` span.
+    Unrolls ``synthesized`` and compares it with ``input_csg`` modulo
+    ``epsilon``: exactly, then up to reordering of ``Union``/``Inter``
+    operands, then by leaf-matrix normal form, stopping at the first check
+    that accepts.  A positive ``geometric_resolution`` also samples both
+    solids on an occupancy grid of that resolution, reported in
+    ``geometric`` without changing ``valid``.  ``tracer`` records the whole
+    check as a ``validate`` span naming the accepting check and the number
+    of leaf pairs compared.
     """
     tracer = NULL_TRACER if tracer is None else tracer
     with tracer.span("validate") as span:
@@ -57,9 +82,8 @@ def validate_synthesis(
             span.update(
                 {
                     "valid": result.valid,
-                    "exact_match": result.exact_match,
-                    "reorder_match": result.reorder_match,
-                    "geometric": result.geometric is not None,
+                    "check": result.check,
+                    "leaves": result.leaves_compared,
                 }
             )
     return result
@@ -75,25 +99,23 @@ def _validate_impl(
         unrolled = unroll(synthesized)
     except EvalError as exc:
         return ValidationResult(
-            unrolled=None,
-            exact_match=False,
-            reorder_match=False,
-            geometric=None,
-            error=str(exc),
+            unrolled=None, exact_match=False, reorder_match=False, error=str(exc)
         )
 
     exact = terms_equal_modulo_epsilon(input_csg, unrolled, epsilon)
     reorder = exact or equivalent_modulo_reordering(input_csg, unrolled, epsilon)
+    matcher = LeafMatcher(epsilon)
+    leaf = not reorder and matcher.terms_equivalent(input_csg, unrolled)
 
     geometric: Optional[GeometricReport] = None
     if geometric_resolution > 0:
         geometric = occupancy_agreement(input_csg, unrolled, resolution=geometric_resolution)
-    elif not reorder:
-        geometric = occupancy_agreement(input_csg, unrolled, resolution=16)
 
     return ValidationResult(
         unrolled=unrolled,
         exact_match=exact,
         reorder_match=reorder,
+        leaf_match=leaf,
+        leaves_compared=matcher.compared,
         geometric=geometric,
     )
