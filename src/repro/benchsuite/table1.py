@@ -188,10 +188,6 @@ class Table1Report:
     rows: List[Table1Row]
     failures: List[JobResult] = field(default_factory=list)
     batch: Optional[BatchReport] = None
-    #: Summed wall-clock seconds the successful models spent in their final
-    #: extraction phase (see ``SynthesisResult.extract_seconds``); cached
-    #: results contribute the seconds their original run measured.
-    extract_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -204,7 +200,6 @@ class Table1Report:
             "failures": [failure.to_dict() for failure in self.failures],
             "average_size_reduction": average_size_reduction(self.rows),
             "structure_exposure_rate": structure_exposure_rate(self.rows),
-            "extract_seconds": self.extract_seconds,
             "batch": self.batch.to_dict() if self.batch is not None else None,
         }
 
@@ -237,18 +232,14 @@ def run_table1_batch(
 
     by_name = {benchmark.name: benchmark for benchmark in benchmarks}
     rows: List[Table1Row] = []
-    extract_seconds = 0.0
     for job_result in batch.results:
         if job_result.ok:
             rows.append(
                 row_from_result(by_name[job_result.name], job_result.result, job_result.seconds)
             )
-            extract_seconds += job_result.result.extract_seconds
         else:
             failures.append(job_result)
-    return Table1Report(
-        rows=rows, failures=failures, batch=batch, extract_seconds=extract_seconds
-    )
+    return Table1Report(rows=rows, failures=failures, batch=batch)
 
 
 def average_size_reduction(rows: Sequence[Table1Row]) -> float:

@@ -20,7 +20,6 @@ from typing import Dict, Tuple
 from repro.core.cost import COST_FUNCTIONS
 from repro.egraph.runner import BackoffConfig
 from repro.lang.canon import payload_fingerprint
-from repro.solvers.closed_form import SolverConfig
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,6 @@ class SynthesisConfig:
         if self.cost_function not in COST_FUNCTIONS:
             known = ", ".join(sorted(COST_FUNCTIONS))
             raise ValueError(f"unknown cost function {self.cost_function!r}; known: {known}")
-
-    def solver_config(self) -> SolverConfig:
-        """The arithmetic-solver configuration implied by this config."""
-        return SolverConfig(epsilon=self.epsilon)
 
     # -- serialization (worker protocol + result cache) ------------------------
 

@@ -43,6 +43,10 @@ from repro.egraph.extract import ExtractionError, Extractor, ast_size_cost
 from repro.lang.normal import AFFINE_OPS, signature_sort_key
 from repro.lang.term import Term
 
+#: The longest affine signature considered: deeper chains are cut to their
+#: outermost four operators.
+MAX_SIGNATURE_DEPTH = 4
+
 
 @dataclass
 class DeterminizedList:
@@ -67,9 +71,8 @@ class Determinizer:
     writes inferred terms back (:meth:`merge_term`), memoizing both.
     """
 
-    def __init__(self, egraph: EGraph, max_signature_depth: int = 4):
+    def __init__(self, egraph: EGraph):
         self.egraph = egraph
-        self.max_signature_depth = max_signature_depth
         self._extractor = Extractor(egraph, ast_size_cost)
         #: ``(canonical class, signature) -> term or None``, valid while
         #: ``egraph.union_version == _memo_version``.
@@ -136,7 +139,7 @@ class Determinizer:
         visiting: set,
     ) -> None:
         class_id = self.egraph.find(class_id)
-        if len(prefix) >= self.max_signature_depth:
+        if len(prefix) >= MAX_SIGNATURE_DEPTH:
             accumulator.add(prefix)
             return
         key = (class_id, prefix)

@@ -35,34 +35,17 @@ from repro.solvers.closed_form import FunctionSolver, VectorFunction
 
 @dataclass
 class InferenceRecord:
-    """What one successful inference produced (feeds Table 1's n-l / f columns)."""
+    """What one successful inference produced.
+
+    A diagnostic of the run: Table 1's n-l / f columns are read off the
+    output program (:mod:`repro.core.analysis`), not off these records.
+    """
 
     kind: str  # "mapi", "mapi-partial", or "repeat"
     loop_bounds: Tuple[int, ...]
     function_kinds: Tuple[str, ...]
     list_class: int
     nesting: int = 1
-
-    def to_dict(self) -> dict:
-        """JSON-able snapshot (tuples become lists)."""
-        return {
-            "kind": self.kind,
-            "loop_bounds": list(self.loop_bounds),
-            "function_kinds": list(self.function_kinds),
-            "list_class": self.list_class,
-            "nesting": self.nesting,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "InferenceRecord":
-        """Rebuild a record from :meth:`to_dict` output."""
-        return InferenceRecord(
-            kind=data["kind"],
-            loop_bounds=tuple(data["loop_bounds"]),
-            function_kinds=tuple(data["function_kinds"]),
-            list_class=data["list_class"],
-            nesting=data.get("nesting", 1),
-        )
 
 
 @dataclass

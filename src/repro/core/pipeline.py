@@ -69,15 +69,26 @@ class CandidateProgram:
 
 @dataclass
 class SynthesisResult:
-    """Everything the pipeline produced for one input model."""
+    """The pipeline's answer for one input model: its top-k programs.
+
+    ``input_term``, ``candidates``, ``seconds`` and ``config`` are the
+    answer; :meth:`to_dict` stores exactly those.  ``inference_records``,
+    ``run_reports`` and ``extract_seconds`` are the run's diagnostics: they
+    are filled on the object :func:`synthesize` returns and empty on one
+    rebuilt by :meth:`from_dict`.
+    """
 
     input_term: Term
     candidates: List[CandidateProgram]
+    #: What function and loop inference added, in the order they ran
+    #: (in-process only).
     inference_records: List[InferenceRecord] = field(default_factory=list)
+    #: The saturation run's report, per-iteration statistics included
+    #: (in-process only).
     run_reports: List[RunReport] = field(default_factory=list)
     seconds: float = 0.0
     #: Wall-clock seconds of the final extraction phase alone (top-k over
-    #: the saturated e-graph); part of ``seconds``.
+    #: the saturated e-graph); part of ``seconds`` (in-process only).
     extract_seconds: float = 0.0
     config: Optional[SynthesisConfig] = None
 
@@ -141,39 +152,35 @@ class SynthesisResult:
     # -- serialization -------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """A JSON-able snapshot of the whole result.
+        """A JSON-able snapshot of the answer: input, candidates, seconds, config.
 
         Terms are stored as canonical s-expression text (exact float
-        round-trip), so ``from_dict(to_dict())`` reproduces every metric,
-        summary, and candidate this result can report.  This is the format
-        the batch service's workers ship across process boundaries and the
-        content-addressed disk cache persists.
+        round-trip), so ``from_dict(to_dict())`` reproduces every candidate,
+        cost, metric and summary this result can report.  This is the
+        format the batch service's workers ship across process boundaries
+        and the content-addressed disk cache persists.  The diagnostics
+        (``inference_records``, ``run_reports``, ``extract_seconds``) are
+        not stored.
         """
         return {
             "input_term": canonical_term_text(self.input_term),
             "candidates": [candidate.to_dict() for candidate in self.candidates],
-            "inference_records": [record.to_dict() for record in self.inference_records],
-            "run_reports": [report.to_dict() for report in self.run_reports],
             "seconds": self.seconds,
-            "extract_seconds": self.extract_seconds,
             "config": self.config.to_dict() if self.config is not None else None,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "SynthesisResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        from repro.core.config import SynthesisConfig
+        """Rebuild a result from :meth:`to_dict` output; diagnostics come back empty.
 
+        Other keys are ignored, so entries written by older versions, which
+        also stored the diagnostics, still load.
+        """
         config = data.get("config")
         return SynthesisResult(
             input_term=term_from_canonical(data["input_term"]),
             candidates=[CandidateProgram.from_dict(c) for c in data["candidates"]],
-            inference_records=[
-                InferenceRecord.from_dict(r) for r in data.get("inference_records", [])
-            ],
-            run_reports=[RunReport.from_dict(r) for r in data.get("run_reports", [])],
             seconds=data.get("seconds", 0.0),
-            extract_seconds=data.get("extract_seconds", 0.0),
             config=SynthesisConfig.from_dict(config) if config is not None else None,
         )
 
@@ -262,7 +269,7 @@ def synthesize(
         # One determinizer and one solver serve both passes, so each pass
         # reuses what the other already materialized, solved and added.
         determinizer = Determinizer(egraph)
-        solver = FunctionSolver(config.solver_config())
+        solver = FunctionSolver(config.epsilon)
         function_inference = FunctionInference(config, determinizer, solver)
         _run_inference(tracer, "function_inference", function_inference)
         loop_inference = LoopInference(config, determinizer, solver)
@@ -305,6 +312,10 @@ def synthesize(
                     "best_cost": candidates[0].cost if candidates else 0.0,
                 }
             )
+        # Release the e-graph and everything built on it inside the span, not
+        # when this frame returns, so a trace accounts for the release.
+        del egraph, rule_set, runner, determinizer, solver
+        del function_inference, loop_inference, extractor
     extract_seconds = time.perf_counter() - extract_start
 
     return SynthesisResult(

@@ -26,12 +26,12 @@ the role the computer algebra system plays in the paper.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.rewrite import BaseRewrite, DynamicRewrite, Rewrite, dynamic_rewrite, rewrite
 from repro.egraph.pattern import Substitution
+from repro.lang.normal import rotate_vector
 
 # ---------------------------------------------------------------------------
 # Helpers for dynamic rules
@@ -95,28 +95,12 @@ def _lifting_rules() -> List[BaseRewrite]:
 # ---------------------------------------------------------------------------
 
 
-def _rotation_matrix_z(theta: float):
-    radians = math.radians(theta)
-    c, s = math.cos(radians), math.sin(radians)
-    return lambda x, y, z: (x * c - y * s, x * s + y * c, z)
-
-
-def _rotation_matrix_y(theta: float):
-    radians = math.radians(theta)
-    c, s = math.cos(radians), math.sin(radians)
-    return lambda x, y, z: (x * c + z * s, y, -x * s + z * c)
-
-
-def _rotation_matrix_x(theta: float):
-    radians = math.radians(theta)
-    c, s = math.cos(radians), math.sin(radians)
-    return lambda x, y, z: (x, y * c - z * s, y * s + z * c)
-
-
+#: Axis-aligned rotations: the angle pattern and the axis index that
+#: :func:`~repro.lang.normal.rotate_vector` takes.
 _AXIS_ROTATIONS = {
-    "z": ("0 0 ?t", _rotation_matrix_z),
-    "y": ("0 ?t 0", _rotation_matrix_y),
-    "x": ("?t 0 0", _rotation_matrix_x),
+    "z": ("0 0 ?t", 2),
+    "y": ("0 ?t 0", 1),
+    "x": ("?t 0 0", 0),
 }
 
 
@@ -176,20 +160,20 @@ def _reordering_rules() -> List[BaseRewrite]:
     )
 
     # Axis-aligned Rotate over Translate and Translate over Rotate.
-    for axis, (angle_pattern, matrix_factory) in _AXIS_ROTATIONS.items():
+    for axis, (angle_pattern, axis_index) in _AXIS_ROTATIONS.items():
 
         def rotate_translate(
             egraph: EGraph,
             _class_id: int,
             sub: Substitution,
-            factory=matrix_factory,
+            axis_index=axis_index,
             axis=axis,
         ) -> Optional[int]:
             values = _values(egraph, sub, ["t", "tx", "ty", "tz"])
             if values is None:
                 return None
             theta, tx, ty, tz = values
-            rotated = factory(theta)(tx, ty, tz)
+            rotated = rotate_vector(axis_index, theta, (tx, ty, tz))
             angle_vector = {
                 "z": (0.0, 0.0, theta),
                 "y": (0.0, theta, 0.0),
@@ -211,7 +195,7 @@ def _reordering_rules() -> List[BaseRewrite]:
             egraph: EGraph,
             _class_id: int,
             sub: Substitution,
-            factory=matrix_factory,
+            axis_index=axis_index,
             axis=axis,
         ) -> Optional[int]:
             values = _values(egraph, sub, ["tx", "ty", "tz", "t"])
@@ -219,7 +203,7 @@ def _reordering_rules() -> List[BaseRewrite]:
                 return None
             tx, ty, tz, theta = values
             # translate(v) . rotate(theta) = rotate(theta) . translate(R(-theta) v)
-            unrotated = factory(-theta)(tx, ty, tz)
+            unrotated = rotate_vector(axis_index, -theta, (tx, ty, tz))
             angle_vector = {
                 "z": (0.0, 0.0, theta),
                 "y": (0.0, theta, 0.0),

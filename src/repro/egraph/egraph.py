@@ -248,17 +248,10 @@ class EGraph:
 
     @property
     def total_enodes(self) -> int:
-        """Total number of e-nodes across all e-classes (O(1), exact)."""
-        return self._enode_count
+        """Total number of e-nodes across all e-classes (O(1), exact).
 
-    @property
-    def approx_enodes(self) -> int:
-        """O(1) e-node count for node-limit enforcement inside apply loops.
-
-        Now backed by the same exact incremental counter as
-        :attr:`total_enodes`: precise immediately after :meth:`rebuild`, and
-        between rebuilds it counts entries that congruence will later
-        dedupe, which keeps it a safe (slightly conservative) bound.
+        Between rebuilds it also counts the e-nodes congruence will later
+        dedupe, so the runner's node limit reads a slightly high bound.
         """
         return self._enode_count
 

@@ -151,11 +151,6 @@ class BackoffScheduler:
 class IterationReport:
     """Statistics for a single two-phase rewrite iteration."""
 
-    #: Counters that older versions wrote into cached payloads and that no
-    #: longer exist; :meth:`from_dict` drops them.  (Not a dataclass field:
-    #: the name carries no annotation.)
-    _RETIRED_FIELDS = frozenset({"parallel_search_epochs", "fallback_epochs", "partition_seconds"})
-
     index: int
     firings: Dict[str, int] = field(default_factory=dict)
     #: Matches collected during the search phase, per rule (including rules
@@ -201,22 +196,6 @@ class IterationReport:
     def total_firings(self) -> int:
         return sum(self.firings.values())
 
-    def to_dict(self) -> dict:
-        """JSON-able snapshot (every field is a scalar, list, or str-keyed dict)."""
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "IterationReport":
-        """Rebuild an iteration report from :meth:`to_dict` output.
-
-        Retired counters are dropped; any other unknown key is still an
-        error (``TypeError`` from the constructor).
-        """
-        retired = IterationReport._RETIRED_FIELDS
-        return IterationReport(**{key: value for key, value in data.items() if key not in retired})
-
 
 @dataclass
 class RunReport:
@@ -233,23 +212,6 @@ class RunReport:
     @property
     def total_firings(self) -> int:
         return sum(it.total_firings for it in self.iterations)
-
-    def to_dict(self) -> dict:
-        """JSON-able snapshot; the stop reason is stored by enum value."""
-        return {
-            "stop_reason": self.stop_reason.value,
-            "seconds": self.seconds,
-            "iterations": [it.to_dict() for it in self.iterations],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunReport":
-        """Rebuild a run report from :meth:`to_dict` output."""
-        return RunReport(
-            stop_reason=StopReason(data["stop_reason"]),
-            seconds=data.get("seconds", 0.0),
-            iterations=[IterationReport.from_dict(it) for it in data.get("iterations", [])],
-        )
 
 
 class Runner:
@@ -411,7 +373,7 @@ class Runner:
                         match.skip_stamp = union_version
                         skipped += 1
                         continue
-                if egraph.approx_enodes > max_enodes:
+                if egraph.total_enodes > max_enodes:
                     stop = StopReason.NODE_LIMIT
                     break
                 if time.perf_counter() - start > max_seconds:
@@ -595,7 +557,7 @@ class Runner:
                 # land just over), and the per-match time check never ran if
                 # matches were all guard-rejected cheaply.  Catching both
                 # here saves a full search phase over an over-budget graph.
-                if egraph.approx_enodes > self.limits.max_enodes:
+                if egraph.total_enodes > self.limits.max_enodes:
                     report.stop_reason = StopReason.NODE_LIMIT
                     break
                 if time.perf_counter() - start > self.limits.max_seconds:

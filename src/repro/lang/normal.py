@@ -202,8 +202,13 @@ def _rotation_axis(vector: Tuple[float, float, float]):
     return active[0] if len(active) == 1 else None
 
 
-def _rotate_vector(axis: int, theta: float, vector: Tuple[float, float, float]):
-    """Rotate ``vector`` by ``theta`` degrees around coordinate ``axis``."""
+def rotate_vector(axis: int, theta: float, vector: Sequence[float]):
+    """Rotate ``vector`` by ``theta`` degrees around coordinate ``axis`` (0 = x).
+
+    The rewrite rules that commute an axis-aligned ``Rotate`` with a
+    ``Translate`` use this formula too, so normalization and saturation
+    compute bit-identical vectors.
+    """
     radians = math.radians(theta)
     c, s = math.cos(radians), math.sin(radians)
     x, y, z = vector
@@ -265,7 +270,7 @@ def _canonical_affine_step(node: Term):
                 if axis is not None:
                     inner = _affine("Rotate", vector, grandchild)
                     return _affine(
-                        "Translate", _rotate_vector(axis, vector[axis], child_vector), inner
+                        "Translate", rotate_vector(axis, vector[axis], child_vector), inner
                     )
     return None
 

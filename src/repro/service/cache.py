@@ -124,9 +124,9 @@ class ResultCache:
     def _probe(self, key: str) -> Optional[dict]:
         """Read ``key`` from memory or disk without touching hit/miss totals.
 
-        The memory/disk *origin* counters are maintained here; the callers
-        (:meth:`get`, :meth:`lookup`) decide whether the probe amounts to an
-        exact hit, a semantic hit, or a miss.
+        The memory/disk *origin* counters are maintained here; the caller
+        (:meth:`lookup`) decides whether the probe amounts to an exact hit,
+        a semantic hit, or a miss.
         """
         payload = self._memory.get(key)
         if payload is not None:
@@ -144,21 +144,6 @@ class ResultCache:
             self._remember(key, payload)
             self.disk_hits += 1
             return payload
-        return None
-
-    def get(self, key: str) -> Optional[dict]:
-        """The stored payload for ``key``, or None (counted as a miss).
-
-        Exact-tier only — the pre-semantic API, kept verbatim so existing
-        callers see identical behavior.  Use :meth:`lookup` to consult the
-        semantic level as well.
-        """
-        payload = self._probe(key)
-        if payload is not None:
-            self.hits += 1
-            self.exact_hits += 1
-            return payload
-        self.misses += 1
         return None
 
     def lookup(
@@ -459,7 +444,7 @@ class ResultCache:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of ``get`` calls served from either tier (0.0 when unused)."""
+        """Fraction of :meth:`lookup` calls served from either tier (0.0 when unused)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 

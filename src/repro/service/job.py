@@ -137,9 +137,11 @@ class JobResult:
     #: Which cache level served it: ``"exact"`` or ``"semantic"`` (None when
     #: not cached).
     cache_tier: Optional[str] = None
-    #: The ``result.to_dict()`` form as it crossed the worker boundary, kept
-    #: so the cache can store it without re-serializing (internal plumbing;
-    #: may be None, in which case callers serialize ``result`` themselves).
+    #: The ``result.to_dict()`` form as it crossed the worker boundary or
+    #: came out of the cache, kept so the cache can store it without
+    #: re-serializing (internal plumbing; may be None, in which case callers
+    #: serialize ``result`` themselves).  It carries the answer, not the
+    #: run's diagnostics, so ``result``, rebuilt from it, has none.
     result_payload: Optional[dict] = None
     #: Exported span list (``repro.obs.trace.Tracer.export()``) when the job
     #: ran with tracing enabled.  Kept out of :meth:`to_dict` — wire frames

@@ -29,9 +29,7 @@ from repro.solvers.trig import fit_sinusoid
 from repro.solvers.rational import nice_round, rationalize
 from repro.solvers.closed_form import (
     FunctionSolver,
-    SolverConfig,
     solve_component,
-    solve_vectors,
     VectorFunction,
 )
 
@@ -48,8 +46,6 @@ __all__ = [
     "nice_round",
     "rationalize",
     "FunctionSolver",
-    "SolverConfig",
     "solve_component",
-    "solve_vectors",
     "VectorFunction",
 ]

@@ -4,9 +4,9 @@
 trigonometric families, keeps every feasible fit (max residual within
 epsilon), and returns the one with the best coefficient of determination —
 ties broken by the *simplest* rendered expression, so a constant beats an
-equivalent degree-2 fit.  ``solve_vectors`` solves the three components of a
-list of 3-vectors independently, which is exactly how the paper's function
-inference decomposes the problem (Section 4.1).
+equivalent degree-2 fit.  :class:`FunctionSolver` solves the three
+components of a list of 3-vectors independently, which is exactly how the
+paper's function inference decomposes the problem (Section 4.1).
 
 The rotation heuristic from the paper is applied here: when the solved
 component feeds a ``Rotate``, a feasible linear fit ``a*i + b`` whose step
@@ -33,20 +33,6 @@ from repro.solvers.rational import as_int_if_close
 from repro.solvers.trig import fit_sinusoid
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the arithmetic component."""
-
-    #: Tolerance on every observation (the paper's epsilon = 0.001).
-    epsilon: float = 1e-3
-    #: Whether to attempt the trigonometric family at all.
-    enable_trig: bool = True
-    #: Whether to rewrite rotation fits into the 360*(i+shift)/n shape.
-    rotation_heuristic: bool = True
-    #: Maximum loop bound considered by the rotation heuristic.
-    max_rotation_count: int = 720
-
-
 @dataclass
 class ComponentSolution:
     """A feasible closed form together with its goodness of fit."""
@@ -60,18 +46,18 @@ class ComponentSolution:
 
 
 def _rotation_normalize(
-    form: LinearForm, values: Sequence[float], config: SolverConfig
+    form: LinearForm, values: Sequence[float], epsilon: float
 ) -> Optional[RotationForm]:
     """Convert a linear rotation fit into the periodic 360/n shape."""
-    step = as_int_if_close(form.a, tolerance=max(1e-6, config.epsilon))
+    step = as_int_if_close(form.a, tolerance=max(1e-6, epsilon))
     if step is None or step == 0:
         return None
     if 360 % abs(step) != 0:
         return None
     count = 360 // abs(step)
-    if count < 2 or count > config.max_rotation_count:
+    if count < 2:
         return None
-    intercept = as_int_if_close(form.b, tolerance=max(1e-6, config.epsilon))
+    intercept = as_int_if_close(form.b, tolerance=max(1e-6, epsilon))
     if intercept is None:
         return None
     if intercept == 0:
@@ -84,19 +70,22 @@ def _rotation_normalize(
         # Negative steps stay as plain linear forms; a negative "count" would
         # read worse than -6*i.
         return None
-    if candidate.satisfies(values, config.epsilon):
+    if candidate.satisfies(values, epsilon):
         return candidate
     return None
 
 
 def solve_component(
     values: Sequence[float],
-    config: Optional[SolverConfig] = None,
+    epsilon: float = 1e-3,
     *,
     is_rotation: bool = False,
 ) -> Optional[ComponentSolution]:
-    """Find the best closed form for one vector component."""
-    config = config or SolverConfig()
+    """Find the best closed form for one vector component.
+
+    Every fit must hold within ``epsilon`` on every value (the paper's
+    tolerance, 0.001 by default).
+    """
     values = [float(v) for v in values]
     if not values:
         return None
@@ -107,27 +96,27 @@ def solve_component(
     # sinusoid that interpolates the noise.
     candidates: List[ClosedForm] = []
 
-    constant = fit_constant(values, config.epsilon)
+    constant = fit_constant(values, epsilon)
     if constant is not None:
         candidates.append(constant)
 
-    linear = fit_linear(values, config.epsilon)
+    linear = fit_linear(values, epsilon)
     if linear is not None:
-        if is_rotation and config.rotation_heuristic:
-            rotation = _rotation_normalize(linear, values, config)
+        if is_rotation:
+            rotation = _rotation_normalize(linear, values, epsilon)
             if rotation is not None:
                 candidates.append(rotation)
         candidates.append(linear)
 
-    quadratic = fit_quadratic(values, config.epsilon)
+    quadratic = fit_quadratic(values, epsilon)
     if quadratic is not None:
         candidates.append(quadratic)
 
-    feasible = [c for c in candidates if c.satisfies(values, config.epsilon)]
+    feasible = [c for c in candidates if c.satisfies(values, epsilon)]
 
-    if not feasible and config.enable_trig and len(set(values)) >= 2:
-        sinusoid = fit_sinusoid(values, config.epsilon)
-        if sinusoid is not None and sinusoid.satisfies(values, config.epsilon):
+    if not feasible and len(set(values)) >= 2:
+        sinusoid = fit_sinusoid(values, epsilon)
+        if sinusoid is not None and sinusoid.satisfies(values, epsilon):
             feasible = [sinusoid]
 
     if not feasible:
@@ -187,16 +176,16 @@ class VectorFunction:
 class FunctionSolver:
     """Facade over the component solvers, operating on lists of 3-vectors.
 
-    :meth:`solve` is a pure function of its vectors, ``is_rotation`` and the
-    config, so each solver memoizes its answers, ``None`` included.  The
+    :meth:`solve` is a pure function of its vectors, ``is_rotation`` and
+    ``epsilon``, so each solver memoizes its answers, ``None`` included.  The
     memo's keys are tuples of the input floats, which compare like the
     e-graph's operator interning does (``0.0 == -0.0``), so the memo never
     identifies two inputs the e-graph keeps apart.  A synthesis run creates
     one solver and drops it, memo and all, when the run ends.
     """
 
-    def __init__(self, config: Optional[SolverConfig] = None):
-        self.config = config or SolverConfig()
+    def __init__(self, epsilon: float = 1e-3):
+        self.epsilon = epsilon
         self._memo: Dict[Tuple[Tuple[Tuple[float, ...], ...], bool], Optional[VectorFunction]] = {}
         #: Requests and memo hits, reported by the inference spans.
         self.calls = 0
@@ -225,7 +214,7 @@ class FunctionSolver:
             raise ValueError("expected 3-component vectors")
         solutions = []
         for column in columns:
-            solution = solve_component(column, self.config, is_rotation=is_rotation)
+            solution = solve_component(column, self.epsilon, is_rotation=is_rotation)
             if solution is None:
                 return None
             solutions.append(solution)
@@ -237,12 +226,3 @@ class FunctionSolver:
             r_squared=overall_r2,
         )
 
-
-def solve_vectors(
-    vectors: Sequence[Sequence[float]],
-    config: Optional[SolverConfig] = None,
-    *,
-    is_rotation: bool = False,
-) -> Optional[VectorFunction]:
-    """Module-level convenience wrapper around :class:`FunctionSolver`."""
-    return FunctionSolver(config).solve(vectors, is_rotation=is_rotation)

@@ -17,9 +17,9 @@ finds it equal to the input modulo a numeric tolerance:
   to lift a layer shared by a list's elements over their union).
 
 :func:`occupancy_agreement` samples both solids on a shared grid and bounds
-their Hausdorff distance.  It is a diagnostic only, run when a caller asks
-for a ``geometric_resolution``: a sampled grid can miss a moved or dropped
-solid, so it never makes a program valid.
+their Hausdorff distance.  It is a diagnostic that callers run themselves:
+a sampled grid can miss a moved or dropped solid, so validation never
+consults it.
 """
 
 from repro.verify.structural import (

@@ -8,7 +8,6 @@ from typing import Optional
 from repro.cad.evaluator import EvalError, unroll
 from repro.lang.term import Term
 from repro.obs.trace import NULL_TRACER
-from repro.verify.geometric import GeometricReport, occupancy_agreement
 from repro.verify.structural import (
     LeafMatcher,
     equivalent_modulo_reordering,
@@ -25,8 +24,6 @@ class ValidationResult:
     ``reorder_match`` (which includes the exact match) or ``leaf_match``
     (equal leaf-matrix normal forms, run only when the other two fail).
     ``leaves_compared`` counts the leaf pairs that last check compared.
-    ``geometric`` is a sampled occupancy-grid report, filled only when the
-    caller asks for one; it is a diagnostic and never makes a program valid.
     """
 
     unrolled: Optional[Term]
@@ -34,7 +31,6 @@ class ValidationResult:
     reorder_match: bool
     leaf_match: bool = False
     leaves_compared: int = 0
-    geometric: Optional[GeometricReport] = None
     error: Optional[str] = None
 
     @property
@@ -61,7 +57,6 @@ def validate_synthesis(
     synthesized: Term,
     *,
     epsilon: float = 1e-3,
-    geometric_resolution: int = 0,
     tracer=None,
 ) -> ValidationResult:
     """Validate a synthesized program against the input flat CSG.
@@ -69,15 +64,12 @@ def validate_synthesis(
     Unrolls ``synthesized`` and compares it with ``input_csg`` modulo
     ``epsilon``: exactly, then up to reordering of ``Union``/``Inter``
     operands, then by leaf-matrix normal form, stopping at the first check
-    that accepts.  A positive ``geometric_resolution`` also samples both
-    solids on an occupancy grid of that resolution, reported in
-    ``geometric`` without changing ``valid``.  ``tracer`` records the whole
-    check as a ``validate`` span naming the accepting check and the number
-    of leaf pairs compared.
+    that accepts.  ``tracer`` records the whole check as a ``validate`` span
+    naming the accepting check and the number of leaf pairs compared.
     """
     tracer = NULL_TRACER if tracer is None else tracer
     with tracer.span("validate") as span:
-        result = _validate_impl(input_csg, synthesized, epsilon, geometric_resolution)
+        result = _validate_impl(input_csg, synthesized, epsilon)
         if span is not None:
             span.update(
                 {
@@ -89,12 +81,7 @@ def validate_synthesis(
     return result
 
 
-def _validate_impl(
-    input_csg: Term,
-    synthesized: Term,
-    epsilon: float,
-    geometric_resolution: int,
-) -> ValidationResult:
+def _validate_impl(input_csg: Term, synthesized: Term, epsilon: float) -> ValidationResult:
     try:
         unrolled = unroll(synthesized)
     except EvalError as exc:
@@ -106,16 +93,10 @@ def _validate_impl(
     reorder = exact or equivalent_modulo_reordering(input_csg, unrolled, epsilon)
     matcher = LeafMatcher(epsilon)
     leaf = not reorder and matcher.terms_equivalent(input_csg, unrolled)
-
-    geometric: Optional[GeometricReport] = None
-    if geometric_resolution > 0:
-        geometric = occupancy_agreement(input_csg, unrolled, resolution=geometric_resolution)
-
     return ValidationResult(
         unrolled=unrolled,
         exact_match=exact,
         reorder_match=reorder,
         leaf_match=leaf,
         leaves_compared=matcher.compared,
-        geometric=geometric,
     )

@@ -236,15 +236,6 @@ class TestParentQueries:
         best = TopKExtractor(eg, ast_size_cost, k=3).extract_top_k(union)[0]
         assert best.term == Term.parse("(Union C C)")
 
-    def test_approx_enodes_matches_total_after_rebuild(self):
-        egraph = EGraph()
-        egraph.add_term(Term.parse("(Union (F A) (F B))"))
-        egraph.merge(
-            egraph.lookup_term(Term("A")), egraph.lookup_term(Term("B"))
-        )
-        egraph.rebuild()
-        assert egraph.approx_enodes == egraph.total_enodes
-
 
 # ---------------------------------------------------------------------------
 # Flat representation: symbol interning, facade decoding, incremental counts

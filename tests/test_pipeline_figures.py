@@ -16,12 +16,14 @@ from repro.benchsuite.models import (
     fig18_hexcell_plate,
     gear_model,
 )
+from repro.cad.evaluator import unroll
 from repro.core.analysis import find_loops, function_kinds
 from repro.core.config import SynthesisConfig
 from repro.core.function_inference import FunctionInference
 from repro.core.loop_inference import LoopInference
 from repro.core.pipeline import synthesize
 from repro.csg.metrics import measure
+from repro.verify.geometric import occupancy_agreement
 from repro.verify.validate import validate_synthesis
 
 
@@ -114,8 +116,8 @@ class TestFig14Grid:
     def test_validates_geometrically(self):
         flat = fig14_grid(2, 2)
         result = _synth(flat, cost_function="reward-loops")
-        report = validate_synthesis(flat, result.output_term(), geometric_resolution=14)
-        assert report.valid
+        assert validate_synthesis(flat, result.output_term()).valid
+        assert occupancy_agreement(flat, unroll(result.output_term()), resolution=14).equivalent()
 
 
 class TestFig16NoisyHexagons:

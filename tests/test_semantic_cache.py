@@ -151,11 +151,11 @@ class TestExactTierUnchanged:
             "eviction must not delete (or count) semantic pointers"
         )
 
-    def test_legacy_get_is_exact_only(self, keys, tmp_path):
+    def test_lookup_without_a_semantic_key_is_exact_only(self, keys, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(keys["exact"], {"v": 1}, keys["semantic"])
-        assert cache.get(keys["exact_respelled"]) is None
-        assert cache.get(keys["exact"]) == {"v": 1}
+        assert cache.lookup(keys["exact_respelled"]) == (None, None)
+        assert cache.lookup(keys["exact"]) == ({"v": 1}, "exact")
         assert cache.exact_hits == 1 and cache.semantic_hits == 0
 
 

@@ -17,16 +17,20 @@ import signal
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from repro.benchsuite.models import gear_model
+from repro.benchsuite.suite import BENCHMARKS, get_benchmark
+from repro.benchsuite.table1 import row_from_result
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import SynthesisResult, synthesize
 from repro.csg.build import scale, translate, union_all, unit
 from repro.service import (
     JobQueue,
+    JobResult,
     JobStatus,
     ResidentPool,
     ResultCache,
@@ -45,6 +49,37 @@ def _chain(n: int, step: float = 2.0):
 #: A config that constructs fine but makes ``synthesize`` raise (the rule
 #: category is looked up only when the run starts): the in-worker failure.
 _FAILING_CONFIG = SynthesisConfig(rule_categories=("no-such",))
+
+#: What ``SynthesisResult.to_dict`` stores: the answer, not the diagnostics.
+_ANSWER_KEYS = {"input_term", "candidates", "seconds", "config"}
+
+
+def _parent_format(result: SynthesisResult) -> dict:
+    """The payload older versions stored: the answer plus the run's diagnostics.
+
+    Every per-iteration counter is included, as are the three that parallel
+    search used to write.
+    """
+    payload = result.to_dict()
+    payload["inference_records"] = [asdict(record) for record in result.inference_records]
+    payload["run_reports"] = [
+        {
+            "stop_reason": report.stop_reason.value,
+            "seconds": report.seconds,
+            "iterations": [
+                {
+                    **asdict(iteration),
+                    "parallel_search_epochs": 0,
+                    "fallback_epochs": 0,
+                    "partition_seconds": [],
+                }
+                for iteration in report.iterations
+            ],
+        }
+        for report in result.run_reports
+    ]
+    payload["extract_seconds"] = result.extract_seconds
+    return json.loads(json.dumps(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +110,33 @@ class TestResultSerialization:
         assert clone.structured_rank() == result.structured_rank()
         assert clone.size_reduction() == result.size_reduction()
         assert clone.config == result.config
-        assert [r.stop_reason for r in clone.run_reports] == [
-            r.stop_reason for r in result.run_reports
-        ]
-        assert clone.inference_records == result.inference_records
         # Stability: serializing the clone reproduces the same payload.
         assert clone.to_dict() == payload
+
+    def test_to_dict_holds_the_answer_only(self):
+        result = synthesize(_chain(5), SynthesisConfig())
+        assert result.inference_records and result.run_reports and result.extract_seconds > 0
+        payload = result.to_dict()
+        assert set(payload) == _ANSWER_KEYS
+        clone = SynthesisResult.from_dict(json.loads(json.dumps(payload)))
+        assert clone.inference_records == [] and clone.run_reports == []
+        assert clone.extract_seconds == 0.0
+
+    @pytest.mark.parametrize("name", [benchmark.name for benchmark in BENCHMARKS])
+    def test_round_trip_reproduces_the_table1_answer(self, name):
+        benchmark = get_benchmark(name)
+        config = SynthesisConfig(cost_function=benchmark.cost_function)
+        result = synthesize(benchmark.build(), config)
+        clone = SynthesisResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        assert [(c.rank, c.cost, c.term) for c in clone.candidates] == [
+            (c.rank, c.cost, c.term) for c in result.candidates
+        ]
+        assert row_from_result(benchmark, clone, 1.0) == row_from_result(benchmark, result, 1.0)
+
+        def headline(synthesized):
+            return JobResult("j", name, JobStatus.SUCCEEDED, result=synthesized).to_dict()
+
+        assert headline(clone) == headline(result)
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +181,16 @@ class TestResultCache:
         cache.put("a" * 64, {"v": 1})
         cache.put("b" * 64, {"v": 2})
         cache.put("c" * 64, {"v": 3})  # evicts "a"
-        assert cache.get("a" * 64) is None
-        assert cache.get("b" * 64) == {"v": 2}
-        assert cache.get("c" * 64) == {"v": 3}
+        assert cache.lookup("a" * 64)[0] is None
+        assert cache.lookup("b" * 64)[0] == {"v": 2}
+        assert cache.lookup("c" * 64)[0] == {"v": 3}
         assert cache.misses == 1 and cache.hits == 2
 
     def test_disk_tier_survives_a_fresh_instance(self, tmp_path):
         key = "d" * 64
         ResultCache(tmp_path).put(key, {"v": 42})
         fresh = ResultCache(tmp_path)
-        assert fresh.get(key) == {"v": 42}
+        assert fresh.lookup(key)[0] == {"v": 42}
         assert fresh.disk_hits == 1 and fresh.hit_rate == 1.0
         # Sharded layout: <dir>/<key[:2]>/<key>.json
         assert (tmp_path / key[:2] / f"{key}.json").exists()
@@ -143,8 +199,8 @@ class TestResultCache:
         key = "e" * 64
         ResultCache(tmp_path).put(key, {"v": 7})
         cache = ResultCache(tmp_path)
-        cache.get(key)
-        cache.get(key)
+        cache.lookup(key)
+        cache.lookup(key)
         assert cache.disk_hits == 1 and cache.memory_hits == 1
 
     def test_corrupt_disk_entry_is_a_miss_and_removed(self, tmp_path):
@@ -153,7 +209,7 @@ class TestResultCache:
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
         cache = ResultCache(tmp_path)
-        assert cache.get(key) is None
+        assert cache.lookup(key)[0] is None
         assert not path.exists()
 
     def test_contains_does_not_touch_counters(self, tmp_path):
@@ -172,7 +228,7 @@ class TestResultCache:
         monkeypatch.setattr(Path, "write_text", full_disk)
         cache = ResultCache(tmp_path)
         cache.put("a" * 64, {"v": 1}, semantic_key="b" * 64)
-        assert cache.get("a" * 64) == {"v": 1}
+        assert cache.lookup("a" * 64)[0] == {"v": 1}
         assert cache.lookup("c" * 64, "b" * 64) == ({"v": 1}, "semantic")
         # Neither the entry nor its semantic pointer left a file behind.
         assert not [path for path in tmp_path.rglob("*") if path.is_file()]
@@ -195,9 +251,9 @@ class TestResultCacheEviction:
         self._set_mtime(cache, a, 1_000)
         self._set_mtime(cache, b, 2_000)
         cache.put(c, {"v": 3})  # over the limit: a (oldest) must go
-        assert cache.get(a) is None
-        assert cache.get(b) == {"v": 2}
-        assert cache.get(c) == {"v": 3}
+        assert cache.lookup(a)[0] is None
+        assert cache.lookup(b)[0] == {"v": 2}
+        assert cache.lookup(c)[0] == {"v": 3}
         assert cache.evictions == 1
         assert cache.disk_entries() == 2
 
@@ -213,8 +269,8 @@ class TestResultCacheEviction:
             self._set_mtime(cache, key, 1_000 * (stamp + 1))
         # Budget holds two entries; the two oldest must have been evicted.
         assert cache.disk_entries() == 2
-        assert cache.get(keys[0]) is None and cache.get(keys[1]) is None
-        assert cache.get(keys[2]) == payload and cache.get(keys[3]) == payload
+        assert cache.lookup(keys[0])[0] is None and cache.lookup(keys[1])[0] is None
+        assert cache.lookup(keys[2])[0] == payload and cache.lookup(keys[3])[0] == payload
 
     def test_disk_reads_refresh_recency(self, tmp_path):
         cache = ResultCache(tmp_path, memory_capacity=0, max_entries=2)
@@ -223,11 +279,11 @@ class TestResultCacheEviction:
         cache.put(b, {"v": 2})
         self._set_mtime(cache, a, 1_000)
         self._set_mtime(cache, b, 2_000)
-        assert cache.get(a) == {"v": 1}  # touch: a is now the hot entry
+        assert cache.lookup(a)[0] == {"v": 1}  # touch: a is now the hot entry
         cache.put(c, {"v": 3})
-        assert cache.get(a) == {"v": 1}
-        assert cache.get(b) is None  # b became the LRU entry and was evicted
-        assert cache.get(c) == {"v": 3}
+        assert cache.lookup(a)[0] == {"v": 1}
+        assert cache.lookup(b)[0] is None  # b became the LRU entry and was evicted
+        assert cache.lookup(c)[0] == {"v": 3}
 
     def test_fresh_instance_accounts_for_preexisting_entries(self, tmp_path):
         a, b, c = self._keys(3)
@@ -239,8 +295,8 @@ class TestResultCacheEviction:
         bounded = ResultCache(tmp_path, memory_capacity=0, max_entries=2)
         bounded.put(c, {"v": 3})  # 3 entries on disk now: a must be evicted
         assert bounded.disk_entries() == 2
-        assert bounded.get(a) is None
-        assert bounded.get(b) == {"v": 2} and bounded.get(c) == {"v": 3}
+        assert bounded.lookup(a)[0] is None
+        assert bounded.lookup(b)[0] == {"v": 2} and bounded.lookup(c)[0] == {"v": 3}
 
     def test_overwrites_account_for_the_size_delta(self, tmp_path):
         # Regression: an overwrite used to leave the tracked byte usage at
@@ -258,7 +314,7 @@ class TestResultCacheEviction:
         other = format(1, "x").rjust(64, "1")
         self._set_mtime(cache, key, 1_000)
         cache.put(other, payload)  # now over budget: the old entry goes
-        assert cache.get(key) is None
+        assert cache.lookup(key)[0] is None
         assert cache.evictions >= 1
 
     def test_memory_tier_hits_keep_the_disk_entry_hot(self, tmp_path):
@@ -270,12 +326,12 @@ class TestResultCacheEviction:
         cache.put(b, {"v": 2})
         self._set_mtime(cache, a, 1_000)
         self._set_mtime(cache, b, 2_000)
-        assert cache.get(a) == {"v": 1}  # memory hit: must touch disk too
+        assert cache.lookup(a)[0] == {"v": 1}  # memory hit: must touch disk too
         assert cache.memory_hits == 1
         cache.put(c, {"v": 3})
         fresh = ResultCache(tmp_path)  # no memory tier state
-        assert fresh.get(a) == {"v": 1}
-        assert fresh.get(b) is None  # b was the LRU entry
+        assert fresh.lookup(a)[0] == {"v": 1}
+        assert fresh.lookup(b)[0] is None  # b was the LRU entry
 
     def test_corrupt_entry_drop_updates_the_usage_accounting(self, tmp_path):
         # Regression: dropping a corrupt entry on read left the tracked
@@ -287,12 +343,12 @@ class TestResultCacheEviction:
             cache.put(key, {"v": stamp})
             self._set_mtime(cache, key, 1_000 * (stamp + 1))
         cache._path(a).write_text("{not json")  # corrupt the oldest entry
-        assert cache.get(a) is None  # dropped, and accounted for
+        assert cache.lookup(a)[0] is None  # dropped, and accounted for
         assert cache._disk_usage[0] == 2
         cache.put(d, {"v": 3})  # back at the limit of 3: nothing to evict
         assert cache.evictions == 0
-        assert cache.get(b) == {"v": 1} and cache.get(c) == {"v": 2}
-        assert cache.get(d) == {"v": 3}
+        assert cache.lookup(b)[0] == {"v": 1} and cache.lookup(c)[0] == {"v": 2}
+        assert cache.lookup(d)[0] == {"v": 3}
 
     def test_unbounded_cache_never_evicts(self, tmp_path):
         cache = ResultCache(tmp_path, memory_capacity=0)
@@ -739,13 +795,16 @@ class TestSynthesisService:
         assert generous.hit_rate == 1.0
 
     def test_payload_with_retired_fields_is_a_warm_hit(self, tmp_path):
-        # Entries written before the parallel-search knob was removed carry
-        # config.search_workers and three per-iteration counters; entries
-        # written before the engine switches were removed carry those three
-        # config names.  Exact keys never included any of them, so such
-        # entries are still looked up and must decode as ordinary warm hits.
-        # Entries written before the fixed knobs were retired carry them at
-        # the values the key still hashes.
+        # Entries written before results were stored answer-only carry the
+        # run's diagnostics: inference records, run reports (with the three
+        # per-iteration counters parallel search wrote) and the extraction
+        # seconds.  Entries written before the parallel-search knob was
+        # removed carry config.search_workers; entries written before the
+        # engine switches were removed carry those three config names.
+        # Exact keys never included any of them, so such entries are still
+        # looked up and must decode as ordinary warm hits.  Entries written
+        # before the fixed knobs were retired carry them at the values the
+        # key still hashes.
         job = SynthesisJob(name="chain-3", term=_chain(3))
         fresh = synthesize(job.term, job.config)
         retired_configs = [
@@ -763,13 +822,9 @@ class TestSynthesisService:
         ]
         for index, retired in enumerate(retired_configs):
             directory = tmp_path / str(index)
-            payload = json.loads(json.dumps(fresh.to_dict()))
+            payload = _parent_format(fresh)
+            assert payload["run_reports"][0]["iterations"] and payload["inference_records"]
             payload["config"].update(retired)
-            for report in payload["run_reports"]:
-                for iteration in report["iterations"]:
-                    iteration.update(
-                        parallel_search_epochs=0, fallback_epochs=0, partition_seconds=[]
-                    )
             ResultCache(directory).put(cache_key(job.term, job.config), payload)
 
             warm_cache = ResultCache(directory)
@@ -778,17 +833,25 @@ class TestSynthesisService:
             assert warm.hit_rate == 1.0 and warm_cache.disk_hits == 1, retired
             assert result.cached and result.cache_tier == "exact"
             assert result.result.config == job.config
-            assert [c.term for c in result.result.candidates] == [
-                c.term for c in fresh.candidates
+            assert [(c.cost, c.term) for c in result.result.candidates] == [
+                (c.cost, c.term) for c in fresh.candidates
             ]
+            assert result.result.run_reports == [] and result.result.inference_records == []
+
+    def test_pool_batch_stores_the_answer_only_payload(self, tmp_path):
+        job = SynthesisJob(name="chain-3", term=_chain(3))
+        report = SynthesisService(worker_count=1, cache=ResultCache(tmp_path)).run_batch([job])
+        (result,) = report.results
+        assert result.ok and not result.cached
+        (entry,) = tmp_path.glob("*/*.json")
+        assert entry.stem == cache_key(job.term, job.config)
+        stored = json.loads(entry.read_text())
+        assert set(stored) == _ANSWER_KEYS
+        assert stored == result.result.to_dict()
 
     def test_unknown_payload_fields_are_still_rejected(self):
-        from repro.egraph.runner import IterationReport
-
         with pytest.raises(ValueError, match="no_such_knob"):
             SynthesisConfig.from_dict({"no_such_knob": 1})
-        with pytest.raises(TypeError):
-            IterationReport.from_dict({"index": 0, "no_such_counter": 1})
 
     def test_report_orders_results_by_submission(self, tmp_path):
         jobs = [

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lang.term import Term
 from repro.cad.evaluator import evaluate
-from repro.solvers.closed_form import FunctionSolver, SolverConfig, solve_component, solve_vectors
+from repro.solvers.closed_form import FunctionSolver, solve_component
 from repro.solvers.forms import ConstantForm, LinearForm, QuadraticForm, RotationForm, SinusoidForm
 from repro.solvers.multilinear import MultilinearForm, fit_multilinear
 from repro.solvers.polynomial import fit_constant, fit_linear, fit_quadratic
@@ -159,7 +159,7 @@ class TestModelSelection:
 
     def test_solve_vectors_componentwise(self):
         vectors = [(2.0 * (i + 1), 0.0, 5.0) for i in range(5)]
-        function = solve_vectors(vectors)
+        function = FunctionSolver().solve(vectors)
         assert function is not None
         assert function.predict(2) == pytest.approx((6.0, 0.0, 5.0))
         assert function.is_constant() is False
@@ -186,14 +186,14 @@ class TestModelSelection:
 
     def test_solve_vectors_rejects_partial(self):
         vectors = [(float(i), 0.0, [1.0, 17.0, 2.0, 23.0, 3.0][i]) for i in range(5)]
-        assert solve_vectors(vectors) is None
+        assert FunctionSolver().solve(vectors) is None
 
     def test_epsilon_controls_acceptance(self):
         # Noise of ~0.02 on a line: rejected at the paper's epsilon (1e-3),
         # accepted when the tolerance is loosened past the noise level.
         noisy = [2.0, 4.01, 6.0, 8.02, 10.0, 11.98]
-        assert solve_component(noisy, SolverConfig(epsilon=1e-3)) is None
-        loose = solve_component(noisy, SolverConfig(epsilon=0.05))
+        assert solve_component(noisy, epsilon=1e-3) is None
+        loose = solve_component(noisy, epsilon=0.05)
         assert loose is not None
         assert loose.form.max_residual(noisy) <= 0.05
 

@@ -14,7 +14,7 @@ from repro.csg.build import (
 )
 from repro.lang.term import Term
 from repro.obs.trace import Tracer
-from repro.verify import geometric, validate
+from repro.verify import geometric
 from repro.verify.geometric import geometrically_equivalent, occupancy_agreement
 from repro.verify.structural import (
     UnsupportedTerm,
@@ -320,15 +320,13 @@ class TestValidationChecks:
             raise AssertionError("the occupancy grid was sampled")
 
         monkeypatch.setattr(geometric, "occupancy_agreement", refuse)
-        monkeypatch.setattr(validate, "occupancy_agreement", refuse)
         result = validate_synthesis(get_benchmark("hc-bits").build(), rank_one("hc-bits"))
         assert result.valid and result.check == "leaf"
-        assert result.geometric is None
 
     def test_the_grid_is_a_diagnostic_outside_valid(self):
         flat = translate(0.01, 0, 0, cube())
-        result = validate_synthesis(flat, cube(), geometric_resolution=8)
-        assert result.geometric is not None and result.geometric.equivalent()
+        assert occupancy_agreement(flat, cube(), resolution=8).equivalent()
+        result = validate_synthesis(flat, cube())
         assert not result.valid and result.check == "none"
 
     def test_validate_span_names_the_accepting_check(self):
