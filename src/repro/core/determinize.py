@@ -20,24 +20,44 @@ normalization layer (:mod:`repro.lang.normal`) — the same definitions the
 cache's semantic fingerprints are built on.
 
 One :class:`Determinizer` serves both inference passes of a synthesis run,
-and it remembers what it has already worked out:
+and it answers each question once:
 
 * ``_materialize`` memoizes its answer — a term, or ``None`` for "no
-  variant with this signature" — per ``(canonical class, signature)``.  The
-  memo is dropped whenever :attr:`EGraph.union_version` changes: a merge is
-  the only operation that changes a class's e-node list or a canonical id,
-  so while the version holds, a repeated question has the same answer.
+  variant with this signature" — per ``(canonical class, signature)``, and
+  records the canonical ids its answers read: the class itself, the
+  classes of its vector arguments and every child class it recursed into,
+  attempts that failed included.  :meth:`Determinizer.merge_term` keeps the
+  memo when neither of the two roots it unions was read; otherwise it drops
+  the memo.  Any other merge drops it too, through
+  :attr:`EGraph.union_version`.  This is sound because, while the memo
+  lives, nothing an answer read can change:
+
+  - a merge changes only the e-node lists and canonical ids of the two
+    roots it unions; during inference every merge goes through
+    ``merge_term``, and congruence repair waits for the one ``rebuild``
+    after both passes;
+  - ``add_enode`` never adds an e-node to an existing class: it returns
+    the class that already holds the e-node, or a fresh one;
+  - the determinizer's :class:`Extractor` never recomputes a class it has
+    already resolved, so an extracted vector argument keeps its term.
+
 * :meth:`Determinizer.merge_term` adds inferred terms through a
   ``Term -> class id`` memo, so a subterm added once is never walked again.
   Classes are never deleted, so ``find`` of a stored id is always the class
   that holds the term.
+* :meth:`Determinizer.affine_chain` decomposes each element once for every
+  reader: function inference's layer split, run detection and sort key,
+  and loop inference's sort.  Its keys compare like the e-graph's operator
+  interning (``1 == 1.0``, ``0.0 == -0.0``), and every element is read out
+  of that e-graph, so two elements that share a key are spelled alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.csg.ops import affine_chain
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import ExtractionError, Extractor, ast_size_cost
 from repro.lang.normal import AFFINE_OPS, signature_sort_key
@@ -46,6 +66,9 @@ from repro.lang.term import Term
 #: The longest affine signature considered: deeper chains are cut to their
 #: outermost four operators.
 MAX_SIGNATURE_DEPTH = 4
+
+#: An element's affine layers, outermost first, and the solid under them.
+AffineChain = Tuple[Tuple[Tuple[str, Tuple[float, float, float]], ...], Term]
 
 
 @dataclass
@@ -67,8 +90,9 @@ class Determinizer:
     """Chooses consistent concrete variants for list elements.
 
     Function and loop inference share one instance per synthesis run: it
-    reads list elements out of the e-graph (:meth:`determinize_all`) and
-    writes inferred terms back (:meth:`merge_term`), memoizing both.
+    reads list elements out of the e-graph (:meth:`determinize_all`),
+    decomposes them (:meth:`affine_chain`) and writes inferred terms back
+    (:meth:`merge_term`), memoizing all three.
     """
 
     def __init__(self, egraph: EGraph):
@@ -77,13 +101,18 @@ class Determinizer:
         #: ``(canonical class, signature) -> term or None``, valid while
         #: ``egraph.union_version == _memo_version``.
         self._materialized: Dict[Tuple[int, Tuple[str, ...]], Optional[Term]] = {}
+        #: Canonical ids the memoized answers read.
+        self._read: Set[int] = set()
         self._memo_version = egraph.union_version
         #: ``Term -> class id`` of every term :meth:`merge_term` has added.
         self._added: Dict[Term, int] = {}
+        #: ``Term -> (layers, core)`` of every element :meth:`affine_chain` read.
+        self._chains: Dict[Term, AffineChain] = {}
         #: Work counters, reported by the inference spans.
         self.determinized_lists = 0
         self.materialize_calls = 0
         self.materialize_memo_hits = 0
+        self.materialize_memo_drops = 0
 
     # -- public ------------------------------------------------------------------
 
@@ -116,6 +145,15 @@ class Determinizer:
                     )
                 )
         return variants
+
+    def affine_chain(self, element: Term) -> AffineChain:
+        """:func:`repro.csg.ops.affine_chain` of ``element``, layers as a tuple (memoized)."""
+        chain = self._chains.get(element)
+        if chain is None:
+            layers, core = affine_chain(element)
+            chain = (tuple(layers), core)
+            self._chains[element] = chain
+        return chain
 
     # -- candidate signatures -----------------------------------------------------
 
@@ -171,14 +209,13 @@ class Determinizer:
         with exactly the operators of ``signature`` (memoized, see the
         module docstring)."""
         self.materialize_calls += 1
-        version = self.egraph.union_version
-        if version != self._memo_version:
-            self._materialized.clear()
-            self._memo_version = version
+        if self.egraph.union_version != self._memo_version:
+            self._drop_memo()
         key = (self.egraph.find(class_id), signature)
         if key in self._materialized:
             self.materialize_memo_hits += 1
             return self._materialized[key]
+        self._read.add(key[0])
         term = self._materialize_uncached(key[0], signature)
         self._materialized[key] = term
         return term
@@ -202,6 +239,7 @@ class Determinizer:
             vector_terms = []
             ok = True
             for arg in enode.args[:3]:
+                self._read.add(self.egraph.find(arg))
                 try:
                     vector_terms.append(self._extractor.extract(arg))
                 except ExtractionError:
@@ -215,11 +253,30 @@ class Determinizer:
             return Term(head, tuple(vector_terms) + (child,))
         return None
 
+    def _drop_memo(self) -> None:
+        self._materialized.clear()
+        self._read.clear()
+        self._memo_version = self.egraph.union_version
+        self.materialize_memo_drops += 1
+
     # -- merging inferred terms -------------------------------------------------------
 
     def merge_term(self, class_id: int, term: Term) -> None:
-        """Add ``term`` to the e-graph and merge it into ``class_id``."""
-        self.egraph.merge(class_id, self._add(term))
+        """Add ``term`` to the e-graph and merge it into ``class_id``.
+
+        The materialize memo survives the merge when no memoized answer
+        read either of the two roots it unions (see the module docstring).
+        """
+        added = self._add(term)
+        roots = (self.egraph.find(class_id), self.egraph.find(added))
+        if roots[0] == roots[1]:
+            return
+        current = self._memo_version == self.egraph.union_version
+        self.egraph.merge(class_id, added)
+        if not self._read.isdisjoint(roots):
+            self._drop_memo()
+        elif current:
+            self._memo_version = self.egraph.union_version
 
     def _add(self, term: Term) -> int:
         known = self._added.get(term)

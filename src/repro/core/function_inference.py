@@ -28,7 +28,6 @@ from repro.cad.build import cons_list, concat, fun, mapi, repeat
 from repro.core.config import SynthesisConfig
 from repro.core.determinize import DeterminizedList, Determinizer
 from repro.core.lists import fold_worklist, sort_elements
-from repro.csg.ops import BOOLEAN_OPS, affine_chain
 from repro.lang.term import Term
 from repro.solvers.closed_form import FunctionSolver, VectorFunction
 
@@ -124,7 +123,7 @@ class FunctionInference:
     ) -> bool:
         elements = determinized.elements
         orders: List[Sequence[Term]] = [elements]
-        sorted_order = sort_elements(elements)
+        sorted_order = sort_elements(elements, self.determinizer.affine_chain)
         if sorted_order != elements:
             orders.append(sorted_order)
 
@@ -208,7 +207,7 @@ class FunctionInference:
         chains = []
         cores = []
         for element in elements:
-            layers, core = affine_chain(element)
+            layers, core = self.determinizer.affine_chain(element)
             chains.append(layers)
             cores.append(core)
         signature = tuple(op for op, _v in chains[0])
@@ -279,7 +278,7 @@ class FunctionInference:
         count = len(elements)
         vectors = []
         for element in elements:
-            layers, _core = affine_chain(element)
+            layers, _core = self.determinizer.affine_chain(element)
             vectors.append(layers[0][1] if layers else None)
 
         def step(index: int):

@@ -121,13 +121,18 @@ def fold_worklist(egraph: EGraph, min_length: int) -> List[Tuple[int, List[int]]
     return work
 
 
-def _sort_key(element: Term) -> Tuple:
-    """Lexicographic key over the affine vectors of an element, outermost first."""
-    layers, core = affine_chain(element)
-    vectors = tuple(vector for _op, vector in layers)
-    return (vectors, str(core.op))
+def sort_elements(elements: Sequence[Term], chain=affine_chain) -> List[Term]:
+    """Sort elements lexicographically by their affine-transformation vectors.
 
+    The key is the element's affine vectors, outermost first, then its core
+    operator.  ``chain`` decomposes an element as
+    :func:`repro.csg.ops.affine_chain` does; the inference passes give
+    :meth:`repro.core.determinize.Determinizer.affine_chain`, which
+    decomposes each element once per synthesis.
+    """
 
-def sort_elements(elements: Sequence[Term]) -> List[Term]:
-    """Sort elements lexicographically by their affine-transformation vectors."""
-    return sorted(elements, key=_sort_key)
+    def key(element: Term) -> Tuple:
+        layers, core = chain(element)
+        return (tuple(vector for _op, vector in layers), str(core.op))
+
+    return sorted(elements, key=key)

@@ -31,7 +31,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.determinize import Determinizer
 from repro.core.function_inference import InferenceRecord
 from repro.core.lists import fold_worklist, sort_elements
-from repro.csg.ops import affine_chain, is_affine
+from repro.csg.ops import affine_vector, is_affine
 from repro.lang.term import Term
 from repro.solvers.closed_form import FunctionSolver
 from repro.solvers.multilinear import fit_multilinear
@@ -121,7 +121,7 @@ class LoopInference:
             built = None
             regular = False
             for determinized in self.determinizer.determinize_all(element_classes, max_variants=3):
-                elements = sort_elements(determinized.elements)
+                elements = sort_elements(determinized.elements, self.determinizer.affine_chain)
                 built = self._infer_regular(elements)
                 regular = built is not None
                 if built is None:
@@ -173,7 +173,7 @@ class LoopInference:
             op = heads[0].op
             if any(h.op != op for h in heads):
                 return None
-            vectors = [affine_chain(h)[0][0][1] for h in heads]
+            vectors = [affine_vector(h) for h in heads]
             first_vector = vectors[0]
             constant_tolerance = max(self.config.epsilon, 1e-9)
             if all(

@@ -191,8 +191,11 @@ def _inference_counters(inference: FunctionInference | LoopInference) -> Dict[st
         "lists": determinizer.determinized_lists,
         "solver_calls": solver.calls,
         "solver_memo_hits": solver.memo_hits,
+        "solver_columns": solver.column_calls,
+        "solver_column_memo_hits": solver.column_memo_hits,
         "materialize_calls": determinizer.materialize_calls,
         "materialize_memo_hits": determinizer.materialize_memo_hits,
+        "materialize_memo_drops": determinizer.materialize_memo_drops,
         "enodes_added": determinizer.egraph.enodes_created,
     }
 

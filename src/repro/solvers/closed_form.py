@@ -141,10 +141,21 @@ class VectorFunction:
     y: ClosedForm
     z: ClosedForm
     r_squared: float = 1.0
+    _rendered: Dict[Term, Tuple[Term, Term, Term]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def to_terms(self, index: Term) -> Tuple[Term, Term, Term]:
-        """Render the three component expressions over the index variable."""
-        return (self.x.to_term(index), self.y.to_term(index), self.z.to_term(index))
+        """Render the three component expressions over the index variable.
+
+        Rendered once per index: the forms never change, and the solver's
+        memo hands the same function to every list it solves.
+        """
+        terms = self._rendered.get(index)
+        if terms is None:
+            terms = (self.x.to_term(index), self.y.to_term(index), self.z.to_term(index))
+            self._rendered[index] = terms
+        return terms
 
     def predict(self, index: int) -> Tuple[float, float, float]:
         return (self.x.predict(index), self.y.predict(index), self.z.predict(index))
@@ -177,19 +188,27 @@ class FunctionSolver:
     """Facade over the component solvers, operating on lists of 3-vectors.
 
     :meth:`solve` is a pure function of its vectors, ``is_rotation`` and
-    ``epsilon``, so each solver memoizes its answers, ``None`` included.  The
-    memo's keys are tuples of the input floats, which compare like the
-    e-graph's operator interning does (``0.0 == -0.0``), so the memo never
-    identifies two inputs the e-graph keeps apart.  A synthesis run creates
-    one solver and drops it, memo and all, when the run ends.
+    ``epsilon``, and so is :func:`solve_component` of one column, so each
+    solver memoizes both, ``None`` included: a repeated list returns the
+    same :class:`VectorFunction`, and a column two lists share (a constant
+    ``0`` component, the same ``x`` progression under different ``y``) is
+    solved once.  ``is_rotation`` is part of both keys, because it admits
+    the :class:`~repro.solvers.forms.RotationForm`.  The keys are tuples of
+    the input floats, which compare like the e-graph's operator interning
+    does (``0.0 == -0.0``), so a memo never identifies two inputs the
+    e-graph keeps apart.  A synthesis run creates one solver and drops it,
+    memos and all, when the run ends.
     """
 
     def __init__(self, epsilon: float = 1e-3):
         self.epsilon = epsilon
         self._memo: Dict[Tuple[Tuple[Tuple[float, ...], ...], bool], Optional[VectorFunction]] = {}
+        self._columns: Dict[Tuple[Tuple[float, ...], bool], Optional[ComponentSolution]] = {}
         #: Requests and memo hits, reported by the inference spans.
         self.calls = 0
         self.memo_hits = 0
+        self.column_calls = 0
+        self.column_memo_hits = 0
 
     def solve(
         self, vectors: Sequence[Sequence[float]], *, is_rotation: bool = False
@@ -214,7 +233,7 @@ class FunctionSolver:
             raise ValueError("expected 3-component vectors")
         solutions = []
         for column in columns:
-            solution = solve_component(column, self.epsilon, is_rotation=is_rotation)
+            solution = self._solve_column(column, is_rotation)
             if solution is None:
                 return None
             solutions.append(solution)
@@ -226,3 +245,14 @@ class FunctionSolver:
             r_squared=overall_r2,
         )
 
+    def _solve_column(
+        self, column: Tuple[float, ...], is_rotation: bool
+    ) -> Optional[ComponentSolution]:
+        self.column_calls += 1
+        key = (column, is_rotation)
+        if key in self._columns:
+            self.column_memo_hits += 1
+            return self._columns[key]
+        solution = solve_component(column, self.epsilon, is_rotation=is_rotation)
+        self._columns[key] = solution
+        return solution

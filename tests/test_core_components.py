@@ -120,6 +120,51 @@ class TestDeterminizer:
         assert ("Scale",) in [variant.signature for variant in after]
         assert determinizer.materialize_memo_hits <= determinizer.materialize_calls
 
+    def test_merge_term_into_unread_classes_keeps_the_materialize_memo(self):
+        egraph = EGraph()
+        a = egraph.add_term(translate(1, 0, 0, cube()))
+        b = egraph.add_term(translate(2, 0, 0, cube()))
+        spare = egraph.add_term(sphere())
+        determinizer = Determinizer(egraph)
+        first = determinizer.determinize_all([a, b])
+        calls, hits = determinizer.materialize_calls, determinizer.materialize_memo_hits
+        # No answer read the sphere's class or the new Scale class, so
+        # merging them changes no answer: every repeated question hits.
+        determinizer.merge_term(spare, scale(2, 2, 2, sphere()))
+        second = determinizer.determinize_all([a, b])
+        assert [v.elements for v in second] == [v.elements for v in first]
+        assert determinizer.materialize_calls - calls == 4
+        assert determinizer.materialize_memo_hits - hits == 4
+        assert determinizer.materialize_memo_drops == 0
+
+    def test_merge_term_into_a_read_class_drops_the_materialize_memo(self):
+        egraph = EGraph()
+        a = egraph.add_term(scale(2, 1, 1, cube()))
+        b = egraph.add_term(translate(3, 0, 0, cube()))
+        determinizer = Determinizer(egraph)
+        before = determinizer.determinize_all([a, b])
+        assert ("Scale",) not in [variant.signature for variant in before]
+        # An answer read B ("no Scale variant of B"), so merging a Scale
+        # e-node into B through merge_term must drop the memo.
+        determinizer.merge_term(b, scale(1, 1, 1, translate(3, 0, 0, cube())))
+        after = determinizer.determinize_all([a, b])
+        assert ("Scale",) in [variant.signature for variant in after]
+        assert determinizer.materialize_memo_drops == 1
+
+    def test_merge_term_does_not_revive_a_memo_another_merge_made_stale(self):
+        egraph = EGraph()
+        a = egraph.add_term(scale(2, 1, 1, cube()))
+        b = egraph.add_term(translate(3, 0, 0, cube()))
+        spare = egraph.add_term(sphere())
+        determinizer = Determinizer(egraph)
+        determinizer.determinize_all([a, b])
+        egraph.merge(b, egraph.add_term(scale(1, 1, 1, translate(3, 0, 0, cube()))))
+        # A merge_term into unread classes must not revalidate the memo the
+        # merge above made stale.
+        determinizer.merge_term(spare, scale(2, 2, 2, sphere()))
+        after = determinizer.determinize_all([a, b])
+        assert ("Scale",) in [variant.signature for variant in after]
+
 
 class TestListManipulation:
     def test_sort_elements_lexicographic(self):

@@ -356,9 +356,13 @@ class TestPipelineTracing:
             assert by_id[span["parent_id"]] is determinize
             attrs = span["attrs"]
             assert 0 <= attrs["solver_memo_hits"] <= attrs["solver_calls"]
+            assert 0 <= attrs["solver_column_memo_hits"] <= attrs["solver_columns"]
             assert 0 <= attrs["materialize_memo_hits"] <= attrs["materialize_calls"]
+            # Inference merges only into classes no materialized answer read.
+            assert attrs["materialize_memo_drops"] == 0
         function_attrs = passes[0]["attrs"]
         assert function_attrs["lists"] > 0 and function_attrs["solver_calls"] > 0
+        assert function_attrs["solver_columns"] > 0
         assert function_attrs["enodes_added"] > 0
         records = sum(s["attrs"]["records"] for s in passes)
         assert records == determinize["attrs"]["inference_records"]

@@ -184,6 +184,31 @@ class TestModelSelection:
         assert isinstance(z_forms[False], LinearForm)
         assert str(z_forms[False].to_term(Term("i"))) == "(Mul 60 i)"
 
+    def test_column_shared_by_two_lists_is_solved_once(self):
+        solver = FunctionSolver()
+        first = solver.solve([(2.0 * i, 0.0, 5.0) for i in range(4)])
+        second = solver.solve([(2.0 * i, 3.0 * i, 5.0) for i in range(4)])
+        # Two lists, six columns: the x and z columns are the same in both.
+        assert (solver.calls, solver.memo_hits) == (2, 0)
+        assert (solver.column_calls, solver.column_memo_hits) == (6, 2)
+        assert (second.x, second.z) == (first.x, first.z)
+        index = Term("i")
+        assert second.to_terms(index)[0::2] == first.to_terms(index)[0::2]
+        assert second.y != first.y
+
+    @pytest.mark.parametrize("rotation_first", [True, False])
+    def test_column_memo_keys_on_is_rotation(self, rotation_first):
+        solver = FunctionSolver()
+        angles = (0.0, 60.0, 120.0)
+        # Different x columns, so the vector memo cannot answer the second
+        # list; its z column is the first list's, under the other flag.
+        lists = {True: [(2.0, 0.0, z) for z in angles], False: [(1.0, 0.0, z) for z in angles]}
+        order = [True, False] if rotation_first else [False, True]
+        z_forms = {flag: solver.solve(lists[flag], is_rotation=flag).z for flag in order}
+        assert isinstance(z_forms[True], RotationForm)
+        assert isinstance(z_forms[False], LinearForm)
+        assert (solver.column_calls, solver.column_memo_hits) == (6, 0)
+
     def test_solve_vectors_rejects_partial(self):
         vectors = [(float(i), 0.0, [1.0, 17.0, 2.0, 23.0, 3.0][i]) for i in range(5)]
         assert FunctionSolver().solve(vectors) is None
