@@ -5,8 +5,7 @@ depths, loop structure, function class, synthesis time, and the rank of the
 structured program; and in aggregate a 64% average size reduction with
 structure exposed for 81% (13/16) of the models.  This harness re-runs the
 whole suite and checks those aggregate shapes; per-model rows are printed so
-they can be compared side by side with the paper's table (see
-EXPERIMENTS.md).
+they can be compared side by side with the paper's Table 1.
 """
 
 import pytest

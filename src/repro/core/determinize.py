@@ -279,10 +279,28 @@ class Determinizer:
             self._memo_version = self.egraph.union_version
 
     def _add(self, term: Term) -> int:
-        known = self._added.get(term)
-        if known is not None:
-            return known
-        args = tuple(self._add(child) for child in term.children)
-        class_id = self.egraph.add_enode(ENode(term.op, args))
-        self._added[term] = class_id
-        return class_id
+        """The class of ``term``, adding each subterm not added before.
+
+        Children go in left to right before their parent, from an explicit
+        stack, so a deep term needs no recursion.
+        """
+        added = self._added
+        ids: List[int] = []  # classes of finished subterms not yet consumed
+        stack: List[Tuple[Term, bool]] = [(term, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if not expanded:
+                known = added.get(node)
+                if known is not None:
+                    ids.append(known)
+                    continue
+                if node.children:
+                    stack.append((node, True))
+                    stack.extend((child, False) for child in reversed(node.children))
+                    continue
+            arity = len(node.children)
+            args = tuple(ids[len(ids) - arity:]) if arity else ()
+            del ids[len(ids) - arity:]
+            class_id = added[node] = self.egraph.add_enode(ENode(node.op, args))
+            ids.append(class_id)
+        return ids[0]

@@ -12,7 +12,7 @@ infers goes back into the e-graph as a term merged into the list's e-class.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.csg.ops import affine_chain
 from repro.egraph.egraph import EGraph
@@ -33,33 +33,64 @@ def read_list_elements(egraph: EGraph, list_class: int, *, max_length: int = 100
     flattened.  Cycles (a class reachable from itself through spines) abort
     that variant.
     """
-    best = _read_variants(egraph, egraph.find(list_class), frozenset(), max_length)
+    best = _read_variants(egraph, egraph.find(list_class), max_length)
     if best is None:
         raise ListReadError(f"e-class {list_class} does not contain a list spine")
+    best.reverse()
     return best
 
 
-def _read_variants(
-    egraph: EGraph, list_class: int, visiting: frozenset, max_length: int
-) -> Optional[List[int]]:
-    list_class = egraph.find(list_class)
-    if list_class in visiting:
-        return None
-    visiting = visiting | {list_class}
+def _read_variants(egraph: EGraph, list_class: int, max_length: int) -> Optional[List[int]]:
+    """The longest readable spine of ``list_class``, last element first, or None.
+
+    Each class is read by a :func:`_class_variants` generator, which yields
+    the class of every ``Cons`` tail or ``Concat`` side it needs and
+    receives that read's answer.  The generators wait on an explicit stack,
+    so a long spine needs no recursion, and ``path`` holds the classes on
+    that stack: a class met again on its own path reads as None (that
+    variant would be cyclic).  Answers are built back to front: a ``Cons``
+    appends its head to the tail's answer, which no other reader holds, so
+    a spine of n elements costs O(n).
+    """
+    root = egraph.find(list_class)
+    path: Set[int] = {root}
+    stack = [(root, _class_variants(egraph, root, max_length))]
+    answer: Optional[List[int]] = None
+    while stack:
+        class_id, reader = stack[-1]
+        try:
+            child = egraph.find(reader.send(answer))
+        except StopIteration as finished:
+            stack.pop()
+            path.discard(class_id)
+            answer = finished.value
+            continue
+        answer = None
+        if child not in path:
+            path.add(child)
+            stack.append((child, _class_variants(egraph, child, max_length)))
+    return answer
+
+
+def _class_variants(
+    egraph: EGraph, list_class: int, max_length: int
+) -> Generator[int, Optional[List[int]], Optional[List[int]]]:
     best: Optional[List[int]] = None
     for enode in egraph.nodes(list_class):
         variant: Optional[List[int]] = None
         if enode.op == "Nil" and not enode.args:
             variant = []
         elif enode.op == "Cons" and len(enode.args) == 2:
-            tail = _read_variants(egraph, enode.args[1], visiting, max_length)
+            tail = yield enode.args[1]
             if tail is not None and len(tail) + 1 <= max_length:
-                variant = [egraph.find(enode.args[0])] + tail
+                tail.append(egraph.find(enode.args[0]))
+                variant = tail
         elif enode.op == "Concat" and len(enode.args) == 2:
-            left = _read_variants(egraph, enode.args[0], visiting, max_length)
-            right = _read_variants(egraph, enode.args[1], visiting, max_length)
-            if left is not None and right is not None:
-                variant = left + right
+            left = yield enode.args[0]
+            if left is not None:
+                right = yield enode.args[1]
+                if right is not None:
+                    variant = right + left
         elif enode.op == "Repeat" and len(enode.args) == 2:
             count = _literal_int(egraph, enode.args[1])
             if count is not None and 0 <= count <= max_length:

@@ -315,6 +315,7 @@ def synthesize(
                     "best_cost": candidates[0].cost if candidates else 0.0,
                 }
             )
+            ext_span.update(extractor.counters())
         # Release the e-graph and everything built on it inside the span, not
         # when this frame returns, so a trace accounts for the release.
         del egraph, rule_set, runner, determinizer, solver

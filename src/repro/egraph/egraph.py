@@ -443,29 +443,55 @@ class EGraph:
         return class_id
 
     def add_term(self, term: Term) -> int:
-        """Insert a whole term bottom-up and return the root e-class id."""
-        args = tuple(self.add_term(child) for child in term.children)
-        return self.add_enode(ENode(term.op, args))
+        """Insert a whole term bottom-up and return the root e-class id.
+
+        Children are added left to right before their parent, from an
+        explicit stack, so a deep term needs no recursion.
+        """
+        ids: List[int] = []  # ids of finished subterms not yet consumed
+        stack: List[Tuple[Term, bool]] = [(term, False)]
+        while stack:
+            node, expanded = stack.pop()
+            arity = len(node.children)
+            if expanded or not arity:
+                args = tuple(ids[len(ids) - arity:]) if arity else ()
+                del ids[len(ids) - arity:]
+                ids.append(self.add_enode(ENode(node.op, args)))
+            else:
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(node.children))
+        return ids[0]
 
     def add_leaf(self, op: Operator) -> int:
         """Insert a leaf e-node."""
         return self.add_enode(ENode(op))
 
     def lookup_term(self, term: Term) -> Optional[int]:
-        """The e-class id of ``term`` if the e-graph already represents it."""
-        op_id = self._symbols.get(term.op)
-        if op_id is None:
-            return None
+        """The e-class id of ``term`` if the e-graph already represents it.
+
+        Walks like :meth:`add_term`, from an explicit stack.
+        """
         find = self._union_find.find
-        args: List[int] = []
-        for child in term.children:
-            child_id = self.lookup_term(child)
-            if child_id is None:
+        ids: List[int] = []  # ids of found subterms not yet consumed
+        stack: List[Tuple[Term, int]] = [(term, -1)]
+        while stack:
+            node, op_id = stack.pop()
+            arity = len(node.children)
+            if op_id < 0:
+                op_id = self._symbols.get(node.op)
+                if op_id is None:
+                    return None
+                if arity:
+                    stack.append((node, op_id))
+                    stack.extend((child, -1) for child in reversed(node.children))
+                    continue
+            args = tuple(ids[len(ids) - arity:]) if arity else ()
+            del ids[len(ids) - arity:]
+            found = self._hashcons.get((op_id,) + args)
+            if found is None:
                 return None
-            args.append(child_id)
-        flat = (op_id,) + tuple(find(a) for a in args)
-        found = self._hashcons.get(flat)
-        return None if found is None else find(found)
+            ids.append(find(found))
+        return ids[0]
 
     # -- merging and rebuilding -----------------------------------------------------
 

@@ -15,7 +15,7 @@ The stack has two layers:
   runner registers it, post-saturation single-best extraction degenerates to
   an O(answer) walk over the witnesses (:class:`Extractor` reuses the data
   instead of recomputing a fixpoint).
-* :class:`TopKExtractor` — **lazy k-best candidate heaps** per e-class
+* :class:`TopKExtractor` — **lazy k-best candidate streams** per e-class
   (Eppstein-style, as in Huang & Chiang's lazy k-best parsing), generalized
   to cyclic e-graphs: only *realizable* derivations are enumerated, in cost
   order.  "Realizable" here means **acyclic**: a derivation may not revisit
@@ -36,6 +36,35 @@ The stack has two layers:
   an unrealizable cyclic "best" simply never appears in any stream, so no
   well-foundedness guards or cycle errors are needed.
 
+A query touches only the classes its answer needs:
+
+* **The analysis prices rank 0.**  A stream's heap entry is an e-node with
+  one rank per child.  When the e-graph carries a quiescent
+  :class:`CostAnalysis` for the extractor's own cost function, a child at
+  rank 0 is priced by the analysis's best cost, and its stream is created
+  only when a popped entry needs the child's term or a rank above 0.  Two
+  kinds of child still read rank 0 from their stream: one whose stream
+  carries a non-empty banned set (it shares a non-trivial SCC with a
+  blocked class), and every child when no matching analysis is registered
+  (``reward-loops`` in the pipeline).  This is sound only where the
+  analysis's least fixpoint equals the cheapest acyclic derivation, which
+  holds when every e-node costs more than each of its children
+  (``ast-size``): a derivation that revisits a class is then dearer than
+  the one that skips the loop.  Do not register a :class:`CostAnalysis`
+  for a cost function that can price a node at or below a child.
+* **Successors are pushed just before the next pop.**  Popping an entry
+  queues its rank successors; they enter the heap when the stream is next
+  asked for more, not at once, so reading rank 0 never forces rank 1 of
+  the children.  Only a stream's own queries push into its heap, and the
+  stream graph is acyclic, so a deferred push keeps its place among that
+  stream's entries: the heap order ``(cost, seq)`` and so every emission
+  are what immediate pushes give.
+* **An explicit work stack drives the streams.**  A stream that needs a
+  child's entry first returns that need; :meth:`_KBestEngine.get` pushes
+  the child onto its stack and resumes the stream when the entry exists.
+  No query recurses per list element, and streams hold no pointer to the
+  engine, so an extractor is freed by reference counting alone.
+
 Cost functions must be monotone in their child costs (nondecreasing in each
 argument — both bundled functions are strictly increasing), which is what
 keeps each stream's emissions sorted.  They need *not* satisfy
@@ -49,7 +78,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.egraph.egraph import Analysis, EGraph, ENode
 from repro.lang.term import Term
@@ -118,6 +147,21 @@ class CostAnalysis(Analysis):
         return a if a[0] <= b[0] else b
 
 
+def matching_analysis(egraph: EGraph, cost_function: CostFunction) -> Optional[CostAnalysis]:
+    """The registered :class:`CostAnalysis` for ``cost_function``, or None.
+
+    Reuse requires the same cost function *and* a quiescent graph — with
+    merges or analysis propagation still pending the stored data may be
+    stale, so a mid-rebuild caller gets None.
+    """
+    if egraph._pending or egraph._analysis_pending:
+        return None
+    for analysis in egraph.analyses:
+        if isinstance(analysis, CostAnalysis) and analysis.cost_function is cost_function:
+            return analysis
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Single-best extraction (analysis view, with a k-best fallback for cycles)
 # ---------------------------------------------------------------------------
@@ -146,7 +190,7 @@ class Extractor:
     def __init__(self, egraph: EGraph, cost_function: CostFunction = ast_size_cost):
         self.egraph = egraph
         self.cost_function = cost_function
-        self._analysis = self._registered_analysis()
+        self._analysis = matching_analysis(egraph, cost_function)
         self._best: Optional[Dict[int, Tuple[float, ENode]]] = None
         if self._analysis is None:
             self._best = {}
@@ -156,20 +200,6 @@ class Extractor:
         self._kbest: Optional[_KBestEngine] = None
 
     # -- cost table -------------------------------------------------------------
-
-    def _registered_analysis(self) -> Optional[CostAnalysis]:
-        """A reusable registered analysis, or None (compute from scratch).
-
-        Reuse requires the same cost function *and* a quiescent graph —
-        with merges or analysis propagation still pending the stored data
-        may be stale, so a mid-rebuild caller gets the scratch path.
-        """
-        if self.egraph._pending or self.egraph._analysis_pending:
-            return None
-        for analysis in self.egraph.analyses:
-            if isinstance(analysis, CostAnalysis) and analysis.cost_function is self.cost_function:
-                return analysis
-        return None
 
     def _compute(self) -> None:
         find = self.egraph.find
@@ -246,14 +276,15 @@ class Extractor:
         if entry is None:
             raise ExtractionError(f"no extractable term for e-class {class_id}")
         try:
-            resolved = RankedTerm(entry[0], self._walk(class_id, set()))
+            resolved = RankedTerm(entry[0], self._walk(class_id))
         except _CyclicWitness:
             # The fixpoint best is an unrealizable cycle: enumerate
             # realizable derivations instead (rare; only non-monotone costs
-            # over equivalence cycles reach this).
+            # over equivalence cycles reach this, and there the analysis
+            # cannot price rank 0, so the engine gets none).
             if self._kbest is None:
-                self._kbest = _KBestEngine(self.egraph, self.cost_function)
-            best = self._kbest.stream(class_id).get(0)
+                self._kbest = _KBestEngine(self.egraph, self.cost_function, None)
+            best = self._kbest.get(self._kbest.stream(class_id), 0)
             if best is None:
                 raise ExtractionError(
                     f"no extractable term for e-class {class_id}"
@@ -262,30 +293,54 @@ class Extractor:
         self._resolved[class_id] = resolved
         return resolved
 
-    def _walk(self, class_id: int, path: Set[int]) -> Term:
-        """Materialize the witness derivation, failing on a class revisit."""
-        class_id = self.egraph.find(class_id)
-        memoized = self._term_memo.get(class_id)
-        if memoized is not None:
-            return memoized
-        if class_id in path:
-            raise _CyclicWitness
-        entry = self._best_entry(class_id)
-        if entry is None:
-            raise ExtractionError(f"no extractable term for e-class {class_id}")
-        path.add(class_id)
-        try:
-            _, enode = entry
-            term = Term(enode.op, tuple(self._walk(arg, path) for arg in enode.args))
-        finally:
-            path.discard(class_id)
-        self._term_memo[class_id] = term
-        return term
+    def _walk(self, class_id: int) -> Term:
+        """Materialize the witness derivation, failing on a class revisit.
+
+        Depth first, children left to right, from an explicit stack: each
+        frame is a class on the current path, its witness e-node and the
+        terms of its children finished so far.
+        """
+        find = self.egraph.find
+        memo = self._term_memo
+        enter: Optional[int] = find(class_id)
+        if enter in memo:
+            return memo[enter]
+        path: Set[int] = set()
+        frames: List[Tuple[int, ENode, List[Term]]] = []
+        while True:
+            if enter is not None:
+                if enter in path:
+                    raise _CyclicWitness
+                entry = self._best_entry(enter)
+                if entry is None:
+                    raise ExtractionError(f"no extractable term for e-class {enter}")
+                path.add(enter)
+                frames.append((enter, entry[1], []))
+                enter = None
+            current, enode, terms = frames[-1]
+            while len(terms) < len(enode.args):
+                child = find(enode.args[len(terms)])
+                memoized = memo.get(child)
+                if memoized is None:
+                    enter = child
+                    break
+                terms.append(memoized)
+            if enter is not None:
+                continue
+            term = memo[current] = Term(enode.op, tuple(terms))
+            path.discard(current)
+            frames.pop()
+            if not frames:
+                return term
+            frames[-1][2].append(term)
 
 
 # ---------------------------------------------------------------------------
 # Lazy k-best candidate heaps (Eppstein-style, cycle-safe)
 # ---------------------------------------------------------------------------
+
+#: What a stream waits for: a child stream and the rank it must reach.
+_Need = Tuple["_Stream", int]
 
 
 class _Stream:
@@ -294,85 +349,157 @@ class _Stream:
     ``banned`` is the set of same-SCC ancestor classes this stream's
     derivations must avoid (always empty outside non-trivial SCCs).  The
     frontier heap holds candidates ``(cost, seq, enode index, child
-    ranks)``; popping a candidate emits its term and pushes its rank
+    ranks)``; popping a candidate emits its term and queues its rank
     successors — the classic lazy k-best step, except that candidates whose
     e-node descends into a banned class never enter the heap, so every
     emission is realizable and acyclic by construction.
+
+    A stream never calls another stream: :meth:`advance` returns the child
+    entry it lacks, and :meth:`_KBestEngine.get` produces that entry and
+    resumes it (see the module docstring).
     """
 
-    __slots__ = ("engine", "class_id", "banned", "entries", "_nodes", "_heap",
-                 "_pushed", "_seen_terms", "_initialized")
+    __slots__ = ("class_id", "banned", "entries", "_blocked", "_nodes", "_heap",
+                 "_pushed", "_queued", "_seen_terms", "_initialized")
 
-    def __init__(self, engine: "_KBestEngine", class_id: int, banned: frozenset):
-        self.engine = engine
+    def __init__(self, class_id: int, banned: frozenset):
         self.class_id = class_id
         self.banned = banned
         #: Emitted derivations: distinct terms, nondecreasing cost.
         self.entries: List[RankedTerm] = []
-        self._nodes: List[Tuple[ENode, List["_Stream"]]] = []
+        self._blocked: frozenset = frozenset()
+        #: ``(e-node, child streams, rank-0 prices)`` per usable e-node.  A
+        #: child stream is None until first needed; a price is None when
+        #: rank 0 must be read from the child's stream.
+        self._nodes: List[Tuple[ENode, List[Optional["_Stream"]], List[Optional[float]]]] = []
         self._heap: List[Tuple[float, int, int, Tuple[int, ...]]] = []
         self._pushed: Set[Tuple[int, Tuple[int, ...]]] = set()
+        #: Rank tuples waiting to enter the heap, the next one last.
+        self._queued: List[Tuple[int, Tuple[int, ...]]] = []
         self._seen_terms: Set[Term] = set()
         self._initialized = False
 
-    def _init(self) -> None:
+    def exhausted(self) -> bool:
+        """True once the stream has emitted everything it ever will."""
+        return self._initialized and not self._heap and not self._queued
+
+    def _init(self, engine: "_KBestEngine") -> None:
         self._initialized = True
-        egraph = self.engine.egraph
+        engine.expanded += 1
+        egraph = engine.egraph
         find = egraph.find
-        blocked = self.banned | {self.class_id}
+        key = engine.analysis_key
+        # A child shares a blocked class's SCC exactly when it is in this
+        # class's own cycle set; its stream then carries a banned set.
+        cycle = engine.cycle_set(self.class_id) if key is not None else frozenset()
+        blocked = self._blocked = self.banned | {self.class_id}
         seen_nodes: Set[ENode] = set()
         for enode in egraph.nodes(self.class_id):
             enode = enode.canonicalize(find)
             if enode in seen_nodes:
                 continue
             seen_nodes.add(enode)
-            if any(find(arg) in blocked for arg in enode.args):
+            if any(arg in blocked for arg in enode.args):
                 continue
-            children = [self.engine.stream(arg, blocked) for arg in enode.args]
-            self._nodes.append((enode, children))
-        for index in range(len(self._nodes)):
-            self._push(index, (0,) * len(self._nodes[index][1]))
+            prices: List[Optional[float]] = [None] * len(enode.args)
+            if key is not None:
+                for position, arg in enumerate(enode.args):
+                    if arg not in cycle:
+                        data = egraph.analysis_data(arg, key)
+                        if data is not None:
+                            prices[position] = data[0]
+            self._nodes.append((enode, [None] * len(enode.args), prices))
+        self._queued = [
+            (index, (0,) * len(self._nodes[index][0].args))
+            for index in reversed(range(len(self._nodes)))
+        ]
 
-    def _push(self, index: int, ranks: Tuple[int, ...]) -> None:
+    def _child(self, engine: "_KBestEngine", index: int, position: int) -> "_Stream":
+        """The stream of e-node ``index``'s child at ``position``, created on first use."""
+        enode, children, _ = self._nodes[index]
+        child = children[position]
+        if child is None:
+            child = children[position] = engine.stream(enode.args[position], self._blocked)
+        return child
+
+    def _push(self, engine: "_KBestEngine", index: int, ranks: Tuple[int, ...]) -> Optional[_Need]:
+        """Push one rank tuple, or return the child entry it waits for.
+
+        A tuple pushed before, or one whose child stream ends below its
+        rank, is dropped.
+        """
         key = (index, ranks)
         if key in self._pushed:
-            return
-        self._pushed.add(key)
-        enode, children = self._nodes[index]
+            return None
+        enode, _, prices = self._nodes[index]
         child_costs = []
-        for child, rank in zip(children, ranks):
-            entry = child.get(rank)
-            if entry is None:
-                return  # child stream exhausted below this rank
-            child_costs.append(entry.cost)
-        cost = self.engine.cost_function(enode.op, child_costs)
-        heapq.heappush(self._heap, (cost, next(self.engine.seq), index, ranks))
+        for position, rank in enumerate(ranks):
+            price = prices[position]
+            if rank == 0 and price is not None:
+                child_costs.append(price)
+                continue
+            child = self._child(engine, index, position)
+            if rank < len(child.entries):
+                child_costs.append(child.entries[rank].cost)
+            elif child.exhausted():
+                self._pushed.add(key)
+                return None
+            else:
+                return child, rank
+        self._pushed.add(key)
+        cost = engine.cost_function(enode.op, child_costs)
+        heapq.heappush(self._heap, (cost, next(engine.seq), index, ranks))
+        return None
 
-    def get(self, rank: int) -> Optional[RankedTerm]:
-        """The ``rank``-th cheapest distinct term, or None past the end."""
+    def advance(self, engine: "_KBestEngine", rank: int) -> Optional[_Need]:
+        """Work toward ``entries[rank]``; return the child entry needed first.
+
+        Returns None once the entry exists or the stream is exhausted below
+        it.
+        """
         if not self._initialized:
-            self._init()
-        while len(self.entries) <= rank and self._heap:
-            cost, _, index, ranks = heapq.heappop(self._heap)
-            enode, children = self._nodes[index]
-            term = Term(
-                enode.op,
-                tuple(child.entries[r].term for child, r in zip(children, ranks)),
-            )
+            self._init(engine)
+        entries = self.entries
+        heap = self._heap
+        queued = self._queued
+        while len(entries) <= rank:
+            while queued:
+                need = self._push(engine, *queued[-1])
+                if need is not None:
+                    return need
+                queued.pop()
+            if not heap:
+                return None
+            cost, _, index, ranks = heap[0]
+            terms = []
+            for position, child_rank in enumerate(ranks):
+                child = self._child(engine, index, position)
+                if child_rank >= len(child.entries):
+                    if child.exhausted():
+                        raise ExtractionError(
+                            f"e-class {child.class_id} has an analysis cost "
+                            "but no realizable term"
+                        )
+                    return child, child_rank
+                terms.append(child.entries[child_rank].term)
+            heapq.heappop(heap)
+            engine.pops += 1
             # Successors always expand the frontier, even when the popped
-            # term turns out to be a duplicate.
-            for position in range(len(ranks)):
+            # term turns out to be a duplicate; they enter the heap just
+            # before the next pop.
+            for position in reversed(range(len(ranks))):
                 bumped = list(ranks)
                 bumped[position] += 1
-                self._push(index, tuple(bumped))
+                queued.append((index, tuple(bumped)))
+            term = Term(self._nodes[index][0].op, tuple(terms))
             if term not in self._seen_terms:
                 self._seen_terms.add(term)
-                self.entries.append(RankedTerm(cost, term))
-        return self.entries[rank] if rank < len(self.entries) else None
+                entries.append(RankedTerm(cost, term))
+        return None
 
 
 class _KBestEngine:
-    """Shared stream registry + SCC index for one (e-graph, cost fn) pair.
+    """Shared stream registry, SCC index and work stack for one (e-graph, cost fn) pair.
 
     Streams are memoized on ``(class id, banned set)`` after intersecting
     the inherited banned set with the class's *cycle set* — the members of
@@ -380,45 +507,75 @@ class _KBestEngine:
     empty set.  A banned ancestor outside the class's SCC can never be
     reached again (the SCC condensation is acyclic), so dropping it is
     sound and collapses almost every request onto the context-free stream.
+
+    ``analysis`` is the :class:`CostAnalysis` that prices rank 0, or None
+    to read every rank from the streams (see the module docstring).
     """
 
-    def __init__(self, egraph: EGraph, cost_function: CostFunction):
+    def __init__(self, egraph: EGraph, cost_function: CostFunction,
+                 analysis: Optional[CostAnalysis]):
         self.egraph = egraph
         self.cost_function = cost_function
+        self.analysis_key = None if analysis is None else analysis.key
         self.seq = itertools.count()  # heap tiebreaker: deterministic FIFO
         self._streams: Dict[Tuple[int, frozenset], _Stream] = {}
-        self._children: Dict[int, List[int]] = {}
         self._cycle_sets: Dict[int, frozenset] = {}
         self._scc_index: Dict[int, int] = {}
         self._scc_low: Dict[int, int] = {}
-        self._scc_counter = 0
+        #: Work counters: streams whose ``_init`` ran, and heap pops.
+        self.expanded = 0
+        self.pops = 0
 
     def stream(self, class_id: int, banned: frozenset = frozenset()) -> _Stream:
         class_id = self.egraph.find(class_id)
-        banned = banned & self._cycle_set(class_id)
+        banned = banned & self.cycle_set(class_id)
         key = (class_id, banned)
         stream = self._streams.get(key)
         if stream is None:
-            stream = self._streams[key] = _Stream(self, class_id, banned)
+            stream = self._streams[key] = _Stream(class_id, banned)
         return stream
+
+    def get(self, stream: _Stream, rank: int) -> Optional[RankedTerm]:
+        """``stream``'s ``rank``-th cheapest distinct term, or None past its end.
+
+        The top stream of the work stack advances until it has the entry
+        or names a child entry it needs first; that child goes on the stack
+        above it.  The stream graph is acyclic, so no stream is ever on the
+        stack twice.
+        """
+        if rank >= len(stream.entries):
+            stack: List[_Need] = [(stream, rank)]
+            while stack:
+                top, wanted = stack[-1]
+                need = top.advance(self, wanted)
+                if need is None:
+                    stack.pop()
+                else:
+                    stack.append(need)
+        return stream.entries[rank] if rank < len(stream.entries) else None
+
+    def counters(self) -> Dict[str, int]:
+        """Streams created and expanded, heap pops, classes the SCC index visited."""
+        return {
+            "streams": len(self._streams),
+            "expanded": self.expanded,
+            "pops": self.pops,
+            "scc_classes": len(self._scc_index),
+        }
 
     # -- SCC index --------------------------------------------------------------
 
-    def _child_classes(self, class_id: int) -> List[int]:
-        children = self._children.get(class_id)
-        if children is None:
-            find = self.egraph.find
-            children = self._children[class_id] = list(
-                {find(arg) for node in self.egraph.flat_nodes(class_id) for arg in node[1:]}
-            )
-        return children
-
-    def _cycle_set(self, class_id: int) -> frozenset:
+    def cycle_set(self, class_id: int) -> frozenset:
+        """The members of ``class_id``'s SCC if it is non-trivial, else empty."""
         cached = self._cycle_sets.get(class_id)
         if cached is not None:
             return cached
         self._run_tarjan(class_id)
         return self._cycle_sets[class_id]
+
+    def _child_classes(self, class_id: int) -> Set[int]:
+        find = self.egraph.find
+        return {find(arg) for node in self.egraph.flat_nodes(class_id) for arg in node[1:]}
 
     def _run_tarjan(self, start: int) -> None:
         """Iterative Tarjan from ``start``; finished classes are skipped.
@@ -430,52 +587,42 @@ class _KBestEngine:
         """
         index = self._scc_index
         low = self._scc_low
-        tarjan_stack: List[int] = []
-        on_stack: Set[int] = set()
-
-        index[start] = low[start] = self._scc_counter
-        self._scc_counter += 1
-        tarjan_stack.append(start)
-        on_stack.add(start)
-        frames: List[List] = [[start, self._child_classes(start), 0]]
+        cycle_sets = self._cycle_sets
+        # A visited class is on the Tarjan stack until its SCC is finished.
+        tarjan_stack: List[int] = [start]
+        index[start] = low[start] = len(index)
+        children = self._child_classes(start)
+        frames: List[Tuple[int, Set[int], Iterator[int]]] = [(start, children, iter(children))]
         while frames:
-            frame = frames[-1]
-            node, children, position = frame
-            advanced = False
-            while position < len(children):
-                child = children[position]
-                position += 1
-                frame[2] = position
-                if child in self._cycle_sets and child not in on_stack:
-                    continue  # finished by an earlier run
+            node, children, pending = frames[-1]
+            for child in pending:
+                if child in cycle_sets:
+                    continue  # finished, by this run or an earlier one
                 if child not in index:
-                    index[child] = low[child] = self._scc_counter
-                    self._scc_counter += 1
+                    index[child] = low[child] = len(index)
                     tarjan_stack.append(child)
-                    on_stack.add(child)
-                    frames.append([child, self._child_classes(child), 0])
-                    advanced = True
+                    grandchildren = self._child_classes(child)
+                    frames.append((child, grandchildren, iter(grandchildren)))
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                members: Set[int] = set()
-                while True:
-                    member = tarjan_stack.pop()
-                    on_stack.discard(member)
-                    members.add(member)
-                    if member == node:
-                        break
-                nontrivial = len(members) > 1 or node in self._child_classes(node)
-                cycle = frozenset(members) if nontrivial else frozenset()
-                for member in members:
-                    self._cycle_sets[member] = cycle
+                if index[child] < low[node]:
+                    low[node] = index[child]  # on the stack: same SCC
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    members: Set[int] = set()
+                    while True:
+                        member = tarjan_stack.pop()
+                        members.add(member)
+                        if member == node:
+                            break
+                    nontrivial = len(members) > 1 or node in children
+                    cycle = frozenset(members) if nontrivial else frozenset()
+                    for member in members:
+                        cycle_sets[member] = cycle
 
 
 class TopKExtractor:
@@ -483,10 +630,10 @@ class TopKExtractor:
 
     A thin facade over the lazy stream machinery (see the module
     docstring): nothing is computed until a query forces it, and a query
-    for class ``c`` touches only classes reachable from ``c`` — the old
-    whole-graph candidate-table fixpoint (and its ``max_rounds`` safety
-    valve and cube-pruning rank-monotonicity assumption) is gone, and no
-    reachability restriction to the roots is needed.
+    for class ``c`` expands only the classes its answer needs.  Every
+    class reachable from ``c`` is still visited once by the SCC index.
+    When the e-graph carries a quiescent :class:`CostAnalysis` for
+    ``cost_function``, that analysis prices rank 0.
     """
 
     def __init__(
@@ -500,7 +647,7 @@ class TopKExtractor:
         self.egraph = egraph
         self.cost_function = cost_function
         self.k = k
-        self._engine = _KBestEngine(egraph, cost_function)
+        self._engine = _KBestEngine(egraph, cost_function, matching_analysis(egraph, cost_function))
 
     # -- queries -----------------------------------------------------------------
 
@@ -511,10 +658,11 @@ class TopKExtractor:
         realizable terms (e.g. every other candidate descends into an
         equivalence cycle).
         """
-        stream = self._engine.stream(class_id)
+        engine = self._engine
+        stream = engine.stream(class_id)
         entries: List[RankedTerm] = []
         for rank in range(self.k):
-            entry = stream.get(rank)
+            entry = engine.get(stream, rank)
             if entry is None:
                 break
             entries.append(entry)
@@ -525,6 +673,15 @@ class TopKExtractor:
     def best(self, class_id: int) -> RankedTerm:
         """The single cheapest realizable entry for ``class_id``."""
         return self.extract_top_k(class_id)[0]
+
+    def counters(self) -> Dict[str, int]:
+        """The work the queries so far did (the ``extract`` span's counters).
+
+        ``streams`` were created, ``expanded`` of them read their class's
+        e-nodes, ``pops`` entries left the heaps, and the SCC index visited
+        ``scc_classes`` classes.
+        """
+        return self._engine.counters()
 
     def best_per_enode(self, class_id: int) -> List[RankedTerm]:
         """The cheapest term rooted at each distinct e-node of ``class_id``.
@@ -551,7 +708,7 @@ class TopKExtractor:
             child_entries = []
             missing = False
             for arg in enode.args:
-                child = self._engine.stream(arg, blocked).get(0)
+                child = self._engine.get(self._engine.stream(arg, blocked), 0)
                 if child is None:
                     missing = True
                     break

@@ -270,26 +270,26 @@ def compile_pattern(pattern: Pattern) -> Tuple[Tuple[Instruction, ...], Tuple[Tu
     instructions: List[Instruction] = []
     var_regs: Dict[str, int] = {}
     next_reg = 1
-
-    def walk(p: Pattern, reg: int) -> None:
-        nonlocal next_reg
+    # Preorder from an explicit stack: children are pushed last-first, so
+    # each subtree is compiled whole before its right sibling.
+    stack: List[Tuple[Pattern, int]] = [(pattern, 0)]
+    while stack:
+        p, reg = stack.pop()
         if isinstance(p.op, PatternVar):
             previous = var_regs.get(p.op.name)
             if previous is None:
                 var_regs[p.op.name] = reg
             else:
                 instructions.append(Compare(reg, previous))
-            return
+            continue
         if not p.children:
             instructions.append(Check(reg, p.op))
-            return
+            continue
         base = next_reg
         next_reg += len(p.children)
         instructions.append(Descend(reg, p.op, len(p.children), base))
-        for offset, child in enumerate(p.children):
-            walk(child, base + offset)
-
-    walk(pattern, 0)
+        for offset in reversed(range(len(p.children))):
+            stack.append((p.children[offset], base + offset))
     return tuple(instructions), tuple(sorted(var_regs.items()))
 
 

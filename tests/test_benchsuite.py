@@ -47,8 +47,9 @@ class TestSuiteDefinitions:
 
     def test_structured_majority(self):
         # The paper exposes structure for 13 of 16 models (81%); this
-        # reproduction recovers it for 12 (the relay-box loop falls just
-        # outside the top-5, see EXPERIMENTS.md).
+        # reproduction recovers it for 12.  relay-box's first candidate
+        # with a loop is the 179th the extractor enumerates (cost 43
+        # against a best of 35), far outside the top-5.
         structured = sum(1 for b in BENCHMARKS if b.expects_structure)
         assert structured == 12
 

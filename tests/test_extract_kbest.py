@@ -7,7 +7,8 @@ Three layers of defense for the lazy k-best rewrite:
   distinct, realizable (the entry's cost is the recomputed cost of its own
   term), sorted, and equal to an exhaustive brute-force enumeration of all
   acyclic derivations, under both the monotone ``ast-size`` cost and the
-  non-monotone ``reward-loops`` cost.
+  non-monotone ``reward-loops`` cost — once on the bare graph and once
+  with a registered ast-size ``CostAnalysis``, which then prices rank 0.
 * **Analysis parity** (hypothesis, in ``test_egraph_analysis.py``): the
   incrementally maintained cost analysis equals the retroactive fixpoint.
 * **Seed differential**: on saturated e-graphs of the bundled benchmark
@@ -113,10 +114,7 @@ def _build(schedule) -> EGraph:
     return egraph
 
 
-@settings(max_examples=120, deadline=None)
-@given(_schedule, st.sampled_from([ast_size_cost_fn, reward_loops_cost_fn]), st.integers(1, 6))
-def test_top_k_matches_brute_force_and_is_well_formed(schedule, cost_function, k):
-    egraph = _build(schedule)
+def _assert_top_k_matches_brute_force(egraph, cost_function, k):
     extractor = TopKExtractor(egraph, cost_function, k=k)
     for eclass in list(egraph.classes()):
         class_id = eclass.id
@@ -148,6 +146,28 @@ def test_top_k_matches_brute_force_and_is_well_formed(schedule, cost_function, k
         for entry in entries:
             assert entry.term in full_oracle
             assert entry.cost == pytest.approx(full_oracle[entry.term])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_schedule, st.sampled_from([ast_size_cost_fn, reward_loops_cost_fn]), st.integers(1, 6))
+def test_top_k_matches_brute_force_and_is_well_formed(schedule, cost_function, k):
+    _assert_top_k_matches_brute_force(_build(schedule), cost_function, k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_schedule, st.sampled_from([ast_size_cost_fn, reward_loops_cost_fn]), st.integers(1, 6))
+def test_top_k_matches_brute_force_with_a_registered_analysis(schedule, cost_function, k):
+    """The same parity with an ast-size analysis on the graph.
+
+    Under ``ast-size`` the analysis then prices rank 0, except for children
+    that share a non-trivial SCC with a blocked class; under
+    ``reward-loops`` it must be ignored.
+    """
+    from repro.egraph.extract import CostAnalysis
+
+    egraph = _build(schedule)
+    egraph.register_analysis(CostAnalysis(ast_size_cost))
+    _assert_top_k_matches_brute_force(egraph, cost_function, k)
 
 
 @settings(max_examples=80, deadline=None)

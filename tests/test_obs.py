@@ -368,6 +368,20 @@ class TestPipelineTracing:
         assert records == determinize["attrs"]["inference_records"]
         assert records == len(result.inference_records) > 0
 
+    def test_extract_span_counts_streams_pops_and_scc_classes(self):
+        from repro.benchsuite.suite import get_benchmark
+
+        tracer = Tracer()
+        synthesize(get_benchmark("gear").build(), SynthesisConfig(), tracer=tracer)
+        (extract,) = [s for s in tracer.export() if s["name"] == "extract"]
+        attrs = extract["attrs"]
+        for key in ("streams", "expanded", "pops", "scc_classes"):
+            assert isinstance(attrs[key], int) and attrs[key] > 0, key
+        # Only the classes the answer needs are expanded; the SCC index
+        # still visits every class reachable from the root.
+        assert attrs["expanded"] <= attrs["streams"]
+        assert attrs["expanded"] < attrs["scc_classes"]
+
     def test_iteration_spans_carry_report_counters(self):
         tracer = Tracer()
         result = synthesize(_chain(4), SynthesisConfig(), tracer=tracer)
