@@ -36,8 +36,9 @@ def primitive_count(term: Term) -> int:
     still counts once — that is precisely how the paper's #o-p column shows a
     reduction (e.g. the gear's 63 input primitives become 5 in the output).
     """
-    own = 1 if term.is_leaf and term.op in _SHAPE_PRIMITIVES else 0
-    return own + sum(primitive_count(child) for child in term.children)
+    return sum(
+        1 for node in term.subterms() if not node.children and node.op in _SHAPE_PRIMITIVES
+    )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ The concrete syntax is shared with LambdaCAD: the parser builds plain
 from __future__ import annotations
 
 from repro.csg.validate import CsgValidationError, validate_flat_csg
-from repro.lang.sexp import SexpError, parse_sexp
+from repro.lang.sexp import SexpError
 from repro.lang.term import Term, TermError
 
 
@@ -19,7 +19,7 @@ class CsgSyntaxError(ValueError):
 def parse_term(text: str) -> Term:
     """Parse any term (CSG or LambdaCAD) from s-expression text."""
     try:
-        return Term.from_sexp(parse_sexp(text))
+        return Term.parse(text)
     except (SexpError, TermError) as exc:
         raise CsgSyntaxError(str(exc)) from exc
 

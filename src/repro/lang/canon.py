@@ -26,6 +26,15 @@ differently in output programs, so collapsing them could serve a cached
 result whose pretty-printed form differs from a fresh run's; keeping them
 apart costs at most a spurious miss.
 
+**The emitter.**  :func:`canonical_term_text` (which ``str(term)`` also
+returns) writes the text in one pass over an explicit stack, straight from
+the term: no nested-list copy of the term, no width measuring, and each
+distinct float spelled once per call.  The spelling of an atom is
+:func:`repro.lang.sexp.format_atom`'s.  A non-finite float has no
+canonical text, so a term holding ``inf`` or ``nan`` has no cache key: the
+emitter raises :class:`~repro.lang.sexp.SexpError` naming the literal, and
+the service answers such a job FAILED.
+
 On top of the exact tier sits the *semantic* tier: :func:`semantic_fingerprint`
 hashes the term after the :mod:`repro.lang.normal` pipeline has run, so
 spellings the normalization passes identify — reordered commutative
@@ -41,12 +50,8 @@ import hashlib
 import json
 from typing import Any
 
-from repro.lang.sexp import format_sexp
+from repro.lang.sexp import format_atom
 from repro.lang.term import Term
-
-#: Width passed to the s-expression printer so canonical text never wraps:
-#: the canonical form of a term is always a single line.
-_SINGLE_LINE = 10 ** 9
 
 
 def canonical_term_text(term: Term) -> str:
@@ -54,9 +59,44 @@ def canonical_term_text(term: Term) -> str:
 
     This is the serialization the disk cache stores and the worker protocol
     ships across process boundaries; it parses back to an equal term via
-    :func:`term_from_canonical`.
+    :func:`term_from_canonical`.  A non-finite float literal has no
+    canonical text: it raises :class:`~repro.lang.sexp.SexpError` naming
+    the literal.
     """
-    return format_sexp(term.to_sexp(), width=_SINGLE_LINE)
+    kids = term.children
+    if not kids:
+        return format_atom(term.op)
+    floats = {}
+    out = ["(" + format_atom(term.op)]
+    append = out.append
+    stack = [")"]
+    stack.extend(reversed(kids))
+    pop = stack.pop
+    push = stack.append
+    extend = stack.extend
+    while stack:
+        node = pop()
+        if node.__class__ is str:
+            append(node)
+            continue
+        op = node.op
+        cls = op.__class__
+        if cls is not str:
+            if cls is float:
+                text = floats.get(op)
+                if text is None:
+                    text = floats[op] = format_atom(op)
+                op = text
+            else:
+                op = format_atom(op)
+        kids = node.children
+        if kids:
+            append(" (" + op)
+            push(")")
+            extend(reversed(kids))
+        else:
+            append(" " + op)
+    return "".join(out)
 
 
 def term_from_canonical(text: str) -> Term:

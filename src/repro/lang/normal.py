@@ -54,9 +54,11 @@ preservation over the bundled models.
 from __future__ import annotations
 
 import math
+from itertools import islice
+from operator import is_
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from repro.lang.term import Term
+from repro.lang.term import Term, _term
 
 #: Affine transformation operators: three numeric arguments plus a child.
 #: This is the vocabulary's single source of truth — ``repro.csg.ops``
@@ -122,9 +124,10 @@ def _numeric_vector(term: Term):
     """The (x, y, z) float vector of an affine node, or None if symbolic."""
     values = []
     for child in term.children[:3]:
-        if not child.is_number:
+        op = child.op
+        if not isinstance(op, (int, float)):
             return None
-        values.append(float(child.value))
+        values.append(float(op))
     return tuple(values)
 
 
@@ -177,13 +180,22 @@ class NormalizationPass:
 
 
 def _numeric_literals(term: Term) -> Term:
+    # One int leaf per integral float value within this call.
+    ints: Dict[float, Term] = {}
+
     def unify(node: Term) -> Term:
-        if node.is_number:
-            canonical = canonical_number_value(node.value)
+        op = node.op
+        # Ints are canonical already; only a float's spelling can change.
+        if isinstance(op, float):
+            leaf = ints.get(op)
+            if leaf is not None:
+                return leaf
+            canonical = canonical_number_value(op)
             # ``1.0 == 1`` yet the spellings are distinct terms for the
             # exact tier; rebuild only when the spelling actually changes.
-            if type(canonical) is not type(node.op):
-                return Term(canonical)
+            if type(canonical) is not type(op):
+                leaf = ints[op] = Term(canonical)
+                return leaf
         return node
 
     return term.map_bottom_up(unify)
@@ -280,6 +292,8 @@ def _affine_canonical(term: Term) -> Term:
         # Iterate locally: a fused or commuted layer can expose the next
         # opportunity at the same position (e.g. the Translate surfaced by
         # a swap meeting the Translate above it).
+        if node.op not in AFFINE_OPS:
+            return node
         while True:
             rewritten = _canonical_affine_step(node)
             if rewritten is None:
@@ -290,10 +304,12 @@ def _affine_canonical(term: Term) -> Term:
     # chain in one traversal; the outer loop catches rewrites that expose
     # work *above* an already-visited position.  Termination: every step
     # either shrinks the term or strictly moves a Translate outward past a
-    # non-Translate layer, and no step does the reverse.
+    # non-Translate layer, and no step does the reverse.  A traversal that
+    # rewrote nothing returns the term itself (``map_bottom_up`` reuses
+    # unchanged nodes), so the no-change test is an identity test.
     for _ in range(term.size() + 8):
         rewritten = term.map_bottom_up(step)
-        if rewritten == term:
+        if rewritten is term or rewritten == term:
             return term
         term = rewritten
     return term  # pragma: no cover - unreachable by the termination measure
@@ -303,36 +319,79 @@ def _affine_canonical(term: Term) -> Term:
 
 
 def _alpha_rename(term: Term) -> Term:
-    def rename(node: Term, env: Dict[str, str], depth: int) -> Term:
-        if node.op == "Fun" and len(node.children) >= 2:
-            *params, body = node.children
+    # Renaming happens only under a binder: a term without ``Fun`` is its
+    # own image (a ``Var`` outside every binder is free).
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if node.op == "Fun":
+            break
+        stack.extend(node.children)
+    else:
+        return term
+
+    def expand(node: Term, env: Dict[str, str], depth: int):
+        """The renamed node, or the tasks of its children (a task is a
+        renamed term or a ``(child, env, depth)`` still to rename)."""
+        kids = node.children
+        if not kids:
+            return node, None
+        if node.op == "Fun" and len(kids) >= 2:
             scope = dict(env)
-            renamed_params: List[Term] = []
+            tasks: list = []
             level = depth
-            for param in params:
-                if param.is_leaf and isinstance(param.op, str):
+            for param in kids[:-1]:
+                if not param.children and isinstance(param.op, str):
                     canonical = f"{CANONICAL_PARAM_PREFIX}{level}"
                     scope[param.op] = canonical
-                    renamed_params.append(Term(canonical))
+                    tasks.append(param if param.op == canonical else Term(canonical))
                     level += 1
                 else:  # malformed binder; leave it alone
-                    renamed_params.append(rename(param, env, depth))
-            return Term("Fun", tuple(renamed_params) + (rename(body, scope, level),))
+                    tasks.append((param, env, depth))
+            tasks.append((kids[-1], scope, level))
+            return None, tasks
         if (
             node.op == "Var"
-            and len(node.children) == 1
-            and node.children[0].is_leaf
-            and isinstance(node.children[0].op, str)
+            and len(kids) == 1
+            and not kids[0].children
+            and isinstance(kids[0].op, str)
         ):
-            bound = env.get(node.children[0].op)
-            if bound is not None and bound != node.children[0].op:
-                return Term("Var", (Term(bound),))
-            return node
-        if node.is_leaf:
-            return node
-        return Term(node.op, tuple(rename(child, env, depth) for child in node.children))
+            bound = env.get(kids[0].op)
+            if bound is not None and bound != kids[0].op:
+                return Term("Var", (Term(bound),)), None
+            return node, None
+        return None, [(child, env, depth) for child in kids]
 
-    return rename(term, {}, 0)
+    renamed, tasks = expand(term, {}, 0)
+    if tasks is None:
+        return renamed
+    frames = []
+    node, pending, done = term, iter(tasks), []
+    while True:
+        for task in pending:
+            if task.__class__ is Term:
+                done.append(task)
+                continue
+            renamed, tasks = expand(*task)
+            if tasks is None:
+                done.append(renamed)
+                continue
+            frames.append((node, pending, done))
+            node, pending, done = task[0], iter(tasks), []
+            break
+        else:
+            result = _reuse(node, done)
+            if not frames:
+                return result
+            node, pending, done = frames.pop()
+            done.append(result)
+
+
+def _reuse(node: Term, kids: List[Term]) -> Term:
+    """``node`` over ``kids``: ``node`` itself when they are its own children."""
+    if all(map(is_, kids, node.children)):
+        return node
+    return _term(node.op, tuple(kids))
 
 
 # -- pass 4: commutative-operand sorting ---------------------------------------
@@ -342,8 +401,8 @@ def term_order_key(term: Term) -> tuple:
     """A total-order sort key over terms.
 
     Numeric leaves order by value, before everything else; symbols and
-    composites order by operator text, then recursively by children.  Key
-    equality coincides with term equality up to the ``-0.0``/``0.0``
+    composites order by operator text, then by children.  Key equality
+    coincides with term equality up to the ``-0.0``/``0.0``
     identification, so a stable sort under this key is deterministic.
 
     The key has two levels.  The primary level reads every numeral on a
@@ -357,20 +416,75 @@ def term_order_key(term: Term) -> tuple:
     then int-before-float spelling), so the order stays total and
     input-order independent — sorting is deterministic and idempotent even
     among terms the grid cannot tell apart.
+
+    Each level reads the term in pre-order as a flat sequence: a numeral
+    is ``0, value`` (plus ``0``/``1`` for its int/float spelling at the
+    exact level), any other node ``1, operator text, children..., -1``.
+    The closing ``-1`` sorts before any child, so the sequences order
+    exactly as the nested ``(tag, text, (child keys...))`` tuples they
+    spell out.  The key holds the first :data:`_KEY_PREFIX` elements of the
+    primary level, which tell almost all operands apart, and a
+    :class:`_KeyRest` that compares two whole keys by walking both terms
+    when those agree.  So a key costs a bounded walk, however large the
+    term (sorting nested chains stays linear), and no comparison recurses.
     """
-    return (_rounded_key(term), _exact_key(term))
+    return (tuple(islice(_key_elements(term, False), _KEY_PREFIX)), _KeyRest(term))
 
 
-def _rounded_key(term: Term) -> tuple:
-    if term.is_number:
-        return (0, round(float(term.value), 2))
-    return (1, str(term.op), tuple(_rounded_key(child) for child in term.children))
+#: Primary-level elements a sort key spells out eagerly.
+_KEY_PREFIX = 32
 
 
-def _exact_key(term: Term) -> tuple:
-    if term.is_number:
-        return (0, float(term.value), 0 if isinstance(term.op, int) else 1)
-    return (1, str(term.op), tuple(_exact_key(child) for child in term.children))
+def _key_elements(term: Term, exact: bool):
+    """One level of ``term``'s sort key, element by element (see above)."""
+    stack: list = [term]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            yield -1
+            continue
+        op = node.op
+        if isinstance(op, (int, float)):
+            value = float(op)
+            yield 0
+            if exact:
+                yield value
+                yield 0 if isinstance(op, int) else 1
+            else:
+                yield round(value, 2)
+        else:
+            yield 1
+            yield str(op)
+            stack.append(None)
+            if node.children:
+                stack.extend(reversed(node.children))
+
+
+class _KeyRest:
+    """Both levels of a term's sort key, compared lazily.
+
+    Keys are prefix-free (a term's sequence ends where its root closes), so
+    two sequences that agree wherever both have elements are equal.
+    """
+
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term):
+        self.term = term
+
+    def _compare(self, other: "_KeyRest") -> int:
+        for exact in (False, True):
+            pairs = zip(_key_elements(self.term, exact), _key_elements(other.term, exact))
+            for mine, theirs in pairs:
+                if mine is not theirs and mine != theirs:
+                    return -1 if mine < theirs else 1
+        return 0
+
+    def __eq__(self, other) -> bool:
+        return self._compare(other) == 0
+
+    def __lt__(self, other) -> bool:
+        return self._compare(other) < 0
 
 
 def _flatten_chain(term: Term, op) -> List[Term]:
@@ -387,20 +501,64 @@ def _flatten_chain(term: Term, op) -> List[Term]:
     return operands
 
 
-def _commutative_sort(term: Term) -> Term:
-    def sort(node: Term) -> Term:
-        if node.op in COMMUTATIVE_OPS and len(node.children) == 2:
-            operands = [sort(operand) for operand in _flatten_chain(node, node.op)]
-            operands.sort(key=term_order_key)
-            result = operands[-1]
-            for operand in reversed(operands[:-1]):
-                result = Term(node.op, (operand, result))
-            return result
-        if node.is_leaf:
-            return node
-        return Term(node.op, tuple(sort(child) for child in node.children))
+def _is_chain(node: Term) -> bool:
+    return node.op in COMMUTATIVE_OPS and len(node.children) == 2
 
-    return sort(term)
+
+def _right_nested(node: Term, operands: List[Term]) -> Term:
+    """``(op o1 (op o2 (... on)))`` for ``node``'s ``op``, reusing its spine.
+
+    A node of ``node``'s right spine is reused at the position where it
+    already holds exactly the operand and the rebuilt rest, so a chain that
+    is already sorted and right-nested comes back as itself.
+    """
+    op = node.op
+    spine = []
+    while node.op == op and len(node.children) == 2:
+        spine.append(node)
+        node = node.children[1]
+    result = operands[-1]
+    for index in range(len(operands) - 2, -1, -1):
+        operand = operands[index]
+        if (
+            index < len(spine)
+            and spine[index].children[0] is operand
+            and spine[index].children[1] is result
+        ):
+            result = spine[index]
+        else:
+            result = _term(op, (operand, result))
+    return result
+
+
+def _commutative_sort(term: Term) -> Term:
+    # The parts of a node are its children, or — for a commutative chain —
+    # the operands of the whole chain, which are sorted once all of them
+    # are sorted themselves.
+    def parts(node: Term):
+        return _flatten_chain(node, node.op) if _is_chain(node) else node.children
+
+    if not term.children:
+        return term
+    frames = []
+    node, pending, done = term, iter(parts(term)), []
+    while True:
+        for child in pending:
+            if child.children:
+                frames.append((node, pending, done))
+                node, pending, done = child, iter(parts(child)), []
+                break
+            done.append(child)
+        else:
+            if _is_chain(node):
+                done.sort(key=term_order_key)
+                result = _right_nested(node, done)
+            else:
+                result = _reuse(node, done)
+            if not frames:
+                return result
+            node, pending, done = frames.pop()
+            done.append(result)
 
 
 # ---------------------------------------------------------------------------

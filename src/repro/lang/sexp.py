@@ -9,15 +9,24 @@ programs round-trip cleanly:
 * a *list* is a parenthesized, whitespace-separated sequence of s-expressions;
 * line comments start with ``;`` and run to end of line.
 
-The reader is hand-written (no dependencies) and reports positions in error
-messages.  The printer produces either a compact single-line rendering or a
-width-limited pretty rendering.
+**Reading.**  One compiled regular expression, :func:`tokens`, splits text
+into ``(``, ``)`` and atom spellings (whitespace is exactly space, tab,
+CR and LF).  :func:`parse_many`/:func:`parse_sexp` build nested lists from
+it, and :meth:`repro.lang.term.Term.parse` builds terms from it directly.
+Tokens carry no positions: line and column are computed from the token's
+offset only when a parse fails, and reported in the :class:`SexpError`.
+
+**Printing.**  :func:`format_sexp` renders nested lists either on one line
+or width-limited; it walks explicit stacks, so its depth is bounded by
+memory, not by Python's recursion limit.  :func:`format_atom` is the one
+atom spelling shared with the canonical term emitter
+(:mod:`repro.lang.canon`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+import re
+from typing import Dict, List, Union
 
 #: A parsed s-expression: an atom (``str``, ``int``, ``float``) or a nested
 #: list of s-expressions.
@@ -25,7 +34,7 @@ Sexp = Union[str, int, float, list]
 
 
 class SexpError(ValueError):
-    """Raised when s-expression text cannot be parsed."""
+    """Raised when s-expression text cannot be parsed or printed."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         self.line = line
@@ -35,52 +44,54 @@ class SexpError(ValueError):
         super().__init__(message)
 
 
-_DELIMITERS = "()"
-_WHITESPACE = " \t\r\n"
+#: A comment, a parenthesis, or an atom (a run of anything else that is not
+#: whitespace); whitespace between tokens matches nothing and is skipped.
+_TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
 
 
-@dataclass
-class _Token:
-    """A lexical token with its source position."""
-
-    kind: str  # "(", ")", or "atom"
-    text: str
-    line: int
-    column: int
+def tokens(text: str) -> List[str]:
+    """The ``(``, ``)`` and atom spellings of ``text``, comments dropped."""
+    found = _TOKEN.findall(text)
+    if ";" in text:
+        found = [token for token in found if token[0] != ";"]
+    return found
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    """Yield tokens from ``text``, tracking line/column for error messages."""
-    line = 1
-    column = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-        elif ch in _WHITESPACE:
-            column += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in _DELIMITERS:
-            yield _Token(ch, ch, line, column)
-            column += 1
-            i += 1
-        else:
-            start = i
-            start_col = column
-            while i < n and text[i] not in _WHITESPACE + _DELIMITERS + ";":
-                i += 1
-                column += 1
-            yield _Token("atom", text[start:i], line, start_col)
+def _token_offset(text: str, index: int) -> int:
+    """The offset in ``text`` of the ``index``-th token of :func:`tokens`."""
+    for match in _TOKEN.finditer(text):
+        if match.group()[0] != ";":
+            if not index:
+                return match.start()
+            index -= 1
+    raise IndexError(index)
 
 
-def _parse_atom(text: str) -> Sexp:
+def _error_at(message: str, text: str, index: int) -> SexpError:
+    """A :class:`SexpError` located at the ``index``-th token of ``text``."""
+    offset = _token_offset(text, index)
+    line = text.count("\n", 0, offset) + 1
+    return SexpError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _unbalanced(text: str, found: List[str]) -> SexpError:
+    """The error for the token list of ``text``, whose parentheses do not balance.
+
+    Either the first ``)`` that closes nothing, or — when every ``)`` has
+    its ``(`` — the end of input, located at the last token.
+    """
+    depth = 0
+    for index, token in enumerate(found):
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+            if depth < 0:
+                return _error_at("unbalanced ')'", text, index)
+    return _error_at("unbalanced '(': unexpected end of input", text, len(found) - 1)
+
+
+def parse_atom(text: str) -> Sexp:
     """Interpret an atom token as an int, float, or symbol string."""
     try:
         return int(text)
@@ -95,30 +106,28 @@ def _parse_atom(text: str) -> Sexp:
 
 def parse_many(text: str) -> list:
     """Parse all s-expressions in ``text`` and return them as a list."""
+    found = tokens(text)
+    atoms: Dict[str, Sexp] = {}
     results: list = []
+    current = results
     stack: list = []
-    last_line = 1
-    last_col = 1
-    for token in _tokenize(text):
-        last_line, last_col = token.line, token.column
-        if token.kind == "(":
-            stack.append([])
-        elif token.kind == ")":
+    for token in found:
+        if token == "(":
+            stack.append(current)
+            current = []
+        elif token == ")":
             if not stack:
-                raise SexpError("unbalanced ')'", token.line, token.column)
-            finished = stack.pop()
-            if stack:
-                stack[-1].append(finished)
-            else:
-                results.append(finished)
+                raise _unbalanced(text, found)
+            finished = current
+            current = stack.pop()
+            current.append(finished)
         else:
-            atom = _parse_atom(token.text)
-            if stack:
-                stack[-1].append(atom)
-            else:
-                results.append(atom)
+            atom = atoms.get(token)
+            if atom is None:
+                atom = atoms[token] = parse_atom(token)
+            current.append(atom)
     if stack:
-        raise SexpError("unbalanced '(': unexpected end of input", last_line, last_col)
+        raise _unbalanced(text, found)
     return results
 
 
@@ -136,13 +145,25 @@ def parse_sexp(text: str) -> Sexp:
     return results[0]
 
 
-def _format_atom(atom: Sexp) -> str:
+def format_atom(atom: Sexp) -> str:
+    """The printed spelling of one atom.
+
+    Integral floats keep their ``.0`` (the languages treat ints and floats
+    alike, but the spellings stay distinct), ``-0.0`` prints as ``0.0``,
+    other floats print their exact ``repr``.  A non-finite float has no
+    spelling the reader maps back to the same value class, so it raises
+    :class:`SexpError` naming it.
+    """
     if isinstance(atom, bool):
         return "true" if atom else "false"
     if isinstance(atom, float):
         # Render floats without exponent noise where possible; keep integral
         # floats distinguishable from ints (the languages treat both as R).
-        if atom == int(atom) and abs(atom) < 1e16:
+        try:
+            integral = atom == int(atom)
+        except (OverflowError, ValueError):
+            raise SexpError(f"cannot print the non-finite number {atom!r}") from None
+        if integral and abs(atom) < 1e16:
             # IEEE negative zero compares equal to 0.0 (and hashes the same),
             # so Term(-0.0) == Term(0.0); rendering the sign would give two
             # equal terms distinct canonical texts — and therefore distinct
@@ -161,21 +182,72 @@ def format_sexp(sexp: Sexp, *, width: int = 80, indent: int = 0) -> str:
     columns, it breaks after the head symbol and indents the arguments by two
     spaces, which matches how the paper typesets its programs.
     """
-    flat = _format_flat(sexp)
-    if len(flat) + indent <= width:
+    out: List[str] = []
+    _emit_flat(sexp, out)
+    flat = "".join(out)
+    if len(flat) + indent <= width or not isinstance(sexp, list) or not sexp:
         return flat
-    if not isinstance(sexp, list) or not sexp:
-        return flat
-    head = _format_flat(sexp[0])
-    pad = " " * (indent + 2)
-    parts = [
-        format_sexp(child, width=width, indent=indent + 2) for child in sexp[1:]
-    ]
-    body = ("\n" + pad).join(parts)
-    return f"({head}\n{pad}{body})"
+    lengths = _flat_lengths(sexp)
+    out = []
+    stack: list = [(sexp, indent)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        node, column = item
+        if not isinstance(node, list) or not node or lengths[id(node)] + column <= width:
+            _emit_flat(node, out)
+            continue
+        out.append("(")
+        _emit_flat(node[0], out)
+        pad = "\n" + " " * (column + 2)
+        stack.append(")")
+        for child in reversed(node[1:]):
+            stack.append((child, column + 2))
+            stack.append(pad)
+        if len(node) == 1:
+            stack.append(pad)
+    return "".join(out)
 
 
-def _format_flat(sexp: Sexp) -> str:
-    if isinstance(sexp, list):
-        return "(" + " ".join(_format_flat(child) for child in sexp) + ")"
-    return _format_atom(sexp)
+def _emit_flat(sexp: Sexp, out: List[str]) -> None:
+    """Append the single-line rendering of ``sexp`` to ``out``."""
+    if not isinstance(sexp, list):
+        out.append(format_atom(sexp))
+        return
+    out.append("(")
+    stack = [iter(sexp)]
+    first = True
+    while stack:
+        for item in stack[-1]:
+            if not first:
+                out.append(" ")
+            if isinstance(item, list):
+                out.append("(")
+                stack.append(iter(item))
+                first = True
+                break
+            out.append(format_atom(item))
+            first = False
+        else:
+            stack.pop()
+            out.append(")")
+            first = False
+
+
+def _flat_lengths(root: list) -> Dict[int, int]:
+    """The single-line length of every list under ``root``, by ``id``."""
+    lengths: Dict[int, int] = {}
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            total = len(node) + 1 if node else 2
+            for item in node:
+                total += lengths[id(item)] if isinstance(item, list) else len(format_atom(item))
+            lengths[id(node)] = total
+        elif id(node) not in lengths:
+            stack.append((node, True))
+            stack.extend((item, False) for item in node if isinstance(item, list))
+    return lengths

@@ -9,13 +9,32 @@ leaves are terms with a numeric operator and no children.
 Terms are hash-consed-friendly: they are frozen, cache their hash, and
 compare structurally, which is what the e-graph's ``add`` path and the
 evaluators need to be fast.
+
+Every walk over a term — the size/depth/count queries, conversion to and
+from nested lists, :meth:`Term.map_bottom_up` — uses an explicit stack,
+so a flat model of thousands of parts (a chain as deep as it has parts)
+is within reach.  Equality recurses through tuple comparison, which is
+what keeps it fast in synthesis, and finishes a comparison deeper than
+the recursion limit from an explicit stack.
+
+:meth:`Term.map_bottom_up` keeps the call order of the recursive
+definition: ``fn`` runs once per occurrence, post-order, children left to
+right (the noise simulator draws its random numbers in that order).  A node whose children all come back as the same
+objects is passed to ``fn`` itself instead of a rebuilt copy, so a map
+that changes nothing returns the very term it was given.
+
+:meth:`Term.parse` builds terms straight from the reader's tokens: one
+leaf per distinct spelling, composite nodes assembled without
+re-validating children it built itself.  Malformed text raises exactly
+what ``Term.from_sexp(parse_sexp(text))`` raises.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Union
+from operator import is_
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
-from repro.lang.sexp import Sexp, format_sexp, parse_sexp
+from repro.lang.sexp import Sexp, format_sexp, parse_atom, parse_sexp, tokens
 
 
 class TermError(ValueError):
@@ -99,36 +118,68 @@ class Term:
 
     def size(self) -> int:
         """Number of AST nodes (the paper's default cost metric)."""
-        return 1 + sum(child.size() for child in self.children)
+        count = 0
+        stack = [self]
+        while stack:
+            count += 1
+            kids = stack.pop().children
+            if kids:
+                stack.extend(kids)
+        return count
 
     def depth(self) -> int:
         """Height of the AST (a leaf has depth 1)."""
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
+        height = 0
+        level = [self]
+        while level:
+            height += 1
+            level = [child for node in level for child in node.children]
+        return height
 
     def count(self, op: Operator) -> int:
         """Count nodes whose operator equals ``op``."""
-        own = 1 if self.op == op else 0
-        return own + sum(child.count(op) for child in self.children)
+        return sum(1 for node in self.subterms() if node.op == op)
 
     def operators(self) -> set:
         """The set of all operators appearing in the term."""
-        ops = {self.op}
-        for child in self.children:
-            ops |= child.operators()
-        return ops
+        return {node.op for node in self.subterms()}
 
     def subterms(self) -> Iterator["Term"]:
         """Yield every subterm, pre-order."""
-        yield self
-        for child in self.children:
-            yield from child.subterms()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack.extend(reversed(node.children))
 
     def map_bottom_up(self, fn) -> "Term":
-        """Rewrite the term bottom-up: children first, then ``fn`` on the node."""
-        rebuilt = Term(self.op, tuple(c.map_bottom_up(fn) for c in self.children))
-        return fn(rebuilt)
+        """Rewrite the term bottom-up: children first, then ``fn`` on the node.
+
+        ``fn`` runs once per occurrence, post-order, children left to right.
+        A node whose mapped children are the very objects it holds reaches
+        ``fn`` as itself; otherwise ``fn`` gets a copy over the mapped
+        children.
+        """
+        if not self.children:
+            return fn(self)
+        frames = []
+        node, pending, done = self, iter(self.children), []
+        while True:
+            for child in pending:
+                if child.children:
+                    frames.append((node, pending, done))
+                    node, pending, done = child, iter(child.children), []
+                    break
+                done.append(fn(child))
+            else:
+                if not all(map(is_, done, node.children)):
+                    node = Term(node.op, done)
+                result = fn(node)
+                if not frames:
+                    return result
+                node, pending, done = frames.pop()
+                done.append(result)
 
     # -- conversion ------------------------------------------------------------
 
@@ -139,26 +190,52 @@ class Term:
         ``(Translate 1 2 3 Cube)`` becomes ``Term("Translate", (1, 2, 3, Cube))``.
         A bare atom becomes a leaf.  An empty list is rejected.
         """
-        if isinstance(sexp, list):
-            if not sexp:
-                raise TermError("cannot convert empty list to a term")
-            head = sexp[0]
-            if isinstance(head, list):
-                raise TermError(f"operator position holds a list: {head!r}")
-            children = tuple(Term.from_sexp(child) for child in sexp[1:])
-            return Term(head, children)
-        return Term(sexp)
+        if not isinstance(sexp, list):
+            return Term(sexp)
+        frames = []
+        head, pending, kids = _head(sexp), iter(sexp[1:]), []
+        while True:
+            for item in pending:
+                if isinstance(item, list):
+                    frames.append((head, pending, kids))
+                    head, pending, kids = _head(item), iter(item[1:]), []
+                    break
+                kids.append(Term(item))
+            else:
+                term = Term(head, kids)
+                if not frames:
+                    return term
+                head, pending, kids = frames.pop()
+                kids.append(term)
 
     @staticmethod
     def parse(text: str) -> "Term":
         """Parse a term from s-expression text."""
-        return Term.from_sexp(parse_sexp(text))
+        term = _build(text)
+        if term is None:
+            # Malformed: the nested-list reader and ``from_sexp`` locate
+            # and word the error.
+            term = Term.from_sexp(parse_sexp(text))
+        return term
 
     def to_sexp(self) -> Sexp:
         """Convert the term back to a nested-list s-expression."""
         if not self.children:
             return self.op
-        return [self.op] + [child.to_sexp() for child in self.children]
+        root = [self.op]
+        stack = [(root, iter(self.children))]
+        while stack:
+            out, pending = stack[-1]
+            for child in pending:
+                if child.children:
+                    nested = [child.op]
+                    out.append(nested)
+                    stack.append((nested, iter(child.children)))
+                    break
+                out.append(child.op)
+            else:
+                stack.pop()
+        return root
 
     def pretty(self, width: int = 80) -> str:
         """Pretty-print the term as an s-expression."""
@@ -177,7 +254,13 @@ class Term:
             return NotImplemented
         if self._hash != other._hash:
             return False
-        return self.op == other.op and self.children == other.children
+        try:
+            # Tuple equality compares the children in C, identity first, and
+            # comes back here once per level: the fast path synthesis needs.
+            return self.op == other.op and self.children == other.children
+        except RecursionError:
+            # Deeper than the interpreter's recursion limit: walk the rest.
+            return _equal_walk(self, other)
 
     def __hash__(self) -> int:
         return self._hash
@@ -188,7 +271,99 @@ class Term:
         return f"Term({self.op!r}, {list(self.children)!r})"
 
     def __str__(self) -> str:
-        return format_sexp(self.to_sexp(), width=10 ** 9)
+        from repro.lang.canon import canonical_term_text
+
+        return canonical_term_text(self)
+
+
+_new = object.__new__
+_set_op = Term.op.__set__
+_set_children = Term.children.__set__
+_set_hash = Term._hash.__set__
+
+
+def _term(op: Operator, kids: tuple) -> Term:
+    """A term over a valid operator and a tuple of terms, built unchecked."""
+    term = _new(Term)
+    _set_op(term, op)
+    _set_children(term, kids)
+    _set_hash(term, hash((op, kids)))
+    return term
+
+
+def _equal_walk(term: Term, other: Term) -> bool:
+    """``term == other`` for terms with equal hashes, from an explicit stack."""
+    if term.op != other.op:
+        return False
+    pending = [(term.children, other.children)]
+    while pending:
+        mine, theirs = pending.pop()
+        if len(mine) != len(theirs):
+            return False
+        for a, b in zip(mine, theirs):
+            if a is b:
+                continue
+            if a._hash != b._hash or a.op != b.op:
+                return False
+            if a.children or b.children:
+                pending.append((a.children, b.children))
+    return True
+
+
+def _head(sexp: list) -> Operator:
+    """The operator of a list ``from_sexp`` converts, or the reason it has none."""
+    if not sexp:
+        raise TermError("cannot convert empty list to a term")
+    head = sexp[0]
+    if isinstance(head, list):
+        raise TermError(f"operator position holds a list: {head!r}")
+    return head
+
+
+def _build(text: str) -> Optional[Term]:
+    """The term ``text`` spells, or None when it is malformed.
+
+    One pass over the tokens: atoms of the same spelling share one leaf,
+    a list's head token is its operator, and a ``)`` assembles the list's
+    children.  Anything unusual — an empty list, a list in operator
+    position, a numeric operator with children, unbalanced parentheses,
+    not exactly one expression — returns None for :meth:`Term.parse` to
+    report.
+    """
+    leaves = {}
+    heads: List[Term] = []
+    frames: List[list] = []
+    kids: list = []
+    found = iter(tokens(text))
+    for token in found:
+        if token == "(":
+            token = next(found, ")")
+            if token == "(" or token == ")":
+                return None
+            leaf = leaves.get(token)
+            if leaf is None:
+                leaf = leaves[token] = _term(parse_atom(token), ())
+            heads.append(leaf)
+            frames.append(kids)
+            kids = []
+        elif token == ")":
+            if not heads:
+                return None
+            term = heads.pop()
+            if kids:
+                if term.op.__class__ is not str:
+                    return None
+                term = _term(term.op, tuple(kids))
+            kids = frames.pop()
+            kids.append(term)
+        else:
+            leaf = leaves.get(token)
+            if leaf is None:
+                leaf = leaves[token] = _term(parse_atom(token), ())
+            kids.append(leaf)
+    if heads or len(kids) != 1:
+        return None
+    return kids[0]
 
 
 def make(op: Operator, *children: Term) -> Term:

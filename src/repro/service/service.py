@@ -6,7 +6,9 @@ that keys, probes, coalesces and stores jobs: ``batch``/``table1`` via
 ``serve`` daemon, which starts the service's pool once and submits each
 job as its frame arrives.  :meth:`SynthesisService.submit` folds a job's
 timeout into its config and derives its exact cache key, plus the semantic
-key when that tier is on.  It answers a cache hit at once.  A job whose
+key when that tier is on; a job whose keys cannot be derived (a term with
+a non-finite literal has no canonical text) is answered FAILED at once.
+It answers a cache hit at once.  A job whose
 exact key is already in flight becomes a follower of that job and is
 answered with its outcome (``cache_tier="batch"``).  Any other job is
 dispatched to the service's :class:`~repro.service.worker.ResidentPool`,
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -216,19 +219,32 @@ class SynthesisService:
         """Admit one job; ``on_result(job, result)`` fires exactly once.
 
         A cache hit is answered before this returns, and before its
-        ``cache-hit`` event is emitted.
+        ``cache-hit`` event is emitted.  So is a job whose cache keys cannot
+        be derived (a term with a non-finite literal has no canonical
+        text): it is answered FAILED, naming the cause, and never runs.
         """
         job = self._normalize(job)
         if self.trace and not job.trace:
             job = replace(job, trace=True)
-        key = cache_key(job.term, job.config)
-        # Normalization walks the whole term, so the semantic key is only
-        # derived when its tier is on.
-        semantic_key = (
-            semantic_cache_key(job.term, job.config)
-            if self.cache is not None and self.cache.semantic
-            else None
-        )
+        try:
+            key = cache_key(job.term, job.config)
+            # Normalization walks the whole term, so the semantic key is
+            # only derived when its tier is on.
+            semantic_key = (
+                semantic_cache_key(job.term, job.config)
+                if self.cache is not None and self.cache.semantic
+                else None
+            )
+        except Exception:
+            failed = _failed(
+                job, f"the job's cache key cannot be derived\n{traceback.format_exc()}"
+            )
+            on_result(job, failed)
+            _emit(
+                self.on_event,
+                JobEvent("failed", job.job_id, job.name, message=failed.error_summary()),
+            )
+            return
         payload = tier = None
         with self._lock:
             if self.cache is not None:

@@ -26,9 +26,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.benchsuite.models import linear_array
 from repro.core.config import SynthesisConfig
-from repro.csg.build import translate, union_all, unit
+from repro.csg.build import cube, translate, union_all, unit
 from repro.csg.pretty import format_term
+from repro.lang.canon import canonical_term_text
 from repro.obs import read_trace_jsonl, validate_spans
 from repro.service import ResultCache, SynthesisDaemon
 from repro.service import daemon as daemon_module
@@ -114,6 +116,34 @@ class TestDaemonBasics:
         by_name = {r["name"]: r for r in results}
         assert by_name["garbage"]["status"] == "failed"
         assert by_name["fine"]["status"] == "succeeded"
+
+    def test_a_term_without_canonical_text_is_one_failed_job(self, daemon_factory):
+        # inf, nan and 1e400 parse as floats, but no key can be derived from
+        # a non-finite literal: each job fails alone, its slot is freed, and
+        # the connection keeps serving.
+        daemon = daemon_factory()
+        with DaemonClient(daemon.socket_path) as client:
+            for literal in ("inf", "nan", "1e400"):
+                (bad,) = client.submit_and_wait(
+                    [{"name": literal, "term": f"(Translate {literal} 0 0 Cube)"}]
+                )
+                assert bad["status"] == "failed"
+                assert f"non-finite number {float(literal)!r}" in bad["error"]
+                assert client.health()["pending"] == 0
+                (fine,) = client.submit_and_wait([{"name": "fine", "term": _chain_text(3)}])
+                assert fine["status"] == "succeeded"
+            health = client.health()
+        assert health["jobs"]["failed"] == 3 and health["pending"] == 0
+
+    def test_a_450_part_array_gets_a_typed_answer(self, daemon_factory):
+        model = linear_array(450, (3, 0, 0), cube())
+        daemon = daemon_factory(worker_count=1)
+        with DaemonClient(daemon.socket_path) as client:
+            (result,) = client.submit_and_wait(
+                [{"name": "long", "term": canonical_term_text(model), "timeout": 1.0}]
+            )
+            assert result["status"] in ("succeeded", "timeout"), result
+            assert client.health()["pending"] == 0
 
     def test_invalid_config_fails_at_admission(self, daemon_factory):
         daemon = daemon_factory()

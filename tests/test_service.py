@@ -28,6 +28,7 @@ from repro.benchsuite.table1 import row_from_result
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import SynthesisResult, synthesize
 from repro.csg.build import scale, translate, union_all, unit
+from repro.lang.term import Term
 from repro.service import (
     JobQueue,
     JobResult,
@@ -689,6 +690,26 @@ class TestPooledService:
         assert report.result_for("bad").status is JobStatus.FAILED
         assert "no-such" in report.result_for("bad").error
         assert report.result_for("ok").status is JobStatus.SUCCEEDED
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_a_job_without_cache_keys_fails_alone(self, cache, tmp_path):
+        # A non-finite literal parses but has no canonical text, so no key.
+        bad = Term.parse("(Union (Translate inf 0 0 Cube) (Translate 1 0 0 Cube))")
+        jobs = [
+            SynthesisJob(name="before", term=_chain(2)),
+            SynthesisJob(name="bad", term=bad),
+            SynthesisJob(name="after", term=_chain(3)),
+        ]
+        service = SynthesisService(
+            worker_count=0, cache=ResultCache(tmp_path) if cache else None
+        )
+        report = service.run_batch(jobs)
+        failed = report.result_for("bad")
+        assert failed.status is JobStatus.FAILED
+        assert "non-finite number inf" in failed.error
+        assert [r.status for r in report.results] == [
+            JobStatus.SUCCEEDED, JobStatus.FAILED, JobStatus.SUCCEEDED
+        ]
 
     @_FORK
     def test_worker_process_death_is_reported(self, monkeypatch):
