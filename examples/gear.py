@@ -5,7 +5,8 @@ Starting from the ~300-line flat CSG of a 60-tooth spur gear, Szalinski
 synthesizes a ~16-line LambdaCAD program whose loop exposes the tooth count.
 This example also exercises the rest of the toolchain the paper describes:
 the synthesized program is unrolled back to flat CSG (translation
-validation), rendered to OpenSCAD, and exported as an STL mesh.
+validation) and rendered to OpenSCAD, whose source is flattened back and
+checked against the input (OpenSCAD turns it into a mesh for printing).
 
 Run with:  python examples/gear.py [tooth_count]
 """
@@ -13,13 +14,12 @@ Run with:  python examples/gear.py [tooth_count]
 import sys
 from pathlib import Path
 
-from repro import SynthesisConfig, synthesize, unroll
+from repro import SynthesisConfig, synthesize
 from repro.benchsuite.models import gear_model
 from repro.csg.metrics import measure
 from repro.csg.pretty import format_openscad_like, line_count
-from repro.geometry.stl import write_stl_ascii
-from repro.geometry.tessellate import tessellate_csg
 from repro.scad.emit import emit_openscad
+from repro.scad.flatten import flatten_source
 from repro.verify.validate import validate_synthesis
 
 
@@ -45,15 +45,16 @@ def main() -> None:
     report = validate_synthesis(flat, best.term)
     print(f"\nValidation: {'OK' if report.valid else 'FAILED'} (check: {report.check})")
 
-    # The downstream fabrication path: OpenSCAD source and an STL mesh.
+    # The downstream fabrication path: OpenSCAD source, which must flatten
+    # back to the input.
     out_dir = Path("examples/output")
     out_dir.mkdir(parents=True, exist_ok=True)
     scad_path = out_dir / f"gear_{teeth}.scad"
     scad_path.write_text(emit_openscad(best.term))
-    mesh = tessellate_csg(unroll(best.term), segments=48)
-    stl_path = out_dir / f"gear_{teeth}.stl"
-    write_stl_ascii(mesh, stl_path, solid_name="szalinski_gear")
-    print(f"\nWrote {scad_path} and {stl_path} ({len(mesh)} triangles)")
+    reflattened = validate_synthesis(flat, flatten_source(scad_path.read_text()))
+    print(f"\nWrote {scad_path}")
+    print(f"Re-flattened .scad: {'OK' if reflattened.valid else 'FAILED'} "
+          f"({reflattened.check})")
 
     # The whole point: retargeting the design is now a one-number edit.
     print("\nTo change the tooth count, edit the single Repeat bound in the "

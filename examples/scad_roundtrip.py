@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
-"""Round trip through the whole toolchain: OpenSCAD -> flat CSG -> LambdaCAD -> OpenSCAD/STL.
+"""Round trip through the whole toolchain: OpenSCAD -> flat CSG -> LambdaCAD -> OpenSCAD.
 
 This mirrors the paper's evaluation setup end to end: a Thingiverse-style
 OpenSCAD design with loops is flattened to loop-free CSG (what a mesh
 decompiler would give you), Szalinski re-discovers the loops, the result is
 validated by unrolling, and finally the program is emitted back to OpenSCAD
-and tessellated to an STL mesh for printing.
+(which renders it for printing) and the emitted source is flattened again
+and checked against the input.
 
 Run with:  python examples/scad_roundtrip.py
 """
 
 from pathlib import Path
 
-from repro import SynthesisConfig, synthesize, unroll
+from repro import SynthesisConfig, synthesize
 from repro.csg.metrics import measure
 from repro.csg.pretty import format_openscad_like
-from repro.geometry.stl import read_stl, write_stl_ascii
-from repro.geometry.tessellate import tessellate_csg
 from repro.scad.emit import emit_openscad
 from repro.scad.flatten import flatten_source
 from repro.verify.validate import validate_synthesis
@@ -49,17 +48,15 @@ def main() -> None:
     report = validate_synthesis(flat, best.term)
     print(f"\nValidation: {'OK' if report.valid else 'FAILED'}")
 
-    # LambdaCAD -> OpenSCAD and STL.
+    # LambdaCAD -> OpenSCAD, flattened back and compared with the input.
     out_dir = Path("examples/output")
     out_dir.mkdir(parents=True, exist_ok=True)
     scad_path = out_dir / "connector.scad"
     scad_path.write_text(emit_openscad(best.term))
-    mesh = tessellate_csg(unroll(best.term))
-    stl_path = out_dir / "connector.stl"
-    write_stl_ascii(mesh, stl_path)
-    round_tripped = read_stl(stl_path)
-    print(f"\nWrote {scad_path} and {stl_path}; STL round-trips with "
-          f"{len(round_tripped)} triangles.")
+    reflattened = validate_synthesis(flat, flatten_source(scad_path.read_text()))
+    print(f"\nWrote {scad_path}")
+    print(f"Re-flattened .scad: {'OK' if reflattened.valid else 'FAILED'} "
+          f"({reflattened.check})")
 
 
 if __name__ == "__main__":

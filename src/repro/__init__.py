@@ -21,9 +21,11 @@ The public API is intentionally small:
 Subpackages provide the underlying substrates: :mod:`repro.egraph` (the
 equality-saturation engine), :mod:`repro.csg` and :mod:`repro.cad` (the input
 and output languages), :mod:`repro.solvers` (closed-form inference),
-:mod:`repro.geometry` (meshes, STL, Hausdorff validation), :mod:`repro.scad`
-(an OpenSCAD frontend), and :mod:`repro.benchsuite` (the paper's benchmark
-models and the Table 1 harness).
+:mod:`repro.geometry` (affine matrices and the sampled occupancy-grid
+diagnostic), :mod:`repro.scad` (the OpenSCAD frontend, and the emitter that
+is the one path from a synthesized program to a printable model), and
+:mod:`repro.benchsuite` (the paper's benchmark models and the Table 1
+harness).
 """
 
 from repro.lang.sexp import parse_sexp, format_sexp

@@ -14,10 +14,10 @@ variant with the same signature, searching its e-class for one.  Elements
 whose class has no variant with that signature cause the whole signature to
 be abandoned and the next candidate signature to be tried.
 
-The affine-chain vocabulary, the per-term signature, and the
-longest-first candidate ordering all come from the shared semantic
-normalization layer (:mod:`repro.lang.normal`) — the same definitions the
-cache's semantic fingerprints are built on.
+The affine-operator vocabulary and the longest-first candidate ordering
+come from the shared semantic normalization layer (:mod:`repro.lang.normal`),
+the same definitions the cache's semantic fingerprints are built on;
+elements are decomposed by :func:`repro.csg.ops.affine_chain`.
 
 One :class:`Determinizer` serves both inference passes of a synthesis run,
 and it answers each question once:

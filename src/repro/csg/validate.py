@@ -17,47 +17,54 @@ class CsgValidationError(ValueError):
 
 
 def validate_flat_csg(term: Term, *, allow_external: bool = True) -> None:
-    """Raise :class:`CsgValidationError` unless ``term`` is flat CSG."""
-    op = term.op
+    """Raise :class:`CsgValidationError` unless ``term`` is flat CSG.
 
-    if isinstance(op, (int, float)):
-        raise CsgValidationError(
-            f"numeric literal {op!r} cannot appear as a solid expression"
-        )
+    The walk is an explicit pre-order stack, so a union of thousands of
+    solids validates without deep recursion; the first violation in
+    left-to-right pre-order is the one reported.
+    """
+    pending = [term]
+    while pending:
+        node = pending.pop()
+        op = node.op
 
-    if op in CSG_PRIMITIVES:
-        if term.children:
-            raise CsgValidationError(f"primitive {op} must not have children")
-        return
-
-    if op == EXTERNAL_OP:
-        if not allow_external:
-            raise CsgValidationError("External placeholders are not allowed here")
-        return
-
-    if op in AFFINE_OPS:
-        if len(term.children) != 4:
+        if isinstance(op, (int, float)):
             raise CsgValidationError(
-                f"{op} expects 4 arguments (x, y, z, child), got {len(term.children)}"
+                f"numeric literal {op!r} cannot appear as a solid expression"
             )
-        for index, child in enumerate(term.children[:3]):
-            if not child.is_number:
+
+        if op in CSG_PRIMITIVES:
+            if node.children:
+                raise CsgValidationError(f"primitive {op} must not have children")
+            continue
+
+        if op == EXTERNAL_OP:
+            if not allow_external:
+                raise CsgValidationError("External placeholders are not allowed here")
+            continue
+
+        if op in AFFINE_OPS:
+            if len(node.children) != 4:
                 raise CsgValidationError(
-                    f"{op} argument {index} must be a numeric literal, got {child.op!r}"
+                    f"{op} expects 4 arguments (x, y, z, child), got {len(node.children)}"
                 )
-        validate_flat_csg(term.children[3], allow_external=allow_external)
-        return
+            for index, child in enumerate(node.children[:3]):
+                if not child.is_number:
+                    raise CsgValidationError(
+                        f"{op} argument {index} must be a numeric literal, got {child.op!r}"
+                    )
+            pending.append(node.children[3])
+            continue
 
-    if op in BOOLEAN_OPS:
-        if len(term.children) != 2:
-            raise CsgValidationError(
-                f"{op} expects 2 arguments, got {len(term.children)}"
-            )
-        for child in term.children:
-            validate_flat_csg(child, allow_external=allow_external)
-        return
+        if op in BOOLEAN_OPS:
+            if len(node.children) != 2:
+                raise CsgValidationError(
+                    f"{op} expects 2 arguments, got {len(node.children)}"
+                )
+            pending.extend(reversed(node.children))
+            continue
 
-    raise CsgValidationError(f"operator {op!r} is not part of the flat CSG language")
+        raise CsgValidationError(f"operator {op!r} is not part of the flat CSG language")
 
 
 def is_flat_csg(term: Term, *, allow_external: bool = True) -> bool:

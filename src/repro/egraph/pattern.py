@@ -98,20 +98,6 @@ class Pattern:
     def is_var(self) -> bool:
         return isinstance(self.op, PatternVar)
 
-    def variables(self) -> List[str]:
-        """All variable names, in first-occurrence order."""
-        names: List[str] = []
-
-        def walk(pattern: "Pattern") -> None:
-            if isinstance(pattern.op, PatternVar):
-                if pattern.op.name not in names:
-                    names.append(pattern.op.name)
-            for child in pattern.children:
-                walk(child)
-
-        walk(self)
-        return names
-
     def to_term(self, bindings: Dict[str, Term]) -> Term:
         """Instantiate the pattern into a concrete term using ``bindings``."""
         if isinstance(self.op, PatternVar):
@@ -253,8 +239,8 @@ class Compare:
 
 Instruction = Union[Descend, Check, Compare]
 
-#: A yield entry: (rule index, reverse?, ((var name, register), ...)).
-_Yield = Tuple[int, bool, Tuple[Tuple[str, int], ...]]
+#: A yield entry: (rule index, ((var name, register), ...)).
+_Yield = Tuple[int, Tuple[Tuple[str, int], ...]]
 
 
 def compile_pattern(pattern: Pattern) -> Tuple[Tuple[Instruction, ...], Tuple[Tuple[str, int], ...]]:
@@ -343,7 +329,7 @@ class _TrieNode:
 class TrieStats:
     """Size/sharing statistics of a compiled rule set."""
 
-    programs: int            #: compiled (rule, direction) programs
+    programs: int            #: compiled programs, one per rule
     instructions: int        #: total instructions across all programs
     trie_nodes: int          #: interior+leaf nodes actually allocated
     shared_instructions: int #: instructions saved by prefix sharing
@@ -353,10 +339,8 @@ class TrieStats:
 class CompiledRuleSet:
     """All rule patterns of a rule set compiled into one discrimination trie.
 
-    Construction walks every rule's searchable patterns — the left-hand side
-    always, and for bidirectional rules whose right-hand side binds every
-    left-hand variable also the right-hand side (tagged *reverse*, mirroring
-    :meth:`repro.egraph.rewrite.Rewrite.search`) — compiles each into an
+    Construction compiles every rule's left-hand side — the one pattern
+    :meth:`repro.egraph.rewrite.BaseRewrite.search` matches — into an
     instruction program, and inserts the programs into a trie whose root
     edges are keyed by the pattern's top symbol.  Searching a class then
     dispatches once on the class's operators instead of once per rule.
@@ -380,31 +364,20 @@ class CompiledRuleSet:
         self._op_slots: Dict[Operator, int] = {}
         #: True when some pattern is a bare variable (matches every class).
         self._has_var_roots = False
-        programs = 0
         total_instructions = 0
         max_depth = 1
         for index, rule in enumerate(self.rules):
-            patterns: List[Tuple[Pattern, bool]] = [(rule.lhs, False)]
-            rhs = getattr(rule, "rhs", None)
-            if getattr(rule, "bidirectional", False) and rhs is not None:
-                # A reverse match can only fire if the rhs binds every
-                # variable the lhs needs; that is a static property of the
-                # two patterns, so the filter runs at compile time.
-                if set(rule.lhs.variables()) <= set(rhs.variables()):
-                    patterns.append((rhs, True))
-            for pattern, reverse in patterns:
-                instructions, varmap = compile_pattern(pattern)
-                self._insert(instructions, (index, reverse, varmap))
-                programs += 1
-                total_instructions += len(instructions)
-                max_depth = max(max_depth, pattern_depth(pattern))
+            instructions, varmap = compile_pattern(rule.lhs)
+            self._insert(instructions, (index, varmap))
+            total_instructions += len(instructions)
+            max_depth = max(max_depth, pattern_depth(rule.lhs))
         self.max_depth = max_depth
         #: Parent hops needed to cover every class whose match set a dirty
         #: class can influence.
         self.closure_steps = max(0, max_depth - 1)
         trie_nodes = self._count_nodes(self._root)
         self.stats = TrieStats(
-            programs=programs,
+            programs=len(self.rules),
             instructions=total_instructions,
             trie_nodes=trie_nodes,
             shared_instructions=total_instructions - (trie_nodes - 1),
@@ -511,10 +484,8 @@ class CompiledRuleSet:
                     self._step(ctx, instruction, child, slot, regs, class_id)
 
     def _emit(self, entry, regs, class_id, out, match_type) -> None:
-        index, reverse, varmap = entry
-        out[index].append(
-            match_type(class_id, {name: regs[reg] for name, reg in varmap}, reverse)
-        )
+        index, varmap = entry
+        out[index].append(match_type(class_id, {name: regs[reg] for name, reg in varmap}))
 
     def _execute(self, ctx, node, regs, class_id) -> None:
         enabled = ctx.enabled

@@ -8,17 +8,16 @@ ordering.
 
 Two flavours are provided:
 
-* :class:`Rewrite` — purely syntactic ``Pattern -> Pattern`` rules, optionally
-  guarded by a predicate over the substitution (used, e.g., to require that
-  two matched vectors are numerically equal within epsilon, or that a scale
-  factor is non-zero before dividing); bidirectional rules additionally
-  search the rhs and tag those matches ``reverse`` so the apply phase
-  instantiates the lhs for them;
+* :class:`Rewrite` — purely syntactic ``Pattern -> Pattern`` rules, searched
+  and applied left to right only; a rule needed in both directions is
+  written as two rules;
 * :class:`DynamicRewrite` — pattern on the left, arbitrary *applier* function
   on the right.  The applier receives the e-graph, the matched class, and the
   substitution and returns the id of a class to merge with (or ``None``).
   The affine reordering/collapsing rules that must *compute* new vectors
-  (Fig. 8b/8c) are dynamic rewrites.
+  (Fig. 8b/8c) are dynamic rewrites, and any condition a rule needs — a
+  scale factor that must be non-zero before dividing, say — is checked by
+  its applier, which returns ``None`` to decline.
 """
 
 from __future__ import annotations
@@ -29,11 +28,8 @@ from typing import Callable, List, Optional, Tuple
 from repro.egraph.egraph import EGraph
 from repro.egraph.pattern import Pattern, Substitution, instantiate, parse_pattern, search
 
-#: A fingerprint: (canonical class id, reverse?, ((var, canonical id), ...)).
-Fingerprint = Tuple[int, bool, Tuple[Tuple[str, int], ...]]
-
-#: A guard receives (egraph, eclass id, substitution) and says whether to fire.
-Guard = Callable[[EGraph, int, Substitution], bool]
+#: A fingerprint: (canonical class id, ((var, canonical id), ...)).
+Fingerprint = Tuple[int, Tuple[Tuple[str, int], ...]]
 
 #: An applier receives (egraph, eclass id, substitution) and returns the id of
 #: the newly constructed equivalent class, or None to skip.
@@ -43,11 +39,6 @@ Applier = Callable[[EGraph, int, Substitution], Optional[int]]
 @dataclass(slots=True)
 class RewriteMatch:
     """One firing opportunity discovered during the search phase.
-
-    ``reverse`` marks matches found by searching the *right-hand* side of a
-    bidirectional rule; applying such a match must instantiate the left-hand
-    side (instantiating the rhs again would merge the matched class with
-    itself, a silent no-op — the bug this flag fixes).
 
     :meth:`fingerprint` projects the match onto canonical ids — the key of
     the runner's applied-match ledger.  Two matches with equal fingerprints
@@ -63,7 +54,6 @@ class RewriteMatch:
 
     class_id: int
     substitution: Substitution
-    reverse: bool = False
     #: Fingerprint cache (see above); not part of the match's identity.
     _fingerprint: Optional[Fingerprint] = field(
         default=None, repr=False, compare=False
@@ -99,7 +89,7 @@ class RewriteMatch:
                 return fp
             parents = uf.parents
             if parents[fp[0]] == fp[0]:
-                for _name, bound in fp[2]:
+                for _name, bound in fp[1]:
                     if parents[bound] != bound:
                         break
                 else:
@@ -108,7 +98,6 @@ class RewriteMatch:
         find = uf.find
         fp = (
             find(self.class_id),
-            self.reverse,
             tuple((name, find(cid)) for name, cid in self.substitution.items()),
         )
         self._fingerprint = fp
@@ -120,6 +109,7 @@ class BaseRewrite:
     """Shared search/apply machinery for syntactic and dynamic rewrites."""
 
     name: str
+    lhs: Pattern
 
     #: True when applying a match is a pure function of its *canonical
     #: fingerprint* — re-applying an identical fingerprint can never add
@@ -132,7 +122,8 @@ class BaseRewrite:
     deduplicable = False
 
     def search(self, egraph: EGraph) -> List[RewriteMatch]:
-        raise NotImplementedError
+        """Every match of the left-hand side in ``egraph``."""
+        return [RewriteMatch(cid, sub) for cid, sub in search(egraph, self.lhs)]
 
     def apply_match(self, egraph: EGraph, match: RewriteMatch) -> bool:
         """Apply to one match; returns True when the e-graph changed."""
@@ -142,10 +133,11 @@ class BaseRewrite:
         """Apply to one match; returns ``(changed, executed)``.
 
         ``changed`` is :meth:`apply_match`'s value (the e-graph changed);
-        ``executed`` is True when the rewrite actually ran — i.e. it was not
-        turned away by a guard.  Only executed matches may enter the dedup
-        ledger: a guard-rejected match must be re-examined next epoch
-        because guards read mutable e-graph state.
+        ``executed`` is True when the rewrite actually ran — i.e. a dynamic
+        applier did not decline it by returning ``None``.  Only executed
+        matches may enter the dedup ledger: a declined match must be
+        re-examined next epoch because the applier read mutable e-graph
+        state.
         """
         raise NotImplementedError
 
@@ -161,16 +153,11 @@ class BaseRewrite:
 
 @dataclass
 class Rewrite(BaseRewrite):
-    """A guarded syntactic rewrite ``lhs { rhs``."""
+    """A syntactic rewrite ``lhs { rhs``."""
 
     name: str
     lhs: Pattern
     rhs: Pattern
-    guard: Optional[Guard] = None
-    #: Bidirectional rules also add lhs when rhs matches; the boolean-operator
-    #: associativity rules are bidirectional in spirit but we keep them
-    #: one-directional by default to bound growth.
-    bidirectional: bool = False
 
     # Instantiating a pattern reads nothing but the substitution's class
     # ids, so re-applying an identical canonical fingerprint is always a
@@ -178,26 +165,9 @@ class Rewrite(BaseRewrite):
     # first application built and the merge is already in effect).
     deduplicable = True
 
-    def search(self, egraph: EGraph) -> List[RewriteMatch]:
-        matches = [RewriteMatch(cid, sub) for cid, sub in search(egraph, self.lhs)]
-        if self.bidirectional:
-            # A reverse match can only fire if the rhs bound every variable
-            # the lhs needs; rules that drop variables left-to-right are
-            # simply one-directional for those matches.
-            needed = set(self.lhs.variables())
-            matches.extend(
-                RewriteMatch(cid, sub, reverse=True)
-                for cid, sub in search(egraph, self.rhs)
-                if needed <= sub.keys()
-            )
-        return matches
-
     def apply_match_checked(self, egraph: EGraph, match: RewriteMatch) -> Tuple[bool, bool]:
-        if self.guard is not None and not self.guard(egraph, match.class_id, match.substitution):
-            return False, False
         before = egraph.version
-        target = self.lhs if match.reverse else self.rhs
-        new_id = instantiate(egraph, target, match.substitution)
+        new_id = instantiate(egraph, self.rhs, match.substitution)
         egraph.merge(match.class_id, new_id)
         return egraph.version != before, True
 
@@ -224,7 +194,7 @@ class DynamicRewrite(BaseRewrite):
 
     ``content_key`` is the middle ground for impure rules: a function
     ``(egraph, class_id, substitution) -> hashable`` that captures
-    *everything* the guard and applier read beyond the canonical ids — for
+    *everything* the applier reads beyond the canonical ids — for
     the chain-folding rule, the walked list's class contents.  The runner
     then keeps a ``fingerprint -> content`` ledger and skips a match only
     while its content key is unchanged, so *any* outcome (including
@@ -236,7 +206,6 @@ class DynamicRewrite(BaseRewrite):
     name: str
     lhs: Pattern
     applier: Applier
-    guard: Optional[Guard] = None
     pure: bool = False
     #: See the class docstring; ``(egraph, class_id, substitution) -> hashable``.
     content_key: Optional[Callable[[EGraph, int, Substitution], object]] = None
@@ -245,20 +214,14 @@ class DynamicRewrite(BaseRewrite):
     def deduplicable(self) -> bool:
         return self.pure or self.content_key is not None
 
-    def search(self, egraph: EGraph) -> List[RewriteMatch]:
-        return [RewriteMatch(cid, sub) for cid, sub in search(egraph, self.lhs)]
-
     def apply_match_checked(self, egraph: EGraph, match: RewriteMatch) -> Tuple[bool, bool]:
-        if self.guard is not None and not self.guard(egraph, match.class_id, match.substitution):
-            return False, False
         before = egraph.version
         new_id = self.applier(egraph, match.class_id, match.substitution)
         if new_id is None:
             # Not ``executed`` for ledger purposes even when ``pure``: a
             # None outcome can flip once a *bound class* gains the e-node
             # the applier was looking for (its id never changes), so the
-            # match must be re-examined every epoch, exactly like a
-            # guard rejection.
+            # match must be re-examined every epoch.
             return False, False
         egraph.merge(match.class_id, new_id)
         return egraph.version != before, True
@@ -267,14 +230,7 @@ class DynamicRewrite(BaseRewrite):
         return f"{self.name}: {self.lhs} => <dynamic>"
 
 
-def rewrite(
-    name: str,
-    lhs: str,
-    rhs: str,
-    *,
-    guard: Optional[Guard] = None,
-    bidirectional: bool = False,
-) -> Rewrite:
+def rewrite(name: str, lhs: str, rhs: str) -> Rewrite:
     """Construct a syntactic rewrite from s-expression pattern text.
 
     Example::
@@ -283,13 +239,7 @@ def rewrite(
                 "(Union (Translate ?x ?y ?z ?a) (Translate ?x ?y ?z ?b))",
                 "(Translate ?x ?y ?z (Union ?a ?b))")
     """
-    return Rewrite(
-        name=name,
-        lhs=parse_pattern(lhs),
-        rhs=parse_pattern(rhs),
-        guard=guard,
-        bidirectional=bidirectional,
-    )
+    return Rewrite(name=name, lhs=parse_pattern(lhs), rhs=parse_pattern(rhs))
 
 
 def dynamic_rewrite(
@@ -297,7 +247,6 @@ def dynamic_rewrite(
     lhs: str,
     applier: Applier,
     *,
-    guard: Optional[Guard] = None,
     pure: bool = False,
     content_key: Optional[Callable[[EGraph, int, Substitution], object]] = None,
 ) -> DynamicRewrite:
@@ -312,7 +261,6 @@ def dynamic_rewrite(
         name=name,
         lhs=parse_pattern(lhs),
         applier=applier,
-        guard=guard,
         pure=pure,
         content_key=content_key,
     )

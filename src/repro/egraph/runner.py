@@ -22,8 +22,8 @@ Each iteration runs in two phases, egg-style:
    With ``dedup=True`` (the default) every deduplicable rule keeps an
    *applied-match ledger*: the canonical fingerprints
    (:meth:`RewriteMatch.fingerprint`) of matches that already executed.  A
-   match whose fingerprint is in the ledger is skipped outright — no guard
-   evaluation, no instantiation, no self-merge — because re-applying an
+   match whose fingerprint is in the ledger is skipped outright — no
+   instantiation, no self-merge — because re-applying an
    identical canonical fingerprint of a syntactic rule cannot add anything
    the first application did not (the instantiated class hashconses onto
    the existing one and the merge is already in effect).  Fingerprints are
@@ -183,7 +183,7 @@ class IterationReport:
     analysis_updates: int = 0
     #: Apply-phase dedup counters: matches skipped because an identical
     #: canonical fingerprint already executed, and matches that actually ran
-    #: (guard passed, instantiation/applier performed).  In a quiescent late
+    #: (instantiated, or an applier that did not decline).  In a quiescent late
     #: iteration ``skipped_applications`` approaches the match count and
     #: ``applied_matches`` approaches zero.
     skipped_applications: int = 0
@@ -327,7 +327,7 @@ class Runner:
 
         Deduplicable rules consult their applied-match ledger first: a
         match whose canonical fingerprint already executed is skipped
-        before the limit checks, the guard, and the instantiation — in a
+        before the limit checks and the instantiation — in a
         quiescent late iteration the whole phase degenerates to one set
         lookup per match (the fingerprints themselves are cached on the
         match objects while no union happens).
@@ -386,8 +386,8 @@ class Runner:
                     applied += 1
                 if content_key is not None:
                     # Every outcome is ledgered — the content key captures
-                    # all applier-visible inputs, so even a None/guarded
-                    # outcome is stable until the key changes.  (A changed
+                    # all applier-visible inputs, so even a None outcome
+                    # is stable until the key changes.  (A changed
                     # application may itself move the walked contents; the
                     # stale stored key then forces one re-examination next
                     # epoch, which converges.)
@@ -413,7 +413,7 @@ class Runner:
     @staticmethod
     def _fingerprint_canonical(parents: List[int], fingerprint) -> bool:
         """True while every id the fingerprint binds is still canonical."""
-        class_id, _reverse, bindings = fingerprint
+        class_id, bindings = fingerprint
         if parents[class_id] != class_id:
             return False
         for _name, bound in bindings:
@@ -555,7 +555,7 @@ class Runner:
                 # Budgets re-checked at iteration end: the per-match node
                 # check runs *before* each application (the final match can
                 # land just over), and the per-match time check never ran if
-                # matches were all guard-rejected cheaply.  Catching both
+                # every match was skipped by the ledger.  Catching both
                 # here saves a full search phase over an over-budget graph.
                 if egraph.total_enodes > self.limits.max_enodes:
                     report.stop_reason = StopReason.NODE_LIMIT

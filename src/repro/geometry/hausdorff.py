@@ -3,12 +3,12 @@
 Section 7 of the paper notes that a rigorous way to validate a synthesized
 program is to compare it against the input via Hausdorff distance.  We
 implement the directed and symmetric Hausdorff distances over finite point
-samples, with an optional numpy-accelerated path for larger clouds.
+samples, computed with numpy in bounded-memory chunks.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,30 +55,3 @@ def hausdorff_distance(points_a: Sequence[Vec3], points_b: Sequence[Vec3]) -> fl
         directed_hausdorff(points_b, points_a),
     )
 
-
-def chamfer_distance(points_a: Sequence[Vec3], points_b: Sequence[Vec3]) -> float:
-    """Mean nearest-neighbour distance (a smoother companion metric).
-
-    Less sensitive to single outliers than Hausdorff; useful for judging how
-    much decompiler noise a model carries.
-    """
-    if not points_a or not points_b:
-        return 0.0 if not points_a and not points_b else float("inf")
-    a = _as_array(points_a)
-    b = _as_array(points_b)
-
-    def mean_nearest(x: np.ndarray, y: np.ndarray) -> float:
-        total = 0.0
-        chunk = 2048
-        for start in range(0, len(x), chunk):
-            block = x[start : start + chunk]
-            d2 = (
-                np.sum(block * block, axis=1)[:, None]
-                + np.sum(y * y, axis=1)[None, :]
-                - 2.0 * block @ y.T
-            )
-            np.maximum(d2, 0.0, out=d2)
-            total += float(np.sqrt(d2.min(axis=1)).sum())
-        return total / len(x)
-
-    return (mean_nearest(a, b) + mean_nearest(b, a)) / 2.0

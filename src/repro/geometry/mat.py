@@ -4,9 +4,9 @@ The paper treats affine transformations in their ``Mx + b`` form only
 internally; designers see 3-vector arguments to ``Scale``, ``Rotate``, and
 ``Translate``.  This module provides that internal form: 4x4 homogeneous
 matrices, the standard constructors, composition, inversion, and point
-application.  It is used by the geometric evaluator (point membership, mesh
-tessellation) and by tests that check the semantics-preservation of the
-rewrite rules numerically.
+application.  It is used by the structural validator (leaf matrices), the
+point-membership evaluator and by tests that check the semantics-preservation
+of the rewrite rules numerically.
 
 Rotations follow the OpenSCAD convention the paper's benchmarks use: angles
 are in degrees and ``Rotate (ax, ay, az)`` applies the X rotation first, then

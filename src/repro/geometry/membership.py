@@ -7,22 +7,65 @@ and affine transformations act by pulling points back through the inverse
 transform.  This module compiles a CSG :class:`~repro.lang.term.Term` into
 such a predicate; the verification layer's occupancy-grid diagnostic and
 the tests use it to compare solids point by point, independently of how
-their terms are spelled.
+their terms are spelled.  :func:`affine_matrix` gives the matrix of one
+affine node, which the structural validator composes into leaf matrices.
+
+Primitives follow the paper's canonical convention (Section 2): unit size,
+centred at the origin, principal axes along x/y/z.  ``Unit``/``Cube`` is
+the unit cube, ``Cylinder`` has radius 1 and height 1 along z, ``Sphere``
+has radius 1, ``Hexagon`` is a hexagonal prism of circumradius 1 and
+height 1 with its vertices at 30 + k*60 degrees, and ``Empty`` is empty.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 from repro.geometry.mat import AffineMatrix
-from repro.geometry.primitives import PRIMITIVE_MEMBERSHIP
 from repro.geometry.vec import Vec3
 from repro.lang.term import Term
 
 
 class GeometryError(ValueError):
     """Raised when a term cannot be interpreted geometrically."""
+
+
+def _contains_cube(p: Vec3) -> bool:
+    return abs(p.x) <= 0.5 and abs(p.y) <= 0.5 and abs(p.z) <= 0.5
+
+
+def _contains_cylinder(p: Vec3) -> bool:
+    return p.x * p.x + p.y * p.y <= 1.0 and abs(p.z) <= 0.5
+
+
+def _contains_sphere(p: Vec3) -> bool:
+    return p.x * p.x + p.y * p.y + p.z * p.z <= 1.0
+
+
+def _contains_hexagon(p: Vec3) -> bool:
+    """Regular hexagonal prism with circumradius 1, flat sides facing +-x."""
+    if abs(p.z) > 0.5:
+        return False
+    x, y = abs(p.x), abs(p.y)
+    apothem = math.sqrt(3.0) / 2.0
+    # Hexagon with vertices on the y axis at distance 1; edges at 60 degrees.
+    return x <= apothem and (apothem * y + 0.5 * x) <= apothem
+
+
+def _contains_empty(_p: Vec3) -> bool:
+    return False
+
+
+_PRIMITIVE_MEMBERSHIP: Dict[str, Callable[[Vec3], bool]] = {
+    "Empty": _contains_empty,
+    "Unit": _contains_cube,
+    "Cube": _contains_cube,
+    "Cylinder": _contains_cylinder,
+    "Sphere": _contains_sphere,
+    "Hexagon": _contains_hexagon,
+}
 
 
 def _vector_from_args(term: Term) -> Vec3:
@@ -114,8 +157,8 @@ def compile_csg(term: Term) -> CsgSolid:
     supported portion, mirroring the paper's handling of ``External``.
     """
     op = term.op
-    if isinstance(op, str) and op in PRIMITIVE_MEMBERSHIP:
-        predicate = PRIMITIVE_MEMBERSHIP[op]
+    if isinstance(op, str) and op in _PRIMITIVE_MEMBERSHIP:
+        predicate = _PRIMITIVE_MEMBERSHIP[op]
         if op == "Empty":
             return CsgSolid(predicate, Vec3.zero(), Vec3.zero())
         return CsgSolid(predicate, Vec3(-1.0, -1.0, -1.0), Vec3(1.0, 1.0, 1.0))

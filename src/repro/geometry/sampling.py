@@ -1,9 +1,8 @@
 """Point sampling of CSG solids.
 
-Validation compares two solids by sampling: a regular grid over the joint
-bounding box gives interior occupancy sets, and primitive-surface sampling
-(filtered through the boolean structure) approximates the boundary.  Both
-samplers are deterministic so that tests and benchmarks are reproducible.
+The occupancy-grid diagnostic compares two solids by sampling: a regular
+grid over the joint bounding box gives each solid's interior occupancy set.
+The grid is deterministic so that tests and benchmarks are reproducible.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.geometry.membership import CsgSolid, compile_csg
-from repro.geometry.tessellate import tessellate_csg
 from repro.geometry.vec import Vec3
 from repro.lang.term import Term
 
@@ -65,15 +63,3 @@ def occupancy_points(term: Term, grid: List[Vec3]) -> List[Vec3]:
     solid = compile_csg(term)
     return [p for p in grid if solid.contains(p)]
 
-
-def sample_csg_surface(term: Term, *, points_per_unit_area: float = 0.05, segments: int = 16) -> List[Vec3]:
-    """Sample points from the (approximate) surface of a CSG solid.
-
-    Primitive surfaces are sampled after tessellation; points that end up
-    strictly inside the final solid (e.g. a face swallowed by a union) are
-    kept — the resulting cloud over-approximates the boundary but is
-    identical for geometrically identical programs, which is what the
-    Hausdorff validation needs.
-    """
-    mesh = tessellate_csg(term, segments=segments)
-    return mesh.sample_surface(points_per_unit_area=points_per_unit_area)

@@ -23,7 +23,6 @@ from repro.lang.normal import (
     COMMUTATIVE_OPS,
     DEFAULT_PASSES,
     NormalizationPass,
-    affine_signature,
     canonical_number,
     canonical_number_value,
     normalize,
@@ -53,7 +52,6 @@ __all__ = [
     "COMMUTATIVE_OPS",
     "DEFAULT_PASSES",
     "NormalizationPass",
-    "affine_signature",
     "canonical_number",
     "canonical_number_value",
     "normalize",

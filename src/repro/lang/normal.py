@@ -5,7 +5,7 @@ semantically equal; this module writes that premise down as reusable code.
 It provides a pipeline of composable, idempotent passes over
 :class:`~repro.lang.term.Term`\\ s — each pass maps semantically equal
 spellings of a construct onto one canonical spelling — plus the
-affine-chain signature helpers the determinizer shares.
+longest-first order in which the determinizer tries affine signatures.
 
 The default pipeline (:data:`DEFAULT_PASSES`, applied by :func:`normalize`)
 runs, in order:
@@ -111,7 +111,7 @@ def _grid(value: float) -> Union[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# Affine-chain queries (shared with the determinizer)
+# Affine-node queries
 # ---------------------------------------------------------------------------
 
 
@@ -129,21 +129,6 @@ def _numeric_vector(term: Term):
             return None
         values.append(float(op))
     return tuple(values)
-
-
-def affine_signature(term: Term) -> Tuple[str, ...]:
-    """The affine-operator chain of a term, outermost first.
-
-    Descent stops at the first non-affine node *or* the first affine node
-    with a symbolic (non-numeric) vector — the layer-by-layer vector
-    extraction the signature exists for cannot see past either.
-    """
-    signature: List[str] = []
-    current = term
-    while is_affine_node(current) and _numeric_vector(current) is not None:
-        signature.append(str(current.op))
-        current = current.children[3]
-    return tuple(signature)
 
 
 def signature_sort_key(signature: Sequence[str]) -> Tuple[int, Tuple[str, ...]]:

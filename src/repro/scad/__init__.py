@@ -3,11 +3,13 @@
 The paper's benchmark pipeline starts from OpenSCAD designs found on
 Thingiverse: a translator *flattens* those (loops, variables, modules) into
 loop-free CSG for Szalinski to consume, and a second translator renders the
-synthesized LambdaCAD back to OpenSCAD so models can be visually validated.
-This package implements both directions for the language subset the
-benchmarks need:
+synthesized LambdaCAD back to OpenSCAD so models can be visually validated
+and printed.  This package implements both directions for the language
+subset the benchmarks need, and the emitted source flattens back to the
+program's geometry:
 
-* primitives ``cube``, ``cylinder``, ``sphere`` (with ``center``/``r``/``d``);
+* primitives ``cube``, ``cylinder``, ``sphere`` (with ``center``/``r``/``d``),
+  and ``cylinder`` with ``$fn`` 6 as a hexagonal prism;
 * transforms ``translate``, ``rotate``, ``scale``;
 * booleans ``union``, ``difference``, ``intersection``;
 * ``for`` loops over ranges and vectors, variable assignment, arithmetic,

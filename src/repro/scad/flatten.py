@@ -12,6 +12,11 @@ the origin (paper Section 2), so
   (OpenSCAD cubes sit on the positive octant unless ``center=true``);
 * ``cylinder(h, r)`` becomes ``Translate (0, 0, h/2, Scale (r, r, h, Cylinder))``
   (OpenSCAD cylinders sit on the XY plane unless ``center=true``);
+* a ``cylinder`` with ``$fn`` 6 (as an argument or in scope) is the
+  hexagonal prism OpenSCAD renders, first vertex on +x:
+  ``Scale (r, r, h, Rotate (0, 0, -90, Hexagon))``, translated likewise
+  when not centred (the canonical ``Hexagon`` has its vertices at
+  30 + k*60 degrees); any other ``$fn`` keeps the round ``Cylinder``;
 * ``sphere(r)`` becomes ``Scale (r, r, r, Sphere)``.
 """
 
@@ -241,6 +246,13 @@ class _Flattener:
             return self.eval_expr(call.positional[position], env)
         return default
 
+    def _special(self, call: ast.ModuleCall, env: _Environment, name: str) -> Value:
+        """A special variable (``$fn``...): a named argument, else the one in scope."""
+        for arg_name, expr in call.named:
+            if arg_name == name:
+                return self.eval_expr(expr, env)
+        return env.variables.get(name, 0.0)
+
     def _children_solid(self, call: ast.ModuleCall, env: _Environment) -> Term:
         children = self.flatten_statements(call.children, env.child())
         if not children:
@@ -301,7 +313,11 @@ class _Flattener:
                 radius = self._as_number(diameter) / 2.0 if diameter is not None else 1.0
             radius = self._as_number(radius)
             centered = bool(self._argument(call, env, 2, "center", False))
-            solid = scale(radius, radius, height, cylinder())
+            # OpenSCAD truncates $fn to a whole number of fragments.
+            if math.floor(self._as_number(self._special(call, env, "$fn"))) == 6:
+                solid = scale(radius, radius, height, rotate(0.0, 0.0, -90.0, hexagon()))
+            else:
+                solid = scale(radius, radius, height, cylinder())
             if centered:
                 return solid
             return translate(0.0, 0.0, height / 2.0, solid)

@@ -17,8 +17,9 @@ worker driver never leaves a torn entry behind; unreadable entries are
 treated as misses and removed, and a write that fails (a full disk) leaves
 the entry in the memory tier only.
 
-The disk tier can be bounded (``max_entries``/``max_bytes``): when a store
-pushes it over either limit, least-recently-used entries are evicted, with
+The disk tier can be bounded in bytes (``max_bytes``, the CLI's
+``--cache-max-mb``): when a store pushes it over the limit,
+least-recently-used entries are evicted, with
 recency approximated by file mtime — cache reads (from either tier) *touch*
 their entry, so a hot entry survives even when it was written long ago.
 Usage is scanned lazily and maintained incrementally afterwards, and
@@ -79,23 +80,20 @@ class ResultCache:
     populated directory starts at zero, which is what lets a warm re-run
     report its own 100% hit rate.
 
-    ``max_entries``/``max_bytes`` bound the disk tier; ``None`` means
-    unbounded.  Exceeding either limit evicts entries oldest-mtime-first
-    (reads touch their entry, making mtime an LRU clock — see the module
-    docstring).
+    ``max_bytes`` bounds the disk tier; ``None`` means unbounded.
+    Exceeding it evicts entries oldest-mtime-first (reads touch their
+    entry, making mtime an LRU clock — see the module docstring).
     """
 
     def __init__(
         self,
         directory=None,
         memory_capacity: int = 128,
-        max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
         semantic: bool = True,
     ):
         self.directory = Path(directory) if directory is not None else None
         self.memory_capacity = memory_capacity
-        self.max_entries = max_entries
         self.max_bytes = max_bytes
         #: Whether the semantic (normalized-key) lookup level is enabled.
         self.semantic = semantic
@@ -104,9 +102,9 @@ class ResultCache:
         #: LRU like the payload tier, but entries are two small strings, so
         #: it can afford a larger capacity.
         self._semantic_memory: "OrderedDict[str, str]" = OrderedDict()
-        #: Lazily scanned (entry count, total bytes) of the disk tier;
-        #: None until the first operation that needs it.
-        self._disk_usage: Optional[Tuple[int, int]] = None
+        #: Lazily scanned total bytes of the disk tier's entries; None
+        #: until the first operation that needs it.
+        self._disk_usage: Optional[int] = None
         #: Eviction candidates from the last scan, oldest mtime first;
         #: entries are verified (and stale ones skipped) before removal.
         self._eviction_queue: deque = deque()
@@ -325,26 +323,18 @@ class ResultCache:
         if not self._write_atomic(path, text):
             return
         if self._disk_usage is not None:
-            entries, used = self._disk_usage
-            if old_size is None:
-                self._disk_usage = (entries + 1, used + len(text.encode()))
-            else:
-                # Overwrite: the entry count is unchanged but the payload
-                # size may differ — account the delta or the byte budget
-                # silently drifts from reality.
-                self._disk_usage = (entries, used - old_size + len(text.encode()))
+            # An overwrite replaces the old payload: account the delta, or
+            # the byte budget silently drifts from reality.
+            self._disk_usage += len(text.encode()) - (old_size or 0)
         self._evict_disk()
 
     # -- disk-tier eviction ----------------------------------------------------
 
     def _bounded(self) -> bool:
-        return self.directory is not None and (
-            self.max_entries is not None or self.max_bytes is not None
-        )
+        return self.directory is not None and self.max_bytes is not None
 
-    def _ensure_usage(self) -> Tuple[int, int]:
+    def _ensure_usage(self) -> int:
         if self._disk_usage is None:
-            entries = 0
             used = 0
             if self.directory is not None and self.directory.exists():
                 for path in self.directory.glob("*/*.json"):
@@ -352,15 +342,11 @@ class ResultCache:
                         used += path.stat().st_size
                     except OSError:
                         continue
-                    entries += 1
-            self._disk_usage = (entries, used)
+            self._disk_usage = used
         return self._disk_usage
 
     def _over_limit(self) -> bool:
-        entries, used = self._ensure_usage()
-        if self.max_entries is not None and entries > self.max_entries:
-            return True
-        return self.max_bytes is not None and used > self.max_bytes
+        return self._ensure_usage() > self.max_bytes
 
     def _rescan_disk(self) -> None:
         """Rebuild usage and the eviction queue from the directory.
@@ -377,7 +363,7 @@ class ResultCache:
             candidates.append((stat.st_mtime, str(path), stat.st_size))
         candidates.sort()
         self._eviction_queue = deque(candidates)
-        self._disk_usage = (len(candidates), sum(size for _, _, size in candidates))
+        self._disk_usage = sum(size for _, _, size in candidates)
 
     def _next_victim(self) -> Optional[Path]:
         """The oldest still-valid queued candidate, or None when dry.
@@ -399,7 +385,7 @@ class ResultCache:
         return None
 
     def _evict_disk(self) -> None:
-        """Drop least-recently-used entries until within the limits.
+        """Drop least-recently-used entries until within the byte budget.
 
         Candidates drain from the last scan's queue (one stat per eviction)
         so steady-state puts at the cap stay amortized O(1); the full
@@ -436,8 +422,7 @@ class ResultCache:
         except OSError:
             return False
         if self._disk_usage is not None:
-            entries, used = self._disk_usage
-            self._disk_usage = (max(entries - 1, 0), max(used - size, 0))
+            self._disk_usage = max(self._disk_usage - size, 0)
         return True
 
     # -- statistics -----------------------------------------------------------
@@ -469,7 +454,6 @@ class ResultCache:
             "hit_rate": self.hit_rate,
             "memory_entries": len(self._memory),
             "disk_entries": self.disk_entries(),
-            "max_entries": self.max_entries,
             "max_bytes": self.max_bytes,
             "directory": str(self.directory) if self.directory is not None else None,
         }

@@ -16,9 +16,9 @@ from repro.core.lists import (
 )
 from repro.core.rules import default_rules
 from repro.csg.build import cube, rotate, scale, sphere, translate, union, union_all, unit
+from repro.csg.ops import affine_chain
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.runner import Runner
-from repro.lang.normal import affine_signature
 from repro.lang.term import Term
 
 
@@ -90,8 +90,10 @@ class TestDeterminizer:
         elements = [translate(2.0 * i, 0, 0, rotate(0, 0, 10.0 * i, cube())) for i in range(1, 4)]
         egraph, element_classes = self._folded_egraph(elements)
         (determinized,) = Determinizer(egraph).determinize_all(element_classes, max_variants=1)
-        assert len({affine_signature(e) for e in determinized.elements}) == 1
         assert len(determinized.signature) >= 1
+        for element in determinized.elements:
+            layers, _core = affine_chain(element)
+            assert tuple(op for op, _vector in layers) == determinized.signature
 
     def test_prefers_longer_signature(self):
         elements = [translate(2.0 * i, 0, 0, scale(1.0 + i, 1, 1, cube())) for i in range(1, 4)]

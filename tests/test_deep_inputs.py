@@ -5,7 +5,8 @@ spines n long.  Adding and looking up terms, reading spines, adding
 inferred terms and extracting all walk such chains from explicit stacks,
 and so do the steps off the synthesis path: parsing and printing
 canonical text, both cache keys (normalization included), term equality,
-the Table 1 metrics and storing a result.  Their depth is bounded by
+the Table 1 metrics, storing a result, validating flat CSG and the OpenSCAD
+round trip.  Their depth is bounded by
 memory, not by Python's recursion limit.  Each blocking test below builds
 a chain five times deeper than that limit.
 """
@@ -25,11 +26,14 @@ from repro.core.lists import read_list_elements
 from repro.core.pipeline import CandidateProgram, SynthesisResult, synthesize
 from repro.csg.build import cube
 from repro.csg.metrics import measure
+from repro.csg.parser import parse_csg
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import CostAnalysis, Extractor, TopKExtractor, ast_size_cost
 from repro.lang.canon import canonical_term_text, term_from_canonical
 from repro.lang.normal import normalize
 from repro.lang.term import Term
+from repro.scad.emit import emit_openscad
+from repro.scad.flatten import flatten_source
 from repro.service.cache import ResultCache, cache_key, semantic_cache_key
 from repro.verify.validate import validate_synthesis
 
@@ -192,6 +196,21 @@ def test_a_1000_part_array_has_keys_and_metrics():
     assert len({cache_key(model, config), semantic_cache_key(model, config)}) == 2
     metrics = measure(model)
     assert metrics.primitives == 1000 and metrics.depth > 1000
+
+
+def test_a_2000_part_array_emits_flat_openscad_that_flattens_back():
+    small = emit_openscad(models.linear_array(1000, (3, 0, 0), cube()))
+    model = models.linear_array(2000, (3, 0, 0), cube())
+    text = emit_openscad(model)
+    # One block per union chain: the text grows with the part count, not
+    # with the part count times its nesting depth.
+    assert len(text) <= 2.1 * len(small)
+    assert validate_synthesis(model, flatten_source(text)).valid
+
+
+def test_parse_csg_accepts_a_2000_part_array():
+    model = models.linear_array(2000, (3, 0, 0), cube())
+    assert _same(parse_csg(canonical_term_text(model)), model)
 
 
 @pytest.mark.slow

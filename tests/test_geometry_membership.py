@@ -15,7 +15,7 @@ from repro.csg.build import (
     translate,
     union,
 )
-from repro.geometry.hausdorff import chamfer_distance, directed_hausdorff, hausdorff_distance
+from repro.geometry.hausdorff import directed_hausdorff, hausdorff_distance
 from repro.geometry.membership import GeometryError, compile_csg, csg_contains
 from repro.geometry.sampling import occupancy_points, sample_grid
 from repro.geometry.vec import Vec3
@@ -127,11 +127,6 @@ class TestSamplingAndHausdorff:
     def test_empty_sets(self):
         assert hausdorff_distance([], []) == 0.0
         assert directed_hausdorff([Vec3(0, 0, 0)], []) == float("inf")
-
-    def test_chamfer_less_than_hausdorff(self):
-        a = [Vec3(i, 0, 0) for i in range(10)]
-        b = [Vec3(i, 0.1 * i, 0) for i in range(10)]
-        assert chamfer_distance(a, b) <= hausdorff_distance(a, b) + 1e-12
 
 
 _coords = st.floats(min_value=-3, max_value=3, allow_nan=False)

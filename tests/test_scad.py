@@ -15,6 +15,7 @@ from repro.scad.flatten import ScadEvalError, flatten_source
 from repro.scad.lexer import ScadSyntaxError, tokenize
 from repro.scad.parser import parse_scad
 from repro.verify.geometric import occupancy_agreement
+from repro.verify.validate import validate_synthesis
 
 
 class TestLexer:
@@ -112,6 +113,25 @@ class TestFlattening:
         assert primitive_count(flat) == 2
         assert csg_contains(flat, Vec3(0, 0, 5.0))   # inside the (uncentered) cylinder
         assert csg_contains(flat, Vec3(0, 0, -2.9))  # inside the sphere
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "cylinder(h=2, r=3, center=true, $fn=6);",
+            "$fn = 6;\ncylinder(h=2, r=3, center=true);",
+        ],
+    )
+    def test_six_fragment_cylinder_is_openscads_hexagon(self, source):
+        # OpenSCAD puts the first vertex of a $fn=6 polygon on +x: the
+        # vertex at (3, 0) is inside, while (0, 2.95) lies past the flat
+        # side at the apothem 3*sqrt(3)/2 ~ 2.6.
+        flat = flatten_source(source)
+        assert csg_contains(flat, Vec3(2.95, 0, 0))
+        assert not csg_contains(flat, Vec3(0, 2.95, 0))
+
+    def test_other_fragment_counts_stay_round(self):
+        flat = flatten_source("cylinder(h=2, r=3, center=true, $fn=8);")
+        assert csg_contains(flat, Vec3(0, 2.95, 0))
 
     def test_sphere_diameter_argument(self):
         flat = flatten_source("sphere(d = 10);")
@@ -211,6 +231,12 @@ class TestEmit:
         reflattened = flatten_source(emitted)
         report = occupancy_agreement(original, reflattened, resolution=12)
         assert report.agreement >= 0.98
+
+    def test_emitted_hexagon_round_trips_exactly(self):
+        hexagon = Term.parse("(Scale 4 4 4 Hexagon)")
+        reflattened = flatten_source(emit_openscad(hexagon))
+        assert occupancy_agreement(hexagon, reflattened).agreement == 1.0
+        assert validate_synthesis(hexagon, reflattened).valid
 
     def test_emit_structured_program_unrolls_first(self):
         program = Term.parse("(Fold Union Empty (Repeat (Scale 2 2 2 Cube) 3))")

@@ -5,7 +5,7 @@ The naive backtracking matcher (:func:`repro.egraph.pattern.search`, via
 schedules these tests assert, **every iteration**, that the incremental
 compiled-trie search (:class:`IncrementalMatcher` over a
 :class:`CompiledRuleSet`) yields exactly the same canonicalized
-``(rule, class, substitution, direction)`` match sets — across graph growth,
+``(rule, class, substitution)`` match sets — across graph growth,
 merges, congruence collapses during rebuild, randomly disabled rule subsets
 (which force the post-gap full-sweep path), and full saturation runs through
 the :class:`Runner`.
@@ -38,9 +38,8 @@ RUNNER_SEEDS = list(range(200, 205))
 def _rule_db() -> List[BaseRewrite]:
     """A deliberately nasty little rule set.
 
-    Covers: commutativity/associativity (including a bidirectional rule whose
-    reverse direction must also be compiled), repeated variables, leaf
-    patterns, patterns rooted at a unary operator, a rule collapsing to a
+    Covers: commutativity/associativity (both directions, as two rules),
+    repeated variables, leaf patterns, patterns rooted at a unary operator, a rule collapsing to a
     bare variable, and a dynamic rewrite.  Several rules share the ``(U ...)``
     top symbol so the discrimination trie actually shares prefixes.
     """
@@ -50,11 +49,13 @@ def _rule_db() -> List[BaseRewrite]:
 
     return [
         rewrite("comm", "(U ?a ?b)", "(U ?b ?a)"),
-        rewrite("assoc", "(U (U ?a ?b) ?c)", "(U ?a (U ?b ?c))", bidirectional=True),
+        rewrite("assoc", "(U (U ?a ?b) ?c)", "(U ?a (U ?b ?c))"),
+        rewrite("assoc-rev", "(U ?a (U ?b ?c))", "(U (U ?a ?b) ?c)"),
         rewrite("idem", "(U ?a ?a)", "?a"),
         rewrite("unwrap-leaf", "(T x)", "x"),
         rewrite("wrap", "(T ?a)", "(U ?a ?a)"),
-        rewrite("deep", "(U (T ?a) (T ?b))", "(T (U ?a ?b))", bidirectional=True),
+        rewrite("deep", "(U (T ?a) (T ?b))", "(T (U ?a ?b))"),
+        rewrite("deep-rev", "(T (U ?a ?b))", "(U (T ?a) (T ?b))"),
         dynamic_rewrite("dyn", "(I ?a x)", swap_args),
     ]
 
@@ -73,7 +74,6 @@ def _canonical(egraph: EGraph, matches) -> Set[Tuple]:
         (
             egraph.find(m.class_id),
             frozenset((name, egraph.find(cid)) for name, cid in m.substitution.items()),
-            m.reverse,
         )
         for m in matches
     }
@@ -185,11 +185,11 @@ def test_total_randomized_iterations_budget():
     assert total >= 200, total
 
 
-def test_trie_shares_prefixes_and_compiles_reverse_programs():
+def test_trie_shares_prefixes():
     """Structural sanity of the compiled rule set used above."""
     compiled = CompiledRuleSet(_rule_db())
     stats = compiled.stats
-    # lhs programs for 7 rules + reverse programs for the 2 bidirectional ones.
+    # One lhs program per rule.
     assert stats.programs == 9
     assert stats.shared_instructions > 0, "trie degenerated into disjoint chains"
     assert stats.max_depth == 3

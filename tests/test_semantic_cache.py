@@ -141,7 +141,8 @@ class TestExactTierUnchanged:
         assert len(list(tmp_path.glob("sem/*/*.json"))) == 1
 
     def test_bounded_eviction_never_touches_pointers(self, keys, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=1, memory_capacity=0)
+        entry = len(json.dumps({"v": 1}).encode())
+        cache = ResultCache(tmp_path, max_bytes=entry, memory_capacity=0)
         cache.put(keys["exact"], {"v": 1}, keys["semantic"])
         # Overflow the exact tier with unrelated entries.
         for i in range(4):

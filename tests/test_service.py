@@ -236,6 +236,9 @@ class TestResultCache:
 
 
 class TestResultCacheEviction:
+    #: Every ``{"v": <digit>}`` payload these tests store is this many bytes.
+    ENTRY = len(json.dumps({"v": 0}).encode())
+
     def _keys(self, n):
         return [format(i, "x").rjust(64, "0") for i in range(n)]
 
@@ -244,8 +247,12 @@ class TestResultCacheEviction:
 
         os.utime(cache._path(key), (when, when))
 
-    def test_max_entries_evicts_oldest_mtime_first(self, tmp_path):
-        cache = ResultCache(tmp_path, memory_capacity=0, max_entries=2)
+    def _budget(self, entries):
+        """A byte budget that holds exactly ``entries`` small payloads."""
+        return entries * self.ENTRY
+
+    def test_max_bytes_evicts_oldest_mtime_first(self, tmp_path):
+        cache = ResultCache(tmp_path, memory_capacity=0, max_bytes=self._budget(2))
         a, b, c = self._keys(3)
         cache.put(a, {"v": 1})
         cache.put(b, {"v": 2})
@@ -274,7 +281,7 @@ class TestResultCacheEviction:
         assert cache.lookup(keys[2])[0] == payload and cache.lookup(keys[3])[0] == payload
 
     def test_disk_reads_refresh_recency(self, tmp_path):
-        cache = ResultCache(tmp_path, memory_capacity=0, max_entries=2)
+        cache = ResultCache(tmp_path, memory_capacity=0, max_bytes=self._budget(2))
         a, b, c = self._keys(3)
         cache.put(a, {"v": 1})
         cache.put(b, {"v": 2})
@@ -293,7 +300,7 @@ class TestResultCacheEviction:
         seed.put(b, {"v": 2})
         self._set_mtime(seed, a, 1_000)
         self._set_mtime(seed, b, 2_000)
-        bounded = ResultCache(tmp_path, memory_capacity=0, max_entries=2)
+        bounded = ResultCache(tmp_path, memory_capacity=0, max_bytes=self._budget(2))
         bounded.put(c, {"v": 3})  # 3 entries on disk now: a must be evicted
         assert bounded.disk_entries() == 2
         assert bounded.lookup(a)[0] is None
@@ -311,7 +318,7 @@ class TestResultCacheEviction:
         for _ in range(3):
             cache.put(key, payload)  # overwrites must track the real size
         # One fat entry fits the budget exactly; usage must reflect it.
-        assert cache._disk_usage == (1, entry_size)
+        assert cache._disk_usage == entry_size
         other = format(1, "x").rjust(64, "1")
         self._set_mtime(cache, key, 1_000)
         cache.put(other, payload)  # now over budget: the old entry goes
@@ -321,7 +328,7 @@ class TestResultCacheEviction:
     def test_memory_tier_hits_keep_the_disk_entry_hot(self, tmp_path):
         # Regression: memory-tier hits used to leave the disk mtime stale,
         # so the hottest entry was evicted from the bounded disk tier.
-        cache = ResultCache(tmp_path, memory_capacity=8, max_entries=2)
+        cache = ResultCache(tmp_path, memory_capacity=8, max_bytes=self._budget(2))
         a, b, c = self._keys(3)
         cache.put(a, {"v": 1})
         cache.put(b, {"v": 2})
@@ -338,14 +345,15 @@ class TestResultCacheEviction:
         # Regression: dropping a corrupt entry on read left the tracked
         # usage overcounted, so later puts evicted healthy entries that
         # were actually within the limits.
-        cache = ResultCache(tmp_path, memory_capacity=0, max_entries=3)
+        cache = ResultCache(tmp_path, memory_capacity=0, max_bytes=self._budget(3))
         a, b, c, d = self._keys(4)
         for stamp, key in enumerate((a, b, c)):
             cache.put(key, {"v": stamp})
             self._set_mtime(cache, key, 1_000 * (stamp + 1))
-        cache._path(a).write_text("{not json")  # corrupt the oldest entry
+        # Corrupt the oldest entry, keeping its size.
+        cache._path(a).write_text("x" * self.ENTRY)
         assert cache.lookup(a)[0] is None  # dropped, and accounted for
-        assert cache._disk_usage[0] == 2
+        assert cache._disk_usage == self._budget(2)
         cache.put(d, {"v": 3})  # back at the limit of 3: nothing to evict
         assert cache.evictions == 0
         assert cache.lookup(b)[0] == {"v": 1} and cache.lookup(c)[0] == {"v": 2}
@@ -356,16 +364,16 @@ class TestResultCacheEviction:
         for key in self._keys(5):
             cache.put(key, {"v": 0})
         assert cache.evictions == 0 and cache.disk_entries() == 5
-        assert cache.stats()["max_entries"] is None
+        assert cache.stats()["max_bytes"] is None
 
     def test_stats_expose_limits_and_evictions(self, tmp_path):
-        cache = ResultCache(tmp_path, memory_capacity=0, max_entries=1)
+        cache = ResultCache(tmp_path, memory_capacity=0, max_bytes=self._budget(1))
         a, b = self._keys(2)
         cache.put(a, {"v": 1})
         self._set_mtime(cache, a, 1_000)
         cache.put(b, {"v": 2})
         stats = cache.stats()
-        assert stats["max_entries"] == 1
+        assert stats["max_bytes"] == self.ENTRY
         assert stats["evictions"] == 1
         assert stats["disk_entries"] == 1
 
