@@ -1,5 +1,7 @@
 """Unit tests for point-membership CSG evaluation and Hausdorff validation."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -95,6 +97,71 @@ class TestBooleanMembership:
         solid = compile_csg(union(cube(), translate(5, 0, 0, cube())))
         assert solid.bound_max.x >= 5.4
         assert solid.bound_min.x <= -0.4
+
+
+class TestSolidExtents:
+    """Exact extents and volumes of transformed and combined solids."""
+
+    def test_scale_stretches_each_axis_by_its_factor(self):
+        term = scale(2, 3, 4, cube())
+        assert csg_contains(term, Vec3(0.99, 1.49, 1.99))
+        assert csg_contains(term, Vec3(-0.99, -1.49, -1.99))
+        for outside in (Vec3(1.01, 0, 0), Vec3(0, 1.51, 0), Vec3(0, 0, 2.01)):
+            assert not csg_contains(term, outside)
+
+    def test_rotation_is_counterclockwise_about_z(self):
+        # The box's corner (1, -0.5) turns 45 degrees to x = 1.5/sqrt(2),
+        # y = 0.5/sqrt(2), OpenSCAD's sense of rotation.
+        term = rotate(0, 0, 45, scale(2, 1, 1, cube()))
+        reach = 1.5 / math.sqrt(2.0)
+        y = 0.5 / math.sqrt(2.0)
+        assert csg_contains(term, Vec3(reach - 0.01, y, 0))
+        assert not csg_contains(term, Vec3(reach + 0.01, y, 0))
+        assert not csg_contains(term, Vec3(reach - 0.01, -y, 0))
+        assert compile_csg(term).bound_max.x >= reach
+
+    def test_hexagon_lies_within_unit_radius_and_half_height(self):
+        grid = sample_grid(Vec3(-1.2, -1.2, -1.2), Vec3(1.2, 1.2, 1.2), resolution=12)
+        inside = occupancy_points(hexagon(), grid)
+        assert inside
+        for point in inside:
+            assert point.x * point.x + point.y * point.y <= 1.0 + 1e-9
+            assert abs(point.z) <= 0.5
+
+    def test_sphere_boundary_is_the_unit_sphere(self):
+        for lat in (-60, -15, 0, 30, 75):
+            for lon in range(0, 360, 45):
+                phi, theta = math.radians(lat), math.radians(lon)
+                on_surface = Vec3(
+                    0.999 * math.cos(phi) * math.cos(theta),
+                    0.999 * math.cos(phi) * math.sin(theta),
+                    0.999 * math.sin(phi),
+                )
+                assert csg_contains(sphere(), on_surface)
+                assert not csg_contains(sphere(), on_surface * (1.01 / 0.999))
+
+    def test_diff_is_the_exact_solid(self):
+        # The unit sphere swallows the cube (its corners lie at
+        # sqrt(3)/2 < 1), so the difference is empty, boundaries and all.
+        grid = sample_grid(Vec3(-0.5, -0.5, -0.5), Vec3(0.5, 0.5, 0.5), resolution=10)
+        assert occupancy_points(diff(cube(), sphere()), grid) == []
+        assert occupancy_points(diff(sphere(), cube()), grid) == []
+        assert csg_contains(diff(sphere(), cube()), Vec3(0.9, 0, 0))
+
+    def test_disjoint_union_occupies_both_operands(self):
+        left, right = cube(), translate(3, 0, 0, cube())
+        grid = sample_grid(Vec3(-1, -1, -1), Vec3(4, 1, 1), resolution=10)
+        occupied = occupancy_points(union(left, right), grid)
+        assert occupied
+        assert len(occupied) == len(occupancy_points(left, grid)) + len(
+            occupancy_points(right, grid)
+        )
+
+    def test_uniform_scale_multiplies_volume_by_its_cube(self):
+        grid = sample_grid(Vec3(-1, -1, -1), Vec3(1, 1, 1), resolution=8)
+        unit_volume = len(occupancy_points(cube(), grid))
+        assert unit_volume == len(grid) // 8
+        assert len(occupancy_points(scale(2, 2, 2, cube()), grid)) == 8 * unit_volume
 
 
 class TestSamplingAndHausdorff:

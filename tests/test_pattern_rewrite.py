@@ -124,6 +124,36 @@ class TestRewrites:
         rule = dynamic_rewrite("skip", "(Add ?a ?b)", lambda eg, cid, sub: None)
         assert rule.run(egraph) == 0
 
+    def test_applier_condition_blocks_only_the_matches_it_rejects(self):
+        # A rule's side condition lives in its applier: declined matches
+        # neither change the graph nor count as executed (so the runner
+        # never ledgers them), accepted ones fire.
+        egraph = EGraph()
+        kept = egraph.add_term(Term.parse("(Union Cube Empty)"))
+        merged = egraph.add_term(Term.parse("(Union Sphere Empty)"))
+        cube_class = egraph.lookup_term(Term("Cube"))
+
+        def unless_cube(eg, _class_id, sub):
+            return None if eg.find(sub["x"]) == eg.find(cube_class) else sub["x"]
+
+        rule = dynamic_rewrite("drop-empty-unless-cube", "(Union ?x Empty)", unless_cube)
+        outcomes = {
+            egraph.find(match.class_id): rule.apply_match_checked(egraph, match)
+            for match in rule.search(egraph)
+        }
+        assert outcomes == {kept: (False, False), merged: (True, True)}
+        egraph.rebuild()
+        assert not egraph.is_equal(kept, cube_class)
+        assert egraph.is_equal(merged, egraph.lookup_term(Term("Sphere")))
+
+    def test_rhs_variable_unbound_by_lhs_raises(self):
+        egraph = EGraph()
+        egraph.add_term(Term.parse("(Scale 2 Cube)"))
+        rule = rewrite("drop", "(Scale 2 ?x)", "(Union ?x ?y)")
+        (match,) = rule.search(egraph)
+        with pytest.raises(KeyError, match=r"\?y"):
+            rule.apply_match(egraph, match)
+
     def test_rewrite_fires_left_to_right_only(self):
         egraph = EGraph()
         egraph.add_term(Term.parse("(Union A (Union B C))"))
@@ -132,6 +162,34 @@ class TestRewrites:
         rule.run(egraph)
         egraph.rebuild()
         assert egraph.lookup_term(Term.parse("(Union (Union A B) C)")) is None
+
+
+class TestRulePairs:
+    """An equation needed in both directions is written as two one-way rules."""
+
+    ASSOC = ("assoc", "(Union (Union ?a ?b) ?c)", "(Union ?a (Union ?b ?c))")
+    ASSOC_REV = ("assoc-rev", "(Union ?a (Union ?b ?c))", "(Union (Union ?a ?b) ?c)")
+
+    def test_reverse_rule_builds_the_left_form(self):
+        egraph = EGraph()
+        root = egraph.add_term(Term.parse("(Union A (Union B C))"))
+        assert rewrite(*self.ASSOC_REV).run(egraph) >= 1
+        egraph.rebuild()
+        left = egraph.lookup_term(Term.parse("(Union (Union A B) C)"))
+        assert left is not None
+        assert egraph.is_equal(root, left)
+
+    def test_both_directions_reachable_from_either_form(self):
+        right = Term.parse("(Union A (Union B C))")
+        left = Term.parse("(Union (Union A B) C)")
+        for start in (right, left):
+            egraph = EGraph()
+            root = egraph.add_term(start)
+            Runner([rewrite(*self.ASSOC), rewrite(*self.ASSOC_REV)]).run(egraph)
+            for form in (right, left):
+                found = egraph.lookup_term(form)
+                assert found is not None, f"{form} unreachable from {start}"
+                assert egraph.is_equal(root, found)
 
 
 class TestRunner:
