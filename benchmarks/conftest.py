@@ -1,19 +1,33 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures and options for the benchmark harness.
 
 Each benchmark module regenerates one table or figure of the paper's
 evaluation (Section 6), or measures one layer; the end-to-end numbers come
 from ``perfbench/run.py``.  ``pytest-benchmark`` provides the timing
 machinery; the assertions in each benchmark check the *shape* of the paper's
 result (who wins, what structure is recovered), not absolute numbers.
+
+Wall-clock ratios are not shapes: on a shared or loaded host they wobble.
+The timing benchmarks (``test_saturation_perf.py``, ``test_batch_service.py``,
+``test_semantic_cache_perf.py``, ``test_tracer_overhead.py`` and
+``test_latency_slo.py``) assert their speed floors and ceilings, and record
+their measurements under ``.benchmarks/``, only when pytest is given
+``--bench`` together with a path under ``benchmarks/``, e.g.
+``pytest -q --bench benchmarks/test_saturation_perf.py``.  Without it they
+run as correctness smokes: every other assertion still holds.
+
+``src/`` and ``tests/`` go on ``sys.path``: the saturation benchmark
+measures the production engine against the reference designs of
+``tests/saturation_oracle.py``.
 """
 
 import json
 import sys
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "tests", _ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import pytest
 
@@ -22,7 +36,18 @@ from repro.core.config import SynthesisConfig
 #: The one benchmark record.  It lives under the gitignored ``.benchmarks/``
 #: directory at the repository root, so a test run never rewrites a tracked
 #: file.
-BENCH_PATH = Path(__file__).resolve().parent.parent / ".benchmarks" / "BENCH_saturation.json"
+BENCH_PATH = _ROOT / ".benchmarks" / "BENCH_saturation.json"
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--bench",
+        action="store_true",
+        default=False,
+        help="assert the timing benchmarks' speed floors and ceilings and record "
+        "their measurements under .benchmarks/ (without it they run as "
+        "correctness smokes)",
+    )
 
 
 def _record(payload: dict) -> None:
@@ -39,9 +64,19 @@ def _record(payload: dict) -> None:
 
 
 @pytest.fixture
-def bench_record():
-    """The benchmark recorder: call it with ``{key: measurements}``."""
-    return _record
+def bench(request) -> bool:
+    """True under ``--bench``: assert the wall-clock floors and ceilings."""
+    return request.config.getoption("bench")
+
+
+@pytest.fixture
+def bench_record(bench):
+    """The benchmark recorder: call it with ``{key: measurements}``.
+
+    It writes only under ``--bench``; a smoke run leaves ``.benchmarks/``
+    alone.
+    """
+    return _record if bench else (lambda payload: None)
 
 
 @pytest.fixture

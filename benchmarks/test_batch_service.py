@@ -7,11 +7,11 @@ records the measured multi-worker wall-clock speedup plus the warm-cache
 hit rate under the ``batch_service`` key of ``BENCH_saturation.json``.
 
 Row parity across all three paths and the 100% warm hit rate are hard
-assertions.  The wall-clock *speedup* assertion only arms on machines with
+assertions.  The wall-clock *speedup* assertions run only under ``--bench``
+(see ``benchmarks/conftest.py``), and the parallel one only on machines with
 at least two CPU cores: process parallelism cannot beat serial execution on
-a single core (this container has one; CI runners have more), and on shared
-runners the ratio wobbles — the bench-smoke CI job that runs this file is
-non-blocking for that reason.
+a single core, and on shared runners the ratio wobbles — the bench-smoke CI
+job that passes ``--bench`` is non-blocking for that reason.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _mask_seconds(rows):
 
 
 @pytest.mark.figure
-def test_batch_service_parallel_speedup_and_warm_cache(tmp_path, bench_record):
+def test_batch_service_parallel_speedup_and_warm_cache(tmp_path, bench, bench_record):
     cpu_count = os.cpu_count() or 1
     worker_count = max(2, min(4, cpu_count))
     cache_dir = tmp_path / "cache"
@@ -86,6 +86,8 @@ def test_batch_service_parallel_speedup_and_warm_cache(tmp_path, bench_record):
     assert all(result.cached for result in warm.batch.results)
 
     # Throughput gates.
+    if not bench:
+        return
     assert warm_speedup >= REQUIRED_WARM_SPEEDUP, (
         f"warm cache only {warm_speedup:.1f}x faster than the cold parallel run "
         f"({warm_seconds:.2f}s vs {parallel_seconds:.2f}s)"

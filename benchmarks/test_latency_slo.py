@@ -10,8 +10,10 @@ The measured numbers land under the ``latency_slo`` key of
 ``BENCH_saturation.json``; the CI bench-smoke gate re-checks
 ``e2e_p95_seconds <= slo_seconds`` from the recorded artifact.  The SLO
 budget is deliberately generous (shared runners), but it is a *hard
-ceiling*: a pipeline regression that pushes single-model synthesis past it
-fails both this test and the CI gate.
+ceiling* under ``--bench`` (see ``benchmarks/conftest.py``): a pipeline
+regression that pushes single-model synthesis past it fails both this test
+and the CI gate.  Without ``--bench`` the test checks only the daemon's
+answers and its latency series, and records nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def sock_dir():
     shutil.rmtree(path, ignore_errors=True)
 
 
-def test_daemon_smoke_workload_meets_latency_slo(sock_dir, bench_record):
+def test_daemon_smoke_workload_meets_latency_slo(sock_dir, bench, bench_record):
     specs = [
         {"name": name, "term": format_term(get_benchmark(name).build())}
         for name in WORKLOAD
@@ -104,6 +106,7 @@ def test_daemon_smoke_workload_meets_latency_slo(sock_dir, bench_record):
         }
     )
 
-    assert e2e_p95 <= SLO_SECONDS, (
-        f"end-to-end p95 {e2e_p95:.3f}s exceeds the {SLO_SECONDS:.0f}s SLO"
-    )
+    if bench:
+        assert e2e_p95 <= SLO_SECONDS, (
+            f"end-to-end p95 {e2e_p95:.3f}s exceeds the {SLO_SECONDS:.0f}s SLO"
+        )

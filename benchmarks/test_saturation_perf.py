@@ -19,25 +19,32 @@ point the expansive rules have blown the graph up several-fold — and it then
 pays again during extraction, which scales with the bloated graph.  The
 assertions require the two-phase engine to (a) stay within a small factor of
 the budget, (b) reach the same best extraction cost, and (c) be at least 2x
-faster end to end.  Timings are recorded in ``.benchmarks/BENCH_saturation.json``
-(gitignored) at the repository root.
+faster end to end.
 
-The speedup assertion is this change's acceptance gate and intentionally
-runs in the default collection; the measured margin is ~3x, but on a heavily
-loaded machine wall-clock ratios can wobble — CI runs this file in a
-non-blocking job for that reason.
-
-A second comparison (PR 2) measures the *search phase* alone: the naive
-per-rule e-matching sweep vs the compiled-trie incremental matcher
-(``Runner(..., incremental=True)``) on search-dominated workloads, recorded
+The other reference designs measured here come from the test oracle
+``tests/saturation_oracle.py`` (the seed loop, too, fires its rules through
+the oracle's ``run_rule``); the production engine has no switch that
+selects one.  A second comparison measures the *search phase* alone:
+the oracle's naive per-rule e-matching sweep vs the production
+compiled-trie incremental matcher on search-dominated workloads, recorded
 under the ``incremental_search`` key of ``BENCH_saturation.json``.
 
-A third comparison (PR 4) measures the *extraction phase* alone: post-hoc
-single-best fixpoints (one :class:`Extractor` worklist per query, the way
-the determinizer uses them inside the arithmetic components) vs the
-incremental :class:`CostAnalysis` maintained during saturation, which turns
-each query into an O(answer) witness walk.  Recorded under the
-``extraction`` key of ``BENCH_saturation.json``.
+A third comparison measures the *extraction phase* alone: post-hoc
+single-best fixpoints (one worklist per query, the way the determinizer
+used them inside the arithmetic components; the oracle's
+:class:`PostHocExtractor`) vs the incremental :class:`CostAnalysis`
+maintained during saturation, which turns each query into an O(answer)
+witness walk.  Recorded under the ``extraction`` key.
+
+A fourth measures the *apply phase*: the oracle's ledger-free
+reference runner vs the production applied-match ledger, both searching
+with the production incremental matcher (``apply_dedup`` key).
+
+The speedup floors (the ``REQUIRED_*`` constants) are asserted, and the
+timings recorded in ``.benchmarks/BENCH_saturation.json`` (gitignored) at
+the repository root, only under ``--bench`` (see ``benchmarks/conftest.py``):
+wall-clock ratios wobble on a loaded host, so tier-1 runs this file as a
+correctness smoke and CI's bench-smoke job passes ``--bench``.
 """
 
 from __future__ import annotations
@@ -52,8 +59,10 @@ from repro.core.rules import all_rules, default_rules
 from repro.csg.build import cube, scale
 from repro.egraph.egraph import EGraph
 from repro.egraph.extract import CostAnalysis, Extractor, TopKExtractor, ast_size_cost
+from repro.egraph.pattern import IncrementalMatcher
 from repro.egraph.runner import BackoffConfig, Runner, RunnerLimits
 from repro.lang.term import Term
+from saturation_oracle import PostHocExtractor, ReferenceRunner, run_rule
 
 
 #: The speedup the two-phase engine must demonstrate over the seed loop.
@@ -81,7 +90,7 @@ class SeedRunner:
         for _ in range(self.limits.max_iterations):
             version_before = egraph.version
             for rule in self.rules:
-                rule.run(egraph)  # search + apply, immediately visible to later rules
+                run_rule(rule, egraph)  # search + apply, immediately visible to later rules
             egraph.rebuild()
             if egraph.version == version_before:
                 return "saturated"
@@ -242,7 +251,7 @@ def _measure_two_phase(
 
 
 @pytest.mark.figure
-def test_two_phase_engine_at_least_2x_faster_than_seed_loop(bench_record):
+def test_two_phase_engine_at_least_2x_faster_than_seed_loop(bench, bench_record):
     """Seed loop vs two-phase loop on the gear with an enforced node budget."""
     model = gear_model()
     rules = all_rules()  # includes the expansive boolean rules
@@ -271,10 +280,11 @@ def test_two_phase_engine_at_least_2x_faster_than_seed_loop(bench_record):
     # a single application's worth of overshoot.
     assert seed["enodes"] > limits.max_enodes
     assert two_phase["enodes"] <= limits.max_enodes + 100
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"two-phase engine only {speedup:.2f}x faster than the seed loop "
-        f"(seed {seed['total_seconds']:.2f}s vs {two_phase['total_seconds']:.2f}s)"
-    )
+    if bench:
+        assert speedup >= REQUIRED_SPEEDUP, (
+            f"two-phase engine only {speedup:.2f}x faster than the seed loop "
+            f"(seed {seed['total_seconds']:.2f}s vs {two_phase['total_seconds']:.2f}s)"
+        )
 
 
 @pytest.mark.figure
@@ -301,11 +311,16 @@ def test_two_phase_engine_parity_on_default_rules(bench_record):
 
 
 def _measure_matcher(model: Term, rules, limits, backoff, incremental: bool) -> dict:
-    """One saturation run; returns timings with the search phase broken out."""
+    """One saturation run; returns timings with the search phase broken out.
+
+    ``incremental`` runs the production engine; otherwise the oracle's
+    reference runner searches with the naive per-rule sweep.
+    """
     egraph = EGraph()
     root = egraph.add_term(model)
     start = time.perf_counter()
-    report = Runner(rules, limits, backoff=backoff, incremental=incremental).run(egraph)
+    engine = Runner if incremental else ReferenceRunner
+    report = engine(rules, limits, backoff=backoff).run(egraph)
     total = time.perf_counter() - start
     best = TopKExtractor(egraph, ast_size_cost, k=5).extract_top_k(root)[0]
     return {
@@ -349,7 +364,7 @@ def _incremental_workloads():
 
 
 @pytest.mark.figure
-def test_incremental_search_at_least_2x_faster_search_phase(bench_record):
+def test_incremental_search_at_least_2x_faster_search_phase(bench, bench_record):
     """Naive sweep vs incremental trie on search-dominated workloads.
 
     The acceptance gate for the incremental e-matching subsystem: summed
@@ -374,10 +389,11 @@ def test_incremental_search_at_least_2x_faster_search_phase(bench_record):
         }
     speedup = naive_search / max(trie_search, 1e-9)
     bench_record({"incremental_search": {"workloads": recorded, "search_speedup": speedup}})
-    assert speedup >= REQUIRED_SEARCH_SPEEDUP, (
-        f"incremental search only {speedup:.2f}x faster "
-        f"(naive {naive_search:.3f}s vs trie {trie_search:.3f}s)"
-    )
+    if bench:
+        assert speedup >= REQUIRED_SEARCH_SPEEDUP, (
+            f"incremental search only {speedup:.2f}x faster "
+            f"(naive {naive_search:.3f}s vs trie {trie_search:.3f}s)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +406,18 @@ REQUIRED_EXTRACTION_SPEEDUP = 2.0
 
 #: Single-best queries per saturated graph.  The pipeline's determinizer
 #: constructs a fresh Extractor per determinization, so repeated queries —
-#: each paying the full fixpoint without the analysis, each an O(answer)
-#: walk with it — are the realistic workload.
+#: each paying the full fixpoint post hoc, each an O(answer) walk with the
+#: analysis — are the realistic workload.
 _EXTRACTION_QUERIES = 5
 
 
 def _measure_extraction(model: Term, *, incremental: bool) -> dict:
-    """Saturate once, then run repeated single-best extraction queries."""
+    """Saturate once, then run repeated single-best extraction queries.
+
+    ``incremental`` lets the cost analysis ride along and queries the
+    production :class:`Extractor`; otherwise every query builds the oracle's
+    post-hoc fixpoint extractor.
+    """
     analysis = CostAnalysis(ast_size_cost)
     egraph = EGraph()
     root = egraph.add_term(model)
@@ -412,8 +433,9 @@ def _measure_extraction(model: Term, *, incremental: bool) -> dict:
     extract_start = time.perf_counter()
     costs = []
     term = None
+    extractor_class = Extractor if incremental else PostHocExtractor
     for _ in range(_EXTRACTION_QUERIES):
-        extractor = Extractor(egraph, ast_size_cost)
+        extractor = extractor_class(egraph, ast_size_cost)
         costs.append(extractor.cost_of(root))
         term = extractor.extract(root)
     extract_seconds = time.perf_counter() - extract_start
@@ -436,7 +458,7 @@ def _measure_extraction(model: Term, *, incremental: bool) -> dict:
 
 
 @pytest.mark.figure
-def test_incremental_extraction_at_least_2x_faster_extraction_phase(bench_record):
+def test_incremental_extraction_at_least_2x_faster_extraction_phase(bench, bench_record):
     """Post-hoc fixpoint extraction vs the saturation-time cost analysis.
 
     Both sides saturate the gear identically (the analysis rides along on
@@ -469,11 +491,12 @@ def test_incremental_extraction_at_least_2x_faster_extraction_phase(bench_record
     assert riding["classes"] == posthoc["classes"]
     assert riding["analysis_updates"] > 0
     assert posthoc["analysis_updates"] == 0
-    assert speedup >= REQUIRED_EXTRACTION_SPEEDUP, (
-        f"incremental extraction only {speedup:.2f}x faster "
-        f"(post-hoc {posthoc['extract_seconds']:.3f}s vs "
-        f"analysis {riding['extract_seconds']:.3f}s)"
-    )
+    if bench:
+        assert speedup >= REQUIRED_EXTRACTION_SPEEDUP, (
+            f"incremental extraction only {speedup:.2f}x faster "
+            f"(post-hoc {posthoc['extract_seconds']:.3f}s vs "
+            f"analysis {riding['extract_seconds']:.3f}s)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +548,18 @@ def _small_step_rules():
 
 
 def _measure_dedup(model: Term, rules, limits: RunnerLimits, *, dedup: bool) -> dict:
+    """One run of the production engine, or of the oracle's ledger-free
+    reference runner over the same incremental matcher."""
     egraph = EGraph()
     root = egraph.add_term(model)
     start = time.perf_counter()
-    report = Runner(
-        rules, limits, backoff=BackoffConfig(), incremental=True, dedup=dedup
-    ).run(egraph)
+    if dedup:
+        runner = Runner(rules, limits, backoff=BackoffConfig())
+    else:
+        runner = ReferenceRunner(
+            rules, limits, backoff=BackoffConfig(), matcher=IncrementalMatcher
+        )
+    report = runner.run(egraph)
     total = time.perf_counter() - start
     best = Extractor(egraph, ast_size_cost).cost_of(root)
     zero_firing_late = [
@@ -564,7 +593,7 @@ def _measure_dedup(model: Term, rules, limits: RunnerLimits, *, dedup: bool) -> 
 
 
 @pytest.mark.figure
-def test_apply_dedup_at_least_5x_faster_apply_phase(bench_record):
+def test_apply_dedup_at_least_5x_faster_apply_phase(bench, bench_record):
     """Re-apply-everything vs the applied-match ledger on match-heavy runs.
 
     The acceptance gate for the apply-phase overhaul: on the affine-tower
@@ -617,11 +646,12 @@ def test_apply_dedup_at_least_5x_faster_apply_phase(bench_record):
     assert on["final_iteration"]["enodes_created"] == 0
     assert on["final_iteration"]["skipped"] == on["final_iteration"]["matches"]
 
-    assert headline["apply_speedup"] >= REQUIRED_APPLY_DEDUP_SPEEDUP, (
-        f"apply dedup only {headline['apply_speedup']:.2f}x faster in the apply phase "
-        f"(off {headline['off']['apply_seconds']:.3f}s vs on {on['apply_seconds']:.3f}s)"
-    )
-    assert headline["e2e_speedup"] >= REQUIRED_APPLY_DEDUP_E2E_SPEEDUP, (
-        f"apply dedup only {headline['e2e_speedup']:.2f}x faster end to end "
-        f"(off {headline['off']['total_seconds']:.3f}s vs on {on['total_seconds']:.3f}s)"
-    )
+    if bench:
+        assert headline["apply_speedup"] >= REQUIRED_APPLY_DEDUP_SPEEDUP, (
+            f"apply dedup only {headline['apply_speedup']:.2f}x faster in the apply phase "
+            f"(off {headline['off']['apply_seconds']:.3f}s vs on {on['apply_seconds']:.3f}s)"
+        )
+        assert headline["e2e_speedup"] >= REQUIRED_APPLY_DEDUP_E2E_SPEEDUP, (
+            f"apply dedup only {headline['e2e_speedup']:.2f}x faster end to end "
+            f"(off {headline['off']['total_seconds']:.3f}s vs on {on['total_seconds']:.3f}s)"
+        )

@@ -10,7 +10,9 @@ measured warm speedup is recorded under the ``semantic_cache`` key of
 
 The hit-rate and row-parity assertions are deterministic; only the
 speedup floor depends on wall clock (a cache read versus a full synthesis
-run, so the margin is enormous even on shared runners).
+run, so the margin is enormous even on shared runners), and it is asserted,
+like the record written, only under ``--bench`` (see
+``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _mask_seconds(rows):
 
 
 @pytest.mark.figure
-def test_semantic_cache_serves_variants_warm(tmp_path, bench_record):
+def test_semantic_cache_serves_variants_warm(tmp_path, bench, bench_record):
     cache_dir = tmp_path / "cache"
 
     start = time.perf_counter()
@@ -73,7 +75,8 @@ def test_semantic_cache_serves_variants_warm(tmp_path, bench_record):
     assert _mask_seconds(warm.rows) == _mask_seconds(cold.rows)
 
     # Throughput gate.
-    assert speedup >= REQUIRED_WARM_SPEEDUP, (
-        f"variant warm run only {speedup:.1f}x faster than cold "
-        f"({warm_seconds:.2f}s vs {cold_seconds:.2f}s)"
-    )
+    if bench:
+        assert speedup >= REQUIRED_WARM_SPEEDUP, (
+            f"variant warm run only {speedup:.1f}x faster than cold "
+            f"({warm_seconds:.2f}s vs {cold_seconds:.2f}s)"
+        )

@@ -20,6 +20,9 @@ This benchmark pins that claim with numbers recorded under the
 * ``enabled_overhead_ratio`` — interleaved min-of-reps wall clock of a
   fully traced run versus the default run, as the advisory cost of
   turning tracing ON (lenient in-test bound; it is not the gated number).
+
+Both bounds are wall-clock ratios, so they are asserted, like the record
+written, only under ``--bench`` (see ``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def _run_workload(tracer) -> float:
     return time.perf_counter() - start
 
 
-def test_disabled_tracer_overhead_is_negligible(bench_record):
+def test_disabled_tracer_overhead_is_negligible(bench, bench_record):
     # How many spans would an end-to-end traced run of this workload enter?
     spans_per_run = 0
     for name in WORKLOAD:
@@ -100,6 +103,8 @@ def test_disabled_tracer_overhead_is_negligible(bench_record):
         }
     )
 
+    if not bench:
+        return
     # The gated claim: with tracing off (the default), the instrumentation's
     # total cost is under 2% of end-to-end wall time.
     assert disabled_overhead_fraction < DISABLED_OVERHEAD_CEILING, (

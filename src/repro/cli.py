@@ -39,8 +39,10 @@ from repro.benchsuite.table1 import (
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import synthesize
 from repro.core.rules import rules_by_category
-from repro.csg.parser import parse_csg
+from repro.csg.parser import CsgSyntaxError, parse_csg
 from repro.csg.pretty import format_openscad_like, format_term
+from repro.lang.canon import canonical_term_text
+from repro.lang.sexp import SexpError
 from repro.scad.flatten import ScadEvalError, flatten_source
 from repro.scad.lexer import ScadSyntaxError
 from repro.service.cache import ResultCache
@@ -137,6 +139,18 @@ def _write_report(path: Optional[str], payload: dict) -> None:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _parse_input(args: argparse.Namespace, text: str):
+    """The CSG term in ``text``, or a one-line error naming the input file."""
+    try:
+        csg = parse_csg(text, strict=False)
+        # A non-finite literal parses but has no canonical text, so no run
+        # could key or print it (the service answers such a job FAILED).
+        canonical_term_text(csg)
+    except (CsgSyntaxError, SexpError) as exc:
+        raise SystemExit(f"{args.command}: {args.input}: {exc}")
+    return csg
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     try:
@@ -153,12 +167,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if tracer is not None:
         with tracer.span("job", {"name": name}):
             with tracer.span("parse"):
-                csg = parse_csg(text, strict=False)
+                csg = _parse_input(args, text)
             result = synthesize(csg, config, tracer=tracer)
             if args.validate:
                 report = validate_synthesis(csg, result.output_term(), tracer=tracer)
     else:
-        csg = parse_csg(text, strict=False)
+        csg = _parse_input(args, text)
         result = synthesize(csg, config)
         if args.validate:
             report = validate_synthesis(csg, result.output_term())

@@ -7,12 +7,13 @@ categories, and the resource limits that play the role of the algorithm's
 ``fuel`` argument.  Everything else the pipeline does is fixed: one pass of
 saturation, then function and loop inference, then extraction (see
 :mod:`repro.core.pipeline`).  The reference engines and the ablations the
-tests compare against are :class:`~repro.egraph.runner.Runner` arguments or
+tests compare against are test oracles (``tests/saturation_oracle.py``) or
 monkeypatched components, not knobs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Dict, Tuple
@@ -77,9 +78,17 @@ class SynthesisConfig:
     )
 
     def __post_init__(self) -> None:
-        # Reject what extraction would reject, before any synthesis runs.
+        # Reject what no run could use, before any synthesis runs.
         if self.top_k < 1:
             raise ValueError(f"top_k must be at least 1, got {self.top_k}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
+        if self.rewrite_iterations < 0:
+            raise ValueError(f"rewrite_iterations must be >= 0, got {self.rewrite_iterations}")
+        if self.max_enodes < 1:
+            raise ValueError(f"max_enodes must be at least 1, got {self.max_enodes}")
+        if not (math.isfinite(self.max_seconds) and self.max_seconds > 0):
+            raise ValueError(f"max_seconds must be a finite number > 0, got {self.max_seconds}")
         if self.cost_function not in COST_FUNCTIONS:
             known = ", ".join(sorted(COST_FUNCTIONS))
             raise ValueError(f"unknown cost function {self.cost_function!r}; known: {known}")

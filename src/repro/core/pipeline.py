@@ -248,10 +248,10 @@ def synthesize(
         )
         # Building the runner compiles the rule patterns into its
         # discrimination trie.  The incremental cost analysis rides along
-        # during saturation (the runner registers it): single-best
-        # extraction — extract_any and every determinizer query inside the
-        # arithmetic components — then reads ready-made (best cost, witness)
-        # pairs instead of recomputing a worklist fixpoint per extractor.
+        # during saturation (the runner registers it): every single-best
+        # query the determinizer makes inside the arithmetic components
+        # then reads ready-made (best cost, witness) pairs, and the top-k
+        # extractor prices rank 0 from them.
         runner = Runner(rule_set, limits, analyses=[CostAnalysis(ast_size_cost)], tracer=tracer)
         if setup_span is not None:
             setup_span.update({"rules": len(rule_set), "enodes": egraph.total_enodes})

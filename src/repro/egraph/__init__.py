@@ -9,10 +9,9 @@ It provides:
 * :mod:`repro.egraph.symbols` — the per-e-graph operator interner backing
   the flat ``(op_id, *arg_ids)`` node representation;
 * :mod:`repro.egraph.egraph` — hash-consed e-nodes, e-classes, congruence
-  closure with deferred rebuilding, and term insertion/extraction helpers;
-* :mod:`repro.egraph.pattern` — pattern terms with ``?x`` variables, the
-  naive backtracking e-matcher, and the compiled discrimination-trie
-  matcher with incremental dirty-class search;
+  closure with deferred rebuilding, and term insertion/lookup helpers;
+* :mod:`repro.egraph.pattern` — pattern terms with ``?x`` variables and the
+  compiled discrimination-trie matcher with incremental dirty-class search;
 * :mod:`repro.egraph.rewrite` — rewrite rules (pattern → pattern, or pattern
   → programmatic applier) in the style of Section 3.2;
 * :mod:`repro.egraph.runner` — the batched two-phase saturation loop with a
@@ -22,6 +21,10 @@ It provides:
   (an e-class analysis maintained during saturation), analysis-backed
   single-best extraction, and lazy k-best (Eppstein-style) candidate heaps
   enumerating only realizable, acyclic derivations (Section 5.1).
+
+Each piece has one implementation.  The designs the engine replaced (the
+naive backtracking matcher, the apply phase without a ledger, the post-hoc
+cost fixpoint) are test oracles under ``tests/``, not options here.
 """
 
 from repro.egraph.unionfind import UnionFind

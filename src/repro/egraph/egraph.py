@@ -163,8 +163,9 @@ class EClass:
         self.id = id
         #: Flat e-nodes ``(op_id, *arg_ids)`` of this class.
         self.flat: List[FlatNode] = []
-        #: (flat parent e-node as inserted, parent e-class id) pairs used by
-        #: rebuild; read the decoded view via :meth:`EGraph.parent_enodes`.
+        #: (flat parent e-node as inserted, parent e-class id) pairs: a log
+        #: read by rebuild, analysis propagation and the incremental
+        #: matcher's dirty closure, each canonicalizing what it reads.
         self.parents: List[Tuple[FlatNode, int]] = []
         #: Arbitrary per-class analysis data (used by the determinizer and
         #: cost analyses in :mod:`repro.core`).
@@ -602,7 +603,8 @@ class EGraph:
             hashcons[canonical_node] = find(seen[canonical_node])
         # Deduplicated rewrite of the log: repeated merges into a hub class
         # would otherwise grow its parents list with one entry per historical
-        # merge, which the worklist extractors then re-canonicalize per pop.
+        # merge, which every reader (the matcher's dirty closure, the
+        # analysis worklist) would then re-canonicalize per visit.
         new_parents: List[Tuple[FlatNode, int]] = [
             (node, find(owner)) for node, owner in seen.items()
         ]
@@ -792,32 +794,7 @@ class EGraph:
                         )
         return True
 
-    # -- parent queries ----------------------------------------------------------
-
-    def parent_enodes(self, class_id: int) -> List[Tuple[ENode, int]]:
-        """Canonicalized, de-duplicated parents of an e-class.
-
-        Returns ``(enode, owner_id)`` pairs: every e-node (with canonical
-        argument ids) that has ``class_id`` among its children, together with
-        the canonical id of the class that contains it.  The raw
-        :attr:`EClass.parents` list is an append-only log kept for
-        :meth:`rebuild`; this accessor is the read API the worklist extractor
-        uses to propagate cost improvements upward.
-        """
-        find = self._union_find.find
-        seen: Dict[Tuple[FlatNode, int], None] = {}
-        for parent_node, parent_id in self.eclass(class_id).parents:
-            key = (self.canonical_flat(parent_node), find(parent_id))
-            seen[key] = None
-        return [(self._decode(node), owner) for node, owner in seen.keys()]
-
-    # -- conversions -------------------------------------------------------------
-
-    def extract_any(self, class_id: int) -> Term:
-        """Extract *some* term from an e-class (smallest by node count)."""
-        from repro.egraph.extract import Extractor, ast_size_cost
-
-        return Extractor(self, ast_size_cost).extract(class_id)
+    # -- debugging ---------------------------------------------------------------
 
     def dump(self) -> str:
         """A compact human-readable dump used in debugging and tests."""

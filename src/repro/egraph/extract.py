@@ -11,10 +11,11 @@ The stack has two layers:
 
 * :class:`CostAnalysis` — an e-class :class:`~repro.egraph.egraph.Analysis`
   holding ``(best cost, witness e-node)`` per class, maintained
-  *incrementally* through ``add_enode``/``merge``/``rebuild``.  When the
-  runner registers it, post-saturation single-best extraction degenerates to
-  an O(answer) walk over the witnesses (:class:`Extractor` reuses the data
-  instead of recomputing a fixpoint).
+  *incrementally* through ``add_enode``/``merge``/``rebuild``.  The runner
+  registers it, so post-saturation single-best extraction
+  (:class:`Extractor`) is an O(answer) walk over the witnesses; there is no
+  post-hoc cost fixpoint.  (The worklist fixpoint it replaced is the test
+  oracle ``tests/saturation_oracle.py``.)
 * :class:`TopKExtractor` — **lazy k-best candidate streams** per e-class
   (Eppstein-style, as in Huang & Chiang's lazy k-best parsing), generalized
   to cyclic e-graphs: only *realizable* derivations are enumerated, in cost
@@ -76,7 +77,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -115,9 +115,9 @@ class CostAnalysis(Analysis):
     ``make`` prices an e-node from its children's best costs; ``merge`` keeps
     the cheaper side (ties keep the first argument, which is deterministic
     for a given run).  Registered on an e-graph — typically by the runner,
-    so it rides along during saturation — it turns post-hoc extraction
-    fixpoints into constant-time reads; :class:`Extractor` picks it up
-    automatically when its cost function matches.
+    so it rides along during saturation — it makes every best cost a
+    constant-time read; :class:`Extractor` and :class:`TopKExtractor` pick
+    it up automatically when its cost function matches.
 
     The analysis is a pure least-fixpoint: on an equivalence cycle that
     undercuts every realizable term (possible only when a node can be
@@ -163,7 +163,7 @@ def matching_analysis(egraph: EGraph, cost_function: CostFunction) -> Optional[C
 
 
 # ---------------------------------------------------------------------------
-# Single-best extraction (analysis view, with a k-best fallback for cycles)
+# Single-best extraction (analysis view, with a k-best fallback)
 # ---------------------------------------------------------------------------
 
 
@@ -172,85 +172,34 @@ class _CyclicWitness(Exception):
 
 
 class Extractor:
-    """Single-best extraction over :class:`CostAnalysis` data.
+    """Single-best extraction: the cheapest acyclic derivation of a class.
 
-    When the e-graph already carries a registered, quiescent
-    :class:`CostAnalysis` for the *same* cost function, its data is reused
-    directly — extraction is then an O(answer) witness walk with no
-    per-query fixpoint at all.  Otherwise the same best-cost table is
-    computed once here with a parent-driven worklist (seeded at leaves,
-    propagating improvements through :meth:`EGraph.parent_enodes`).
-
-    Best costs are least-fixpoint values; if the best witness derivation
-    revisits a class (non-monotone cost + equivalence cycle), the query
-    falls back to the lazy k-best enumeration and returns the cheapest
-    *realizable* term instead — no error path remains for cycles.
+    When the e-graph carries a registered, quiescent :class:`CostAnalysis`
+    for the *same* cost function (the runner registers the ast-size one),
+    extraction is an O(answer) walk over its witnesses.  When the best
+    witness derivation revisits a class (non-monotone cost + equivalence
+    cycle), or no matching analysis is registered, the query is answered by
+    rank 0 of the lazy k-best enumeration instead — the cheapest
+    *realizable* term, with no error path for cycles.
     """
 
     def __init__(self, egraph: EGraph, cost_function: CostFunction = ast_size_cost):
         self.egraph = egraph
         self.cost_function = cost_function
         self._analysis = matching_analysis(egraph, cost_function)
-        self._best: Optional[Dict[int, Tuple[float, ENode]]] = None
-        if self._analysis is None:
-            self._best = {}
-            self._compute()
         self._term_memo: Dict[int, Term] = {}
         self._resolved: Dict[int, RankedTerm] = {}
         self._kbest: Optional[_KBestEngine] = None
 
-    # -- cost table -------------------------------------------------------------
-
-    def _compute(self) -> None:
-        find = self.egraph.find
-        worklist: deque = deque()
-        queued: Set[int] = set()
-
-        def update(class_id: int, cost: float, enode: ENode) -> None:
-            current = self._best.get(class_id)
-            if current is None or cost < current[0]:
-                self._best[class_id] = (cost, enode)
-                if class_id not in queued:
-                    queued.add(class_id)
-                    worklist.append(class_id)
-
-        # Seed: every leaf e-node gives its class a first (finite) cost.
-        # (Leaves are found on the flat representation — one int-length
-        # check per node — and decoded only when they actually seed.)
-        decode_op = self.egraph.symbols.op
-        for eclass in self.egraph.classes():
-            class_id = find(eclass.id)
-            for node in eclass.flat:
-                if len(node) == 1:
-                    op = decode_op(node[0])
-                    update(class_id, self.cost_function(op, ()), ENode(op))
-
-        # Propagate improvements to parents until no class changes.  On a
-        # discount cycle the improvements form a geometric series that
-        # reaches its float fixpoint after finitely many strict updates, so
-        # the loop terminates without any well-foundedness guard.
-        while worklist:
-            class_id = worklist.popleft()
-            queued.discard(class_id)
-            for parent_node, parent_id in self.egraph.parent_enodes(class_id):
-                cost = self._enode_cost(parent_node)
-                if cost is not None:
-                    update(parent_id, cost, parent_node)
-
-    def _enode_cost(self, enode: ENode) -> Optional[float]:
-        child_costs = []
-        for arg in enode.args:
-            entry = self._best.get(self.egraph.find(arg))
-            if entry is None:
-                return None
-            child_costs.append(entry[0])
-        return self.cost_function(enode.op, child_costs)
-
     def _best_entry(self, class_id: int) -> Optional[Tuple[float, ENode]]:
-        """The (least-fixpoint cost, witness) pair for a canonical id."""
-        if self._analysis is not None:
-            return self.egraph.analysis_data(class_id, self._analysis.key)
-        return self._best.get(class_id)
+        """The analysis's (least-fixpoint cost, witness) pair for a canonical id.
+
+        None when no matching analysis is registered, or it has no data for
+        the class.
+        """
+        if self._analysis is None:
+            return None
+        return self.egraph.analysis_data(class_id, self._analysis.key)
 
     # -- queries ----------------------------------------------------------------
 
@@ -273,23 +222,22 @@ class Extractor:
         if resolved is not None:
             return resolved
         entry = self._best_entry(class_id)
-        if entry is None:
-            raise ExtractionError(f"no extractable term for e-class {class_id}")
-        try:
-            resolved = RankedTerm(entry[0], self._walk(class_id))
-        except _CyclicWitness:
-            # The fixpoint best is an unrealizable cycle: enumerate
-            # realizable derivations instead (rare; only non-monotone costs
-            # over equivalence cycles reach this, and there the analysis
-            # cannot price rank 0, so the engine gets none).
+        if entry is not None:
+            try:
+                resolved = RankedTerm(entry[0], self._walk(class_id))
+            except _CyclicWitness:
+                pass
+        if resolved is None:
+            # No analysis prices the class, or its best witness is an
+            # unrealizable cycle: enumerate realizable derivations instead.
+            # (A cycle is reached only by non-monotone costs over
+            # equivalence cycles, and there the analysis cannot price rank
+            # 0, so the engine gets none.)
             if self._kbest is None:
                 self._kbest = _KBestEngine(self.egraph, self.cost_function, None)
-            best = self._kbest.get(self._kbest.stream(class_id), 0)
-            if best is None:
-                raise ExtractionError(
-                    f"no extractable term for e-class {class_id}"
-                ) from None
-            resolved = best
+            resolved = self._kbest.get(self._kbest.stream(class_id), 0)
+            if resolved is None:
+                raise ExtractionError(f"no extractable term for e-class {class_id}")
         self._resolved[class_id] = resolved
         return resolved
 

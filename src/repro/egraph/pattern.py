@@ -6,20 +6,13 @@ E-matching finds, for every e-class, all substitutions under which the
 pattern is represented in that class (paper Section 3.1: "whenever an eclass
 c1 represents an expression matching pattern a under substitution phi ...").
 
-Two matchers are provided:
-
-* the standard top-down backtracking e-matcher (:func:`match_in_class`,
-  :func:`search`): match the root e-node's operator, then recursively match
-  argument patterns against argument e-classes, threading a substitution.
-  This is the reference ("naive") implementation the differential tests
-  treat as the oracle;
-* a compiled matcher (:class:`CompiledRuleSet`): every rule pattern is
-  compiled once into a short program of register-machine instructions
-  (*descend* an e-node binding its argument classes into fresh registers,
-  *check* that a class contains a leaf operator, *compare* two registers
-  bound to the same pattern variable), and the programs of all rules are
-  inserted into a shared discrimination trie so patterns with a common
-  prefix — in particular a common top symbol — are matched in one pass.
+Matching is compiled (:class:`CompiledRuleSet`): every rule pattern is
+compiled once into a short program of register-machine instructions
+(*descend* an e-node binding its argument classes into fresh registers,
+*check* that a class contains a leaf operator, *compare* two registers bound
+to the same pattern variable), and the programs of all rules are inserted
+into a shared discrimination trie so patterns with a common prefix — in
+particular a common top symbol — are matched in one pass.
 
 **The dirty-epoch protocol.**  :class:`IncrementalMatcher` wraps a
 :class:`CompiledRuleSet` with a per-rule match cache keyed by canonical
@@ -33,19 +26,19 @@ other class from the cache.  A rule that skipped an epoch (e.g. while
 banned by the runner's backoff scheduler) cannot trust its cache — the
 dirty sets of the missed epochs are gone — so it falls back to a full
 sweep, as does every rule on epoch 0.  The union of cached and re-matched
-results is therefore always the *complete* match set, identical to what
-:func:`search` returns on the same graph, which is what the differential
-suite in ``tests/test_search_differential.py`` locks down.
+results is therefore always the *complete* match set, identical to what a
+full sweep returns on the same graph.  ``tests/test_search_differential.py``
+locks that down against the naive top-down backtracking matcher, which
+lives on as a test oracle in ``tests/saturation_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.egraph.egraph import EGraph, ENode, Operator
 from repro.lang.sexp import parse_sexp
-from repro.lang.term import Term
 
 #: A substitution maps pattern-variable names (without the ``?``) to e-class ids.
 Substitution = Dict[str, int]
@@ -68,17 +61,6 @@ class Pattern:
     op: Union[str, int, float, PatternVar]
     children: Tuple["Pattern", ...] = ()
 
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def var(name: str) -> "Pattern":
-        return Pattern(PatternVar(name))
-
-    @staticmethod
-    def from_term(term: Term) -> "Pattern":
-        """Convert a concrete term into a (variable-free) pattern."""
-        return Pattern(term.op, tuple(Pattern.from_term(c) for c in term.children))
-
     @staticmethod
     def from_sexp(sexp) -> "Pattern":
         if isinstance(sexp, list):
@@ -92,20 +74,9 @@ class Pattern:
             return Pattern(PatternVar(sexp[1:]))
         return Pattern(sexp)
 
-    # -- queries ----------------------------------------------------------------
-
     @property
     def is_var(self) -> bool:
         return isinstance(self.op, PatternVar)
-
-    def to_term(self, bindings: Dict[str, Term]) -> Term:
-        """Instantiate the pattern into a concrete term using ``bindings``."""
-        if isinstance(self.op, PatternVar):
-            try:
-                return bindings[self.op.name]
-            except KeyError as exc:
-                raise KeyError(f"unbound pattern variable ?{self.op.name}") from exc
-        return Term(self.op, tuple(c.to_term(bindings) for c in self.children))
 
     def __str__(self) -> str:
         if not self.children:
@@ -117,74 +88,6 @@ class Pattern:
 def parse_pattern(text: str) -> Pattern:
     """Parse a pattern from s-expression text, e.g. ``(Union ?a ?b)``."""
     return Pattern.from_sexp(parse_sexp(text))
-
-
-# ---------------------------------------------------------------------------
-# E-matching
-# ---------------------------------------------------------------------------
-
-def match_in_class(
-    egraph: EGraph, pattern: Pattern, class_id: int, substitution: Optional[Substitution] = None
-) -> Iterator[Substitution]:
-    """Yield all substitutions under which ``pattern`` matches e-class ``class_id``."""
-    substitution = substitution or {}
-    class_id = egraph.find(class_id)
-
-    if isinstance(pattern.op, PatternVar):
-        name = pattern.op.name
-        bound = substitution.get(name)
-        if bound is None:
-            extended = dict(substitution)
-            extended[name] = class_id
-            yield extended
-        elif egraph.find(bound) == class_id:
-            yield dict(substitution)
-        return
-
-    for enode in list(egraph.nodes(class_id)):
-        if enode.op != pattern.op or len(enode.args) != len(pattern.children):
-            continue
-        yield from _match_args(egraph, pattern.children, enode.args, substitution)
-
-
-def _match_args(
-    egraph: EGraph,
-    patterns: Sequence[Pattern],
-    arg_ids: Sequence[int],
-    substitution: Substitution,
-) -> Iterator[Substitution]:
-    if not patterns:
-        yield dict(substitution)
-        return
-    head_pattern, *rest_patterns = patterns
-    head_id, *rest_ids = arg_ids
-    for partial in match_in_class(egraph, head_pattern, head_id, substitution):
-        yield from _match_args(egraph, rest_patterns, rest_ids, partial)
-
-
-def search(egraph: EGraph, pattern: Pattern) -> List[Tuple[int, Substitution]]:
-    """Match ``pattern`` against every e-class.
-
-    Returns a list of (e-class id, substitution) pairs — the paper's
-    ``match_eg`` (Fig. 12) used both by the rewrite engine and by the list
-    manipulation component.  When the pattern root is a concrete operator,
-    only e-classes containing that operator are scanned (via the e-graph's
-    operator index), which is what keeps matching fast on large models.
-    """
-    results: List[Tuple[int, Substitution]] = []
-    if isinstance(pattern.op, PatternVar):
-        candidate_ids = [egraph.find(eclass.id) for eclass in egraph.classes()]
-    else:
-        candidate_ids = egraph.classes_with_op(pattern.op)
-    seen = set()
-    for class_id in candidate_ids:
-        class_id = egraph.find(class_id)
-        if class_id in seen:
-            continue
-        seen.add(class_id)
-        for substitution in match_in_class(egraph, pattern, class_id):
-            results.append((class_id, substitution))
-    return results
 
 
 def instantiate(egraph: EGraph, pattern: Pattern, substitution: Substitution) -> int:
@@ -203,7 +106,7 @@ def instantiate(egraph: EGraph, pattern: Pattern, substitution: Substitution) ->
 
 
 # ---------------------------------------------------------------------------
-# Compiled e-matching: instruction programs in a shared discrimination trie
+# E-matching: instruction programs in a shared discrimination trie
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -339,9 +242,8 @@ class TrieStats:
 class CompiledRuleSet:
     """All rule patterns of a rule set compiled into one discrimination trie.
 
-    Construction compiles every rule's left-hand side — the one pattern
-    :meth:`repro.egraph.rewrite.BaseRewrite.search` matches — into an
-    instruction program, and inserts the programs into a trie whose root
+    Construction compiles every rule's left-hand side into an instruction
+    program, and inserts the programs into a trie whose root
     edges are keyed by the pattern's top symbol.  Searching a class then
     dispatches once on the class's operators instead of once per rule.
 
@@ -588,8 +490,8 @@ class IncrementalMatcher:
     ) -> Dict[str, List]:
         """Complete match sets for the enabled rules on the current graph.
 
-        Equivalent to calling :func:`search` per rule pattern, but clean
-        classes are served from the previous epoch's cache.
+        Equivalent to a full :meth:`CompiledRuleSet.search_classes` sweep,
+        but clean classes are served from the previous epoch's cache.
         """
         self._epoch += 1
         dirty = egraph.dirty_classes()

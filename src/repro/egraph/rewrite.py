@@ -6,6 +6,9 @@ e-class (paper Section 3.1).  Because the e-graph is non-destructive, both the
 old and the new expressions remain available, which is what mitigates phase
 ordering.
 
+A rule does not search by itself: the runner matches every rule's left-hand
+side in one pass through :class:`~repro.egraph.pattern.CompiledRuleSet`, and
+a rule applies one match at a time (:meth:`BaseRewrite.apply_match_checked`).
 Two flavours are provided:
 
 * :class:`Rewrite` — purely syntactic ``Pattern -> Pattern`` rules, searched
@@ -23,10 +26,10 @@ Two flavours are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.egraph.egraph import EGraph
-from repro.egraph.pattern import Pattern, Substitution, instantiate, parse_pattern, search
+from repro.egraph.pattern import Pattern, Substitution, instantiate, parse_pattern
 
 #: A fingerprint: (canonical class id, ((var, canonical id), ...)).
 Fingerprint = Tuple[int, Tuple[Tuple[str, int], ...]]
@@ -69,11 +72,9 @@ class RewriteMatch:
         """This match projected onto canonical ids (cached per union epoch).
 
         Binding order follows the substitution's (deterministic) insertion
-        order rather than a per-call sort: within one runner run every
-        match of a rule is built by the same code path — the compiled
-        matcher's variable map or the naive matcher's traversal — so equal
-        opportunities always serialize their bindings identically, and the
-        ledger never mixes matchers.
+        order rather than a per-call sort: every match of a rule is built
+        from the compiled matcher's variable map for that rule, so equal
+        opportunities always serialize their bindings identically.
 
         Revalidation is allocation-free: a cached fingerprint is exact as
         long as every id it binds is still its own union-find root (unions
@@ -106,7 +107,7 @@ class RewriteMatch:
 
 
 class BaseRewrite:
-    """Shared search/apply machinery for syntactic and dynamic rewrites."""
+    """Shared apply machinery for syntactic and dynamic rewrites."""
 
     name: str
     lhs: Pattern
@@ -121,34 +122,16 @@ class BaseRewrite:
     #: changing.  Conservative default: off.
     deduplicable = False
 
-    def search(self, egraph: EGraph) -> List[RewriteMatch]:
-        """Every match of the left-hand side in ``egraph``."""
-        return [RewriteMatch(cid, sub) for cid, sub in search(egraph, self.lhs)]
-
-    def apply_match(self, egraph: EGraph, match: RewriteMatch) -> bool:
-        """Apply to one match; returns True when the e-graph changed."""
-        return self.apply_match_checked(egraph, match)[0]
-
     def apply_match_checked(self, egraph: EGraph, match: RewriteMatch) -> Tuple[bool, bool]:
         """Apply to one match; returns ``(changed, executed)``.
 
-        ``changed`` is :meth:`apply_match`'s value (the e-graph changed);
-        ``executed`` is True when the rewrite actually ran — i.e. a dynamic
-        applier did not decline it by returning ``None``.  Only executed
-        matches may enter the dedup ledger: a declined match must be
-        re-examined next epoch because the applier read mutable e-graph
-        state.
+        ``changed`` is True when the e-graph changed; ``executed`` is True
+        when the rewrite actually ran — i.e. a dynamic applier did not
+        decline it by returning ``None``.  Only executed matches may enter
+        the dedup ledger: a declined match must be re-examined next epoch
+        because the applier read mutable e-graph state.
         """
         raise NotImplementedError
-
-    def run(self, egraph: EGraph) -> int:
-        """Search then apply everywhere; returns the number of effective firings."""
-        matches = self.search(egraph)
-        fired = 0
-        for match in matches:
-            if self.apply_match(egraph, match):
-                fired += 1
-        return fired
 
 
 @dataclass

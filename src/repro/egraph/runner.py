@@ -6,24 +6,22 @@ Each iteration runs in two phases, egg-style:
    rebuilt e-graph, collecting a list of :class:`RewriteMatch`\\ es per rule.
    Because nothing is applied during this phase, every rule sees the same
    graph and rule order cannot influence which matches exist — the engine is
-   deterministic and the per-iteration work is one e-matching pass per rule.
-   By default (``incremental=True``) the pass goes through an
-   :class:`~repro.egraph.pattern.IncrementalMatcher` over a compiled
-   discrimination trie instead of the naive per-rule sweep: only classes
-   dirtied since the previous iteration (closed upward to pattern depth) are
-   re-matched, with a full sweep on the first iteration and for any rule
-   that skipped an iteration (e.g. while banned), so the match sets handed
-   to the apply phase are always identical to the naive engine's.
+   deterministic and the per-iteration work is one e-matching pass.  The
+   pass goes through an :class:`~repro.egraph.pattern.IncrementalMatcher`
+   over a compiled discrimination trie: only classes dirtied since the
+   previous iteration (closed upward to pattern depth) are re-matched, with
+   a full sweep on the first iteration and for any rule that skipped an
+   iteration (e.g. while banned), so the match sets handed to the apply
+   phase are always complete.
 2. **apply** — the collected matches are applied in order, then the graph is
    rebuilt *once*.  Node and time limits are enforced between individual
    match applications (not once per iteration), so a single explosive
    iteration can no longer blow arbitrarily past the configured budget.
 
-   With ``dedup=True`` (the default) every deduplicable rule keeps an
-   *applied-match ledger*: the canonical fingerprints
-   (:meth:`RewriteMatch.fingerprint`) of matches that already executed.  A
-   match whose fingerprint is in the ledger is skipped outright — no
-   instantiation, no self-merge — because re-applying an
+   Every deduplicable rule keeps an *applied-match ledger*: the canonical
+   fingerprints (:meth:`RewriteMatch.fingerprint`) of matches that already
+   executed.  A match whose fingerprint is in the ledger is skipped
+   outright — no instantiation, no self-merge — because re-applying an
    identical canonical fingerprint of a syntactic rule cannot add anything
    the first application did not (the instantiated class hashconses onto
    the existing one and the merge is already in effect).  Fingerprints are
@@ -41,6 +39,11 @@ its current threshold, the rule is banned for a number of iterations and its
 threshold and ban length double on each offence.  Saturation is only
 declared when an iteration changes nothing *and* no rule is still banned
 (a banned rule might have fired).
+
+The designs these phases replaced — the naive per-rule backtracking sweep
+and an apply phase without the ledger — live on as the test oracle
+``tests/saturation_oracle.py``, which the differential tests and the layer
+benchmarks run side by side with this engine.
 
 The paper's main loop (Fig. 5) wraps one of these rewrite phases together
 with the arithmetic components; see :mod:`repro.core.pipeline` for that
@@ -164,22 +167,21 @@ class IterationReport:
     search_seconds: float = 0.0
     apply_seconds: float = 0.0
     rebuild_seconds: float = 0.0
-    #: Incremental-search statistics (None fields when the naive matcher ran).
+    #: Incremental-search statistics.
     #: ``dirty_classes`` is the canonical dirty-core size this epoch,
     #: ``searched_classes`` the parent-closure actually re-matched,
     #: ``full_sweep_rules`` the rules that could not use their cache (first
     #: iteration, or just back from a backoff ban), and ``cached_matches``
     #: how many matches were served without touching the trie.
-    dirty_classes: Optional[int] = None
-    searched_classes: Optional[int] = None
+    dirty_classes: int = 0
+    searched_classes: int = 0
     full_sweep_rules: List[str] = field(default_factory=list)
     cached_matches: int = 0
     trie_nodes: int = 0
     trie_programs: int = 0
     #: E-class analysis data changes (creations + improvements) performed
     #: during this iteration — 0 when no analysis is registered.  With a
-    #: cost analysis riding along this is the incremental-extraction work
-    #: the post-hoc fixpoint no longer has to do.
+    #: cost analysis riding along this is the incremental-extraction work.
     analysis_updates: int = 0
     #: Apply-phase dedup counters: matches skipped because an identical
     #: canonical fingerprint already executed, and matches that actually ran
@@ -224,15 +226,10 @@ class Runner:
     that run's iteration indices); the most recent one stays available as
     :attr:`scheduler` for post-run inspection.
 
-    The defaults are the production engine: ``incremental=True`` searches
-    through the compiled discrimination trie with dirty-class caching, and
-    ``dedup=True`` skips matches already in the applied-match ledger (see
-    the module docstring); the trie is compiled once, at construction.
-    ``incremental=False`` (the naive per-rule sweep) and ``dedup=False``
-    (re-apply every match every iteration) are the reference engines that
-    the differential tests and the layer benchmarks compare against: the
-    match sets and the resulting e-graph are identical, only the cost
-    differs.
+    The rule patterns are compiled into one discrimination trie at
+    construction; every :meth:`run` searches it through a fresh
+    :class:`~repro.egraph.pattern.IncrementalMatcher` and skips matches
+    already in the applied-match ledgers (see the module docstring).
 
     ``analyses`` lists e-class analyses (e.g. the extraction
     :class:`~repro.egraph.extract.CostAnalysis`) to register on the e-graph
@@ -250,9 +247,7 @@ class Runner:
         limits: Optional[RunnerLimits] = None,
         *,
         backoff: Optional[BackoffConfig] = None,
-        incremental: bool = True,
         analyses: Sequence[Analysis] = (),
-        dedup: bool = True,
         tracer=None,
     ):
         self.rules = list(rules)
@@ -264,10 +259,7 @@ class Runner:
         self.backoff = backoff or BackoffConfig()
         self.scheduler = BackoffScheduler(self.backoff)
         self.analyses = list(analyses)
-        self.incremental = incremental
-        self.compiled = CompiledRuleSet(self.rules) if incremental else None
-        #: Apply-phase deduplication (see the module docstring).
-        self.dedup = dedup
+        self.compiled = CompiledRuleSet(self.rules)
         #: rule name -> executed canonical fingerprints; reset per run.  A
         #: plain set for pure/syntactic rules, a fingerprint->content dict
         #: for content-keyed dynamic rules.
@@ -283,9 +275,8 @@ class Runner:
     ) -> List[Tuple[BaseRewrite, List[RewriteMatch]]]:
         """Match every enabled rule against the frozen e-graph.
 
-        With a matcher attached (``incremental=True``) the whole pass is one
-        trie search over the dirty closure; either way the match lists are
-        complete, so the backoff scheduler sees identical counts.
+        The whole pass is one trie search over the dirty closure; the match
+        lists are complete, so the backoff scheduler sees every match.
         """
         searched: List[Tuple[BaseRewrite, List[RewriteMatch]]] = []
         enabled: List[BaseRewrite] = []
@@ -294,19 +285,16 @@ class Runner:
                 report.banned.append(rule.name)
             else:
                 enabled.append(rule)
-        if self.matcher is not None:
-            results = self.matcher.search(egraph, {rule.name for rule in enabled})
-            stats = self.matcher.last_stats
-            report.dirty_classes = stats.dirty_classes
-            report.searched_classes = stats.searched_classes
-            report.full_sweep_rules = list(stats.full_sweep_rules)
-            report.cached_matches = stats.cached_matches
-            report.trie_nodes = self.compiled.stats.trie_nodes
-            report.trie_programs = self.compiled.stats.programs
-        else:
-            results = None
+        results = self.matcher.search(egraph, {rule.name for rule in enabled})
+        stats = self.matcher.last_stats
+        report.dirty_classes = stats.dirty_classes
+        report.searched_classes = stats.searched_classes
+        report.full_sweep_rules = list(stats.full_sweep_rules)
+        report.cached_matches = stats.cached_matches
+        report.trie_nodes = self.compiled.stats.trie_nodes
+        report.trie_programs = self.compiled.stats.programs
         for rule in enabled:
-            matches = results[rule.name] if results is not None else rule.search(egraph)
+            matches = results[rule.name]
             report.matches[rule.name] = len(matches)
             if not matches:
                 continue
@@ -465,19 +453,15 @@ class Runner:
         # A fresh matcher per run: its first epoch is a full sweep, which
         # also makes it safe to take over the graph's dirty stream from any
         # previous consumer (mutations between runs are then irrelevant).
-        self.matcher = IncrementalMatcher(self.compiled) if self.incremental else None
+        self.matcher = IncrementalMatcher(self.compiled)
         # Fresh ledgers per run: fingerprints embed this graph's class ids.
         # Content-keyed rules get a dict (fingerprint -> content key);
         # everything else a plain set of executed fingerprints.
-        self._ledgers = (
-            {
-                rule.name: ({} if getattr(rule, "content_key", None) is not None else set())
-                for rule in self.rules
-                if rule.deduplicable
-            }
-            if self.dedup
-            else {}
-        )
+        self._ledgers = {
+            rule.name: ({} if getattr(rule, "content_key", None) is not None else set())
+            for rule in self.rules
+            if rule.deduplicable
+        }
         for analysis in self.analyses:
             egraph.register_analysis(analysis)
         egraph.rebuild()  # searches must always see canonical ids

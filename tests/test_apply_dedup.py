@@ -1,8 +1,10 @@
 """Differential tests: apply-phase dedup ledger on vs off.
 
-The dedup-off engine is the oracle.  Over randomized term populations and
-rule schedules these tests assert that switching the applied-match ledger on
-changes *nothing observable about the result*: per-iteration match counts,
+The ledger-free :class:`ReferenceRunner` of ``tests/saturation_oracle.py``
+is the oracle, run with the production incremental matcher or the naive
+one.  Over randomized term populations and rule schedules these tests
+assert that the production runner's applied-match ledger changes *nothing
+observable about the result*: per-iteration match counts,
 stop reasons, iteration counts, final best costs, and final graph sizes are
 identical, while the dedup run actually skips re-applications
 (``skipped_applications``) instead of merging classes with themselves.
@@ -25,12 +27,14 @@ from repro.core.rules import default_rules
 from repro.csg.build import cube, scale
 from repro.egraph.egraph import EGraph
 from repro.egraph.extract import Extractor, ast_size_cost
+from repro.egraph.pattern import IncrementalMatcher
 from repro.egraph.rewrite import RewriteMatch, dynamic_rewrite, rewrite
 from repro.egraph.runner import BackoffConfig, Runner, RunnerLimits
 from repro.lang.term import Term
+from saturation_oracle import NaiveMatcher, ReferenceRunner
 
 # ---------------------------------------------------------------------------
-# Randomized rule-schedule differential (dedup-off is the oracle)
+# Randomized rule-schedule differential (the ledger-free runner is the oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -70,16 +74,16 @@ def _random_term(rng: random.Random, depth: int = 4) -> Term:
     return Term(op, tuple(_random_term(rng, depth - 1) for _ in range(arity)))
 
 
-def _run(seed: int, dedup: bool, incremental: bool):
+def _run(seed: int, engine=Runner, **options):
+    """One seeded run of ``engine`` (production unless told otherwise)."""
     rng = random.Random(seed)
     egraph = EGraph()
     roots = [egraph.add_term(_random_term(rng)) for _ in range(rng.randint(3, 8))]
-    runner = Runner(
+    runner = engine(
         _rule_db(),
         RunnerLimits(max_iterations=rng.randint(3, 8), max_enodes=50_000, max_seconds=20.0),
         backoff=BackoffConfig(),
-        incremental=incremental,
-        dedup=dedup,
+        **options,
     )
     report = runner.run(egraph)
     extractor = Extractor(egraph, ast_size_cost)
@@ -91,8 +95,9 @@ def _run(seed: int, dedup: bool, incremental: bool):
 @pytest.mark.parametrize("incremental", [True, False])
 def test_dedup_changes_nothing_observable(seed, incremental):
     """Match counts, stop reason, graph sizes, and best costs are identical."""
-    eg_off, rep_off, costs_off = _run(seed, dedup=False, incremental=incremental)
-    eg_on, rep_on, costs_on = _run(seed, dedup=True, incremental=incremental)
+    matcher = IncrementalMatcher if incremental else NaiveMatcher
+    eg_off, rep_off, costs_off = _run(seed, ReferenceRunner, matcher=matcher)
+    eg_on, rep_on, costs_on = _run(seed)
 
     assert rep_on.stop_reason == rep_off.stop_reason
     assert [it.index for it in rep_on.iterations] == [it.index for it in rep_off.iterations]
@@ -119,7 +124,7 @@ def test_dedup_changes_nothing_observable(seed, incremental):
 
 def test_multi_iteration_run_actually_skips():
     """On a saturating workload the ledger eliminates re-applications."""
-    _, report, _ = _run(seed=3, dedup=True, incremental=True)
+    _, report, _ = _run(seed=3)
     if len(report.iterations) > 1:
         assert sum(it.skipped_applications for it in report.iterations) > 0
 
@@ -133,7 +138,7 @@ def test_quiescent_final_iteration_applies_nothing_syntactic():
     egraph = EGraph()
     term = Term("U", (Term("U", (Term("x"), Term("y"))), Term("z")))
     egraph.add_term(term)
-    runner = Runner(rules, RunnerLimits(max_iterations=30, max_enodes=10_000), dedup=True)
+    runner = Runner(rules, RunnerLimits(max_iterations=30, max_enodes=10_000))
     report = runner.run(egraph)
     assert report.stop_reason.value == "saturated"
     final = report.iterations[-1]
@@ -152,14 +157,14 @@ def test_pipeline_parity_on_real_models():
     """Full saturation parity on bundled models with the real rule database."""
     for model in (gear_model(), linear_array(20, (3.0, 0.0, 0.0), scale(2.0, 2.0, 2.0, cube()))):
         results = {}
-        for dedup in (False, True):
+        for dedup, engine in ((False, ReferenceRunner), (True, Runner)):
+            options = {} if dedup else {"matcher": IncrementalMatcher}
             egraph = EGraph()
             root = egraph.add_term(model)
-            report = Runner(
+            report = engine(
                 default_rules(),
                 RunnerLimits(max_iterations=10, max_enodes=200_000, max_seconds=30.0),
-                incremental=True,
-                dedup=dedup,
+                **options,
             ).run(egraph)
             results[dedup] = (
                 report.stop_reason,
@@ -195,9 +200,7 @@ def test_content_keyed_rule_skips_when_content_is_unchanged():
     assert rule.deduplicable and not rule.pure
     egraph = EGraph()
     egraph.add_term(Term("H", (Term("x"),)))
-    report = Runner(
-        [rule], RunnerLimits(max_iterations=6, max_enodes=10_000), dedup=True
-    ).run(egraph)
+    report = Runner([rule], RunnerLimits(max_iterations=6, max_enodes=10_000)).run(egraph)
     # First epoch examines the chain; every later epoch skips it because
     # nothing unioned into the matched class.
     assert len(calls) == 1
@@ -223,9 +226,7 @@ def test_content_change_refires_a_content_keyed_rule():
     rule = dynamic_rewrite("grow", "(H ?a)", applier, content_key=content)
     egraph = EGraph()
     egraph.add_term(Term("H", (Term("x"),)))
-    report = Runner(
-        [rule], RunnerLimits(max_iterations=10, max_enodes=10_000), dedup=True
-    ).run(egraph)
+    report = Runner([rule], RunnerLimits(max_iterations=10, max_enodes=10_000)).run(egraph)
     # Fired once per distinct content (x | x+leaf1 | x+leaf1+leaf2), then
     # quiesced — a plain fingerprint ledger would have stopped after one
     # firing and missed the mutations; no ledger at all would never skip.
@@ -237,13 +238,14 @@ def test_chain_fold_skips_rescans_on_unchanged_chains():
     """The real fold-chain rule stops rescanning a chain that stopped growing."""
     model = linear_array(12, (3.0, 0.0, 0.0), cube())
     results = {}
-    for dedup in (False, True):
+    for dedup, engine in ((False, ReferenceRunner), (True, Runner)):
+        options = {} if dedup else {"matcher": IncrementalMatcher}
         egraph = EGraph()
         root = egraph.add_term(model)
-        report = Runner(
+        report = engine(
             [rule for rule in default_rules() if rule.name.startswith("fold-chain")],
             RunnerLimits(max_iterations=6, max_enodes=100_000),
-            dedup=dedup,
+            **options,
         ).run(egraph)
         results[dedup] = (
             [it.matches for it in report.iterations],
@@ -269,7 +271,7 @@ def test_dict_ledger_prune_keeps_values_for_canonical_fingerprints():
         lambda eg, cid, sub: None,
         content_key=lambda eg, cid, sub: (),
     )
-    runner = Runner([rule], RunnerLimits(max_iterations=1), dedup=True)
+    runner = Runner([rule], RunnerLimits(max_iterations=1))
     runner.run(egraph)
     ledger = runner._ledgers["ck"]
     assert isinstance(ledger, dict)
@@ -344,7 +346,7 @@ def test_ledger_prune_drops_exactly_the_invalidated_fingerprints(merges):
     """_prune_ledgers keeps an entry iff every bound id is still canonical."""
     egraph, ids = _populated_egraph()
     rules = [rewrite("comm", "(U ?a ?b)", "(U ?b ?a)")]
-    runner = Runner(rules, RunnerLimits(max_iterations=1), dedup=True)
+    runner = Runner(rules, RunnerLimits(max_iterations=1))
     runner.run(egraph)
     # Seed a ledger with fingerprints of every current (a, b) pair.
     ledger = runner._ledgers["comm"]

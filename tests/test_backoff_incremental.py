@@ -22,6 +22,7 @@ from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import rewrite
 from repro.egraph.runner import BackoffConfig, Runner, RunnerLimits
 from repro.lang.term import Term
+from saturation_oracle import ReferenceRunner
 
 
 def _chain(n: int) -> Term:
@@ -40,22 +41,21 @@ def _rules():
     ]
 
 
-def _run(incremental: bool):
+def _run(engine=Runner):
     egraph = EGraph()
     egraph.add_term(_chain(8))
     egraph.add_term(Term("T", (Term("z"),)))
-    runner = Runner(
+    runner = engine(
         _rules(),
         RunnerLimits(max_iterations=6, max_enodes=10_000, max_seconds=20.0),
         backoff=BackoffConfig(match_limit=2, ban_length=2),
-        incremental=incremental,
     )
     report = runner.run(egraph)
     return egraph, report
 
 
 def test_expired_ban_triggers_full_sweep_covering_clean_classes():
-    egraph, report = _run(incremental=True)
+    egraph, report = _run()
     by_index = {it.index: it for it in report.iterations}
 
     # Iteration 0: comm matches every U-class (> limit 2) and is banned for
@@ -82,9 +82,9 @@ def test_expired_ban_triggers_full_sweep_covering_clean_classes():
 
 
 def test_ban_schedule_and_matches_identical_to_naive_runner():
-    """The incremental engine must take the exact same scheduler decisions."""
-    naive_egraph, naive = _run(incremental=False)
-    inc_egraph, incremental = _run(incremental=True)
+    """The incremental engine must take the naive reference's scheduler decisions."""
+    naive_egraph, naive = _run(ReferenceRunner)
+    inc_egraph, incremental = _run()
     assert [it.index for it in naive.iterations] == [it.index for it in incremental.iterations]
     for naive_it, inc_it in zip(naive.iterations, incremental.iterations):
         assert naive_it.matches == inc_it.matches
@@ -100,18 +100,17 @@ def test_rule_match_limit_parity_through_the_pipeline(match_limit, monkeypatch):
 
     With a tiny limit the affine rules get banned and re-sworn in mid-run;
     the extracted candidates must not depend on the matcher implementation.
-    The backoff settings and the naive matcher reach the pipeline by
-    patching its ``Runner``.
+    The backoff settings and the naive reference runner reach the pipeline
+    by patching its ``Runner``.
     """
     model = fig2_translated_cubes(4)
     config = SynthesisConfig(rewrite_iterations=8)
     backoff = BackoffConfig(match_limit=match_limit, ban_length=1)
     costs = {}
-    for incremental in (False, True):
+    for incremental, engine in ((False, ReferenceRunner), (True, Runner)):
         with monkeypatch.context() as patch:
             patch.setattr(
-                "repro.core.pipeline.Runner",
-                functools.partial(Runner, backoff=backoff, incremental=incremental),
+                "repro.core.pipeline.Runner", functools.partial(engine, backoff=backoff)
             )
             result = synthesize(model, config)
         costs[incremental] = [(c.cost, c.term) for c in result.candidates]

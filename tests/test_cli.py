@@ -325,6 +325,9 @@ class TestBatchCommand:
 class TestArgumentErrors:
     """Arguments no command can run with end it with one line and exit 1."""
 
+    #: A 3-cube row the default configuration folds into a loop.
+    THREE_CUBES = format_term(union_all([translate(2.0 * (i + 1), 0, 0, unit()) for i in range(3)]))
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -334,10 +337,19 @@ class TestArgumentErrors:
             (["synth", "{tmp}/missing.csg"], "synth: cannot read"),
             (["batch", "--bench", "sander", "--timeout", "-1"], "batch: timeout must be"),
             (["flatten", "{tmp}/missing.scad"], "flatten: cannot read"),
+            (["--epsilon", "nan", "synth", "{tmp}/cubes.csg"], "szalinski: epsilon must be"),
+            (["--epsilon", "-1", "synth", "{tmp}/cubes.csg"], "szalinski: epsilon must be"),
+            (
+                ["--rewrite-iterations", "-3", "synth", "{tmp}/cubes.csg"],
+                "szalinski: rewrite_iterations must be",
+            ),
+            (["--max-enodes", "-1", "synth", "{tmp}/cubes.csg"], "szalinski: max_enodes must be"),
+            (["--max-seconds", "-1", "synth", "{tmp}/cubes.csg"], "szalinski: max_seconds must be"),
+            (["--max-seconds", "nan", "synth", "{tmp}/cubes.csg"], "szalinski: max_seconds must be"),
         ],
     )
     def test_one_line_error_and_exit_1(self, argv, message):
-        self._assert_one_line_error(argv, message)
+        self._assert_one_line_error(argv, message, files={"cubes.csg": self.THREE_CUBES})
 
     @pytest.mark.parametrize(
         "source, message",
@@ -350,6 +362,22 @@ class TestArgumentErrors:
     def test_bad_scad_source_is_one_line_error(self, source, message):
         self._assert_one_line_error(
             ["flatten", "{tmp}/bad.scad"], message, files={"bad.scad": source}
+        )
+
+    @pytest.mark.parametrize(
+        "source, reason",
+        [
+            ("(Union Cube", ""),
+            ("(Translate inf 0 0 Cube)", "cannot print the non-finite number inf"),
+            ("(Translate 1e999 0 0 Cube)", "cannot print the non-finite number inf"),
+            ("(Translate nan 0 0 Cube)", "cannot print the non-finite number nan"),
+        ],
+        ids=["syntax", "inf", "overflow", "nan"],
+    )
+    def test_unusable_csg_source_is_one_line_error(self, source, reason):
+        self._assert_one_line_error(
+            ["synth", "{tmp}/bad.csg"], f"synth: {{tmp}}/bad.csg: {reason}",
+            files={"bad.csg": source},
         )
 
     @staticmethod

@@ -1,12 +1,17 @@
-"""End-to-end regression sweep: every bundled model, production vs reference engine.
+"""End-to-end regression sweep: production vs the reference saturation engine.
 
-Runs the full synthesis pipeline over the whole Table 1 benchmark suite
-twice — once with the production saturation engine (compiled-trie
-incremental matcher and applied-match ledger) and once with the reference
-engine (``Runner(incremental=False, dedup=False)``: the naive per-rule
-sweep, re-applying every match) — and asserts the outputs are
-interchangeable: a valid output program (structural/unrolling validation
-against the flat input) and identical best cost and candidate cost lists.
+Runs the full synthesis pipeline twice per model — once with the production
+saturation engine (compiled-trie incremental matcher and applied-match
+ledger) and once with the reference engine of ``tests/saturation_oracle.py``
+(:class:`ReferenceRunner` with the naive per-rule sweep, re-applying every
+match) — and asserts the outputs are interchangeable: a byte-identical
+canonical top-k (every candidate's cost and text) and a valid output
+program (structural/unrolling validation against the flat input).
+
+The models are the 16 of Table 1 and the five ``scale`` models of
+``perfbench.workloads.scale_items(1)`` (read only): a 50-tooth gear, a
+plate of holes, a noisy ring, a rail and a scatter, the largest e-graphs
+the suite builds.
 
 Marked ``slow``: CI runs this in its own lane; deselect locally with
 ``-m "not slow"``.
@@ -14,47 +19,57 @@ Marked ``slow``: CI runs this in its own lane; deselect locally with
 
 from __future__ import annotations
 
-import functools
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.benchsuite.suite import BENCHMARKS
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import synthesize
-from repro.egraph.runner import Runner
+from repro.lang.canon import canonical_term_text
 from repro.verify.validate import validate_synthesis
+from saturation_oracle import ReferenceRunner
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import scale_items  # noqa: E402
 
 pytestmark = pytest.mark.slow
 
+_CASES = [
+    pytest.param(bench.build, SynthesisConfig(cost_function=bench.cost_function), id=bench.name)
+    for bench in BENCHMARKS
+] + [
+    pytest.param(lambda item=item: item.term, item.config, id=f"scale-{item.name}")
+    for item in scale_items(1)
+]
 
-@pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
-def test_incremental_pipeline_parity_and_validity(bench, monkeypatch):
-    flat = bench.build()
-    config = SynthesisConfig(cost_function=bench.cost_function)
-    incremental = synthesize(flat, config)
+
+def _top_k(result) -> list:
+    """``(cost, canonical text)`` of every candidate, in rank order."""
+    return [(c.cost, canonical_term_text(c.term)) for c in result.candidates]
+
+
+@pytest.mark.parametrize("build, config", _CASES)
+def test_incremental_pipeline_parity_and_validity(build, config, monkeypatch):
+    flat = build()
+    production = synthesize(flat, config)
     with monkeypatch.context() as patch:
-        patch.setattr(
-            "repro.core.pipeline.Runner",
-            functools.partial(Runner, incremental=False, dedup=False),
-        )
-        naive = synthesize(flat, config)
+        patch.setattr("repro.core.pipeline.Runner", ReferenceRunner)
+        reference = synthesize(flat, config)
 
-    assert incremental.candidates, f"{bench.name}: no candidates"
-    # Best-cost parity with the reference engine.
-    assert incremental.best.cost == naive.best.cost, bench.name
-    assert [c.cost for c in incremental.candidates] == [c.cost for c in naive.candidates]
-    # Same reported program (structure exposure must not regress either way).
-    assert incremental.exposes_structure() == naive.exposes_structure()
+    assert production.candidates, "no candidates"
+    assert _top_k(production) == _top_k(reference)
     # Output validity: the reported program re-parameterizes the input.
-    report = validate_synthesis(flat, incremental.output_term())
-    assert report.valid, f"{bench.name}: {report}"
-    # The incremental run actually exercised the trie machinery.
-    iterations = [it for run in incremental.run_reports for it in run.iterations]
-    assert any(it.dirty_classes is not None for it in iterations)
-    assert all(it.trie_programs > 0 for it in iterations if it.dirty_classes is not None)
-    # The patch took effect: every reference iteration ran the naive sweep
-    # and skipped no application.
-    reference = [it for run in naive.run_reports for it in run.iterations]
-    assert reference
-    assert all(it.dirty_classes is None for it in reference)
-    assert all(it.skipped_applications == 0 for it in reference)
+    report = validate_synthesis(flat, production.output_term())
+    assert report.valid, report
+    # Each engine really ran: production served every iteration after the
+    # first from its match cache; the reference swept every enabled rule
+    # in full every iteration and skipped no application.
+    iterations = [it for run in production.run_reports for it in run.iterations]
+    assert iterations and all(it.trie_programs > 0 for it in iterations)
+    assert all(not it.full_sweep_rules for it in iterations[1:])
+    swept = [it for run in reference.run_reports for it in run.iterations]
+    assert swept
+    assert all(sorted(it.full_sweep_rules) == sorted(it.matches) for it in swept)
+    assert all(it.skipped_applications == 0 for it in swept)

@@ -5,6 +5,7 @@ import pytest
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.unionfind import UnionFind
 from repro.lang.term import Term
+from saturation_oracle import PostHocExtractor, parent_enodes
 
 
 class TestUnionFind:
@@ -79,11 +80,13 @@ class TestEGraphBasics:
         union_classes = egraph.classes_with_op("Union")
         assert len(union_classes) == 2
 
-    def test_extract_any_round_trip(self):
+    def test_extract_round_trip(self):
+        from repro.egraph.extract import Extractor, ast_size_cost
+
         egraph = EGraph()
         term = Term.parse("(Translate 1 2 3 (Scale 4 5 6 Cube))")
         root = egraph.add_term(term)
-        assert egraph.extract_any(root) == term
+        assert Extractor(egraph, ast_size_cost).extract(root) == term
 
 
 class TestMergeAndRebuild:
@@ -193,6 +196,8 @@ class TestMergeDataPolicy:
 
 
 class TestParentQueries:
+    """The parents log, read through the post-hoc extractor's ``parent_enodes``."""
+
     def test_parent_enodes_deduplicates_and_canonicalizes(self):
         egraph = EGraph()
         fa = egraph.add_term(Term.parse("(F A)"))
@@ -202,7 +207,7 @@ class TestParentQueries:
         egraph.merge(a, b)
         egraph.rebuild()
         # After the merge (F A) and (F B) are congruent: one canonical parent.
-        parents = egraph.parent_enodes(a)
+        parents = parent_enodes(egraph, a)
         assert len(parents) == 1
         parent_node, parent_id = parents[0]
         assert parent_node.op == "F"
@@ -213,7 +218,7 @@ class TestParentQueries:
         # repaired class into another class, the survivor's combined parents
         # log must not be overwritten with just the repaired class's
         # snapshot — the worklist extractors rely on its completeness.
-        from repro.egraph.extract import Extractor, TopKExtractor, ast_size_cost
+        from repro.egraph.extract import TopKExtractor, ast_size_cost
 
         eg = EGraph()
         a = eg.add_leaf("A")
@@ -230,9 +235,9 @@ class TestParentQueries:
         eg.rebuild()
         # C's class absorbed several others; Union(C, C) must stay reachable
         # through the parents log for both extractors.
-        parent_ops = {node.op for node, _ in eg.parent_enodes(c)}
+        parent_ops = {node.op for node, _ in parent_enodes(eg, c)}
         assert "Union" in parent_ops
-        assert Extractor(eg, ast_size_cost).cost_of(union) == 3.0
+        assert PostHocExtractor(eg, ast_size_cost).cost_of(union) == 3.0
         best = TopKExtractor(eg, ast_size_cost, k=3).extract_top_k(union)[0]
         assert best.term == Term.parse("(Union C C)")
 

@@ -33,6 +33,7 @@ from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import Extractor, TopKExtractor, ast_size_cost
 from repro.egraph.runner import Runner, RunnerLimits
 from repro.lang.term import Term
+from saturation_oracle import PostHocExtractor, parent_enodes
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle: every acyclic derivation, by exhaustive banned-set
@@ -193,13 +194,14 @@ def test_single_best_matches_brute_force(schedule, cost_function):
 @settings(max_examples=60, deadline=None)
 @given(_schedule, st.integers(1, 4))
 def test_registered_analysis_changes_nothing(schedule, k):
-    """Extraction over an analysis-carrying graph equals the plain one."""
+    """Extraction over an analysis-carrying graph equals the post-hoc fixpoint
+    on the plain one."""
     from repro.egraph.extract import CostAnalysis, ExtractionError
 
     plain = _build(schedule)
     carrying = _build(schedule)
     carrying.register_analysis(CostAnalysis(ast_size_cost))
-    plain_ex = Extractor(plain, ast_size_cost)
+    plain_ex = PostHocExtractor(plain, ast_size_cost)
     carrying_ex = Extractor(carrying, ast_size_cost)
     assert carrying_ex._analysis is not None  # really on the incremental path
     for eclass in list(plain.classes()):
@@ -210,7 +212,7 @@ def test_registered_analysis_changes_nothing(schedule, k):
             with pytest.raises(ExtractionError):
                 carrying_ex.extract(class_id)
             continue
-        # Witness *terms* may differ on exact cost ties (the scratch
+        # Witness *terms* may differ on exact cost ties (the post-hoc
         # worklist and the incremental merge order break ties differently);
         # both must be realizable terms of the same optimal cost.
         assert carrying_ex.cost_of(class_id) == expected_cost
@@ -273,7 +275,7 @@ class SeedTopKExtractor:
             if fresh == self._entries.get(class_id, []):
                 continue
             self._entries[class_id] = fresh
-            for _parent_node, parent_id in self.egraph.parent_enodes(class_id):
+            for _parent_node, parent_id in parent_enodes(self.egraph, class_id):
                 if self._restrict is not None and parent_id not in self._restrict:
                     continue
                 if parent_id not in queued:

@@ -13,6 +13,7 @@ from repro.core.cost import ast_size_cost_fn, reward_loops_cost_fn
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import Extractor, TopKExtractor, ast_size_cost
 from repro.egraph.rewrite import rewrite
+from repro.egraph.runner import Runner, RunnerLimits
 from repro.lang.term import Term
 
 
@@ -164,8 +165,8 @@ class TestBestPerEnodeAfterMerges:
     def test_rewrite_then_merge_exposes_both_alternatives(self):
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(Union Cube Empty)"))
-        rewrite("union-empty", "(Union ?x Empty)", "?x").run(egraph)
-        egraph.rebuild()
+        rule = rewrite("union-empty", "(Union ?x Empty)", "?x")
+        Runner([rule], RunnerLimits(max_iterations=1)).run(egraph)
         entries = TopKExtractor(egraph, ast_size_cost, k=5).best_per_enode(root)
         terms = {e.term for e in entries}
         assert Term("Cube") in terms

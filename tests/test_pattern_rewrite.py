@@ -4,42 +4,44 @@ import pytest
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import Extractor, TopKExtractor, ast_size_cost
-from repro.egraph.pattern import Pattern, parse_pattern, search, instantiate, match_in_class
+from repro.egraph.pattern import CompiledRuleSet, Pattern, PatternVar, parse_pattern, instantiate
 from repro.egraph.rewrite import dynamic_rewrite, rewrite
 from repro.egraph.runner import BackoffConfig, BackoffScheduler, Runner, RunnerLimits, StopReason
 from repro.lang.term import Term
+
+
+def _matches(rule, egraph):
+    """Every match of ``rule``, from the compiled matcher the runner uses."""
+    return CompiledRuleSet([rule]).search_classes(egraph)[rule.name]
+
+
+def _fire(rule, egraph):
+    """Apply every match of ``rule`` once; returns how many changed the graph."""
+    return sum(rule.apply_match_checked(egraph, match)[0] for match in _matches(rule, egraph))
+
+
+def search(egraph, pattern):
+    """``(class id, substitution)`` of every match of the pattern text."""
+    return [(m.class_id, m.substitution) for m in _matches(rewrite("p", pattern, pattern), egraph)]
 
 
 class TestPatternParsing:
     def test_variable(self):
         pattern = parse_pattern("?x")
         assert pattern.is_var
-        assert pattern == Pattern.var("x")
+        assert pattern == Pattern(PatternVar("x"))
 
     def test_concrete(self):
         pattern = parse_pattern("(Union Cube ?x)")
         assert not pattern.is_var
-        assert pattern.children == (Pattern("Cube"), Pattern.var("x"))
-
-    def test_from_term(self):
-        pattern = Pattern.from_term(Term.parse("(Union Cube Sphere)"))
-        assert pattern == Pattern("Union", (Pattern("Cube"), Pattern("Sphere")))
-
-    def test_to_term_instantiation(self):
-        pattern = parse_pattern("(Union ?a ?a)")
-        term = pattern.to_term({"a": Term("Cube")})
-        assert term == Term.parse("(Union Cube Cube)")
-
-    def test_to_term_unbound_raises(self):
-        with pytest.raises(KeyError):
-            parse_pattern("(Union ?a ?b)").to_term({"a": Term("Cube")})
+        assert pattern.children == (Pattern("Cube"), Pattern(PatternVar("x")))
 
 
 class TestEMatching:
     def test_simple_match(self):
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(Union Cube Sphere)"))
-        matches = search(egraph, parse_pattern("(Union ?a ?b)"))
+        matches = search(egraph, "(Union ?a ?b)")
         assert len(matches) == 1
         class_id, substitution = matches[0]
         assert egraph.find(class_id) == egraph.find(root)
@@ -49,7 +51,7 @@ class TestEMatching:
         egraph = EGraph()
         egraph.add_term(Term.parse("(Union Cube Sphere)"))
         egraph.add_term(Term.parse("(Union Cube Cube)"))
-        matches = search(egraph, parse_pattern("(Union ?a ?a)"))
+        matches = search(egraph, "(Union ?a ?a)")
         assert len(matches) == 1
 
     def test_match_across_equivalent_nodes(self):
@@ -59,29 +61,60 @@ class TestEMatching:
         egraph.merge(a, b)
         egraph.rebuild()
         # B's class also contains (F A) now, so the pattern matches it.
-        matches = search(egraph, parse_pattern("(F ?x)"))
+        matches = search(egraph, "(F ?x)")
         assert len(matches) == 1
 
     def test_nested_pattern(self):
         egraph = EGraph()
         egraph.add_term(Term.parse("(Union (Translate 1 2 3 Cube) (Translate 1 2 3 Sphere))"))
-        pattern = parse_pattern("(Union (Translate ?x ?y ?z ?a) (Translate ?x ?y ?z ?b))")
-        matches = search(egraph, pattern)
+        matches = search(egraph, "(Union (Translate ?x ?y ?z ?a) (Translate ?x ?y ?z ?b))")
         assert len(matches) == 1
 
     def test_mismatched_vectors_do_not_match(self):
         egraph = EGraph()
         egraph.add_term(Term.parse("(Union (Translate 1 2 3 Cube) (Translate 9 2 3 Sphere))"))
-        pattern = parse_pattern("(Union (Translate ?x ?y ?z ?a) (Translate ?x ?y ?z ?b))")
-        assert search(egraph, pattern) == []
+        assert search(egraph, "(Union (Translate ?x ?y ?z ?a) (Translate ?x ?y ?z ?b))") == []
+
+    def test_leaf_in_a_pattern_must_be_in_the_bound_class(self):
+        egraph = EGraph()
+        with_empty = egraph.add_term(Term.parse("(Union Cube Empty)"))
+        with_sphere = egraph.add_term(Term.parse("(Union Cube Sphere)"))
+        assert [cid for cid, _ in search(egraph, "(Union ?x Empty)")] == [with_empty]
+        # Once Sphere's class also holds Empty, the leaf check passes there too.
+        egraph.merge(egraph.lookup_term(Term("Sphere")), egraph.lookup_term(Term("Empty")))
+        egraph.rebuild()
+        found = {egraph.find(cid) for cid, _ in search(egraph, "(Union ?x Empty)")}
+        assert found == {egraph.find(with_empty), egraph.find(with_sphere)}
+
+    def test_bare_variable_root_matches_every_class_once(self):
+        egraph = EGraph()
+        egraph.add_term(Term.parse("(Union Cube (Scale 2 Cube))"))
+        egraph.merge(egraph.lookup_term(Term("Cube")), egraph.lookup_term(Term.num(2)))
+        egraph.rebuild()
+        matches = search(egraph, "?x")
+        classes = sorted(egraph.find(eclass.id) for eclass in egraph.classes())
+        assert [cid for cid, _ in matches] == classes
+        assert all(sub == {"x": cid} for cid, sub in matches)
 
     def test_instantiate_adds_term(self):
         egraph = EGraph()
         egraph.add_term(Term.parse("(Union Cube Sphere)"))
-        matches = search(egraph, parse_pattern("(Union ?a ?b)"))
+        matches = search(egraph, "(Union ?a ?b)")
         _, substitution = matches[0]
         new_id = instantiate(egraph, parse_pattern("(Inter ?b ?a)"), substitution)
         assert egraph.lookup_term(Term.parse("(Inter Sphere Cube)")) == egraph.find(new_id)
+
+    def test_instantiate_repeated_variable(self):
+        egraph = EGraph()
+        cube = egraph.add_leaf("Cube")
+        new_id = instantiate(egraph, parse_pattern("(Union ?a ?a)"), {"a": cube})
+        assert egraph.lookup_term(Term.parse("(Union Cube Cube)")) == egraph.find(new_id)
+
+    def test_instantiate_unbound_raises(self):
+        egraph = EGraph()
+        cube = egraph.add_leaf("Cube")
+        with pytest.raises(KeyError, match=r"\?b"):
+            instantiate(egraph, parse_pattern("(Union ?a ?b)"), {"a": cube})
 
 
 class TestRewrites:
@@ -89,14 +122,14 @@ class TestRewrites:
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(Union Cube Empty)"))
         rule = rewrite("union-empty", "(Union ?x Empty)", "?x")
-        assert rule.run(egraph) == 1
+        assert _fire(rule, egraph) == 1
         egraph.rebuild()
         assert egraph.is_equal(root, egraph.lookup_term(Term("Cube")))
 
     def test_rewrite_is_nondestructive(self):
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(Union Cube Empty)"))
-        rewrite("union-empty", "(Union ?x Empty)", "?x").run(egraph)
+        _fire(rewrite("union-empty", "(Union ?x Empty)", "?x"), egraph)
         egraph.rebuild()
         ops = {node.op for node in egraph.nodes(root)}
         assert "Union" in ops and "Cube" in ops
@@ -114,7 +147,7 @@ class TestRewrites:
             return eg.add_enode(ENode(float(sum(values))))
 
         rule = dynamic_rewrite("const-fold", "(Add ?a ?b)", applier)
-        assert rule.run(egraph) == 1
+        assert _fire(rule, egraph) == 1
         egraph.rebuild()
         assert egraph.is_equal(root, egraph.lookup_term(Term.num(3.0)))
 
@@ -122,7 +155,7 @@ class TestRewrites:
         egraph = EGraph()
         egraph.add_term(Term.parse("(Add 1 2)"))
         rule = dynamic_rewrite("skip", "(Add ?a ?b)", lambda eg, cid, sub: None)
-        assert rule.run(egraph) == 0
+        assert _fire(rule, egraph) == 0
 
     def test_applier_condition_blocks_only_the_matches_it_rejects(self):
         # A rule's side condition lives in its applier: declined matches
@@ -139,7 +172,7 @@ class TestRewrites:
         rule = dynamic_rewrite("drop-empty-unless-cube", "(Union ?x Empty)", unless_cube)
         outcomes = {
             egraph.find(match.class_id): rule.apply_match_checked(egraph, match)
-            for match in rule.search(egraph)
+            for match in _matches(rule, egraph)
         }
         assert outcomes == {kept: (False, False), merged: (True, True)}
         egraph.rebuild()
@@ -150,16 +183,16 @@ class TestRewrites:
         egraph = EGraph()
         egraph.add_term(Term.parse("(Scale 2 Cube)"))
         rule = rewrite("drop", "(Scale 2 ?x)", "(Union ?x ?y)")
-        (match,) = rule.search(egraph)
+        (match,) = _matches(rule, egraph)
         with pytest.raises(KeyError, match=r"\?y"):
-            rule.apply_match(egraph, match)
+            rule.apply_match_checked(egraph, match)
 
     def test_rewrite_fires_left_to_right_only(self):
         egraph = EGraph()
         egraph.add_term(Term.parse("(Union A (Union B C))"))
         rule = rewrite("assoc", "(Union (Union ?a ?b) ?c)", "(Union ?a (Union ?b ?c))")
-        assert rule.search(egraph) == []
-        rule.run(egraph)
+        assert _matches(rule, egraph) == []
+        _fire(rule, egraph)
         egraph.rebuild()
         assert egraph.lookup_term(Term.parse("(Union (Union A B) C)")) is None
 
@@ -173,7 +206,7 @@ class TestRulePairs:
     def test_reverse_rule_builds_the_left_form(self):
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(Union A (Union B C))"))
-        assert rewrite(*self.ASSOC_REV).run(egraph) >= 1
+        assert _fire(rewrite(*self.ASSOC_REV), egraph) >= 1
         egraph.rebuild()
         left = egraph.lookup_term(Term.parse("(Union (Union A B) C)"))
         assert left is not None
@@ -392,7 +425,7 @@ class TestExtraction:
     def test_extractor_picks_smaller_variant(self):
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(Union Cube Empty)"))
-        rewrite("union-empty", "(Union ?x Empty)", "?x").run(egraph)
+        _fire(rewrite("union-empty", "(Union ?x Empty)", "?x"), egraph)
         egraph.rebuild()
         assert Extractor(egraph, ast_size_cost).extract(root) == Term("Cube")
 
@@ -404,7 +437,7 @@ class TestExtraction:
     def test_top_k_orders_by_cost(self):
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(Union (Scale 2 2 2 Cube) Empty)"))
-        rewrite("union-empty", "(Union ?x Empty)", "?x").run(egraph)
+        _fire(rewrite("union-empty", "(Union ?x Empty)", "?x"), egraph)
         egraph.rebuild()
         entries = TopKExtractor(egraph, ast_size_cost, k=3).extract_top_k(root)
         assert entries[0].term == Term.parse("(Scale 2 2 2 Cube)")

@@ -234,6 +234,27 @@ class TestPipelineConfigurations:
         with pytest.raises(ValueError, match=message):
             SynthesisConfig.from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"epsilon": float("nan")}, "epsilon"),
+            ({"epsilon": -1.0}, "epsilon"),
+            ({"rewrite_iterations": -3}, "rewrite_iterations"),
+            ({"max_enodes": 0}, "max_enodes"),
+            ({"max_seconds": float("nan")}, "max_seconds"),
+            ({"max_seconds": -1.0}, "max_seconds"),
+        ],
+    )
+    def test_run_knobs_no_run_can_use_rejected_at_construction(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SynthesisConfig(**bad)
+        with pytest.raises(ValueError, match=message):
+            SynthesisConfig.from_dict(bad)
+
+    def test_run_knobs_at_their_bounds_are_accepted(self):
+        config = SynthesisConfig(epsilon=0.0, rewrite_iterations=0, max_enodes=1, max_seconds=0.5)
+        assert SynthesisConfig.from_dict(config.to_dict()) == config
+
     def test_reward_loops_cost_function(self):
         result = synthesize(fig2_translated_cubes(5), SynthesisConfig(cost_function="reward-loops"))
         assert result.exposes_structure()

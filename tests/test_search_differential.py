@@ -1,14 +1,14 @@
 """Differential tests: incremental trie search vs the naive e-matching sweep.
 
-The naive backtracking matcher (:func:`repro.egraph.pattern.search`, via
-``rule.search``) is the oracle.  On randomized term populations and rule
-schedules these tests assert, **every iteration**, that the incremental
+The naive backtracking matcher (``search`` in ``tests/saturation_oracle.py``)
+is the oracle.  On randomized term populations and rule schedules these
+tests assert, **every iteration**, that the incremental
 compiled-trie search (:class:`IncrementalMatcher` over a
 :class:`CompiledRuleSet`) yields exactly the same canonicalized
 ``(rule, class, substitution)`` match sets — across graph growth,
 merges, congruence collapses during rebuild, randomly disabled rule subsets
-(which force the post-gap full-sweep path), and full saturation runs through
-the :class:`Runner`.
+(which force the post-gap full-sweep path), and full saturation runs of the
+:class:`Runner` against the oracle's naive, ledger-free reference runner.
 
 Together the parametrized cases run well over 200 randomized compare
 iterations (see ``test_total_randomized_iterations_budget``).
@@ -27,6 +27,7 @@ from repro.egraph.pattern import CompiledRuleSet, IncrementalMatcher
 from repro.egraph.rewrite import BaseRewrite, dynamic_rewrite, rewrite
 from repro.egraph.runner import BackoffConfig, Runner, RunnerLimits
 from repro.lang.term import Term
+from saturation_oracle import NaiveMatcher, ReferenceRunner, rule_matches
 
 # (seeds, iterations-per-seed) for the direct matcher differential and the
 # enabled-subset differential; the budget test below keeps the total >= 200.
@@ -88,7 +89,7 @@ def _mutate(rng: random.Random, egraph: EGraph, ids: List[int], results, rules) 
     if results is not None:
         for rule in rules:
             for match in results.get(rule.name, [])[: rng.randrange(0, 6)]:
-                rule.apply_match(egraph, match)
+                rule.apply_match_checked(egraph, match)
     egraph.rebuild()
 
 
@@ -105,7 +106,7 @@ def test_incremental_matches_naive_every_iteration(seed, iterations):
     for iteration in range(iterations):
         results = matcher.search(egraph)
         for rule in rules:
-            naive = _canonical(egraph, rule.search(egraph))
+            naive = _canonical(egraph, rule_matches(rule, egraph))
             incremental = _canonical(egraph, results[rule.name])
             assert incremental == naive, (
                 f"seed {seed} iteration {iteration} rule {rule.name}: "
@@ -136,7 +137,7 @@ def test_incremental_matches_naive_under_rule_schedules(seed, iterations):
         for rule in rules:
             if rule.name not in enabled:
                 continue
-            naive = _canonical(egraph, rule.search(egraph))
+            naive = _canonical(egraph, rule_matches(rule, egraph))
             incremental = _canonical(egraph, results[rule.name])
             assert incremental == naive, (
                 f"seed {seed} iteration {iteration} rule {rule.name}"
@@ -146,7 +147,7 @@ def test_incremental_matches_naive_under_rule_schedules(seed, iterations):
 
 @pytest.mark.parametrize("seed", RUNNER_SEEDS)
 def test_runner_reports_identical_with_and_without_incremental(seed):
-    """The two-phase runner behaves identically under either matcher.
+    """The production runner behaves like the naive, ledger-free reference.
 
     Same per-iteration match counts (so the backoff scheduler takes the same
     decisions), same ban schedule, same stop reason, same final graph size,
@@ -159,11 +160,10 @@ def test_runner_reports_identical_with_and_without_incremental(seed):
     backoff = BackoffConfig(match_limit=40, ban_length=2)
 
     outcomes = {}
-    for incremental in (False, True):
+    for incremental, engine in ((False, ReferenceRunner), (True, Runner)):
         egraph = EGraph()
         root = egraph.add_term(model)
-        runner = Runner(rules, limits, backoff=backoff, incremental=incremental)
-        report = runner.run(egraph)
+        report = engine(rules, limits, backoff=backoff).run(egraph)
         best = Extractor(egraph, ast_size_cost).extract(root)
         outcomes[incremental] = {
             "stop": report.stop_reason,
@@ -202,12 +202,18 @@ def test_rule_names_must_be_unique():
                          rewrite("dup", "(T ?a)", "?a")])
 
 
-def test_runner_is_incremental_unless_explicitly_disabled():
+def test_runner_is_incremental_and_the_reference_is_naive():
     rules = _rule_db()
-    assert Runner(rules).incremental
-    ablation = Runner(rules, incremental=False)
-    assert not ablation.incremental
-    egraph = EGraph()
-    egraph.add_term(Term("U", (Term("x"), Term("y"))))
-    ablation.run(egraph)
-    assert ablation.matcher is None  # the naive path really ran
+    runners = {"production": Runner(rules), "reference": ReferenceRunner(rules)}
+    reports = {}
+    for name, runner in runners.items():
+        egraph = EGraph()
+        egraph.add_term(Term("U", (Term("U", (Term("x"), Term("y"))), Term("z"))))
+        reports[name] = runner.run(egraph).iterations
+    assert isinstance(runners["production"].matcher, IncrementalMatcher)
+    assert isinstance(runners["reference"].matcher, NaiveMatcher)
+    # The naive path really ran: every rule was swept in full every
+    # iteration, while production served later epochs from its cache.
+    assert all(sorted(it.full_sweep_rules) == sorted(it.matches) for it in reports["reference"])
+    assert len(reports["production"]) > 1
+    assert all(not it.full_sweep_rules for it in reports["production"][1:])
