@@ -11,7 +11,7 @@ The timing benchmarks (``test_saturation_perf.py``, ``test_batch_service.py``,
 ``test_semantic_cache_perf.py``, ``test_tracer_overhead.py`` and
 ``test_latency_slo.py``) assert their speed floors and ceilings, and record
 their measurements under ``.benchmarks/``, only when pytest is given
-``--bench`` together with a path under ``benchmarks/``, e.g.
+``--bench`` (an option of the repository's root ``conftest.py``), e.g.
 ``pytest -q --bench benchmarks/test_saturation_perf.py``.  Without it they
 run as correctness smokes: every other assertion still holds.
 
@@ -37,17 +37,6 @@ from repro.core.config import SynthesisConfig
 #: directory at the repository root, so a test run never rewrites a tracked
 #: file.
 BENCH_PATH = _ROOT / ".benchmarks" / "BENCH_saturation.json"
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench",
-        action="store_true",
-        default=False,
-        help="assert the timing benchmarks' speed floors and ceilings and record "
-        "their measurements under .benchmarks/ (without it they run as "
-        "correctness smokes)",
-    )
 
 
 def _record(payload: dict) -> None:

@@ -15,9 +15,12 @@ Usage examples::
 The synthesis knobs (``--epsilon``, ``--top-k``/``--topk``, ``--cost``,
 ``--rewrite-iterations``, ``--max-enodes``, ``--max-seconds``, ``--rules``)
 are global options threaded into :class:`~repro.core.config.SynthesisConfig`
-for ``synth`` (alias ``run``) and ``batch``.  ``table1`` and ``bench``
-deliberately keep the paper's per-benchmark default configuration so their
-rows stay comparable to Table 1.  ``--cache-max-mb`` bounds the disk tier
+for ``synth`` (alias ``run``), and for the file jobs of ``batch`` and
+``submit``.  ``table1`` and ``bench``, and the ``--bench``/``--suite`` jobs
+of ``batch`` and ``submit``, deliberately keep the paper's per-benchmark
+default configuration so their rows stay comparable to Table 1.  A daemon
+takes its configuration from each job, so ``serve`` refuses a knob that is
+not at its default.  ``--cache-max-mb`` bounds the disk tier
 of the result cache (LRU eviction by entry mtime), and
 ``--no-semantic-cache`` turns off its semantic (normalized-key) lookup
 level so only byte-identical inputs hit.
@@ -96,6 +99,33 @@ def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
         return SynthesisConfig(**kwargs)
     except ValueError as exc:
         raise SystemExit(f"szalinski: {exc}")
+
+
+#: The global option of each SynthesisConfig field.
+_KNOB_OPTIONS = {
+    "epsilon": "--epsilon",
+    "top_k": "--top-k",
+    "cost_function": "--cost",
+    "rewrite_iterations": "--rewrite-iterations",
+    "max_enodes": "--max-enodes",
+    "max_seconds": "--max-seconds",
+    "rule_categories": "--rules",
+}
+
+
+def _check_no_knobs(args: argparse.Namespace) -> None:
+    """Reject synthesis knobs on ``serve``: each daemon job carries its config."""
+    config, defaults = _config_from_args(args), SynthesisConfig()
+    changed = [
+        option
+        for name, option in _KNOB_OPTIONS.items()
+        if getattr(config, name) != getattr(defaults, name)
+    ]
+    if changed:
+        raise SystemExit(
+            f"{args.command}: the daemon has no synthesis config of its own "
+            f"({', '.join(changed)} given); pass the knobs to submit, whose jobs carry them"
+        )
 
 
 def _check_jobs(args: argparse.Namespace) -> None:
@@ -337,6 +367,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.jobs < 1:
         raise SystemExit("serve: --jobs must be >= 1 (the daemon always uses workers)")
+    _check_no_knobs(args)
     cache = _build_cache(args)
     try:
         daemon = SynthesisDaemon(
@@ -379,6 +410,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if control and (args.inputs or args.bench or args.suite):
         raise SystemExit(f"submit: --{control[0]} does not take job inputs")
     _check_timeout(args)
+    config = _config_from_args(args)
 
     try:
         client = DaemonClient(args.socket, timeout=args.connect_timeout)
@@ -403,7 +435,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             except OSError as exc:
                 read_failures.append((Path(path).stem, str(exc)))
                 continue
-            specs.append({"name": Path(path).stem, "term": text})
+            specs.append({"name": Path(path).stem, "term": text, "config": config.to_dict()})
         bench_names = list(args.bench)
         if args.suite:
             bench_names.extend(b.name for b in BENCHMARKS if b.name not in bench_names)

@@ -211,7 +211,9 @@ class LoopInference:
                 feasible = True
                 for component in range(3):
                     values = [v[component] for v in vectors]
-                    form = fit_multilinear(index_tuples, values, self.config.epsilon)
+                    form = fit_multilinear(
+                        index_tuples, values, self.config.epsilon, self.solver.work
+                    )
                     if form is None:
                         feasible = False
                         break

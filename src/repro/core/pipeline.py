@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cad.ops import uses_loops
 from repro.core.config import SynthesisConfig
@@ -35,6 +36,7 @@ from repro.core.rules import default_rules
 from repro.csg.metrics import TermMetrics, measure
 from repro.egraph.egraph import EGraph
 from repro.egraph.extract import CostAnalysis, TopKExtractor, ast_size_cost
+from repro.egraph.pattern import CompiledRuleSet
 from repro.egraph.runner import Runner, RunnerLimits, RunReport
 from repro.lang.canon import canonical_term_text, term_from_canonical
 from repro.lang.term import Term
@@ -185,6 +187,17 @@ class SynthesisResult:
         )
 
 
+@lru_cache(maxsize=16)
+def _default_rule_set(categories: Tuple[str, ...]) -> CompiledRuleSet:
+    """The default rules of ``categories``, compiled once per process.
+
+    A compiled rule set holds no e-graph state (runs keep theirs in the
+    runner and its matcher), and the rules are stateless, so every run with
+    the same categories shares one.
+    """
+    return CompiledRuleSet(default_rules(list(categories)))
+
+
 def _inference_counters(inference: FunctionInference | LoopInference) -> Dict[str, int]:
     determinizer, solver = inference.determinizer, inference.solver
     return {
@@ -193,6 +206,9 @@ def _inference_counters(inference: FunctionInference | LoopInference) -> Dict[st
         "solver_memo_hits": solver.memo_hits,
         "solver_columns": solver.column_calls,
         "solver_column_memo_hits": solver.column_memo_hits,
+        "solver_constant_shortcuts": solver.work["constant_shortcuts"],
+        "solver_sinusoid_fits": solver.work["sinusoid_fits"],
+        "solver_lstsq_solves": solver.work["lstsq_solves"],
         "materialize_calls": determinizer.materialize_calls,
         "materialize_memo_hits": determinizer.materialize_memo_hits,
         "materialize_memo_drops": determinizer.materialize_memo_drops,
@@ -239,22 +255,25 @@ def synthesize(
         root = egraph.add_term(csg)
 
         rule_set = (
-            list(rules) if rules is not None else default_rules(list(config.rule_categories))
+            CompiledRuleSet(rules)
+            if rules is not None
+            else _default_rule_set(tuple(config.rule_categories))
         )
         limits = RunnerLimits(
             max_iterations=config.rewrite_iterations,
             max_enodes=config.max_enodes,
             max_seconds=config.max_seconds,
         )
-        # Building the runner compiles the rule patterns into its
-        # discrimination trie.  The incremental cost analysis rides along
+        # The rule patterns are compiled into one discrimination trie: per
+        # call for an explicit ``rules``, once per process for the default
+        # sets.  The incremental cost analysis rides along
         # during saturation (the runner registers it): every single-best
         # query the determinizer makes inside the arithmetic components
         # then reads ready-made (best cost, witness) pairs, and the top-k
         # extractor prices rank 0 from them.
         runner = Runner(rule_set, limits, analyses=[CostAnalysis(ast_size_cost)], tracer=tracer)
         if setup_span is not None:
-            setup_span.update({"rules": len(rule_set), "enodes": egraph.total_enodes})
+            setup_span.update({"rules": len(rule_set.rules), "enodes": egraph.total_enodes})
 
     with tracer.span("saturate") as sat_span:
         run_report = runner.run(egraph)

@@ -248,9 +248,11 @@ class CompiledRuleSet:
     dispatches once on the class's operators instead of once per rule.
 
     The object is immutable with respect to the e-graph: it holds no graph
-    state, so one compiled set can be shared by many runs (the pipeline
-    compiles the rule database once per :func:`~repro.core.pipeline.synthesize`
-    call).  Incremental state lives in :class:`IncrementalMatcher`.
+    state, so one compiled set can be shared by many runs.  The pipeline
+    compiles each default rule-category tuple once per process and shares
+    it between every :func:`~repro.core.pipeline.synthesize` call; an
+    explicit ``synthesize(..., rules=)`` is compiled per call.  Incremental
+    state lives in :class:`IncrementalMatcher`.
     """
 
     def __init__(self, rules: Sequence) -> None:

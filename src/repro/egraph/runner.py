@@ -55,7 +55,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.egraph.egraph import Analysis, EGraph
 from repro.egraph.pattern import CompiledRuleSet, IncrementalMatcher
@@ -226,8 +226,11 @@ class Runner:
     that run's iteration indices); the most recent one stays available as
     :attr:`scheduler` for post-run inspection.
 
-    The rule patterns are compiled into one discrimination trie at
-    construction; every :meth:`run` searches it through a fresh
+    ``rules`` is a sequence of rewrites, which construction compiles into
+    one discrimination trie, or an already compiled
+    :class:`~repro.egraph.pattern.CompiledRuleSet`, which it uses as is (the
+    pipeline compiles its default rule sets once per process).  Every
+    :meth:`run` searches the trie through a fresh
     :class:`~repro.egraph.pattern.IncrementalMatcher` and skips matches
     already in the applied-match ledgers (see the module docstring).
 
@@ -243,14 +246,15 @@ class Runner:
 
     def __init__(
         self,
-        rules: Sequence[BaseRewrite],
+        rules: Union[Sequence[BaseRewrite], CompiledRuleSet],
         limits: Optional[RunnerLimits] = None,
         *,
         backoff: Optional[BackoffConfig] = None,
         analyses: Sequence[Analysis] = (),
         tracer=None,
     ):
-        self.rules = list(rules)
+        self.compiled = rules if isinstance(rules, CompiledRuleSet) else CompiledRuleSet(rules)
+        self.rules = self.compiled.rules
         #: Structured tracing sink (``repro.obs.trace``); the shared
         #: ``NULL_TRACER`` singleton when tracing is off, so the hot loop
         #: pays one no-op ``with`` per phase and allocates nothing.
@@ -259,7 +263,6 @@ class Runner:
         self.backoff = backoff or BackoffConfig()
         self.scheduler = BackoffScheduler(self.backoff)
         self.analyses = list(analyses)
-        self.compiled = CompiledRuleSet(self.rules)
         #: rule name -> executed canonical fingerprints; reset per run.  A
         #: plain set for pure/syntactic rules, a fingerprint->content dict
         #: for content-keyed dynamic rules.

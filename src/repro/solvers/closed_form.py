@@ -8,6 +8,15 @@ equivalent degree-2 fit.  :class:`FunctionSolver` solves the three
 components of a list of 3-vectors independently, which is exactly how the
 paper's function inference decomposes the problem (Section 4.1).
 
+It does only the arithmetic its answer needs.  A column whose every value
+equals the fitted constant is answered by the constant alone (R² 1.0 and a
+one-node term: nothing ranks above it), except on rotation columns, where
+a :class:`~repro.solvers.forms.RotationForm` would.  Each fit checks its
+own residuals, so nothing re-checks them; a lone feasible form is returned
+without ranking, and ranking computes each form's R² and node count once.
+The answers are bit for bit those of the full search
+(``tests/test_solver_oracle.py`` diffs them against ``tests/solver_oracle.py``).
+
 The rotation heuristic from the paper is applied here: when the solved
 component feeds a ``Rotate``, a feasible linear fit ``a*i + b`` whose step
 divides 360 is re-expressed as ``360 * (i [+1]) / n`` (a
@@ -17,6 +26,7 @@ divides 360 is re-expressed as ``360 * (i [+1]) / n`` (a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -80,57 +90,73 @@ def solve_component(
     epsilon: float = 1e-3,
     *,
     is_rotation: bool = False,
+    work: Optional[Counter] = None,
 ) -> Optional[ComponentSolution]:
     """Find the best closed form for one vector component.
 
     Every fit must hold within ``epsilon`` on every value (the paper's
-    tolerance, 0.001 by default).
+    tolerance, 0.001 by default).  ``work``, when given, counts the solver's
+    arithmetic: ``constant_shortcuts`` (columns the constant alone
+    answered), ``sinusoid_fits`` and ``lstsq_solves``.
     """
     values = [float(v) for v in values]
     if not values:
         return None
+    work = Counter() if work is None else work
+
+    constant = fit_constant(values, epsilon)
+    if constant is not None and not is_rotation and all(v == constant.value for v in values):
+        # The constant predicts every value exactly, so its R^2 is 1.0, which
+        # no form exceeds, and its term is one node, which no form undercuts;
+        # it comes first, so it wins every tie.  (On a rotation column an
+        # equally good RotationForm would rank above it, so those take the
+        # full path.)
+        work["constant_shortcuts"] += 1
+        return ComponentSolution(form=constant, r_squared=1.0)
 
     # The paper tries the polynomial families first and only falls back to
     # the trigonometric solver when no polynomial fits (Section 4.1).  This
     # ordering also keeps noisy-but-constant data from being "explained" by a
-    # sinusoid that interpolates the noise.
-    candidates: List[ClosedForm] = []
+    # sinusoid that interpolates the noise.  Each fit returns only a form
+    # that holds within epsilon on every value, so every candidate is
+    # feasible.
+    feasible: List[ClosedForm] = [] if constant is None else [constant]
 
-    constant = fit_constant(values, epsilon)
-    if constant is not None:
-        candidates.append(constant)
-
-    linear = fit_linear(values, epsilon)
+    linear = fit_linear(values, epsilon, work)
     if linear is not None:
         if is_rotation:
             rotation = _rotation_normalize(linear, values, epsilon)
             if rotation is not None:
-                candidates.append(rotation)
-        candidates.append(linear)
+                feasible.append(rotation)
+        feasible.append(linear)
 
-    quadratic = fit_quadratic(values, epsilon)
+    quadratic = fit_quadratic(values, epsilon, work)
     if quadratic is not None:
-        candidates.append(quadratic)
-
-    feasible = [c for c in candidates if c.satisfies(values, epsilon)]
+        feasible.append(quadratic)
 
     if not feasible and len(set(values)) >= 2:
-        sinusoid = fit_sinusoid(values, epsilon)
-        if sinusoid is not None and sinusoid.satisfies(values, epsilon):
+        sinusoid = fit_sinusoid(values, epsilon, work=work)
+        if sinusoid is not None:
             feasible = [sinusoid]
 
     if not feasible:
         return None
+    if len(feasible) == 1:
+        (best,) = feasible
+        return ComponentSolution(form=best, r_squared=best.r_squared(values))
 
-    def rank(form: ClosedForm) -> Tuple[float, int, int]:
-        # Maximize R^2 (so sort on its negation), then — for rotation
-        # components — prefer the periodic 360/n shape (the paper's rotation
-        # heuristic), then prefer simpler terms.
+    # Maximize R^2 (so rank on its negation), then -- for rotation
+    # components -- prefer the periodic 360/n shape (the paper's rotation
+    # heuristic), then prefer simpler terms.
+    r_squared = [form.r_squared(values) for form in feasible]
+
+    def rank(index: int) -> Tuple[float, int, int]:
+        form = feasible[index]
         rotation_preference = 0 if (is_rotation and isinstance(form, RotationForm)) else 1
-        return (-round(form.r_squared(values), 9), rotation_preference, form.complexity())
+        return (-round(r_squared[index], 9), rotation_preference, form.complexity())
 
-    best = min(feasible, key=rank)
-    return ComponentSolution(form=best, r_squared=best.r_squared(values))
+    best = min(range(len(feasible)), key=rank)
+    return ComponentSolution(form=feasible[best], r_squared=r_squared[best])
 
 
 @dataclass
@@ -209,6 +235,10 @@ class FunctionSolver:
         self.memo_hits = 0
         self.column_calls = 0
         self.column_memo_hits = 0
+        #: The arithmetic behind them (see :func:`solve_component`), also
+        #: reported by the inference spans; loop inference adds the
+        #: least-squares solves of its multilinear fits.
+        self.work: Counter = Counter()
 
     def solve(
         self, vectors: Sequence[Sequence[float]], *, is_rotation: bool = False
@@ -253,6 +283,6 @@ class FunctionSolver:
         if key in self._columns:
             self.column_memo_hits += 1
             return self._columns[key]
-        solution = solve_component(column, self.epsilon, is_rotation=is_rotation)
+        solution = solve_component(column, self.epsilon, is_rotation=is_rotation, work=self.work)
         self._columns[key] = solution
         return solution

@@ -14,6 +14,7 @@ the single-index polynomial solvers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -97,8 +98,12 @@ def fit_multilinear(
     index_tuples: Sequence[Sequence[int]],
     values: Sequence[float],
     epsilon: float,
+    work: Optional[Counter] = None,
 ) -> Optional[MultilinearForm]:
-    """Fit an affine function of the loop indices within ``epsilon``."""
+    """Fit an affine function of the loop indices within ``epsilon``.
+
+    ``work``, when given, counts the least-squares solve (``lstsq_solves``).
+    """
     if not index_tuples or len(index_tuples) != len(values):
         return None
     arity = len(index_tuples[0])
@@ -109,6 +114,8 @@ def fit_multilinear(
         + [np.ones(len(index_tuples))]
     )
     observations = np.asarray(values, dtype=float)
+    if work is not None:
+        work["lstsq_solves"] += 1
     solution, *_ = np.linalg.lstsq(design, observations, rcond=None)
     coefficients = tuple(float(c) for c in solution[:-1])
     intercept = float(solution[-1])

@@ -23,6 +23,7 @@ the next solver.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,21 +55,30 @@ def fit_constant(values: Sequence[float], epsilon: float) -> Optional[ConstantFo
     return None
 
 
-def _least_squares(indices: np.ndarray, values: np.ndarray, degree: int) -> np.ndarray:
+def _least_squares(
+    indices: np.ndarray, values: np.ndarray, degree: int, work: Optional[Counter]
+) -> np.ndarray:
     """Least-squares polynomial coefficients, highest degree first."""
+    if work is not None:
+        work["lstsq_solves"] += 1
     vandermonde = np.vander(indices, degree + 1)
     coefficients, *_ = np.linalg.lstsq(vandermonde, values, rcond=None)
     return coefficients
 
 
-def fit_linear(values: Sequence[float], epsilon: float) -> Optional[LinearForm]:
-    """Fit ``a*i + b`` within ``epsilon``, preferring nice coefficients."""
+def fit_linear(
+    values: Sequence[float], epsilon: float, work: Optional[Counter] = None
+) -> Optional[LinearForm]:
+    """Fit ``a*i + b`` within ``epsilon``, preferring nice coefficients.
+
+    ``work``, when given, counts the least-squares solve (``lstsq_solves``).
+    """
     values = list(values)
     if len(values) < 2:
         return None
     indices = np.arange(len(values), dtype=float)
     observations = np.asarray(values, dtype=float)
-    a_raw, b_raw = _least_squares(indices, observations, 1)
+    a_raw, b_raw = _least_squares(indices, observations, 1, work)
 
     snapped = LinearForm(
         nice_round(float(a_raw), tolerance=max(_SNAP_TOLERANCE, epsilon)),
@@ -82,14 +92,19 @@ def fit_linear(values: Sequence[float], epsilon: float) -> Optional[LinearForm]:
     return None
 
 
-def fit_quadratic(values: Sequence[float], epsilon: float) -> Optional[QuadraticForm]:
-    """Fit ``a*i^2 + b*i + c`` within ``epsilon``, preferring nice coefficients."""
+def fit_quadratic(
+    values: Sequence[float], epsilon: float, work: Optional[Counter] = None
+) -> Optional[QuadraticForm]:
+    """Fit ``a*i^2 + b*i + c`` within ``epsilon``, preferring nice coefficients.
+
+    ``work``, when given, counts the least-squares solve (``lstsq_solves``).
+    """
     values = list(values)
     if len(values) < 3:
         return None
     indices = np.arange(len(values), dtype=float)
     observations = np.asarray(values, dtype=float)
-    a_raw, b_raw, c_raw = _least_squares(indices, observations, 2)
+    a_raw, b_raw, c_raw = _least_squares(indices, observations, 2, work)
 
     snap = max(_SNAP_TOLERANCE, epsilon)
     snapped = QuadraticForm(

@@ -6,6 +6,11 @@ returns coefficients like ``1.99999983``, so after fitting we snap each
 coefficient to the nearest "nice" rational (small denominator) whenever doing
 so keeps the fit within the epsilon tolerance.  This plays the role of Z3
 returning exact rational models in the original system.
+
+:func:`nice_round` runs on every coefficient the solvers fit and render, so
+it runs :meth:`fractions.Fraction.limit_denominator`'s continued-fraction
+algorithm on the float's exact integer ratio directly, without building a
+``Fraction``; it returns bit for bit what the ``Fraction`` route returns.
 """
 
 from __future__ import annotations
@@ -29,15 +34,41 @@ def nice_round(value: float, tolerance: float = 1e-6, max_denominator: int = 720
 
     Returns the snapped value as a float (int-valued floats collapse to the
     integer float, e.g. ``2.0000001`` becomes ``2.0``).  When no nice rational
-    is close enough, the original value is returned unchanged.
+    is close enough, the original value is returned unchanged.  The snapped
+    value is ``float(rationalize(value, max_denominator))``.
     """
     if value % 1 == 0:
         # An integer is its own nearest fraction, so skip the search; adding
         # 0.0 turns -0.0 into 0.0, as the float of Fraction(-0.0) does.
-        # (inf and nan fail the test and raise in Fraction, as before.)
         return float(value) + 0.0
-    candidate = rationalize(value, max_denominator)
-    snapped = float(candidate)
+    # inf and nan fail the test above and raise here, as Fraction(value) does.
+    numerator, denominator = value.as_integer_ratio()
+    if max_denominator < 1:
+        raise ValueError("max_denominator should be at least 1")
+    if denominator <= max_denominator:
+        snapped = numerator / denominator
+    else:
+        # Fraction.limit_denominator: walk the convergents p1/q1 of the
+        # continued fraction until the next denominator would exceed the
+        # bound, then take the closer of p1/q1 and the last semiconvergent
+        # p2/q2 within the bound (p1/q1 on a tie).
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = numerator, denominator
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > max_denominator:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (max_denominator - q0) // q1
+        p2, q2 = p0 + k * p1, q0 + k * q1
+        # |p1/q1 - x| <= |p2/q2 - x| for x = numerator/denominator, with
+        # the positive denominators multiplied out.
+        if abs(p1 * denominator - numerator * q1) * q2 <= abs(p2 * denominator - numerator * q2) * q1:
+            snapped = p1 / q1
+        else:
+            snapped = p2 / q2
     if abs(snapped - value) <= tolerance:
         return snapped
     return value

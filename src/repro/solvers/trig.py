@@ -13,6 +13,13 @@ sinusoidal family and judges fits by R².  We do the same with numpy:
   ``360/(n+1)``, plus harmonics) and then refining the best candidate with a
   local Gauss–Newton iteration.
 
+The scan's candidate frequencies depend only on the list length, so their
+design matrices are built once per length and kept in a small LRU cache
+(:func:`_scan_designs`).  A refinement step must beat the best residual by
+``1e-12``; when the scan's residual is already at most that, no step can,
+and the refinement is skipped.  Both shortcuts leave every fit bit for bit
+as it was.
+
 Phases and frequencies are reported in degrees, matching the programs the
 paper prints (``Sin (90 * i + 315)``).
 """
@@ -20,6 +27,8 @@ paper prints (``Sin (90 * i + 315)``).
 from __future__ import annotations
 
 import math
+from collections import Counter
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,13 +36,22 @@ import numpy as np
 from repro.solvers.forms import SinusoidForm
 from repro.solvers.rational import nice_round
 
+#: A refinement step is taken only when it lowers the residual by this much.
+_REFINE_MARGIN = 1e-12
 
-def _solve_fixed_frequency(
-    indices: np.ndarray, values: np.ndarray, frequency_degrees: float
-) -> Tuple[float, float, float, float]:
-    """Best (offset, amplitude, phase_degrees, residual) for a fixed frequency."""
+#: (offset, amplitude, phase in degrees, max residual) of one fixed-frequency fit.
+_Fit = Tuple[float, float, float, float]
+
+
+def _design(indices: np.ndarray, frequency_degrees: float) -> np.ndarray:
+    """The ``[1, sin(b*i), cos(b*i)]`` design matrix of one frequency."""
     radians = np.radians(frequency_degrees * indices)
-    design = np.column_stack([np.ones_like(indices), np.sin(radians), np.cos(radians)])
+    return np.column_stack([np.ones_like(indices), np.sin(radians), np.cos(radians)])
+
+
+def _solve_design(design: np.ndarray, values: np.ndarray, work: Counter) -> _Fit:
+    """Best (offset, amplitude, phase_degrees, residual) for one design matrix."""
+    work["lstsq_solves"] += 1
     solution, *_ = np.linalg.lstsq(design, values, rcond=None)
     offset, coefficient_sin, coefficient_cos = solution
     amplitude = math.hypot(coefficient_sin, coefficient_cos)
@@ -41,6 +59,13 @@ def _solve_fixed_frequency(
     predictions = design @ solution
     residual = float(np.max(np.abs(predictions - values))) if len(values) else 0.0
     return float(offset), float(amplitude), phase, residual
+
+
+def _solve_fixed_frequency(
+    indices: np.ndarray, values: np.ndarray, frequency_degrees: float, work: Counter
+) -> _Fit:
+    """Best (offset, amplitude, phase_degrees, residual) for a fixed frequency."""
+    return _solve_design(_design(indices, frequency_degrees), values, work)
 
 
 def _candidate_frequencies(count: int) -> List[float]:
@@ -61,28 +86,54 @@ def _candidate_frequencies(count: int) -> List[float]:
     return unique
 
 
+@lru_cache(maxsize=64)
+def _scan_designs(count: int) -> Tuple[Tuple[float, np.ndarray], ...]:
+    """``(frequency, design)`` for every candidate frequency of a length.
+
+    The arrays are shared by every fit of that length, so they are made
+    read-only.
+    """
+    indices = np.arange(count, dtype=float)
+    designs = []
+    for frequency in _candidate_frequencies(count):
+        design = _design(indices, frequency)
+        design.setflags(write=False)
+        designs.append((frequency, design))
+    return tuple(designs)
+
+
 def _refine_frequency(
-    indices: np.ndarray, values: np.ndarray, frequency: float, rounds: int = 25
-) -> float:
-    """Local search refinement of the frequency around an initial guess."""
-    best_frequency = frequency
-    _, _, _, best_residual = _solve_fixed_frequency(indices, values, frequency)
+    indices: np.ndarray,
+    values: np.ndarray,
+    frequency: float,
+    residual: float,
+    work: Counter,
+    rounds: int = 25,
+) -> Optional[Tuple[float, _Fit]]:
+    """Local search refinement of the frequency around an initial guess.
+
+    ``residual`` is the initial guess's own.  Returns the best frequency
+    and its fit, or ``None`` when no step improved on the guess.
+    """
+    best: Optional[Tuple[float, _Fit]] = None
+    best_frequency, best_residual = frequency, residual
     step = max(frequency * 0.05, 0.5)
     for _ in range(rounds):
         improved = False
         for candidate in (best_frequency - step, best_frequency + step):
             if candidate <= 0.0 or candidate > 720.0:
                 continue
-            _, _, _, residual = _solve_fixed_frequency(indices, values, candidate)
-            if residual < best_residual - 1e-12:
-                best_residual = residual
+            fit = _solve_fixed_frequency(indices, values, candidate, work)
+            if fit[3] < best_residual - _REFINE_MARGIN:
+                best_residual = fit[3]
                 best_frequency = candidate
+                best = (candidate, fit)
                 improved = True
         if not improved:
             step /= 2.0
             if step < 1e-6:
                 break
-    return best_frequency
+    return best
 
 
 def fit_sinusoid(
@@ -90,27 +141,30 @@ def fit_sinusoid(
     epsilon: float,
     *,
     extra_frequencies: Iterable[float] = (),
+    work: Optional[Counter] = None,
 ) -> Optional[SinusoidForm]:
     """Fit ``offset + a*sin(b*i + c)`` within ``epsilon`` (degrees).
 
     Returns ``None`` when no candidate frequency produces a fit within the
     tolerance, or when the data is too short to constrain the model (fewer
     than 4 points: any 3 points lie on some sinusoid, which would make the
-    solver claim spurious structure).
+    solver claim spurious structure).  ``work``, when given, counts the fit
+    (``sinusoid_fits``) and its least-squares solves (``lstsq_solves``).
     """
     values = list(values)
     if len(values) < 4:
         return None
+    work = Counter() if work is None else work
+    work["sinusoid_fits"] += 1
     indices = np.arange(len(values), dtype=float)
     observations = np.asarray(values, dtype=float)
 
     best: Optional[SinusoidForm] = None
     best_residual = math.inf
-    candidates = list(extra_frequencies) + _candidate_frequencies(len(values))
-    for frequency in candidates:
-        offset, amplitude, phase, residual = _solve_fixed_frequency(
-            indices, observations, frequency
-        )
+    scan = [(frequency, _design(indices, frequency)) for frequency in extra_frequencies]
+    scan.extend(_scan_designs(len(values)))
+    for frequency, design in scan:
+        offset, amplitude, phase, residual = _solve_design(design, observations, work)
         if residual < best_residual:
             best_residual = residual
             best = SinusoidForm(amplitude, frequency, phase, offset)
@@ -118,13 +172,13 @@ def fit_sinusoid(
     if best is None:
         return None
 
-    refined_frequency = _refine_frequency(indices, observations, best.frequency)
-    offset, amplitude, phase, residual = _solve_fixed_frequency(
-        indices, observations, refined_frequency
-    )
-    if residual < best_residual:
-        best = SinusoidForm(amplitude, refined_frequency, phase, offset)
-        best_residual = residual
+    # A residual at most the margin cannot be beaten by margin: skip.
+    if best_residual > _REFINE_MARGIN:
+        refined = _refine_frequency(indices, observations, best.frequency, best_residual, work)
+        if refined is not None:
+            frequency, (offset, amplitude, phase, residual) = refined
+            best = SinusoidForm(amplitude, frequency, phase, offset)
+            best_residual = residual
 
     # Snap the parameters to nice values when that keeps the fit feasible.
     snapped = SinusoidForm(

@@ -334,6 +334,10 @@ class TestArgumentErrors:
             (["table1", "--jobs", "-1"], "table1: --jobs must be >= 0"),
             (["batch", "--bench", "sander", "--jobs", "-1"], "batch: --jobs must be >= 0"),
             (["serve", "--socket", "{tmp}/d.sock", "--max-pending", "0"], "serve: max_pending"),
+            (
+                ["--top-k", "1", "serve", "--socket", "{tmp}/d.sock", "--jobs", "1"],
+                "serve: the daemon has no synthesis config of its own (--top-k given)",
+            ),
             (["synth", "{tmp}/missing.csg"], "synth: cannot read"),
             (["batch", "--bench", "sander", "--timeout", "-1"], "batch: timeout must be"),
             (["flatten", "{tmp}/missing.scad"], "flatten: cannot read"),
@@ -456,6 +460,33 @@ class TestDaemonCLI:
                 listener.close()
         assert exit_code == 2
         assert "nothing to do" in capsys.readouterr().out
+
+    def test_submit_threads_the_global_knobs_into_file_jobs(self, csg_file, tmp_path, capsys):
+        """A file job carries the global knobs, as ``batch``'s do: ``--top-k 1``
+        answers with one candidate, the default with five."""
+        import shutil
+        import tempfile
+
+        from repro.service import SynthesisDaemon
+
+        # AF_UNIX paths are length-limited, so the socket lives under /tmp.
+        tdir = Path(tempfile.mkdtemp(prefix="szk.", dir="/tmp"))
+        daemon = SynthesisDaemon(tdir / "d.sock", worker_count=1)
+        daemon.start()
+        try:
+            candidates = []
+            for knobs in (["--top-k", "1"], []):
+                report = tmp_path / f"report{len(candidates)}.json"
+                argv = [*knobs, "submit", "--socket", str(daemon.socket_path), str(csg_file)]
+                assert main([*argv, "--wait", "--report", str(report)]) == 0
+                (result,) = json.loads(report.read_text())["results"]
+                assert result["status"] == "succeeded" and not result["cached"]
+                candidates.append(result["result"]["candidates"])
+            assert candidates == [1, 5]
+        finally:
+            daemon.shutdown(drain=False)
+            shutil.rmtree(tdir, ignore_errors=True)
+        capsys.readouterr()
 
     def test_serve_and_submit_end_to_end(self, capsys):
         """Full lifecycle over real processes: serve, submit cold, submit
