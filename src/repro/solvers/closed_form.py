@@ -145,12 +145,12 @@ def solve_component(
         (best,) = feasible
         return ComponentSolution(form=best, r_squared=best.r_squared(values))
 
-    # Maximize R^2 (so rank on its negation), then -- for rotation
-    # components -- prefer the periodic 360/n shape (the paper's rotation
-    # heuristic), then prefer simpler terms.
     r_squared = [form.r_squared(values) for form in feasible]
 
     def rank(index: int) -> Tuple[float, int, int]:
+        # Maximize R^2 (so sort on its negation), then — for rotation
+        # components — prefer the periodic 360/n shape (the paper's rotation
+        # heuristic), then prefer simpler terms.
         form = feasible[index]
         rotation_preference = 0 if (is_rotation and isinstance(form, RotationForm)) else 1
         return (-round(r_squared[index], 9), rotation_preference, form.complexity())

@@ -61,13 +61,6 @@ def _solve_design(design: np.ndarray, values: np.ndarray, work: Counter) -> _Fit
     return float(offset), float(amplitude), phase, residual
 
 
-def _solve_fixed_frequency(
-    indices: np.ndarray, values: np.ndarray, frequency_degrees: float, work: Counter
-) -> _Fit:
-    """Best (offset, amplitude, phase_degrees, residual) for a fixed frequency."""
-    return _solve_design(_design(indices, frequency_degrees), values, work)
-
-
 def _candidate_frequencies(count: int) -> List[float]:
     """Natural frequency candidates for a length-``count`` repetitive design."""
     candidates: List[float] = []
@@ -123,7 +116,7 @@ def _refine_frequency(
         for candidate in (best_frequency - step, best_frequency + step):
             if candidate <= 0.0 or candidate > 720.0:
                 continue
-            fit = _solve_fixed_frequency(indices, values, candidate, work)
+            fit = _solve_design(_design(indices, candidate), values, work)
             if fit[3] < best_residual - _REFINE_MARGIN:
                 best_residual = fit[3]
                 best_frequency = candidate
@@ -172,13 +165,12 @@ def fit_sinusoid(
     if best is None:
         return None
 
-    # A residual at most the margin cannot be beaten by margin: skip.
+    # No step can lower a residual of at most the margin by the margin.
     if best_residual > _REFINE_MARGIN:
         refined = _refine_frequency(indices, observations, best.frequency, best_residual, work)
         if refined is not None:
-            frequency, (offset, amplitude, phase, residual) = refined
+            frequency, (offset, amplitude, phase, _) = refined
             best = SinusoidForm(amplitude, frequency, phase, offset)
-            best_residual = residual
 
     # Snap the parameters to nice values when that keeps the fit feasible.
     snapped = SinusoidForm(
