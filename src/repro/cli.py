@@ -101,33 +101,6 @@ def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
         raise SystemExit(f"szalinski: {exc}")
 
 
-#: The global option of each SynthesisConfig field.
-_KNOB_OPTIONS = {
-    "epsilon": "--epsilon",
-    "top_k": "--top-k",
-    "cost_function": "--cost",
-    "rewrite_iterations": "--rewrite-iterations",
-    "max_enodes": "--max-enodes",
-    "max_seconds": "--max-seconds",
-    "rule_categories": "--rules",
-}
-
-
-def _check_no_knobs(args: argparse.Namespace) -> None:
-    """Reject synthesis knobs on ``serve``: each daemon job carries its config."""
-    config, defaults = _config_from_args(args), SynthesisConfig()
-    changed = [
-        option
-        for name, option in _KNOB_OPTIONS.items()
-        if getattr(config, name) != getattr(defaults, name)
-    ]
-    if changed:
-        raise SystemExit(
-            f"{args.command}: the daemon has no synthesis config of its own "
-            f"({', '.join(changed)} given); pass the knobs to submit, whose jobs carry them"
-        )
-
-
 def _check_jobs(args: argparse.Namespace) -> None:
     """Reject a negative ``--jobs`` with a one-line error."""
     if args.jobs < 0:
@@ -367,7 +340,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.jobs < 1:
         raise SystemExit("serve: --jobs must be >= 1 (the daemon always uses workers)")
-    _check_no_knobs(args)
+    if _config_from_args(args) != SynthesisConfig():
+        raise SystemExit(
+            "serve: the daemon takes no synthesis knobs; pass them to submit, whose jobs carry them"
+        )
     cache = _build_cache(args)
     try:
         daemon = SynthesisDaemon(

@@ -254,11 +254,7 @@ def synthesize(
         egraph = EGraph()
         root = egraph.add_term(csg)
 
-        rule_set = (
-            CompiledRuleSet(rules)
-            if rules is not None
-            else _default_rule_set(tuple(config.rule_categories))
-        )
+        rule_set = rules if rules is not None else _default_rule_set(tuple(config.rule_categories))
         limits = RunnerLimits(
             max_iterations=config.rewrite_iterations,
             max_enodes=config.max_enodes,
@@ -266,14 +262,14 @@ def synthesize(
         )
         # The rule patterns are compiled into one discrimination trie: per
         # call for an explicit ``rules``, once per process for the default
-        # sets.  The incremental cost analysis rides along
-        # during saturation (the runner registers it): every single-best
-        # query the determinizer makes inside the arithmetic components
-        # then reads ready-made (best cost, witness) pairs, and the top-k
-        # extractor prices rank 0 from them.
+        # sets.  The incremental cost analysis rides along during saturation
+        # (the runner registers it): every single-best query the
+        # determinizer makes inside the arithmetic components then reads
+        # ready-made (best cost, witness) pairs, and the top-k extractor
+        # prices rank 0 from them.
         runner = Runner(rule_set, limits, analyses=[CostAnalysis(ast_size_cost)], tracer=tracer)
         if setup_span is not None:
-            setup_span.update({"rules": len(rule_set.rules), "enodes": egraph.total_enodes})
+            setup_span.update({"rules": len(runner.rules), "enodes": egraph.total_enodes})
 
     with tracer.span("saturate") as sat_span:
         run_report = runner.run(egraph)

@@ -336,7 +336,7 @@ class TestArgumentErrors:
             (["serve", "--socket", "{tmp}/d.sock", "--max-pending", "0"], "serve: max_pending"),
             (
                 ["--top-k", "1", "serve", "--socket", "{tmp}/d.sock", "--jobs", "1"],
-                "serve: the daemon has no synthesis config of its own (--top-k given)",
+                "serve: the daemon takes no synthesis knobs",
             ),
             (["synth", "{tmp}/missing.csg"], "synth: cannot read"),
             (["batch", "--bench", "sander", "--timeout", "-1"], "batch: timeout must be"),

@@ -168,6 +168,32 @@ class TestDeterminizer:
         assert ("Scale",) in [variant.signature for variant in after]
 
 
+class TestRuleSetCompilation:
+    def test_default_rules_compile_once_per_process_and_rules_per_call(self, monkeypatch):
+        import repro.core.pipeline as pipeline
+        from repro.core.config import SynthesisConfig
+        from repro.core.pipeline import synthesize
+
+        compiled = []
+
+        def spy(rules, *args, **kwargs):
+            runner = Runner(rules, *args, **kwargs)
+            compiled.append(runner.compiled)
+            return runner
+
+        monkeypatch.setattr(pipeline, "Runner", spy)
+        model = union_all([translate(2.0 * (i + 1), 0, 0, unit()) for i in range(4)])
+        first, second = synthesize(model), synthesize(model)
+        explicit = synthesize(model, rules=default_rules(SynthesisConfig().rule_categories))
+        assert compiled[0] is compiled[1]
+        assert compiled[2] is not compiled[0]
+        assert compiled[2].rule_names == compiled[0].rule_names
+        for result in (second, explicit):
+            assert [(c.cost, c.term) for c in result.candidates] == [
+                (c.cost, c.term) for c in first.candidates
+            ]
+
+
 class TestListManipulation:
     def test_sort_elements_lexicographic(self):
         elements = [

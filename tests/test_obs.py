@@ -368,6 +368,37 @@ class TestPipelineTracing:
         assert records == determinize["attrs"]["inference_records"]
         assert records == len(result.inference_records) > 0
 
+    def test_inference_spans_count_the_solvers_arithmetic(self, monkeypatch):
+        """The solver work counters agree with counts taken at the calls."""
+        import numpy as np
+
+        import repro.solvers.closed_form as closed_form
+        from repro.benchsuite.suite import get_benchmark
+
+        calls = {"lstsq": 0, "sinusoid": 0}
+        lstsq, fit_sinusoid = np.linalg.lstsq, closed_form.fit_sinusoid
+
+        def counted_lstsq(*args, **kwargs):
+            calls["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        def counted_fit_sinusoid(values, *args, **kwargs):
+            calls["sinusoid"] += len(values) >= 4
+            return fit_sinusoid(values, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        monkeypatch.setattr(closed_form, "fit_sinusoid", counted_fit_sinusoid)
+        tracer = Tracer()
+        synthesize(get_benchmark("cnc-end-mill").build(), SynthesisConfig(), tracer=tracer)
+        passes = [s for s in tracer.export() if s["name"] in ("function_inference", "loop_inference")]
+
+        def total(key):
+            return sum(span["attrs"][key] for span in passes)
+
+        assert total("solver_lstsq_solves") == calls["lstsq"] > 0
+        assert total("solver_sinusoid_fits") == calls["sinusoid"] > 0
+        assert 0 < total("solver_constant_shortcuts") <= total("solver_columns")
+
     def test_extract_span_counts_streams_pops_and_scc_classes(self):
         from repro.benchsuite.suite import get_benchmark
 
