@@ -35,12 +35,22 @@ from repro.solvers.forms import (
 
 
 def rationalize(value: float, max_denominator: int = 720) -> Fraction:
-    """The closest fraction to ``value`` with a bounded denominator."""
+    """The closest fraction to ``value`` with a bounded denominator.
+
+    ``720`` covers every denominator that appears in CAD closed forms built
+    from degree steps (360/n for n up to 720 teeth/cells) while still
+    rejecting arbitrary noise.
+    """
     return Fraction(value).limit_denominator(max_denominator)
 
 
 def nice_round(value: float, tolerance: float = 1e-6, max_denominator: int = 720) -> float:
-    """Snap ``value`` to a nearby nice rational when it is within ``tolerance``."""
+    """Snap ``value`` to a nearby nice rational when it is within ``tolerance``.
+
+    Returns the snapped value as a float (int-valued floats collapse to the
+    integer float, e.g. ``2.0000001`` becomes ``2.0``).  When no nice rational
+    is close enough, the original value is returned unchanged.
+    """
     if value % 1 == 0:
         # An integer is its own nearest fraction, so skip the search; adding
         # 0.0 turns -0.0 into 0.0, as the float of Fraction(-0.0) does.
@@ -205,7 +215,13 @@ def fit_sinusoid(
     *,
     extra_frequencies: Iterable[float] = (),
 ) -> Optional[SinusoidForm]:
-    """Fit ``offset + a*sin(b*i + c)`` within ``epsilon`` (degrees)."""
+    """Fit ``offset + a*sin(b*i + c)`` within ``epsilon`` (degrees).
+
+    Returns ``None`` when no candidate frequency produces a fit within the
+    tolerance, or when the data is too short to constrain the model (fewer
+    than 4 points: any 3 points lie on some sinusoid, which would make the
+    solver claim spurious structure).
+    """
     values = list(values)
     if len(values) < 4:
         return None
@@ -301,11 +317,19 @@ def solve_component(
     *,
     is_rotation: bool = False,
 ) -> Optional[ComponentSolution]:
-    """Find the best closed form for one vector component."""
+    """Find the best closed form for one vector component.
+
+    Every fit must hold within ``epsilon`` on every value (the paper's
+    tolerance, 0.001 by default).
+    """
     values = [float(v) for v in values]
     if not values:
         return None
 
+    # The paper tries the polynomial families first and only falls back to
+    # the trigonometric solver when no polynomial fits (Section 4.1).  This
+    # ordering also keeps noisy-but-constant data from being "explained" by a
+    # sinusoid that interpolates the noise.
     candidates: List[ClosedForm] = []
 
     constant = fit_constant(values, epsilon)
@@ -335,6 +359,9 @@ def solve_component(
         return None
 
     def rank(form: ClosedForm) -> Tuple[float, int, int]:
+        # Maximize R^2 (so sort on its negation), then — for rotation
+        # components — prefer the periodic 360/n shape (the paper's rotation
+        # heuristic), then prefer simpler terms.
         rotation_preference = 0 if (is_rotation and isinstance(form, RotationForm)) else 1
         return (-round(form.r_squared(values), 9), rotation_preference, form.complexity())
 
