@@ -2,9 +2,9 @@
 
 Each benchmark module regenerates one table or figure of the paper's
 evaluation (Section 6), or measures one layer; the end-to-end numbers come
-from ``perfbench/run.py``.  ``pytest-benchmark`` provides the timing
-machinery; the assertions in each benchmark check the *shape* of the paper's
-result (who wins, what structure is recovered), not absolute numbers.
+from ``perfbench/run.py``.  Each synthesis runs once, and the assertions in
+each benchmark check the *shape* of the paper's result (who wins, what
+structure is recovered), not absolute numbers.
 
 Wall-clock ratios are not shapes: on a shared or loaded host they wobble.
 The timing benchmarks (``test_saturation_perf.py``, ``test_batch_service.py``,

@@ -65,7 +65,7 @@ class TestGearScaling:
         assert result.loop_summary() == f"n1,{teeth}"
         assert measure(result.output_term()).nodes < 80
 
-    def test_benchmark_gear_24(self, benchmark):
+    def test_benchmark_gear_24(self):
         flat = gear_model(teeth=24)
-        result = benchmark(lambda: synthesize(flat, SynthesisConfig()))
+        result = synthesize(flat, SynthesisConfig())
         assert result.exposes_structure()

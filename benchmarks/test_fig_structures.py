@@ -32,9 +32,9 @@ _REWARD = SynthesisConfig(cost_function="reward-loops")
 
 
 class TestFig10NestedAffine:
-    def test_triple_nesting_recovered(self, benchmark):
+    def test_triple_nesting_recovered(self):
         flat = fig10_nested_affine(3)
-        result = benchmark(lambda: synthesize(flat, _REWARD))
+        result = synthesize(flat, _REWARD)
         best = result.best_structured().term
         ops = {t.op for t in best.subterms()}
         assert "Mapi" in ops and {"Translate", "Rotate", "Scale"} <= ops
@@ -48,9 +48,9 @@ class TestFig13Fig14Grid:
         assert m_factorizations(4, 2) == [(2, 2)]
         assert m_index_set((2, 2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
-    def test_grid_nested_loop(self, benchmark):
+    def test_grid_nested_loop(self):
         flat = fig14_grid(2, 2)
-        result = benchmark(lambda: synthesize(flat, _REWARD))
+        result = synthesize(flat, _REWARD)
         assert result.loop_summary() == "n2,2,2"
         assert validate_synthesis(flat, result.output_term()).valid
 
@@ -60,9 +60,9 @@ class TestFig13Fig14Grid:
 
 
 class TestFig16NoisyInput:
-    def test_noise_absorbed_and_output_smaller(self, benchmark):
+    def test_noise_absorbed_and_output_smaller(self):
         flat = fig16_noisy_hexagons()
-        result = benchmark(lambda: synthesize(flat, SynthesisConfig()))
+        result = synthesize(flat, SynthesisConfig())
         # Paper: 55-node input -> 46-node output with a loop, in 0.48 s.
         assert result.output_metrics().nodes <= result.input_metrics().nodes
         assert any(r.kind in ("mapi", "mapi-partial") for r in result.inference_records)
@@ -76,9 +76,9 @@ class TestFig16NoisyInput:
 
 
 class TestFig17Dice:
-    def test_two_by_three_loop(self, benchmark):
+    def test_two_by_three_loop(self):
         flat = fig17_dice_six()
-        result = benchmark(lambda: synthesize(flat, _REWARD))
+        result = synthesize(flat, _REWARD)
         assert sorted(int(b) for b in result.loop_summary().split(",")[1:]) == [2, 3]
         assert validate_synthesis(flat, result.output_term()).valid
 
@@ -89,9 +89,9 @@ class TestFig17Dice:
 
 
 class TestFig18Fig19Diversity:
-    def test_loop_description(self, benchmark):
+    def test_loop_description(self):
         flat = fig18_hexcell_plate()
-        result = benchmark(lambda: synthesize(flat, _REWARD))
+        result = synthesize(flat, _REWARD)
         assert result.loop_summary() == "n2,2,2"
 
     def test_trigonometric_description_for_hc_bits(self):

@@ -28,13 +28,13 @@ class TestSameLoopsAsHumans:
         summary = result.loop_summary()
         assert summary == f"n1,{bounds[0]}"
 
-    def test_synthesized_program_equals_human_geometry(self, benchmark):
+    def test_synthesized_program_equals_human_geometry(self):
         # Both the synthesized program and the human-written one must unroll
         # to the same flat trace (the synthesized one may place the affine
         # transformations in a different but equivalent order, so the
         # comparison goes through the shared flat input and geometry).
         reference = human_reference("gear")
-        result = benchmark(lambda: synthesize(reference.flat, SynthesisConfig()))
+        result = synthesize(reference.flat, SynthesisConfig())
         assert validate_synthesis(reference.flat, result.output_term()).valid
         assert validate_synthesis(reference.flat, reference.structured).valid
 

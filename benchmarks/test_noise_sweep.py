@@ -33,9 +33,9 @@ class TestNoiseWithinTolerance:
         assert result.loop_summary() == "n1,8"
         assert validate_synthesis(flat, result.output_term(), epsilon=2e-3).valid
 
-    def test_noisy_gear(self, benchmark):
+    def test_noisy_gear(self):
         flat = add_decompiler_noise(gear_model(teeth=24), magnitude=4e-4, seed=3)
-        result = benchmark(lambda: synthesize(flat, SynthesisConfig(epsilon=1e-3)))
+        result = synthesize(flat, SynthesisConfig(epsilon=1e-3))
         assert result.exposes_structure()
         assert result.loop_summary() == "n1,24"
 

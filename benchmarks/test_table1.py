@@ -37,10 +37,10 @@ def table1_rows():
 
 
 class TestTable1Aggregates:
-    def test_average_size_reduction_matches_paper_shape(self, table1_rows, benchmark):
+    def test_average_size_reduction_matches_paper_shape(self, table1_rows):
         # Paper: 64% average reduction.  The suite is a re-creation, so we
         # check the shape: a large average reduction, well above 40%.
-        reduction = benchmark(average_size_reduction, table1_rows)
+        reduction = average_size_reduction(table1_rows)
         assert reduction >= 0.40
 
     def test_structure_exposed_for_most_models(self, table1_rows):
@@ -104,11 +104,10 @@ class TestIndividualRows:
 
 
 class TestSingleModelTiming:
-    """Per-model timing rows (pytest-benchmark) for a representative subset."""
+    """Per-model rows for a representative subset."""
 
     @pytest.mark.parametrize("name", ["card-org", "relay-box", "hc-bits"])
-    def test_benchmark_single_model(self, benchmark, name):
+    def test_benchmark_single_model(self, name):
         bench_model = get_benchmark(name)
-        flat = bench_model.build()
-        row = benchmark(lambda: run_benchmark(bench_model))
+        row = run_benchmark(bench_model)
         assert row.exposes_structure == bench_model.expects_structure

@@ -18,7 +18,6 @@ from repro.cad.ops import (
     HIGHER_ORDER_OPS,
     TRIG_OPS,
     LAMBDA_CAD_OPS,
-    is_lambda_cad_only,
 )
 from repro.cad.build import (
     nil,
@@ -50,7 +49,6 @@ __all__ = [
     "HIGHER_ORDER_OPS",
     "TRIG_OPS",
     "LAMBDA_CAD_OPS",
-    "is_lambda_cad_only",
     "nil",
     "cons",
     "cons_list",

@@ -34,16 +34,6 @@ LAMBDA_CAD_OPS: Tuple[str, ...] = (
 )
 
 
-def is_lambda_cad_only(term: Term) -> bool:
-    """True when the term's head operator is part of the functional extension.
-
-    A term whose head is CSG-only can still *contain* LambdaCAD features in
-    its children; use :func:`repro.csg.validate.is_flat_csg` to check whole
-    programs.
-    """
-    return term.op in LAMBDA_CAD_ONLY_OPS
-
-
 def uses_loops(term: Term) -> bool:
     """True when the program exposes parameterized repetitive structure.
 

@@ -102,7 +102,6 @@ class _RuleStats:
 
     times_banned: int = 0
     banned_until: int = 0  # first iteration index at which the rule may fire again
-    total_matches: int = 0
 
 
 class BackoffScheduler:
@@ -137,7 +136,6 @@ class BackoffScheduler:
         for the rule — the threshold and the ban both double on each offence.
         """
         stats = self._stats_for(name)
-        stats.total_matches += match_count
         threshold = self.config.match_limit << stats.times_banned
         if match_count > threshold:
             ban = self.config.ban_length << stats.times_banned
@@ -145,9 +143,6 @@ class BackoffScheduler:
             stats.banned_until = iteration + 1 + ban
             return False
         return True
-
-    def total_matches(self, name: str) -> int:
-        return self._stats_for(name).total_matches
 
 
 @dataclass

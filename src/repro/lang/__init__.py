@@ -23,7 +23,6 @@ from repro.lang.normal import (
     COMMUTATIVE_OPS,
     DEFAULT_PASSES,
     NormalizationPass,
-    canonical_number,
     canonical_number_value,
     normalize,
     signature_sort_key,
@@ -52,7 +51,6 @@ __all__ = [
     "COMMUTATIVE_OPS",
     "DEFAULT_PASSES",
     "NormalizationPass",
-    "canonical_number",
     "canonical_number_value",
     "normalize",
     "signature_sort_key",

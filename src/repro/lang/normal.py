@@ -100,11 +100,6 @@ def canonical_number_value(value: Union[int, float]) -> Union[int, float]:
     return value
 
 
-def canonical_number(value: Union[int, float]) -> Term:
-    """A numeric literal term in canonical spelling."""
-    return Term(canonical_number_value(value))
-
-
 def _grid(value: float) -> Union[int, float]:
     """Round to the dynamic rules' 9-decimal grid, canonically spelled."""
     return canonical_number_value(round(value, 9))

@@ -117,7 +117,6 @@ class SynthesisDaemon:
         cache: Optional[ResultCache] = None,
         max_pending: int = 256,
         default_timeout: Optional[float] = None,
-        start_method: Optional[str] = None,
         trace_jobs: bool = True,
         trace_path=None,
     ):
@@ -129,7 +128,6 @@ class SynthesisDaemon:
         self.socket_path = str(socket_path)
         self.max_pending = max_pending
         self.default_timeout = default_timeout
-        self._start_method = start_method
         #: Run every executed job with per-phase span tracing so the stats
         #: frame can serve per-phase percentiles.  The trace flag is not part
         #: of the cache identity and the spans stay out of wire frames, so
@@ -191,7 +189,7 @@ class SynthesisDaemon:
             raise RuntimeError("daemon already started")
         # The fleet forks before the listener exists so the initial workers
         # do not inherit (and keep alive) the daemon's socket descriptors.
-        self.service.start(start_method=self._start_method)
+        self.service.start()
         path = Path(self.socket_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.exists():

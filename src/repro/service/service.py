@@ -174,9 +174,9 @@ class SynthesisService:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def start(self, start_method: Optional[str] = None) -> "SynthesisService":
+    def start(self) -> "SynthesisService":
         """Start ``worker_count`` workers now, so each miss runs as it is submitted."""
-        self._pool = ResidentPool(self.worker_count, start_method=start_method).start()
+        self._pool = ResidentPool(self.worker_count).start()
         return self
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:

@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as connection_wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.service.job import JobEvent, JobResult, JobStatus, SynthesisJob
 from repro.service.queue import JobQueue
@@ -129,16 +129,14 @@ def _persistent_worker_loop(conn) -> None:
     conn.close()
 
 
-def _pick_context(start_method: Optional[str]) -> Tuple[object, str]:
+def _pick_context():
     """The multiprocessing context for worker processes.
 
     Fork (where available) keeps per-job startup cheap: the child inherits
     the already-imported pipeline instead of re-importing.
     """
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
-    return multiprocessing.get_context(start_method), start_method
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else methods[0])
 
 
 def _spawn_worker(context) -> "_PersistentWorker":
@@ -283,11 +281,11 @@ class ResidentPool:
     #: it is reported FAILED instead of retried on a fresh worker.
     _MAX_ASSIGN_ATTEMPTS = 3
 
-    def __init__(self, worker_count: int, start_method: Optional[str] = None):
+    def __init__(self, worker_count: int):
         if worker_count < 1:
             raise ValueError("worker_count must be >= 1 (use run_jobs_inline for 0)")
         self.worker_count = worker_count
-        self._context, self.start_method = _pick_context(start_method)
+        self._context = _pick_context()
         #: Lifetime counters (read via :meth:`snapshot`): processes started,
         #: mid-job deaths, deadline kills, replacements after either.
         self.workers_spawned = 0

@@ -10,11 +10,15 @@ a determinized list, these solvers search for a closed form of the index
 
 All fits must hold within an explicit tolerance ``epsilon`` (default 0.001),
 because real inputs carry floating-point noise from mesh decompilation.  The
-paper uses Z3 for the polynomial forms; offline we solve the identical
-feasibility question with exact linear algebra plus coefficient
-rationalization (see ``DESIGN.md``, "Substitutions").  The trigonometric
-solver follows the paper: non-linear least squares with an SVD-based
-Gauss–Newton refinement, judged by the coefficient of determination R².
+paper asks Z3 for a model of each polynomial form's epsilon-bounded linear
+system.  This reproduction runs without Z3 and answers the same feasibility
+question on one path (:func:`repro.solvers.polynomial.fit_design`): a
+least-squares solve, coefficients snapped to nice rationals (Z3's models are
+exact rationals), and an explicit check of every residual.  The nested-loop
+forms of :mod:`repro.solvers.multilinear` take the same path.  The
+trigonometric solver follows the paper: least squares at a scanned and
+refined frequency, held to the same epsilon.  R² only ranks two or more
+feasible forms of one component.
 """
 
 from repro.solvers.forms import (

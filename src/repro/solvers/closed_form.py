@@ -2,11 +2,13 @@
 
 ``solve_component`` tries, in order, the constant, degree-1, degree-2, and
 trigonometric families, keeps every feasible fit (max residual within
-epsilon), and returns the one with the best coefficient of determination —
-ties broken by the *simplest* rendered expression, so a constant beats an
-equivalent degree-2 fit.  :class:`FunctionSolver` solves the three
-components of a list of 3-vectors independently, which is exactly how the
-paper's function inference decomposes the problem (Section 4.1).
+epsilon), and returns the form itself.  When two or more forms are
+feasible, the one with the best coefficient of determination wins — ties
+broken by the *simplest* rendered expression, so a constant beats an
+equivalent degree-2 fit; R² serves only this ranking and is not returned.
+:class:`FunctionSolver` solves the three components of a list of 3-vectors
+independently, which is exactly how the paper's function inference
+decomposes the problem (Section 4.1).
 
 It does only the arithmetic its answer needs.  A column whose every value
 equals the fitted constant is answered by the constant alone (R² 1.0 and a
@@ -36,23 +38,10 @@ from repro.solvers.forms import (
     ConstantForm,
     LinearForm,
     RotationForm,
-    SinusoidForm,
 )
 from repro.solvers.polynomial import fit_constant, fit_linear, fit_quadratic
 from repro.solvers.rational import as_int_if_close
 from repro.solvers.trig import fit_sinusoid
-
-
-@dataclass
-class ComponentSolution:
-    """A feasible closed form together with its goodness of fit."""
-
-    form: ClosedForm
-    r_squared: float
-
-    @property
-    def kind(self) -> str:
-        return self.form.kind
 
 
 def _rotation_normalize(
@@ -91,7 +80,7 @@ def solve_component(
     *,
     is_rotation: bool = False,
     work: Optional[Counter] = None,
-) -> Optional[ComponentSolution]:
+) -> Optional[ClosedForm]:
     """Find the best closed form for one vector component.
 
     Every fit must hold within ``epsilon`` on every value (the paper's
@@ -112,7 +101,7 @@ def solve_component(
         # equally good RotationForm would rank above it, so those take the
         # full path.)
         work["constant_shortcuts"] += 1
-        return ComponentSolution(form=constant, r_squared=1.0)
+        return constant
 
     # The paper tries the polynomial families first and only falls back to
     # the trigonometric solver when no polynomial fits (Section 4.1).  This
@@ -142,21 +131,17 @@ def solve_component(
     if not feasible:
         return None
     if len(feasible) == 1:
-        (best,) = feasible
-        return ComponentSolution(form=best, r_squared=best.r_squared(values))
+        return feasible[0]
 
-    r_squared = [form.r_squared(values) for form in feasible]
-
-    def rank(index: int) -> Tuple[float, int, int]:
+    def rank(form: ClosedForm) -> Tuple[float, int, int]:
         # Maximize R^2 (so sort on its negation), then — for rotation
         # components — prefer the periodic 360/n shape (the paper's rotation
-        # heuristic), then prefer simpler terms.
-        form = feasible[index]
+        # heuristic), then prefer simpler terms.  ``min`` computes each
+        # form's key once.
         rotation_preference = 0 if (is_rotation and isinstance(form, RotationForm)) else 1
-        return (-round(r_squared[index], 9), rotation_preference, form.complexity())
+        return (-round(form.r_squared(values), 9), rotation_preference, form.complexity())
 
-    best = min(range(len(feasible)), key=rank)
-    return ComponentSolution(form=feasible[best], r_squared=r_squared[best])
+    return min(feasible, key=rank)
 
 
 @dataclass
@@ -166,7 +151,6 @@ class VectorFunction:
     x: ClosedForm
     y: ClosedForm
     z: ClosedForm
-    r_squared: float = 1.0
     _rendered: Dict[Term, Tuple[Term, Term, Term]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -206,9 +190,6 @@ class VectorFunction:
         """True when all three components are constants."""
         return all(isinstance(f, ConstantForm) for f in (self.x, self.y, self.z))
 
-    def describe(self) -> str:
-        return f"({self.x.describe()}, {self.y.describe()}, {self.z.describe()})"
-
 
 class FunctionSolver:
     """Facade over the component solvers, operating on lists of 3-vectors.
@@ -229,7 +210,7 @@ class FunctionSolver:
     def __init__(self, epsilon: float = 1e-3):
         self.epsilon = epsilon
         self._memo: Dict[Tuple[Tuple[Tuple[float, ...], ...], bool], Optional[VectorFunction]] = {}
-        self._columns: Dict[Tuple[Tuple[float, ...], bool], Optional[ComponentSolution]] = {}
+        self._columns: Dict[Tuple[Tuple[float, ...], bool], Optional[ClosedForm]] = {}
         #: Requests and memo hits, reported by the inference spans.
         self.calls = 0
         self.memo_hits = 0
@@ -261,28 +242,22 @@ class FunctionSolver:
         columns = list(zip(*vectors))
         if len(columns) != 3:
             raise ValueError("expected 3-component vectors")
-        solutions = []
+        forms = []
         for column in columns:
-            solution = self._solve_column(column, is_rotation)
-            if solution is None:
+            form = self._solve_column(column, is_rotation)
+            if form is None:
                 return None
-            solutions.append(solution)
-        overall_r2 = min(s.r_squared for s in solutions)
-        return VectorFunction(
-            x=solutions[0].form,
-            y=solutions[1].form,
-            z=solutions[2].form,
-            r_squared=overall_r2,
-        )
+            forms.append(form)
+        return VectorFunction(*forms)
 
     def _solve_column(
         self, column: Tuple[float, ...], is_rotation: bool
-    ) -> Optional[ComponentSolution]:
+    ) -> Optional[ClosedForm]:
         self.column_calls += 1
         key = (column, is_rotation)
         if key in self._columns:
             self.column_memo_hits += 1
             return self._columns[key]
-        solution = solve_component(column, self.epsilon, is_rotation=is_rotation, work=self.work)
-        self._columns[key] = solution
-        return solution
+        form = solve_component(column, self.epsilon, is_rotation=is_rotation, work=self.work)
+        self._columns[key] = form
+        return form

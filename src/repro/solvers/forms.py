@@ -1,23 +1,23 @@
 """Closed-form function classes.
 
 A :class:`ClosedForm` is an inferred function of the list index ``i``.  It
-can predict values (for residual / R² checks), render itself as a LambdaCAD
-arithmetic term (for the synthesized program), and describe itself with the
-Table 1 label of its class (``d1``, ``d2``, or ``theta``).
+predicts values (for the epsilon check, and R² when two forms compete),
+renders itself as a LambdaCAD arithmetic term (for the synthesized program),
+and carries the Table 1 label of its class (``d1``, ``d2``, or ``theta``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.cad.build import add, div, mul, sin, sub
 from repro.lang.term import Term
 from repro.solvers.rational import as_int_if_close, nice_round
 
 
-def _coefficient_term(value: float) -> Term:
+def coefficient_term(value: float) -> Term:
     """A numeric literal term, preferring exact ints for integral values."""
     as_int = as_int_if_close(value, tolerance=1e-9)
     if as_int is not None:
@@ -30,20 +30,20 @@ def _simplified_linear_term(a: float, b: float, index: Term) -> Term:
     a = nice_round(a)
     b = nice_round(b)
     if a == 0.0:
-        return _coefficient_term(b)
+        return coefficient_term(b)
     # Prefer the a*(i+1) form when b == a: this is how the paper prints
     # formulas like 2 * (i + 1).
     if b == a:
         shifted = add(index, Term.num(1))
         if a == 1.0:
             return shifted
-        return mul(_coefficient_term(a), shifted)
-    scaled = index if a == 1.0 else mul(_coefficient_term(a), index)
+        return mul(coefficient_term(a), shifted)
+    scaled = index if a == 1.0 else mul(coefficient_term(a), index)
     if b == 0.0:
         return scaled
     if b < 0.0:
-        return sub(scaled, _coefficient_term(-b))
-    return add(scaled, _coefficient_term(b))
+        return sub(scaled, coefficient_term(-b))
+    return add(scaled, coefficient_term(b))
 
 
 class ClosedForm:
@@ -54,9 +54,6 @@ class ClosedForm:
 
     def predict(self, index: int) -> float:
         raise NotImplementedError
-
-    def predictions(self, count: int) -> List[float]:
-        return [self.predict(i) for i in range(count)]
 
     def max_residual(self, values: Sequence[float]) -> float:
         """Largest absolute error against the observed values."""
@@ -88,12 +85,6 @@ class ClosedForm:
         """Node count of the rendered term (used to break ties)."""
         return self.to_term(Term("i")).size()
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self.describe()
-
 
 @dataclass
 class ConstantForm(ClosedForm):
@@ -106,10 +97,7 @@ class ConstantForm(ClosedForm):
         return self.value
 
     def to_term(self, index: Term) -> Term:
-        return _coefficient_term(nice_round(self.value))
-
-    def describe(self) -> str:
-        return f"{nice_round(self.value):g}"
+        return coefficient_term(nice_round(self.value))
 
 
 @dataclass
@@ -125,9 +113,6 @@ class LinearForm(ClosedForm):
 
     def to_term(self, index: Term) -> Term:
         return _simplified_linear_term(self.a, self.b, index)
-
-    def describe(self) -> str:
-        return f"{nice_round(self.a):g}*i + {nice_round(self.b):g}"
 
 
 @dataclass
@@ -152,14 +137,7 @@ class RotationForm(ClosedForm):
         core = div(mul(Term.num(360), shifted), Term.num(self.count))
         if self.offset == 0.0:
             return core
-        return add(core, _coefficient_term(nice_round(self.offset)))
-
-    def describe(self) -> str:
-        inner = "i" if self.shift == 0 else f"(i + {self.shift})"
-        text = f"360*{inner}/{self.count}"
-        if self.offset:
-            text += f" + {nice_round(self.offset):g}"
-        return text
+        return add(core, coefficient_term(nice_round(self.offset)))
 
 
 @dataclass
@@ -176,7 +154,7 @@ class QuadraticForm(ClosedForm):
 
     def to_term(self, index: Term) -> Term:
         a = nice_round(self.a)
-        quadratic_part = mul(_coefficient_term(a), mul(index, index))
+        quadratic_part = mul(coefficient_term(a), mul(index, index))
         if a == 1.0:
             quadratic_part = mul(index, index)
         linear_part = _simplified_linear_term(self.b, self.c, index)
@@ -185,12 +163,6 @@ class QuadraticForm(ClosedForm):
         if nice_round(self.b) == 0.0 and nice_round(self.c) == 0.0:
             return quadratic_part
         return add(quadratic_part, linear_part)
-
-    def describe(self) -> str:
-        return (
-            f"{nice_round(self.a):g}*i^2 + {nice_round(self.b):g}*i + "
-            f"{nice_round(self.c):g}"
-        )
 
 
 @dataclass
@@ -215,13 +187,7 @@ class SinusoidForm(ClosedForm):
         angle = _simplified_linear_term(frequency, phase, index)
         wave = sin(angle)
         if amplitude != 1.0:
-            wave = mul(_coefficient_term(amplitude), wave)
+            wave = mul(coefficient_term(amplitude), wave)
         if offset == 0.0:
             return wave
-        return add(_coefficient_term(offset), wave)
-
-    def describe(self) -> str:
-        return (
-            f"{nice_round(self.offset):g} + {nice_round(self.amplitude):g}*"
-            f"sin({nice_round(self.frequency):g}*i + {nice_round(self.phase):g})"
-        )
+        return add(coefficient_term(offset), wave)

@@ -7,24 +7,25 @@ indices.  The forms that arise in CAD grids are affine in each index —
 
     value = a_1*i_1 + a_2*i_2 + ... + a_m*i_m + b
 
-by least squares, snaps the coefficients to nice rationals, and accepts the
-fit only when every residual is within the epsilon tolerance, exactly like
-the single-index polynomial solvers.
+through the shared least-squares path of the single-index polynomial
+solvers (:func:`repro.solvers.polynomial.fit_design`): least squares, snap
+the coefficients to nice rationals, and accept the fit only when every
+residual is within the epsilon tolerance.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cad.build import add, mul, sub
 from repro.lang.term import Term
-from repro.solvers.rational import as_int_if_close, nice_round
-
-_SNAP_TOLERANCE = 5e-3
+from repro.solvers.forms import coefficient_term
+from repro.solvers.polynomial import fit_design
+from repro.solvers.rational import nice_round
 
 
 @dataclass
@@ -68,30 +69,16 @@ class MultilinearForm:
             coefficient = nice_round(coefficient)
             if coefficient == 0.0:
                 continue
-            piece = index if coefficient == 1.0 else mul(_number(coefficient), index)
+            piece = index if coefficient == 1.0 else mul(coefficient_term(coefficient), index)
             term = piece if term is None else add(term, piece)
         intercept = nice_round(self.intercept)
         if term is None:
-            return _number(intercept)
+            return coefficient_term(intercept)
         if intercept == 0.0:
             return term
         if intercept < 0.0:
-            return sub(term, _number(-intercept))
-        return add(term, _number(intercept))
-
-    def describe(self) -> str:
-        pieces = [
-            f"{nice_round(a):g}*i{k}" for k, a in enumerate(self.coefficients)
-        ]
-        pieces.append(f"{nice_round(self.intercept):g}")
-        return " + ".join(pieces)
-
-
-def _number(value: float) -> Term:
-    as_int = as_int_if_close(value, tolerance=1e-9)
-    if as_int is not None:
-        return Term.num(as_int)
-    return Term.num(value)
+            return sub(term, coefficient_term(-intercept))
+        return add(term, coefficient_term(intercept))
 
 
 def fit_multilinear(
@@ -113,21 +100,10 @@ def fit_multilinear(
         [np.asarray([t[k] for t in index_tuples], dtype=float) for k in range(arity)]
         + [np.ones(len(index_tuples))]
     )
-    observations = np.asarray(values, dtype=float)
-    if work is not None:
-        work["lstsq_solves"] += 1
-    solution, *_ = np.linalg.lstsq(design, observations, rcond=None)
-    coefficients = tuple(float(c) for c in solution[:-1])
-    intercept = float(solution[-1])
-
-    snap = max(_SNAP_TOLERANCE, epsilon)
-    snapped = MultilinearForm(
-        tuple(nice_round(c, tolerance=snap) for c in coefficients),
-        nice_round(intercept, tolerance=snap),
+    return fit_design(
+        design,
+        values,
+        work,
+        lambda *solution: MultilinearForm(solution[:-1], solution[-1]),
+        lambda form: form.satisfies(index_tuples, values, epsilon),
     )
-    if snapped.satisfies(index_tuples, values, epsilon):
-        return snapped
-    raw = MultilinearForm(coefficients, intercept)
-    if raw.satisfies(index_tuples, values, epsilon):
-        return raw
-    return None

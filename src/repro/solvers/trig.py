@@ -2,16 +2,17 @@
 
 Z3 does not support transcendental functions, so the paper implements a
 dedicated non-linear least-squares solver (iterative SVD refinement) for the
-sinusoidal family and judges fits by R².  We do the same with numpy:
+sinusoidal family and judges fits by R².  We fit the same family with numpy
+and hold it, like every other family, to the epsilon tolerance:
 
 * for a *fixed* frequency ``b`` the model is linear in
   ``(offset, a*cos(c), a*sin(c))`` because
   ``a*sin(b*i + c) = a*cos(c)*sin(b*i) + a*sin(c)*cos(b*i)``, so we solve
-  that linear system by SVD (``lstsq``);
+  that linear system by SVD (:func:`repro.solvers.polynomial.least_squares`);
 * the frequency itself is found by scanning the natural candidate
   frequencies of a length-``n`` design (multiples of ``360/n`` and of
   ``360/(n+1)``, plus harmonics) and then refining the best candidate with a
-  local Gauss–Newton iteration.
+  local step-halving search.
 
 The scan's candidate frequencies depend only on the list length, so their
 design matrices are built once per length and kept in a small LRU cache
@@ -29,11 +30,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.solvers.forms import SinusoidForm
+from repro.solvers.polynomial import SNAP_TOLERANCE, least_squares
 from repro.solvers.rational import nice_round
 
 #: A refinement step is taken only when it lowers the residual by this much.
@@ -51,13 +53,11 @@ def _design(indices: np.ndarray, frequency_degrees: float) -> np.ndarray:
 
 def _solve_design(design: np.ndarray, values: np.ndarray, work: Counter) -> _Fit:
     """Best (offset, amplitude, phase_degrees, residual) for one design matrix."""
-    work["lstsq_solves"] += 1
-    solution, *_ = np.linalg.lstsq(design, values, rcond=None)
+    solution = least_squares(design, values, work)
     offset, coefficient_sin, coefficient_cos = solution
     amplitude = math.hypot(coefficient_sin, coefficient_cos)
     phase = math.degrees(math.atan2(coefficient_cos, coefficient_sin)) % 360.0
-    predictions = design @ solution
-    residual = float(np.max(np.abs(predictions - values))) if len(values) else 0.0
+    residual = float(np.max(np.abs(design @ solution - values))) if len(values) else 0.0
     return float(offset), float(amplitude), phase, residual
 
 
@@ -133,7 +133,6 @@ def fit_sinusoid(
     values: Sequence[float],
     epsilon: float,
     *,
-    extra_frequencies: Iterable[float] = (),
     work: Optional[Counter] = None,
 ) -> Optional[SinusoidForm]:
     """Fit ``offset + a*sin(b*i + c)`` within ``epsilon`` (degrees).
@@ -154,9 +153,7 @@ def fit_sinusoid(
 
     best: Optional[SinusoidForm] = None
     best_residual = math.inf
-    scan = [(frequency, _design(indices, frequency)) for frequency in extra_frequencies]
-    scan.extend(_scan_designs(len(values)))
-    for frequency, design in scan:
+    for frequency, design in _scan_designs(len(values)):
         offset, amplitude, phase, residual = _solve_design(design, observations, work)
         if residual < best_residual:
             best_residual = residual
@@ -173,11 +170,12 @@ def fit_sinusoid(
             best = SinusoidForm(amplitude, frequency, phase, offset)
 
     # Snap the parameters to nice values when that keeps the fit feasible.
+    # Only the snapped phase is wrapped; the raw form is returned as fitted.
     snapped = SinusoidForm(
-        nice_round(best.amplitude, tolerance=max(5e-3, epsilon)),
-        nice_round(best.frequency, tolerance=max(5e-3, epsilon)),
-        nice_round(best.phase, tolerance=max(5e-3, epsilon)) % 360.0,
-        nice_round(best.offset, tolerance=max(5e-3, epsilon)),
+        nice_round(best.amplitude, tolerance=SNAP_TOLERANCE),
+        nice_round(best.frequency, tolerance=SNAP_TOLERANCE),
+        nice_round(best.phase, tolerance=SNAP_TOLERANCE) % 360.0,
+        nice_round(best.offset, tolerance=SNAP_TOLERANCE),
     )
     if snapped.satisfies(values, epsilon):
         return snapped

@@ -5,21 +5,26 @@
 frequency scan and refinement) and ``nice_round`` are kept here verbatim,
 so ``tests/test_solver_oracle.py`` can run both designs on generated
 columns and require the same form type, the same ``repr`` of every
-coefficient, the same R² and the same rendered term.  The forms themselves
+coefficient and the same rendered term.  The single-index forms themselves
 (:mod:`repro.solvers.forms`) are shared: only the code that fits, filters
-and ranks them is the oracle's.  Nothing under ``src/`` imports this
-module.
+and ranks them is the oracle's.  The nested-loop fit (``fit_multilinear``,
+with its ``MultilinearForm``) is kept verbatim as it was before every
+least-squares family shared one snap-and-check path; it snaps with this
+module's ``nice_round``.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cad.build import add, mul, sub
+from repro.lang.term import Term
 from repro.solvers.forms import (
     ClosedForm,
     ConstantForm,
@@ -367,3 +372,115 @@ def solve_component(
 
     best = min(feasible, key=rank)
     return ComponentSolution(form=best, r_squared=best.r_squared(values))
+
+
+# ---------------------------------------------------------------------------
+# Multilinear fit (was repro.solvers.multilinear; its _SNAP_TOLERANCE is the
+# polynomial section's, 5e-3)
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class MultilinearForm:
+    """``sum_k coefficients[k] * index_k + intercept``."""
+
+    coefficients: Tuple[float, ...]
+    intercept: float
+    kind: str = "d1"
+
+    def predict(self, indices: Sequence[int]) -> float:
+        return (
+            sum(a * i for a, i in zip(self.coefficients, indices)) + self.intercept
+        )
+
+    def max_residual(
+        self, index_tuples: Sequence[Sequence[int]], values: Sequence[float]
+    ) -> float:
+        return max(
+            (abs(self.predict(t) - v) for t, v in zip(index_tuples, values)),
+            default=0.0,
+        )
+
+    def satisfies(
+        self,
+        index_tuples: Sequence[Sequence[int]],
+        values: Sequence[float],
+        epsilon: float,
+    ) -> bool:
+        return self.max_residual(index_tuples, values) <= epsilon
+
+    def is_constant(self) -> bool:
+        return all(nice_round(a) == 0.0 for a in self.coefficients)
+
+    def to_term(self, index_vars: Sequence[Term]) -> Term:
+        """Render over the given index variable terms (one per loop level)."""
+        if len(index_vars) != len(self.coefficients):
+            raise ValueError("index variable count does not match coefficients")
+        term: Optional[Term] = None
+        for coefficient, index in zip(self.coefficients, index_vars):
+            coefficient = nice_round(coefficient)
+            if coefficient == 0.0:
+                continue
+            piece = index if coefficient == 1.0 else mul(_number(coefficient), index)
+            term = piece if term is None else add(term, piece)
+        intercept = nice_round(self.intercept)
+        if term is None:
+            return _number(intercept)
+        if intercept == 0.0:
+            return term
+        if intercept < 0.0:
+            return sub(term, _number(-intercept))
+        return add(term, _number(intercept))
+
+    def describe(self) -> str:
+        pieces = [
+            f"{nice_round(a):g}*i{k}" for k, a in enumerate(self.coefficients)
+        ]
+        pieces.append(f"{nice_round(self.intercept):g}")
+        return " + ".join(pieces)
+
+
+def _number(value: float) -> Term:
+    as_int = as_int_if_close(value, tolerance=1e-9)
+    if as_int is not None:
+        return Term.num(as_int)
+    return Term.num(value)
+
+
+def fit_multilinear(
+    index_tuples: Sequence[Sequence[int]],
+    values: Sequence[float],
+    epsilon: float,
+    work: Optional[Counter] = None,
+) -> Optional[MultilinearForm]:
+    """Fit an affine function of the loop indices within ``epsilon``.
+
+    ``work``, when given, counts the least-squares solve (``lstsq_solves``).
+    """
+    if not index_tuples or len(index_tuples) != len(values):
+        return None
+    arity = len(index_tuples[0])
+    if any(len(t) != arity for t in index_tuples):
+        raise ValueError("inconsistent index tuple arity")
+    design = np.column_stack(
+        [np.asarray([t[k] for t in index_tuples], dtype=float) for k in range(arity)]
+        + [np.ones(len(index_tuples))]
+    )
+    observations = np.asarray(values, dtype=float)
+    if work is not None:
+        work["lstsq_solves"] += 1
+    solution, *_ = np.linalg.lstsq(design, observations, rcond=None)
+    coefficients = tuple(float(c) for c in solution[:-1])
+    intercept = float(solution[-1])
+
+    snap = max(_SNAP_TOLERANCE, epsilon)
+    snapped = MultilinearForm(
+        tuple(nice_round(c, tolerance=snap) for c in coefficients),
+        nice_round(intercept, tolerance=snap),
+    )
+    if snapped.satisfies(index_tuples, values, epsilon):
+        return snapped
+    raw = MultilinearForm(coefficients, intercept)
+    if raw.satisfies(index_tuples, values, epsilon):
+        return raw
+    return None

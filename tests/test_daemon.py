@@ -384,7 +384,7 @@ class TestDaemonIsolation:
             return real(payload)
 
         monkeypatch.setattr(worker_module, "execute_payload", die_on_crasher)
-        daemon = daemon_factory(worker_count=2, start_method="fork")
+        daemon = daemon_factory(worker_count=2)
         with DaemonClient(daemon.socket_path) as client:
             results = client.submit_and_wait(
                 [
@@ -451,9 +451,7 @@ class TestDaemonIsolation:
             }
 
         monkeypatch.setattr(worker_module, "execute_payload", stall)
-        daemon = daemon_factory(
-            worker_count=1, max_pending=1, start_method="fork"
-        )
+        daemon = daemon_factory(worker_count=1, max_pending=1)
         with DaemonClient(daemon.socket_path) as client:
             accepted = client.submit(
                 [{"name": "hog", "term": _chain_text(2)}], wait=False

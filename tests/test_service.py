@@ -494,7 +494,7 @@ class TestResidentPool:
             SynthesisJob(name="crasher", term=_chain(2)),
             SynthesisJob(name="survivor", term=_chain(3)),
         ]
-        pool = ResidentPool(1, start_method="fork").start()
+        pool = ResidentPool(1).start()
         by_name = _run_on_pool(pool, jobs)
         assert by_name["crasher"].status is JobStatus.FAILED
         assert "exit code 13" in by_name["crasher"].error

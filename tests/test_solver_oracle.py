@@ -3,11 +3,14 @@
 ``tests/solver_oracle.py`` keeps ``solve_component``, the polynomial and
 trigonometric fits and ``nice_round`` as they were before the solvers
 skipped work their answer does not need: the constant shortcut, the
-feasibility re-check, the second R² and ranking a lone form, the
-``Fraction`` route of ``nice_round``, the refinement of an exact sinusoid
-scan and the per-fit scan design matrices.  Both designs run on generated
-columns and must agree on the form type, the ``repr`` of every coefficient,
-R² and the rendered term.
+feasibility re-check, ranking a lone form, the ``Fraction`` route of
+``nice_round``, the refinement of an exact sinusoid scan and the per-fit
+scan design matrices.  It also keeps ``fit_multilinear`` as it was before
+every least-squares family shared one snap-and-check path.  Both designs
+run on generated columns (and, for ``fit_multilinear``, on the nested-loop
+index grids) and must agree on the form type, the ``repr`` of every
+coefficient and the rendered term.  R² is not part of the answer: it only
+ranks two or more feasible forms.
 
 Each shortcut has a family here that tells its mutant apart from the
 oracle (checked on scratch copies of the solvers):
@@ -15,7 +18,6 @@ oracle (checked on scratch copies of the solvers):
 * constant shortcut taken when the values agree within epsilon instead of
   exactly — killed by ``near_constant`` columns (noise below epsilon),
   where a line fits better than the constant;
-* a lone feasible form reported with R² 1.0 — killed by noisy columns;
 * a fit returning its raw form unchecked (which the dropped re-check used
   to catch) — killed by ``random`` columns;
 * ``nice_round`` walking one convergent too few (``>=`` for ``>``) or
@@ -24,7 +26,12 @@ oracle (checked on scratch copies of the solvers):
 * refinement skipped below 1e-3 instead of the 1e-12 margin — killed by
   ``noisy_sinusoid`` columns;
 * scan designs built for another length's frequencies — killed by
-  ``exact_sinusoid`` columns.
+  ``exact_sinusoid`` columns;
+* the shared ``fit_design`` returning its raw form unchecked, or trying it
+  before the snapped one — killed by ``test_multilinear_fits`` alone too;
+* a snap tolerance below 1/1440 (5e-4) — killed by
+  ``test_every_finite_value_snaps_at_the_snap_tolerance``; any tolerance
+  from 1/1440 up snaps every value alike, so no test can tell those apart.
 
 The shortcut stays off rotation columns, where a ``RotationForm`` would
 outrank an equally good constant.  Taking it there too survives every
@@ -35,33 +42,37 @@ not a proof that none can, so the full path keeps them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import solver_oracle as oracle
+from repro.core.loop_inference import m_factorizations, m_index_set
 from repro.lang.term import Term
 from repro.solvers import closed_form
+from repro.solvers.multilinear import fit_multilinear
+from repro.solvers.polynomial import SNAP_TOLERANCE
 from repro.solvers.rational import nice_round
 from repro.solvers.trig import fit_sinusoid
 
 _INDEX = Term("i")
+_INDEX_VARS = (Term("i"), Term("j"), Term("k"))
 
 _lengths = st.integers(1, 60)
 _epsilons = st.sampled_from([1e-3, 1e-3, 1e-2, 0.0])
 
 
-def _describe(solution):
-    """Everything a solution exposes: type, coefficients, R², rendered term."""
+def _describe(solution, index=_INDEX):
+    """Everything a solution exposes: type, coefficients, rendered term."""
     if solution is None:
         return None
     form = getattr(solution, "form", solution)
     coefficients = tuple(
         (name, repr(value)) for name, value in vars(form).items() if name != "kind"
     )
-    r_squared = repr(getattr(solution, "r_squared", None))
-    return type(form).__name__, coefficients, r_squared, str(form.to_term(_INDEX))
+    return type(form).__name__, coefficients, str(form.to_term(index))
 
 
 def _same_solution(values, epsilon):
@@ -152,12 +163,6 @@ def random_data(draw):
     return draw(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=60))
 
 
-_columns = st.one_of(
-    all_equal(), near_constant(), arithmetic(), rotation(), quadratic(),
-    exact_sinusoid(), noisy_sinusoid(), random_data(),
-)
-
-
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -210,13 +215,53 @@ def test_random_columns(values, epsilon):
     _same_solution(values, epsilon)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_columns, st.lists(st.floats(1.0, 400.0), max_size=3))
-def test_sinusoid_scan_with_extra_frequencies(values, extra):
-    # Extra frequencies are scanned before the cached candidates.
-    assert _describe(fit_sinusoid(values, 1e-3, extra_frequencies=extra)) == _describe(
-        oracle.fit_sinusoid(values, 1e-3, extra_frequencies=extra)
-    )
+# ---------------------------------------------------------------------------
+# Nested-loop fits: affine values over the loop inference's index grids
+# ---------------------------------------------------------------------------
+
+#: Every grid loop inference fits for a list of 4 to 60 elements, nested 2
+#: or 3 deep.
+_GRIDS = [
+    m_index_set(dimensions)
+    for nesting in (2, 3)
+    for count in range(4, 61)
+    for dimensions in m_factorizations(count, nesting)
+]
+_affine_coefficients = st.one_of(
+    st.integers(-50, 50).map(float),
+    st.integers(-720, 720).map(lambda n: n / 8),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def grid_columns(draw):
+    grid = draw(st.sampled_from(_GRIDS))
+    family = draw(st.sampled_from(["exact", "noisy", "random"]))
+    if family == "random":
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+        return grid, draw(st.lists(values, min_size=len(grid), max_size=len(grid)))
+    coefficients = [draw(_affine_coefficients) for _ in grid[0]]
+    intercept = draw(_affine_coefficients)
+    values = [sum(a * i for a, i in zip(coefficients, t)) + intercept for t in grid]
+    if family == "noisy":
+        values = [value + draw(_noise) for value in values]
+    return grid, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_columns(), _epsilons)
+@example((m_index_set((2, 3)), [24.0 * i - 12.0 for i, _ in m_index_set((2, 3))]), 1e-3)
+@example((m_index_set((3, 4)), [5.0 * i - 2.0 * j + 7.0004 for i, j in m_index_set((3, 4))]), 0.0)
+def test_multilinear_fits(column, epsilon):
+    grid, values = column
+    index_vars = _INDEX_VARS[: len(grid[0])]
+    expected_work, actual_work = Counter(), Counter()
+    expected = oracle.fit_multilinear(grid, values, epsilon, expected_work)
+    actual = fit_multilinear(grid, values, epsilon, actual_work)
+    assert _describe(actual, index_vars) == _describe(expected, index_vars), (grid, values, epsilon)
+    assert actual_work == expected_work
 
 
 _floats = st.one_of(
@@ -245,3 +290,16 @@ def test_nice_round_matches_limit_denominator(value, tolerance, max_denominator)
     actual = nice_round(value, tolerance, max_denominator)
     assert repr(actual) == repr(expected)
     assert repr(actual) == repr(oracle.nice_round(value, tolerance, max_denominator))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_floats)
+@example(1 / 1440)
+@example(1e6 - 1 / 1440)
+def test_every_finite_value_snaps_at_the_snap_tolerance(value):
+    # Fractions with denominator at most 720 lie at most 1/720 apart, so
+    # every finite value is within 1/1440 of one (the examples are that far),
+    # and SNAP_TOLERANCE exceeds 1/1440.  So the new fits snap at
+    # SNAP_TOLERANCE alone, as the oracle's max(5e-3, epsilon) did at any
+    # epsilon: the tolerance never decides, the residual check does.
+    assert repr(nice_round(value, SNAP_TOLERANCE)) == repr(nice_round(value, math.inf))

@@ -130,29 +130,29 @@ class TestTrigFits:
 class TestModelSelection:
     def test_prefers_simpler_feasible_form(self):
         solution = solve_component([5.0, 5.0, 5.0, 5.0])
-        assert isinstance(solution.form, ConstantForm)
+        assert isinstance(solution, ConstantForm)
 
     def test_linear_beats_quadratic_when_exact(self):
         solution = solve_component([1.0, 3.0, 5.0, 7.0])
-        assert solution.form.kind == "d1"
+        assert solution.kind == "d1"
 
     def test_quadratic_when_needed(self):
         values = [float(i * i) for i in range(5)]
         solution = solve_component(values)
-        assert solution.form.kind == "d2"
+        assert solution.kind == "d2"
 
     def test_rotation_heuristic(self):
         values = [6.0 * (i + 1) for i in range(10)]
         solution = solve_component(values, is_rotation=True)
-        assert isinstance(solution.form, RotationForm)
-        assert solution.form.count == 60
-        rendered = str(solution.form.to_term(Term("i")))
+        assert isinstance(solution, RotationForm)
+        assert solution.count == 60
+        rendered = str(solution.to_term(Term("i")))
         assert "360" in rendered and "60" in rendered
 
     def test_rotation_heuristic_disabled_for_non_rotation(self):
         values = [6.0 * (i + 1) for i in range(10)]
         solution = solve_component(values, is_rotation=False)
-        assert not isinstance(solution.form, RotationForm)
+        assert not isinstance(solution, RotationForm)
 
     def test_infeasible_returns_none(self):
         assert solve_component([1.0, 17.0, 2.0, 23.0, 3.0, 31.0, 4.0]) is None
@@ -220,7 +220,7 @@ class TestModelSelection:
         assert solve_component(noisy, epsilon=1e-3) is None
         loose = solve_component(noisy, epsilon=0.05)
         assert loose is not None
-        assert loose.form.max_residual(noisy) <= 0.05
+        assert loose.max_residual(noisy) <= 0.05
 
 
 class TestMultilinear:
