@@ -93,6 +93,10 @@ class SynthesisResult:
     #: the saturated e-graph); part of ``seconds`` (in-process only).
     extract_seconds: float = 0.0
     config: Optional[SynthesisConfig] = None
+    #: :meth:`headline`, once measured.
+    _headline: Optional[Dict[str, object]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- accessors -----------------------------------------------------------------
 
@@ -133,6 +137,24 @@ class SynthesisResult:
     def exposes_structure(self) -> bool:
         """True when any top-k candidate contains loops."""
         return self.best_structured() is not None
+
+    def headline(self) -> Dict[str, object]:
+        """Candidate count, best cost, structure and size reduction.
+
+        The four numbers a job summary reports, measured on the first call
+        and kept: the service hands one cached result to every hit, so its
+        terms are measured once, not once per hit.  The candidates must not
+        change afterwards.  Two threads may both measure a fresh result;
+        they store equal numbers.
+        """
+        if self._headline is None:
+            self._headline = {
+                "candidates": len(self.candidates),
+                "best_cost": self.best.cost if self.candidates else None,
+                "exposes_structure": self.exposes_structure(),
+                "size_reduction": self.size_reduction(),
+            }
+        return dict(self._headline)
 
     def loop_summary(self) -> str:
         """The Table 1 ``n-l`` column: loop nests of the reported output program."""

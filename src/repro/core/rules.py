@@ -26,7 +26,8 @@ the role the computer algebra system plays in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.rewrite import BaseRewrite, DynamicRewrite, Rewrite, dynamic_rewrite, rewrite
@@ -67,9 +68,21 @@ def _add_number(egraph: EGraph, value: float) -> int:
     return egraph.add_enode(ENode(value))
 
 
-def _add_affine(egraph: EGraph, op: str, vector: Sequence[float], child: int) -> int:
-    args = tuple(_add_number(egraph, v) for v in vector) + (egraph.find(child),)
-    return egraph.add_enode(ENode(op, args))
+def _add_affine(
+    egraph: EGraph, child: int, *layers: Tuple[str, Sequence[float]]
+) -> Optional[int]:
+    """Add the affine ``layers`` (``(op, vector)``, innermost first) over ``child``.
+
+    Declines (None) before adding any node when a vector has a non-finite
+    component: arithmetic on finite literals can overflow (``1e200 *
+    1e200``), and no literal spells the result.
+    """
+    if not all(math.isfinite(v) for _, vector in layers for v in vector):
+        return None
+    for op, vector in layers:
+        args = tuple(_add_number(egraph, v) for v in vector) + (egraph.find(child),)
+        child = egraph.add_enode(ENode(op, args))
+    return child
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +140,9 @@ def _reordering_rules() -> List[BaseRewrite]:
         if values is None:
             return None
         sx, sy, sz, tx, ty, tz = values
-        inner = _add_affine(egraph, "Scale", (sx, sy, sz), sub["c"])
-        return _add_affine(egraph, "Translate", (sx * tx, sy * ty, sz * tz), inner)
+        return _add_affine(
+            egraph, sub["c"], ("Scale", (sx, sy, sz)), ("Translate", (sx * tx, sy * ty, sz * tz))
+        )
 
     rules.append(
         dynamic_rewrite(
@@ -147,8 +161,9 @@ def _reordering_rules() -> List[BaseRewrite]:
         tx, ty, tz, sx, sy, sz = values
         if sx == 0.0 or sy == 0.0 or sz == 0.0:
             return None
-        inner = _add_affine(egraph, "Translate", (tx / sx, ty / sy, tz / sz), sub["c"])
-        return _add_affine(egraph, "Scale", (sx, sy, sz), inner)
+        return _add_affine(
+            egraph, sub["c"], ("Translate", (tx / sx, ty / sy, tz / sz)), ("Scale", (sx, sy, sz))
+        )
 
     rules.append(
         dynamic_rewrite(
@@ -179,8 +194,9 @@ def _reordering_rules() -> List[BaseRewrite]:
                 "y": (0.0, theta, 0.0),
                 "x": (theta, 0.0, 0.0),
             }[axis]
-            inner = _add_affine(egraph, "Rotate", angle_vector, sub["c"])
-            return _add_affine(egraph, "Translate", rotated, inner)
+            return _add_affine(
+                egraph, sub["c"], ("Rotate", angle_vector), ("Translate", rotated)
+            )
 
         rules.append(
             dynamic_rewrite(
@@ -209,8 +225,9 @@ def _reordering_rules() -> List[BaseRewrite]:
                 "y": (0.0, theta, 0.0),
                 "x": (theta, 0.0, 0.0),
             }[axis]
-            inner = _add_affine(egraph, "Translate", unrotated, sub["c"])
-            return _add_affine(egraph, "Rotate", angle_vector, inner)
+            return _add_affine(
+                egraph, sub["c"], ("Translate", unrotated), ("Rotate", angle_vector)
+            )
 
         rules.append(
             dynamic_rewrite(
@@ -237,7 +254,7 @@ def _collapsing_rules() -> List[BaseRewrite]:
         if values is None:
             return None
         x2, y2, z2, x1, y1, z1 = values
-        return _add_affine(egraph, "Translate", (x1 + x2, y1 + y2, z1 + z2), sub["c"])
+        return _add_affine(egraph, sub["c"], ("Translate", (x1 + x2, y1 + y2, z1 + z2)))
 
     rules.append(
         dynamic_rewrite(
@@ -253,7 +270,7 @@ def _collapsing_rules() -> List[BaseRewrite]:
         if values is None:
             return None
         x2, y2, z2, x1, y1, z1 = values
-        return _add_affine(egraph, "Scale", (x1 * x2, y1 * y2, z1 * z2), sub["c"])
+        return _add_affine(egraph, sub["c"], ("Scale", (x1 * x2, y1 * y2, z1 * z2)))
 
     rules.append(
         dynamic_rewrite(
@@ -280,7 +297,7 @@ def _collapsing_rules() -> List[BaseRewrite]:
                 "y": (0.0, total, 0.0),
                 "x": (total, 0.0, 0.0),
             }[axis]
-            return _add_affine(egraph, "Rotate", angle_vector, sub["c"])
+            return _add_affine(egraph, sub["c"], ("Rotate", angle_vector))
 
         rules.append(
             dynamic_rewrite(

@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from itertools import islice
 from operator import is_
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.lang.term import Term, _term
 
@@ -211,9 +211,18 @@ def rotate_vector(axis: int, theta: float, vector: Sequence[float]):
     return (x * c - y * s, x * s + y * c, z)
 
 
-def _affine(op: str, vector: Sequence[float], child: Term) -> Term:
-    coords = tuple(Term(_grid(component)) for component in vector)
-    return Term(op, coords + (child,))
+def _affine(child: Term, *layers: Tuple[str, Sequence[float]]) -> Optional[Term]:
+    """``child`` under the affine ``layers`` (``(op, vector)``, innermost
+    first), or None when a vector has a non-finite component.
+
+    Arithmetic on finite literals can overflow (``1e200 * 1e200``); no
+    literal spells the result, so the step declines, as the rule does.
+    """
+    if not all(math.isfinite(v) for _, vector in layers for v in vector):
+        return None
+    for op, vector in layers:
+        child = Term(op, tuple(Term(_grid(component)) for component in vector) + (child,))
+    return child
 
 
 def _canonical_affine_step(node: Term):
@@ -221,7 +230,8 @@ def _canonical_affine_step(node: Term):
 
     Only transformations the rewrite-rule database itself derives (plus
     identity elimination) are performed, so the canonical form stays inside
-    the e-classes saturation explores anyway.
+    the e-classes saturation explores anyway.  A fusion or commute whose
+    arithmetic overflows is declined, as its rule declines it.
     """
     if not is_affine_node(node):
         return None
@@ -240,29 +250,31 @@ def _canonical_affine_step(node: Term):
             grandchild = child.children[3]
             # Fig. 8c: fuse adjacent same-operator layers.
             if child_op == op == "Translate":
-                return _affine(op, [a + b for a, b in zip(vector, child_vector)], grandchild)
+                return _affine(grandchild, (op, [a + b for a, b in zip(vector, child_vector)]))
             if child_op == op == "Scale":
-                return _affine(op, [a * b for a, b in zip(vector, child_vector)], grandchild)
+                return _affine(grandchild, (op, [a * b for a, b in zip(vector, child_vector)]))
             if child_op == op == "Rotate":
                 axis = _rotation_axis(vector)
                 if axis is not None and axis == _rotation_axis(child_vector):
                     summed = [0.0, 0.0, 0.0]
                     summed[axis] = vector[axis] + child_vector[axis]
-                    return _affine(op, summed, grandchild)
+                    return _affine(grandchild, (op, summed))
             # Fig. 8b: push Translate outward (the orientations with no
             # division, mirroring reorder-scale-translate and
             # reorder-rotate*-translate).
             if op == "Scale" and child_op == "Translate":
-                inner = _affine("Scale", vector, grandchild)
                 return _affine(
-                    "Translate", [s * t for s, t in zip(vector, child_vector)], inner
+                    grandchild,
+                    ("Scale", vector),
+                    ("Translate", [s * t for s, t in zip(vector, child_vector)]),
                 )
             if op == "Rotate" and child_op == "Translate":
                 axis = _rotation_axis(vector)
                 if axis is not None:
-                    inner = _affine("Rotate", vector, grandchild)
                     return _affine(
-                        "Translate", rotate_vector(axis, vector[axis], child_vector), inner
+                        grandchild,
+                        ("Rotate", vector),
+                        ("Translate", rotate_vector(axis, vector[axis], child_vector)),
                     )
     return None
 

@@ -37,9 +37,23 @@ under ``<directory>/sem/``), so the payload is stored once and the exact
 tier's behavior — keys, layout, eviction — is completely unchanged.
 :meth:`ResultCache.lookup` probes the exact key first and falls back to
 the semantic key only on a miss; hits are counted separately
-(``exact_hits``/``semantic_hits``).  A pointer whose exact entry was
+(``exact_hits``/``semantic_hits``).  The semantic key may be passed as a
+zero-argument callable, which is called only on an exact miss, so an
+exact hit never normalizes its input.  A pointer whose exact entry was
 evicted simply misses (and is dropped).  ``semantic=False`` disables the
 tier entirely (the CLI's ``--no-semantic-cache``).
+
+**Decoded results.**  A memory-tier entry keeps its payload and, next to
+it, the :class:`~repro.core.pipeline.SynthesisResult` decoded from that
+payload.  :meth:`ResultCache.put` never decodes: it keeps the result its
+caller already holds (the service's, which its worker decoded from the
+same payload), or none.  ``lookup(..., decoded=True)`` hands out that one
+shared result, decoding the payload the first time an entry without one
+is asked for (a disk-tier promotion, say); ``decodes`` counts those.  A
+repeated hit therefore parses no candidate.  Every hit on an entry gets
+the same object, so no caller may mutate it; terms are immutable,
+candidates frozen, and the cached result carries no diagnostics.  A plain
+``lookup`` returns the payload dict and decodes nothing.
 """
 
 from __future__ import annotations
@@ -48,9 +62,10 @@ import json
 import os
 from collections import OrderedDict, deque
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.core.config import SynthesisConfig
+from repro.core.pipeline import SynthesisResult
 from repro.lang.canon import fingerprint_text, semantic_fingerprint, term_fingerprint
 from repro.lang.term import Term
 
@@ -69,6 +84,16 @@ def semantic_cache_key(term: Term, config: SynthesisConfig) -> str:
     two tiers live in separate namespaces.
     """
     return semantic_fingerprint(term, config)
+
+
+class _Entry:
+    """One memory-tier entry: the payload and the result decoded from it."""
+
+    __slots__ = ("payload", "result")
+
+    def __init__(self, payload: dict, result: Optional[SynthesisResult] = None):
+        self.payload = payload
+        self.result = result
 
 
 class ResultCache:
@@ -97,7 +122,7 @@ class ResultCache:
         self.max_bytes = max_bytes
         #: Whether the semantic (normalized-key) lookup level is enabled.
         self.semantic = semantic
-        self._memory: "OrderedDict[str, dict]" = OrderedDict()
+        self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         #: Memory-side semantic pointers: semantic key -> exact key.  An
         #: LRU like the payload tier, but entries are two small strings, so
         #: it can afford a larger capacity.
@@ -116,18 +141,20 @@ class ResultCache:
         self.semantic_hits = 0
         self.stores = 0
         self.evictions = 0
+        #: Payloads decoded into results (see ``lookup(..., decoded=True)``).
+        self.decodes = 0
 
     # -- lookup ---------------------------------------------------------------
 
-    def _probe(self, key: str) -> Optional[dict]:
+    def _probe(self, key: str) -> Optional[_Entry]:
         """Read ``key`` from memory or disk without touching hit/miss totals.
 
         The memory/disk *origin* counters are maintained here; the caller
         (:meth:`lookup`) decides whether the probe amounts to an exact hit,
         a semantic hit, or a miss.
         """
-        payload = self._memory.get(key)
-        if payload is not None:
+        entry = self._memory.get(key)
+        if entry is not None:
             self._memory.move_to_end(key)
             if self._bounded():
                 # A memory-tier hit is still a use of the disk entry: keep
@@ -136,50 +163,79 @@ class ResultCache:
                 # from memory and then miss in the next process.
                 self._touch(self._path(key))
             self.memory_hits += 1
-            return payload
+            return entry
         payload = self._read_disk(key)
         if payload is not None:
-            self._remember(key, payload)
+            entry = _Entry(payload)
+            self._remember(key, entry)
             self.disk_hits += 1
-            return payload
+            return entry
         return None
 
     def lookup(
-        self, key: str, semantic_key: Optional[str] = None
-    ) -> Tuple[Optional[dict], Optional[str]]:
+        self,
+        key: str,
+        semantic_key: Union[None, str, Callable[[], str]] = None,
+        decoded: bool = False,
+    ) -> Tuple[Union[None, dict, SynthesisResult], Optional[str]]:
         """Two-level read: ``(payload, tier)`` with tier ``"exact"``,
         ``"semantic"``, or ``None`` on a miss.
 
         The exact key is the fast path; the semantic key is consulted only
         when the exact probe misses (and only when the tier is enabled), so
-        inputs that hit exactly never pay the pointer indirection.
+        inputs that hit exactly never pay the pointer indirection.  A
+        callable ``semantic_key`` is called then, at most once; if it
+        raises, the exception propagates and no counter has moved.
+        ``decoded=True`` returns the entry's shared
+        :class:`~repro.core.pipeline.SynthesisResult` instead of its
+        payload.
         """
-        payload = self._probe(key)
-        if payload is not None:
+        entry = self._probe(key)
+        if entry is not None:
             self.hits += 1
             self.exact_hits += 1
-            return payload, "exact"
+            return self._value(entry, decoded), "exact"
         if self.semantic and semantic_key is not None:
+            if callable(semantic_key):
+                semantic_key = semantic_key()
             exact_key = self._resolve_semantic(semantic_key)
             if exact_key is not None:
-                payload = self._probe(exact_key)
-                if payload is not None:
+                entry = self._probe(exact_key)
+                if entry is not None:
                     self.hits += 1
                     self.semantic_hits += 1
-                    return payload, "semantic"
+                    return self._value(entry, decoded), "semantic"
                 # Dangling pointer: the exact entry was evicted (or removed
                 # as corrupt).  Drop the pointer so the next store rebinds.
                 self._drop_semantic(semantic_key)
         self.misses += 1
         return None, None
 
-    def put(self, key: str, payload: dict, semantic_key: Optional[str] = None) -> None:
+    def _value(self, entry: _Entry, decoded: bool) -> Union[dict, SynthesisResult]:
+        """The entry's payload, or its result, decoded now if it has none."""
+        if not decoded:
+            return entry.payload
+        if entry.result is None:
+            entry.result = SynthesisResult.from_dict(entry.payload)
+            self.decodes += 1
+        return entry.result
+
+    def put(
+        self,
+        key: str,
+        payload: dict,
+        semantic_key: Optional[str] = None,
+        result: Optional[SynthesisResult] = None,
+    ) -> None:
         """Store ``payload`` under ``key`` in both tiers.
 
         With a ``semantic_key`` (and the tier enabled), additionally bind
         that key to ``key`` so semantically equal inputs find this entry.
+        ``result``, when given, must be ``SynthesisResult.from_dict(payload)``
+        (the caller's own decode of it): the memory tier keeps it, so a hit
+        decodes nothing.  ``put`` itself never decodes.
         """
-        self._remember(key, payload)
+        self._remember(key, _Entry(payload, result))
         self._write_disk(key, payload)
         self.stores += 1
         if self.semantic and semantic_key is not None:
@@ -192,10 +248,10 @@ class ResultCache:
 
     # -- tiers ----------------------------------------------------------------
 
-    def _remember(self, key: str, payload: dict) -> None:
+    def _remember(self, key: str, entry: _Entry) -> None:
         if self.memory_capacity <= 0:
             return
-        self._memory[key] = payload
+        self._memory[key] = entry
         self._memory.move_to_end(key)
         while len(self._memory) > self.memory_capacity:
             self._memory.popitem(last=False)
@@ -451,6 +507,7 @@ class ResultCache:
             "semantic": self.semantic,
             "stores": self.stores,
             "evictions": self.evictions,
+            "decodes": self.decodes,
             "hit_rate": self.hit_rate,
             "memory_entries": len(self._memory),
             "disk_entries": self.disk_entries(),

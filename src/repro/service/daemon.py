@@ -165,6 +165,7 @@ class SynthesisDaemon:
             "exact_hits": 0,
             "semantic_hits": 0,
             "coalesced": 0,  # the service's count, copied into each frame
+            "semantic_keys": 0,  # likewise: keys derived, one per exact miss
             "rejected": 0,
             "protocol_errors": 0,
             "connections": 0,
@@ -510,6 +511,7 @@ class SynthesisDaemon:
             clients = len(self._clients)
             service = self.service.snapshot(detail=kind == "stats")
         jobs["coalesced"] = service["coalesced"]
+        jobs["semantic_keys"] = service["semantic_keys"]
         workers = service["workers"]
         frame = {
             "type": kind,

@@ -11,8 +11,11 @@ term, or benchsuite builder.
 A :class:`JobResult` is what comes back: a status, the deserialized
 :class:`~repro.core.pipeline.SynthesisResult` on success, or a captured
 traceback on failure — one pathological model reports as a failed *job*,
-never as a sunk *batch*.  :class:`JobEvent` is the structured progress
-stream the service emits while a batch runs.
+never as a sunk *batch*.  A cache hit's result is the one the cache's
+memory tier shares with every hit on that entry, so its headline
+(:meth:`JobResult.to_dict`) is measured once per result, not once per
+hit.  :class:`JobEvent` is the structured progress stream the service
+emits while a batch runs.
 """
 
 from __future__ import annotations
@@ -137,11 +140,11 @@ class JobResult:
     #: Which cache level served it: ``"exact"`` or ``"semantic"`` (None when
     #: not cached).
     cache_tier: Optional[str] = None
-    #: The ``result.to_dict()`` form as it crossed the worker boundary or
-    #: came out of the cache, kept so the cache can store it without
-    #: re-serializing (internal plumbing; may be None, in which case callers
-    #: serialize ``result`` themselves).  It carries the answer, not the
-    #: run's diagnostics, so ``result``, rebuilt from it, has none.
+    #: The ``result.to_dict()`` form as it crossed the worker boundary,
+    #: kept so the cache can store it without re-serializing (internal
+    #: plumbing; None on a cache hit, whose ``result`` is the cache's shared
+    #: one).  It carries the answer, not the run's diagnostics, so
+    #: ``result``, decoded from it, has none.
     result_payload: Optional[dict] = None
     #: Exported span list (``repro.obs.trace.Tracer.export()``) when the job
     #: ran with tracing enabled.  Kept out of :meth:`to_dict` — wire frames
@@ -162,7 +165,8 @@ class JobResult:
         return lines[-1] if lines else ""
 
     def to_dict(self) -> dict:
-        """Compact JSON-able snapshot (result reduced to headline numbers)."""
+        """Compact JSON-able snapshot (result reduced to its
+        :meth:`~repro.core.pipeline.SynthesisResult.headline`)."""
         out = {
             "job_id": self.job_id,
             "name": self.name,
@@ -175,12 +179,7 @@ class JobResult:
         if self.error is not None:
             out["error"] = self.error_summary()
         if self.result is not None:
-            out["result"] = {
-                "candidates": len(self.result.candidates),
-                "best_cost": self.result.best.cost if self.result.candidates else None,
-                "exposes_structure": self.result.exposes_structure(),
-                "size_reduction": self.result.size_reduction(),
-            }
+            out["result"] = self.result.headline()
         return out
 
 

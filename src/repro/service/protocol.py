@@ -28,9 +28,12 @@ Requests (client → daemon)
     Liveness/observability snapshots; answered synchronously.  Both read
     the daemon's counters in one critical section, and the service's
     (workers, cache, in-flight keys, latency) in one nested inside it.
-    The ``stats`` response additionally carries ``clients``,
+    Their ``jobs`` counters include ``semantic_keys``, the semantic keys
+    the service derived (one per exact cache miss while the semantic tier
+    is on).  The ``stats`` response additionally carries ``clients``,
     ``in_flight_keys``, the full cache
-    counter set, and a ``latency`` section — streaming histogram
+    counter set (``decodes`` counts payloads decoded into results), and a
+    ``latency`` section — streaming histogram
     summaries (count/mean/p50/p95/p99, exact-rank over fixed log-scale
     buckets) for end-to-end job latency plus per-phase, per-model, and
     per-cache-tier families (``szalinski stats --percentiles`` renders

@@ -5,18 +5,24 @@ that keys, probes, coalesces and stores jobs: ``batch``/``table1`` via
 :meth:`SynthesisService.run_batch` (submit every job, then drain) and the
 ``serve`` daemon, which starts the service's pool once and submits each
 job as its frame arrives.  :meth:`SynthesisService.submit` folds a job's
-timeout into its config and derives its exact cache key, plus the semantic
-key when that tier is on; a job whose keys cannot be derived (a term with
-a non-finite literal has no canonical text) is answered FAILED at once.
-It answers a cache hit at once.  A job whose
+timeout into its config and derives its exact cache key.  The semantic key
+(a normalization of the whole term) is derived only when the exact probe
+misses and that tier is on, so an exact hit normalizes nothing; the
+snapshot counts the keys derived (``semantic_keys``).  A job whose keys
+cannot be derived (a term with a non-finite literal has no canonical text)
+is answered FAILED at once.  A cache hit is answered at once with the
+cache's shared, already decoded result, so a repeated hit parses no
+candidate and, the headline being measured once per result, measures no
+term either.  A job whose
 exact key is already in flight becomes a follower of that job and is
 answered with its outcome (``cache_tier="batch"``).  Any other job is
 dispatched to the service's :class:`~repro.service.worker.ResidentPool`,
 or held until drain time, when ``worker_count == 0`` runs it through
 :func:`~repro.service.worker.run_jobs_inline` and a pooled batch starts at
 most ``min(worker_count, misses)`` workers.  When a job ends, the service
-stores a success, ingests its latency, and answers it and its followers,
-so a batch stopped halfway keeps every job that finished.
+stores a success (its payload, and the result the worker's payload was
+decoded into), ingests its latency, and answers it and its followers, so
+a batch stopped halfway keeps every job that finished.
 
 Job failures never propagate: a job that raises, crashes its worker, or
 blows its timeout is a failed result.  An exception from a caller's
@@ -35,7 +41,6 @@ import traceback
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import SynthesisResult
 from repro.obs.histogram import MetricsAggregator
 from repro.obs.prometheus import render_prometheus
 from repro.service.cache import ResultCache, cache_key, semantic_cache_key
@@ -170,6 +175,9 @@ class SynthesisService:
         self._backlog: List[_Flight] = []
         #: Jobs registered as followers over the service's lifetime.
         self._coalesced = 0
+        #: Semantic keys derived over the service's lifetime (one per
+        #: exact miss while the semantic tier is on).
+        self._semantic_keys = 0
         self._pool: Optional[ResidentPool] = None
 
     # -- lifecycle -------------------------------------------------------------
@@ -228,36 +236,36 @@ class SynthesisService:
             job = replace(job, trace=True)
         try:
             key = cache_key(job.term, job.config)
-            # Normalization walks the whole term, so the semantic key is
-            # only derived when its tier is on.
-            semantic_key = (
-                semantic_cache_key(job.term, job.config)
-                if self.cache is not None and self.cache.semantic
-                else None
-            )
         except Exception:
-            failed = _failed(
-                job, f"the job's cache key cannot be derived\n{traceback.format_exc()}"
-            )
-            on_result(job, failed)
-            _emit(
-                self.on_event,
-                JobEvent("failed", job.job_id, job.name, message=failed.error_summary()),
-            )
+            self._fail_unkeyed(job, on_result, traceback.format_exc())
             return
-        payload = tier = None
+        result = tier = semantic_key = error = None
+
+        def derive_semantic_key() -> str:
+            # The lookup calls this, under the lock, only on an exact miss.
+            nonlocal semantic_key
+            try:
+                semantic_key = semantic_cache_key(job.term, job.config)
+            except Exception as exc:
+                raise _Unkeyed(traceback.format_exc()) from exc
+            self._semantic_keys += 1
+            return semantic_key
+
         with self._lock:
             if self.cache is not None:
                 lookup_start = time.perf_counter()
-                payload, tier = self.cache.lookup(key, semantic_key)
-                if payload is not None:
+                try:
+                    result, tier = self.cache.lookup(key, derive_semantic_key, decoded=True)
+                except _Unkeyed as unkeyed:
+                    error = unkeyed.args[0]
+                if result is not None:
                     # A hit's end-to-end latency is the lookup itself.
                     self.metrics.ingest(
                         model=job.name,
                         seconds=time.perf_counter() - lookup_start,
                         cache_tier=tier,
                     )
-            if payload is None:
+            if result is None and error is None:
                 flight = self._in_flight.get(key)
                 if flight is not None:
                     flight.followers.append((job, on_result))
@@ -268,15 +276,16 @@ class SynthesisService:
                 pool = self._pool
                 if pool is None:
                     self._backlog.append(flight)
-        if payload is not None:
+        if error is not None:
+            self._fail_unkeyed(job, on_result, error)
+        elif result is not None:
             on_result(
                 job,
                 JobResult(
                     job_id=job.job_id,
                     name=job.name,
                     status=JobStatus.SUCCEEDED,
-                    result=SynthesisResult.from_dict(payload),
-                    result_payload=payload,
+                    result=result,
                     cached=True,
                     cache_tier=tier,
                 ),
@@ -284,6 +293,15 @@ class SynthesisService:
             _emit(self.on_event, JobEvent("cache-hit", job.job_id, job.name, message=tier))
         elif pool is not None:
             self._run([flight], pool)
+
+    def _fail_unkeyed(self, job: SynthesisJob, on_result: ResultCallback, error: str) -> None:
+        """Answer FAILED a job whose cache key raised ``error`` (a traceback)."""
+        failed = _failed(job, f"the job's cache key cannot be derived\n{error}")
+        on_result(job, failed)
+        _emit(
+            self.on_event,
+            JobEvent("failed", job.job_id, job.name, message=failed.error_summary()),
+        )
 
     def _run(self, flights: List[_Flight], pool: Optional[ResidentPool]) -> None:
         """Run dispatched jobs on ``pool``, or inline when it is None."""
@@ -317,10 +335,13 @@ class SynthesisService:
                         model=follower.name, seconds=result.seconds, cache_tier="batch"
                     )
                 if self.cache is not None:
-                    # The worker shipped the result as its to_dict() form;
-                    # store that verbatim instead of re-serializing.
-                    payload = result.result_payload or result.result.to_dict()
-                    self.cache.put(flight.key, payload, flight.semantic_key)
+                    # The worker shipped the result as its to_dict() form
+                    # and ``result.result`` was decoded from it: store that
+                    # verbatim, and keep the decoded result for the hits.
+                    self.cache.put(
+                        flight.key, result.result_payload, flight.semantic_key,
+                        result=result.result,
+                    )
         flight.on_result(job, result)
         for follower, on_result in flight.followers:
             on_result(follower, self._follower_result(follower, result))
@@ -369,7 +390,8 @@ class SynthesisService:
     # -- observability ---------------------------------------------------------
 
     def snapshot(self, detail: bool = False) -> Dict[str, object]:
-        """Workers, in-flight keys, followers and cache counters, read at once.
+        """Workers, in-flight keys, followers, semantic keys derived and cache
+        counters, read at once.
 
         ``detail`` adds the latency metrics and swaps the cache's hit
         counters for its full ``stats()``, which walks the disk tier.
@@ -386,6 +408,7 @@ class SynthesisService:
                 "workers": self._pool.snapshot() if self._pool is not None else {},
                 "in_flight_keys": len(self._in_flight),
                 "coalesced": self._coalesced,
+                "semantic_keys": self._semantic_keys,
                 "cache": cache,
                 "latency": self.metrics.snapshot() if detail else None,
             }
@@ -454,6 +477,10 @@ class SynthesisService:
         if job.timeout is None or job.timeout >= job.config.max_seconds:
             return job
         return replace(job, config=replace(job.config, max_seconds=job.timeout))
+
+
+class _Unkeyed(Exception):
+    """A job's semantic key cannot be derived; ``args[0]`` is the traceback."""
 
 
 def _failed(job: SynthesisJob, error: str) -> JobResult:

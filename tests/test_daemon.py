@@ -286,6 +286,47 @@ class TestDaemonCache:
         assert health["jobs"]["exact_hits"] == 1
         assert health["jobs"]["semantic_hits"] == 1
 
+    def test_stats_show_what_each_hit_cost(self, daemon_factory, sock_dir):
+        # A hit is answered from the result the miss stored: the exact hit
+        # derives no semantic key, and no hit decodes a payload.
+        daemon = daemon_factory(cache=ResultCache(sock_dir / "cache"))
+        respelled = union_all([translate(2.0 * (i + 1), 0.0, 0.0, unit()) for i in (2, 1, 0)])
+        frames = {}
+        with DaemonClient(daemon.socket_path) as client:
+            for name, text in [
+                ("cold", _chain_text(3)),
+                ("exact", _chain_text(3)),
+                ("semantic", format_term(respelled)),
+            ]:
+                (frames[name],) = client.submit_and_wait([{"name": name, "term": text}])
+                if name == "cold":
+                    after_miss = client.stats()
+            stats = client.stats()
+        assert [frames[name].get("cache_tier") for name in frames] == [None, "exact", "semantic"]
+        assert after_miss["jobs"]["semantic_keys"] == 1
+        assert stats["jobs"]["semantic_keys"] == 2
+        assert stats["cache"]["decodes"] == 0
+        assert frames["cold"]["result"] == frames["exact"]["result"] == frames["semantic"]["result"]
+
+    def test_a_disk_hit_decodes_once(self, daemon_factory, sock_dir):
+        from repro.service import SynthesisJob, SynthesisService
+
+        directory = sock_dir / "cache"
+        (written,) = SynthesisService(cache=ResultCache(directory)).run_batch(
+            [SynthesisJob(name="c3", term=_chain(3))]
+        ).results
+        daemon = daemon_factory(cache=ResultCache(directory))
+        with DaemonClient(daemon.socket_path) as client:
+            hits = [
+                client.submit_and_wait([{"name": "c3", "term": _chain_text(3)}])[0]
+                for _ in range(3)
+            ]
+            stats = client.stats()
+        assert all(hit["cached"] and hit["cache_tier"] == "exact" for hit in hits)
+        assert stats["cache"]["disk_hits"] == 1 and stats["cache"]["memory_hits"] == 2
+        assert stats["cache"]["decodes"] == 1 and stats["jobs"]["semantic_keys"] == 0
+        assert all(hit["result"] == written.to_dict()["result"] for hit in hits)
+
     def test_duplicates_within_one_submission_coalesce(self, daemon_factory):
         daemon = daemon_factory()
         text = _chain_text(3)
@@ -367,6 +408,10 @@ class TestDaemonCache:
         assert stats["workers"]["completed"] == len(texts)
         assert stats["cache"]["stores"] == len(texts)
         assert jobs["cache_hits"] + jobs["coalesced"] == 24 - len(texts)
+        # Every spelling is exact: one semantic key per exact miss, and
+        # every hit is served the result its miss stored.
+        assert jobs["semantic_keys"] == stats["cache"]["misses"]
+        assert stats["cache"]["decodes"] == 0
 
 
 class TestDaemonIsolation:

@@ -31,6 +31,7 @@ from repro.lang.normal import (
     normalize,
 )
 from repro.lang.term import Term, make
+from repro.service.cache import semantic_cache_key
 from repro.verify.geometric import occupancy_agreement
 from repro.verify.validate import validate_synthesis
 
@@ -175,6 +176,33 @@ class TestAffineCanonical:
         normalized = AFFINE_CANONICAL(term)
         report = occupancy_agreement(term, normalized, resolution=16)
         assert report.equivalent(), report
+
+
+class TestOverflowingArithmetic:
+    """Finite inputs whose affine arithmetic overflows: the step declines."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(Union (Scale 1e200 1 1 (Scale 1e200 1 1 Cube)) (Translate 1 0 0 Cube))",
+            "(Union (Translate 1e308 0 0 (Translate 1e308 0 0 Cube)) (Translate 1 0 0 Cube))",
+            "(Scale 1e200 1 1 (Translate 1e200 0 0 Cube))",
+            "(Rotate 0 0 45 (Translate 1.7e308 1.7e308 0 Cube))",
+        ],
+    )
+    def test_overflowing_fusions_and_commutes_are_declined(self, text):
+        term = T(text)
+        assert AFFINE_CANONICAL(term) == term
+        normalized = normalize(term)
+        assert normalize(normalized) == normalized
+        key = semantic_cache_key(term, SynthesisConfig())
+        assert len(key) == 64 and key == semantic_cache_key(T(text), SynthesisConfig())
+
+    def test_a_finite_fusion_next_to_a_declined_one_still_happens(self):
+        term = T("(Translate 1 0 0 (Translate 2 0 0 (Scale 1e200 1 1 (Scale 1e200 1 1 Cube))))")
+        assert AFFINE_CANONICAL(term) == T(
+            "(Translate 3 0 0 (Scale 1e200 1 1 (Scale 1e200 1 1 Cube)))"
+        )
 
 
 class TestAlphaRename:

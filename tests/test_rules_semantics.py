@@ -186,3 +186,43 @@ class TestExpansiveRules:
         assert union(translate(3, 0, 0, sphere()), cube()) in variants
         for variant in variants:
             _assert_geometrically_equal(term, variant)
+
+
+#: Finite inputs whose affine arithmetic overflows a float: a fused scale
+#: (1e400), a fused translation (2e308) and a commuted translation (1e400).
+OVERFLOWING_AFFINE = [
+    "(Union (Scale 1e200 1 1 (Scale 1e200 1 1 Cube)) (Translate 1 0 0 Cube))",
+    "(Union (Translate 1e308 0 0 (Translate 1e308 0 0 Cube)) (Translate 1 0 0 Cube))",
+    "(Scale 1e200 1 1 (Translate 1e200 0 0 Cube))",
+]
+
+
+class TestOverflowingArithmetic:
+    """A rewrite whose vector overflows is declined, and adds no node."""
+
+    @pytest.mark.parametrize("text", OVERFLOWING_AFFINE)
+    def test_affine_rules_add_nothing_on_overflow(self, text):
+        term = Term.parse(text)
+        egraph = EGraph()
+        root = egraph.add_term(term)
+        before = egraph.total_enodes
+        Runner(default_rules(["affine-reordering", "affine-collapsing"])).run(egraph)
+        assert egraph.total_enodes == before
+        assert Extractor(egraph, ast_size_cost).extract(root) == term
+
+    def test_commute_declines_before_adding_its_inner_layer(self):
+        egraph = EGraph()
+        egraph.add_term(Term.parse("(Scale 1e200 1 1 (Translate 1e200 0 0 Cube))"))
+        Runner(default_rules(["affine-reordering"])).run(egraph)
+        assert egraph.lookup_term(Term.parse("(Scale 1e200 1 1 Cube)")) is None
+
+    @pytest.mark.parametrize("text", OVERFLOWING_AFFINE)
+    def test_synthesis_returns_candidates_that_validate(self, text):
+        from repro.core.pipeline import synthesize
+        from repro.verify.validate import validate_synthesis
+
+        term = Term.parse(text)
+        result = synthesize(term)
+        assert result.candidates
+        for candidate in result.candidates:
+            assert validate_synthesis(term, candidate.term).valid, candidate.term

@@ -123,6 +123,96 @@ class TestTwoLevelLookup:
         assert stats["hits"] == 2
 
 
+class _KeyOnDemand:
+    """A zero-argument semantic key that counts its calls."""
+
+    def __init__(self, key):
+        self.key = key
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        if isinstance(self.key, Exception):
+            raise self.key
+        return self.key
+
+
+def _stored_result():
+    """A real answer, decoded from its payload as a worker's is, and the payload."""
+    from repro.core.pipeline import SynthesisResult, synthesize
+
+    result = SynthesisResult.from_dict(synthesize(union(cube(), sphere())).to_dict())
+    return result, result.to_dict()
+
+
+class TestSemanticKeyOnDemand:
+    def test_an_exact_hit_never_derives_the_semantic_key(self, keys, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(keys["exact"], {"v": 1}, keys["semantic"])
+        derive = _KeyOnDemand(keys["semantic"])
+        assert cache.lookup(keys["exact"], derive) == ({"v": 1}, "exact")
+        assert derive.calls == 0
+
+    def test_an_exact_miss_derives_it_once(self, keys, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(keys["exact"], {"v": 1}, keys["semantic"])
+        derive = _KeyOnDemand(keys["semantic"])
+        assert cache.lookup(keys["exact_respelled"], derive) == ({"v": 1}, "semantic")
+        miss = _KeyOnDemand("0" * 64)
+        assert cache.lookup("1" * 64, miss) == (None, None)
+        assert derive.calls == miss.calls == 1
+        assert cache.semantic_hits == 1 and cache.misses == 1
+
+    def test_a_disabled_tier_never_derives_it(self, keys, tmp_path):
+        derive = _KeyOnDemand(keys["semantic"])
+        cache = ResultCache(tmp_path, semantic=False)
+        assert cache.lookup(keys["exact"], derive) == (None, None)
+        assert derive.calls == 0 and cache.misses == 1
+
+    def test_a_raising_key_moves_no_counter(self, keys, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(keys["exact"], {"v": 1}, keys["semantic"])
+        before = cache.stats()
+        derive = _KeyOnDemand(OverflowError("no key"))
+        with pytest.raises(OverflowError):
+            cache.lookup(keys["exact_respelled"], derive)
+        assert derive.calls == 1 and cache.stats() == before
+
+
+class TestDecodedLookup:
+    def test_a_put_result_is_shared_by_every_hit(self, keys, tmp_path):
+        result, payload = _stored_result()
+        cache = ResultCache(tmp_path)
+        cache.put(keys["exact"], payload, keys["semantic"], result=result)
+        assert cache.lookup(keys["exact"], decoded=True) == (result, "exact")
+        served, tier = cache.lookup(keys["exact_respelled"], keys["semantic"], decoded=True)
+        assert served is result and tier == "semantic"
+        assert cache.lookup(keys["exact"]) == (payload, "exact")
+        assert cache.decodes == 0 and cache.stats()["decodes"] == 0
+
+    def test_put_never_decodes_and_a_plain_lookup_never_does(self, keys, tmp_path):
+        _, payload = _stored_result()
+        cache = ResultCache(tmp_path)
+        cache.put(keys["exact"], payload, keys["semantic"])
+        for _ in range(3):
+            assert cache.lookup(keys["exact"], keys["semantic"]) == (payload, "exact")
+        assert cache.decodes == 0
+
+    def test_a_disk_promotion_decodes_once(self, keys, tmp_path):
+        result, payload = _stored_result()
+        ResultCache(tmp_path).put(keys["exact"], payload, keys["semantic"], result=result)
+        fresh = ResultCache(tmp_path)
+        first, _ = fresh.lookup(keys["exact"], decoded=True)
+        again, _ = fresh.lookup(keys["exact_respelled"], keys["semantic"], decoded=True)
+        assert fresh.disk_hits == 1 and fresh.memory_hits == 1 and fresh.decodes == 1
+        assert again is first and first is not result
+        assert [(c.cost, c.term) for c in first.candidates] == [
+            (c.cost, c.term) for c in result.candidates
+        ]
+        # The payload read back from disk is what was stored.
+        assert fresh.lookup(keys["exact"]) == (payload, "exact")
+
+
 class TestExactTierUnchanged:
     """Semantic entries must be invisible to the exact tier's machinery."""
 

@@ -29,6 +29,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.pipeline import SynthesisResult, synthesize
 from repro.csg.build import scale, translate, union_all, unit
 from repro.lang.term import Term
+from repro.verify.validate import validate_synthesis
 from repro.service import (
     JobQueue,
     JobResult,
@@ -719,6 +720,23 @@ class TestPooledService:
             JobStatus.SUCCEEDED, JobStatus.FAILED, JobStatus.SUCCEEDED
         ]
 
+    def test_a_job_whose_affine_arithmetic_overflows_is_served(self, tmp_path):
+        # Finite literals whose fused scale overflows a float: the job is
+        # keyed at both levels, synthesized, stored and then served.
+        term = Term.parse(
+            "(Union (Scale 1e200 1 1 (Scale 1e200 1 1 Cube)) (Translate 1 0 0 Cube))"
+        )
+        cache = ResultCache(tmp_path)
+        service = SynthesisService(worker_count=1, cache=cache)
+        jobs = [SynthesisJob(name="cold", term=term), SynthesisJob(name="warm", term=term)]
+        cold = service.run_batch(jobs[:1]).results[0]
+        warm = service.run_batch(jobs[1:]).results[0]
+        assert cold.ok and not cold.cached, cold.error
+        assert warm.cached and warm.cache_tier == "exact"
+        assert cache.stores == 1 and service.snapshot()["semantic_keys"] == 1
+        for candidate in warm.result.candidates:
+            assert validate_synthesis(term, candidate.term).valid
+
     @_FORK
     def test_worker_process_death_is_reported(self, monkeypatch):
         import repro.service.worker as worker_module
@@ -1037,6 +1055,177 @@ class TestBatchCoalescing:
         ]
         with pytest.raises(ValueError, match="duplicate job ids.*same"):
             SynthesisService(worker_count=0).run_batch(jobs)
+
+
+# ---------------------------------------------------------------------------
+# The hit path: a hit is answered from the stored answer
+# ---------------------------------------------------------------------------
+
+
+def _respelled_chain(n: int):
+    """``_chain(n)`` with its operands reversed: a semantic hit, never an exact one."""
+    return union_all([translate(2.0 * (i + 1), 0.0, 0.0, unit()) for i in reversed(range(n))])
+
+
+class TestHitPath:
+    def _submit(self, service, term, name="job"):
+        """Run one job through ``service`` and return its result."""
+        (result,) = service.run_batch([SynthesisJob(name=name, term=term)]).results
+        return result
+
+    def _work(self, service):
+        """The hit path's work counters: (decodes, semantic keys derived)."""
+        return service.cache.decodes, service.snapshot()["semantic_keys"]
+
+    def test_exact_memory_hit_decodes_nothing_and_derives_no_semantic_key(self):
+        service = SynthesisService(worker_count=0, cache=ResultCache())
+        miss = self._submit(service, _chain(3))
+        assert not miss.cached and self._work(service) == (0, 1)
+        hit = self._submit(service, _chain(3))
+        assert hit.cached and hit.cache_tier == "exact"
+        assert self._work(service) == (0, 1)
+        # The hit is answered with the result the miss was answered with.
+        assert hit.result is miss.result
+
+    def test_semantic_hit_derives_one_key_and_decodes_nothing(self):
+        service = SynthesisService(worker_count=0, cache=ResultCache())
+        miss = self._submit(service, _chain(3))
+        hit = self._submit(service, _respelled_chain(3))
+        assert hit.cached and hit.cache_tier == "semantic"
+        assert self._work(service) == (0, 2)
+        assert hit.result is miss.result
+
+    def test_disk_hit_decodes_once_and_its_memory_hits_never(self, tmp_path):
+        self._submit(SynthesisService(worker_count=0, cache=ResultCache(tmp_path)), _chain(3))
+        cache = ResultCache(tmp_path)
+        service = SynthesisService(worker_count=0, cache=cache)
+        first = self._submit(service, _chain(3))
+        assert cache.disk_hits == 1 and self._work(service) == (1, 0)
+        later = [self._submit(service, _chain(3)), self._submit(service, _respelled_chain(3))]
+        assert cache.memory_hits == 2 and self._work(service) == (1, 1)
+        assert all(result.result is first.result for result in later)
+
+    def test_memory_tier_off_decodes_every_hit(self, tmp_path):
+        service = SynthesisService(
+            worker_count=0, cache=ResultCache(tmp_path, memory_capacity=0)
+        )
+        self._submit(service, _chain(3))
+        self._submit(service, _chain(3))
+        self._submit(service, _chain(3))
+        assert service.cache.disk_hits == 2 and self._work(service) == (2, 1)
+
+    def test_hit_headline_equals_its_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        service = SynthesisService(worker_count=0, cache=cache)
+        miss = self._submit(service, _chain(4))
+        exact = self._submit(service, _chain(4))
+        semantic = self._submit(service, _respelled_chain(4))
+        disk = self._submit(
+            SynthesisService(worker_count=0, cache=ResultCache(tmp_path)), _chain(4)
+        )
+        assert [exact.cache_tier, semantic.cache_tier, disk.cache_tier] == [
+            "exact", "semantic", "exact"
+        ]
+        headline = miss.to_dict()["result"]
+        assert headline == SynthesisResult.from_dict(miss.result_payload).headline()
+        for hit in (exact, semantic, disk):
+            assert hit.cached and hit.to_dict()["result"] == headline
+
+    def test_the_headline_is_measured_once_per_result(self, monkeypatch):
+        measured = []
+        real = SynthesisResult.size_reduction
+
+        def counting(result):
+            measured.append(result)
+            return real(result)
+
+        monkeypatch.setattr(SynthesisResult, "size_reduction", counting)
+        service = SynthesisService(worker_count=0, cache=ResultCache())
+        frames = [self._submit(service, _chain(3)).to_dict() for _ in range(4)]
+        assert [frame["cached"] for frame in frames] == [False, True, True, True]
+        assert len(measured) == 1
+        assert all(frame["result"] == frames[0]["result"] for frame in frames)
+
+    def test_cache_counters_for_a_fixed_stream_are_unchanged(self, tmp_path):
+        # The stream mixes misses, an in-batch duplicate, exact and semantic
+        # hits from both tiers (two memory slots force disk reads).  The
+        # counters are those the service read before hits were answered from
+        # decoded results: hits may do less work, never different lookups.
+        cache = ResultCache(tmp_path, memory_capacity=2)
+        service = SynthesisService(worker_count=0, cache=cache)
+        batches = [
+            [_chain(3), _chain(4), _chain(3)],
+            [_respelled_chain(3)],
+            [_chain(5)],
+            [_chain(4), _respelled_chain(4)],
+            [_chain(3)],
+            [_respelled_chain(5), _chain(2)],
+        ]
+        tiers = []
+        for number, terms in enumerate(batches):
+            report = service.run_batch(
+                [SynthesisJob(name=f"b{number}-{i}", term=term) for i, term in enumerate(terms)]
+            )
+            tiers += [result.cache_tier for result in report.results]
+        stats = cache.stats()
+        assert {name: stats[name] for name in _STREAM_COUNTERS} == _STREAM_COUNTERS
+        assert tiers == [
+            None, None, "batch", "semantic", None, "exact", "semantic", "exact", "semantic", None
+        ]
+        assert service.snapshot()["coalesced"] == 1
+        # One semantic key per exact miss (5 misses, 3 semantic hits); each
+        # disk hit decoded its payload once.
+        assert self._work(service) == (stats["disk_hits"], 8)
+
+    def test_a_semantic_key_that_raises_fails_the_job_alone(self, tmp_path, monkeypatch):
+        import repro.service.service as service_module
+
+        cache = ResultCache(tmp_path)
+        service = SynthesisService(worker_count=0, cache=cache)
+        self._submit(service, _chain(3))
+        before = (cache.stats(), service.snapshot())
+
+        def unkeyable(term, config):
+            raise OverflowError("cannot normalize this term")
+
+        monkeypatch.setattr(service_module, "semantic_cache_key", unkeyable)
+        report = service.run_batch(
+            [
+                SynthesisJob(name="warm", term=_chain(3)),
+                SynthesisJob(name="unkeyable", term=_chain(4)),
+                SynthesisJob(name="warm-again", term=_chain(3)),
+            ]
+        )
+        failed = report.result_for("unkeyable")
+        assert failed.status is JobStatus.FAILED
+        assert "cache key cannot be derived" in failed.error
+        assert failed.error_summary() == "OverflowError: cannot normalize this term"
+        assert [r.cache_tier for r in report.results] == ["exact", None, "exact"]
+        # Only the two exact hits moved a counter; the failed job moved none
+        # and left no in-flight entry.
+        stats, snapshot = cache.stats(), service.snapshot()
+        assert stats["hits"] == before[0]["hits"] + 2
+        for name in ("misses", "stores", "semantic_hits", "disk_entries", "decodes"):
+            assert stats[name] == before[0][name], name
+        assert snapshot["semantic_keys"] == before[1]["semantic_keys"]
+        assert snapshot["in_flight_keys"] == 0 and snapshot["coalesced"] == 0
+
+
+#: ``ResultCache.stats()`` after the fixed stream of
+#: ``TestHitPath.test_cache_counters_for_a_fixed_stream_are_unchanged``, as
+#: read on the service that decoded every hit.
+_STREAM_COUNTERS = {
+    "hits": 5,
+    "misses": 5,
+    "memory_hits": 2,
+    "disk_hits": 3,
+    "exact_hits": 2,
+    "semantic_hits": 3,
+    "stores": 4,
+    "evictions": 0,
+    "memory_entries": 2,
+    "disk_entries": 4,
+}
 
 
 # ---------------------------------------------------------------------------
