@@ -230,6 +230,7 @@ def _inference_counters(inference: FunctionInference | LoopInference) -> Dict[st
         "solver_column_memo_hits": solver.column_memo_hits,
         "solver_constant_shortcuts": solver.work["constant_shortcuts"],
         "solver_sinusoid_fits": solver.work["sinusoid_fits"],
+        "solver_sinusoid_rejections": solver.work["sinusoid_rejections"],
         "solver_lstsq_solves": solver.work["lstsq_solves"],
         "materialize_calls": determinizer.materialize_calls,
         "materialize_memo_hits": determinizer.materialize_memo_hits,

@@ -17,7 +17,9 @@ least-squares solve, coefficients snapped to nice rationals (Z3's models are
 exact rationals), and an explicit check of every residual.  The nested-loop
 forms of :mod:`repro.solvers.multilinear` take the same path.  The
 trigonometric solver follows the paper: least squares at a scanned and
-refined frequency, held to the same epsilon.  R² only ranks two or more
+refined frequency, held to the same epsilon; a column of 5 or more values
+that no sinusoid fits within epsilon is rejected first, by the residual of
+a linear recurrence every sinusoid obeys.  R² only ranks two or more
 feasible forms of one component.
 """
 
@@ -30,7 +32,7 @@ from repro.solvers.forms import (
 )
 from repro.solvers.polynomial import fit_constant, fit_linear, fit_quadratic
 from repro.solvers.trig import fit_sinusoid
-from repro.solvers.rational import nice_round, rationalize
+from repro.solvers.rational import nice_round
 from repro.solvers.closed_form import (
     FunctionSolver,
     solve_component,
@@ -48,7 +50,6 @@ __all__ = [
     "fit_quadratic",
     "fit_sinusoid",
     "nice_round",
-    "rationalize",
     "FunctionSolver",
     "solve_component",
     "VectorFunction",

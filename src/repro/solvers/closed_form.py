@@ -33,12 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.term import Term
-from repro.solvers.forms import (
-    ClosedForm,
-    ConstantForm,
-    LinearForm,
-    RotationForm,
-)
+from repro.solvers.forms import ClosedForm, LinearForm, RotationForm
 from repro.solvers.polynomial import fit_constant, fit_linear, fit_quadratic
 from repro.solvers.rational import as_int_if_close
 from repro.solvers.trig import fit_sinusoid
@@ -86,7 +81,9 @@ def solve_component(
     Every fit must hold within ``epsilon`` on every value (the paper's
     tolerance, 0.001 by default).  ``work``, when given, counts the solver's
     arithmetic: ``constant_shortcuts`` (columns the constant alone
-    answered), ``sinusoid_fits`` and ``lstsq_solves``.
+    answered), ``sinusoid_fits``, ``sinusoid_rejections`` (fits that
+    ended at the recurrence test of :mod:`repro.solvers.trig`) and
+    ``lstsq_solves``.
     """
     values = [float(v) for v in values]
     if not values:
@@ -167,9 +164,6 @@ class VectorFunction:
             self._rendered[index] = terms
         return terms
 
-    def predict(self, index: int) -> Tuple[float, float, float]:
-        return (self.x.predict(index), self.y.predict(index), self.z.predict(index))
-
     def kinds(self) -> Tuple[str, str, str]:
         return (self.x.kind, self.y.kind, self.z.kind)
 
@@ -185,10 +179,6 @@ class VectorFunction:
         if "d2" in kinds:
             return "d2"
         return "d1"
-
-    def is_constant(self) -> bool:
-        """True when all three components are constants."""
-        return all(isinstance(f, ConstantForm) for f in (self.x, self.y, self.z))
 
 
 class FunctionSolver:

@@ -57,9 +57,6 @@ class MultilinearForm:
     ) -> bool:
         return self.max_residual(index_tuples, values) <= epsilon
 
-    def is_constant(self) -> bool:
-        return all(nice_round(a) == 0.0 for a in self.coefficients)
-
     def to_term(self, index_vars: Sequence[Term]) -> Term:
         """Render over the given index variable terms (one per loop level)."""
         if len(index_vars) != len(self.coefficients):

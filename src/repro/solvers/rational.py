@@ -15,18 +15,7 @@ algorithm on the float's exact integer ratio directly, without building a
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
-
-
-def rationalize(value: float, max_denominator: int = 720) -> Fraction:
-    """The closest fraction to ``value`` with a bounded denominator.
-
-    ``720`` covers every denominator that appears in CAD closed forms built
-    from degree steps (360/n for n up to 720 teeth/cells) while still
-    rejecting arbitrary noise.
-    """
-    return Fraction(value).limit_denominator(max_denominator)
 
 
 def nice_round(value: float, tolerance: float = 1e-6, max_denominator: int = 720) -> float:
@@ -35,7 +24,11 @@ def nice_round(value: float, tolerance: float = 1e-6, max_denominator: int = 720
     Returns the snapped value as a float (int-valued floats collapse to the
     integer float, e.g. ``2.0000001`` becomes ``2.0``).  When no nice rational
     is close enough, the original value is returned unchanged.  The snapped
-    value is ``float(rationalize(value, max_denominator))``.
+    value is the float of ``Fraction(value).limit_denominator(max_denominator)``,
+    the closest fraction whose denominator is at most ``max_denominator``
+    (``720`` covers every denominator that appears in CAD closed forms built
+    from degree steps, 360/n for n up to 720 teeth or cells, while still
+    rejecting arbitrary noise).
     """
     if value % 1 == 0:
         # An integer is its own nearest fraction, so skip the search; adding

