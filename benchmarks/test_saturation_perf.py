@@ -32,9 +32,9 @@ under the ``incremental_search`` key of ``BENCH_saturation.json``.
 A third comparison measures the *extraction phase* alone: post-hoc
 single-best fixpoints (one worklist per query, the way the determinizer
 used them inside the arithmetic components; the oracle's
-:class:`PostHocExtractor`) vs the incremental :class:`CostAnalysis`
-maintained during saturation, which turns each query into an O(answer)
-witness walk.  Recorded under the ``extraction`` key.
+:class:`PostHocExtractor`) vs the production :class:`Extractor`, whose
+query is an O(answer) walk over the best-cost slots every e-class keeps
+during saturation.  Recorded under the ``extraction`` key.
 
 A fourth measures the *apply phase*: the oracle's ledger-free
 reference runner vs the production applied-match ledger, both searching
@@ -58,7 +58,7 @@ from repro.benchsuite.models import gear_model, linear_array
 from repro.core.rules import all_rules, default_rules
 from repro.csg.build import cube, scale
 from repro.egraph.egraph import EGraph
-from repro.egraph.extract import CostAnalysis, Extractor, TopKExtractor, ast_size_cost
+from repro.egraph.extract import Extractor, TopKExtractor, ast_size_cost
 from repro.egraph.pattern import IncrementalMatcher
 from repro.egraph.runner import BackoffConfig, Runner, RunnerLimits
 from repro.lang.term import Term
@@ -397,61 +397,33 @@ def test_incremental_search_at_least_2x_faster_search_phase(bench, bench_record)
 
 
 # ---------------------------------------------------------------------------
-# Incremental extraction (PR 4): post-hoc fixpoints vs the riding CostAnalysis
+# Incremental extraction: post-hoc fixpoints vs the built-in best-cost slots
 # ---------------------------------------------------------------------------
 
-#: The extraction-phase speedup the incremental cost analysis must
-#: demonstrate over post-hoc fixpoint extraction (PR 4's acceptance gate).
+#: The extraction-phase speedup the witness walk must demonstrate over
+#: post-hoc fixpoint extraction.
 REQUIRED_EXTRACTION_SPEEDUP = 2.0
 
 #: Single-best queries per saturated graph.  The pipeline's determinizer
-#: constructs a fresh Extractor per determinization, so repeated queries —
-#: each paying the full fixpoint post hoc, each an O(answer) walk with the
-#: analysis — are the realistic workload.
+#: issues many, so repeated queries — each paying the full fixpoint post
+#: hoc, each an O(answer) walk over the slots — are the realistic workload.
 _EXTRACTION_QUERIES = 5
 
 
-def _measure_extraction(model: Term, *, incremental: bool) -> dict:
-    """Saturate once, then run repeated single-best extraction queries.
-
-    ``incremental`` lets the cost analysis ride along and queries the
-    production :class:`Extractor`; otherwise every query builds the oracle's
-    post-hoc fixpoint extractor.
-    """
-    analysis = CostAnalysis(ast_size_cost)
-    egraph = EGraph()
-    root = egraph.add_term(model)
-    limits = RunnerLimits(max_iterations=12, max_enodes=5_000, max_seconds=30.0)
-    backoff = BackoffConfig(match_limit=1_000, ban_length=5)
-    saturate_start = time.perf_counter()
-    report = Runner(
-        all_rules(), limits, backoff=backoff,
-        analyses=[analysis] if incremental else [],
-    ).run(egraph)
-    saturate_seconds = time.perf_counter() - saturate_start
-
-    extract_start = time.perf_counter()
+def _measure_queries(extractor_class, egraph: EGraph, root: int) -> dict:
+    """Time repeated single-best queries, each through a fresh extractor."""
+    start = time.perf_counter()
     costs = []
     term = None
-    extractor_class = Extractor if incremental else PostHocExtractor
     for _ in range(_EXTRACTION_QUERIES):
-        extractor = extractor_class(egraph, ast_size_cost)
+        extractor = extractor_class(egraph)
         costs.append(extractor.cost_of(root))
         term = extractor.extract(root)
-    extract_seconds = time.perf_counter() - extract_start
+    seconds = time.perf_counter() - start
     assert len(set(costs)) == 1
-    if incremental:
-        # Prove the queries actually rode the analysis (no scratch fixpoint).
-        assert Extractor(egraph, ast_size_cost)._analysis is analysis
     return {
-        "mode": "incremental-analysis" if incremental else "post-hoc-fixpoint",
-        "stop_reason": report.stop_reason.value,
-        "saturate_seconds": saturate_seconds,
-        "extract_seconds": extract_seconds,
+        "extract_seconds": seconds,
         "extraction_queries": _EXTRACTION_QUERIES,
-        "analysis_updates": sum(it.analysis_updates for it in report.iterations),
-        "enodes": egraph.total_enodes,
-        "classes": len(egraph),
         "best_cost": costs[0],
         "best_term_nodes": term.size(),
     }
@@ -459,43 +431,48 @@ def _measure_extraction(model: Term, *, incremental: bool) -> dict:
 
 @pytest.mark.figure
 def test_incremental_extraction_at_least_2x_faster_extraction_phase(bench, bench_record):
-    """Post-hoc fixpoint extraction vs the saturation-time cost analysis.
+    """Post-hoc fixpoint extraction vs the witness walk over the slots.
 
-    Both sides saturate the gear identically (the analysis rides along on
-    one of them); the extraction phase — repeated single-best queries, as
-    the determinizer issues them — must be >= 2x faster with the analysis,
-    with identical best costs.  The analysis's saturation overhead is
-    recorded alongside so the trade stays honest.
+    One saturated gear serves both sides: the extraction phase — repeated
+    single-best queries, as the determinizer issues them — must be >= 2x
+    faster through the slots, with identical best costs.  The slots' own
+    upkeep during saturation is recorded as ``analysis_updates``.
     """
     model = gear_model()
-    posthoc = _measure_extraction(model, incremental=False)
-    riding = _measure_extraction(model, incremental=True)
-    speedup = posthoc["extract_seconds"] / max(riding["extract_seconds"], 1e-9)
+    egraph = EGraph()
+    root = egraph.add_term(model)
+    limits = RunnerLimits(max_iterations=12, max_enodes=5_000, max_seconds=30.0)
+    backoff = BackoffConfig(match_limit=1_000, ban_length=5)
+    report = Runner(all_rules(), limits, backoff=backoff).run(egraph)
+    posthoc = _measure_queries(PostHocExtractor, egraph, root)
+    walk = _measure_queries(Extractor, egraph, root)
+    speedup = posthoc["extract_seconds"] / max(walk["extract_seconds"], 1e-9)
+    analysis_updates = sum(it.analysis_updates for it in report.iterations)
 
     bench_record(
         {
             "extraction": {
                 "model": "3362402:gear",
                 "model_nodes": model.size(),
+                "stop_reason": report.stop_reason.value,
+                "enodes": egraph.total_enodes,
+                "classes": len(egraph),
+                "analysis_updates": analysis_updates,
                 "post_hoc": posthoc,
-                "incremental": riding,
+                "incremental": walk,
                 "extraction_speedup": speedup,
-                "saturation_overhead_seconds": (
-                    riding["saturate_seconds"] - posthoc["saturate_seconds"]
-                ),
             }
         }
     )
 
-    assert riding["best_cost"] == posthoc["best_cost"]
-    assert riding["classes"] == posthoc["classes"]
-    assert riding["analysis_updates"] > 0
-    assert posthoc["analysis_updates"] == 0
+    assert walk["best_cost"] == posthoc["best_cost"]
+    assert walk["best_term_nodes"] == walk["best_cost"]
+    assert analysis_updates > 0
     if bench:
         assert speedup >= REQUIRED_EXTRACTION_SPEEDUP, (
             f"incremental extraction only {speedup:.2f}x faster "
             f"(post-hoc {posthoc['extract_seconds']:.3f}s vs "
-            f"analysis {riding['extract_seconds']:.3f}s)"
+            f"witness walk {walk['extract_seconds']:.3f}s)"
         )
 
 
@@ -561,7 +538,7 @@ def _measure_dedup(model: Term, rules, limits: RunnerLimits, *, dedup: bool) -> 
         )
     report = runner.run(egraph)
     total = time.perf_counter() - start
-    best = Extractor(egraph, ast_size_cost).cost_of(root)
+    best = Extractor(egraph).cost_of(root)
     zero_firing_late = [
         it for it in report.iterations[1:] if it.total_firings == 0 and sum(it.matches.values()) > 0
     ]

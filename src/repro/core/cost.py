@@ -24,10 +24,9 @@ _LOOP_BODY_DISCOUNT = 0.25
 
 
 #: Default cost: one unit per AST node.  This *is* the engine-level
-#: :func:`repro.egraph.extract.ast_size_cost` (same function object), so an
-#: incremental :class:`~repro.egraph.extract.CostAnalysis` registered under
-#: either name is recognized by every extractor — the determinizer's
-#: ast-size extractions reuse the analysis the runner maintained.
+#: :func:`repro.egraph.extract.ast_size_cost` (same function object), the
+#: cost every e-class's built-in best-cost slot keeps, so the top-k
+#: extractor prices rank 0 from those slots under either name.
 ast_size_cost_fn = ast_size_cost
 
 

@@ -38,8 +38,8 @@ and it answers each question once:
     after both passes;
   - ``add_enode`` never adds an e-node to an existing class: it returns
     the class that already holds the e-node, or a fresh one;
-  - the determinizer's :class:`Extractor` never recomputes a class it has
-    already resolved, so an extracted vector argument keeps its term.
+  - the determinizer's :class:`Extractor` memoizes the term of every
+    class it walked, so an extracted vector argument keeps its term.
 
 * :meth:`Determinizer.merge_term` adds inferred terms through a
   ``Term -> class id`` memo, so a subterm added once is never walked again.
@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.csg.ops import affine_chain
 from repro.egraph.egraph import EGraph, ENode
-from repro.egraph.extract import ExtractionError, Extractor, ast_size_cost
+from repro.egraph.extract import Extractor
 from repro.lang.normal import AFFINE_OPS, signature_sort_key
 from repro.lang.term import Term
 
@@ -97,7 +97,7 @@ class Determinizer:
 
     def __init__(self, egraph: EGraph):
         self.egraph = egraph
-        self._extractor = Extractor(egraph, ast_size_cost)
+        self._extractor = Extractor(egraph)
         #: ``(canonical class, signature) -> term or None``, valid while
         #: ``egraph.union_version == _memo_version``.
         self._materialized: Dict[Tuple[int, Tuple[str, ...]], Optional[Term]] = {}
@@ -224,29 +224,17 @@ class Determinizer:
         self, class_id: int, signature: Tuple[str, ...]
     ) -> Optional[Term]:
         if not signature:
-            try:
-                term = self._extractor.extract(class_id)
-            except ExtractionError:
-                return None
-            # Reject terms that still start with an affine operator when an
-            # empty signature was requested only if no alternative exists —
-            # uniformity matters more than minimality, so accept what we got.
-            return term
+            # The empty signature accepts whatever the extractor picks, an
+            # affine head included: uniformity matters more than minimality.
+            return self._extractor.extract(class_id)
         head = signature[0]
         for enode in self.egraph.nodes(class_id):
             if enode.op != head or len(enode.args) != 4:
                 continue
             vector_terms = []
-            ok = True
             for arg in enode.args[:3]:
                 self._read.add(self.egraph.find(arg))
-                try:
-                    vector_terms.append(self._extractor.extract(arg))
-                except ExtractionError:
-                    ok = False
-                    break
-            if not ok:
-                continue
+                vector_terms.append(self._extractor.extract(arg))
             child = self._materialize(enode.args[3], signature[1:])
             if child is None:
                 continue

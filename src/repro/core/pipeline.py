@@ -35,7 +35,7 @@ from repro.core.loop_inference import LoopInference
 from repro.core.rules import default_rules
 from repro.csg.metrics import TermMetrics, measure
 from repro.egraph.egraph import EGraph
-from repro.egraph.extract import CostAnalysis, TopKExtractor, ast_size_cost
+from repro.egraph.extract import TopKExtractor
 from repro.egraph.pattern import CompiledRuleSet
 from repro.egraph.runner import Runner, RunnerLimits, RunReport
 from repro.lang.canon import canonical_term_text, term_from_canonical
@@ -285,12 +285,8 @@ def synthesize(
         )
         # The rule patterns are compiled into one discrimination trie: per
         # call for an explicit ``rules``, once per process for the default
-        # sets.  The incremental cost analysis rides along during saturation
-        # (the runner registers it): every single-best query the
-        # determinizer makes inside the arithmetic components then reads
-        # ready-made (best cost, witness) pairs, and the top-k extractor
-        # prices rank 0 from them.
-        runner = Runner(rule_set, limits, analyses=[CostAnalysis(ast_size_cost)], tracer=tracer)
+        # sets.
+        runner = Runner(rule_set, limits, tracer=tracer)
         if setup_span is not None:
             setup_span.update({"rules": len(runner.rules), "enodes": egraph.total_enodes})
 

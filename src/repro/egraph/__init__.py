@@ -9,7 +9,9 @@ It provides:
 * :mod:`repro.egraph.symbols` — the per-e-graph operator interner backing
   the flat ``(op_id, *arg_ids)`` node representation;
 * :mod:`repro.egraph.egraph` — hash-consed e-nodes, e-classes, congruence
-  closure with deferred rebuilding, and term insertion/lookup helpers;
+  closure with deferred rebuilding, term insertion/lookup helpers, and
+  the one e-class analysis, built in: each class's best AST-size cost and
+  its witness e-node, maintained through every add, merge and rebuild;
 * :mod:`repro.egraph.pattern` — pattern terms with ``?x`` variables and the
   compiled discrimination-trie matcher with incremental dirty-class search;
 * :mod:`repro.egraph.rewrite` — rewrite rules (pattern → pattern, or pattern
@@ -17,9 +19,8 @@ It provides:
 * :mod:`repro.egraph.runner` — the batched two-phase saturation loop with a
   per-rule backoff scheduler and fuel / node / time limits enforced inside
   the apply phase;
-* :mod:`repro.egraph.extract` — the incremental :class:`CostAnalysis`
-  (an e-class analysis maintained during saturation), analysis-backed
-  single-best extraction, and lazy k-best (Eppstein-style) candidate heaps
+* :mod:`repro.egraph.extract` — single-best extraction as a walk over
+  those witnesses, and lazy k-best (Eppstein-style) candidate heaps
   enumerating only realizable, acyclic derivations (Section 5.1).
 
 Each piece has one implementation.  The designs the engine replaced (the
@@ -29,7 +30,7 @@ cost fixpoint) are test oracles under ``tests/``, not options here.
 
 from repro.egraph.unionfind import UnionFind
 from repro.egraph.symbols import SymbolTable
-from repro.egraph.egraph import Analysis, EGraph, ENode, EClass
+from repro.egraph.egraph import EGraph, ENode, EClass
 from repro.egraph.pattern import (
     CompiledRuleSet,
     IncrementalMatcher,
@@ -50,7 +51,6 @@ from repro.egraph.runner import (
     StopReason,
 )
 from repro.egraph.extract import (
-    CostAnalysis,
     ExtractionError,
     Extractor,
     RankedTerm,
@@ -61,7 +61,6 @@ from repro.egraph.extract import (
 __all__ = [
     "UnionFind",
     "SymbolTable",
-    "Analysis",
     "EGraph",
     "ENode",
     "EClass",
@@ -83,7 +82,6 @@ __all__ = [
     "RunnerLimits",
     "RunReport",
     "StopReason",
-    "CostAnalysis",
     "ExtractionError",
     "Extractor",
     "RankedTerm",

@@ -42,28 +42,26 @@ in an untouched class can only change through a touched *descendant*, which
 the matcher covers by closing the dirty set upward over parent pointers to
 its patterns' maximum depth.
 
-**E-class analyses.**  An :class:`Analysis` attaches a small piece of data
-to every e-class — a best extraction cost, a constant value, an interval —
-and the e-graph keeps it consistent through every structural change, the
-same mechanism egg uses for constant folding and cost tracking:
+**The best-cost slot.**  Every e-class carries one analysis, built in:
+the best AST-size cost of a term it represents (:attr:`EClass.cost`) and
+the flat e-node that achieves it (:attr:`EClass.witness`), the data egg's
+cost analyses keep.  AST size is the paper's default extraction cost: an
+e-node costs one plus the best costs of its children.
 
-* :meth:`Analysis.make` computes the data an e-node contributes, reading
-  its children's data through the e-graph;
-* :meth:`Analysis.merge` combines the data of two classes that became
-  equal (it must be a semilattice join: commutative, associative,
-  idempotent — for a cost analysis, ``min``);
-* :meth:`Analysis.modify` may inspect/extend the class after its data
-  changed (egg uses this for constant folding; the default is a no-op).
+* :meth:`EGraph.add_enode` makes the slot of a fresh class from its
+  children's slots, so every live class has one;
+* :meth:`EGraph.merge` keeps the cheaper side's slot (on a tie, the
+  surviving class keeps its own) and queues the parent e-nodes made
+  against the dearer side;
+* :meth:`EGraph.rebuild` re-prices queued parents in batches, each
+  improvement queuing its own class's parents, interleaved with
+  congruence repair, whose merges join slots too.
 
-:meth:`EGraph.add_enode` makes data for every fresh class immediately, so
-analysis data is *total*: every live class has a value for every registered
-analysis.  :meth:`EGraph.merge` joins the two sides' data; the parent
-e-nodes of each side whose previous value differs from the join are
-queued for re-``make`` and the improvements propagate upward during
-:meth:`rebuild` — interleaved with congruence repair, because congruence
-merges themselves join data.  Analyses registered late
-(:meth:`register_analysis`) are initialized retroactively with the same
-worklist.
+Stored costs only fall, and a class's stored cost was one plus the sum of
+its witness's children's costs when that witness was chosen.  So even
+with merges pending, a walk down the witnesses reaches every child at a
+strictly smaller stored cost and never revisits a class
+(:class:`repro.egraph.extract.Extractor` relies on this).
 """
 
 from __future__ import annotations
@@ -85,8 +83,7 @@ class ENode:
 
     The e-graph stores nodes as flat integer tuples internally (see the
     module docstring); ``ENode`` is what crosses the package boundary —
-    rule appliers build them, :meth:`EGraph.nodes` returns them, analyses
-    receive them in :meth:`Analysis.make`.
+    rule appliers build them and :meth:`EGraph.nodes` returns them.
     """
 
     op: Operator
@@ -108,45 +105,6 @@ class ENode:
         return not self.args
 
 
-class Analysis:
-    """An e-class analysis: per-class data maintained under congruence.
-
-    Subclasses choose a unique :attr:`key` (the slot in :attr:`EClass.data`
-    the values live under) and implement :meth:`make` and :meth:`merge`;
-    :meth:`modify` is optional.  Values must support ``==`` (change
-    detection) and should be immutable — the e-graph stores them by
-    reference and compares them to decide what to re-propagate.
-    """
-
-    #: Slot name in :attr:`EClass.data`; must be unique per e-graph.
-    key: str = "analysis"
-
-    def make(self, egraph: "EGraph", enode: "ENode"):
-        """The data ``enode`` contributes to its class.
-
-        ``enode`` has canonical argument ids; read child data via
-        :meth:`EGraph.analysis_data`.  Return ``None`` when nothing can be
-        concluded yet (e.g. a child has no data) — the e-node is re-made
-        automatically once a child's data changes.
-        """
-        raise NotImplementedError
-
-    def merge(self, a, b):
-        """Join the data of two classes that became equal.
-
-        Must be a semilattice join — in particular ``merge(a, a) == a`` —
-        or propagation may not terminate.
-        """
-        raise NotImplementedError
-
-    def modify(self, egraph: "EGraph", class_id: int) -> None:
-        """Hook run after ``class_id``'s data was created or changed.
-
-        May add e-nodes or merge classes (egg-style constant folding); the
-        default does nothing.
-        """
-
-
 class EClass:
     """A set of equivalent e-nodes plus back-pointers to parent e-nodes.
 
@@ -157,19 +115,21 @@ class EClass:
     :meth:`replace_flat` so the cache can never go stale.
     """
 
-    __slots__ = ("id", "flat", "parents", "data", "_symbols", "_decoded")
+    __slots__ = ("id", "flat", "parents", "cost", "witness", "_symbols", "_decoded")
 
-    def __init__(self, id: int, symbols: SymbolTable):
+    def __init__(self, id: int, symbols: SymbolTable, node: FlatNode, cost: float):
         self.id = id
         #: Flat e-nodes ``(op_id, *arg_ids)`` of this class.
-        self.flat: List[FlatNode] = []
+        self.flat: List[FlatNode] = [node]
         #: (flat parent e-node as inserted, parent e-class id) pairs: a log
-        #: read by rebuild, analysis propagation and the incremental
-        #: matcher's dirty closure, each canonicalizing what it reads.
+        #: read by rebuild, cost propagation and the incremental matcher's
+        #: dirty closure, each canonicalizing what it reads.
         self.parents: List[Tuple[FlatNode, int]] = []
-        #: Arbitrary per-class analysis data (used by the determinizer and
-        #: cost analyses in :mod:`repro.core`).
-        self.data: dict = {}
+        #: The best AST-size cost of a term in this class, and the flat
+        #: e-node achieving it (its arguments canonical when it was chosen);
+        #: see the module docstring.
+        self.cost = cost
+        self.witness = node
         self._symbols = symbols
         self._decoded: Optional[List[ENode]] = None
 
@@ -218,13 +178,11 @@ class EGraph:
         #: e-class ids (possibly stale) touched since the last `take_dirty`;
         #: see the module docstring for the search-epoch protocol.
         self._dirty: Set[int] = set()
-        #: Registered e-class analyses (see the module docstring).
-        self._analyses: List[Analysis] = []
-        #: (flat parent e-node, owner id) pairs whose analysis data must be
-        #: re-made because a child's data changed; drained by rebuild().
-        self._analysis_pending: List[Tuple[FlatNode, int]] = []
-        #: Total analysis-data changes (creations + improvements) — runners
-        #: snapshot this to report per-iteration analysis activity.
+        #: (flat parent e-node, owner id) pairs to re-price because a
+        #: child's best cost fell; drained by rebuild().
+        self._cost_pending: List[Tuple[FlatNode, int]] = []
+        #: Best-cost slots made or lowered so far — runners snapshot this to
+        #: report per-iteration analysis activity.
         self.analysis_updates = 0
         #: Exact ``sum(len(c.flat) for c in classes)``, maintained
         #: incrementally (add_enode grows it, rebuild-time dedup shrinks it)
@@ -336,83 +294,43 @@ class EGraph:
         find = self._union_find.find
         return (node[0],) + tuple(find(a) for a in node[1:])
 
-    def _decode(self, node: FlatNode) -> ENode:
-        """A facade :class:`ENode` for a flat node."""
-        return ENode(self._symbols.op(node[0]), node[1:])
-
-    # -- e-class analyses ---------------------------------------------------------
+    # -- the best-cost slot --------------------------------------------------------
 
     @property
-    def analyses(self) -> Tuple[Analysis, ...]:
-        """The registered analyses, in registration order."""
-        return tuple(self._analyses)
+    def quiescent(self) -> bool:
+        """True when no merge or cost propagation waits for :meth:`rebuild`.
 
-    def analysis_data(self, class_id: int, key: str, default=None):
-        """The analysis value stored under ``key`` for ``class_id``'s class."""
-        return self.eclass(class_id).data.get(key, default)
-
-    def register_analysis(self, analysis: Analysis) -> Analysis:
-        """Attach an analysis; existing classes are initialized retroactively.
-
-        Idempotent for the *same* object (re-registering is a no-op, so a
-        runner can re-run over a graph whose analysis already rides along);
-        a different analysis under an already-taken key is rejected.
+        Then every class's :attr:`EClass.cost` is the cheapest AST size of
+        a term it represents.
         """
-        for existing in self._analyses:
-            if existing is analysis:
-                return analysis
-            if existing.key == analysis.key:
-                raise ValueError(f"analysis key {analysis.key!r} already registered")
-        self._analyses.append(analysis)
-        # Retroactive init: seed every (enode, class) pair and run the same
-        # worklist rebuild() uses.  Leaves make() successfully right away;
-        # parents that see a child without data return None and are re-made
-        # when the child's data lands (_set_analysis_data enqueues parents
-        # on every change, including the first).
-        if self._classes:
-            for eclass in self._classes.values():
-                for node in eclass.flat:
-                    self._analysis_pending.append((node, eclass.id))
-            self._process_analysis_pending()
-        return analysis
+        return not self._pending and not self._cost_pending
 
-    def _set_analysis_data(self, analysis: Analysis, class_id: int, value) -> bool:
-        """Join ``value`` into a class's slot; propagate if it changed."""
-        # A modify() hook of an earlier analysis may have merged the class
-        # away within the same update loop; address the survivor.
-        class_id = self.find(class_id)
-        eclass = self._classes[class_id]
-        old = eclass.data.get(analysis.key)
-        new = value if old is None else analysis.merge(old, value)
-        if new == old:
-            return False
-        eclass.data[analysis.key] = new
-        self.analysis_updates += 1
-        self._analysis_pending.extend(eclass.parents)
-        analysis.modify(self, class_id)
-        return True
+    def _propagate_costs(self) -> None:
+        """Re-price queued parent e-nodes until no best cost falls.
 
-    def _process_analysis_pending(self) -> None:
-        """Re-make queued parent e-nodes until analysis data is stable."""
+        Batch by batch: an improvement queues its class's parents for the
+        next batch, and each ``(e-node, owner)`` pair is priced once per
+        batch.
+        """
         find = self._union_find.find
-        while self._analysis_pending:
-            batch = self._analysis_pending
-            self._analysis_pending = []
+        classes = self._classes
+        while self._cost_pending:
+            batch = self._cost_pending
+            self._cost_pending = []
             seen: Set[Tuple[FlatNode, int]] = set()
             for node, owner in batch:
-                owner = find(owner)
-                if owner not in self._classes:
-                    continue
                 node = self.canonical_flat(node)
-                entry = (node, owner)
+                entry = (node, find(owner))
                 if entry in seen:
                     continue
                 seen.add(entry)
-                facade = self._decode(node)
-                for analysis in self._analyses:
-                    made = analysis.make(self, facade)
-                    if made is not None:
-                        self._set_analysis_data(analysis, owner, made)
+                cost = 1.0 + sum([classes[arg].cost for arg in node[1:]])
+                eclass = classes[entry[1]]
+                if cost < eclass.cost:
+                    eclass.cost = cost
+                    eclass.witness = node
+                    self.analysis_updates += 1
+                    self._cost_pending.extend(eclass.parents)
 
     # -- insertion ----------------------------------------------------------------
 
@@ -424,22 +342,17 @@ class EGraph:
         if existing is not None:
             return find(existing)
         class_id = self._union_find.make_set()
-        eclass = EClass(class_id, self._symbols)
-        eclass.append_flat(flat)
-        self._classes[class_id] = eclass
+        classes = self._classes
+        cost = 1.0 + sum([classes[arg].cost for arg in flat[1:]])
+        classes[class_id] = EClass(class_id, self._symbols, flat, cost)
         self._hashcons[flat] = class_id
         self._op_index.setdefault(flat[0], set()).add(class_id)
         self._dirty.add(class_id)
         self._enode_count += 1
         self.enodes_created += 1
+        self.analysis_updates += 1
         for arg in flat[1:]:
-            self._classes[arg].parents.append((flat, class_id))
-        if self._analyses:
-            facade = self._decode(flat)
-            for analysis in self._analyses:
-                made = analysis.make(self, facade)
-                if made is not None:
-                    self._set_analysis_data(analysis, class_id, made)
+            classes[arg].parents.append((flat, class_id))
         self.version += 1
         return class_id
 
@@ -500,23 +413,13 @@ class EGraph:
         """Assert that e-classes ``a`` and ``b`` are equal.
 
         Returns the surviving canonical id.  The actual invariant repair is
-        deferred until :meth:`rebuild`.
-
-        Plain (non-analysis) data keys are merged shallowly with a
-        deterministic policy: on a key conflict the data of ``b`` (the second
-        argument) wins, regardless of which class ends up canonical.
-        Rewrites call ``merge(matched, new)``, so the value attached to the
-        freshly constructed class — the "later writer" — is the one that
-        survives.  Slots owned by a registered :class:`Analysis` are instead
-        joined with :meth:`Analysis.merge`, and the parents of each side
-        whose value the join changed are queued for re-``make`` (see the
-        module docstring).
+        deferred until :meth:`rebuild`; the best-cost slots are joined at
+        once (see the module docstring).
         """
         a_root = self.find(a)
         b_root = self.find(b)
         if a_root == b_root:
             return a_root
-        merged_data = {**self._classes[a_root].data, **self._classes[b_root].data}
         # Keep the class with more parents as canonical to move less data.
         if len(self._classes[a_root].parents) < len(self._classes[b_root].parents):
             a_root, b_root = b_root, a_root
@@ -524,28 +427,19 @@ class EGraph:
         merged_away = b_root if keep == a_root else a_root
         keep_class = self._classes[keep]
         gone_class = self._classes.pop(merged_away)
-        keep_data_pre = keep_class.data
-        # Analysis slots are joined below, starting from the keep side's
-        # previous value — the b-wins shallow policy must not clobber them.
-        for analysis in self._analyses:
-            pre = keep_data_pre.get(analysis.key)
-            if pre is None:
-                merged_data.pop(analysis.key, None)
-            else:
-                merged_data[analysis.key] = pre
         keep_class.extend_flat(gone_class.flat)
         keep_class.parents.extend(gone_class.parents)
-        keep_class.data = merged_data
-        for analysis in self._analyses:
-            gone_value = gone_class.data.get(analysis.key)
-            changed = gone_value is not None and self._set_analysis_data(
-                analysis, keep, gone_value
-            )
-            # A change queues every parent, the absorbed side's included.
-            # When the surviving value wins instead, the absorbed side's
-            # parents were still made against its old value: re-make them.
-            if not changed and keep_class.data.get(analysis.key) != gone_value:
-                self._analysis_pending.extend(gone_class.parents)
+        if gone_class.cost < keep_class.cost:
+            # The absorbed side is cheaper: every parent, its own included,
+            # was priced against a dearer class.
+            keep_class.cost = gone_class.cost
+            keep_class.witness = gone_class.witness
+            self.analysis_updates += 1
+            self._cost_pending.extend(keep_class.parents)
+        elif (gone_class.cost, gone_class.witness) != (keep_class.cost, keep_class.witness):
+            # The survivor keeps its slot, on a tie too; the absorbed side's
+            # parents were priced against the other slot.
+            self._cost_pending.extend(gone_class.parents)
         self._pending.append(keep)
         # Record the survivor (its match set grew) AND the absorbed root:
         # the raw id stream lets an incremental match cache evict exactly
@@ -558,24 +452,22 @@ class EGraph:
     def rebuild(self) -> int:
         """Restore the hashcons and congruence invariants.
 
-        Also drains the analysis worklist: queued parent re-``make``\\ s run
-        interleaved with congruence repair, because congruence merges join
-        analysis data (possibly queuing more re-makes) and analysis
-        improvements never create new merges by themselves — except through
-        :meth:`Analysis.modify`, which is handled by the outer loop.
+        Also drains the cost worklist, interleaved with congruence repair:
+        congruence merges join best-cost slots (possibly queuing more
+        parents), and cost improvements never create merges.
 
         Returns the number of repair passes performed.  Safe to call when
         nothing is pending.
         """
         passes = 0
-        while self._pending or self._analysis_pending:
+        while self._pending or self._cost_pending:
             if self._pending:
                 passes += 1
                 todo = {self.find(id_) for id_ in self._pending}
                 self._pending.clear()
                 for class_id in todo:
                     self._repair(class_id)
-            self._process_analysis_pending()
+            self._propagate_costs()
         self._rebuild_hashcons()
         return passes
 
@@ -603,8 +495,8 @@ class EGraph:
             hashcons[canonical_node] = find(seen[canonical_node])
         # Deduplicated rewrite of the log: repeated merges into a hub class
         # would otherwise grow its parents list with one entry per historical
-        # merge, which every reader (the matcher's dirty closure, the
-        # analysis worklist) would then re-canonicalize per visit.
+        # merge, which every reader (the matcher's dirty closure, the cost
+        # worklist) would then re-canonicalize per visit.
         new_parents: List[Tuple[FlatNode, int]] = [
             (node, find(owner)) for node, owner in seen.items()
         ]
@@ -713,9 +605,9 @@ class EGraph:
           the canonical id of the class holding that node;
         * **congruence closed** — no two distinct classes contain the same
           canonical e-node;
-        * **analyses quiescent** — every class's stored analysis value
-          absorbs every e-node's ``make`` (joining any of them changes
-          nothing), i.e. no propagation work remains.
+        * **costs quiescent** — every class's best cost is at most the price
+          of each of its e-nodes and equals its witness's, which is one of
+          them, i.e. no propagation work remains.
         """
         find = self._union_find.find
         self._union_find.compress_all()
@@ -775,23 +667,21 @@ class EGraph:
                 assert find(owner) == node_owner[node], (
                     f"hashcons maps {node} to {owner}, nodes live in {node_owner[node]}"
                 )
-        if not self._pending and not self._analysis_pending:
-            for analysis in self._analyses:
-                for class_id, eclass in self._classes.items():
-                    stored = eclass.data.get(analysis.key)
-                    for node in eclass.flat:
-                        made = analysis.make(self, self._decode(self.canonical_flat(node)))
-                        if made is None:
-                            continue
-                        assert stored is not None, (
-                            f"analysis {analysis.key!r}: class {class_id} has no "
-                            f"data but {node} makes {made!r}"
-                        )
-                        assert analysis.merge(stored, made) == stored, (
-                            f"analysis {analysis.key!r} not quiescent in class "
-                            f"{class_id}: stored {stored!r} does not absorb "
-                            f"{made!r} from {node}"
-                        )
+        if self.quiescent:
+            for class_id, eclass in self._classes.items():
+                for node in eclass.flat:
+                    price = 1.0 + sum([self._classes[arg].cost for arg in node[1:]])
+                    assert eclass.cost <= price, (
+                        f"class {class_id} costs {eclass.cost} but {node} prices {price}"
+                    )
+                witness = self.canonical_flat(eclass.witness)
+                assert witness in eclass.flat, (
+                    f"witness {witness} of class {class_id} is not one of its e-nodes"
+                )
+                price = 1.0 + sum([self._classes[arg].cost for arg in witness[1:]])
+                assert eclass.cost == price, (
+                    f"class {class_id} costs {eclass.cost} but its witness prices {price}"
+                )
         return True
 
     # -- debugging ---------------------------------------------------------------

@@ -7,15 +7,15 @@ combinators (Section 6.1, "Cost function robustness").  Because there is no
 single right parameterization, Szalinski returns the top-k programs
 (Section 5.1) so the user can choose.
 
-The stack has two layers:
+Two extractors read the e-graph:
 
-* :class:`CostAnalysis` — an e-class :class:`~repro.egraph.egraph.Analysis`
-  holding ``(best cost, witness e-node)`` per class, maintained
-  *incrementally* through ``add_enode``/``merge``/``rebuild``.  The runner
-  registers it, so post-saturation single-best extraction
-  (:class:`Extractor`) is an O(answer) walk over the witnesses; there is no
-  post-hoc cost fixpoint.  (The worklist fixpoint it replaced is the test
-  oracle ``tests/saturation_oracle.py``.)
+* :class:`Extractor` — single-best extraction under AST size, the queries
+  the determinizer makes inside the arithmetic components.  Every e-class
+  keeps its best AST-size cost and a witness e-node, maintained through
+  ``add_enode``/``merge``/``rebuild`` (see :mod:`repro.egraph.egraph`), so
+  a query is an O(answer) walk over the witnesses; there is no post-hoc
+  cost fixpoint.  (The worklist fixpoint it replaced is the test oracle
+  ``tests/saturation_oracle.py``.)
 * :class:`TopKExtractor` — **lazy k-best candidate streams** per e-class
   (Eppstein-style, as in Huang & Chiang's lazy k-best parsing), generalized
   to cyclic e-graphs: only *realizable* derivations are enumerated, in cost
@@ -37,22 +37,20 @@ The stack has two layers:
   an unrealizable cyclic "best" simply never appears in any stream, so no
   well-foundedness guards or cycle errors are needed.
 
-A query touches only the classes its answer needs:
+A top-k query touches only the classes its answer needs:
 
-* **The analysis prices rank 0.**  A stream's heap entry is an e-node with
-  one rank per child.  When the e-graph carries a quiescent
-  :class:`CostAnalysis` for the extractor's own cost function, a child at
-  rank 0 is priced by the analysis's best cost, and its stream is created
-  only when a popped entry needs the child's term or a rank above 0.  Two
-  kinds of child still read rank 0 from their stream: one whose stream
-  carries a non-empty banned set (it shares a non-trivial SCC with a
-  blocked class), and every child when no matching analysis is registered
-  (``reward-loops`` in the pipeline).  This is sound only where the
-  analysis's least fixpoint equals the cheapest acyclic derivation, which
-  holds when every e-node costs more than each of its children
-  (``ast-size``): a derivation that revisits a class is then dearer than
-  the one that skips the loop.  Do not register a :class:`CostAnalysis`
-  for a cost function that can price a node at or below a child.
+* **The best-cost slot prices rank 0.**  A stream's heap entry is an
+  e-node with one rank per child.  Under ``ast-size`` on a quiescent
+  e-graph (no merge or cost propagation pending), a child at rank 0 is
+  priced by its class's stored best cost, and its stream is created only
+  when a popped entry needs the child's term or a rank above 0.  Two kinds
+  of child still read rank 0 from their stream: one whose stream carries a
+  non-empty banned set (it shares a non-trivial SCC with a blocked class),
+  and every child under ``reward-loops``, which the slot does not price.
+  This is sound because the stored cost is the cheapest acyclic
+  derivation's when every e-node costs more than each of its children, as
+  under ``ast-size``: a derivation that revisits a class is then dearer
+  than the one that skips the loop.
 * **Successors are pushed just before the next pop.**  Popping an entry
   queues its rank successors; they enter the heap when the stream is next
   asked for more, not at once, so reading rank 0 never forces rank 1 of
@@ -80,7 +78,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.egraph.egraph import Analysis, EGraph, ENode
+from repro.egraph.egraph import EGraph, ENode
 from repro.lang.term import Term
 
 #: A cost function maps (operator, children costs) to a cost.
@@ -105,169 +103,53 @@ class RankedTerm:
 
 
 # ---------------------------------------------------------------------------
-# The cost analysis (incremental best cost + witness per e-class)
+# Single-best extraction (the witness walk)
 # ---------------------------------------------------------------------------
-
-
-class CostAnalysis(Analysis):
-    """Per-class ``(best cost, witness e-node)`` under a cost function.
-
-    ``make`` prices an e-node from its children's best costs; ``merge`` keeps
-    the cheaper side (ties keep the first argument, which is deterministic
-    for a given run).  Registered on an e-graph — typically by the runner,
-    so it rides along during saturation — it makes every best cost a
-    constant-time read; :class:`Extractor` and :class:`TopKExtractor` pick
-    it up automatically when its cost function matches.
-
-    The analysis is a pure least-fixpoint: on an equivalence cycle that
-    undercuts every realizable term (possible only when a node can be
-    cheaper than its child, e.g. ``reward-loops``), the stored cost is a
-    *lower bound* whose witness walk revisits a class.  Consumers detect
-    that and fall back to the k-best enumeration, which is
-    correct-by-construction (see the module docstring).
-    """
-
-    def __init__(self, cost_function: CostFunction = ast_size_cost, key: Optional[str] = None):
-        self.cost_function = cost_function
-        if key is None:
-            name = getattr(cost_function, "__name__", hex(id(cost_function)))
-            key = f"cost:{name}"
-        self.key = key
-
-    def make(self, egraph: EGraph, enode: ENode) -> Optional[Tuple[float, ENode]]:
-        child_costs: List[float] = []
-        for arg in enode.args:
-            data = egraph.analysis_data(arg, self.key)
-            if data is None:
-                return None
-            child_costs.append(data[0])
-        return (self.cost_function(enode.op, child_costs), enode)
-
-    def merge(self, a: Tuple[float, ENode], b: Tuple[float, ENode]) -> Tuple[float, ENode]:
-        return a if a[0] <= b[0] else b
-
-
-def matching_analysis(egraph: EGraph, cost_function: CostFunction) -> Optional[CostAnalysis]:
-    """The registered :class:`CostAnalysis` for ``cost_function``, or None.
-
-    Reuse requires the same cost function *and* a quiescent graph — with
-    merges or analysis propagation still pending the stored data may be
-    stale, so a mid-rebuild caller gets None.
-    """
-    if egraph._pending or egraph._analysis_pending:
-        return None
-    for analysis in egraph.analyses:
-        if isinstance(analysis, CostAnalysis) and analysis.cost_function is cost_function:
-            return analysis
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Single-best extraction (analysis view, with a k-best fallback)
-# ---------------------------------------------------------------------------
-
-
-class _CyclicWitness(Exception):
-    """Internal: the analysis witness walk revisited a class."""
 
 
 class Extractor:
-    """Single-best extraction: the cheapest acyclic derivation of a class.
+    """Single-best extraction under AST size: the walk over the witnesses.
 
-    When the e-graph carries a registered, quiescent :class:`CostAnalysis`
-    for the *same* cost function (the runner registers the ast-size one),
-    extraction is an O(answer) walk over its witnesses.  When the best
-    witness derivation revisits a class (non-monotone cost + equivalence
-    cycle), or no matching analysis is registered, the query is answered by
-    rank 0 of the lazy k-best enumeration instead — the cheapest
-    *realizable* term, with no error path for cycles.
+    A class's stored cost exceeds the stored cost of each of its witness's
+    children (it was one plus their sum when the witness was chosen, and
+    stored costs only fall), so the walk reaches every child at a strictly
+    smaller cost and never revisits a class, even while merges wait for a
+    rebuild.  A term is memoized per canonical class, so a class keeps the
+    term of its first walk.
     """
 
-    def __init__(self, egraph: EGraph, cost_function: CostFunction = ast_size_cost):
+    def __init__(self, egraph: EGraph):
         self.egraph = egraph
-        self.cost_function = cost_function
-        self._analysis = matching_analysis(egraph, cost_function)
-        self._term_memo: Dict[int, Term] = {}
-        self._resolved: Dict[int, RankedTerm] = {}
-        self._kbest: Optional[_KBestEngine] = None
-
-    def _best_entry(self, class_id: int) -> Optional[Tuple[float, ENode]]:
-        """The analysis's (least-fixpoint cost, witness) pair for a canonical id.
-
-        None when no matching analysis is registered, or it has no data for
-        the class.
-        """
-        if self._analysis is None:
-            return None
-        return self.egraph.analysis_data(class_id, self._analysis.key)
-
-    # -- queries ----------------------------------------------------------------
+        self._terms: Dict[int, Term] = {}
 
     def cost_of(self, class_id: int) -> float:
-        """The cost of ``class_id``'s cheapest acyclic derivation.
-
-        Not a lower bound over every *represented* term: a discount cost
-        over an equivalence cycle denotes cyclic-derivation unfoldings that
-        can undercut this value (see the module docstring).
-        """
-        return self._resolve(class_id).cost
+        """``class_id``'s stored best cost: the size of the term :meth:`extract`
+        returns when no merge is pending."""
+        return self.egraph.eclass(class_id).cost
 
     def extract(self, class_id: int) -> Term:
-        """The term of ``class_id``'s cheapest acyclic derivation."""
-        return self._resolve(class_id).term
-
-    def _resolve(self, class_id: int) -> RankedTerm:
-        class_id = self.egraph.find(class_id)
-        resolved = self._resolved.get(class_id)
-        if resolved is not None:
-            return resolved
-        entry = self._best_entry(class_id)
-        if entry is not None:
-            try:
-                resolved = RankedTerm(entry[0], self._walk(class_id))
-            except _CyclicWitness:
-                pass
-        if resolved is None:
-            # No analysis prices the class, or its best witness is an
-            # unrealizable cycle: enumerate realizable derivations instead.
-            # (A cycle is reached only by non-monotone costs over
-            # equivalence cycles, and there the analysis cannot price rank
-            # 0, so the engine gets none.)
-            if self._kbest is None:
-                self._kbest = _KBestEngine(self.egraph, self.cost_function, None)
-            resolved = self._kbest.get(self._kbest.stream(class_id), 0)
-            if resolved is None:
-                raise ExtractionError(f"no extractable term for e-class {class_id}")
-        self._resolved[class_id] = resolved
-        return resolved
-
-    def _walk(self, class_id: int) -> Term:
-        """Materialize the witness derivation, failing on a class revisit.
+        """The term of ``class_id``'s witness derivation.
 
         Depth first, children left to right, from an explicit stack: each
-        frame is a class on the current path, its witness e-node and the
-        terms of its children finished so far.
+        frame is a class on the current path, its witness and the terms of
+        its children finished so far.
         """
-        find = self.egraph.find
-        memo = self._term_memo
+        egraph = self.egraph
+        find = egraph.find
+        op = egraph.symbols.op
+        classes = egraph._classes
+        memo = self._terms
         enter: Optional[int] = find(class_id)
         if enter in memo:
             return memo[enter]
-        path: Set[int] = set()
-        frames: List[Tuple[int, ENode, List[Term]]] = []
+        frames: List[Tuple[int, Tuple[int, ...], List[Term]]] = []
         while True:
             if enter is not None:
-                if enter in path:
-                    raise _CyclicWitness
-                entry = self._best_entry(enter)
-                if entry is None:
-                    raise ExtractionError(f"no extractable term for e-class {enter}")
-                path.add(enter)
-                frames.append((enter, entry[1], []))
+                frames.append((enter, classes[enter].witness, []))
                 enter = None
-            current, enode, terms = frames[-1]
-            while len(terms) < len(enode.args):
-                child = find(enode.args[len(terms)])
+            current, witness, terms = frames[-1]
+            while len(terms) < len(witness) - 1:
+                child = find(witness[len(terms) + 1])
                 memoized = memo.get(child)
                 if memoized is None:
                     enter = child
@@ -275,8 +157,7 @@ class Extractor:
                 terms.append(memoized)
             if enter is not None:
                 continue
-            term = memo[current] = Term(enode.op, tuple(terms))
-            path.discard(current)
+            term = memo[current] = Term(op(witness[0]), tuple(terms))
             frames.pop()
             if not frames:
                 return term
@@ -336,10 +217,10 @@ class _Stream:
         engine.expanded += 1
         egraph = engine.egraph
         find = egraph.find
-        key = engine.analysis_key
+        priced = engine.priced
         # A child shares a blocked class's SCC exactly when it is in this
         # class's own cycle set; its stream then carries a banned set.
-        cycle = engine.cycle_set(self.class_id) if key is not None else frozenset()
+        cycle = engine.cycle_set(self.class_id) if priced else frozenset()
         blocked = self._blocked = self.banned | {self.class_id}
         seen_nodes: Set[ENode] = set()
         for enode in egraph.nodes(self.class_id):
@@ -350,12 +231,10 @@ class _Stream:
             if any(arg in blocked for arg in enode.args):
                 continue
             prices: List[Optional[float]] = [None] * len(enode.args)
-            if key is not None:
+            if priced:
                 for position, arg in enumerate(enode.args):
                     if arg not in cycle:
-                        data = egraph.analysis_data(arg, key)
-                        if data is not None:
-                            prices[position] = data[0]
+                        prices[position] = egraph.eclass(arg).cost
             self._nodes.append((enode, [None] * len(enode.args), prices))
         self._queued = [
             (index, (0,) * len(self._nodes[index][0].args))
@@ -425,7 +304,7 @@ class _Stream:
                 if child_rank >= len(child.entries):
                     if child.exhausted():
                         raise ExtractionError(
-                            f"e-class {child.class_id} has an analysis cost "
+                            f"e-class {child.class_id} has a best cost "
                             "but no realizable term"
                         )
                     return child, child_rank
@@ -456,15 +335,14 @@ class _KBestEngine:
     reached again (the SCC condensation is acyclic), so dropping it is
     sound and collapses almost every request onto the context-free stream.
 
-    ``analysis`` is the :class:`CostAnalysis` that prices rank 0, or None
-    to read every rank from the streams (see the module docstring).
+    ``priced`` says whether the best-cost slots price rank 0; otherwise
+    every rank is read from the streams (see the module docstring).
     """
 
-    def __init__(self, egraph: EGraph, cost_function: CostFunction,
-                 analysis: Optional[CostAnalysis]):
+    def __init__(self, egraph: EGraph, cost_function: CostFunction, priced: bool):
         self.egraph = egraph
         self.cost_function = cost_function
-        self.analysis_key = None if analysis is None else analysis.key
+        self.priced = priced
         self.seq = itertools.count()  # heap tiebreaker: deterministic FIFO
         self._streams: Dict[Tuple[int, frozenset], _Stream] = {}
         self._cycle_sets: Dict[int, frozenset] = {}
@@ -580,8 +458,8 @@ class TopKExtractor:
     docstring): nothing is computed until a query forces it, and a query
     for class ``c`` expands only the classes its answer needs.  Every
     class reachable from ``c`` is still visited once by the SCC index.
-    When the e-graph carries a quiescent :class:`CostAnalysis` for
-    ``cost_function``, that analysis prices rank 0.
+    Under ``ast-size`` on a quiescent e-graph the best-cost slots price
+    rank 0.
     """
 
     def __init__(
@@ -595,7 +473,9 @@ class TopKExtractor:
         self.egraph = egraph
         self.cost_function = cost_function
         self.k = k
-        self._engine = _KBestEngine(egraph, cost_function, matching_analysis(egraph, cost_function))
+        self._engine = _KBestEngine(
+            egraph, cost_function, cost_function is ast_size_cost and egraph.quiescent
+        )
 
     # -- queries -----------------------------------------------------------------
 

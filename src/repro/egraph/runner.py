@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.egraph.egraph import Analysis, EGraph
+from repro.egraph.egraph import EGraph
 from repro.egraph.pattern import CompiledRuleSet, IncrementalMatcher
 from repro.egraph.rewrite import BaseRewrite, RewriteMatch
 from repro.obs.trace import NULL_TRACER
@@ -174,9 +174,8 @@ class IterationReport:
     cached_matches: int = 0
     trie_nodes: int = 0
     trie_programs: int = 0
-    #: E-class analysis data changes (creations + improvements) performed
-    #: during this iteration — 0 when no analysis is registered.  With a
-    #: cost analysis riding along this is the incremental-extraction work.
+    #: Best-cost slots made (one per new class) or lowered during this
+    #: iteration: the work of keeping single-best extraction ready.
     analysis_updates: int = 0
     #: Apply-phase dedup counters: matches skipped because an identical
     #: canonical fingerprint already executed, and matches that actually ran
@@ -228,15 +227,6 @@ class Runner:
     :meth:`run` searches the trie through a fresh
     :class:`~repro.egraph.pattern.IncrementalMatcher` and skips matches
     already in the applied-match ledgers (see the module docstring).
-
-    ``analyses`` lists e-class analyses (e.g. the extraction
-    :class:`~repro.egraph.extract.CostAnalysis`) to register on the e-graph
-    at the start of every :meth:`run` — registration is retroactive and
-    idempotent, so the same runner can be re-run and the same analysis can
-    already be riding on the graph.  Their data is then maintained
-    incrementally through the whole saturation, and each
-    :class:`IterationReport` carries the number of analysis updates the
-    iteration performed.
     """
 
     def __init__(
@@ -245,7 +235,6 @@ class Runner:
         limits: Optional[RunnerLimits] = None,
         *,
         backoff: Optional[BackoffConfig] = None,
-        analyses: Sequence[Analysis] = (),
         tracer=None,
     ):
         self.compiled = rules if isinstance(rules, CompiledRuleSet) else CompiledRuleSet(rules)
@@ -257,7 +246,6 @@ class Runner:
         self.limits = limits or RunnerLimits()
         self.backoff = backoff or BackoffConfig()
         self.scheduler = BackoffScheduler(self.backoff)
-        self.analyses = list(analyses)
         #: rule name -> executed canonical fingerprints; reset per run.  A
         #: plain set for pure/syntactic rules, a fingerprint->content dict
         #: for content-keyed dynamic rules.
@@ -460,8 +448,6 @@ class Runner:
             for rule in self.rules
             if rule.deduplicable
         }
-        for analysis in self.analyses:
-            egraph.register_analysis(analysis)
         egraph.rebuild()  # searches must always see canonical ids
         self._ledger_stamp = egraph.union_version
 

@@ -244,7 +244,10 @@ class ResultCache:
 
     def __contains__(self, key: str) -> bool:
         """Presence check that does not touch the hit/miss counters."""
-        return key in self._memory or (self._path(key) is not None and self._path(key).exists())
+        if key in self._memory:
+            return True
+        path = self._path(key)
+        return path is not None and path.exists()
 
     # -- tiers ----------------------------------------------------------------
 

@@ -165,7 +165,7 @@ class SynthesisDaemon:
             "exact_hits": 0,
             "semantic_hits": 0,
             "coalesced": 0,  # the service's count, copied into each frame
-            "semantic_keys": 0,  # likewise: keys derived, one per exact miss
+            "semantic_keys": 0,  # likewise: keys looked up, one per exact miss
             "rejected": 0,
             "protocol_errors": 0,
             "connections": 0,

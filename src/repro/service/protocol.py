@@ -29,8 +29,8 @@ Requests (client → daemon)
     the daemon's counters in one critical section, and the service's
     (workers, cache, in-flight keys, latency) in one nested inside it.
     Their ``jobs`` counters include ``semantic_keys``, the semantic keys
-    the service derived (one per exact cache miss while the semantic tier
-    is on).  The ``stats`` response additionally carries ``clients``,
+    the service looked up (one per exact cache miss while the semantic
+    tier is on).  The ``stats`` response additionally carries ``clients``,
     ``in_flight_keys``, the full cache
     counter set (``decodes`` counts payloads decoded into results), and a
     ``latency`` section — streaming histogram

@@ -6,9 +6,12 @@ that keys, probes, coalesces and stores jobs: ``batch``/``table1`` via
 ``serve`` daemon, which starts the service's pool once and submits each
 job as its frame arrives.  :meth:`SynthesisService.submit` folds a job's
 timeout into its config and derives its exact cache key.  The semantic key
-(a normalization of the whole term) is derived only when the exact probe
-misses and that tier is on, so an exact hit normalizes nothing; the
-snapshot counts the keys derived (``semantic_keys``).  A job whose keys
+(a normalization of the whole term) is derived only when the exact key is
+not in the cache and that tier is on, so an exact hit normalizes nothing,
+and outside the service lock, so a large term's normalization stalls no
+other job.  The snapshot counts the keys exact misses look up
+(``semantic_keys``); a key derived for a job whose exact entry was stored
+meanwhile goes unused and uncounted.  A job whose keys
 cannot be derived (a term with a non-finite literal has no canonical text)
 is answered FAILED at once.  A cache hit is answered at once with the
 cache's shared, already decoded result, so a repeated hit parses no
@@ -175,7 +178,7 @@ class SynthesisService:
         self._backlog: List[_Flight] = []
         #: Jobs registered as followers over the service's lifetime.
         self._coalesced = 0
-        #: Semantic keys derived over the service's lifetime (one per
+        #: Semantic keys looked up over the service's lifetime (one per
         #: exact miss while the semantic tier is on).
         self._semantic_keys = 0
         self._pool: Optional[ResidentPool] = None
@@ -239,15 +242,30 @@ class SynthesisService:
         except Exception:
             self._fail_unkeyed(job, on_result, traceback.format_exc())
             return
-        result = tier = semantic_key = error = None
+        semantic_key = None
+        if self.cache is not None and self.cache.semantic:
+            with self._lock:
+                present = key in self.cache
+            if not present:
+                # Unlocked: normalizing a large term takes long enough to
+                # stall every other admission and completion.
+                try:
+                    semantic_key = semantic_cache_key(job.term, job.config)
+                except Exception:
+                    self._fail_unkeyed(job, on_result, traceback.format_exc())
+                    return
+        result = tier = error = None
 
         def derive_semantic_key() -> str:
-            # The lookup calls this, under the lock, only on an exact miss.
+            # The lookup calls this, under the lock, only on an exact miss;
+            # it derives the key here only if the entry the probe saw has
+            # left the cache since.
             nonlocal semantic_key
-            try:
-                semantic_key = semantic_cache_key(job.term, job.config)
-            except Exception as exc:
-                raise _Unkeyed(traceback.format_exc()) from exc
+            if semantic_key is None:
+                try:
+                    semantic_key = semantic_cache_key(job.term, job.config)
+                except Exception as exc:
+                    raise _Unkeyed(traceback.format_exc()) from exc
             self._semantic_keys += 1
             return semantic_key
 

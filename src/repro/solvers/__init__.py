@@ -17,9 +17,9 @@ least-squares solve, coefficients snapped to nice rationals (Z3's models are
 exact rationals), and an explicit check of every residual.  The nested-loop
 forms of :mod:`repro.solvers.multilinear` take the same path.  The
 trigonometric solver follows the paper: least squares at a scanned and
-refined frequency, held to the same epsilon; a column of 5 or more values
-that no sinusoid fits within epsilon is rejected first, by the residual of
-a linear recurrence every sinusoid obeys.  R² only ranks two or more
+refined frequency, held to the same epsilon; a column that no sinusoid
+fits within epsilon is rejected first, by the residual of a linear
+recurrence every sinusoid obeys.  R² only ranks two or more
 feasible forms of one component.
 """
 

@@ -195,15 +195,12 @@ def fit_sinusoid(
     than 4 points: any 3 points lie on some sinusoid, which would make the
     solver claim spurious structure).
 
-    A column of 5 or more values whose linear recurrence (module docstring)
-    leaves a residual above its bound holds no sinusoid within epsilon, and
-    is rejected before the frequency scan.  4-point columns go straight to
-    the scan: their recurrence is 2 equations in its 2 unknowns, which some
-    ``(alpha, beta)`` solves exactly unless ``y[1] == y[2]``, so it could
-    reject only those.  They are fitted at all, although a 4-parameter
-    sinusoid passes near most 4 points, because hc-bits' best two programs
-    in Table 1 are 4-point sinusoids; refusing such fits changes all five
-    of its ranked programs.
+    A column whose linear recurrence (module docstring) leaves a residual
+    above its bound holds no sinusoid within epsilon, and is rejected
+    before the frequency scan.  4-point columns are fitted at all, although
+    a 4-parameter sinusoid passes near most 4 points, because hc-bits' best
+    two programs in Table 1 are 4-point sinusoids; refusing such fits
+    changes all five of its ranked programs.
 
     ``work``, when given, counts the fit (``sinusoid_fits``), a recurrence
     rejection (``sinusoid_rejections``) and the least-squares solves, the
@@ -215,7 +212,7 @@ def fit_sinusoid(
     work = Counter() if work is None else work
     work["sinusoid_fits"] += 1
     observations = np.asarray(values, dtype=float)
-    if len(values) >= 5 and _recurrence_rules_out(observations, epsilon, work):
+    if _recurrence_rules_out(observations, epsilon, work):
         work["sinusoid_rejections"] += 1
         return None
     indices = np.arange(len(values), dtype=float)

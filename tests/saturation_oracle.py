@@ -2,7 +2,7 @@
 
 ``repro.egraph`` has one engine: the compiled-trie incremental matcher, the
 apply phase with its applied-match ledgers, and single-best extraction over
-the saturation-time ``CostAnalysis``.  The designs each of those replaced
+the e-classes' built-in best-cost slots.  The designs each of those replaced
 live here, unchanged in what they compute, so the differential tests and
 ``benchmarks/test_saturation_perf.py`` can run old and new side by side:
 
@@ -26,10 +26,11 @@ from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
-from repro.egraph.extract import CostFunction, Extractor, ast_size_cost
+from repro.egraph.extract import CostFunction, ast_size_cost
 from repro.egraph.pattern import CompiledRuleSet, Pattern, PatternVar, SearchStats, Substitution
 from repro.egraph.rewrite import BaseRewrite, RewriteMatch
 from repro.egraph.runner import IterationReport, Runner, StopReason
+from repro.lang.term import Term
 
 # ---------------------------------------------------------------------------
 # The naive backtracking e-matcher
@@ -200,7 +201,8 @@ def parent_enodes(egraph: EGraph, class_id: int) -> List[Tuple[ENode, int]]:
     seen: Dict[Tuple[Tuple[int, ...], int], None] = {}
     for parent_node, parent_id in egraph.eclass(class_id).parents:
         seen[(egraph.canonical_flat(parent_node), find(parent_id))] = None
-    return [(egraph._decode(node), owner) for node, owner in seen]
+    decode_op = egraph.symbols.op
+    return [(ENode(decode_op(node[0]), node[1:]), owner) for node, owner in seen]
 
 
 def post_hoc_costs(egraph: EGraph, cost_function: CostFunction) -> Dict[int, Tuple[float, ENode]]:
@@ -251,17 +253,34 @@ def post_hoc_costs(egraph: EGraph, cost_function: CostFunction) -> Dict[int, Tup
     return best
 
 
-class PostHocExtractor(Extractor):
-    """``Extractor`` over a :func:`post_hoc_costs` table computed at construction.
+class PostHocExtractor:
+    """Single-best extraction over a :func:`post_hoc_costs` table under AST size.
 
-    Queries walk the table's witnesses as the production extractor walks
-    the analysis's, and fall back to k-best rank 0 when a witness revisits a
-    class.  A registered cost analysis is never read.
+    The table is computed at construction, from the e-graph alone; the
+    classes' built-in best-cost slots are never read.  Queries walk the
+    table's witnesses, as the production extractor walks the slots'.
     """
 
-    def __init__(self, egraph: EGraph, cost_function: CostFunction = ast_size_cost):
-        super().__init__(egraph, cost_function)
-        self._best = post_hoc_costs(egraph, cost_function)
+    def __init__(self, egraph: EGraph):
+        self.egraph = egraph
+        self._best = post_hoc_costs(egraph, ast_size_cost)
 
-    def _best_entry(self, class_id: int) -> Optional[Tuple[float, ENode]]:
-        return self._best.get(class_id)
+    def cost_of(self, class_id: int) -> float:
+        return self._best[self.egraph.find(class_id)][0]
+
+    def extract(self, class_id: int) -> Term:
+        """The witness derivation, built bottom-up from an explicit stack."""
+        find = self.egraph.find
+        terms: Dict[int, Term] = {}
+        stack = [find(class_id)]
+        while stack:
+            current = stack[-1]
+            witness = self._best[current][1]
+            missing = [find(arg) for arg in witness.args if find(arg) not in terms]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            if current not in terms:
+                terms[current] = Term(witness.op, tuple(terms[find(a)] for a in witness.args))
+        return terms[find(class_id)]

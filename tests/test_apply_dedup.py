@@ -26,7 +26,7 @@ from repro.benchsuite.models import gear_model, linear_array
 from repro.core.rules import default_rules
 from repro.csg.build import cube, scale
 from repro.egraph.egraph import EGraph
-from repro.egraph.extract import Extractor, ast_size_cost
+from repro.egraph.extract import Extractor
 from repro.egraph.pattern import IncrementalMatcher
 from repro.egraph.rewrite import RewriteMatch, dynamic_rewrite, rewrite
 from repro.egraph.runner import BackoffConfig, Runner, RunnerLimits
@@ -86,7 +86,7 @@ def _run(seed: int, engine=Runner, **options):
         **options,
     )
     report = runner.run(egraph)
-    extractor = Extractor(egraph, ast_size_cost)
+    extractor = Extractor(egraph)
     costs = tuple(extractor.cost_of(root) for root in roots)
     return egraph, report, costs
 
@@ -171,7 +171,7 @@ def test_pipeline_parity_on_real_models():
                 [it.matches for it in report.iterations],
                 egraph.total_enodes,
                 len(egraph),
-                Extractor(egraph, ast_size_cost).cost_of(root),
+                Extractor(egraph).cost_of(root),
             )
         assert results[True] == results[False]
 
@@ -250,7 +250,7 @@ def test_chain_fold_skips_rescans_on_unchanged_chains():
         results[dedup] = (
             [it.matches for it in report.iterations],
             egraph.total_enodes,
-            Extractor(egraph, ast_size_cost).cost_of(root),
+            Extractor(egraph).cost_of(root),
         )
         if dedup:
             skipped = sum(it.skipped_applications for it in report.iterations)

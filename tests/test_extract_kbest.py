@@ -6,11 +6,13 @@ Three layers of defense for the lazy k-best rewrite:
   merge-created equivalence cycles — the extractor's entries must be
   distinct, realizable (the entry's cost is the recomputed cost of its own
   term), sorted, and equal to an exhaustive brute-force enumeration of all
-  acyclic derivations, under both the monotone ``ast-size`` cost and the
-  non-monotone ``reward-loops`` cost — once on the bare graph and once
-  with a registered ast-size ``CostAnalysis``, which then prices rank 0.
-* **Analysis parity** (hypothesis, in ``test_egraph_analysis.py``): the
-  incrementally maintained cost analysis equals the retroactive fixpoint.
+  acyclic derivations, under both the monotone ``ast-size`` cost, once
+  with the e-classes' best-cost slots pricing rank 0 and once with every
+  rank read from the streams, and the non-monotone ``reward-loops`` cost,
+  where the slots cannot price.
+* **Slot parity** (hypothesis, here and in ``test_egraph_analysis.py``):
+  the incrementally maintained best-cost slots equal the post-hoc
+  fixpoint, and pricing rank 0 from them changes no top-k cost.
 * **Seed differential**: on saturated e-graphs of the bundled benchmark
   models, the new extractor's best cost equals the *seed* whole-graph
   candidate-table fixpoint's (a frozen copy of the pre-rewrite algorithm) —
@@ -155,69 +157,58 @@ def test_top_k_matches_brute_force_and_is_well_formed(schedule, cost_function, k
     _assert_top_k_matches_brute_force(_build(schedule), cost_function, k)
 
 
+def _unpriced_ast_size(op, child_costs):
+    """``ast-size`` under another name: the best-cost slots do not price it."""
+    return ast_size_cost(op, child_costs)
+
+
 @settings(max_examples=120, deadline=None)
-@given(_schedule, st.sampled_from([ast_size_cost_fn, reward_loops_cost_fn]), st.integers(1, 6))
-def test_top_k_matches_brute_force_with_a_registered_analysis(schedule, cost_function, k):
-    """The same parity with an ast-size analysis on the graph.
+@given(_schedule, st.integers(1, 6))
+def test_top_k_matches_brute_force_without_slot_pricing(schedule, k):
+    """The same parity under ``ast-size`` with every rank read from the streams."""
+    _assert_top_k_matches_brute_force(_build(schedule), _unpriced_ast_size, k)
 
-    Under ``ast-size`` the analysis then prices rank 0, except for children
-    that share a non-trivial SCC with a blocked class; under
-    ``reward-loops`` it must be ignored.
-    """
-    from repro.egraph.extract import CostAnalysis
 
+@settings(max_examples=60, deadline=None)
+@given(_schedule, st.integers(1, 4))
+def test_slot_pricing_changes_nothing(schedule, k):
+    """Slot-priced top-k costs equal the unpriced streams' and the post-hoc
+    fixpoint on the same graph."""
     egraph = _build(schedule)
-    egraph.register_analysis(CostAnalysis(ast_size_cost))
-    _assert_top_k_matches_brute_force(egraph, cost_function, k)
+    priced = TopKExtractor(egraph, ast_size_cost, k=k)
+    unpriced = TopKExtractor(egraph, _unpriced_ast_size, k=k)
+    assert priced._engine.priced and not unpriced._engine.priced
+    posthoc = PostHocExtractor(egraph)
+    for eclass in list(egraph.classes()):
+        class_id = eclass.id
+        expected = posthoc.cost_of(class_id)
+        assert eclass.cost == expected
+        # Terms may differ on exact cost ties (the streams push in another
+        # order); each is realizable at its own cost.
+        entries = priced.extract_top_k(class_id)
+        assert [e.cost for e in entries] == [e.cost for e in unpriced.extract_top_k(class_id)]
+        assert entries[0].cost == expected
+        for entry in entries:
+            assert term_cost(ast_size_cost, entry.term) == entry.cost
 
 
 @settings(max_examples=80, deadline=None)
 @given(_schedule, st.sampled_from([ast_size_cost_fn, reward_loops_cost_fn]))
 def test_single_best_matches_brute_force(schedule, cost_function):
-    from repro.egraph.extract import ExtractionError
-
+    """The witness walk under ``ast-size``; rank 0 of the streams otherwise."""
     egraph = _build(schedule)
-    extractor = Extractor(egraph, cost_function)
+    extractor = Extractor(egraph)
+    top = TopKExtractor(egraph, cost_function, k=1)
     for eclass in list(egraph.classes()):
         class_id = eclass.id
-        expected = brute_force_top_k(egraph, cost_function, class_id, 1)
-        if not expected:
-            with pytest.raises(ExtractionError):
-                extractor.extract(class_id)
-            continue
-        best_cost, _ = expected[0]
-        assert extractor.cost_of(class_id) == pytest.approx(best_cost)
-        term = extractor.extract(class_id)
+        best_cost, _ = brute_force_top_k(egraph, cost_function, class_id, 1)[0]
+        if cost_function is ast_size_cost:
+            cost, term = extractor.cost_of(class_id), extractor.extract(class_id)
+        else:
+            entry = top.best(class_id)
+            cost, term = entry.cost, entry.term
+        assert cost == pytest.approx(best_cost)
         assert term_cost(cost_function, term) == pytest.approx(best_cost)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_schedule, st.integers(1, 4))
-def test_registered_analysis_changes_nothing(schedule, k):
-    """Extraction over an analysis-carrying graph equals the post-hoc fixpoint
-    on the plain one."""
-    from repro.egraph.extract import CostAnalysis, ExtractionError
-
-    plain = _build(schedule)
-    carrying = _build(schedule)
-    carrying.register_analysis(CostAnalysis(ast_size_cost))
-    plain_ex = PostHocExtractor(plain, ast_size_cost)
-    carrying_ex = Extractor(carrying, ast_size_cost)
-    assert carrying_ex._analysis is not None  # really on the incremental path
-    for eclass in list(plain.classes()):
-        class_id = eclass.id
-        try:
-            expected_cost = plain_ex.cost_of(class_id)
-        except ExtractionError:
-            with pytest.raises(ExtractionError):
-                carrying_ex.extract(class_id)
-            continue
-        # Witness *terms* may differ on exact cost ties (the post-hoc
-        # worklist and the incremental merge order break ties differently);
-        # both must be realizable terms of the same optimal cost.
-        assert carrying_ex.cost_of(class_id) == expected_cost
-        term = carrying_ex.extract(class_id)
-        assert term_cost(ast_size_cost, term) == pytest.approx(expected_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +345,7 @@ def _assert_seed_parity(name):
         egraph, ast_size_cost, k=5, roots=[root]
     ).best_cost(root)
     new_best = TopKExtractor(egraph, ast_size_cost, k=5).best(root)
-    single = Extractor(egraph, ast_size_cost)
+    single = Extractor(egraph)
     assert seed_cost is not None, name
     assert new_best.cost == seed_cost, name
     assert single.cost_of(root) == seed_cost, name

@@ -3,12 +3,12 @@
 ``kbest_oracle`` keeps the eager streams: every child stream is created
 and forced at rank 0 when its parent is expanded.  These tests run both
 designs on the e-graph ``synthesize`` extracts from and diff what they
-return — cost, term and order — under ``ast-size``, where the saturation-
-time cost analysis prices rank 0, and under ``reward-loops``, where it
+return — cost, term and order — under ``ast-size``, where the e-classes'
+best-cost slots price rank 0, and under ``reward-loops``, where they
 cannot.  A fast subset of Table 1 runs in the blocking lane, the other
 models in the slow lane.
 
-They also pin two properties the lazy design promises: the analysis's
+They also pin two properties the lazy design promises: the stored best
 cost of every class reachable from a root is the oracle's rank-0 cost bit
 for bit, and ``synthesize`` leaves no cyclic garbage behind.
 """
@@ -26,7 +26,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.cost import get_cost_function
 from repro.core.pipeline import synthesize
 from repro.egraph.egraph import EGraph, ENode
-from repro.egraph.extract import CostAnalysis, TopKExtractor, ast_size_cost, matching_analysis
+from repro.egraph.extract import TopKExtractor, ast_size_cost
 from repro.lang.term import Term
 
 #: Small models, dice among them for its many cost ties.
@@ -77,7 +77,6 @@ def _assert_top_k_matches_oracle(name, cost_name, monkeypatch):
 
 def _assert_rank0_matches_oracle(name, monkeypatch):
     egraph, root = _extraction_graph(name, monkeypatch)
-    key = matching_analysis(egraph, ast_size_cost).key
     classes = _reachable(egraph, root)
     for cost_name in _COSTS:
         cost_function = get_cost_function(cost_name)
@@ -87,8 +86,8 @@ def _assert_rank0_matches_oracle(name, monkeypatch):
             expected = eager.rank0(class_id)
             assert expected is not None, (name, class_id)
             if cost_function is ast_size_cost:
-                analysis_cost = egraph.analysis_data(class_id, key)[0]
-                assert analysis_cost.hex() == expected.cost.hex(), (name, class_id)
+                stored = egraph.eclass(class_id).cost
+                assert stored.hex() == expected.cost.hex(), (name, class_id)
             best = lazy.best(class_id)
             assert (best.cost, best.term) == (expected.cost, expected.term), (
                 name, cost_name, class_id,
@@ -121,16 +120,15 @@ def test_analysis_cost_is_the_oracle_rank0_of_every_reachable_class_full_suite(n
 
 def test_a_child_in_the_same_scc_reads_rank0_from_its_banned_stream():
     # A = {a, (U B b)} and B = {(F A), (G (G (G c)))} form one SCC.  The
-    # analysis prices B at 2 through (F a), but a derivation of A may not
+    # slot prices B at 2 through (F a), but a derivation of A may not
     # revisit A, so under A the cheapest B is (G (G (G c))), at 4.
     egraph = EGraph()
-    egraph.register_analysis(CostAnalysis(ast_size_cost))
     a = egraph.add_term(Term("a"))
     b = egraph.add_enode(ENode("F", (a,)))
     egraph.merge(b, egraph.add_term(Term.parse("(G (G (G c)))")))
     egraph.merge(a, egraph.add_enode(ENode("U", (b, egraph.add_term(Term("b"))))))
     egraph.rebuild()
-    assert egraph.analysis_data(b, matching_analysis(egraph, ast_size_cost).key)[0] == 2.0
+    assert egraph.eclass(b).cost == 2.0
     lazy = TopKExtractor(egraph, ast_size_cost, k=5)
     eager = EagerTopKExtractor(egraph, ast_size_cost, k=5)
     expected = [(1.0, Term("a")), (6.0, Term.parse("(U (G (G (G c))) b)"))]

@@ -178,7 +178,7 @@ class TestWorklistParity:
         egraph = EGraph()
         term = Term.parse("(Union (Translate 1 2 3 Cube) (Scale 4 5 6 Sphere))")
         root = egraph.add_term(term)
-        extractor = Extractor(egraph, ast_size_cost)
+        extractor = Extractor(egraph)
         assert extractor.cost_of(root) == float(term.size())
         assert extractor.extract(root) == term
 
@@ -189,7 +189,7 @@ class TestWorklistParity:
         deep = Term.parse("(F (F (F (F (F (Union A B))))))")
         root = egraph.add_term(deep)
         _merge_equivalent(egraph, Term.parse("(Union A B)"), Term("C"))
-        extractor = Extractor(egraph, ast_size_cost)
+        extractor = Extractor(egraph)
         assert extractor.extract(root) == Term.parse("(F (F (F (F (F C)))))")
         assert extractor.cost_of(root) == 6.0
 
@@ -221,27 +221,26 @@ class TestWorklistParity:
         egraph.rebuild()
         entries = TopKExtractor(egraph, reward_loops_cost_fn, k=2).extract_top_k(u)
         assert entries[0].term == Term.parse("(Union A B)")
-        # The single-best extractor needs the same guard: without it the
-        # self-loop "wins" with a cost no realizable term has and extract()
-        # recurses forever.
-        single = Extractor(egraph, reward_loops_cost_fn)
-        assert single.extract(u) == Term.parse("(Union A B)")
-        assert single.cost_of(u) == 3.0
+        # The single best needs the same guard: without it the self-loop
+        # "wins" with a cost no realizable term has.
+        single = TopKExtractor(egraph, reward_loops_cost_fn).best(u)
+        assert single.term == Term.parse("(Union A B)")
+        assert single.cost == 3.0
 
     def test_indirect_cycle_extracts_the_best_realizable_term(self):
         # A mutual Mapi cycle undercuts every realizable term under the
         # discount: the fixpoint best is an unmaterializable infinite tower.
-        # The k-best streams rank only acyclic derivations, so both
-        # extractors now return the correct best realizable term instead of
-        # raising (this used to be a pinned ExtractionError limitation).
+        # The k-best streams rank only acyclic derivations, so the single
+        # best and the top k are the correct best realizable term instead of
+        # an error (this used to be a pinned ExtractionError limitation).
         egraph = EGraph()
         flat = Term.parse("(Union (Union P Q) (Union R (Union S T)))")  # 9 nodes
         a = egraph.add_term(flat)
         egraph.merge(egraph.add_enode(ENode("Mapi", (egraph.add_enode(ENode("Mapi", (a,))),))), a)
         egraph.rebuild()
-        single = Extractor(egraph, reward_loops_cost_fn)
-        assert single.extract(a) == flat
-        assert single.cost_of(a) == 9.0
+        single = TopKExtractor(egraph, reward_loops_cost_fn).best(a)
+        assert single.term == flat
+        assert single.cost == 9.0
         entries = TopKExtractor(egraph, reward_loops_cost_fn, k=2).extract_top_k(a)
         assert entries[0].term == flat
         assert entries[0].cost == 9.0

@@ -427,12 +427,12 @@ class TestExtraction:
         root = egraph.add_term(Term.parse("(Union Cube Empty)"))
         _fire(rewrite("union-empty", "(Union ?x Empty)", "?x"), egraph)
         egraph.rebuild()
-        assert Extractor(egraph, ast_size_cost).extract(root) == Term("Cube")
+        assert Extractor(egraph).extract(root) == Term("Cube")
 
     def test_extractor_cost(self):
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(Union Cube Sphere)"))
-        assert Extractor(egraph, ast_size_cost).cost_of(root) == 3.0
+        assert Extractor(egraph).cost_of(root) == 3.0
 
     def test_top_k_orders_by_cost(self):
         egraph = EGraph()
@@ -474,4 +474,4 @@ class TestExtraction:
         union = egraph.add_enode(ENode("Union", (x, x)))
         egraph.merge(union, x)
         egraph.rebuild()
-        assert Extractor(egraph, ast_size_cost).extract(x) == Term("X")
+        assert Extractor(egraph).extract(x) == Term("X")

@@ -23,7 +23,7 @@ from repro.csg.build import (
     union,
 )
 from repro.egraph.egraph import EGraph
-from repro.egraph.extract import Extractor, ast_size_cost
+from repro.egraph.extract import Extractor
 from repro.egraph.runner import Runner, RunnerLimits
 from repro.geometry.membership import compile_csg
 from repro.geometry.sampling import joint_bounding_box, sample_grid
@@ -42,7 +42,7 @@ def _all_flat_variants(term, categories):
     variants = []
     seen = set()
     for enode in egraph.nodes(root):
-        extractor = Extractor(egraph, ast_size_cost)
+        extractor = Extractor(egraph)
         candidate = Term(enode.op, tuple(extractor.extract(a) for a in enode.args))
         if candidate in seen:
             continue
@@ -150,7 +150,7 @@ class TestAffineCollapsing:
         egraph = EGraph()
         root = egraph.add_term(term)
         Runner(default_rules(["affine-collapsing"])).run(egraph)
-        best = Extractor(egraph, ast_size_cost).extract(root)
+        best = Extractor(egraph).extract(root)
         assert best.size() < term.size()
         assert best == translate(5, 7, 9, cube())
 
@@ -164,7 +164,7 @@ class TestFoldRules:
         folded_nodes = [n for n in egraph.nodes(root) if n.op == "Fold"]
         assert folded_nodes, "expected at least one Fold e-node in the root class"
         # Rebuild a concrete folded term and check it unrolls to the original.
-        extractor = Extractor(egraph, ast_size_cost)
+        extractor = Extractor(egraph)
         for fold_node in folded_nodes:
             folded = Term("Fold", tuple(extractor.extract(a) for a in fold_node.args))
             unrolled = unroll(folded)
@@ -176,7 +176,7 @@ class TestFoldRules:
         egraph = EGraph()
         root = egraph.add_term(term)
         Runner(default_rules(["boolean"])).run(egraph)
-        assert Extractor(egraph, ast_size_cost).extract(root) == cube()
+        assert Extractor(egraph).extract(root) == cube()
 
 
 class TestExpansiveRules:
@@ -208,7 +208,7 @@ class TestOverflowingArithmetic:
         before = egraph.total_enodes
         Runner(default_rules(["affine-reordering", "affine-collapsing"])).run(egraph)
         assert egraph.total_enodes == before
-        assert Extractor(egraph, ast_size_cost).extract(root) == term
+        assert Extractor(egraph).extract(root) == term
 
     def test_commute_declines_before_adding_its_inner_layer(self):
         egraph = EGraph()

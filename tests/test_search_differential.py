@@ -22,7 +22,7 @@ from typing import Dict, List, Set, Tuple
 import pytest
 
 from repro.egraph.egraph import EGraph
-from repro.egraph.extract import Extractor, ast_size_cost
+from repro.egraph.extract import Extractor
 from repro.egraph.pattern import CompiledRuleSet, IncrementalMatcher
 from repro.egraph.rewrite import BaseRewrite, dynamic_rewrite, rewrite
 from repro.egraph.runner import BackoffConfig, Runner, RunnerLimits
@@ -164,7 +164,7 @@ def test_runner_reports_identical_with_and_without_incremental(seed):
         egraph = EGraph()
         root = egraph.add_term(model)
         report = engine(rules, limits, backoff=backoff).run(egraph)
-        best = Extractor(egraph, ast_size_cost).extract(root)
+        best = Extractor(egraph).extract(root)
         outcomes[incremental] = {
             "stop": report.stop_reason,
             "indices": [it.index for it in report.iterations],

@@ -1211,6 +1211,64 @@ class TestHitPath:
         assert snapshot["in_flight_keys"] == 0 and snapshot["coalesced"] == 0
 
 
+    def test_an_exact_hit_is_answered_while_a_semantic_key_is_derived(self, monkeypatch):
+        import repro.service.service as service_module
+
+        service = SynthesisService(worker_count=0, cache=ResultCache())
+        warm = self._submit(service, _chain(3))
+        derived_before = self._work(service)[1]
+        entered, release, hit_answered = threading.Event(), threading.Event(), threading.Event()
+        real = service_module.semantic_cache_key
+
+        def blocking(term, config):
+            entered.set()
+            assert release.wait(timeout=60)  # hang guard
+            return real(term, config)
+
+        answers = {}
+
+        def on_result(job, result):
+            answers[job.name] = result
+            if job.name == "hit":
+                hit_answered.set()
+
+        monkeypatch.setattr(service_module, "semantic_cache_key", blocking)
+        threads = [
+            threading.Thread(
+                target=service.submit, args=(SynthesisJob(name=name, term=term), on_result)
+            )
+            for name, term in (("miss", _chain(4)), ("hit", _chain(3)))
+        ]
+        threads[0].start()
+        try:
+            assert entered.wait(timeout=60)  # hang guard
+            threads[1].start()
+            # The miss is still deriving its key: the hit must not wait for it.
+            assert hit_answered.wait(timeout=30), "the exact hit waited on the miss's key"
+            assert "miss" not in answers
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert answers["hit"].cache_tier == "exact" and answers["hit"].result is warm.result
+        service.shutdown()
+        assert answers["miss"].ok and not answers["miss"].cached
+        # The hit derived nothing; the miss derived its key once.
+        assert self._work(service) == (0, derived_before + 1)
+
+
+    def test_a_key_gone_after_the_probe_is_derived_by_the_lookup(self, monkeypatch):
+        # The presence probe saw the exact key, then the entry left the
+        # cache: the lookup misses and derives the semantic key itself.
+        service = SynthesisService(worker_count=0, cache=ResultCache())
+        monkeypatch.setattr(ResultCache, "__contains__", lambda cache, key: True)
+        miss = self._submit(service, _chain(3))
+        assert not miss.cached and self._work(service) == (0, 1)
+        monkeypatch.undo()
+        respelled = self._submit(service, _respelled_chain(3))
+        assert respelled.cache_tier == "semantic" and respelled.result is miss.result
+
+
 #: ``ResultCache.stats()`` after the fixed stream of
 #: ``TestHitPath.test_cache_counters_for_a_fixed_stream_are_unchanged``, as
 #: read on the service that decoded every hit.

@@ -249,7 +249,7 @@ _magnitudes = st.one_of(
 @st.composite
 def sinusoids_within_epsilon(draw):
     """A column within epsilon of a sinusoid, and that epsilon."""
-    count = draw(st.integers(5, 60))
+    count = draw(st.integers(4, 60))
     frequency = draw(
         st.one_of(
             st.floats(0.0, 360.0, exclude_min=True, exclude_max=True),
@@ -289,6 +289,11 @@ def _alternating(count, epsilon, run=1):
 @example((_sampled_sinusoid(60, 90.0, 5.0, 0.0, 10.0, _alternating(60, 1e-2)), 1e-2))
 @example((_sampled_sinusoid(10, 30.0, 12.5, 315.0, -3.5, _alternating(10, 1e-3, 2)), 1e-3))
 @example((_sampled_sinusoid(40, 60.0, 2.5, 17.0, 10.0, _alternating(40, 1e-3, 3)), 1e-3))
+# 4 values whose middle two are equal: the recurrence's 2 equations share
+# one design row, and the residual is |y[0] - y[3]| / sqrt(2).
+@example(([0.0, 1.0, 1.0, 0.0], 1e-3))
+@example(([0.0, 1.0, 1.0, 0.002], 1e-3))
+@example((_sampled_sinusoid(4, 90.0, 1e6, 315.0, 1e14), 1e-3))
 def test_the_recurrence_rejects_no_sinusoid_the_oracle_finds(column):
     # A rejection returns None, so the answers differ whenever the filter
     # rejects a column on which the oracle's unfiltered search succeeds.

@@ -131,6 +131,13 @@ class TestTrigFits:
         assert fit_sinusoid([0.0, 5.0, 1.0, 9.0, 2.0, 7.0, 3.0], EPSILON, work=work) is None
         assert work == Counter(sinusoid_fits=1, sinusoid_rejections=1, lstsq_solves=1)
 
+    def test_recurrence_rejects_four_values(self):
+        # With y[1] == y[2] the recurrence's two equations share one design
+        # row, and its residual |y[0] - y[3]| / sqrt(2) exceeds 4e-3*sqrt(2).
+        work = Counter()
+        assert fit_sinusoid([0.0, 1.0, 1.0, 0.05], EPSILON, work=work) is None
+        assert work == Counter(sinusoid_fits=1, sinusoid_rejections=1, lstsq_solves=1)
+
     def test_renders_sin_term(self):
         form = fit_sinusoid([-1.0, -1.0, 1.0, 1.0], EPSILON)
         rendered = form.to_term(Term("i"))
