@@ -11,9 +11,16 @@ restores the two invariants that make e-matching sound:
 * **congruence invariant** — e-nodes that become identical after
   canonicalizing their children live in the same e-class.
 
-Rebuilding is deferred (egg-style): merges enqueue dirty classes and a
-single :meth:`EGraph.rebuild` pass repairs the invariants before the next
-round of matching.
+Rebuilding is deferred (egg-style): merges enqueue the surviving class on
+a worklist, and :meth:`EGraph.rebuild` repairs the invariants from that
+worklist alone before the next round of matching.  A stored e-node becomes
+non-canonical only when one of its children is merged away, and then it
+sits in the merged class's parents log; so repairing a merged class
+(re-canonicalizing its parents, merging the ones that became congruent)
+records every parent's owner as *touched*, and once the worklist drains
+only the touched classes' node lists are canonicalized, de-duplicated and
+re-keyed in the hashcons.  A rebuild costs O(touched classes), not
+O(graph).
 
 **Flat node representation.**  Internally an e-node is a plain tuple
 ``(op_id, *arg_ids)`` of integers: the operator is interned into a dense id
@@ -170,11 +177,6 @@ class EGraph:
         self._classes: Dict[int, EClass] = {}
         self._hashcons: Dict[FlatNode, int] = {}
         self._pending: List[int] = []
-        #: operator id -> set of e-class ids containing an e-node with that
-        #: operator.  Used by e-matching to avoid scanning the whole graph;
-        #: entries may be stale (non-canonical or over-approximate) and are
-        #: re-canonicalized by readers.
-        self._op_index: Dict[int, set] = {}
         #: e-class ids (possibly stale) touched since the last `take_dirty`;
         #: see the module docstring for the search-epoch protocol.
         self._dirty: Set[int] = set()
@@ -253,29 +255,6 @@ class EGraph:
         """True when the two ids refer to the same e-class."""
         return self.find(a) == self.find(b)
 
-    def classes_with_op(self, op: Operator) -> List[int]:
-        """Canonical ids of e-classes containing an e-node with operator ``op``.
-
-        The index is maintained incrementally and may hold stale ids after
-        merges; they are canonicalized and de-duplicated here, which keeps
-        the common case (e-matching a specific operator) far cheaper than a
-        full scan.
-        """
-        op_id = self._symbols.get(op)
-        if op_id is None:
-            return []
-        ids = self._op_index.get(op_id)
-        if not ids:
-            return []
-        find = self._union_find.find
-        live = {find(i) for i in ids}
-        live.intersection_update(self._classes)
-        if live != ids:
-            # Prune in place so repeated queries between rebuilds do not keep
-            # re-canonicalizing the same stale ids.
-            self._op_index[op_id] = live
-        return list(live)
-
     # -- flat encoding helpers ---------------------------------------------------
 
     def canonical_flat(self, node: FlatNode) -> FlatNode:
@@ -346,7 +325,6 @@ class EGraph:
         cost = 1.0 + sum([classes[arg].cost for arg in flat[1:]])
         classes[class_id] = EClass(class_id, self._symbols, flat, cost)
         self._hashcons[flat] = class_id
-        self._op_index.setdefault(flat[0], set()).add(class_id)
         self._dirty.add(class_id)
         self._enode_count += 1
         self.enodes_created += 1
@@ -452,7 +430,9 @@ class EGraph:
     def rebuild(self) -> int:
         """Restore the hashcons and congruence invariants.
 
-        Also drains the cost worklist, interleaved with congruence repair:
+        Repairs the classes merges queued, and re-canonicalizes only the
+        node lists those repairs touched (see the module docstring).  Also
+        drains the cost worklist, interleaved with congruence repair:
         congruence merges join best-cost slots (possibly queuing more
         parents), and cost improvements never create merges.
 
@@ -460,31 +440,58 @@ class EGraph:
         nothing is pending.
         """
         passes = 0
+        touched: Set[int] = set()
         while self._pending or self._cost_pending:
             if self._pending:
                 passes += 1
                 todo = {self.find(id_) for id_ in self._pending}
                 self._pending.clear()
                 for class_id in todo:
-                    self._repair(class_id)
+                    self._repair(class_id, touched)
             self._propagate_costs()
-        self._rebuild_hashcons()
+        # Congruence is closed now: no canonical node of a touched class
+        # lives in another class.  Every stored e-node is its own hashcons
+        # key (add_enode stores both, this loop keeps it so), so a changed
+        # node's stale key is the node itself.  Duplicates keep their
+        # first occurrence.
+        find = self._union_find.find
+        canonical_flat = self.canonical_flat
+        hashcons = self._hashcons
+        for class_id in {find(id_) for id_ in touched}:
+            eclass = self._classes[class_id]
+            unique_nodes: Dict[FlatNode, None] = {}
+            changed = False
+            for node in eclass.flat:
+                canonical_node = canonical_flat(node)
+                if canonical_node is not node:
+                    changed = True
+                    hashcons.pop(node, None)
+                    hashcons[canonical_node] = class_id
+                unique_nodes[canonical_node] = None
+            if changed:
+                self._enode_count -= len(eclass.flat) - len(unique_nodes)
+                eclass.replace_flat(list(unique_nodes))
         return passes
 
-    def _repair(self, class_id: int) -> None:
+    def _repair(self, class_id: int, touched: Set[int]) -> None:
         """Re-canonicalize the parents of a recently merged class and detect
-        newly congruent parents."""
+        newly congruent parents.
+
+        Adds the owner of every parent e-node to ``touched``: the only
+        classes whose stored e-nodes the merge can have made non-canonical
+        (the merged class's own e-nodes changed only if it is such an owner).
+        """
         find = self._union_find.find
         class_id = find(class_id)
         eclass = self._classes.get(class_id)
         if eclass is None:
             return
         canonical_flat = self.canonical_flat
-        hashcons = self._hashcons
         seen: Dict[FlatNode, int] = {}
         for parent_node, parent_id in eclass.parents:
             canonical_node = canonical_flat(parent_node)
             parent_id = find(parent_id)
+            touched.add(parent_id)
             previous = seen.get(canonical_node)
             if previous is not None and previous != parent_id:
                 # Two parents became congruent: merge their classes.
@@ -492,7 +499,6 @@ class EGraph:
                 seen[canonical_node] = find(merged)
             else:
                 seen[canonical_node] = parent_id
-            hashcons[canonical_node] = find(seen[canonical_node])
         # Deduplicated rewrite of the log: repeated merges into a hub class
         # would otherwise grow its parents list with one entry per historical
         # merge, which every reader (the matcher's dirty closure, the cost
@@ -507,38 +513,6 @@ class EGraph:
         # combined log is merely stale, which readers canonicalize away).
         if find(class_id) == class_id:
             eclass.parents = new_parents
-
-    def _rebuild_hashcons(self) -> None:
-        """Fully re-canonicalize e-nodes, the hashcons, and class node lists."""
-        find = self._union_find.find
-        canonical_flat = self.canonical_flat
-        new_hashcons: Dict[FlatNode, int] = {}
-        new_op_index: Dict[int, set] = {}
-        for class_id in list(self._classes.keys()):
-            canonical_id = find(class_id)
-            if canonical_id != class_id:
-                continue
-            eclass = self._classes[class_id]
-            unique_nodes: Dict[FlatNode, None] = {}
-            for node in eclass.flat:
-                canonical_node = canonical_flat(node)
-                unique_nodes[canonical_node] = None
-                existing = new_hashcons.get(canonical_node)
-                if existing is not None and find(existing) != canonical_id:
-                    # Congruent nodes in distinct classes: merge and note that
-                    # another pass is required.
-                    self._pending.append(self.merge(existing, canonical_id))
-                new_hashcons[canonical_node] = find(canonical_id)
-                new_op_index.setdefault(canonical_node[0], set()).add(canonical_id)
-            self._enode_count -= len(eclass.flat) - len(unique_nodes)
-            eclass.replace_flat(list(unique_nodes.keys()))
-        self._hashcons = new_hashcons
-        self._op_index = new_op_index
-        if self._pending:
-            # A congruence found during hashcons rebuilding requires another
-            # repair round; recursion depth is bounded by the lattice of
-            # merges.
-            self.rebuild()
 
     # -- dirty-class tracking (search epochs) ------------------------------------
 

@@ -266,8 +266,6 @@ class CompiledRuleSet:
         #: Distinct instruction operators, slot-indexed (see _TrieNode.edges).
         self._slot_ops: List[Operator] = []
         self._op_slots: Dict[Operator, int] = {}
-        #: True when some pattern is a bare variable (matches every class).
-        self._has_var_roots = False
         total_instructions = 0
         max_depth = 1
         for index, rule in enumerate(self.rules):
@@ -313,8 +311,6 @@ class CompiledRuleSet:
                     self._root_edges_by_op.setdefault(instruction.op, []).append(edge)
             child.rules.add(entry[0])
             node = child
-        if node is self._root:
-            self._has_var_roots = True
         node.yields.append(entry)
 
     def _count_nodes(self, node: _TrieNode) -> int:
@@ -330,8 +326,8 @@ class CompiledRuleSet:
     ) -> Dict[str, List]:
         """Match every compiled pattern against a set of candidate classes.
 
-        ``class_ids`` restricts the search (``None`` means the whole graph,
-        pre-filtered through the operator index); ``enabled`` restricts it to
+        ``class_ids`` restricts the search (``None`` means every class of
+        the graph); ``enabled`` restricts it to
         a subset of rule names, pruning shared trie branches no enabled rule
         passes through.  Returns ``{rule name: [RewriteMatch, ...]}`` with
         matches ordered by canonical class id; every rule searched gets an
@@ -350,14 +346,8 @@ class CompiledRuleSet:
         else:
             enabled_indices = {i for i, n in enumerate(self.rule_names) if n in enabled}
         if class_ids is None:
-            candidates: Set[int] = set()
-            if self._has_var_roots:
-                candidates.update(egraph.find(eclass.id) for eclass in egraph.classes())
-            else:
-                for op in self._root_edges_by_op:
-                    candidates.update(egraph.classes_with_op(op))
-        else:
-            candidates = {egraph.find(class_id) for class_id in class_ids}
+            class_ids = [eclass.id for eclass in egraph.classes()]
+        candidates = {egraph.find(class_id) for class_id in class_ids}
         out: Dict[int, List] = {
             i: [] for i in range(len(self.rules))
             if enabled_indices is None or i in enabled_indices

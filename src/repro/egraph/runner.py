@@ -27,11 +27,11 @@ Each iteration runs in two phases, egg-style:
    the existing one and the merge is already in effect).  Fingerprints are
    stamped against the union-find version: they stay cached on the match
    objects while no merge happens, so a quiescent late iteration that
-   rediscovers thousands of stale matches costs one set lookup per match;
-   and whenever a merge *does* re-canonicalize a participating id, the
-   entry can never be hit again (lookups canonicalize first) and is pruned
-   from the ledger at the end of the iteration.  Skips are reported per
-   iteration as :attr:`IterationReport.skipped_applications`.
+   rediscovers thousands of stale matches costs one set lookup per match.
+   An entry whose ids a merge re-canonicalizes can never be hit again
+   (lookups canonicalize first); it stays in the ledger, which is discarded
+   when its run ends.  Skips are reported per iteration as
+   :attr:`IterationReport.skipped_applications`.
 
 A per-rule *backoff scheduler* (:class:`BackoffScheduler`) tames rules whose
 match counts explode: when a rule produces more matches in one search than
@@ -250,7 +250,6 @@ class Runner:
         #: plain set for pure/syntactic rules, a fingerprint->content dict
         #: for content-keyed dynamic rules.
         self._ledgers: Dict[str, object] = {}
-        self._ledger_stamp = -1
         #: The matcher of the most recent :meth:`run` (post-run inspection).
         self.matcher: Optional[IncrementalMatcher] = None
 
@@ -382,53 +381,6 @@ class Runner:
                 return stop
         return None
 
-    # -- dedup ledger maintenance -------------------------------------------------
-
-    @staticmethod
-    def _fingerprint_canonical(parents: List[int], fingerprint) -> bool:
-        """True while every id the fingerprint binds is still canonical."""
-        class_id, bindings = fingerprint
-        if parents[class_id] != class_id:
-            return False
-        for _name, bound in bindings:
-            if parents[bound] != bound:
-                return False
-        return True
-
-    def _prune_ledgers(self, egraph: EGraph) -> None:
-        """Drop ledger entries invalidated by merges since the last prune.
-
-        An entry is invalidated exactly when a merge re-canonicalized one of
-        its participating ids: lookups canonicalize the incoming match
-        first, so such an entry can never be hit again and only wastes
-        memory.  The union-find version is the epoch stamp — while it is
-        unchanged no id's representative moved and the sweep is skipped
-        entirely, which makes quiescent iterations free.  A sweep is
-        O(ledger), so it additionally waits until the unions accumulated
-        since the last sweep are at least a quarter of the ledger size —
-        amortized O(1) bookkeeping per union, with staleness bounded to a
-        constant fraction of the live entries.
-        """
-        if not self._ledgers:
-            return
-        stamp = egraph.union_version
-        unions = stamp - self._ledger_stamp
-        if unions <= 0:
-            return
-        total = sum(len(ledger) for ledger in self._ledgers.values())
-        if unions * 4 < total:
-            return
-        self._ledger_stamp = stamp
-        parents = egraph._union_find.parents
-        canonical = self._fingerprint_canonical
-        for name, ledger in self._ledgers.items():
-            if isinstance(ledger, dict):
-                self._ledgers[name] = {
-                    fp: content for fp, content in ledger.items() if canonical(parents, fp)
-                }
-            else:
-                self._ledgers[name] = {fp for fp in ledger if canonical(parents, fp)}
-
     # -- driver -------------------------------------------------------------------
 
     def run(self, egraph: EGraph) -> RunReport:
@@ -449,7 +401,6 @@ class Runner:
             if rule.deduplicable
         }
         egraph.rebuild()  # searches must always see canonical ids
-        self._ledger_stamp = egraph.union_version
 
         iteration = 0
         tracer = self.tracer
@@ -473,7 +424,6 @@ class Runner:
                 rebuild_start = time.perf_counter()
                 with tracer.span("rebuild"):
                     egraph.rebuild()
-                    self._prune_ledgers(egraph)
                 it_report.rebuild_seconds = time.perf_counter() - rebuild_start
 
                 it_report.enodes_created = egraph.enodes_created - created_before

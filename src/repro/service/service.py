@@ -7,18 +7,19 @@ that keys, probes, coalesces and stores jobs: ``batch``/``table1`` via
 job as its frame arrives.  :meth:`SynthesisService.submit` folds a job's
 timeout into its config and derives its exact cache key.  The semantic key
 (a normalization of the whole term) is derived only when the exact key is
-not in the cache and that tier is on, so an exact hit normalizes nothing,
-and outside the service lock, so a large term's normalization stalls no
-other job.  The snapshot counts the keys exact misses look up
-(``semantic_keys``); a key derived for a job whose exact entry was stored
-meanwhile goes unused and uncounted.  A job whose keys
-cannot be derived (a term with a non-finite literal has no canonical text)
-is answered FAILED at once.  A cache hit is answered at once with the
-cache's shared, already decoded result, so a repeated hit parses no
-candidate and, the headline being measured once per result, measures no
-term either.  A job whose
-exact key is already in flight becomes a follower of that job and is
-answered with its outcome (``cache_tier="batch"``).  Any other job is
+neither in the cache nor in flight and that tier is on, so an exact hit or
+a duplicate of a running job normalizes nothing, and outside the service
+lock, so a large term's normalization stalls no other job.  The snapshot
+counts the keys exact misses look up (``semantic_keys``); a key derived
+for a job whose exact entry was stored meanwhile goes unused and
+uncounted.  A job whose keys cannot be derived (a term with a non-finite
+literal has no canonical text) is answered FAILED at once.  A cache hit is
+answered at once with the cache's shared, already decoded result, so a
+repeated hit parses no candidate and, the headline being measured once per
+result, measures no term either.  A job whose exact key is already in
+flight becomes a follower of that job, without a lookup, and is answered
+with its outcome (``cache_tier="batch"``), even when another spelling's
+semantic entry could have served it.  Any other job is
 dispatched to the service's :class:`~repro.service.worker.ResidentPool`,
 or held until drain time, when ``worker_count == 0`` runs it through
 :func:`~repro.service.worker.run_jobs_inline` and a pooled batch starts at
@@ -246,6 +247,13 @@ class SynthesisService:
         if self.cache is not None and self.cache.semantic:
             with self._lock:
                 present = key in self.cache
+                flight = None if present else self._in_flight.get(key)
+                if flight is not None:
+                    # A duplicate of a running job waits for its answer
+                    # instead of normalizing its term for a lookup.
+                    flight.followers.append((job, on_result))
+                    self._coalesced += 1
+                    return
             if not present:
                 # Unlocked: normalizing a large term takes long enough to
                 # stall every other admission and completion.

@@ -16,7 +16,10 @@ live here, unchanged in what they compute, so the differential tests and
   a test can patch ``repro.core.pipeline.Runner`` with it;
 * :class:`PostHocExtractor`, single-best extraction over a cost table that a
   parent-driven worklist fixpoint computes after saturation
-  (:func:`post_hoc_costs`, over :func:`parent_enodes`).
+  (:func:`post_hoc_costs`, over :func:`parent_enodes`);
+* :func:`rebuild_hashcons`, the whole-graph sweep that ended every
+  ``EGraph.rebuild`` before rebuild re-canonicalized only the classes its
+  repairs touched: run after a production rebuild, it must change nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import time
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.egraph.egraph import EGraph, ENode
+from repro.egraph.egraph import EGraph, ENode, FlatNode
 from repro.egraph.extract import CostFunction, ast_size_cost
 from repro.egraph.pattern import CompiledRuleSet, Pattern, PatternVar, SearchStats, Substitution
 from repro.egraph.rewrite import BaseRewrite, RewriteMatch
@@ -79,20 +82,19 @@ def _match_args(
 def search(egraph: EGraph, pattern: Pattern) -> List[Tuple[int, Substitution]]:
     """Match ``pattern`` against every e-class: (e-class id, substitution) pairs.
 
-    When the pattern root is a concrete operator, only e-classes containing
-    that operator are scanned (via the e-graph's operator index).
+    When the pattern root is a concrete operator, only e-classes holding an
+    e-node with that operator are matched, found by a scan of every class.
     """
-    results: List[Tuple[int, Substitution]] = []
     if isinstance(pattern.op, PatternVar):
-        candidate_ids = [egraph.find(eclass.id) for eclass in egraph.classes()]
+        candidate_ids = [eclass.id for eclass in egraph.classes()]
     else:
-        candidate_ids = egraph.classes_with_op(pattern.op)
-    seen = set()
+        op_id = egraph.symbols.get(pattern.op)
+        candidate_ids = [
+            eclass.id for eclass in egraph.classes()
+            if any(node[0] == op_id for node in eclass.flat)
+        ]
+    results: List[Tuple[int, Substitution]] = []
     for class_id in candidate_ids:
-        class_id = egraph.find(class_id)
-        if class_id in seen:
-            continue
-        seen.add(class_id)
         for substitution in match_in_class(egraph, pattern, class_id):
             results.append((class_id, substitution))
     return results
@@ -284,3 +286,39 @@ class PostHocExtractor:
             if current not in terms:
                 terms[current] = Term(witness.op, tuple(terms[find(a)] for a in witness.args))
         return terms[find(class_id)]
+
+
+# ---------------------------------------------------------------------------
+# The whole-graph hashcons sweep
+# ---------------------------------------------------------------------------
+
+
+def rebuild_hashcons(egraph: EGraph) -> None:
+    """Fully re-canonicalize e-nodes, the hashcons, and class node lists."""
+    find = egraph._union_find.find
+    canonical_flat = egraph.canonical_flat
+    new_hashcons: Dict[FlatNode, int] = {}
+    for class_id in list(egraph._classes.keys()):
+        canonical_id = find(class_id)
+        if canonical_id != class_id:
+            continue
+        eclass = egraph._classes[class_id]
+        unique_nodes: Dict[FlatNode, None] = {}
+        for node in eclass.flat:
+            canonical_node = canonical_flat(node)
+            unique_nodes[canonical_node] = None
+            existing = new_hashcons.get(canonical_node)
+            if existing is not None and find(existing) != canonical_id:
+                # Congruent nodes in distinct classes: merge and note that
+                # another pass is required.
+                egraph._pending.append(egraph.merge(existing, canonical_id))
+            new_hashcons[canonical_node] = find(canonical_id)
+        egraph._enode_count -= len(eclass.flat) - len(unique_nodes)
+        eclass.replace_flat(list(unique_nodes.keys()))
+    egraph._hashcons = new_hashcons
+    if egraph._pending:
+        # A congruence found during hashcons rebuilding requires another
+        # repair round; recursion depth is bounded by the lattice of
+        # merges.
+        egraph.rebuild()
+        rebuild_hashcons(egraph)

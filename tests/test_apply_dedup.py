@@ -11,8 +11,7 @@ identical, while the dedup run actually skips re-applications
 
 The ledger's merge-invalidation story — a fingerprint is dead as soon as a
 union re-canonicalizes one of its participating ids — is driven directly by
-hypothesis schedules over :meth:`RewriteMatch.fingerprint` and
-:meth:`Runner._prune_ledgers`.
+hypothesis schedules over :meth:`RewriteMatch.fingerprint`.
 """
 
 from __future__ import annotations
@@ -258,48 +257,6 @@ def test_chain_fold_skips_rescans_on_unchanged_chains():
     assert results[True] == results[False]
 
 
-def test_dict_ledger_prune_keeps_values_for_canonical_fingerprints():
-    """_prune_ledgers on a content ledger preserves the stored content."""
-    egraph = EGraph()
-    ids = [egraph.add_term(Term(leaf)) for leaf in ("x", "y", "z", "w")]
-    pair = egraph.add_term(Term("U", (Term("x"), Term("y"))))
-    egraph.rebuild()
-
-    rule = dynamic_rewrite(
-        "ck",
-        "(U ?a ?b)",
-        lambda eg, cid, sub: None,
-        content_key=lambda eg, cid, sub: (),
-    )
-    runner = Runner([rule], RunnerLimits(max_iterations=1))
-    runner.run(egraph)
-    ledger = runner._ledgers["ck"]
-    assert isinstance(ledger, dict)
-    ledger.clear()
-    matches = [
-        RewriteMatch(pair, {"a": ids[i], "b": ids[j]})
-        for i in range(4)
-        for j in range(4)
-    ]
-    for index, match in enumerate(matches):
-        ledger[match.fingerprint(egraph)] = ("content", index)
-    before = dict(ledger)
-
-    egraph.merge(ids[0], ids[1])
-    egraph.rebuild()
-    runner._ledger_stamp = -1_000_000  # force the sweep past amortization
-    runner._prune_ledgers(egraph)
-    pruned = runner._ledgers["ck"]
-    parents = egraph._union_find.parents
-    expected = {
-        fp: content
-        for fp, content in before.items()
-        if runner._fingerprint_canonical(parents, fp)
-    }
-    assert pruned == expected
-    assert 0 < len(pruned) < len(before)
-
-
 # ---------------------------------------------------------------------------
 # Fingerprints and merge invalidation (hypothesis schedules)
 # ---------------------------------------------------------------------------
@@ -338,60 +295,6 @@ def test_fingerprint_tracks_canonicalization_through_merges(merges):
         find(match.class_id),
         tuple((name, find(cid)) for name, cid in match.substitution.items()),
     )
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=8))
-def test_ledger_prune_drops_exactly_the_invalidated_fingerprints(merges):
-    """_prune_ledgers keeps an entry iff every bound id is still canonical."""
-    egraph, ids = _populated_egraph()
-    rules = [rewrite("comm", "(U ?a ?b)", "(U ?b ?a)")]
-    runner = Runner(rules, RunnerLimits(max_iterations=1))
-    runner.run(egraph)
-    # Seed a ledger with fingerprints of every current (a, b) pair.
-    ledger = runner._ledgers["comm"]
-    ledger.clear()
-    matches = [
-        RewriteMatch(ids[4], {"a": ids[i], "b": ids[j]})
-        for i in range(4)
-        for j in range(4)
-    ]
-    for match in matches:
-        ledger.add(match.fingerprint(egraph))
-    runner._ledger_stamp = egraph.union_version
-    before = set(ledger)
-
-    changed = False
-    for a, b in merges:
-        if egraph.find(ids[a]) != egraph.find(ids[b]):
-            egraph.merge(ids[a], ids[b])
-            changed = True
-    egraph.rebuild()
-    # Force the sweep past the amortization threshold (which otherwise
-    # waits for unions >= ledger/4 before paying an O(ledger) pass).
-    if changed:
-        runner._ledger_stamp = -1_000_000
-    parents = egraph._union_find.parents
-    expected_live = {
-        fp for fp in before if runner._fingerprint_canonical(parents, fp)
-    }
-    runner._ledgers["comm"] = set(before)
-    runner._prune_ledgers(egraph)
-    pruned = runner._ledgers["comm"]
-    if changed:
-        assert pruned == expected_live
-        # Every surviving fingerprint is fully canonical...
-        for fp in pruned:
-            assert egraph.find(fp[0]) == fp[0]
-            assert all(egraph.find(cid) == cid for _n, cid in fp[1])
-        # ...and every dropped one had a demoted participant.
-        for fp in before - pruned:
-            demoted = egraph.find(fp[0]) != fp[0] or any(
-                egraph.find(cid) != cid for _n, cid in fp[1]
-            )
-            assert demoted
-    else:
-        assert pruned == before
 
 
 @settings(max_examples=40, deadline=None)

@@ -74,12 +74,6 @@ class TestEGraphBasics:
         egraph.add_term(Term.parse("(Union Cube Sphere)"))
         assert egraph.lookup_term(Term.parse("(Union Sphere Cube)")) is None
 
-    def test_classes_with_op(self):
-        egraph = EGraph()
-        egraph.add_term(Term.parse("(Union Cube (Union Sphere Cube))"))
-        union_classes = egraph.classes_with_op("Union")
-        assert len(union_classes) == 2
-
     def test_extract_round_trip(self):
         from repro.egraph.extract import Extractor
 

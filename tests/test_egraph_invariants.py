@@ -4,9 +4,11 @@
 hashcons is canonical, the union-find is path-compressed and agrees with the
 class table, congruence is closed (after rebuild), and the dirty set is
 sound.  The hypothesis test below drives randomized add/merge/rebuild
-schedules and calls it after every operation; the deterministic tests pin
-the dirty-set epoch protocol and prove the checker actually detects
-corruption (a checker that never fires guards nothing).
+schedules and calls it after every operation; after every rebuild it also
+runs the whole-graph sweep of ``tests/saturation_oracle.py``, which must
+find nothing left to repair.  The deterministic tests pin the dirty-set
+epoch protocol and prove the checker actually detects corruption (a
+checker that never fires guards nothing).
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 import pytest
 
 pytest.importorskip("hypothesis")  # no dependency manifest; keep the gate runnable
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.lang.term import Term
+from saturation_oracle import rebuild_hashcons
 
 # -- term / operation strategies ------------------------------------------------
 
@@ -36,6 +39,25 @@ _operation = st.one_of(
     st.tuples(st.just("rebuild"), st.none()),
     st.tuples(st.just("take-dirty"), st.none()),
 )
+
+
+def _graph_state(egraph: EGraph):
+    find = egraph.find
+    return (
+        egraph.union_version,
+        egraph.total_enodes,
+        {class_id: list(eclass.flat) for class_id, eclass in egraph._classes.items()},
+        {node: find(owner) for node, owner in egraph._hashcons.items()},
+    )
+
+
+def _rebuild(egraph: EGraph) -> None:
+    """Rebuild, then check the reference sweep finds nothing to change:
+    no merge, no node list, no hashcons entry, no e-node count."""
+    egraph.rebuild()
+    before = _graph_state(egraph)
+    rebuild_hashcons(egraph)
+    assert _graph_state(egraph) == before
 
 
 @settings(max_examples=60, deadline=None)
@@ -57,13 +79,51 @@ def test_invariants_hold_after_every_operation(operations):
                 kept = egraph.merge(a, b)
                 assert egraph.find(kept) in egraph.dirty_classes()
         elif kind == "rebuild":
-            egraph.rebuild()
+            _rebuild(egraph)
         else:  # take-dirty opens a new search epoch
             taken = egraph.take_dirty()
             assert taken == {egraph.find(i) for i in taken}
             assert egraph.dirty_classes() == set()
         egraph.check_invariants()
-    egraph.rebuild()
+    _rebuild(egraph)
+    egraph.check_invariants()
+
+
+_leaf_term = st.recursive(
+    st.sampled_from(["a", "b", "x", "y"]).map(Term),
+    lambda children: st.one_of(
+        children.map(lambda child: Term("g", (child,))),
+        st.tuples(children, children).map(lambda pair: Term("f", pair)),
+    ),
+    max_leaves=6,
+)
+
+
+def _t(text: str) -> Term:
+    return Term.parse(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_leaf_term, min_size=12, max_size=24),
+    st.lists(st.tuples(st.sampled_from("abxy"), st.sampled_from("abxy")), min_size=2, max_size=3),
+)
+# Repairing a canonicalizes (f b (g x)) to (f a (g x)); a congruence merge
+# later in the same rebuild folds (g x) into (g y), so only (f a (g y)) may
+# be left as a key.
+@example([_t("(f b (g x))"), _t("(g a)"), _t("(g (g y))")], [("a", "b"), ("y", "x")])
+def test_leaf_merges_under_one_rebuild_leave_the_sweep_nothing(terms, merges):
+    """Many terms over four leaves, then several leaf merges and one
+    rebuild: congruence merges cascade over several repair passes and
+    re-canonicalize parents an earlier pass already repaired."""
+    egraph = EGraph()
+    leaves = {leaf: egraph.add_term(Term(leaf)) for leaf in "abxy"}
+    for term in terms:
+        egraph.add_term(term)
+    _rebuild(egraph)
+    for u, v in merges:
+        egraph.merge(leaves[u], leaves[v])
+    _rebuild(egraph)
     egraph.check_invariants()
 
 

@@ -158,6 +158,14 @@ class TestAffineCanonical:
             "(Translate -1 0 0 (Rotate 0 0 90 Cube))"
         )
 
+    def test_fusion_order_is_pinned_on_the_grid(self):
+        # Each fused vector is rounded to 9 decimals, so the result depends
+        # on which layers fuse first.  The fixpoint fuses 0.1 with 1e-9
+        # (rounding to 0) before the Scale 90 below them; fusing inside
+        # out gives (Scale 0 9e-09 0 Cube).  Semantic keys hash this form.
+        term = T("(Scale 0 0.1 0 (Scale 0 1e-9 0 (Translate 0 1 0 (Scale 0 90 0 Cube))))")
+        assert AFFINE_CANONICAL(term) == T("(Scale 0 0 0 Cube)")
+
     def test_symbolic_vectors_are_left_alone(self):
         term = T("(Translate (Var i) 0 0 (Translate 1 0 0 Cube))")
         assert AFFINE_CANONICAL(term) == term

@@ -1047,6 +1047,37 @@ class TestBatchCoalescing:
         # One execution, one store: the follower added no cache traffic.
         assert cache.stores == 1
 
+    def test_a_duplicate_of_an_in_flight_job_follows_it_before_any_key_is_derived(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.service as service_module
+
+        derived = []
+        real = service_module.semantic_cache_key
+
+        def counting(term, config):
+            derived.append(term)
+            return real(term, config)
+
+        monkeypatch.setattr(service_module, "semantic_cache_key", counting)
+        cache = ResultCache(tmp_path)
+        service = SynthesisService(worker_count=0, cache=cache)
+        answers = {}
+
+        def on_result(job, result):
+            answers[job.name] = result
+
+        # With no worker running, the first job stays in flight until the
+        # drain, so the second finds its exact key in flight at admission.
+        for name in ("first", "duplicate"):
+            service.submit(SynthesisJob(name=name, term=_chain(3)), on_result)
+        snapshot = service.snapshot()
+        assert (len(derived), cache.misses, snapshot["semantic_keys"]) == (1, 1, 1)
+        assert snapshot["coalesced"] == 1 and answers == {}
+        service.shutdown()
+        assert answers["first"].ok and not answers["first"].cached
+        assert answers["duplicate"].ok and answers["duplicate"].cache_tier == "batch"
+
     def test_duplicate_job_ids_are_rejected_up_front(self):
         term = _chain(2)
         jobs = [
@@ -1151,6 +1182,8 @@ class TestHitPath:
         # hits from both tiers (two memory slots force disk reads).  The
         # counters are those the service read before hits were answered from
         # decoded results: hits may do less work, never different lookups.
+        # The duplicate follows its in-flight twin before any lookup, so it
+        # counts no miss.
         cache = ResultCache(tmp_path, memory_capacity=2)
         service = SynthesisService(worker_count=0, cache=cache)
         batches = [
@@ -1173,9 +1206,9 @@ class TestHitPath:
             None, None, "batch", "semantic", None, "exact", "semantic", "exact", "semantic", None
         ]
         assert service.snapshot()["coalesced"] == 1
-        # One semantic key per exact miss (5 misses, 3 semantic hits); each
+        # One semantic key per exact miss (4 misses, 3 semantic hits); each
         # disk hit decoded its payload once.
-        assert self._work(service) == (stats["disk_hits"], 8)
+        assert self._work(service) == (stats["disk_hits"], 7)
 
     def test_a_semantic_key_that_raises_fails_the_job_alone(self, tmp_path, monkeypatch):
         import repro.service.service as service_module
@@ -1271,10 +1304,11 @@ class TestHitPath:
 
 #: ``ResultCache.stats()`` after the fixed stream of
 #: ``TestHitPath.test_cache_counters_for_a_fixed_stream_are_unchanged``, as
-#: read on the service that decoded every hit.
+#: read on the service that decoded every hit, less the miss its in-batch
+#: duplicate counted before it followed its twin without a lookup.
 _STREAM_COUNTERS = {
     "hits": 5,
-    "misses": 5,
+    "misses": 4,
     "memory_hits": 2,
     "disk_hits": 3,
     "exact_hits": 2,
