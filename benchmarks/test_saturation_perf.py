@@ -334,7 +334,7 @@ def _measure_matcher(model: Term, rules, limits, backoff, incremental: bool) -> 
         "classes": len(egraph),
         "dirty_profile": [
             {"index": it.index, "dirty": it.dirty_classes, "searched": it.searched_classes,
-             "cached": it.cached_matches, "full_sweep": len(it.full_sweep_rules)}
+             "cached": it.cached_matches}
             for it in report.iterations
         ] if incremental else None,
     }

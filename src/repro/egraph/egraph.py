@@ -39,15 +39,15 @@ consumers use :meth:`EGraph.flat_nodes` / :attr:`EClass.flat` directly.
 **Dirty-class tracking (the search-epoch protocol).**  Besides the rebuild
 worklist the e-graph records, in :attr:`EGraph._dirty`, every e-class whose
 *match set* may have changed since the last search epoch: classes created by
-:meth:`add_enode` and the surviving class of every :meth:`merge` (including
+:meth:`add_enode` and both sides of every :meth:`merge` (including
 congruence merges performed during :meth:`rebuild`).  Node lists only ever
 grow through those two operations, so the set is a sound over-approximation
 of "where new pattern matches can appear rooted".  An incremental matcher
 (see :class:`repro.egraph.pattern.IncrementalMatcher`) calls
-:meth:`take_dirty` once per search epoch to consume the set — matches rooted
-in an untouched class can only change through a touched *descendant*, which
-the matcher covers by closing the dirty set upward over parent pointers to
-its patterns' maximum depth.
+:meth:`take_dirty` once per search epoch to consume the raw ids — matches
+rooted in an untouched class can only change through a touched
+*descendant*, which the matcher covers by closing the canonical dirty
+classes upward over parent pointers to its patterns' maximum depth.
 
 **The best-cost slot.**  Every e-class carries one analysis, built in:
 the best AST-size cost of a term it represents (:attr:`EClass.cost`) and
@@ -516,42 +516,22 @@ class EGraph:
 
     # -- dirty-class tracking (search epochs) ------------------------------------
 
-    def dirty_classes(self) -> Set[int]:
-        """Canonical ids of live classes touched since the last :meth:`take_dirty`.
-
-        Stale ids (classes merged away since they were recorded) are folded
-        into their canonical survivors; ids whose class disappeared entirely
-        are dropped.  The underlying set is not cleared.
-        """
-        live = {self.find(id_) for id_ in self._dirty}
-        live.intersection_update(self._classes)
-        return live
-
     def take_dirty(self) -> Set[int]:
-        """Consume and return the canonical dirty set, starting a new epoch.
+        """Consume and return the dirty ids, starting a new search epoch.
 
-        One consumer owns the dirty stream: calling this clears the set, so
-        two independent incremental matchers over the same e-graph would
-        starve each other.  (The runner creates one matcher per run and
-        opens with a full sweep, which makes the hand-off safe.)
+        The ids are returned as recorded, so they include roots merged away
+        since: an incremental match cache keyed by canonical-at-insert-time
+        class ids evicts exactly these ids plus its closure instead of
+        probing every cached key for staleness.  :meth:`find` maps each to
+        its live class.  One consumer owns the dirty stream: calling this
+        clears the set, so two independent incremental matchers over the
+        same e-graph would starve each other.  (The runner creates one
+        matcher per run and opens with a full sweep, which makes the
+        hand-off safe.)
         """
-        dirty = self.dirty_classes()
-        self._dirty.clear()
+        dirty = self._dirty
+        self._dirty = set()
         return dirty
-
-    def take_dirty_raw(self) -> Set[int]:
-        """Consume and return the *raw* dirty ids, starting a new epoch.
-
-        Unlike :meth:`take_dirty` the ids are returned as recorded — they
-        include roots that have since been merged away.  An incremental
-        match cache keyed by canonical-at-insert-time class ids can evict
-        exactly ``raw | closure`` instead of probing every cached key for
-        staleness; canonicalize with :meth:`find` to recover the set
-        :meth:`take_dirty` would have returned.
-        """
-        raw = set(self._dirty)
-        self._dirty.clear()
-        return raw
 
     # -- invariant checking (debug/tests only) -----------------------------------
 

@@ -15,30 +15,35 @@ into a shared discrimination trie so patterns with a common prefix — in
 particular a common top symbol — are matched in one pass.
 
 **The dirty-epoch protocol.**  :class:`IncrementalMatcher` wraps a
-:class:`CompiledRuleSet` with a per-rule match cache keyed by canonical
-e-class.  Each call to :meth:`IncrementalMatcher.search` opens a new *search
-epoch*: it consumes the e-graph's dirty set (:meth:`EGraph.take_dirty` —
-classes created or merged since the previous epoch), closes it upward over
-parent pointers to the compiled patterns' maximum depth (a new match rooted
-at a clean class can only involve a changed class at most ``depth - 1``
-argument hops below it), re-matches exactly the closure, and serves every
-other class from the cache.  A rule that skipped an epoch (e.g. while
-banned by the runner's backoff scheduler) cannot trust its cache — the
-dirty sets of the missed epochs are gone — so it falls back to a full
-sweep, as does every rule on epoch 0.  The union of cached and re-matched
-results is therefore always the *complete* match set, identical to what a
-full sweep returns on the same graph.  ``tests/test_search_differential.py``
-locks that down against the naive top-down backtracking matcher, which
-lives on as a test oracle in ``tests/saturation_oracle.py``.
+:class:`CompiledRuleSet` with one match cache, ``canonical class id ->
+[(rule index, match), ...]`` in trie order, and matches every rule every
+epoch.  The first call to :meth:`IncrementalMatcher.search` sweeps every
+class.  Each later call opens a new *search epoch*: it consumes the
+e-graph's dirty ids (:meth:`EGraph.take_dirty` — classes created or merged
+since the previous epoch), closes their canonical classes upward over
+parent pointers to the compiled patterns' maximum depth (a new match
+rooted at a clean class can only involve a changed class at most
+``depth - 1`` argument hops below it), evicts the raw ids and the closure,
+re-matches exactly the closure, and serves every other class from the
+cache.  The union of cached and re-matched results is therefore always
+the *complete* match set, identical to what a full sweep returns on the
+same graph.  A rule the runner's backoff scheduler bans is still matched;
+the runner drops its matches, so its cache never goes stale.
+``tests/test_search_differential.py`` locks that down against the naive
+top-down backtracking matcher, which lives on as a test oracle in
+``tests/saturation_oracle.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.egraph.egraph import EGraph, ENode, Operator
 from repro.lang.sexp import parse_sexp
+
+if TYPE_CHECKING:
+    from repro.egraph.rewrite import RewriteMatch
 
 #: A substitution maps pattern-variable names (without the ``?``) to e-class ids.
 Substitution = Dict[str, int]
@@ -144,6 +149,8 @@ Instruction = Union[Descend, Check, Compare]
 
 #: A yield entry: (rule index, ((var name, register), ...)).
 _Yield = Tuple[int, Tuple[Tuple[str, int], ...]]
+#: A match as the trie emits it: (rule index, match).
+_Match = Tuple[int, "RewriteMatch"]
 
 
 def compile_pattern(pattern: Pattern) -> Tuple[Tuple[Instruction, ...], Tuple[Tuple[str, int], ...]]:
@@ -195,22 +202,22 @@ class _SearchContext:
     list build per search, then every Descend/Check step is a list index.
     """
 
-    __slots__ = ("flat_nodes", "resolved", "parents", "enabled", "out", "match_type")
+    __slots__ = ("flat_nodes", "resolved", "parents", "out", "match_type")
 
-    def __init__(self, egraph, slot_ops, enabled, out, match_type) -> None:
+    def __init__(self, egraph, slot_ops, match_type) -> None:
         self.flat_nodes = egraph.flat_nodes
         get = egraph.symbols.get
         self.resolved: List[Optional[int]] = [get(op) for op in slot_ops]
         self.parents = egraph._union_find.parents
-        self.enabled = enabled
-        self.out = out
+        #: The matches of the class being matched.
+        self.out: List[_Match] = []
         self.match_type = match_type
 
 
 class _TrieNode:
     """One node of the shared-program trie; edges are labelled by instructions."""
 
-    __slots__ = ("children", "edges", "yields", "rules")
+    __slots__ = ("children", "edges", "yields")
 
     def __init__(self) -> None:
         self.children: Dict[Instruction, "_TrieNode"] = {}
@@ -222,10 +229,6 @@ class _TrieNode:
         #: the trie walk.
         self.edges: List[Tuple[Instruction, "_TrieNode", int]] = []
         self.yields: List[_Yield] = []
-        #: Indices of every rule with a program passing through this node —
-        #: used to prune whole subtrees when the caller restricts the search
-        #: to a subset of rules (e.g. while others are banned).
-        self.rules: Set[int] = set()
 
 
 @dataclass(frozen=True)
@@ -300,7 +303,6 @@ class CompiledRuleSet:
 
     def _insert(self, instructions: Tuple[Instruction, ...], entry: _Yield) -> None:
         node = self._root
-        node.rules.add(entry[0])
         for position, instruction in enumerate(instructions):
             child = node.children.get(instruction)
             if child is None:
@@ -309,7 +311,6 @@ class CompiledRuleSet:
                 node.edges.append(edge)
                 if position == 0:
                     self._root_edges_by_op.setdefault(instruction.op, []).append(edge)
-            child.rules.add(entry[0])
             node = child
         node.yields.append(entry)
 
@@ -319,19 +320,15 @@ class CompiledRuleSet:
     # -- searching --------------------------------------------------------------
 
     def search_classes(
-        self,
-        egraph: EGraph,
-        class_ids: Optional[Iterable[int]] = None,
-        enabled: Optional[Set[str]] = None,
-    ) -> Dict[str, List]:
+        self, egraph: EGraph, class_ids: Optional[Iterable[int]] = None
+    ) -> Dict[int, List[_Match]]:
         """Match every compiled pattern against a set of candidate classes.
 
         ``class_ids`` restricts the search (``None`` means every class of
-        the graph); ``enabled`` restricts it to
-        a subset of rule names, pruning shared trie branches no enabled rule
-        passes through.  Returns ``{rule name: [RewriteMatch, ...]}`` with
-        matches ordered by canonical class id; every rule searched gets an
-        entry, even when empty.
+        the graph).  Returns ``{canonical class id: [(rule index,
+        RewriteMatch), ...]}`` with the classes in ascending id order and
+        each class's matches in trie order; a class without a match has no
+        entry.
 
         The trie executes over the e-graph's *flat* node representation:
         instruction operators are resolved to the graph's interned ids once
@@ -341,18 +338,10 @@ class CompiledRuleSet:
         """
         from repro.egraph.rewrite import RewriteMatch  # local: avoids an import cycle
 
-        if enabled is None:
-            enabled_indices: Optional[Set[int]] = None
-        else:
-            enabled_indices = {i for i, n in enumerate(self.rule_names) if n in enabled}
         if class_ids is None:
             class_ids = [eclass.id for eclass in egraph.classes()]
         candidates = {egraph.find(class_id) for class_id in class_ids}
-        out: Dict[int, List] = {
-            i: [] for i in range(len(self.rules))
-            if enabled_indices is None or i in enabled_indices
-        }
-        ctx = _SearchContext(egraph, self._slot_ops, enabled_indices, out, RewriteMatch)
+        ctx = _SearchContext(egraph, self._slot_ops, RewriteMatch)
         symbols = egraph.symbols
         # Root trie edges re-keyed by this graph's interned op ids; an
         # operator the graph has never interned cannot match anywhere.
@@ -361,15 +350,17 @@ class CompiledRuleSet:
             op_id = symbols.get(op)
             if op_id is not None:
                 root_edges[op_id] = edges
+        grouped: Dict[int, List[_Match]] = {}
         for class_id in sorted(candidates):
+            ctx.out = []
             self._match_class(ctx, class_id, root_edges)
-        return {self.rule_names[index]: matches for index, matches in out.items()}
+            if ctx.out:
+                grouped[class_id] = ctx.out
+        return grouped
 
     def _match_class(self, ctx, class_id, root_edges) -> None:
-        enabled = ctx.enabled
         for entry in self._root.yields:  # bare-variable patterns match any class
-            if enabled is None or entry[0] in enabled:
-                self._emit(entry, [class_id], class_id, ctx.out, ctx.match_type)
+            self._emit(ctx, entry, [class_id], class_id)
         regs = [class_id]
         for op_id in {node[0] for node in ctx.flat_nodes(class_id)}:
             edges = root_edges.get(op_id)
@@ -377,21 +368,17 @@ class CompiledRuleSet:
                 for instruction, child, slot in edges:
                     self._step(ctx, instruction, child, slot, regs, class_id)
 
-    def _emit(self, entry, regs, class_id, out, match_type) -> None:
+    def _emit(self, ctx, entry, regs, class_id) -> None:
         index, varmap = entry
-        out[index].append(match_type(class_id, {name: regs[reg] for name, reg in varmap}))
+        ctx.out.append((index, ctx.match_type(class_id, {name: regs[reg] for name, reg in varmap})))
 
     def _execute(self, ctx, node, regs, class_id) -> None:
-        enabled = ctx.enabled
         for entry in node.yields:
-            if enabled is None or entry[0] in enabled:
-                self._emit(entry, regs, class_id, ctx.out, ctx.match_type)
+            self._emit(ctx, entry, regs, class_id)
         for instruction, child, slot in node.edges:
             self._step(ctx, instruction, child, slot, regs, class_id)
 
     def _step(self, ctx, instruction, child, slot, regs, class_id) -> None:
-        if ctx.enabled is not None and not (child.rules & ctx.enabled):
-            return
         kind = type(instruction)
         if kind is Descend:
             op_id = ctx.resolved[slot]
@@ -433,7 +420,6 @@ class SearchStats:
     epoch: int = 0
     dirty_classes: int = 0       #: canonical classes dirtied since last epoch
     searched_classes: int = 0    #: dirty closure actually re-matched
-    full_sweep_rules: List[str] = field(default_factory=list)
     cached_matches: int = 0      #: matches served from the cache
     recomputed_matches: int = 0  #: matches produced by trie execution
 
@@ -450,9 +436,8 @@ class IncrementalMatcher:
     def __init__(self, compiled: CompiledRuleSet) -> None:
         self.compiled = compiled
         self._epoch = 0
-        self._rule_epoch: Dict[str, int] = {}
-        #: rule name -> canonical class id -> cached matches in that class.
-        self._cache: Dict[str, Dict[int, List]] = {name: {} for name in compiled.rule_names}
+        #: canonical class id -> its (rule index, match) pairs, in trie order.
+        self._cache: Dict[int, List[_Match]] = {}
         self.last_stats = SearchStats()
 
     # -- dirty closure ----------------------------------------------------------
@@ -477,29 +462,22 @@ class IncrementalMatcher:
 
     # -- searching --------------------------------------------------------------
 
-    def search(
-        self, egraph: EGraph, enabled: Optional[Set[str]] = None
-    ) -> Dict[str, List]:
-        """Complete match sets for the enabled rules on the current graph.
+    def search(self, egraph: EGraph) -> Dict[str, List]:
+        """Complete match sets of every rule on the current graph.
 
         Equivalent to a full :meth:`CompiledRuleSet.search_classes` sweep,
         but clean classes are served from the previous epoch's cache.
+        Returns ``{rule name: [RewriteMatch, ...]}`` with matches ordered
+        by canonical class id; every rule gets an entry, even when empty.
         """
         self._epoch += 1
-        dirty = egraph.dirty_classes()
-        raw_dirty = egraph.take_dirty_raw()
-        names = (
-            list(self.compiled.rule_names)
-            if enabled is None
-            else [n for n in self.compiled.rule_names if n in enabled]
-        )
-        incremental = [n for n in names if self._rule_epoch.get(n) == self._epoch - 1]
-        full = [n for n in names if self._rule_epoch.get(n) != self._epoch - 1]
+        raw_dirty = egraph.take_dirty()
+        find = egraph.find
+        dirty = {find(class_id) for class_id in raw_dirty}
         stats = SearchStats(epoch=self._epoch, dirty_classes=len(dirty))
-        stats.full_sweep_rules = list(full)
-
-        closure: Set[int] = set()
-        if incremental:
+        if self._epoch == 1:
+            self._cache = found = self.compiled.search_classes(egraph)
+        else:
             closure = self._dirty_closure(egraph, dirty)
             stats.searched_classes = len(closure)
             # Evict exactly the cache keys that can be stale: the closure
@@ -507,37 +485,17 @@ class IncrementalMatcher:
             # which include every root merged away since the last epoch, so
             # keys that lost canonicity are hit directly instead of probing
             # every cached class with find().
-            stale = raw_dirty | closure
-            for name in incremental:
-                cache = self._cache[name]
-                for class_id in stale:
-                    cache.pop(class_id, None)
-            if closure:
-                recomputed = self.compiled.search_classes(
-                    egraph, class_ids=closure, enabled=set(incremental)
-                )
-                for name, matches in recomputed.items():
-                    cache = self._cache[name]
-                    for match in matches:
-                        cache.setdefault(match.class_id, []).append(match)
-                    stats.recomputed_matches += len(matches)
-        if full:
-            swept = self.compiled.search_classes(egraph, enabled=set(full))
-            for name, matches in swept.items():
-                grouped: Dict[int, List] = {}
-                for match in matches:
-                    grouped.setdefault(match.class_id, []).append(match)
-                self._cache[name] = grouped
-                stats.recomputed_matches += len(matches)
+            for class_id in raw_dirty | closure:
+                self._cache.pop(class_id, None)
+            found = self.compiled.search_classes(egraph, closure)
+            self._cache.update(found)
+        stats.recomputed_matches = sum(len(matches) for matches in found.values())
 
-        results: Dict[str, List] = {}
-        for name in names:
-            self._rule_epoch[name] = self._epoch
-            cache = self._cache[name]
-            flat: List = []
-            for class_id in sorted(cache):
-                flat.extend(cache[class_id])
-            results[name] = flat
-        stats.cached_matches = sum(len(m) for m in results.values()) - stats.recomputed_matches
+        results: List[List] = [[] for _ in self.compiled.rule_names]
+        cache = self._cache
+        for class_id in sorted(cache):
+            for index, match in cache[class_id]:
+                results[index].append(match)
+        stats.cached_matches = sum(len(m) for m in results) - stats.recomputed_matches
         self.last_stats = stats
-        return results
+        return dict(zip(self.compiled.rule_names, results))

@@ -2,17 +2,17 @@
 
 Each iteration runs in two phases, egg-style:
 
-1. **search** — every enabled rule is matched against the *frozen*, freshly
+1. **search** — every rule is matched against the *frozen*, freshly
    rebuilt e-graph, collecting a list of :class:`RewriteMatch`\\ es per rule.
    Because nothing is applied during this phase, every rule sees the same
    graph and rule order cannot influence which matches exist — the engine is
    deterministic and the per-iteration work is one e-matching pass.  The
    pass goes through an :class:`~repro.egraph.pattern.IncrementalMatcher`
-   over a compiled discrimination trie: only classes dirtied since the
-   previous iteration (closed upward to pattern depth) are re-matched, with
-   a full sweep on the first iteration and for any rule that skipped an
-   iteration (e.g. while banned), so the match sets handed to the apply
-   phase are always complete.
+   over a compiled discrimination trie: a full sweep on the first
+   iteration, then only classes dirtied since the previous iteration
+   (closed upward to pattern depth) are re-matched, so the match sets are
+   always complete.  A banned rule is matched too; the scheduler only drops
+   its matches.
 2. **apply** — the collected matches are applied in order, then the graph is
    rebuilt *once*.  Node and time limits are enforced between individual
    match applications (not once per iteration), so a single explosive
@@ -164,13 +164,11 @@ class IterationReport:
     rebuild_seconds: float = 0.0
     #: Incremental-search statistics.
     #: ``dirty_classes`` is the canonical dirty-core size this epoch,
-    #: ``searched_classes`` the parent-closure actually re-matched,
-    #: ``full_sweep_rules`` the rules that could not use their cache (first
-    #: iteration, or just back from a backoff ban), and ``cached_matches``
+    #: ``searched_classes`` the parent-closure actually re-matched (0 on the
+    #: first iteration, which sweeps every class), and ``cached_matches``
     #: how many matches were served without touching the trie.
     dirty_classes: int = 0
     searched_classes: int = 0
-    full_sweep_rules: List[str] = field(default_factory=list)
     cached_matches: int = 0
     trie_nodes: int = 0
     trie_programs: int = 0
@@ -258,10 +256,13 @@ class Runner:
     def _search_phase(
         self, egraph: EGraph, iteration: int, report: IterationReport
     ) -> List[Tuple[BaseRewrite, List[RewriteMatch]]]:
-        """Match every enabled rule against the frozen e-graph.
+        """Match every rule against the frozen e-graph; drop banned rules' matches.
 
         The whole pass is one trie search over the dirty closure; the match
-        lists are complete, so the backoff scheduler sees every match.
+        lists are complete, so the backoff scheduler sees every match.  A
+        rule banned at the start of the iteration gets no ``matches`` entry
+        and no scheduler call; one that goes over its limit is recorded,
+        then dropped.
         """
         searched: List[Tuple[BaseRewrite, List[RewriteMatch]]] = []
         enabled: List[BaseRewrite] = []
@@ -270,11 +271,10 @@ class Runner:
                 report.banned.append(rule.name)
             else:
                 enabled.append(rule)
-        results = self.matcher.search(egraph, {rule.name for rule in enabled})
+        results = self.matcher.search(egraph)
         stats = self.matcher.last_stats
         report.dirty_classes = stats.dirty_classes
         report.searched_classes = stats.searched_classes
-        report.full_sweep_rules = list(stats.full_sweep_rules)
         report.cached_matches = stats.cached_matches
         report.trie_nodes = self.compiled.stats.trie_nodes
         report.trie_programs = self.compiled.stats.programs

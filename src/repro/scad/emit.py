@@ -48,9 +48,11 @@ _BOOLEAN_KEYWORDS = {"Union": "union", "Diff": "difference", "Inter": "intersect
 
 
 def _format_number(value: float) -> str:
+    """An integral value without a fraction, any other with every digit
+    (``repr`` is the shortest text that reads back as the same float)."""
     if isinstance(value, float) and value == int(value) and abs(value) < 1e16:
         return str(int(value))
-    return f"{value:g}"
+    return repr(value)
 
 
 def _operands(term: Term) -> List[Term]:

@@ -52,6 +52,9 @@ class _Flattener:
 
     def __init__(self, max_unroll: int = 100_000):
         self.max_unroll = max_unroll
+        #: User modules being evaluated, innermost last.  An error leaves
+        #: it as it was, so it names the calls that were open.
+        self.calls: List[str] = []
 
     # -- expressions ----------------------------------------------------------------
 
@@ -356,16 +359,29 @@ class _Flattener:
                     )
                 value = self.eval_expr(default_expr, env)
             body_env.variables[param_name] = value
+        self.calls.append(definition.name)
         solids = self.flatten_statements(definition.body, body_env)
+        self.calls.pop()
         if not solids:
             return empty()
         return union_all(solids)
 
 
 def flatten_scad(program: ast.Program, *, max_unroll: int = 100_000) -> Term:
-    """Flatten a parsed OpenSCAD program to a single flat CSG term."""
+    """Flatten a parsed OpenSCAD program to a single flat CSG term.
+
+    Evaluation recurses once per block and module call, so a program
+    nested deeper than Python's recursion limit (a module that calls itself
+    without end, say) raises :class:`ScadEvalError` naming the innermost
+    open module call, not ``RecursionError``.
+    """
     flattener = _Flattener(max_unroll=max_unroll)
-    solids = flattener.flatten_statements(program.statements, _Environment())
+    try:
+        solids = flattener.flatten_statements(program.statements, _Environment())
+    except RecursionError:
+        calls = flattener.calls
+        where = f" in module {calls[-1]!r}, {len(calls)} module calls deep" if calls else ""
+        raise ScadEvalError(f"statements nested too deeply to evaluate{where}") from None
     if not solids:
         return empty()
     return union_all(solids)

@@ -274,5 +274,17 @@ class _Parser:
 
 
 def parse_scad(source: str) -> ast.Program:
-    """Parse OpenSCAD source into a :class:`repro.scad.ast.Program`."""
-    return _Parser(tokenize(source)).parse_program()
+    """Parse OpenSCAD source into a :class:`repro.scad.ast.Program`.
+
+    The parser recurses once per nesting level, so a program nested deeper
+    than Python's recursion limit raises :class:`ScadSyntaxError` at the
+    line where parsing stopped, not ``RecursionError``.
+    """
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        token = parser._peek()
+        raise ScadSyntaxError(
+            "blocks or expressions nested too deeply to parse", token.line if token else 0
+        ) from None

@@ -8,8 +8,9 @@ live here, unchanged in what they compute, so the differential tests and
 
 * the naive top-down backtracking e-matcher (:func:`match_in_class`,
   :func:`search`), :class:`NaiveMatcher` (that matcher behind the
-  ``IncrementalMatcher.search`` interface, one sweep per rule) and
-  :func:`run_rule` (search one rule, then apply every match);
+  ``IncrementalMatcher.search`` interface, one sweep per rule over one
+  operator index per call) and :func:`run_rule` (search one rule, then
+  apply every match);
 * :class:`ReferenceRunner`, the two-phase loop without the ledger.  It takes
   its matcher as an argument — :class:`NaiveMatcher` or the production
   ``IncrementalMatcher`` — and accepts ``synthesize``'s ``Runner`` call, so
@@ -79,20 +80,30 @@ def _match_args(
         yield from _match_args(egraph, rest_patterns, rest_ids, partial)
 
 
-def search(egraph: EGraph, pattern: Pattern) -> List[Tuple[int, Substitution]]:
+def op_index(egraph: EGraph) -> Dict[int, List[int]]:
+    """Interned operator id -> ids of the classes holding it, in class order."""
+    index: Dict[int, List[int]] = {}
+    for eclass in egraph.classes():
+        for op_id in {node[0] for node in eclass.flat}:
+            index.setdefault(op_id, []).append(eclass.id)
+    return index
+
+
+def search(
+    egraph: EGraph, pattern: Pattern, index: Optional[Dict[int, List[int]]] = None
+) -> List[Tuple[int, Substitution]]:
     """Match ``pattern`` against every e-class: (e-class id, substitution) pairs.
 
     When the pattern root is a concrete operator, only e-classes holding an
-    e-node with that operator are matched, found by a scan of every class.
+    e-node with that operator are matched, read from ``index`` (an
+    :func:`op_index` of the current graph, built here when omitted).
     """
     if isinstance(pattern.op, PatternVar):
         candidate_ids = [eclass.id for eclass in egraph.classes()]
     else:
-        op_id = egraph.symbols.get(pattern.op)
-        candidate_ids = [
-            eclass.id for eclass in egraph.classes()
-            if any(node[0] == op_id for node in eclass.flat)
-        ]
+        if index is None:
+            index = op_index(egraph)
+        candidate_ids = index.get(egraph.symbols.get(pattern.op), [])
     results: List[Tuple[int, Substitution]] = []
     for class_id in candidate_ids:
         for substitution in match_in_class(egraph, pattern, class_id):
@@ -100,9 +111,11 @@ def search(egraph: EGraph, pattern: Pattern) -> List[Tuple[int, Substitution]]:
     return results
 
 
-def rule_matches(rule: BaseRewrite, egraph: EGraph) -> List[RewriteMatch]:
+def rule_matches(
+    rule: BaseRewrite, egraph: EGraph, index: Optional[Dict[int, List[int]]] = None
+) -> List[RewriteMatch]:
     """Every match of ``rule``'s left-hand side, found by the naive matcher."""
-    return [RewriteMatch(class_id, sub) for class_id, sub in search(egraph, rule.lhs)]
+    return [RewriteMatch(class_id, sub) for class_id, sub in search(egraph, rule.lhs, index)]
 
 
 def run_rule(rule: BaseRewrite, egraph: EGraph) -> int:
@@ -115,21 +128,18 @@ class NaiveMatcher:
 
     Built from a :class:`CompiledRuleSet` (only its rules are read), so the
     class itself is a matcher factory for :class:`ReferenceRunner`, as
-    ``IncrementalMatcher`` is.
+    ``IncrementalMatcher`` is.  Every call searches every rule from one
+    :func:`op_index` of the current graph and caches nothing.
     """
 
     def __init__(self, compiled: CompiledRuleSet) -> None:
         self.rules = compiled.rules
         self.last_stats = SearchStats()
 
-    def search(self, egraph: EGraph, enabled: Optional[Set[str]] = None) -> Dict[str, List]:
-        results = {
-            rule.name: rule_matches(rule, egraph)
-            for rule in self.rules
-            if enabled is None or rule.name in enabled
-        }
+    def search(self, egraph: EGraph) -> Dict[str, List]:
+        index = op_index(egraph)
+        results = {rule.name: rule_matches(rule, egraph, index) for rule in self.rules}
         self.last_stats = SearchStats(
-            full_sweep_rules=list(results),
             recomputed_matches=sum(len(matches) for matches in results.values()),
         )
         return results

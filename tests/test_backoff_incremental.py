@@ -1,12 +1,11 @@
-"""Backoff bans x incremental search: expiring rules must re-search everything.
+"""Backoff bans x incremental search: a rule back from a ban sees every match.
 
-The ROADMAP open item about expansive rule sets: a rule banned by the
-backoff scheduler misses search epochs, so its incremental cache is blind to
-every class dirtied while it sat out.  When the ban expires the matcher must
-fall back to a full sweep for that rule — matching *all* classes, not just
-the ones dirtied in the expiry iteration — or matches rooted in
-mid-ban-created classes would be silently lost.  These tests pin that
-protocol at the runner level and through the synthesis pipeline.
+The incremental matcher matches every rule every epoch, banned or not; the
+runner drops a banned rule's matches.  So when a ban expires, the rule's
+match list must already cover *all* classes — the ones clean since before
+the ban as well as the ones created while it sat out — or matches would be
+silently lost.  These tests pin that at the runner level, against the naive
+reference runner, and through the synthesis pipeline.
 """
 
 from __future__ import annotations
@@ -19,10 +18,11 @@ from repro.benchsuite.models import fig2_translated_cubes
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import synthesize
 from repro.egraph.egraph import EGraph
+from repro.egraph.pattern import IncrementalMatcher
 from repro.egraph.rewrite import rewrite
 from repro.egraph.runner import BackoffConfig, Runner, RunnerLimits
 from repro.lang.term import Term
-from saturation_oracle import ReferenceRunner
+from saturation_oracle import ReferenceRunner, rule_matches
 
 
 def _chain(n: int) -> Term:
@@ -54,31 +54,78 @@ def _run(engine=Runner):
     return egraph, report
 
 
-def test_expired_ban_triggers_full_sweep_covering_clean_classes():
-    egraph, report = _run()
+class _RecordingMatcher(IncrementalMatcher):
+    """Keeps each epoch's match lists next to the naive oracle's on the same graph."""
+
+    def __init__(self, compiled):
+        super().__init__(compiled)
+        self.epochs = []
+
+    def search(self, egraph):
+        results = super().search(egraph)
+        self.epochs.append(
+            (
+                {name: _canonical(egraph, matches) for name, matches in results.items()},
+                {rule.name: _canonical(egraph, rule_matches(rule, egraph))
+                 for rule in self.compiled.rules},
+            )
+        )
+        return results
+
+
+def _canonical(egraph, matches):
+    """Matches projected onto canonical ids, sorted (a multiset)."""
+    find = egraph.find
+    return sorted(
+        (find(m.class_id), sorted((name, find(cid)) for name, cid in m.substitution.items()))
+        for m in matches
+    )
+
+
+def test_rule_back_from_a_ban_matches_every_class(monkeypatch):
+    monkeypatch.setattr("repro.egraph.runner.IncrementalMatcher", _RecordingMatcher)
+    egraph = EGraph()
+    chain = egraph.add_term(_chain(8))
+    egraph.add_term(Term("T", (Term("z"),)))
+    # The 8 U-classes of the original chain, outermost first.
+    chain_classes = []
+    class_id = chain
+    for _ in range(8):
+        chain_classes.append(class_id)
+        (node,) = [n for n in egraph.nodes(class_id) if n.op == "U"]
+        class_id = node.args[0]
+    runner = Runner(
+        _rules(),
+        RunnerLimits(max_iterations=6, max_enodes=10_000, max_seconds=20.0),
+        backoff=BackoffConfig(match_limit=2, ban_length=2),
+    )
+    report = runner.run(egraph)
+    epochs = dict(zip((it.index for it in report.iterations), runner.matcher.epochs))
     by_index = {it.index: it for it in report.iterations}
 
     # Iteration 0: comm matches every U-class (> limit 2) and is banned for
     # 2 iterations (until iteration 3); its matches are dropped.
     assert "comm" in by_index[0].banned
     assert by_index[0].matches["comm"] > 2
-    # During the ban comm neither searches nor appears in the match table,
-    # while dup keeps dirtying the graph with new U-classes.
+    # During the ban comm has no entry in the match table, while dup keeps
+    # dirtying the graph with new U-classes.
     for index in (1, 2):
         assert "comm" in by_index[index].banned
         assert "comm" not in by_index[index].matches
         assert by_index[index].dirty_classes > 0
-    # At expiry the matcher may not trust comm's cache: full sweep.
+    # At expiry comm's match list is the oracle's on the current graph: the
+    # 8 chain classes, clean since iteration 0, plus the U-classes dup
+    # created during the ban.
     expiry = by_index[3]
-    assert "comm" in expiry.full_sweep_rules
-    # The sweep sees *every* U-class: the 8 from the original chain (clean
-    # since iteration 0) plus the ones dup created during the ban.
-    u_classes = sum(any(node.op == "U" for node in eclass.nodes) for eclass in egraph.classes())
-    assert expiry.matches["comm"] >= 8
-    assert expiry.matches["comm"] > by_index[0].matches["comm"] - 1  # grew, not shrank
-    # dup, never banned, stays on the incremental path at expiry.
-    assert "dup" not in expiry.full_sweep_rules
-    assert u_classes >= 8
+    production, naive = epochs[3]
+    assert production["comm"] == naive["comm"]
+    assert expiry.matches["comm"] == len(naive["comm"])
+    roots = {class_id for class_id, _substitution in production["comm"]}
+    chain_roots = {egraph.find(class_id) for class_id in chain_classes}
+    assert len(chain_roots) == 8 and chain_roots < roots
+    # Every epoch, banned or not, every rule's list is the oracle's.
+    for index, (production, naive) in epochs.items():
+        assert production == naive, index
 
 
 def test_ban_schedule_and_matches_identical_to_naive_runner():

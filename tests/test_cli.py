@@ -1,14 +1,16 @@
 """Tests for the ``szalinski`` command-line interface."""
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import _config_from_args, build_parser, main
-from repro.csg.build import translate, union_all, unit
+from repro.csg.build import cube, diff, translate, union_all, unit
 from repro.csg.pretty import format_term
+from repro.scad.emit import emit_openscad
 
 
 @pytest.fixture
@@ -360,8 +362,23 @@ class TestArgumentErrors:
         [
             ("cube(10;", "flatten: {tmp}/bad.scad: unexpected token ';' (line 1)"),
             ("cube(undefined_var);", "flatten: {tmp}/bad.scad: undefined variable"),
+            (
+                "module m() { m(); } m();",
+                "flatten: {tmp}/bad.scad: statements nested too deeply to evaluate in module 'm'",
+            ),
+            (
+                # The emitter's text for 300 holes cut one at a time.
+                emit_openscad(
+                    functools.reduce(
+                        lambda plate, i: diff(plate, translate(float(i), 0, 0, cube())),
+                        range(300),
+                        cube(),
+                    )
+                ),
+                "flatten: {tmp}/bad.scad: blocks or expressions nested too deeply to parse",
+            ),
         ],
-        ids=["syntax", "evaluation"],
+        ids=["syntax", "evaluation", "self-recursive-module", "deep-diff-chain"],
     )
     def test_bad_scad_source_is_one_line_error(self, source, message):
         self._assert_one_line_error(

@@ -65,25 +65,36 @@ def _rebuild(egraph: EGraph) -> None:
 def test_invariants_hold_after_every_operation(operations):
     egraph = EGraph()
     ids = [egraph.add_term(Term("U", (Term("x"), Term("y"))))]
+    # The dirty ids of the current search epoch: every operation's are taken
+    # at once and pooled here, which is what one take at the epoch's end
+    # would return.
+    epoch: set = set()
+
+    def dirty_now() -> set:
+        epoch.update(egraph.take_dirty())
+        return {egraph.find(id_) for id_ in epoch}
+
     for kind, payload in operations:
         if kind == "add":
             before = len(egraph._union_find)
             ids.append(egraph.add_term(payload))
             # Dirty-set soundness: every freshly created class is dirty.
             for new_id in range(before, len(egraph._union_find)):
-                assert egraph.find(new_id) in egraph.dirty_classes()
+                assert egraph.find(new_id) in dirty_now()
         elif kind == "merge":
             a, b = payload
             a, b = ids[a % len(ids)], ids[b % len(ids)]
             if egraph.find(a) != egraph.find(b):
                 kept = egraph.merge(a, b)
-                assert egraph.find(kept) in egraph.dirty_classes()
+                assert egraph.find(kept) in dirty_now()
         elif kind == "rebuild":
             _rebuild(egraph)
         else:  # take-dirty opens a new search epoch
-            taken = egraph.take_dirty()
-            assert taken == {egraph.find(i) for i in taken}
-            assert egraph.dirty_classes() == set()
+            dirty_now()
+            epoch.clear()
+            assert egraph.take_dirty() == set()
+        # Every dirty id taken this epoch still resolves to a live class.
+        assert all(egraph.find(id_) in egraph._classes for id_ in epoch)
         egraph.check_invariants()
     _rebuild(egraph)
     egraph.check_invariants()
@@ -137,6 +148,9 @@ def test_take_dirty_reports_merges_into_canonical_survivors():
     egraph.rebuild()
     dirty = egraph.take_dirty()
     assert egraph.find(kept) in dirty
+    # The raw ids keep the root merged away too, so a match cache keyed by
+    # it can evict it without probing every key.
+    assert {a, b} <= dirty
     # The epoch is consumed: nothing dirty until the graph changes again.
     assert egraph.take_dirty() == set()
     egraph.add_term(Term("T", (Term("z"),)))

@@ -12,7 +12,8 @@ from repro.lang.term import Term
 
 def _matches(rule, egraph):
     """Every match of ``rule``, from the compiled matcher the runner uses."""
-    return CompiledRuleSet([rule]).search_classes(egraph)[rule.name]
+    grouped = CompiledRuleSet([rule]).search_classes(egraph)
+    return [match for matches in grouped.values() for _index, match in matches]
 
 
 def _fire(rule, egraph):

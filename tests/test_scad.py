@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.csg.build import cube, diff, translate
 from repro.csg.metrics import measure, primitive_count
 from repro.csg.validate import is_flat_csg
 from repro.geometry.membership import csg_contains
@@ -216,6 +217,19 @@ class TestFlattening:
         with pytest.raises(ScadEvalError):
             flatten_source("cube([missing, 1, 1]);")
 
+    def test_self_recursive_module_is_an_evaluation_error(self):
+        with pytest.raises(ScadEvalError, match="nested too deeply to evaluate in module 'm'"):
+            flatten_source("module m() { m(); } m();")
+
+    def test_too_deep_nesting_is_a_syntax_error(self):
+        # The emitter's text for a plate with 300 holes cut one at a time:
+        # one difference() block per cut, nested 300 deep.
+        plate = cube()
+        for index in range(300):
+            plate = diff(plate, translate(float(index), 0.0, 0.0, cube()))
+        with pytest.raises(ScadSyntaxError, match="nested too deeply to parse"):
+            flatten_source(emit_openscad(plate))
+
 
 class TestEmit:
     def test_emit_primitives_and_transforms(self):
@@ -224,6 +238,13 @@ class TestEmit:
         assert "translate([1, 2, 3])" in source
         assert "scale([2, 2, 2])" in source
         assert "cube(" in source
+
+    @pytest.mark.parametrize("value", [1234.5678, 99999.25])
+    def test_non_integral_numbers_round_trip_exactly(self, value):
+        term = Term.parse(f"(Translate {value!r} 0 0 Cube)")
+        source = emit_openscad(term)
+        assert f"translate([{value!r}, 0, 0])" in source
+        assert validate_synthesis(term, flatten_source(source)).valid
 
     def test_emit_round_trip_geometry(self):
         original = flatten_source("difference() { cube([10,10,10], center=true); sphere(3); }")
