@@ -29,7 +29,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.pipeline import SynthesisResult, synthesize
 from repro.lang.term import Term
 from repro.service.cache import ResultCache
-from repro.service.job import JobResult, JobStatus, SynthesisJob
+from repro.service.job import JobResult, SynthesisJob
 from repro.service.service import BatchReport, SynthesisService
 
 
@@ -167,11 +167,8 @@ def benchmark_jobs(
                 flat = mutate(flat)
         except Exception:
             failures.append(
-                JobResult(
-                    job_id=f"build:{benchmark.name}",
-                    name=benchmark.name,
-                    status=JobStatus.FAILED,
-                    error=traceback.format_exc(),
+                JobResult.failure(
+                    f"build:{benchmark.name}", benchmark.name, traceback.format_exc()
                 )
             )
             continue

@@ -20,10 +20,10 @@ for ``synth`` (alias ``run``), and for the file jobs of ``batch`` and
 of ``batch`` and ``submit``, deliberately keep the paper's per-benchmark
 default configuration so their rows stay comparable to Table 1.  A daemon
 takes its configuration from each job, so ``serve`` refuses a knob that is
-not at its default.  ``--cache-max-mb`` bounds the disk tier
-of the result cache (LRU eviction by entry mtime), and
-``--no-semantic-cache`` turns off its semantic (normalized-key) lookup
-level so only byte-identical inputs hit.
+not at its default.  ``--cache DIR`` gives ``table1``, ``batch`` and
+``serve`` a result cache with both lookup levels, exact and semantic
+(normalized key), so a respelled input hits too; ``--cache-max-mb``
+bounds its disk tier (LRU eviction by entry mtime).
 """
 
 from __future__ import annotations
@@ -130,11 +130,7 @@ def _build_cache(args: argparse.Namespace) -> Optional[ResultCache]:
         if args.cache_max_mb <= 0:
             raise SystemExit("--cache-max-mb must be positive")
         max_bytes = int(args.cache_max_mb * 1024 * 1024)
-    return ResultCache(
-        args.cache,
-        max_bytes=max_bytes,
-        semantic=not getattr(args, "no_semantic_cache", False),
-    )
+    return ResultCache(args.cache, max_bytes=max_bytes)
 
 
 def _write_report(path: Optional[str], payload: dict) -> None:
@@ -248,7 +244,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import traceback
 
-    from repro.service.job import JobResult, JobStatus
+    from repro.service.job import JobResult
 
     config = _config_from_args(args)
     _check_jobs(args)
@@ -262,12 +258,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             jobs.append(SynthesisJob.from_file(path, config, timeout=args.timeout))
         except Exception:
             build_failures.append(
-                JobResult(
-                    job_id=f"file:{path}",
-                    name=Path(path).stem,
-                    status=JobStatus.FAILED,
-                    error=traceback.format_exc(),
-                )
+                JobResult.failure(f"file:{path}", Path(path).stem, traceback.format_exc())
             )
     bench_names = list(args.bench)
     if args.suite:
@@ -620,11 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict least-recently-used disk cache entries beyond this size",
     )
     table1.add_argument(
-        "--no-semantic-cache", action="store_true",
-        help="disable the cache's semantic (normalized-key) lookup level; "
-        "only byte-identical inputs hit",
-    )
-    table1.add_argument(
         "--semantic-variants", action="store_true",
         help="run the suite over semantically equal respellings of every "
         "model (renamed parameters, reordered commutative operands, "
@@ -659,11 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-max-mb", type=float, default=None,
         help="evict least-recently-used disk cache entries beyond this size",
     )
-    batch.add_argument(
-        "--no-semantic-cache", action="store_true",
-        help="disable the cache's semantic (normalized-key) lookup level; "
-        "only byte-identical inputs hit",
-    )
     batch.add_argument("--timeout", type=float, default=None, help="per-job timeout in seconds")
     batch.add_argument("--report", help="write a JSON batch report")
     batch.add_argument(
@@ -689,11 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-max-mb", type=float, default=None,
         help="evict least-recently-used disk cache entries beyond this size",
-    )
-    serve.add_argument(
-        "--no-semantic-cache", action="store_true",
-        help="disable the cache's semantic (normalized-key) lookup level; "
-        "only byte-identical inputs hit",
     )
     serve.add_argument(
         "--max-pending", type=int, default=256,

@@ -11,7 +11,7 @@ recomputed from the extracted program itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lang.term import Term
 
@@ -32,37 +32,34 @@ class LoopDescriptor:
 
 
 def _list_length(term: Term) -> Optional[int]:
-    """Static length of a LambdaCAD list expression, when determinable."""
-    if term.op == "Nil":
-        return 0
-    if term.op == "Cons" and len(term.children) == 2:
-        tail = _list_length(term.children[1])
-        return None if tail is None else tail + 1
-    if term.op == "Repeat" and len(term.children) == 2:
-        count = term.children[1]
-        if count.is_number:
-            return int(count.value)
-        return None
-    if term.op == "Concat" and len(term.children) == 2:
-        left = _list_length(term.children[0])
-        right = _list_length(term.children[1])
-        if left is None or right is None:
+    """Static length of a LambdaCAD list expression, when determinable.
+
+    A ``Map``/``Mapi``, or a ``Fold`` used as a list producer (the
+    map-concatenate convention), is as long as its list.
+    """
+    total = 0
+    pending = [term]
+    while pending:
+        node = pending.pop()
+        op, children = node.op, node.children
+        if op == "Nil":
+            continue
+        if op == "Cons" and len(children) == 2:
+            total += 1
+            pending.append(children[1])
+        elif op == "Repeat" and len(children) == 2:
+            if not children[1].is_number:
+                return None
+            total += int(children[1].value)
+        elif op == "Concat" and len(children) == 2:
+            pending.extend(children)
+        elif op in ("Map", "Mapi") and len(children) == 2:
+            pending.append(children[1])
+        elif op == "Fold" and len(children) == 3:
+            pending.append(children[2])
+        else:
             return None
-        return left + right
-    if term.op in ("Map", "Mapi") and len(term.children) == 2:
-        return _list_length(term.children[1])
-    if term.op == "Fold":
-        # A Fold used as a list producer (map-concatenate convention).
-        inner = _loop_list_bound(term)
-        return inner
-    return None
-
-
-def _loop_list_bound(fold_term: Term) -> Optional[int]:
-    """Length of the index list of a list-producing Fold, if static."""
-    if fold_term.op != "Fold" or len(fold_term.children) != 3:
-        return None
-    return _list_length(fold_term.children[2])
+    return total
 
 
 def _is_loop_node(term: Term) -> bool:
@@ -76,12 +73,44 @@ def _is_loop_node(term: Term) -> bool:
     return False
 
 
-def _loop_bound(term: Term) -> Optional[int]:
-    if term.op in ("Map", "Mapi"):
-        return _list_length(term.children[1])
-    if term.op == "Fold":
-        return _list_length(term.children[2])
-    return None
+def _own_bound(node: Term) -> Tuple[int, ...]:
+    """The bound a loop node adds to its nest: ``(n,)``, or ``()``."""
+    # A Mapi whose list is itself a Map/Mapi (the Fig. 10 nested-Mapi
+    # chain) iterates the *same* index space as the inner combinator — it
+    # adds a transformation layer, not a loop dimension — so only the
+    # innermost of such a chain contributes a bound.
+    if node.op in ("Map", "Mapi"):
+        items = node.children[1]
+        if len(node.children) == 2 and items.op in ("Map", "Mapi"):
+            return ()
+    else:
+        items = node.children[2]
+    bound = _list_length(items)
+    return () if bound is None else (bound,)
+
+
+def _nest_bounds(root: Term, memo: Dict[int, Tuple[int, ...]]) -> Tuple[int, ...]:
+    """The bounds of the longest chain of loop nodes from ``root`` down.
+
+    Nested loops appear either inside a function body (Fold-of-Fun nested
+    loops) or as a list argument (nested Mapis); of a node's children the
+    first with the longest chain wins.  ``memo`` maps ``id(subterm)`` to
+    its answer.
+    """
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        missing = [child for child in node.children if id(child) not in memo]
+        if missing:
+            pending.append(node)
+            pending.extend(missing)
+            continue
+        best: Tuple[int, ...] = ()
+        for child in node.children:
+            if len(memo[id(child)]) > len(best):
+                best = memo[id(child)]
+        memo[id(node)] = _own_bound(node) + best if _is_loop_node(node) else best
+    return memo[id(root)]
 
 
 def find_loops(term: Term) -> List[LoopDescriptor]:
@@ -89,95 +118,48 @@ def find_loops(term: Term) -> List[LoopDescriptor]:
 
     A nest is an outermost loop node together with the chain of loop nodes
     directly nested inside it (through its function body or its list
-    argument); sibling nests are reported separately.
+    argument); sibling nests are reported separately, left to right.
     """
     nests: List[LoopDescriptor] = []
-
-    def chain_bounds(node: Term) -> Tuple[int, ...]:
-        bounds: Tuple[int, ...] = ()
-        bound = _loop_bound(node)
-        if bound is not None:
-            bounds = (bound,)
-        # A Mapi whose list is itself a Map/Mapi (the Fig. 10 nested-Mapi
-        # chain) iterates the *same* index space as the inner combinator — it
-        # adds a transformation layer, not a loop dimension — so only the
-        # innermost of such a chain contributes a bound.
-        if node.op in ("Map", "Mapi") and len(node.children) == 2 and node.children[1].op in ("Map", "Mapi"):
-            bounds = ()
-        # Nested loops appear either inside the function body (Fold-of-Fun
-        # nested loops) or as the list argument (nested Mapis).
-        nested: List[Tuple[int, ...]] = []
-        for child in node.children:
-            nested.append(descend(child))
-        best_nested = max(nested, key=len, default=())
-        return bounds + best_nested
-
-    def descend(node: Term) -> Tuple[int, ...]:
+    memo: Dict[int, Tuple[int, ...]] = {}
+    pending = [term]
+    while pending:
+        node = pending.pop()
         if _is_loop_node(node):
-            return chain_bounds(node)
-        best: Tuple[int, ...] = ()
-        for child in node.children:
-            candidate = descend(child)
-            if len(candidate) > len(best):
-                best = candidate
-        return best
-
-    def walk(node: Term) -> None:
-        if _is_loop_node(node):
-            nests.append(LoopDescriptor(bounds=chain_bounds(node)))
-            return
-        for child in node.children:
-            walk(child)
-
-    walk(term)
+            nests.append(LoopDescriptor(bounds=_nest_bounds(node, memo)))
+        else:
+            pending.extend(reversed(node.children))
     # Drop degenerate descriptors with no static bound information.
     return [n for n in nests if n.bounds]
 
 
+def _is_index(node: Term) -> bool:
+    return node.is_leaf and isinstance(node.op, str) and node.op in ("i", "j", "k")
+
+
+def _body_kind(body: Term) -> Optional[str]:
+    """``theta`` for a trigonometric loop body, ``d2`` when an index is
+    multiplied by itself, ``d1`` for other index arithmetic, else None."""
+    nodes = list(body.subterms())
+    if any(node.op in ("Sin", "Cos", "Arctan") for node in nodes):
+        return "theta"
+    if not any(_is_index(node) for node in nodes):
+        return None
+    for node in nodes:
+        if node.op == "Mul" and len(node.children) == 2:
+            left, right = node.children
+            if left == right and any(_is_index(sub) for sub in left.subterms()):
+                return "d2"
+    return "d1"
+
+
 def function_kinds(term: Term) -> List[str]:
-    """The closed-form function classes used in a program's loop bodies.
-
-    ``theta`` for trigonometric bodies, ``d2`` when an index is multiplied by
-    itself, ``d1`` for other index arithmetic.
-    """
+    """The closed-form function classes of a program's loop bodies
+    (``theta``, ``d2``, ``d1``: see ``_body_kind``), in order of first use."""
     kinds: List[str] = []
-
-    def body_kind(body: Term) -> Optional[str]:
-        has_index = False
-        has_trig = False
-        has_square = False
-
-        def scan(node: Term, under_mul_operands: Tuple[Term, ...] = ()) -> None:
-            nonlocal has_index, has_trig, has_square
-            if node.op in ("Sin", "Cos", "Arctan"):
-                has_trig = True
-            if node.op == "Mul" and len(node.children) == 2:
-                left, right = node.children
-                if left == right and _mentions_index(left):
-                    has_square = True
-            if node.is_leaf and isinstance(node.op, str) and node.op in ("i", "j", "k"):
-                has_index = True
-            for child in node.children:
-                scan(child)
-
-        scan(body)
-        if not has_index and not has_trig:
-            return None
-        if has_trig:
-            return "theta"
-        if has_square:
-            return "d2"
-        return "d1"
-
-    def _mentions_index(node: Term) -> bool:
-        return any(
-            sub.is_leaf and isinstance(sub.op, str) and sub.op in ("i", "j", "k")
-            for sub in node.subterms()
-        )
-
     for sub in term.subterms():
         if sub.op == "Fun" and len(sub.children) >= 2:
-            kind = body_kind(sub.children[-1])
+            kind = _body_kind(sub.children[-1])
             if kind is not None and kind not in kinds:
                 kinds.append(kind)
     return kinds

@@ -20,6 +20,7 @@ thousands of parts emits flat text instead of one nesting level per part.
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple, Union
 
 from repro.cad.evaluator import unroll
@@ -49,7 +50,11 @@ _BOOLEAN_KEYWORDS = {"Union": "union", "Diff": "difference", "Inter": "intersect
 
 def _format_number(value: float) -> str:
     """An integral value without a fraction, any other with every digit
-    (``repr`` is the shortest text that reads back as the same float)."""
+    (``repr`` is the shortest text that reads back as the same float).
+    OpenSCAD has no literal for ``inf`` or ``nan``: they raise
+    :class:`EmitError`."""
+    if not math.isfinite(value):
+        raise EmitError(f"cannot emit the non-finite number {value!r} to OpenSCAD")
     if isinstance(value, float) and value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)

@@ -37,11 +37,10 @@ under ``<directory>/sem/``), so the payload is stored once and the exact
 tier's behavior — keys, layout, eviction — is completely unchanged.
 :meth:`ResultCache.lookup` probes the exact key first and falls back to
 the semantic key only on a miss; hits are counted separately
-(``exact_hits``/``semantic_hits``).  The semantic key may be passed as a
-zero-argument callable, which is called only on an exact miss, so an
-exact hit never normalizes its input.  A pointer whose exact entry was
-evicted simply misses (and is dropped).  ``semantic=False`` disables the
-tier entirely (the CLI's ``--no-semantic-cache``).
+(``exact_hits``/``semantic_hits``).  The caller derives the semantic key
+(the service does so only when the exact key is absent, and never under
+its lock) and passes it as a string.  A pointer whose exact entry was
+evicted simply misses (and is dropped).
 
 **Decoded results.**  A memory-tier entry keeps its payload and, next to
 it, the :class:`~repro.core.pipeline.SynthesisResult` decoded from that
@@ -62,7 +61,7 @@ import json
 import os
 from collections import OrderedDict, deque
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import SynthesisResult
@@ -115,13 +114,10 @@ class ResultCache:
         directory=None,
         memory_capacity: int = 128,
         max_bytes: Optional[int] = None,
-        semantic: bool = True,
     ):
         self.directory = Path(directory) if directory is not None else None
         self.memory_capacity = memory_capacity
         self.max_bytes = max_bytes
-        #: Whether the semantic (normalized-key) lookup level is enabled.
-        self.semantic = semantic
         self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         #: Memory-side semantic pointers: semantic key -> exact key.  An
         #: LRU like the payload tier, but entries are two small strings, so
@@ -175,18 +171,15 @@ class ResultCache:
     def lookup(
         self,
         key: str,
-        semantic_key: Union[None, str, Callable[[], str]] = None,
+        semantic_key: Optional[str] = None,
         decoded: bool = False,
     ) -> Tuple[Union[None, dict, SynthesisResult], Optional[str]]:
         """Two-level read: ``(payload, tier)`` with tier ``"exact"``,
         ``"semantic"``, or ``None`` on a miss.
 
         The exact key is the fast path; the semantic key is consulted only
-        when the exact probe misses (and only when the tier is enabled), so
-        inputs that hit exactly never pay the pointer indirection.  A
-        callable ``semantic_key`` is called then, at most once; if it
-        raises, the exception propagates and no counter has moved.
-        ``decoded=True`` returns the entry's shared
+        when the exact probe misses, so inputs that hit exactly never pay
+        the pointer indirection.  ``decoded=True`` returns the entry's shared
         :class:`~repro.core.pipeline.SynthesisResult` instead of its
         payload.
         """
@@ -195,9 +188,7 @@ class ResultCache:
             self.hits += 1
             self.exact_hits += 1
             return self._value(entry, decoded), "exact"
-        if self.semantic and semantic_key is not None:
-            if callable(semantic_key):
-                semantic_key = semantic_key()
+        if semantic_key is not None:
             exact_key = self._resolve_semantic(semantic_key)
             if exact_key is not None:
                 entry = self._probe(exact_key)
@@ -229,8 +220,8 @@ class ResultCache:
     ) -> None:
         """Store ``payload`` under ``key`` in both tiers.
 
-        With a ``semantic_key`` (and the tier enabled), additionally bind
-        that key to ``key`` so semantically equal inputs find this entry.
+        With a ``semantic_key``, additionally bind that key to ``key`` so
+        semantically equal inputs find this entry.
         ``result``, when given, must be ``SynthesisResult.from_dict(payload)``
         (the caller's own decode of it): the memory tier keeps it, so a hit
         decodes nothing.  ``put`` itself never decodes.
@@ -238,7 +229,7 @@ class ResultCache:
         self._remember(key, _Entry(payload, result))
         self._write_disk(key, payload)
         self.stores += 1
-        if self.semantic and semantic_key is not None:
+        if semantic_key is not None:
             self._remember_semantic(semantic_key, key)
             self._write_semantic(semantic_key, key)
 
@@ -507,7 +498,6 @@ class ResultCache:
             "disk_hits": self.disk_hits,
             "exact_hits": self.exact_hits,
             "semantic_hits": self.semantic_hits,
-            "semantic": self.semantic,
             "stores": self.stores,
             "evictions": self.evictions,
             "decodes": self.decodes,

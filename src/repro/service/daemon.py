@@ -397,12 +397,7 @@ class SynthesisDaemon:
                     jobs.append(self._build_job(spec, name, job_id))
                 except Exception:
                     build_failures.append(
-                        JobResult(
-                            job_id=job_id,
-                            name=name,
-                            status=JobStatus.FAILED,
-                            error=traceback.format_exc(),
-                        )
+                        JobResult.failure(job_id, name, traceback.format_exc())
                     )
             client.send({"type": "accepted", "job_ids": job_ids})
             for job in jobs:

@@ -153,6 +153,19 @@ class JobResult:
     #: trace file instead.
     trace: Optional[list] = None
 
+    @classmethod
+    def failure(
+        cls,
+        job_id: str,
+        name: str,
+        error: str,
+        status: JobStatus = JobStatus.FAILED,
+        seconds: float = 0.0,
+    ) -> "JobResult":
+        """The outcome of a job that failed (or, with ``status=TIMEOUT``,
+        timed out): every such result is built here, from its error text."""
+        return cls(job_id=job_id, name=name, status=status, error=error, seconds=seconds)
+
     @property
     def ok(self) -> bool:
         return self.status is JobStatus.SUCCEEDED

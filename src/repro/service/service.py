@@ -5,23 +5,26 @@ that keys, probes, coalesces and stores jobs: ``batch``/``table1`` via
 :meth:`SynthesisService.run_batch` (submit every job, then drain) and the
 ``serve`` daemon, which starts the service's pool once and submits each
 job as its frame arrives.  :meth:`SynthesisService.submit` folds a job's
-timeout into its config and derives its exact cache key.  The semantic key
-(a normalization of the whole term) is derived only when the exact key is
-neither in the cache nor in flight and that tier is on, so an exact hit or
-a duplicate of a running job normalizes nothing, and outside the service
-lock, so a large term's normalization stalls no other job.  The snapshot
-counts the keys exact misses look up (``semantic_keys``); a key derived
-for a job whose exact entry was stored meanwhile goes unused and
-uncounted.  A job whose keys cannot be derived (a term with a non-finite
-literal has no canonical text) is answered FAILED at once.  A cache hit is
-answered at once with the cache's shared, already decoded result, so a
-repeated hit parses no candidate and, the headline being measured once per
-result, measures no term either.  A job whose exact key is already in
-flight becomes a follower of that job, without a lookup, and is answered
-with its outcome (``cache_tier="batch"``), even when another spelling's
-semantic entry could have served it.  Any other job is
-dispatched to the service's :class:`~repro.service.worker.ResidentPool`,
-or held until drain time, when ``worker_count == 0`` runs it through
+timeout into its config, derives its exact cache key, and admits it in one
+sequence.  Under the service lock, an exact key the cache holds is looked
+up and answered, and an exact key already in flight makes the job a
+follower of that job, answered with its outcome (``cache_tier="batch"``),
+even when another spelling's semantic entry could have served it.  With
+the lock free, the semantic key (a normalization of the whole term) is
+derived, so a large term stalls no other job.  Under the lock again, one
+lookup of both keys answers a hit, or the job follows a twin dispatched
+meanwhile, or it is dispatched.  No semantic key is derived under the
+lock, and an exact hit or a duplicate of a running job derives none; an
+exact entry gone between the presence check and its lookup costs two
+counted lookups.  The snapshot counts the semantic keys lookups reach
+(``semantic_keys``, one per exact miss).  A job whose keys cannot be
+derived (a term with a non-finite literal has no canonical text) is
+answered FAILED at once.  A hit is answered with the cache's shared,
+already decoded result, so a repeated hit parses no candidate and, the
+headline being measured once per result, measures no term either.  A
+dispatched job goes to the service's
+:class:`~repro.service.worker.ResidentPool`, or is held until drain time,
+when ``worker_count == 0`` runs it through
 :func:`~repro.service.worker.run_jobs_inline` and a pooled batch starts at
 most ``min(worker_count, misses)`` workers.  When a job ends, the service
 stores a success (its payload, and the result the worker's payload was
@@ -45,6 +48,7 @@ import traceback
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.pipeline import SynthesisResult
 from repro.obs.histogram import MetricsAggregator
 from repro.obs.prometheus import render_prometheus
 from repro.service.cache import ResultCache, cache_key, semantic_cache_key
@@ -179,8 +183,7 @@ class SynthesisService:
         self._backlog: List[_Flight] = []
         #: Jobs registered as followers over the service's lifetime.
         self._coalesced = 0
-        #: Semantic keys looked up over the service's lifetime (one per
-        #: exact miss while the semantic tier is on).
+        #: Semantic keys looked up over the service's lifetime (one per exact miss).
         self._semantic_keys = 0
         self._pool: Optional[ResidentPool] = None
 
@@ -221,9 +224,8 @@ class SynthesisService:
                 self._pool = None
                 abandoned = list(self._in_flight.values())
             for flight in abandoned:
-                self._complete(
-                    flight, _failed(flight.job, "the service stopped before the job ran")
-                )
+                job, error = flight.job, "the service stopped before the job ran"
+                self._complete(flight, JobResult.failure(job.job_id, job.name, error))
 
     # -- the admission path ----------------------------------------------------
 
@@ -244,85 +246,74 @@ class SynthesisService:
             self._fail_unkeyed(job, on_result, traceback.format_exc())
             return
         semantic_key = None
-        if self.cache is not None and self.cache.semantic:
+        if self.cache is not None:
             with self._lock:
-                present = key in self.cache
-                flight = None if present else self._in_flight.get(key)
-                if flight is not None:
-                    # A duplicate of a running job waits for its answer
-                    # instead of normalizing its term for a lookup.
-                    flight.followers.append((job, on_result))
-                    self._coalesced += 1
+                hit = self._lookup(job, key) if key in self.cache else None
+                if hit is None and self._follow(job, key, on_result):
                     return
-            if not present:
-                # Unlocked: normalizing a large term takes long enough to
-                # stall every other admission and completion.
-                try:
-                    semantic_key = semantic_cache_key(job.term, job.config)
-                except Exception:
-                    self._fail_unkeyed(job, on_result, traceback.format_exc())
-                    return
-        result = tier = error = None
-
-        def derive_semantic_key() -> str:
-            # The lookup calls this, under the lock, only on an exact miss;
-            # it derives the key here only if the entry the probe saw has
-            # left the cache since.
-            nonlocal semantic_key
-            if semantic_key is None:
-                try:
-                    semantic_key = semantic_cache_key(job.term, job.config)
-                except Exception as exc:
-                    raise _Unkeyed(traceback.format_exc()) from exc
-            self._semantic_keys += 1
-            return semantic_key
-
+            if hit is not None:
+                self._answer_hit(job, on_result, *hit)
+                return
+            # Unlocked: normalizing a large term takes long enough to stall
+            # every other admission and completion.
+            try:
+                semantic_key = semantic_cache_key(job.term, job.config)
+            except Exception:
+                self._fail_unkeyed(job, on_result, traceback.format_exc())
+                return
         with self._lock:
-            if self.cache is not None:
-                lookup_start = time.perf_counter()
-                try:
-                    result, tier = self.cache.lookup(key, derive_semantic_key, decoded=True)
-                except _Unkeyed as unkeyed:
-                    error = unkeyed.args[0]
-                if result is not None:
-                    # A hit's end-to-end latency is the lookup itself.
-                    self.metrics.ingest(
-                        model=job.name,
-                        seconds=time.perf_counter() - lookup_start,
-                        cache_tier=tier,
-                    )
-            if result is None and error is None:
-                flight = self._in_flight.get(key)
-                if flight is not None:
-                    flight.followers.append((job, on_result))
-                    self._coalesced += 1
+            hit = self._lookup(job, key, semantic_key) if self.cache is not None else None
+            if hit is None:
+                if self._follow(job, key, on_result):
                     return
                 # Registered before dispatch, so no completion can miss it.
                 flight = self._in_flight[key] = _Flight(job, key, semantic_key, on_result)
                 pool = self._pool
                 if pool is None:
                     self._backlog.append(flight)
-        if error is not None:
-            self._fail_unkeyed(job, on_result, error)
-        elif result is not None:
-            on_result(
-                job,
-                JobResult(
-                    job_id=job.job_id,
-                    name=job.name,
-                    status=JobStatus.SUCCEEDED,
-                    result=result,
-                    cached=True,
-                    cache_tier=tier,
-                ),
-            )
-            _emit(self.on_event, JobEvent("cache-hit", job.job_id, job.name, message=tier))
+        if hit is not None:
+            self._answer_hit(job, on_result, *hit)
         elif pool is not None:
             self._run([flight], pool)
 
+    def _lookup(
+        self, job: SynthesisJob, key: str, semantic_key: Optional[str] = None
+    ) -> Optional[Tuple[SynthesisResult, str]]:
+        """One counted lookup (lock held): ``(result, tier)``, or None on a miss."""
+        start = time.perf_counter()
+        result, tier = self.cache.lookup(key, semantic_key, decoded=True)
+        if semantic_key is not None and tier != "exact":
+            self._semantic_keys += 1  # the lookup reached the semantic level
+        if result is None:
+            return None
+        # A hit's end-to-end latency is the lookup itself.
+        self.metrics.ingest(model=job.name, seconds=time.perf_counter() - start, cache_tier=tier)
+        return result, tier
+
+    def _follow(self, job: SynthesisJob, key: str, on_result: ResultCallback) -> bool:
+        """Make ``job`` a follower of the job running ``key``, if any (lock held)."""
+        flight = self._in_flight.get(key)
+        if flight is None:
+            return False
+        flight.followers.append((job, on_result))
+        self._coalesced += 1
+        return True
+
+    def _answer_hit(
+        self, job: SynthesisJob, on_result: ResultCallback, result: SynthesisResult, tier: str
+    ) -> None:
+        """Answer a hit with the cache's shared result, then emit its event."""
+        hit = JobResult(
+            job_id=job.job_id, name=job.name, status=JobStatus.SUCCEEDED,
+            result=result, cached=True, cache_tier=tier,
+        )
+        on_result(job, hit)
+        _emit(self.on_event, JobEvent("cache-hit", job.job_id, job.name, message=tier))
+
     def _fail_unkeyed(self, job: SynthesisJob, on_result: ResultCallback, error: str) -> None:
         """Answer FAILED a job whose cache key raised ``error`` (a traceback)."""
-        failed = _failed(job, f"the job's cache key cannot be derived\n{error}")
+        error = f"the job's cache key cannot be derived\n{error}"
+        failed = JobResult.failure(job.job_id, job.name, error)
         on_result(job, failed)
         _emit(
             self.on_event,
@@ -346,7 +337,8 @@ class SynthesisService:
                 pool.submit(job, complete, self.on_event)
             except RuntimeError:
                 # A raising callback force-stopped the pool.
-                complete(job, _failed(job, "the worker pool stopped before the job ran"))
+                error = "the worker pool stopped before the job ran"
+                complete(job, JobResult.failure(job.job_id, job.name, error))
 
     def _complete(self, flight: _Flight, result: JobResult) -> None:
         """A dispatched job ended: store it, record it, answer it and its followers."""
@@ -480,14 +472,12 @@ class SynthesisService:
                 cache_tier="batch",
                 result_payload=primary.result_payload,
             )
-        return JobResult(
-            job_id=job.job_id,
-            name=job.name,
+        return JobResult.failure(
+            job.job_id,
+            job.name,
+            f"coalesced with identical job {primary.job_id}, which "
+            f"{primary.status.value}:\n{primary.error or ''}",
             status=primary.status,
-            error=(
-                f"coalesced with identical job {primary.job_id}, which "
-                f"{primary.status.value}:\n{primary.error or ''}"
-            ),
         )
 
     @staticmethod
@@ -503,11 +493,3 @@ class SynthesisService:
         if job.timeout is None or job.timeout >= job.config.max_seconds:
             return job
         return replace(job, config=replace(job.config, max_seconds=job.timeout))
-
-
-class _Unkeyed(Exception):
-    """A job's semantic key cannot be derived; ``args[0]`` is the traceback."""
-
-
-def _failed(job: SynthesisJob, error: str) -> JobResult:
-    return JobResult(job_id=job.job_id, name=job.name, status=JobStatus.FAILED, error=error)

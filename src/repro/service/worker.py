@@ -164,11 +164,10 @@ def _result_from_outcome(job: SynthesisJob, outcome: dict, seconds: float) -> Jo
             result_payload=outcome["result"],
             trace=outcome.get("trace"),
         )
-    return JobResult(
-        job_id=job.job_id,
-        name=job.name,
-        status=JobStatus.FAILED,
-        error=outcome.get("error", "worker reported failure without a traceback"),
+    return JobResult.failure(
+        job.job_id,
+        job.name,
+        outcome.get("error", "worker reported failure without a traceback"),
         seconds=seconds,
     )
 
@@ -467,14 +466,11 @@ class ResidentPool:
                 if failures >= self._MAX_ASSIGN_ATTEMPTS:
                     self._finish(
                         job,
-                        JobResult(
-                            job_id=job.job_id,
-                            name=job.name,
-                            status=JobStatus.FAILED,
-                            error=(
-                                "persistent worker died before accepting the "
-                                f"job ({failures} attempts)"
-                            ),
+                        JobResult.failure(
+                            job.job_id,
+                            job.name,
+                            "persistent worker died before accepting the "
+                            f"job ({failures} attempts)",
                         ),
                         actions,
                     )
@@ -505,14 +501,11 @@ class ResidentPool:
         if outcome is None:
             self.crashes += 1
             self._replace(worker)
-            result = JobResult(
-                job_id=job.job_id,
-                name=job.name,
-                status=JobStatus.FAILED,
-                error=(
-                    f"persistent worker died without reporting "
-                    f"(exit code {worker.process.exitcode})"
-                ),
+            result = JobResult.failure(
+                job.job_id,
+                job.name,
+                f"persistent worker died without reporting "
+                f"(exit code {worker.process.exitcode})",
                 seconds=elapsed,
             )
         else:
@@ -531,11 +524,11 @@ class ResidentPool:
         self._replace(worker)
         self._finish(
             job,
-            JobResult(
-                job_id=job.job_id,
-                name=job.name,
+            JobResult.failure(
+                job.job_id,
+                job.name,
+                f"killed after exceeding the {job.timeout:g}s job timeout",
                 status=JobStatus.TIMEOUT,
-                error=f"killed after exceeding the {job.timeout:g}s job timeout",
                 seconds=now - worker.started,
             ),
             actions,
@@ -586,11 +579,10 @@ class ResidentPool:
                 if job is not None:
                     self._finish(
                         job,
-                        JobResult(
-                            job_id=job.job_id,
-                            name=job.name,
-                            status=JobStatus.FAILED,
-                            error="resident pool shut down while the job was running",
+                        JobResult.failure(
+                            job.job_id,
+                            job.name,
+                            "resident pool shut down while the job was running",
                         ),
                         actions,
                     )
@@ -598,11 +590,8 @@ class ResidentPool:
                 job = self._queue.pop()
                 self._finish(
                     job,
-                    JobResult(
-                        job_id=job.job_id,
-                        name=job.name,
-                        status=JobStatus.FAILED,
-                        error="resident pool shut down before the job ran",
+                    JobResult.failure(
+                        job.job_id, job.name, "resident pool shut down before the job ran"
                     ),
                     actions,
                 )

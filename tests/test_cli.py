@@ -119,21 +119,9 @@ class TestParser:
         assert args.top_k == 7
         assert _config_from_args(args).top_k == 7
 
-    def test_semantic_cache_flags_parse(self):
-        from repro.cli import _build_cache
-
-        args = build_parser().parse_args(
-            ["batch", "a.csg", "--cache", "/tmp/c", "--no-semantic-cache"]
-        )
-        assert args.no_semantic_cache is True
-        assert _build_cache(args).semantic is False
-        args = build_parser().parse_args(["batch", "a.csg", "--cache", "/tmp/c"])
-        assert args.no_semantic_cache is False
-        assert _build_cache(args).semantic is True
-        args = build_parser().parse_args(
-            ["table1", "--semantic-variants", "--no-semantic-cache"]
-        )
-        assert args.semantic_variants is True and args.no_semantic_cache is True
+    def test_semantic_variants_flag_parses(self):
+        args = build_parser().parse_args(["table1", "--semantic-variants"])
+        assert args.semantic_variants is True
         assert build_parser().parse_args(["table1"]).semantic_variants is False
 
     def test_run_is_an_alias_for_synth(self):
@@ -288,24 +276,6 @@ class TestBatchCommand:
         captured = capsys.readouterr().out
         assert "[cache-hit]" in captured
         assert "2 from cache (0 exact, 2 semantic; 100% hit rate)" in captured
-
-    def test_no_semantic_cache_downgrades_respelled_inputs_to_misses(
-        self, csg_files, tmp_path, capsys
-    ):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["batch", *csg_files, "--cache", cache_dir]) == 0
-        capsys.readouterr()
-        respelled = self._respelled(csg_files, tmp_path)
-        assert (
-            main(["batch", *respelled, "--cache", cache_dir, "--no-semantic-cache"])
-            == 0
-        )
-        captured = capsys.readouterr().out
-        assert "0 from cache (0 exact, 0 semantic; 0% hit rate)" in captured
-        # Exact hits survive the flag: the unmodified files still hit.
-        assert main(["batch", *csg_files, "--cache", cache_dir, "--no-semantic-cache"]) == 0
-        captured = capsys.readouterr().out
-        assert "2 from cache (2 exact, 0 semantic; 100% hit rate)" in captured
 
     def test_batch_isolates_a_bad_input_file(self, csg_files, tmp_path, capsys):
         bad = tmp_path / "bad.csg"

@@ -110,6 +110,11 @@ class TestParsingAndPrinting:
         term = translate(1, 2, 3, cube())
         assert format_openscad_like(term) == "Translate (1, 2, 3, Cube)"
 
+    @pytest.mark.parametrize("literal", ["inf", "-inf", "nan"])
+    def test_openscad_like_prints_a_non_finite_number(self, literal):
+        term = Term.parse(f"(Translate {literal} 0 0 Cube)")
+        assert format_openscad_like(term) == f"Translate ({literal}, 0, 0, Cube)"
+
     def test_openscad_like_breaks_long_lines(self):
         term = union_all([translate(float(i), 0, 0, cube()) for i in range(10)])
         rendered = format_openscad_like(term, width=40)

@@ -20,6 +20,8 @@ import pytest
 from repro.benchsuite import models
 from repro.benchsuite.variants import semantic_variant
 from repro.cad.ops import uses_loops
+from repro.cli import main
+from repro.core.analysis import find_loops
 from repro.core.config import SynthesisConfig
 from repro.core.determinize import Determinizer
 from repro.core.lists import read_list_elements
@@ -27,6 +29,7 @@ from repro.core.pipeline import CandidateProgram, SynthesisResult, synthesize
 from repro.csg.build import cube
 from repro.csg.metrics import measure
 from repro.csg.parser import parse_csg
+from repro.csg.pretty import format_term, line_count
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import Extractor, TopKExtractor, ast_size_cost
 from repro.lang.canon import canonical_term_text, term_from_canonical
@@ -217,6 +220,32 @@ def test_a_2000_part_array_emits_flat_openscad_that_flattens_back():
 def test_parse_csg_accepts_a_2000_part_array():
     model = models.linear_array(2000, (3, 0, 0), cube())
     assert _same(parse_csg(canonical_term_text(model)), model)
+
+
+def test_synth_prints_and_summarizes_a_flat_1000_part_array(tmp_path, capsys):
+    # Without rewrites the only candidate is the flat input: printing it
+    # and finding its loops both walk the 1,000-part chain.
+    path = tmp_path / "array.csg"
+    path.write_text(format_term(models.linear_array(1000, (2, 0, 0), cube())))
+    assert main(["--rewrite-iterations", "0", "synth", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("-- rank 1 (cost 5999, loops=False)\nUnion\n( Translate (0, 0, 0, Cube),")
+    last = out.rstrip("\n").rsplit("\n", 1)[-1]
+    assert last.startswith("-- ") and "loops -, functions -" in last
+
+
+def test_a_deep_chain_prints_and_a_deep_list_bounds_its_loop():
+    # Printed text indents each level two columns deeper, so it grows with
+    # the square of the depth: print a shallower (still too deep) chain.
+    shallow = 2 * sys.getrecursionlimit()
+    assert line_count(_union_chain(shallow)) == 2 * shallow + 1
+    chain = _union_chain()
+    assert find_loops(chain) == []
+    items = _chain("Cons", [Term(i) for i in range(DEPTH)], Term("Nil"))
+    loop = Term("Mapi", (Term("Fun", (Term("i"), Term("Cube"))), items))
+    assert [nest.label() for nest in find_loops(Term("Union", (chain, loop)))] == [
+        f"n1,{DEPTH}"
+    ]
 
 
 @pytest.mark.slow

@@ -11,7 +11,7 @@ from repro.geometry.membership import csg_contains
 from repro.geometry.vec import Vec3
 from repro.lang.term import Term
 from repro.scad.ast import Assignment, ForLoop, ModuleCall, ModuleDef
-from repro.scad.emit import emit_openscad
+from repro.scad.emit import EmitError, emit_openscad
 from repro.scad.flatten import ScadEvalError, flatten_source
 from repro.scad.lexer import ScadSyntaxError, tokenize
 from repro.scad.parser import parse_scad
@@ -245,6 +245,12 @@ class TestEmit:
         source = emit_openscad(term)
         assert f"translate([{value!r}, 0, 0])" in source
         assert validate_synthesis(term, flatten_source(source)).valid
+
+    @pytest.mark.parametrize("literal", ["inf", "-inf", "nan"])
+    def test_a_non_finite_number_is_an_emit_error_naming_it(self, literal):
+        term = Term.parse(f"(Union Cube (Translate 1 2 0 (Scale 2 {literal} 2 Cube)))")
+        with pytest.raises(EmitError, match=f"non-finite number {literal}"):
+            emit_openscad(term)
 
     def test_emit_round_trip_geometry(self):
         original = flatten_source("difference() { cube([10,10,10], center=true); sphere(3); }")

@@ -1,16 +1,16 @@
 """The result cache's semantic (normalized-key) lookup level.
 
 Unit tests cover the two-level :meth:`ResultCache.lookup` mechanics —
-exact-first probing, separate hit counters, pointer persistence, dangling
-pointers after eviction, and the ``semantic=False`` kill switch — and the
-invariant the tier was designed around: the exact tier's on-disk layout and
-counters are untouched by semantic entries.
+exact-first probing, separate hit counters, pointer persistence and
+dangling pointers after eviction — and the invariant the tier was designed
+around: the exact tier's on-disk layout and counters are untouched by
+semantic entries.
 
 The differential class is the acceptance check from the other side: for
 each fast bundled model, a semantically respelled variant (renamed
 parameters, reordered commutative operands, respelled literals) must be
 served from the warm cache at the semantic level with a byte-identical
-payload, and must miss when the tier is disabled.
+payload.
 """
 
 import json
@@ -71,17 +71,6 @@ class TestTwoLevelLookup:
         assert payload is None and tier is None
         assert cache.misses == 1 and cache.hits == 0
 
-    def test_semantic_disabled_skips_the_tier_entirely(self, keys, tmp_path):
-        populated = ResultCache(tmp_path)
-        populated.put(keys["exact"], {"v": 1}, keys["semantic"])
-        cache = ResultCache(tmp_path, semantic=False)
-        payload, tier = cache.lookup(keys["exact_respelled"], keys["semantic"])
-        assert payload is None and tier is None
-        # And a semantic=False put writes no pointer files.
-        off = ResultCache(tmp_path / "off", semantic=False)
-        off.put(keys["exact"], {"v": 1}, keys["semantic"])
-        assert not list((tmp_path / "off").glob("sem/*/*.json"))
-
     def test_dangling_pointer_is_a_miss_and_is_dropped(self, keys, tmp_path):
         cache = ResultCache(tmp_path, memory_capacity=0)
         cache.put(keys["exact"], {"v": 1}, keys["semantic"])
@@ -119,22 +108,7 @@ class TestTwoLevelLookup:
         stats = cache.stats()
         assert stats["exact_hits"] == 1
         assert stats["semantic_hits"] == 1
-        assert stats["semantic"] is True
         assert stats["hits"] == 2
-
-
-class _KeyOnDemand:
-    """A zero-argument semantic key that counts its calls."""
-
-    def __init__(self, key):
-        self.key = key
-        self.calls = 0
-
-    def __call__(self):
-        self.calls += 1
-        if isinstance(self.key, Exception):
-            raise self.key
-        return self.key
 
 
 def _stored_result():
@@ -143,40 +117,6 @@ def _stored_result():
 
     result = SynthesisResult.from_dict(synthesize(union(cube(), sphere())).to_dict())
     return result, result.to_dict()
-
-
-class TestSemanticKeyOnDemand:
-    def test_an_exact_hit_never_derives_the_semantic_key(self, keys, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(keys["exact"], {"v": 1}, keys["semantic"])
-        derive = _KeyOnDemand(keys["semantic"])
-        assert cache.lookup(keys["exact"], derive) == ({"v": 1}, "exact")
-        assert derive.calls == 0
-
-    def test_an_exact_miss_derives_it_once(self, keys, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(keys["exact"], {"v": 1}, keys["semantic"])
-        derive = _KeyOnDemand(keys["semantic"])
-        assert cache.lookup(keys["exact_respelled"], derive) == ({"v": 1}, "semantic")
-        miss = _KeyOnDemand("0" * 64)
-        assert cache.lookup("1" * 64, miss) == (None, None)
-        assert derive.calls == miss.calls == 1
-        assert cache.semantic_hits == 1 and cache.misses == 1
-
-    def test_a_disabled_tier_never_derives_it(self, keys, tmp_path):
-        derive = _KeyOnDemand(keys["semantic"])
-        cache = ResultCache(tmp_path, semantic=False)
-        assert cache.lookup(keys["exact"], derive) == (None, None)
-        assert derive.calls == 0 and cache.misses == 1
-
-    def test_a_raising_key_moves_no_counter(self, keys, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(keys["exact"], {"v": 1}, keys["semantic"])
-        before = cache.stats()
-        derive = _KeyOnDemand(OverflowError("no key"))
-        with pytest.raises(OverflowError):
-            cache.lookup(keys["exact_respelled"], derive)
-        assert derive.calls == 1 and cache.stats() == before
 
 
 class TestDecodedLookup:
@@ -272,14 +212,4 @@ class TestSemanticCacheDifferential:
         assert warm.batch.results[0].cache_tier == "semantic"
         assert self._payloads(warm) == self._payloads(cold), (
             "semantic hit must serve the byte-identical stored result"
-        )
-
-        disabled = run_table1_batch(
-            [benchmark],
-            cache=ResultCache(tmp_path, semantic=False),
-            mutate=semantic_variant,
-        )
-        assert not disabled.failures
-        assert disabled.batch.cache_hits == 0, (
-            "--no-semantic-cache means a respelled input must miss"
         )

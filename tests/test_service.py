@@ -1290,16 +1290,47 @@ class TestHitPath:
         assert self._work(service) == (0, derived_before + 1)
 
 
-    def test_a_key_gone_after_the_probe_is_derived_by_the_lookup(self, monkeypatch):
+    def test_a_key_gone_after_the_probe_is_derived_with_the_lock_free(self, monkeypatch):
         # The presence probe saw the exact key, then the entry left the
-        # cache: the lookup misses and derives the semantic key itself.
-        service = SynthesisService(worker_count=0, cache=ResultCache())
+        # cache: the exact lookup misses, and the job derives its semantic
+        # key like any exact miss, unlocked, for a second lookup.  So this
+        # race costs two counted lookups, both misses.
+        cache = ResultCache()
+        service = SynthesisService(worker_count=0, cache=cache)
         monkeypatch.setattr(ResultCache, "__contains__", lambda cache, key: True)
         miss = self._submit(service, _chain(3))
         assert not miss.cached and self._work(service) == (0, 1)
+        assert cache.misses == 2 and cache.stores == 1
         monkeypatch.undo()
         respelled = self._submit(service, _respelled_chain(3))
         assert respelled.cache_tier == "semantic" and respelled.result is miss.result
+
+    @pytest.mark.parametrize("case", ["miss", "semantic-hit", "exact-entry-gone"])
+    def test_no_semantic_key_is_derived_under_the_service_lock(self, case, monkeypatch):
+        import repro.service.service as service_module
+
+        cache = ResultCache()
+        service = SynthesisService(worker_count=0, cache=cache)
+        warm = self._submit(service, _chain(3))
+        real = service_module.semantic_cache_key
+        held = []
+
+        def recording(term, config):
+            held.append(service._lock.locked())
+            return real(term, config)
+
+        monkeypatch.setattr(service_module, "semantic_cache_key", recording)
+        if case == "exact-entry-gone":
+            # The exact entry leaves between ``key in cache`` and the lookup.
+            monkeypatch.setattr(ResultCache, "__contains__", lambda cache, key: True)
+        term = _respelled_chain(3) if case == "semantic-hit" else _chain(4)
+        result = self._submit(service, term)
+        # One key, derived with the lock free, whatever the lookup found.
+        assert held == [False]
+        if case == "semantic-hit":
+            assert result.cache_tier == "semantic" and result.result is warm.result
+        else:
+            assert result.ok and not result.cached
 
 
 #: ``ResultCache.stats()`` after the fixed stream of
