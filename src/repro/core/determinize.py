@@ -41,6 +41,28 @@ and it answers each question once:
   - the determinizer's :class:`Extractor` memoizes the term of every
     class it walked, so an extracted vector argument keeps its term.
 
+* :meth:`Determinizer.affine_heads` memoizes, per canonical class, the
+  affine operators heading its 4-argument e-nodes; the class goes into
+  ``_read`` and the set is dropped with the materialize memo.  A non-empty
+  signature materializes only from a class holding its head, so
+  :meth:`Determinizer.determinize_all` tries a candidate signature only
+  when every element class holds its head, and when the classes share no
+  head it tries ``()`` alone without collecting the first element's
+  signatures.  Loop inference skips a list with an element class that
+  holds no head at all: its loops need every element affine.
+
+  Skipping an attempt that would fail moves no output, although the
+  extractor below keeps each class's first-walk term and a skipped attempt
+  moves some first walks later.  The extractor walks only element classes,
+  their affine children and vector arguments: solids and numbers.  No solid
+  class's witness is a list operator (a saturated ``Fold`` over a spine
+  costs more than the ``Union``/``Inter`` chain its class also holds), so a
+  walk never leaves solids and numbers.  During inference, merges join only
+  list classes (``merge_term``'s target and the class of the list term it
+  adds), and ``add_enode`` changes no existing class, so no witness a walk
+  reads changes before the ``rebuild`` after both passes: a walk returns
+  the same term whenever it runs.  ``tests/test_determinize_oracle.py``
+  checks on Table 1 models that no inference merge joins a walked class.
 * :meth:`Determinizer.merge_term` adds inferred terms through a
   ``Term -> class id`` memo, so a subterm added once is never walked again.
   Classes are never deleted, so ``find`` of a stored id is always the class
@@ -54,8 +76,9 @@ and it answers each question once:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.csg.ops import affine_chain
 from repro.egraph.egraph import EGraph, ENode
@@ -108,11 +131,22 @@ class Determinizer:
         self._added: Dict[Term, int] = {}
         #: ``Term -> (layers, core)`` of every element :meth:`affine_chain` read.
         self._chains: Dict[Term, AffineChain] = {}
+        #: ``canonical class -> affine operators heading its 4-argument
+        #: e-nodes``, valid and dropped with ``_materialized`` (its classes
+        #: are in ``_read``).
+        self._heads: Dict[int, FrozenSet[str]] = {}
         #: Work counters, reported by the inference spans.
         self.determinized_lists = 0
         self.materialize_calls = 0
         self.materialize_memo_hits = 0
         self.materialize_memo_drops = 0
+        #: What the affine-head gate skipped and what the worklists read:
+        #: lists loop inference gated out (``gated_lists``), lists tried
+        #: with ``()`` alone (``unshared_lists``), candidate signatures ruled
+        #: out (``skipped_signatures``), spine classes read (``spine_reads``)
+        #: and answers reused (``spine_reuses``, see
+        #: :func:`repro.core.lists.fold_worklist`).
+        self.work: Counter = Counter()
 
     # -- public ------------------------------------------------------------------
 
@@ -124,15 +158,29 @@ class Determinizer:
         Different affine orderings expose different vectors to the solvers —
         only the ordering matching the design's latent structure yields
         closed forms (e.g. Fig. 10's Translate/Rotate/Scale chain), so the
-        arithmetic components try each returned variant in turn.
+        arithmetic components try each returned variant in turn.  Only the
+        signatures whose head every element class holds are tried.
         """
         self.determinized_lists += 1
         element_classes = [self.egraph.find(c) for c in element_classes]
         if not element_classes:
             return []
 
+        shared = self.affine_heads(element_classes[0])
+        for class_id in element_classes[1:]:
+            if not shared:
+                break
+            shared = shared & self.affine_heads(class_id)
+        if shared:
+            candidates = self._candidate_signatures(element_classes[0])
+            signatures = [s for s in candidates if not s or s[0] in shared]
+            self.work["skipped_signatures"] += len(candidates) - len(signatures)
+        else:
+            signatures = [()]
+            self.work["unshared_lists"] += 1
+
         variants: List[DeterminizedList] = []
-        for signature in self._candidate_signatures(element_classes[0]):
+        for signature in signatures:
             if len(variants) >= max_variants:
                 break
             elements = self._materialize_all(element_classes, signature)
@@ -145,6 +193,25 @@ class Determinizer:
                     )
                 )
         return variants
+
+    def affine_heads(self, class_id: int) -> FrozenSet[str]:
+        """The affine operators heading ``class_id``'s 4-argument e-nodes.
+
+        A non-empty signature materializes only from a class holding its
+        head (memoized with the materialize memo, see the module docstring).
+        """
+        if self.egraph.union_version != self._memo_version:
+            self._drop_memo()
+        class_id = self.egraph.find(class_id)
+        heads = self._heads.get(class_id)
+        if heads is None:
+            self._read.add(class_id)
+            heads = self._heads[class_id] = frozenset(
+                str(enode.op)
+                for enode in self.egraph.nodes(class_id)
+                if enode.op in AFFINE_OPS and len(enode.args) == 4
+            )
+        return heads
 
     def affine_chain(self, element: Term) -> AffineChain:
         """:func:`repro.csg.ops.affine_chain` of ``element``, layers as a tuple (memoized)."""
@@ -243,6 +310,7 @@ class Determinizer:
 
     def _drop_memo(self) -> None:
         self._materialized.clear()
+        self._heads.clear()
         self._read.clear()
         self._memo_version = self.egraph.union_version
         self.materialize_memo_drops += 1

@@ -22,7 +22,7 @@ literal).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.cad.build import cons_list, concat, fun, mapi, repeat
 from repro.core.config import SynthesisConfig
@@ -78,7 +78,9 @@ class FunctionInference:
         the long suffixes adds nothing the full solution does not already
         expose.  Shorter folds are always attempted.
         """
-        work = fold_worklist(self.determinizer.egraph, min_length=2)
+        work = fold_worklist(
+            self.determinizer.egraph, min_length=2, work=self.determinizer.work
+        )
 
         successes = 0
         covered: List[frozenset] = []
@@ -122,20 +124,30 @@ class FunctionInference:
         allow_partial: bool = True,
     ) -> bool:
         elements = determinized.elements
-        orders: List[Sequence[Term]] = [elements]
-        sorted_order = sort_elements(elements, self.determinizer.affine_chain)
-        if sorted_order != elements:
-            orders.append(sorted_order)
+        sorted_order: Optional[List[Term]] = None
+
+        def orders() -> Iterator[Sequence[Term]]:
+            """The elements as listed, then sorted when that differs (sorted on
+            first need)."""
+            nonlocal sorted_order
+            yield elements
+            if sorted_order is None:
+                sorted_order = sort_elements(elements, self.determinizer.affine_chain)
+            if sorted_order != elements:
+                yield sorted_order
 
         solved = False
         full_solved = False
-        for order in orders:
-            built = self._infer_full(order)
-            if built is not None:
-                self._merge(list_class, *built)
-                solved = True
-                full_solved = True
-                break
+        # Reordering keeps every element, so the full-list inference's
+        # uniformity requirement holds in both orders or in neither.
+        if self._uniform(elements):
+            for order in orders():
+                built = self._infer_full(order)
+                if built is not None:
+                    self._merge(list_class, *built)
+                    solved = True
+                    full_solved = True
+                    break
 
         if not allow_partial:
             return solved
@@ -146,7 +158,7 @@ class FunctionInference:
         # but the paper's preferred output loops over the first two only);
         # both variants go into the e-graph and extraction chooses.
         if not full_solved or len(determinized) <= 6:
-            for order in orders:
+            for order in orders():
                 built = self._infer_partial(order)
                 if built is not None:
                     self._merge(list_class, *built)
@@ -200,24 +212,26 @@ class FunctionInference:
             variants.append(nested)
         return variants, record
 
+    def _uniform(self, elements: Sequence[Term]) -> bool:
+        """Whether the elements share one affine signature and one core."""
+        chain = self.determinizer.affine_chain
+        first_layers, first_core = chain(elements[0])
+        signature = tuple(op for op, _v in first_layers)
+        for element in elements:
+            layers, core = chain(element)
+            if tuple(op for op, _v in layers) != signature or core != first_core:
+                return False
+        return True
+
     def _decompose(
         self, elements: Sequence[Term]
     ) -> Optional[Tuple[List[Tuple[str, List[Tuple[float, float, float]]]], Term]]:
         """Split uniform elements into per-layer vector lists and the shared core."""
-        chains = []
-        cores = []
-        for element in elements:
-            layers, core = self.determinizer.affine_chain(element)
-            chains.append(layers)
-            cores.append(core)
+        if not self._uniform(elements):
+            return None
+        chains = [self.determinizer.affine_chain(element)[0] for element in elements]
+        first_core = self.determinizer.affine_chain(elements[0])[1]
         signature = tuple(op for op, _v in chains[0])
-        for chain in chains:
-            if tuple(op for op, _v in chain) != signature:
-                return None
-        first_core = cores[0]
-        for core in cores:
-            if core != first_core:
-                return None
         layer_vectors: List[Tuple[str, List[Tuple[float, float, float]]]] = []
         for layer_index, op in enumerate(signature):
             vectors = [chain[layer_index][1] for chain in chains]

@@ -110,13 +110,18 @@ class LoopInference:
         cheap — a few least-squares fits — so there is no quadratic blow-up.
         """
         egraph = self.determinizer.egraph
-        work = fold_worklist(egraph, min_length=4)
+        work = fold_worklist(egraph, min_length=4, work=self.determinizer.work)
 
         successes = 0
         regular_covered: List[frozenset] = []
         for list_class, element_classes in work:
             element_set = frozenset(element_classes)
             if any(element_set <= done for done in regular_covered):
+                continue
+            # Both loop shapes need every element affine (_outer_layers), and
+            # no variant of a class without an affine e-node is.
+            if not all(self.determinizer.affine_heads(c) for c in element_classes):
+                self.determinizer.work["gated_lists"] += 1
                 continue
             built = None
             regular = False

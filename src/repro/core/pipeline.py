@@ -220,6 +220,12 @@ def _default_rule_set(categories: Tuple[str, ...]) -> CompiledRuleSet:
     return CompiledRuleSet(default_rules(list(categories)))
 
 
+#: The determinizer's ``work`` counters an inference span reports.
+_DETERMINIZER_WORK = (
+    "gated_lists", "unshared_lists", "skipped_signatures", "spine_reads", "spine_reuses"
+)
+
+
 def _inference_counters(inference: FunctionInference | LoopInference) -> Dict[str, int]:
     determinizer, solver = inference.determinizer, inference.solver
     return {
@@ -235,6 +241,7 @@ def _inference_counters(inference: FunctionInference | LoopInference) -> Dict[st
         "materialize_calls": determinizer.materialize_calls,
         "materialize_memo_hits": determinizer.materialize_memo_hits,
         "materialize_memo_drops": determinizer.materialize_memo_drops,
+        **{key: determinizer.work[key] for key in _DETERMINIZER_WORK},
         "enodes_added": determinizer.egraph.enodes_created,
     }
 

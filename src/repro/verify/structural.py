@@ -12,14 +12,20 @@ Three checks, cheapest first:
   placement (``Scale`` over ``Translate`` or the reverse, an affine layer
   over a ``Union`` or one per operand) compare equal.
 
-Every walk over a same-operator ``Union``/``Inter`` spine is a loop, so a
-union of thousands of solids is compared without deep recursion.
+No check recurses per level.  A walk over a same-operator
+``Union``/``Inter`` spine is a loop, and every other nesting (a ``Diff``
+chain, a singular ``Scale``, a set inside a ``Diff``) is a generator that
+yields each pair or child it needs to :func:`_run`'s explicit stack,
+depth first and left to right as the recursion it replaced.  So a union of
+thousands of solids, or holes cut one at a time, is compared without deep
+recursion.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple, Union
+from types import GeneratorType
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.csg.ops import AFFINE_OPS, BOOLEAN_OPS
 from repro.geometry.mat import AffineMatrix
@@ -57,6 +63,42 @@ def _flatten_commutative(term: Term, op: str) -> List[Term]:
     return operands
 
 
+def _run(start: Callable, *request):
+    """``start(*request)`` with every nested request answered from a stack.
+
+    ``start`` returns either an answer or a generator that yields the
+    requests it needs (argument tuples for ``start``) and receives their
+    answers; each generator waits on the stack until its requests return,
+    so a nesting of any depth needs no recursion.
+    """
+    answer = start(*request)
+    if not isinstance(answer, GeneratorType):
+        return answer
+    stack = [answer]
+    answer = None
+    while True:
+        try:
+            request = stack[-1].send(answer)
+        except StopIteration as finished:
+            stack.pop()
+            answer = finished.value
+            if not stack:
+                return answer
+            continue
+        answer = start(*request)
+        if isinstance(answer, GeneratorType):
+            stack.append(answer)
+            answer = None
+
+
+def _all_pairs(xs, ys) -> Generator[tuple, bool, bool]:
+    """Whether every pair of ``xs`` and ``ys`` matches, asked in order until one does not."""
+    for x, y in zip(xs, ys):
+        if not (yield x, y):
+            return False
+    return True
+
+
 def equivalent_modulo_reordering(a: Term, b: Term, epsilon: float = 1e-6) -> bool:
     """Equality up to reordering (and re-association) of Union/Inter operands.
 
@@ -65,35 +107,38 @@ def equivalent_modulo_reordering(a: Term, b: Term, epsilon: float = 1e-6) -> boo
     unrolled output can be a permutation of the input's union chain.  ``Diff``
     operands keep their sides.
     """
-    if a.is_number and b.is_number:
-        return abs(float(a.value) - float(b.value)) <= epsilon
 
-    if a.op != b.op:
-        return False
-
-    if a.op in _SETS:
-        left = _flatten_commutative(a, str(a.op))
-        right = _flatten_commutative(b, str(a.op))
-        if len(left) != len(right):
+    def start(x: Term, y: Term):
+        if x.is_number and y.is_number:
+            return abs(float(x.value) - float(y.value)) <= epsilon
+        if x.op != y.op:
             return False
-        remaining = list(right)
-        for operand in left:
-            match_index = None
-            for index, candidate in enumerate(remaining):
-                if equivalent_modulo_reordering(operand, candidate, epsilon):
-                    match_index = index
-                    break
-            if match_index is None:
-                return False
-            remaining.pop(match_index)
-        return True
+        if x.op in _SETS:
+            return _reordered_operands(x, y)
+        if len(x.children) != len(y.children):
+            return False
+        return _all_pairs(x.children, y.children) if x.children else True
 
-    if len(a.children) != len(b.children):
+    return _run(start, a, b)
+
+
+def _reordered_operands(a: Term, b: Term) -> Generator[Tuple[Term, Term], bool, bool]:
+    """Whether the flattened operands of two same-operator sets match one to one."""
+    left = _flatten_commutative(a, str(a.op))
+    right = _flatten_commutative(b, str(a.op))
+    if len(left) != len(right):
         return False
-    return all(
-        equivalent_modulo_reordering(x, y, epsilon)
-        for x, y in zip(a.children, b.children)
-    )
+    remaining = list(right)
+    for operand in left:
+        match_index = None
+        for index, candidate in enumerate(remaining):
+            if (yield operand, candidate):
+                match_index = index
+                break
+        if match_index is None:
+            return False
+        remaining.pop(match_index)
+    return True
 
 
 # -- leaf-matrix normal form ----------------------------------------------------
@@ -212,25 +257,40 @@ class _Normalizer:
         return term, matrix
 
     def normal(self, term: Term, matrix: AffineMatrix) -> Node:
+        """The normal form of ``term`` under ``matrix``, from an explicit stack."""
+        return _run(self._start, term, matrix)
+
+    def _start(self, term: Term, matrix: AffineMatrix):
+        """A leaf's node, or a generator yielding the children a node needs."""
         term, matrix = self._peel(term, matrix)
         op = term.op
         if op in AFFINE_OPS and len(term.children) == 4:  # a singular Scale
-            return Opaque(matrix @ self._layer(term), self.normal(term.children[3], _IDENTITY))
+            return self._opaque(term, matrix @ self._layer(term))
         if op in _SETS and len(term.children) == 2:
             return self._set(op, [(term, matrix)])
         if op == "Diff" and len(term.children) == 2:
-            base = self.normal(term.children[0], matrix)
-            removed = self.normal(term.children[1], matrix)
-            if base is EMPTY or removed is EMPTY:
-                return base
-            return Boolean("Diff", (base, removed))
+            return self._diff(term, matrix)
         if term.is_leaf and isinstance(op, str) and op not in AFFINE_OPS + BOOLEAN_OPS:
             if op == "Empty":
                 return EMPTY
             return Leaf("Cube" if op == "Unit" else op, matrix)
         raise UnsupportedTerm(f"not a flat CSG solid: {op!r}")
 
-    def _set(self, op: str, pending: List[Tuple[Term, AffineMatrix]]) -> Node:
+    @staticmethod
+    def _opaque(term: Term, matrix: AffineMatrix) -> Generator[tuple, Node, Node]:
+        return Opaque(matrix, (yield term.children[3], _IDENTITY))
+
+    @staticmethod
+    def _diff(term: Term, matrix: AffineMatrix) -> Generator[tuple, Node, Node]:
+        base = yield term.children[0], matrix
+        removed = yield term.children[1], matrix
+        if base is EMPTY or removed is EMPTY:
+            return base
+        return Boolean("Diff", (base, removed))
+
+    def _set(
+        self, op: str, pending: List[Tuple[Term, AffineMatrix]]
+    ) -> Generator[tuple, Node, Node]:
         """The ``op`` set of the pending operands; same-``op`` spines are walked with a loop."""
         nodes: List[Node] = []
         while pending:
@@ -239,7 +299,7 @@ class _Normalizer:
                 pending.append((term.children[1], matrix))
                 pending.append((term.children[0], matrix))
             else:
-                nodes.append(self.normal(term, matrix))
+                nodes.append((yield term, matrix))
         return _collect(op, nodes)
 
 
@@ -289,25 +349,36 @@ class LeafMatcher:
         return self.equivalent(left, right)
 
     def equivalent(self, a: Node, b: Node) -> bool:
+        """Whether two normal forms match, from an explicit stack."""
+        return _run(self._start, a, b)
+
+    def _start(self, a: Node, b: Node):
+        """The answer for two leaves, or a generator yielding the pairs it needs."""
         op = _set_op(a) or _set_op(b)
         if op is not None:
             # A node that is not an ``op`` set is the set of itself (idempotence).
-            left, right = _members(a, op), _members(b, op)
-            return self._covers(left, right) and self._covers(right, left)
+            return self._sets(_members(a, op), _members(b, op))
         if type(a) is not type(b):
             return False
         if isinstance(a, Leaf):
             self.compared += 1
             return a.name == b.name and self._close(a.matrix, b.matrix)
         if isinstance(a, Opaque):
-            return self._close(a.matrix, b.matrix) and self.equivalent(a.child, b.child)
-        return all(self.equivalent(x, y) for x, y in zip(a.operands, b.operands))
+            return self._close(a.matrix, b.matrix) and _all_pairs((a.child,), (b.child,))
+        return _all_pairs(a.operands, b.operands)
+
+    def _sets(
+        self, left: Tuple[Node, ...], right: Tuple[Node, ...]
+    ) -> Generator[Tuple[Node, Node], bool, bool]:
+        return (yield from self._covers(left, right)) and (yield from self._covers(right, left))
 
     def _close(self, m: AffineMatrix, n: AffineMatrix) -> bool:
         epsilon = self.epsilon
         return all(abs(x - y) <= epsilon for x, y in zip(_entries(m), _entries(n)))
 
-    def _covers(self, operands: Tuple[Node, ...], candidates: Tuple[Node, ...]) -> bool:
+    def _covers(
+        self, operands: Tuple[Node, ...], candidates: Tuple[Node, ...]
+    ) -> Generator[Tuple[Node, Node], bool, bool]:
         """Every operand matches some candidate."""
         buckets: Dict[int, List[Node]] = {}
         for candidate in candidates:
@@ -316,11 +387,17 @@ class LeafMatcher:
                 buckets.setdefault(slot, []).append(candidate)
         for operand in operands:
             slot = self._slot(operand)
-            if slot is None or not any(
-                self.equivalent(operand, candidate)
-                for near in (slot, slot - 1, slot + 1)
-                for candidate in buckets.get(near, ())
-            ):
+            if slot is None:
+                return False
+            matched = False
+            for near in (slot, slot - 1, slot + 1):
+                for candidate in buckets.get(near, ()):
+                    if (yield operand, candidate):
+                        matched = True
+                        break
+                if matched:
+                    break
+            if not matched:
                 return False
         return True
 

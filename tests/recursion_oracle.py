@@ -1,13 +1,16 @@
-"""The recursive program printer and program summaries, kept as oracles.
+"""The recursive program printer, program summaries and structural checks, kept as oracles.
 
-``format_openscad_like`` (was ``repro.csg.pretty``), and ``find_loops``
+``format_openscad_like`` (was ``repro.csg.pretty``), ``find_loops``
 with its list-length helpers and ``function_kinds`` (was
-``repro.core.analysis``), as they were before they walked explicit stacks,
-moved here verbatim.  They recurse once per node, so a chain deeper than
-Python's recursion limit raises ``RecursionError``;
-``tests/test_recursion_oracle.py`` runs both designs on random terms and
-every golden candidate and requires the same text, the same descriptors
-and the same function kinds.  Nothing under ``src/`` imports this module.
+``repro.core.analysis``), and ``equivalent_modulo_reordering``, the
+normal form's ``normal`` and ``LeafMatcher.equivalent`` (was
+``repro.verify.structural``), as they were before they walked explicit
+stacks, moved here verbatim.  They recurse once per node (the structural
+checks once per ``Diff`` level), so a chain deeper than Python's recursion
+limit raises ``RecursionError``; ``tests/test_recursion_oracle.py`` runs
+both designs on random terms and every golden candidate and requires the
+same text, the same descriptors, the same function kinds and the same
+verdicts.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -15,8 +18,26 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.analysis import LoopDescriptor
+from repro.csg.ops import AFFINE_OPS, BOOLEAN_OPS
 from repro.csg.pretty import _format_atom
+from repro.geometry.mat import AffineMatrix
 from repro.lang.term import Term
+from repro.verify.structural import (
+    _IDENTITY,
+    _SETS,
+    EMPTY,
+    Boolean,
+    Leaf,
+    LeafMatcher,
+    Node,
+    Opaque,
+    UnsupportedTerm,
+    _collect,
+    _flatten_commutative,
+    _members,
+    _Normalizer,
+    _set_op,
+)
 
 # ---------------------------------------------------------------------------
 # Printer (was repro.csg.pretty)
@@ -196,3 +217,113 @@ def function_kinds(term: Term) -> List[str]:
             if kind is not None and kind not in kinds:
                 kinds.append(kind)
     return kinds
+
+
+# ---------------------------------------------------------------------------
+# Structural checks (was repro.verify.structural)
+# ---------------------------------------------------------------------------
+
+
+def equivalent_modulo_reordering(a: Term, b: Term, epsilon: float = 1e-6) -> bool:
+    """Equality up to reordering (and re-association) of Union/Inter operands."""
+    if a.is_number and b.is_number:
+        return abs(float(a.value) - float(b.value)) <= epsilon
+
+    if a.op != b.op:
+        return False
+
+    if a.op in _SETS:
+        left = _flatten_commutative(a, str(a.op))
+        right = _flatten_commutative(b, str(a.op))
+        if len(left) != len(right):
+            return False
+        remaining = list(right)
+        for operand in left:
+            match_index = None
+            for index, candidate in enumerate(remaining):
+                if equivalent_modulo_reordering(operand, candidate, epsilon):
+                    match_index = index
+                    break
+            if match_index is None:
+                return False
+            remaining.pop(match_index)
+        return True
+
+    if len(a.children) != len(b.children):
+        return False
+    return all(
+        equivalent_modulo_reordering(x, y, epsilon)
+        for x, y in zip(a.children, b.children)
+    )
+
+
+class RecursiveNormalizer(_Normalizer):
+    def normal(self, term: Term, matrix: AffineMatrix) -> Node:
+        term, matrix = self._peel(term, matrix)
+        op = term.op
+        if op in AFFINE_OPS and len(term.children) == 4:  # a singular Scale
+            return Opaque(matrix @ self._layer(term), self.normal(term.children[3], _IDENTITY))
+        if op in _SETS and len(term.children) == 2:
+            return self._set(op, [(term, matrix)])
+        if op == "Diff" and len(term.children) == 2:
+            base = self.normal(term.children[0], matrix)
+            removed = self.normal(term.children[1], matrix)
+            if base is EMPTY or removed is EMPTY:
+                return base
+            return Boolean("Diff", (base, removed))
+        if term.is_leaf and isinstance(op, str) and op not in AFFINE_OPS + BOOLEAN_OPS:
+            if op == "Empty":
+                return EMPTY
+            return Leaf("Cube" if op == "Unit" else op, matrix)
+        raise UnsupportedTerm(f"not a flat CSG solid: {op!r}")
+
+    def _set(self, op: str, pending: List[Tuple[Term, AffineMatrix]]) -> Node:
+        nodes: List[Node] = []
+        while pending:
+            term, matrix = self._peel(*pending.pop())
+            if term.op == op and len(term.children) == 2:
+                pending.append((term.children[1], matrix))
+                pending.append((term.children[0], matrix))
+            else:
+                nodes.append(self.normal(term, matrix))
+        return _collect(op, nodes)
+
+
+class RecursiveLeafMatcher(LeafMatcher):
+    def terms_equivalent(self, a: Term, b: Term) -> bool:
+        normalizer = RecursiveNormalizer()
+        try:
+            left, right = normalizer.normal(a, _IDENTITY), normalizer.normal(b, _IDENTITY)
+        except UnsupportedTerm:
+            return False
+        return self.equivalent(left, right)
+
+    def equivalent(self, a: Node, b: Node) -> bool:
+        op = _set_op(a) or _set_op(b)
+        if op is not None:
+            left, right = _members(a, op), _members(b, op)
+            return self._covers(left, right) and self._covers(right, left)
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Leaf):
+            self.compared += 1
+            return a.name == b.name and self._close(a.matrix, b.matrix)
+        if isinstance(a, Opaque):
+            return self._close(a.matrix, b.matrix) and self.equivalent(a.child, b.child)
+        return all(self.equivalent(x, y) for x, y in zip(a.operands, b.operands))
+
+    def _covers(self, operands: Tuple[Node, ...], candidates: Tuple[Node, ...]) -> bool:
+        buckets = {}
+        for candidate in candidates:
+            slot = self._slot(candidate)
+            if slot is not None:
+                buckets.setdefault(slot, []).append(candidate)
+        for operand in operands:
+            slot = self._slot(operand)
+            if slot is None or not any(
+                self.equivalent(operand, candidate)
+                for near in (slot, slot - 1, slot + 1)
+                for candidate in buckets.get(near, ())
+            ):
+                return False
+        return True

@@ -5,8 +5,8 @@ spines n long.  Adding and looking up terms, reading spines, adding
 inferred terms and extracting all walk such chains from explicit stacks,
 and so do the steps off the synthesis path: parsing and printing
 canonical text, both cache keys (normalization included), term equality,
-the Table 1 metrics, storing a result, validating flat CSG and the OpenSCAD
-round trip.  Their depth is bounded by
+the Table 1 metrics, storing a result, validating flat CSG (a ``Diff``
+chain of holes cut one at a time included) and the OpenSCAD round trip.  Their depth is bounded by
 memory, not by Python's recursion limit.  Each blocking test below builds
 a chain five times deeper than that limit.
 """
@@ -38,6 +38,7 @@ from repro.lang.term import Term
 from repro.scad.emit import emit_openscad
 from repro.scad.flatten import flatten_source
 from repro.service.cache import ResultCache, cache_key, semantic_cache_key
+from repro.verify.structural import equivalent_modulo_reordering, leaf_matrix_equivalent
 from repro.verify.validate import validate_synthesis
 
 DEPTH = 5_000
@@ -215,6 +216,25 @@ def test_a_2000_part_array_emits_flat_openscad_that_flattens_back():
     # with the part count times its nesting depth.
     assert len(text) <= 2.1 * len(small)
     assert validate_synthesis(model, flatten_source(text)).valid
+
+
+def _cut_one_at_a_time(holes: int, shift: float = 0.0) -> Term:
+    """``Diff(...Diff(Diff(plate, h0), h1)..., h(n-1))``: holes cut one at a time."""
+    term = Term.parse("(Scale 100 100 2 Cube)")
+    for index in range(holes):
+        hole = Term.parse(f"(Translate {3 * index + shift} 1 0 Cylinder)")
+        term = Term("Diff", (term, hole))
+    return term
+
+
+@pytest.mark.parametrize("holes", [400, DEPTH])
+def test_the_structural_checks_walk_a_deep_diff_chain(holes):
+    plate = _cut_one_at_a_time(holes)
+    assert leaf_matrix_equivalent(plate, _cut_one_at_a_time(holes))
+    assert equivalent_modulo_reordering(plate, _cut_one_at_a_time(holes))
+    moved = _cut_one_at_a_time(holes, shift=0.5)
+    assert not leaf_matrix_equivalent(plate, moved)
+    assert not equivalent_modulo_reordering(plate, moved)
 
 
 def test_parse_csg_accepts_a_2000_part_array():

@@ -1,10 +1,13 @@
-"""The explicit-stack printer and loop finder against the recursive ones.
+"""The explicit-stack printer, loop finder and structural checks against the recursive ones.
 
 ``tests/recursion_oracle.py`` holds ``format_openscad_like``,
 ``find_loops`` and ``function_kinds`` as they were when they recursed once
-per node.  Both designs run on random terms (any width and indentation for
-the printer) and on every pinned top-k candidate, and must give the same
-text, the same loop descriptors and the same function kinds.  ``tests/test_deep_inputs.py`` covers the depths only the new
+per node, and the structural checks as they were when they recursed once
+per ``Diff`` level.  Both designs run on random terms (any width and
+indentation for the printer, flat CSG pairs for the checks) and on every
+pinned top-k candidate, and must give the same text, the same loop
+descriptors, the same function kinds, the same normal forms and the same
+verdicts.  ``tests/test_deep_inputs.py`` covers the depths only the new
 walks reach.
 """
 
@@ -17,10 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recursion_oracle as oracle
+from repro.benchsuite.suite import BENCHMARKS
+from repro.cad.evaluator import unroll
 from repro.core.analysis import find_loops, function_kinds
 from repro.csg.pretty import format_openscad_like
 from repro.lang.canon import term_from_canonical
 from repro.lang.term import Term
+from repro.verify.structural import (
+    Boolean,
+    Leaf,
+    LeafMatcher,
+    UnsupportedTerm,
+    _Normalizer,
+    _entries,
+    equivalent_modulo_reordering,
+)
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,3 +170,83 @@ def test_every_golden_candidate_prints_and_summarizes_as_before():
         assert format_openscad_like(term) == oracle.format_openscad_like(term), text
         looped += bool(loops)
     assert looped > 400
+
+
+# ---------------------------------------------------------------------------
+# The structural checks
+# ---------------------------------------------------------------------------
+
+_vector = st.tuples(*[st.sampled_from([0, 1, 2, -1.5, 0.5, 1e-7, 90]).map(Term)] * 3)
+#: Flat CSG, with ``Scale 0`` as a singular layer, and numbers and ``Cons``
+#: as solids no normal form accepts (each names itself in the error).
+_csg = st.recursive(
+    st.sampled_from(["Cube", "Unit", "Sphere", "Cylinder", "Empty", 7, 2.5]).map(Term),
+    lambda children: st.one_of(
+        st.builds(
+            lambda op, v, c: Term(op, (*v, c)),
+            st.sampled_from(["Translate", "Scale", "Rotate"]),
+            _vector,
+            children,
+        ),
+        st.builds(
+            lambda op, a, b: Term(op, (a, b)),
+            st.sampled_from(["Union", "Inter", "Diff", "Union", "Inter", "Diff", "Cons"]),
+            children,
+            children,
+        ),
+    ),
+    max_leaves=30,
+)
+
+
+def _respelled(term: Term, random) -> Term:
+    """``term`` with the operands of some ``Union``/``Inter`` nodes swapped."""
+    children = tuple(_respelled(child, random) for child in term.children)
+    if term.op in ("Union", "Inter") and random.random() < 0.5:
+        children = children[::-1]
+    return Term(term.op, children) if children else term
+
+
+def _shape(node):
+    if isinstance(node, Leaf):
+        return ("leaf", node.name, _entries(node.matrix))
+    if isinstance(node, Boolean):
+        return (node.op, tuple(_shape(operand) for operand in node.operands))
+    return ("opaque", _entries(node.matrix), _shape(node.child))
+
+
+def _normal_form(normalizer, term):
+    try:
+        return _shape(normalizer.normal(term, oracle._IDENTITY))
+    except UnsupportedTerm as exc:
+        return str(exc)
+
+
+def _verdicts(check, matcher, a, b):
+    return check(a, b), check(a, b, 0.0), matcher.terms_equivalent(a, b), matcher.compared
+
+
+def _same_verdicts(a, b):
+    assert _verdicts(equivalent_modulo_reordering, LeafMatcher(), a, b) == _verdicts(
+        oracle.equivalent_modulo_reordering, oracle.RecursiveLeafMatcher(), a, b
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csg, _csg, st.randoms(use_true_random=False))
+def test_the_structural_checks_match_the_recursive_ones(a, b, random):
+    assert _normal_form(_Normalizer(), a) == _normal_form(oracle.RecursiveNormalizer(), a)
+    for x, y in ((a, a), (a, _respelled(a, random)), (a, b)):
+        _same_verdicts(x, y)
+
+
+def test_every_golden_table1_candidate_checks_as_before():
+    inputs = {benchmark.name: benchmark.build() for benchmark in BENCHMARKS}
+    golden = json.loads((_ROOT / "perfbench" / "golden" / "table1_topk.json").read_text())
+    for name, texts in golden.items():
+        for text in texts:
+            unrolled = unroll(term_from_canonical(text))
+            _same_verdicts(inputs[name], unrolled)
+            assert _normal_form(_Normalizer(), unrolled) == _normal_form(
+                oracle.RecursiveNormalizer(), unrolled
+            )
