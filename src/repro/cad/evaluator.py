@@ -259,11 +259,15 @@ class Evaluator:
         raise EvalError(f"unknown trigonometric operator {term.op!r}")
 
     def _eval_cons(self, term: Term, env: Dict[str, Value]) -> list:
-        if len(term.children) != 2:
-            raise EvalError("Cons expects a head and a tail")
-        head = self._eval(term.children[0], env)
-        tail = _as_list(self._eval(term.children[1], env), "Cons tail")
-        return [head] + tail
+        # The spine is read in a loop, not one recursion per cell; heads
+        # still evaluate first to last, then the tail.
+        heads = []
+        while term.op == "Cons":
+            if len(term.children) != 2:
+                raise EvalError("Cons expects a head and a tail")
+            heads.append(self._eval(term.children[0], env))
+            term = term.children[1]
+        return heads + _as_list(self._eval(term, env), "Cons tail")
 
     def _eval_repeat(self, term: Term, env: Dict[str, Value]) -> list:
         if len(term.children) != 2:

@@ -46,6 +46,7 @@ from repro.csg.parser import CsgSyntaxError, parse_csg
 from repro.csg.pretty import format_openscad_like, format_term
 from repro.lang.canon import canonical_term_text
 from repro.lang.sexp import SexpError
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.scad.flatten import ScadEvalError, flatten_source
 from repro.scad.lexer import ScadSyntaxError
 from repro.service.cache import ResultCache
@@ -156,32 +157,21 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         text = Path(args.input).read_text()
     except OSError as exc:
         raise SystemExit(f"{args.command}: cannot read {args.input}: {exc.strerror or exc}")
-    tracer = None
-    if args.trace:
-        from repro.obs.trace import Tracer
-
-        tracer = Tracer()
+    tracer = Tracer() if args.trace else NULL_TRACER
     name = Path(args.input).stem
-    csg = None
-    if tracer is not None:
-        with tracer.span("job", {"name": name}):
-            with tracer.span("parse"):
-                csg = _parse_input(args, text)
-            result = synthesize(csg, config, tracer=tracer)
-            if args.validate:
-                report = validate_synthesis(csg, result.output_term(), tracer=tracer)
-    else:
-        csg = _parse_input(args, text)
-        result = synthesize(csg, config)
+    with tracer.span("job", {"name": name}):
+        with tracer.span("parse"):
+            csg = _parse_input(args, text)
+        result = synthesize(csg, config, tracer=tracer)
         if args.validate:
-            report = validate_synthesis(csg, result.output_term())
+            report = validate_synthesis(csg, result.output_term(), tracer=tracer)
     for candidate in result.candidates:
         print(f"-- rank {candidate.rank} (cost {candidate.cost:g}, loops={candidate.has_loops})")
         print(format_openscad_like(candidate.term))
     if args.validate:
         verdict = f"OK ({report.check})" if report.valid else "FAILED"
         print(f"-- validation: {verdict}")
-    if tracer is not None:
+    if args.trace:
         from repro.obs.export import span_lines, write_trace_jsonl
 
         count = write_trace_jsonl(

@@ -7,12 +7,12 @@ solvers need one *concrete* affine-transformed CAD per element, and the
 chains must be *uniform* across elements (same transformation types, in the
 same order) or the layer-by-layer vector extraction is meaningless.
 
-The determinizer implements the paper's heuristic: pick a representative for
-the first element, record its chain signature (the sequence of affine
-operators from the outside in), and then force every other element to a
-variant with the same signature, searching its e-class for one.  Elements
-whose class has no variant with that signature cause the whole signature to
-be abandoned and the next candidate signature to be tried.
+The determinizer implements the paper's heuristic: a chain *signature* is
+the sequence of affine operators from the outside in, and every element is
+forced to a variant with one shared signature, searched for in its e-class.
+The candidates are the signatures of the first element's variants, longest
+first; one that some other element's class cannot materialize is passed
+over.
 
 The affine-operator vocabulary and the longest-first candidate ordering
 come from the shared semantic normalization layer (:mod:`repro.lang.normal`),
@@ -41,15 +41,16 @@ and it answers each question once:
   - the determinizer's :class:`Extractor` memoizes the term of every
     class it walked, so an extracted vector argument keeps its term.
 
-* :meth:`Determinizer.affine_heads` memoizes, per canonical class, the
-  affine operators heading its 4-argument e-nodes; the class goes into
-  ``_read`` and the set is dropped with the materialize memo.  A non-empty
-  signature materializes only from a class holding its head, so
-  :meth:`Determinizer.determinize_all` tries a candidate signature only
-  when every element class holds its head, and when the classes share no
-  head it tries ``()`` alone without collecting the first element's
-  signatures.  Loop inference skips a list with an element class that
-  holds no head at all: its loops need every element affine.
+* :meth:`Determinizer.signatures` memoizes, per ``(canonical class,
+  depth)``, the affine signatures the class can materialize: ``()`` and
+  ``(op,) + s`` for each affine e-node ``op`` of the class and each ``s``
+  its solid child offers one level shallower.  The classes it walked go
+  into ``_read`` and the sets are dropped with the materialize memo.  A
+  signature materializes from a class exactly when it is in the class's
+  set, so :meth:`Determinizer.determinize_all` tries exactly the
+  signatures every element class offers, and loop inference skips a list
+  with an element class that offers only ``()``: its loops need every
+  element affine.
 
   Skipping an attempt that would fail moves no output, although the
   extractor below keeps each class's first-walk term and a skipped attempt
@@ -69,16 +70,18 @@ and it answers each question once:
   that holds the term.
 * :meth:`Determinizer.affine_chain` decomposes each element once for every
   reader: function inference's layer split, run detection and sort key,
-  and loop inference's sort.  Its keys compare like the e-graph's operator
-  interning (``1 == 1.0``, ``0.0 == -0.0``), and every element is read out
-  of that e-graph, so two elements that share a key are spelled alike.
+  and loop inference's sort and outer layers, which compare the layers
+  below a varying one by their tuples and the core.  Its keys compare like
+  the e-graph's operator interning (``1 == 1.0``, ``0.0 == -0.0``), and
+  every element is read out of that e-graph, so two elements that share a
+  key are spelled alike.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.csg.ops import affine_chain
 from repro.egraph.egraph import EGraph, ENode
@@ -113,9 +116,10 @@ class Determinizer:
     """Chooses consistent concrete variants for list elements.
 
     Function and loop inference share one instance per synthesis run: it
-    reads list elements out of the e-graph (:meth:`determinize_all`),
-    decomposes them (:meth:`affine_chain`) and writes inferred terms back
-    (:meth:`merge_term`), memoizing all three.
+    says which signatures a class offers (:meth:`signatures`), reads list
+    elements out of the e-graph (:meth:`determinize_all`), decomposes them
+    (:meth:`affine_chain`) and writes inferred terms back
+    (:meth:`merge_term`), memoizing all four.
     """
 
     def __init__(self, egraph: EGraph):
@@ -131,21 +135,19 @@ class Determinizer:
         self._added: Dict[Term, int] = {}
         #: ``Term -> (layers, core)`` of every element :meth:`affine_chain` read.
         self._chains: Dict[Term, AffineChain] = {}
-        #: ``canonical class -> affine operators heading its 4-argument
-        #: e-nodes``, valid and dropped with ``_materialized`` (its classes
-        #: are in ``_read``).
-        self._heads: Dict[int, FrozenSet[str]] = {}
+        #: ``(canonical class, depth) -> its signatures``, valid and dropped
+        #: with ``_materialized`` (its classes are in ``_read``).
+        self._signatures: Dict[Tuple[int, int], Tuple[Tuple[str, ...], ...]] = {}
         #: Work counters, reported by the inference spans.
         self.determinized_lists = 0
         self.materialize_calls = 0
         self.materialize_memo_hits = 0
         self.materialize_memo_drops = 0
-        #: What the affine-head gate skipped and what the worklists read:
-        #: lists loop inference gated out (``gated_lists``), lists tried
-        #: with ``()`` alone (``unshared_lists``), candidate signatures ruled
-        #: out (``skipped_signatures``), spine classes read (``spine_reads``)
-        #: and answers reused (``spine_reuses``, see
-        #: :func:`repro.core.lists.fold_worklist`).
+        #: Work the passes did or skipped: signature sets built
+        #: (``signature_reads``), spine classes read and answers reused
+        #: (``spine_reads``, ``spine_reuses``, see
+        #: :func:`repro.core.lists.fold_worklist`), and the lists and runs the
+        #: inference passes counted (see their ``run`` methods).
         self.work: Counter = Counter()
 
     # -- public ------------------------------------------------------------------
@@ -158,60 +160,58 @@ class Determinizer:
         Different affine orderings expose different vectors to the solvers —
         only the ordering matching the design's latent structure yields
         closed forms (e.g. Fig. 10's Translate/Rotate/Scale chain), so the
-        arithmetic components try each returned variant in turn.  Only the
-        signatures whose head every element class holds are tried.
+        arithmetic components try each returned variant in turn.  They are
+        the signatures every element class offers (:meth:`signatures`), in
+        the first class's order.
         """
         self.determinized_lists += 1
         element_classes = [self.egraph.find(c) for c in element_classes]
         if not element_classes:
             return []
-
-        shared = self.affine_heads(element_classes[0])
+        first = self.signatures(element_classes[0])
+        shared = set(first)
         for class_id in element_classes[1:]:
-            if not shared:
+            if len(shared) == 1:  # () alone, which every class offers
                 break
-            shared = shared & self.affine_heads(class_id)
-        if shared:
-            candidates = self._candidate_signatures(element_classes[0])
-            signatures = [s for s in candidates if not s or s[0] in shared]
-            self.work["skipped_signatures"] += len(candidates) - len(signatures)
-        else:
-            signatures = [()]
-            self.work["unshared_lists"] += 1
+            shared.intersection_update(self.signatures(class_id))
+        return [
+            DeterminizedList(
+                elements=[self._materialize(c, signature) for c in element_classes],
+                signature=signature,
+                element_classes=list(element_classes),
+            )
+            for signature in [s for s in first if s in shared][:max_variants]
+        ]
 
-        variants: List[DeterminizedList] = []
-        for signature in signatures:
-            if len(variants) >= max_variants:
-                break
-            elements = self._materialize_all(element_classes, signature)
-            if elements is not None:
-                variants.append(
-                    DeterminizedList(
-                        elements=elements,
-                        signature=signature,
-                        element_classes=list(element_classes),
-                    )
-                )
-        return variants
+    def signatures(
+        self, class_id: int, depth: int = MAX_SIGNATURE_DEPTH
+    ) -> Tuple[Tuple[str, ...], ...]:
+        """The affine signatures ``class_id`` can materialize, longest first.
 
-    def affine_heads(self, class_id: int) -> FrozenSet[str]:
-        """The affine operators heading ``class_id``'s 4-argument e-nodes.
-
-        A non-empty signature materializes only from a class holding its
-        head (memoized with the materialize memo, see the module docstring).
+        ``()`` and, for each affine e-node of the class, its operator
+        followed by each signature of its solid child, up to ``depth``
+        operators.  Longer signatures come first because they expose more
+        layers to the function solver (a chain ``Translate . Rotate .
+        Scale`` gives three solvable layers; its collapsed variants give
+        fewer).  Memoized with the materialize memo, see the module
+        docstring.
         """
+        if not depth:
+            return ((),)
         if self.egraph.union_version != self._memo_version:
             self._drop_memo()
-        class_id = self.egraph.find(class_id)
-        heads = self._heads.get(class_id)
-        if heads is None:
-            self._read.add(class_id)
-            heads = self._heads[class_id] = frozenset(
-                str(enode.op)
-                for enode in self.egraph.nodes(class_id)
-                if enode.op in AFFINE_OPS and len(enode.args) == 4
-            )
-        return heads
+        key = (self.egraph.find(class_id), depth)
+        offered = self._signatures.get(key)
+        if offered is None:
+            self._read.add(key[0])
+            found = {()}
+            for enode in self.egraph.nodes(key[0]):
+                if enode.op in AFFINE_OPS and len(enode.args) == 4:
+                    head = (str(enode.op),)
+                    found.update(head + s for s in self.signatures(enode.args[3], depth - 1))
+            offered = self._signatures[key] = tuple(sorted(found, key=signature_sort_key))
+            self.work["signature_reads"] += 1
+        return offered
 
     def affine_chain(self, element: Term) -> AffineChain:
         """:func:`repro.csg.ops.affine_chain` of ``element``, layers as a tuple (memoized)."""
@@ -222,54 +222,7 @@ class Determinizer:
             self._chains[element] = chain
         return chain
 
-    # -- candidate signatures -----------------------------------------------------
-
-    def _candidate_signatures(self, class_id: int) -> List[Tuple[str, ...]]:
-        """Affine signatures available for the first element, longest first.
-
-        Longer signatures are preferred because they expose more layers to
-        the function solver (a chain ``Translate . Rotate . Scale`` gives
-        three solvable layers; its collapsed variants give fewer).
-        """
-        signatures = set()
-        self._collect_signatures(class_id, (), signatures, set())
-        ordered = sorted(signatures, key=signature_sort_key)
-        return ordered or [()]
-
-    def _collect_signatures(
-        self,
-        class_id: int,
-        prefix: Tuple[str, ...],
-        accumulator: set,
-        visiting: set,
-    ) -> None:
-        class_id = self.egraph.find(class_id)
-        if len(prefix) >= MAX_SIGNATURE_DEPTH:
-            accumulator.add(prefix)
-            return
-        key = (class_id, prefix)
-        if key in visiting:
-            return
-        visiting.add(key)
-        accumulator.add(prefix)
-        for enode in self.egraph.nodes(class_id):
-            if enode.op in AFFINE_OPS and len(enode.args) == 4:
-                self._collect_signatures(
-                    enode.args[3], prefix + (str(enode.op),), accumulator, visiting
-                )
-
     # -- materialization ------------------------------------------------------------
-
-    def _materialize_all(
-        self, element_classes: Sequence[int], signature: Tuple[str, ...]
-    ) -> Optional[List[Term]]:
-        elements = []
-        for class_id in element_classes:
-            term = self._materialize(class_id, signature)
-            if term is None:
-                return None
-            elements.append(term)
-        return elements
 
     def _materialize(self, class_id: int, signature: Tuple[str, ...]) -> Optional[Term]:
         """Extract a concrete term from ``class_id`` whose affine chain starts
@@ -310,7 +263,7 @@ class Determinizer:
 
     def _drop_memo(self) -> None:
         self._materialized.clear()
-        self._heads.clear()
+        self._signatures.clear()
         self._read.clear()
         self._memo_version = self.egraph.union_version
         self.materialize_memo_drops += 1

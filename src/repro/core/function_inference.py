@@ -76,7 +76,10 @@ class FunctionInference:
         already-solved fold's elements: the chains a flat trace produces
         contain every suffix of the full list as its own fold, and solving
         the long suffixes adds nothing the full solution does not already
-        expose.  Shorter folds are always attempted.
+        expose.  Shorter folds are always attempted.  The determinizer's
+        ``work`` counts the lists skipped (``covered_lists``), the lists
+        denied the partial-run search under a failed superset
+        (``partial_skips``) and the runs that search tried (``partial_runs``).
         """
         work = fold_worklist(
             self.determinizer.egraph, min_length=2, work=self.determinizer.work
@@ -93,12 +96,15 @@ class FunctionInference:
             # always attempted: a sub-group can have cleaner structure than
             # the (heuristically solved) enclosing list.
             if len(element_classes) > 8 and any(element_set <= done for done in covered):
+                self.determinizer.work["covered_lists"] += 1
                 continue
             # When a superset already failed, its sub-lists will fail the
             # (cheap) full inference the same way; skip the more expensive
             # partial-run search for them to avoid quadratic re-work over the
             # many suffix folds a flat trace produces.
             allow_partial = not any(element_set <= bad for bad in failed)
+            if not allow_partial:
+                self.determinizer.work["partial_skips"] += 1
             variants = self.determinizer.determinize_all(element_classes, max_variants=4)
             solved = False
             # Try every determinized variant: different affine orderings can
@@ -138,16 +144,18 @@ class FunctionInference:
 
         solved = False
         full_solved = False
-        # Reordering keeps every element, so the full-list inference's
-        # uniformity requirement holds in both orders or in neither.
-        if self._uniform(elements):
-            for order in orders():
-                built = self._infer_full(order)
-                if built is not None:
-                    self._merge(list_class, *built)
-                    solved = True
-                    full_solved = True
-                    break
+        for order in orders():
+            decomposed = self._decompose(order)
+            if decomposed is None:
+                # Reordering keeps every element, so the elements share one
+                # signature and core in both orders or in neither.
+                break
+            built = self._infer_full(*decomposed, len(order))
+            if built is not None:
+                self._merge(list_class, *built)
+                solved = True
+                full_solved = True
+                break
 
         if not allow_partial:
             return solved
@@ -176,13 +184,12 @@ class FunctionInference:
     # -- full-list inference ----------------------------------------------------------
 
     def _infer_full(
-        self, elements: Sequence[Term]
+        self,
+        layers: Sequence[Tuple[str, List[Tuple[float, float, float]]]],
+        core: Term,
+        count: int,
     ) -> Optional[Tuple[List[Term], InferenceRecord]]:
-        decomposed = self._decompose(elements)
-        if decomposed is None:
-            return None
-        layers, core = decomposed
-        count = len(elements)
+        """A closed form of ``count`` elements from their :meth:`_decompose`."""
 
         if not layers:
             # No affine structure but all elements identical: a plain Repeat.
@@ -212,31 +219,25 @@ class FunctionInference:
             variants.append(nested)
         return variants, record
 
-    def _uniform(self, elements: Sequence[Term]) -> bool:
-        """Whether the elements share one affine signature and one core."""
-        chain = self.determinizer.affine_chain
-        first_layers, first_core = chain(elements[0])
-        signature = tuple(op for op, _v in first_layers)
-        for element in elements:
-            layers, core = chain(element)
-            if tuple(op for op, _v in layers) != signature or core != first_core:
-                return False
-        return True
-
     def _decompose(
         self, elements: Sequence[Term]
     ) -> Optional[Tuple[List[Tuple[str, List[Tuple[float, float, float]]]], Term]]:
-        """Split uniform elements into per-layer vector lists and the shared core."""
-        if not self._uniform(elements):
-            return None
-        chains = [self.determinizer.affine_chain(element)[0] for element in elements]
-        first_core = self.determinizer.affine_chain(elements[0])[1]
-        signature = tuple(op for op, _v in chains[0])
-        layer_vectors: List[Tuple[str, List[Tuple[float, float, float]]]] = []
-        for layer_index, op in enumerate(signature):
-            vectors = [chain[layer_index][1] for chain in chains]
-            layer_vectors.append((op, vectors))
-        return layer_vectors, first_core
+        """Split elements into per-layer vector lists and their shared core.
+
+        None unless every element has the first one's affine signature and
+        core: otherwise a ``Mapi`` would not be semantics-preserving.
+        """
+        chains = [self.determinizer.affine_chain(element) for element in elements]
+        first_layers, core = chains[0]
+        signature = [op for op, _vector in first_layers]
+        for layers, element_core in chains:
+            if element_core != core or [op for op, _vector in layers] != signature:
+                return None
+        columns = [
+            (op, [layers[index][1] for layers, _core in chains])
+            for index, op in enumerate(signature)
+        ]
+        return columns, core
 
     def _solve_layers(
         self,
@@ -330,8 +331,9 @@ class FunctionInference:
         count = len(elements)
         best: Optional[Tuple[int, int, Term, InferenceRecord]] = None
         for start, end in self._promising_runs(elements):
-            run = elements[start:end]
-            built = self._infer_full(run)
+            self.determinizer.work["partial_runs"] += 1
+            decomposed = self._decompose(elements[start:end])
+            built = None if decomposed is None else self._infer_full(*decomposed, end - start)
             if built is None:
                 continue
             run_terms, record = built

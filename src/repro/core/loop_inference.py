@@ -31,7 +31,6 @@ from repro.core.config import SynthesisConfig
 from repro.core.determinize import Determinizer
 from repro.core.function_inference import InferenceRecord
 from repro.core.lists import fold_worklist, sort_elements
-from repro.csg.ops import affine_vector, is_affine
 from repro.lang.term import Term
 from repro.solvers.closed_form import FunctionSolver
 from repro.solvers.multilinear import fit_multilinear
@@ -82,6 +81,13 @@ def m_index_set(dimensions: Sequence[int]) -> List[Tuple[int, ...]]:
 # Loop inference proper
 # ---------------------------------------------------------------------------
 
+Vector = Tuple[float, float, float]
+
+#: ``(op, vectors, remainder, constant_wrappers)``, see
+#: :meth:`LoopInference._outer_layers`.
+OuterLayers = Tuple[str, List[Vector], Term, List[Tuple[str, Vector]]]
+
+
 @dataclass
 class LoopInference:
     """Searches folded lists for nested-loop structure.
@@ -117,20 +123,24 @@ class LoopInference:
         for list_class, element_classes in work:
             element_set = frozenset(element_classes)
             if any(element_set <= done for done in regular_covered):
+                self.determinizer.work["regular_covered_lists"] += 1
                 continue
-            # Both loop shapes need every element affine (_outer_layers), and
-            # no variant of a class without an affine e-node is.
-            if not all(self.determinizer.affine_heads(c) for c in element_classes):
+            # Both loop shapes need every element affine (_outer_layers): a
+            # class offering only the empty signature has no affine variant.
+            if not all(any(self.determinizer.signatures(c)) for c in element_classes):
                 self.determinizer.work["gated_lists"] += 1
                 continue
             built = None
             regular = False
             for determinized in self.determinizer.determinize_all(element_classes, max_variants=3):
                 elements = sort_elements(determinized.elements, self.determinizer.affine_chain)
-                built = self._infer_regular(elements)
+                outer = self._outer_layers(elements)
+                if outer is None:
+                    continue
+                built = self._infer_regular(outer, len(elements))
                 regular = built is not None
                 if built is None:
-                    built = self._infer_irregular(elements)
+                    built = self._infer_irregular(elements, outer)
                 if built is not None:
                     break
             if built is None:
@@ -146,9 +156,7 @@ class LoopInference:
 
     # -- shared helpers ---------------------------------------------------------------
 
-    def _outer_layers(
-        self, elements: Sequence[Term]
-    ) -> Optional[Tuple[str, List[Tuple[float, float, float]], Term, List[Tuple[str, Tuple[float, float, float]]]]]:
+    def _outer_layers(self, elements: Sequence[Term]) -> Optional[OuterLayers]:
         """The outermost *varying* affine layer of a uniform element list.
 
         Returns ``(op, vectors, remainder, constant_wrappers)`` where
@@ -156,57 +164,42 @@ class LoopInference:
         across every element (e.g. an identical ``Scale`` the determinizer
         happened to put outermost); they are re-applied around the loop body.
         The layer below the varying one must be identical across elements,
-        otherwise a single loop body cannot reproduce the list.
+        otherwise a single loop body cannot reproduce the list.  Both loop
+        shapes start from it.
         """
-        if not elements or not all(is_affine(e) for e in elements):
-            return None
-
-        def layer_of(element: Term, depth: int) -> Optional[Term]:
-            current = element
-            for _ in range(depth):
-                if not is_affine(current):
-                    return None
-                current = current.children[3]
-            return current
-
-        constant_wrappers: List[Tuple[str, Tuple[float, float, float]]] = []
-        depth = 0
-        while True:
-            heads = [layer_of(e, depth) for e in elements]
-            if any(h is None or not is_affine(h) for h in heads):
+        chains = [self.determinizer.affine_chain(element) for element in elements]
+        first_layers, first_core = chains[0]
+        constant_tolerance = max(self.config.epsilon, 1e-9)
+        constant_wrappers: List[Tuple[str, Vector]] = []
+        for depth in range(7):
+            if any(len(layers) <= depth for layers, _core in chains):
                 return None
-            op = heads[0].op
-            if any(h.op != op for h in heads):
+            op, first_vector = first_layers[depth]
+            if any(layers[depth][0] != op for layers, _core in chains):
                 return None
-            vectors = [affine_vector(h) for h in heads]
-            first_vector = vectors[0]
-            constant_tolerance = max(self.config.epsilon, 1e-9)
+            vectors = [layers[depth][1] for layers, _core in chains]
             if all(
                 all(abs(v[k] - first_vector[k]) <= constant_tolerance for k in range(3))
                 for v in vectors
             ):
                 # A constant layer: peel it off and look one level deeper.
                 constant_wrappers.append((str(op), first_vector))
-                depth += 1
-                if depth > 6:
-                    return None
                 continue
-            remainders = [h.children[3] for h in heads]
-            first = remainders[0]
-            if any(r != first for r in remainders):
+            below = first_layers[depth + 1:]
+            if any(layers[depth + 1:] != below or core != first_core for layers, core in chains):
                 return None
-            return str(op), vectors, first, constant_wrappers
+            remainder = elements[0]
+            for _ in range(depth + 1):
+                remainder = remainder.children[3]
+            return str(op), vectors, remainder, constant_wrappers
+        return None
 
     # -- regular nested loops -----------------------------------------------------------
 
     def _infer_regular(
-        self, elements: Sequence[Term]
+        self, outer: OuterLayers, count: int
     ) -> Optional[Tuple[Term, InferenceRecord]]:
-        outer = self._outer_layers(elements)
-        if outer is None:
-            return None
         op, vectors, remainder, wrappers = outer
-        count = len(elements)
 
         # Up to three nested loops (the paper's limit), one index name each.
         for nesting in range(2, len(self._INDEX_NAMES) + 1):
@@ -237,7 +230,7 @@ class LoopInference:
         return None
 
     @staticmethod
-    def _wrap_constant_layers(body: Term, wrappers: Sequence[Tuple[str, Tuple[float, float, float]]]) -> Term:
+    def _wrap_constant_layers(body: Term, wrappers: Sequence[Tuple[str, Vector]]) -> Term:
         """Re-apply peeled constant affine layers around a loop body."""
         for op, vector in reversed(list(wrappers)):
             body = Term(
@@ -252,7 +245,7 @@ class LoopInference:
         forms: Sequence,
         remainder: Term,
         dimensions: Sequence[int],
-        wrappers: Sequence[Tuple[str, Tuple[float, float, float]]] = (),
+        wrappers: Sequence[Tuple[str, Vector]] = (),
     ) -> Term:
         """The Fig. 14 output shape: nested Folds of Funs over index lists."""
         index_vars = [Term(self._INDEX_NAMES[level]) for level in range(len(dimensions))]
@@ -271,11 +264,8 @@ class LoopInference:
     # -- irregular loops ------------------------------------------------------------------
 
     def _infer_irregular(
-        self, elements: Sequence[Term]
+        self, elements: Sequence[Term], outer: OuterLayers
     ) -> Optional[Tuple[Term, InferenceRecord]]:
-        outer = self._outer_layers(elements)
-        if outer is None:
-            return None
         op, vectors, remainder, wrappers = outer
 
         for grouping_component in range(3):

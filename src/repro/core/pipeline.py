@@ -222,7 +222,8 @@ def _default_rule_set(categories: Tuple[str, ...]) -> CompiledRuleSet:
 
 #: The determinizer's ``work`` counters an inference span reports.
 _DETERMINIZER_WORK = (
-    "gated_lists", "unshared_lists", "skipped_signatures", "spine_reads", "spine_reuses"
+    "gated_lists", "signature_reads", "spine_reads", "spine_reuses", "covered_lists",
+    "partial_skips", "regular_covered_lists", "partial_runs",
 )
 
 

@@ -5,16 +5,19 @@
 * :func:`read_list_elements` / :func:`fold_worklist` — the per-list spine
   reader: every list reads its whole spine again, suffixes included, and
   nothing is shared between reads;
-* :class:`UngatedDeterminizer` — ``determinize_all`` tries every candidate
-  signature of the first element against every element;
+* :class:`UngatedDeterminizer` — ``determinize_all`` walks the first
+  element's class for its candidate signatures, with no memo, and tries
+  each one against every element;
 * :class:`UngatedLoopInference` — loop inference determinizes every list of
   its worklist, including lists with an element class no affine e-node
-  heads;
+  heads, and walks each element's terms for the outer layers, once per
+  loop shape;
 * :class:`EagerFunctionInference` — the full-list inference is tried in
   both orders, and the sorted order is computed, whatever the elements.
 
 Patching all four into ``repro.core`` (see :func:`reference_pipeline`)
-synthesizes as the pipeline did before the gate and the shared reader.
+synthesizes as the pipeline did before the gate, the signature memo and
+the shared reader.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ from __future__ import annotations
 from typing import Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.core import function_inference, loop_inference, pipeline
-from repro.core.determinize import DeterminizedList, Determinizer
+from repro.core.determinize import MAX_SIGNATURE_DEPTH, DeterminizedList, Determinizer
 from repro.core.function_inference import FunctionInference
 from repro.core.lists import ListReadError, _literal_int, find_fold_matches, sort_elements
 from repro.core.loop_inference import LoopInference
+from repro.csg.ops import affine_vector, is_affine
 from repro.egraph.egraph import EGraph
+from repro.lang.normal import AFFINE_OPS, signature_sort_key
 from repro.lang.term import Term
 
 
@@ -131,6 +136,41 @@ class UngatedDeterminizer(Determinizer):
                 )
         return variants
 
+    def _candidate_signatures(self, class_id: int) -> List[Tuple[str, ...]]:
+        """Affine signatures available for the first element, longest first."""
+        signatures: Set[Tuple[str, ...]] = set()
+        self._collect_signatures(class_id, (), signatures, set())
+        return sorted(signatures, key=signature_sort_key)
+
+    def _collect_signatures(
+        self, class_id: int, prefix: Tuple[str, ...], accumulator: set, visiting: set
+    ) -> None:
+        class_id = self.egraph.find(class_id)
+        if len(prefix) >= MAX_SIGNATURE_DEPTH:
+            accumulator.add(prefix)
+            return
+        key = (class_id, prefix)
+        if key in visiting:
+            return
+        visiting.add(key)
+        accumulator.add(prefix)
+        for enode in self.egraph.nodes(class_id):
+            if enode.op in AFFINE_OPS and len(enode.args) == 4:
+                self._collect_signatures(
+                    enode.args[3], prefix + (str(enode.op),), accumulator, visiting
+                )
+
+    def _materialize_all(
+        self, element_classes: Sequence[int], signature: Tuple[str, ...]
+    ) -> Optional[List[Term]]:
+        elements = []
+        for class_id in element_classes:
+            term = self._materialize(class_id, signature)
+            if term is None:
+                return None
+            elements.append(term)
+        return elements
+
 
 class UngatedLoopInference(LoopInference):
     def run(self) -> int:
@@ -147,10 +187,12 @@ class UngatedLoopInference(LoopInference):
             regular = False
             for determinized in self.determinizer.determinize_all(element_classes, max_variants=3):
                 elements = sort_elements(determinized.elements, self.determinizer.affine_chain)
-                built = self._infer_regular(elements)
+                outer = self._outer_layers(elements)
+                built = None if outer is None else self._infer_regular(outer, len(elements))
                 regular = built is not None
                 if built is None:
-                    built = self._infer_irregular(elements)
+                    outer = self._outer_layers(elements)
+                    built = None if outer is None else self._infer_irregular(elements, outer)
                 if built is not None:
                     break
             if built is None:
@@ -163,6 +205,46 @@ class UngatedLoopInference(LoopInference):
                 regular_covered.append(element_set)
             successes += 1
         return successes
+
+
+    def _outer_layers(self, elements):
+        if not elements or not all(is_affine(e) for e in elements):
+            return None
+
+        def layer_of(element: Term, depth: int) -> Optional[Term]:
+            current = element
+            for _ in range(depth):
+                if not is_affine(current):
+                    return None
+                current = current.children[3]
+            return current
+
+        constant_wrappers = []
+        depth = 0
+        while True:
+            heads = [layer_of(e, depth) for e in elements]
+            if any(h is None or not is_affine(h) for h in heads):
+                return None
+            op = heads[0].op
+            if any(h.op != op for h in heads):
+                return None
+            vectors = [affine_vector(h) for h in heads]
+            first_vector = vectors[0]
+            constant_tolerance = max(self.config.epsilon, 1e-9)
+            if all(
+                all(abs(v[k] - first_vector[k]) <= constant_tolerance for k in range(3))
+                for v in vectors
+            ):
+                constant_wrappers.append((str(op), first_vector))
+                depth += 1
+                if depth > 6:
+                    return None
+                continue
+            remainders = [h.children[3] for h in heads]
+            first = remainders[0]
+            if any(r != first for r in remainders):
+                return None
+            return str(op), vectors, first, constant_wrappers
 
 
 class EagerFunctionInference(FunctionInference):
@@ -178,7 +260,8 @@ class EagerFunctionInference(FunctionInference):
         solved = False
         full_solved = False
         for order in orders:
-            built = self._infer_full(order)
+            decomposed = self._decompose(order)
+            built = None if decomposed is None else self._infer_full(*decomposed, len(order))
             if built is not None:
                 self._merge(list_class, *built)
                 solved = True

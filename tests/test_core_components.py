@@ -153,6 +153,16 @@ class TestDeterminizer:
         assert ("Scale",) in [variant.signature for variant in after]
         assert determinizer.materialize_memo_drops == 1
 
+    def test_merge_term_into_a_class_whose_signatures_were_read_drops_them(self):
+        egraph = EGraph()
+        b = egraph.add_term(translate(3, 0, 0, cube()))
+        determinizer = Determinizer(egraph)
+        assert determinizer.signatures(b) == (("Translate",), ())
+        # Only the signature set read B; the merge gives B a Scale e-node.
+        determinizer.merge_term(b, scale(1, 1, 1, translate(3, 0, 0, cube())))
+        assert determinizer.materialize_memo_drops == 1
+        assert ("Scale", "Translate") in determinizer.signatures(b)
+
     def test_merge_term_does_not_revive_a_memo_another_merge_made_stale(self):
         egraph = EGraph()
         a = egraph.add_term(scale(2, 1, 1, cube()))

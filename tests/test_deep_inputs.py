@@ -5,8 +5,9 @@ spines n long.  Adding and looking up terms, reading spines, adding
 inferred terms and extracting all walk such chains from explicit stacks,
 and so do the steps off the synthesis path: parsing and printing
 canonical text, both cache keys (normalization included), term equality,
-the Table 1 metrics, storing a result, validating flat CSG (a ``Diff``
-chain of holes cut one at a time included) and the OpenSCAD round trip.  Their depth is bounded by
+the Table 1 metrics, storing a result, unrolling a fold over a long list,
+validating flat CSG (a ``Diff`` chain of holes cut one at a time included)
+and the OpenSCAD round trip.  Their depth is bounded by
 memory, not by Python's recursion limit.  Each blocking test below builds
 a chain five times deeper than that limit.
 """
@@ -19,6 +20,7 @@ import pytest
 
 from repro.benchsuite import models
 from repro.benchsuite.variants import semantic_variant
+from repro.cad.build import cons_list, fold, fold_union, fun, int_list, nil
 from repro.cad.ops import uses_loops
 from repro.cli import main
 from repro.core.analysis import find_loops
@@ -26,7 +28,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.determinize import Determinizer
 from repro.core.lists import read_list_elements
 from repro.core.pipeline import CandidateProgram, SynthesisResult, synthesize
-from repro.csg.build import cube
+from repro.csg.build import cube, translate
 from repro.csg.metrics import measure
 from repro.csg.parser import parse_csg
 from repro.csg.pretty import format_term, line_count
@@ -235,6 +237,23 @@ def test_the_structural_checks_walk_a_deep_diff_chain(holes):
     moved = _cut_one_at_a_time(holes, shift=0.5)
     assert not leaf_matrix_equivalent(plate, moved)
     assert not equivalent_modulo_reordering(plate, moved)
+
+
+def test_a_nested_loop_over_2000_indices_unrolls_and_validates():
+    # Loop inference's nest shape (Fold of Funs over index lists, Fig. 14),
+    # 2 x 2000, inside the Fold Union Empty that extraction puts around it.
+    x, y = (Term("Mul", (Term.num(pitch), Term(index))) for pitch, index in ((3, "i"), (5, "j")))
+    body = Term("Translate", (x, y, Term.num(0), cube()))
+    for index, count in (("j", 2000), ("i", 2)):
+        body = fold(fun((index,), body), nil(), int_list(range(count)))
+    flat = models.grid_array(2, 2000, (3, 5, 0), cube())
+    assert validate_synthesis(flat, fold_union(body)).check == "exact"
+
+
+def test_a_fold_over_a_2000_element_list_unrolls_and_validates():
+    parts = [translate(3 * i, 0, 0, cube()) for i in range(2000)]
+    flat = models.linear_array(2000, (3, 0, 0), cube())
+    assert validate_synthesis(flat, fold_union(cons_list(parts))).check == "exact"
 
 
 def test_parse_csg_accepts_a_2000_part_array():

@@ -1,12 +1,16 @@
-"""The affine-head gate and the shared spine reader against the code they replaced.
+"""The signature memo, the gate and the shared spine reader against the code they replaced.
 
 ``tests/determinize_oracle.py`` keeps the old paths: the per-list spine
-reader, ``determinize_all`` without the gate, loop inference without the
-gate and the eager full-list attempt.  Here production must
+reader, ``determinize_all`` walking the first element's signatures with no
+memo, loop inference without the gate and with its own term walker, and
+the eager full-list attempt.  Here production must
 
 * read every spine exactly as the per-list reader does, on random e-graphs
   of ``Nil``/``Cons``/``Concat``/``Repeat`` spines with shared tails and
   merge-made cycles, in any order and at any ``max_length``;
+* offer exactly the signatures the reference walk collects, for every
+  class of random e-graphs of affine chains with merge-made cycles,
+  building each ``(class, depth)`` set once;
 * return the reference's variants from ``determinize_all`` on every
   worklist list of a fast Table 1 subset;
 * synthesize the same candidates and inference records as the reference
@@ -15,7 +19,9 @@ gate and the eager full-list attempt.  Here production must
   merges none of them, which is why skipping a walk cannot change a term
   (see the ``core/determinize.py`` docstring);
 * reject, in loop inference, a list with an element class no affine
-  e-node heads, and no other list.
+  e-node heads, and no other list;
+* count the lists the suffix heuristics skip and the runs the partial-run
+  search tries.
 """
 
 from collections import Counter
@@ -28,7 +34,7 @@ import determinize_oracle as oracle
 from repro.benchsuite.suite import get_benchmark
 from repro.cad.build import cons_list, fold_union
 from repro.core.config import SynthesisConfig
-from repro.core.determinize import Determinizer
+from repro.core.determinize import MAX_SIGNATURE_DEPTH, Determinizer
 from repro.core.function_inference import FunctionInference
 from repro.core.lists import ListReadError, _SpineReader, fold_worklist, read_list_elements
 from repro.core.loop_inference import LoopInference
@@ -37,11 +43,12 @@ from repro.csg.build import cube, sphere, translate
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.runner import Runner, RunnerLimits
 from repro.lang.canon import canonical_term_text
+from repro.lang.normal import AFFINE_OPS
 from repro.lang.term import Term
 from repro.solvers.closed_form import FunctionSolver
 
 #: Small Table 1 models; med-slide and card-org are the quick ones whose
-#: lists share an affine head that the gate still rules some signatures out of.
+#: lists share a non-empty signature.
 _FAST_SUBSET = ["sander", "soldering", "hc-bits", "relay-box", "compose", "med-slide", "card-org"]
 
 
@@ -141,6 +148,50 @@ def test_a_chain_of_1000_reads_each_spine_class_once():
     assert worklist[-1][1] == elements[1::-1]
 
 
+# -- random affine e-graphs ------------------------------------------------------
+
+
+def _affine_graph(steps, rebuild):
+    """An e-graph of affine e-nodes over primitives and over each other, and
+    merges of two solid classes, which close cycles whenever one is
+    reachable from the other."""
+    egraph = EGraph()
+    solids = [egraph.add_term(Term.parse(text)) for text in ("Cube", "Sphere")]
+    zero = egraph.add_term(Term.num(0))
+    for kind, a, b in steps:
+        if kind < len(AFFINE_OPS):
+            x = egraph.add_term(Term.num(b % 3))
+            child = solids[a % len(solids)]
+            solids.append(egraph.add_enode(ENode(AFFINE_OPS[kind], (x, zero, zero, child))))
+        else:
+            egraph.merge(solids[a % len(solids)], solids[b % len(solids)])
+    if rebuild:
+        egraph.rebuild()
+    return egraph, solids
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 63), st.integers(0, 63)), max_size=30),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_signatures_are_the_reference_walk_built_once(steps, rebuild, random):
+    egraph, solids = _affine_graph(steps, rebuild)
+    reference = oracle.UngatedDeterminizer(egraph)
+    determinizer = Determinizer(egraph)
+    queries = [(c, d) for c in solids for d in range(MAX_SIGNATURE_DEPTH + 1)] * 2
+    random.shuffle(queries)
+    for class_id, depth in queries:
+        walked = reference._candidate_signatures(class_id)
+        assert determinizer.signatures(class_id, depth) == tuple(
+            s for s in walked if len(s) <= depth
+        )
+    # Every set built is still in the memo: none was built twice.
+    assert determinizer.materialize_memo_drops == 0
+    assert determinizer.work["signature_reads"] == len(determinizer._signatures)
+
+
 # -- the gate on Table 1 lists ------------------------------------------------------
 
 
@@ -159,7 +210,7 @@ def _saturated(name):
 
 
 def test_gated_determinize_all_returns_the_reference_variants():
-    skipped = Counter()
+    shares_a_signature = set()
     for name in _FAST_SUBSET:
         egraph = _saturated(name)
         worklist = fold_worklist(egraph, min_length=2)
@@ -167,13 +218,13 @@ def test_gated_determinize_all_returns_the_reference_variants():
         for max_variants in (4, 3):
             gated, ungated = Determinizer(egraph), oracle.UngatedDeterminizer(egraph)
             for _list_class, element_classes in worklist:
-                assert gated.determinize_all(element_classes, max_variants) == (
-                    ungated.determinize_all(element_classes, max_variants)
-                )
+                variants = gated.determinize_all(element_classes, max_variants)
+                assert variants == ungated.determinize_all(element_classes, max_variants)
+                shares_a_signature.add(variants[0].signature != ())
             assert gated.materialize_calls <= ungated.materialize_calls
-            skipped.update(gated.work)
-    # Both shortcuts were taken: the test compares more than () variants.
-    assert skipped["skipped_signatures"] > 0 and skipped["unshared_lists"] > 0
+    # Some lists share a non-empty signature and others offer () alone: the
+    # test compares more than () variants.
+    assert shares_a_signature == {True, False}
 
 
 def _fingerprint(result):
@@ -225,11 +276,14 @@ def test_inference_merges_no_class_the_determinizer_walked(name, monkeypatch):
 # -- crafted lists -------------------------------------------------------------------
 
 
-def _infer(elements):
-    """Run both passes on one folded list: the determinizer, both passes and
-    how many lists function inference determinized."""
+def _infer(elements, suffixes=()):
+    """Run both passes on a folded list and on its suffixes from the indices
+    ``suffixes`` (sharing its spine, as saturation leaves them): the
+    determinizer, both passes and how many lists function inference
+    determinized."""
     egraph = EGraph()
-    egraph.add_term(fold_union(cons_list(elements)))
+    for start in (0,) + tuple(suffixes):
+        egraph.add_term(fold_union(cons_list(elements[start:])))
     config = SynthesisConfig()
     determinizer, solver = Determinizer(egraph), FunctionSolver(config.epsilon)
     function_inference = FunctionInference(config, determinizer, solver)
@@ -258,3 +312,27 @@ def test_loop_inference_keeps_an_all_affine_list():
     assert determinizer.determinized_lists == lists_before + 1
     (record,) = loop_inference.records
     assert (record.kind, record.loop_bounds) == ("nested-loop", (2, 2))
+
+
+def test_loop_inference_needs_one_core_under_the_varying_layer():
+    grid = [translate(x, y, 0, sphere() if (x, y) == (3, 0) else cube())
+            for x in (0, 3) for y in (0, 5)]
+    _determinizer, _function_inference, loop_inference, _lists = _infer(grid)
+    assert loop_inference.records == []
+
+
+def test_the_suffix_heuristics_count_what_they_skip():
+    # A 4x3 grid: function inference solves runs of it and loop inference
+    # its regular nest, so both skip the three suffixes of 9-11 elements.
+    grid = [translate(3 * x, 5 * y, 0, cube()) for x in range(4) for y in range(3)]
+    work = _infer(grid, suffixes=(1, 2, 3))[0].work
+    assert (work["covered_lists"], work["regular_covered_lists"]) == (3, 3)
+    assert work["partial_skips"] == 0
+    # Spheres between cubes: no run has one core, so the list fails, and
+    # its three suffixes skip the partial-run search.  The list's steps 1,
+    # 3, 5, 7 differ, so that search tried its four two-element runs in
+    # each of the list's two variants, (Translate) and ().
+    alternating = [translate(i * i, 0, 0, cube() if i % 2 else sphere()) for i in range(5)]
+    work = _infer(alternating, suffixes=(1, 2, 3))[0].work
+    assert (work["partial_skips"], work["partial_runs"]) == (3, 8)
+    assert work["covered_lists"] == work["regular_covered_lists"] == 0
