@@ -141,9 +141,7 @@ class Evaluator:
             return self._eval_cons(term, env)
 
         if op == "Concat":
-            left = _as_list(self._eval(term.children[0], env), "Concat")
-            right = _as_list(self._eval(term.children[1], env), "Concat")
-            return left + right
+            return self._eval_concat(term, env)
 
         if op == "Repeat":
             return self._eval_repeat(term, env)
@@ -268,6 +266,23 @@ class Evaluator:
             heads.append(self._eval(term.children[0], env))
             term = term.children[1]
         return heads + _as_list(self._eval(term, env), "Cons tail")
+
+    def _eval_concat(self, term: Term, env: Dict[str, Value]) -> list:
+        # A Concat chain (inference joins runs one at a time, nested either
+        # way) is walked with an explicit stack, not one recursion per link;
+        # operands still evaluate left to right, each checked as it comes.
+        result: list = []
+        pending = [term]
+        while pending:
+            node = pending.pop()
+            if node.op == "Concat":
+                if len(node.children) != 2:
+                    raise EvalError("Concat expects 2 arguments")
+                pending.append(node.children[1])
+                pending.append(node.children[0])
+            else:
+                result.extend(_as_list(self._eval(node, env), "Concat"))
+        return result
 
     def _eval_repeat(self, term: Term, env: Dict[str, Value]) -> list:
         if len(term.children) != 2:

@@ -328,26 +328,13 @@ def synthesize(
     extract_start = time.perf_counter()
     with tracer.span("extract") as ext_span:
         extractor = TopKExtractor(egraph, cost_function, k=config.top_k)
-
-        # Combine two views of the root e-class: one candidate per distinct root
-        # e-node (this is what gives the returned set its diversity — the lifted
-        # flat variant, the folded/structured variant, and the original chain are
-        # different root e-nodes) plus the globally cheapest terms, de-duplicated
-        # and capped at top-k.
-        per_enode = extractor.best_per_enode(root)
-        global_top = extractor.extract_top_k(root)
-        combined = []
-        seen_terms = set()
-        for entry in per_enode + global_top:
-            if entry.term in seen_terms:
-                continue
-            seen_terms.add(entry.term)
-            combined.append(entry)
-        combined.sort(key=lambda entry: entry.cost)
-        combined = combined[: config.top_k]
+        # The root stream's first k terms, stably sorted by cost: under
+        # reward-loops a stream can emit out of cost order, because a Fold
+        # is discounted only once its first child costs more than 1.5.
+        entries = sorted(extractor.extract_top_k(root), key=lambda entry: entry.cost)
         candidates = [
             CandidateProgram(rank=index + 1, cost=entry.cost, term=entry.term)
-            for index, entry in enumerate(combined)
+            for index, entry in enumerate(entries)
         ]
         if ext_span is not None:
             ext_span.update(

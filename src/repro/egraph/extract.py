@@ -26,15 +26,15 @@ Two extractors read the e-graph:
   finite unfoldings of unboundedly decreasing cost with an unattained
   infimum — ``Mapi(Mapi(...))`` towers under ``reward-loops`` — so
   *cheapest represented term* is not even well-defined there; cheapest
-  acyclic derivation is, and is what every query below returns.)  The
-  path restriction is enforced *by construction*: revisits can only
-  happen inside a strongly connected component of the class graph, so each
-  candidate stream carries the set of same-SCC ancestor classes it must
-  avoid and descends into children with that set extended.  Outside
-  non-trivial SCCs the set is always empty and streams are shared
-  context-free.  This makes non-monotone costs (``reward-loops``) and
-  indirect equivalence cycles *correct* instead of detected-and-rejected —
-  an unrealizable cyclic "best" simply never appears in any stream, so no
+  acyclic derivation is, and is what every query below returns under a
+  monotone cost.)  The path restriction is enforced *by construction*:
+  revisits can only happen inside a strongly connected component of the
+  class graph, so each candidate stream carries the set of same-SCC
+  ancestor classes it must avoid and descends into children with that set
+  extended.  Outside non-trivial SCCs the set is always empty and streams
+  are shared context-free.  This makes equivalence cycles, direct or
+  indirect, safe under either cost instead of detected-and-rejected — an
+  unrealizable cyclic "best" simply never appears in any stream, so no
   well-foundedness guards or cycle errors are needed.
 
 A top-k query touches only the classes its answer needs:
@@ -59,16 +59,24 @@ A top-k query touches only the classes its answer needs:
   stream's entries: the heap order ``(cost, seq)`` and so every emission
   are what immediate pushes give.
 * **An explicit work stack drives the streams.**  A stream that needs a
-  child's entry first returns that need; :meth:`_KBestEngine.get` pushes
-  the child onto its stack and resumes the stream when the entry exists.
-  No query recurses per list element, and streams hold no pointer to the
-  engine, so an extractor is freed by reference counting alone.
+  child's entry first returns that need; :meth:`TopKExtractor._get`
+  pushes the child onto its stack and resumes the stream when the entry
+  exists.  No query recurses per list element, and streams hold no pointer
+  to the extractor, so an extractor is freed by reference counting alone.
 
-Cost functions must be monotone in their child costs (nondecreasing in each
-argument — both bundled functions are strictly increasing), which is what
-keeps each stream's emissions sorted.  They need *not* satisfy
-``f(...) >= max(child costs)``: a discounted parent cheaper than its child
-is exactly the ``reward-loops`` case the lazy heaps exist for.
+Each stream's emissions are sorted when the cost function is monotone in
+its child costs (nondecreasing in each argument), as ``ast-size`` is.  It
+need *not* satisfy ``f(...) >= max(child costs)``: a discounted ``Mapi``
+cheaper than its body is fine.  ``reward-loops`` is not monotone: it
+discounts a ``Fold`` only when its first child costs more than 1.5 (a
+``Fun``, not a bare ``Union``), so a dearer first child can make a cheaper
+``Fold``.  A successor enters the heap only after its predecessor pops, so
+under ``reward-loops`` a stream can emit out of cost order and a top-k
+query can miss a cheaper term: for ``(Fold Union Empty (Cons Cube (Cons
+Cube (Cons Cube Nil))))`` with ``Union`` merged with ``(G a)``, k=1 returns
+the cost-10 term although ``(Fold (G a) Empty ...)`` costs 3.5, and k=2
+returns the two in that order.  The pipeline sorts the root's entries by
+cost; the missed terms are a known defect.
 """
 
 from __future__ import annotations
@@ -184,7 +192,7 @@ class _Stream:
     emission is realizable and acyclic by construction.
 
     A stream never calls another stream: :meth:`advance` returns the child
-    entry it lacks, and :meth:`_KBestEngine.get` produces that entry and
+    entry it lacks, and :meth:`TopKExtractor._get` produces that entry and
     resumes it (see the module docstring).
     """
 
@@ -212,15 +220,15 @@ class _Stream:
         """True once the stream has emitted everything it ever will."""
         return self._initialized and not self._heap and not self._queued
 
-    def _init(self, engine: "_KBestEngine") -> None:
+    def _init(self, extractor: "TopKExtractor") -> None:
         self._initialized = True
-        engine.expanded += 1
-        egraph = engine.egraph
+        extractor.expanded += 1
+        egraph = extractor.egraph
         find = egraph.find
-        priced = engine.priced
+        priced = extractor.priced
         # A child shares a blocked class's SCC exactly when it is in this
         # class's own cycle set; its stream then carries a banned set.
-        cycle = engine.cycle_set(self.class_id) if priced else frozenset()
+        cycle = extractor._cycle_set(self.class_id) if priced else frozenset()
         blocked = self._blocked = self.banned | {self.class_id}
         seen_nodes: Set[ENode] = set()
         for enode in egraph.nodes(self.class_id):
@@ -241,15 +249,15 @@ class _Stream:
             for index in reversed(range(len(self._nodes)))
         ]
 
-    def _child(self, engine: "_KBestEngine", index: int, position: int) -> "_Stream":
+    def _child(self, extractor: "TopKExtractor", index: int, position: int) -> "_Stream":
         """The stream of e-node ``index``'s child at ``position``, created on first use."""
         enode, children, _ = self._nodes[index]
         child = children[position]
         if child is None:
-            child = children[position] = engine.stream(enode.args[position], self._blocked)
+            child = children[position] = extractor._stream(enode.args[position], self._blocked)
         return child
 
-    def _push(self, engine: "_KBestEngine", index: int, ranks: Tuple[int, ...]) -> Optional[_Need]:
+    def _push(self, extractor: "TopKExtractor", index: int, ranks: Tuple[int, ...]) -> Optional[_Need]:
         """Push one rank tuple, or return the child entry it waits for.
 
         A tuple pushed before, or one whose child stream ends below its
@@ -265,7 +273,7 @@ class _Stream:
             if rank == 0 and price is not None:
                 child_costs.append(price)
                 continue
-            child = self._child(engine, index, position)
+            child = self._child(extractor, index, position)
             if rank < len(child.entries):
                 child_costs.append(child.entries[rank].cost)
             elif child.exhausted():
@@ -274,24 +282,24 @@ class _Stream:
             else:
                 return child, rank
         self._pushed.add(key)
-        cost = engine.cost_function(enode.op, child_costs)
-        heapq.heappush(self._heap, (cost, next(engine.seq), index, ranks))
+        cost = extractor.cost_function(enode.op, child_costs)
+        heapq.heappush(self._heap, (cost, next(extractor._seq), index, ranks))
         return None
 
-    def advance(self, engine: "_KBestEngine", rank: int) -> Optional[_Need]:
+    def advance(self, extractor: "TopKExtractor", rank: int) -> Optional[_Need]:
         """Work toward ``entries[rank]``; return the child entry needed first.
 
         Returns None once the entry exists or the stream is exhausted below
         it.
         """
         if not self._initialized:
-            self._init(engine)
+            self._init(extractor)
         entries = self.entries
         heap = self._heap
         queued = self._queued
         while len(entries) <= rank:
             while queued:
-                need = self._push(engine, *queued[-1])
+                need = self._push(extractor, *queued[-1])
                 if need is not None:
                     return need
                 queued.pop()
@@ -300,7 +308,7 @@ class _Stream:
             cost, _, index, ranks = heap[0]
             terms = []
             for position, child_rank in enumerate(ranks):
-                child = self._child(engine, index, position)
+                child = self._child(extractor, index, position)
                 if child_rank >= len(child.entries):
                     if child.exhausted():
                         raise ExtractionError(
@@ -310,7 +318,7 @@ class _Stream:
                     return child, child_rank
                 terms.append(child.entries[child_rank].term)
             heapq.heappop(heap)
-            engine.pops += 1
+            extractor.pops += 1
             # Successors always expand the frontier, even when the popped
             # term turns out to be a duplicate; they enter the heap just
             # before the next pop.
@@ -325,8 +333,15 @@ class _Stream:
         return None
 
 
-class _KBestEngine:
-    """Shared stream registry, SCC index and work stack for one (e-graph, cost fn) pair.
+class TopKExtractor:
+    """Extraction of the k cheapest distinct realizable terms per e-class.
+
+    The extractor holds the lazy stream machinery for one (e-graph, cost
+    function) pair (see the module docstring): the stream registry, the SCC
+    index and the work stack.  Nothing is computed until a query forces
+    it, and a query for class ``c`` expands only the classes its answer
+    needs; every class reachable from ``c`` is still visited once by the
+    SCC index.
 
     Streams are memoized on ``(class id, banned set)`` after intersecting
     the inherited banned set with the class's *cycle set* — the members of
@@ -335,15 +350,24 @@ class _KBestEngine:
     reached again (the SCC condensation is acyclic), so dropping it is
     sound and collapses almost every request onto the context-free stream.
 
-    ``priced`` says whether the best-cost slots price rank 0; otherwise
-    every rank is read from the streams (see the module docstring).
+    ``priced`` says whether the best-cost slots price rank 0: under
+    ``ast-size`` on a quiescent e-graph.  Otherwise every rank is read from
+    the streams.
     """
 
-    def __init__(self, egraph: EGraph, cost_function: CostFunction, priced: bool):
+    def __init__(
+        self,
+        egraph: EGraph,
+        cost_function: CostFunction = ast_size_cost,
+        k: int = 5,
+    ):
+        if k < 1:
+            raise ValueError("k must be at least 1")
         self.egraph = egraph
         self.cost_function = cost_function
-        self.priced = priced
-        self.seq = itertools.count()  # heap tiebreaker: deterministic FIFO
+        self.k = k
+        self.priced = cost_function is ast_size_cost and egraph.quiescent
+        self._seq = itertools.count()  # heap tiebreaker: deterministic FIFO
         self._streams: Dict[Tuple[int, frozenset], _Stream] = {}
         self._cycle_sets: Dict[int, frozenset] = {}
         self._scc_index: Dict[int, int] = {}
@@ -352,17 +376,58 @@ class _KBestEngine:
         self.expanded = 0
         self.pops = 0
 
-    def stream(self, class_id: int, banned: frozenset = frozenset()) -> _Stream:
+    # -- queries -----------------------------------------------------------------
+
+    def extract_top_k(self, class_id: int) -> List[RankedTerm]:
+        """The first k distinct realizable terms of ``class_id``'s stream.
+
+        Under a monotone cost function they are the k cheapest, best first
+        (see the module docstring).  Fewer than k entries come back when
+        the class offers fewer distinct realizable terms (e.g. every other
+        candidate descends into an equivalence cycle).
+        """
+        stream = self._stream(class_id)
+        entries: List[RankedTerm] = []
+        for rank in range(self.k):
+            entry = self._get(stream, rank)
+            if entry is None:
+                break
+            entries.append(entry)
+        if not entries:
+            raise ExtractionError(f"no extractable term for e-class {class_id}")
+        return entries
+
+    def best(self, class_id: int) -> RankedTerm:
+        """The single cheapest realizable entry for ``class_id``."""
+        return self.extract_top_k(class_id)[0]
+
+    def counters(self) -> Dict[str, int]:
+        """The work the queries so far did (the ``extract`` span's counters).
+
+        ``streams`` were created, ``expanded`` of them read their class's
+        e-nodes, ``pops`` entries left the heaps, and the SCC index visited
+        ``scc_classes`` classes.
+        """
+        return {
+            "streams": len(self._streams),
+            "expanded": self.expanded,
+            "pops": self.pops,
+            "scc_classes": len(self._scc_index),
+        }
+
+    # -- streams -----------------------------------------------------------------
+
+    def _stream(self, class_id: int, banned: frozenset = frozenset()) -> _Stream:
         class_id = self.egraph.find(class_id)
-        banned = banned & self.cycle_set(class_id)
+        banned = banned & self._cycle_set(class_id)
         key = (class_id, banned)
         stream = self._streams.get(key)
         if stream is None:
             stream = self._streams[key] = _Stream(class_id, banned)
         return stream
 
-    def get(self, stream: _Stream, rank: int) -> Optional[RankedTerm]:
-        """``stream``'s ``rank``-th cheapest distinct term, or None past its end.
+    def _get(self, stream: _Stream, rank: int) -> Optional[RankedTerm]:
+        """``stream``'s ``rank``-th distinct term, or None past its end.
 
         The top stream of the work stack advances until it has the entry
         or names a child entry it needs first; that child goes on the stack
@@ -380,18 +445,9 @@ class _KBestEngine:
                     stack.append(need)
         return stream.entries[rank] if rank < len(stream.entries) else None
 
-    def counters(self) -> Dict[str, int]:
-        """Streams created and expanded, heap pops, classes the SCC index visited."""
-        return {
-            "streams": len(self._streams),
-            "expanded": self.expanded,
-            "pops": self.pops,
-            "scc_classes": len(self._scc_index),
-        }
-
     # -- SCC index --------------------------------------------------------------
 
-    def cycle_set(self, class_id: int) -> frozenset:
+    def _cycle_set(self, class_id: int) -> frozenset:
         """The members of ``class_id``'s SCC if it is non-trivial, else empty."""
         cached = self._cycle_sets.get(class_id)
         if cached is not None:
@@ -449,105 +505,3 @@ class _KBestEngine:
                     cycle = frozenset(members) if nontrivial else frozenset()
                     for member in members:
                         cycle_sets[member] = cycle
-
-
-class TopKExtractor:
-    """Extraction of the k cheapest distinct realizable terms per e-class.
-
-    A thin facade over the lazy stream machinery (see the module
-    docstring): nothing is computed until a query forces it, and a query
-    for class ``c`` expands only the classes its answer needs.  Every
-    class reachable from ``c`` is still visited once by the SCC index.
-    Under ``ast-size`` on a quiescent e-graph the best-cost slots price
-    rank 0.
-    """
-
-    def __init__(
-        self,
-        egraph: EGraph,
-        cost_function: CostFunction = ast_size_cost,
-        k: int = 5,
-    ):
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        self.egraph = egraph
-        self.cost_function = cost_function
-        self.k = k
-        self._engine = _KBestEngine(
-            egraph, cost_function, cost_function is ast_size_cost and egraph.quiescent
-        )
-
-    # -- queries -----------------------------------------------------------------
-
-    def extract_top_k(self, class_id: int) -> List[RankedTerm]:
-        """Up to k cheapest distinct realizable terms, best first.
-
-        Fewer than k entries come back when the class offers fewer distinct
-        realizable terms (e.g. every other candidate descends into an
-        equivalence cycle).
-        """
-        engine = self._engine
-        stream = engine.stream(class_id)
-        entries: List[RankedTerm] = []
-        for rank in range(self.k):
-            entry = engine.get(stream, rank)
-            if entry is None:
-                break
-            entries.append(entry)
-        if not entries:
-            raise ExtractionError(f"no extractable term for e-class {class_id}")
-        return entries
-
-    def best(self, class_id: int) -> RankedTerm:
-        """The single cheapest realizable entry for ``class_id``."""
-        return self.extract_top_k(class_id)[0]
-
-    def counters(self) -> Dict[str, int]:
-        """The work the queries so far did (the ``extract`` span's counters).
-
-        ``streams`` were created, ``expanded`` of them read their class's
-        e-nodes, ``pops`` entries left the heaps, and the SCC index visited
-        ``scc_classes`` classes.
-        """
-        return self._engine.counters()
-
-    def best_per_enode(self, class_id: int) -> List[RankedTerm]:
-        """The cheapest term rooted at each distinct e-node of ``class_id``.
-
-        Whereas :meth:`extract_top_k` returns the k globally cheapest terms
-        (which for CAD models are often near-identical affine reorderings of
-        one another), this query returns one representative per alternative
-        the e-class actually offers at its root — e.g. the original boolean
-        chain, the affine-lifted variant, and the ``Fold``-based structured
-        variant each contribute their own candidate.  The pipeline combines
-        both views to build a useful top-k (see ``repro.core.pipeline``).
-        """
-        class_id = self.egraph.find(class_id)
-        find = self.egraph.find
-        blocked = frozenset((class_id,))
-        results: List[RankedTerm] = []
-        seen: Set[Term] = set()
-        seen_nodes: Set[ENode] = set()
-        for enode in self.egraph.nodes(class_id):
-            enode = enode.canonicalize(find)
-            if enode in seen_nodes:
-                continue
-            seen_nodes.add(enode)
-            child_entries = []
-            missing = False
-            for arg in enode.args:
-                child = self._engine.get(self._engine.stream(arg, blocked), 0)
-                if child is None:
-                    missing = True
-                    break
-                child_entries.append(child)
-            if missing:
-                continue
-            cost = self.cost_function(enode.op, [c.cost for c in child_entries])
-            term = Term(enode.op, tuple(c.term for c in child_entries))
-            if term in seen:
-                continue
-            seen.add(term)
-            results.append(RankedTerm(cost, term))
-        results.sort(key=lambda entry: entry.cost)
-        return results

@@ -48,11 +48,8 @@ class RewriteMatch:
     denote the same rewrite opportunity on the current graph, so a
     syntactic rule that already fired one of them can skip the other
     without instantiating anything.  The fingerprint is cached on the match
-    object, stamped with the e-graph's :attr:`~repro.egraph.egraph.EGraph.union_version`:
-    canonical ids can only change when a union happens, so while the stamp
-    matches the cache is exact and a re-encounter of the match (the
-    incremental matcher serves the *same* objects from its cache every
-    epoch) costs one integer compare instead of a find per bound id.
+    object (the incremental matcher serves the *same* objects from its
+    cache every epoch) and revalidated on each call.
     """
 
     class_id: int
@@ -61,7 +58,6 @@ class RewriteMatch:
     _fingerprint: Optional[Fingerprint] = field(
         default=None, repr=False, compare=False
     )
-    _fingerprint_stamp: int = field(default=-1, repr=False, compare=False)
     #: Union version at which this match was last confirmed present in its
     #: rule's applied ledger.  While no union has happened since, the match
     #: is skippable on a single integer compare — no fingerprint, no set
@@ -69,7 +65,7 @@ class RewriteMatch:
     skip_stamp: int = field(default=-1, repr=False, compare=False)
 
     def fingerprint(self, egraph: EGraph) -> Fingerprint:
-        """This match projected onto canonical ids (cached per union epoch).
+        """This match projected onto canonical ids (cached on the match).
 
         Binding order follows the substitution's (deterministic) insertion
         order rather than a per-call sort: every match of a rule is built
@@ -85,16 +81,12 @@ class RewriteMatch:
         uf = egraph._union_find
         fp = self._fingerprint
         if fp is not None:
-            stamp = uf.version
-            if self._fingerprint_stamp == stamp:
-                return fp
             parents = uf.parents
             if parents[fp[0]] == fp[0]:
                 for _name, bound in fp[1]:
                     if parents[bound] != bound:
                         break
                 else:
-                    self._fingerprint_stamp = stamp
                     return fp
         find = uf.find
         fp = (
@@ -102,7 +94,6 @@ class RewriteMatch:
             tuple((name, find(cid)) for name, cid in self.substitution.items()),
         )
         self._fingerprint = fp
-        self._fingerprint_stamp = uf.version
         return fp
 
 

@@ -9,6 +9,11 @@ expands every class reachable from the root, by recursion.
 ``EagerTopKExtractor`` answers ``extract_top_k`` and ``best_per_enode``
 with that engine, exactly as ``TopKExtractor`` did.  The tests run both
 designs on the same e-graph and diff costs, terms and order.
+
+``two_view_top_k`` is the top-k ``synthesize`` assembled from those two
+queries before it made one: the root's cheapest term per e-node, then its
+k cheapest terms, merged.  The one query must give the same top-k on every
+root that has no e-node taking the root itself as an argument.
 """
 
 from __future__ import annotations
@@ -255,8 +260,8 @@ class EagerTopKExtractor:
         one another), this query returns one representative per alternative
         the e-class actually offers at its root — e.g. the original boolean
         chain, the affine-lifted variant, and the ``Fold``-based structured
-        variant each contribute their own candidate.  The pipeline combines
-        both views to build a useful top-k (see ``repro.core.pipeline``).
+        variant each contribute their own candidate.  ``two_view_top_k``
+        combines both views.
         """
         class_id = self.egraph.find(class_id)
         find = self.egraph.find
@@ -287,3 +292,23 @@ class EagerTopKExtractor:
             results.append(RankedTerm(cost, term))
         results.sort(key=lambda entry: entry.cost)
         return results
+
+
+def two_view_top_k(
+    egraph: EGraph, root: int, cost_function: CostFunction, k: int
+) -> List[RankedTerm]:
+    """The top-k of the two views: per root e-node, then the k cheapest.
+
+    De-duplicated by term (the first occurrence kept), stably sorted by
+    cost and cut at k.  Raises ``ExtractionError`` when ``extract_top_k``
+    does.
+    """
+    extractor = EagerTopKExtractor(egraph, cost_function, k=k)
+    combined: List[RankedTerm] = []
+    seen: Set[Term] = set()
+    for entry in extractor.best_per_enode(root) + extractor.extract_top_k(root):
+        if entry.term not in seen:
+            seen.add(entry.term)
+            combined.append(entry)
+    combined.sort(key=lambda entry: entry.cost)
+    return combined[:k]

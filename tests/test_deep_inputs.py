@@ -5,11 +5,11 @@ spines n long.  Adding and looking up terms, reading spines, adding
 inferred terms and extracting all walk such chains from explicit stacks,
 and so do the steps off the synthesis path: parsing and printing
 canonical text, both cache keys (normalization included), term equality,
-the Table 1 metrics, storing a result, unrolling a fold over a long list,
-validating flat CSG (a ``Diff`` chain of holes cut one at a time included)
-and the OpenSCAD round trip.  Their depth is bounded by
-memory, not by Python's recursion limit.  Each blocking test below builds
-a chain five times deeper than that limit.
+the Table 1 metrics, storing a result, unrolling a fold over a long list
+or a long ``Concat`` chain, validating flat CSG (a ``Diff`` chain of holes
+cut one at a time included) and the OpenSCAD round trip.  Their depth is
+bounded by memory, not by Python's recursion limit.  Each blocking test
+below builds a chain five times deeper than that limit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 
 from repro.benchsuite import models
 from repro.benchsuite.variants import semantic_variant
-from repro.cad.build import cons_list, fold, fold_union, fun, int_list, nil
+from repro.cad.build import concat, cons_list, fold, fold_union, fun, int_list, nil
 from repro.cad.ops import uses_loops
 from repro.cli import main
 from repro.core.analysis import find_loops
@@ -128,11 +128,9 @@ def test_extract_a_deep_chain(slot_priced):
     cost = float(2 * DEPTH + 1)
     cost_function = ast_size_cost if slot_priced else _unpriced_ast_size
     extractor = TopKExtractor(egraph, cost_function, k=3)
-    assert extractor._engine.priced == slot_priced
+    assert extractor.priced == slot_priced
     (only,) = extractor.extract_top_k(root)
     assert only.cost == cost and _same(only.term, term)
-    (per_enode,) = extractor.best_per_enode(root)
-    assert per_enode.cost == cost and _same(per_enode.term, term)
     single = Extractor(egraph)
     assert single.cost_of(root) == cost and _same(single.extract(root), term)
 
@@ -254,6 +252,23 @@ def test_a_fold_over_a_2000_element_list_unrolls_and_validates():
     parts = [translate(3 * i, 0, 0, cube()) for i in range(2000)]
     flat = models.linear_array(2000, (3, 0, 0), cube())
     assert validate_synthesis(flat, fold_union(cons_list(parts))).check == "exact"
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_a_fold_over_a_2000_link_concat_chain_unrolls_and_validates(nesting):
+    # Inference joins runs one at a time (``concat(combined, part)``), so a
+    # list can be a Concat chain as long as the model; one-element lists here.
+    parts = [cons_list([translate(3 * i, 0, 0, cube())]) for i in range(2001)]
+    if nesting == "left":
+        items = parts[0]
+        for part in parts[1:]:
+            items = concat(items, part)
+    else:
+        items = parts[-1]
+        for part in reversed(parts[:-1]):
+            items = concat(part, items)
+    flat = models.linear_array(2001, (3, 0, 0), cube())
+    assert validate_synthesis(flat, fold_union(items)).check == "exact"
 
 
 def test_parse_csg_accepts_a_2000_part_array():

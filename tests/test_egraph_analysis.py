@@ -178,10 +178,10 @@ class TestCostAnalysis:
     def test_top_k_prices_rank0_from_the_slots_only_when_quiescent(self):
         egraph = EGraph()
         root = egraph.add_term(Term.parse("(F (Union A B))"))
-        assert TopKExtractor(egraph, ast_size_cost)._engine.priced
-        assert not TopKExtractor(egraph, reward_loops_cost_fn)._engine.priced
+        assert TopKExtractor(egraph, ast_size_cost).priced
+        assert not TopKExtractor(egraph, reward_loops_cost_fn).priced
         egraph.merge(egraph.add_term(Term.parse("(Union A B)")), egraph.add_leaf("C"))
-        assert not TopKExtractor(egraph, ast_size_cost)._engine.priced
+        assert not TopKExtractor(egraph, ast_size_cost).priced
         egraph.rebuild()
         assert TopKExtractor(egraph, ast_size_cost).best(root).term == Term.parse("(F C)")
 

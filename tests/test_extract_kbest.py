@@ -13,6 +13,11 @@ Three layers of defense for the lazy k-best rewrite:
 * **Slot parity** (hypothesis, here and in ``test_egraph_analysis.py``):
   the incrementally maintained best-cost slots equal the post-hoc
   fixpoint, and pricing rank 0 from them changes no top-k cost.
+* **One query** (hypothesis): ``synthesize``'s top-k, one query sorted by
+  cost, equals the two-view assembly it replaced
+  (``kbest_oracle.two_view_top_k``) on every root that no e-node of its
+  own takes as an argument, with ``Fold`` in the terms so that
+  ``reward-loops`` streams can emit out of cost order.
 * **Seed differential**: on saturated e-graphs of the bundled benchmark
   models, the new extractor's best cost equals the *seed* whole-graph
   candidate-table fixpoint's (a frozen copy of the pre-rewrite algorithm) —
@@ -31,8 +36,9 @@ from hypothesis import given, settings, strategies as st
 from repro.benchsuite.suite import BENCHMARKS, get_benchmark
 from repro.core.cost import ast_size_cost_fn, reward_loops_cost_fn
 from repro.core.rules import default_rules
+from kbest_oracle import two_view_top_k
 from repro.egraph.egraph import EGraph, ENode
-from repro.egraph.extract import Extractor, TopKExtractor, ast_size_cost
+from repro.egraph.extract import ExtractionError, Extractor, TopKExtractor, ast_size_cost
 from repro.egraph.runner import Runner, RunnerLimits
 from repro.lang.term import Term
 from saturation_oracle import PostHocExtractor, parent_enodes
@@ -126,8 +132,6 @@ def _assert_top_k_matches_brute_force(egraph, cost_function, k):
         if not expected:
             # No realizable derivation at all: only possible when every
             # candidate descends into a cycle; the extractor must say so.
-            from repro.egraph.extract import ExtractionError
-
             with pytest.raises(ExtractionError):
                 extractor.extract_top_k(class_id)
             continue
@@ -177,7 +181,7 @@ def test_slot_pricing_changes_nothing(schedule, k):
     egraph = _build(schedule)
     priced = TopKExtractor(egraph, ast_size_cost, k=k)
     unpriced = TopKExtractor(egraph, _unpriced_ast_size, k=k)
-    assert priced._engine.priced and not unpriced._engine.priced
+    assert priced.priced and not unpriced.priced
     posthoc = PostHocExtractor(egraph)
     for eclass in list(egraph.classes()):
         class_id = eclass.id
@@ -209,6 +213,69 @@ def test_single_best_matches_brute_force(schedule, cost_function):
             cost, term = entry.cost, entry.term
         assert cost == pytest.approx(best_cost)
         assert term_cost(cost_function, term) == pytest.approx(best_cost)
+
+
+#: ``_term`` with ``Fold``, whose ``reward-loops`` cost is not monotone in
+#: its first child (the discount needs that child to cost more than 1.5).
+_term_with_fold = st.recursive(
+    _leaf.map(Term),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from(["U", "F"]), st.lists(children, min_size=1, max_size=2)).map(
+            lambda pair: Term(pair[0], tuple(pair[1]))
+        ),
+        children.map(lambda child: Term("Mapi", (child,))),
+        st.tuples(children, children, children).map(lambda args: Term("Fold", args)),
+    ),
+    max_leaves=7,
+)
+
+#: Merges between any two classes, not only the terms' roots, so that a
+#: ``Fold``'s first child often holds a cheap and a dear alternative.
+_schedule_with_fold = st.tuples(
+    st.lists(_term_with_fold, min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=4),
+)
+
+
+def _build_with_fold(schedule) -> EGraph:
+    terms, merges = schedule
+    egraph = EGraph()
+    for term in terms:
+        egraph.add_term(term)
+    count = len(egraph)
+    for a, b in merges:
+        egraph.merge(a % count, b % count)
+    egraph.rebuild()
+    return egraph
+
+
+def _synthesize_top_k(egraph, root, cost_function, k):
+    """What ``synthesize``'s extract phase returns: one query, stably sorted."""
+    entries = TopKExtractor(egraph, cost_function, k=k).extract_top_k(root)
+    return sorted(entries, key=lambda entry: entry.cost)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _schedule_with_fold,
+    st.sampled_from([ast_size_cost_fn, reward_loops_cost_fn]),
+    st.integers(1, 5),
+)
+def test_one_query_equals_the_two_view_assembly(schedule, cost_function, k):
+    egraph = _build_with_fold(schedule)
+    find = egraph.find
+    for eclass in list(egraph.classes()):
+        root = eclass.id
+        if any(find(arg) == root for node in egraph.flat_nodes(root) for arg in node[1:]):
+            continue  # the two-view assembly added the root wrapped in itself
+        try:
+            expected = two_view_top_k(egraph, root, cost_function, k)
+        except ExtractionError:
+            with pytest.raises(ExtractionError):
+                _synthesize_top_k(egraph, root, cost_function, k)
+            continue
+        actual = _synthesize_top_k(egraph, root, cost_function, k)
+        assert [(e.cost, e.term) for e in actual] == [(e.cost, e.term) for e in expected]
 
 
 # ---------------------------------------------------------------------------

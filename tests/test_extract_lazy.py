@@ -8,9 +8,11 @@ best-cost slots price rank 0, and under ``reward-loops``, where they
 cannot.  A fast subset of Table 1 runs in the blocking lane, the other
 models in the slow lane.
 
-They also pin two properties the lazy design promises: the stored best
-cost of every class reachable from a root is the oracle's rank-0 cost bit
-for bit, and ``synthesize`` leaves no cyclic garbage behind.
+On the same e-graphs, ``synthesize``'s one query must return the top-k
+of the two views it replaced (``kbest_oracle.two_view_top_k``).  The tests
+also pin two properties the lazy design promises: the stored best cost of
+every class reachable from a root is the oracle's rank-0 cost bit for bit,
+and ``synthesize`` leaves no cyclic garbage behind.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import gc
 
 import pytest
 
-from kbest_oracle import EagerTopKExtractor
+from kbest_oracle import EagerTopKExtractor, two_view_top_k
 from repro.benchsuite.suite import BENCHMARKS, get_benchmark
 from repro.core import pipeline
 from repro.core.config import SynthesisConfig
@@ -35,18 +37,24 @@ _SLOW_MODELS = [b.name for b in BENCHMARKS if b.name not in _FAST_MODELS]
 _COSTS = ["ast-size", "reward-loops"]
 
 
-def _extraction_graph(name, monkeypatch):
-    """The e-graph and root class ``synthesize`` extracts from for one model."""
+def _synthesize_recording(name, monkeypatch, config):
+    """``synthesize``'s result for one model, and the e-graph and root class
+    it extracted from."""
     captured = {}
 
     class Recording(TopKExtractor):
-        def best_per_enode(self, class_id):
+        def extract_top_k(self, class_id):
             captured["graph"] = (self.egraph, class_id)
-            return super().best_per_enode(class_id)
+            return super().extract_top_k(class_id)
 
     monkeypatch.setattr(pipeline, "TopKExtractor", Recording)
-    synthesize(get_benchmark(name).build(), SynthesisConfig())
-    return captured["graph"]
+    result = synthesize(get_benchmark(name).build(), config)
+    return result, captured["graph"]
+
+
+def _extraction_graph(name, monkeypatch):
+    """The e-graph and root class ``synthesize`` extracts from for one model."""
+    return _synthesize_recording(name, monkeypatch, SynthesisConfig())[1]
 
 
 def _reachable(egraph, root):
@@ -67,11 +75,14 @@ def _ranked(entries):
 
 
 def _assert_top_k_matches_oracle(name, cost_name, monkeypatch):
-    egraph, root = _extraction_graph(name, monkeypatch)
+    config = SynthesisConfig(cost_function=cost_name)
+    result, (egraph, root) = _synthesize_recording(name, monkeypatch, config)
     cost_function = get_cost_function(cost_name)
+    assert [(c.cost, c.term) for c in result.candidates] == _ranked(
+        two_view_top_k(egraph, root, cost_function, config.top_k)
+    )
     lazy = TopKExtractor(egraph, cost_function, k=10)
     eager = EagerTopKExtractor(egraph, cost_function, k=10)
-    assert _ranked(lazy.best_per_enode(root)) == _ranked(eager.best_per_enode(root))
     assert _ranked(lazy.extract_top_k(root)) == _ranked(eager.extract_top_k(root))
 
 
@@ -139,7 +150,6 @@ def test_a_child_in_the_same_scc_reads_rank0_from_its_banned_stream():
 def test_extract_expands_fewer_classes_than_it_indexes(monkeypatch):
     egraph, root = _extraction_graph("gear", monkeypatch)
     extractor = TopKExtractor(egraph, ast_size_cost, k=5)
-    extractor.best_per_enode(root)
     extractor.extract_top_k(root)
     counters = extractor.counters()
     assert counters["expanded"] <= counters["streams"]
